@@ -247,10 +247,14 @@ type ClusterResult struct {
 	// Executor names the execution strategy the run used: "parallel-window"
 	// when Options.ParWindow engaged the parallel-in-time loop, "lockstep"
 	// for the event-by-event reference — including when a positive ParWindow
-	// fell back because the run armed Options.Resilience (the lifecycle
-	// manager couples nodes through the control engine mid-window). The two
-	// strategies produce byte-identical results; this field only reports
-	// which one ran.
+	// fell back. The cluster layer falls back in three cases: the run armed
+	// Options.Resilience (the lifecycle manager couples nodes through the
+	// control engine mid-window), the dispatcher declares neither arrival
+	// protocol (pre-sharding or latency-floor lookahead), or the fleet's
+	// PCIe dispatch floor is zero. Every DispatchKind declares a protocol and
+	// every PCIe generation keeps a positive floor, so through Options only
+	// Resilience falls back. The two strategies produce byte-identical
+	// results; this field only reports which one ran.
 	Executor string
 	// Classes lists fleet-wide per-class outcomes in spec order (per-node
 	// counters summed, latency sketches merged).

@@ -47,6 +47,11 @@ import (
 // same base seed.
 const nodeSeedTag = 0xC105
 
+// maxEvents is the runaway guard: a run stops, keeping what ran, after this
+// many control and node events (the parallel-window loop checks it between
+// windows).
+const maxEvents = 2e9
+
 // RunConfig parameterizes a cluster simulation.
 type RunConfig struct {
 	// Sys is the per-node machine configuration; every node is one replica
@@ -91,18 +96,18 @@ type RunConfig struct {
 	Mechanism func() core.Mechanism
 	// MaxSimTime aborts the simulation at this virtual time (0 = 120s).
 	MaxSimTime sim.Time
-	// MaxEvents aborts after this many events summed over all node engines
-	// (0 = 2e9). The parallel-window path checks the limit at window
-	// granularity, so it may overshoot by up to one window before stopping.
-	MaxEvents uint64
 	// Parallel switches the run from the event-by-event lockstep reference
 	// to parallel-in-time window execution: node engines run independently
 	// inside conservative time windows on this many workers, with a
 	// deterministic merge at every window boundary. Results are
 	// byte-identical to the lockstep path at any worker count; 0 keeps the
-	// lockstep reference. A run with the resilience layer armed always uses
-	// lockstep — cross-node completion coupling (hedge cancellation, breaker
+	// lockstep reference. Windows need an arrival protocol, so three kinds
+	// of run stay lockstep whatever the value: a dispatcher that is neither
+	// LoadOblivious nor a Lookahead with a known read set, a fleet whose
+	// dispatch floor is zero, and a run with the resilience layer armed,
+	// whose cross-node completion coupling (hedge cancellation, breaker
 	// feedback) shrinks the safe lookahead to zero (see DESIGN.md).
+	// Cluster.Executor reports which loop runs.
 	Parallel int
 	// Warmth, when non-nil, warm-starts the dispatcher from a snapshot of a
 	// previously drained fleet (see Cluster.Warmth), so a measurement run
@@ -123,9 +128,6 @@ func (rc *RunConfig) defaults() {
 	}
 	if rc.MaxSimTime <= 0 {
 		rc.MaxSimTime = 120 * sim.Second
-	}
-	if rc.MaxEvents == 0 {
-		rc.MaxEvents = 2e9
 	}
 	if rc.Mechanism == nil {
 		rc.Mechanism = func() core.Mechanism { return preempt.None{} }
@@ -380,8 +382,7 @@ type Cluster struct {
 	parOn      bool
 	parWorkers int
 	pool       *runner.Pool
-	oblivious  bool       // dispatcher is LoadOblivious: arrivals pre-shard
-	lookOn     bool       // dispatcher is Lookahead: latency-floor windows
+	lookOn     bool       // dispatcher is Lookahead: latency-floor windows, else pre-shard
 	floorMin   sim.Time   // min dispatch floor over every possible target node
 	winActive  []*Node    // per-window scratch: nodes with work in the window
 	batch      []shardEnt // lookahead scratch: the arrivals inside the window
@@ -573,13 +574,6 @@ func New(tr *trace.ArrivalTrace, rc RunConfig) (*Cluster, error) {
 		}
 		c.initResilience()
 	}
-	// The resilience layer couples node completions across the fleet at
-	// event granularity (hedge cancellation, breaker feedback), which
-	// shrinks the safe parallel lookahead to zero — it always runs on the
-	// lockstep reference.
-	c.parOn = rc.Parallel >= 1 && c.res == nil
-	c.parWorkers = rc.Parallel
-	_, c.oblivious = c.disp.(LoadOblivious)
 	// The latency-floor lookahead bound must hold for every node an arrival
 	// could land on — including nodes the autoscaler has yet to add, which
 	// use addCfg.
@@ -589,9 +583,16 @@ func New(tr *trace.ArrivalTrace, rc RunConfig) (*Cluster, error) {
 			c.floorMin = n.floor
 		}
 	}
-	if la, ok := c.disp.(Lookahead); ok && !c.oblivious {
+	_, oblivious := c.disp.(LoadOblivious)
+	if la, ok := c.disp.(Lookahead); ok && !oblivious {
 		c.lookOn = lookaheadReadsSafe(la.LookaheadReads()) && c.floorMin > 0
 	}
+	// Windows need one of the two arrival protocols. The resilience layer
+	// couples node completions across the fleet at event granularity (hedge
+	// cancellation, breaker feedback), which shrinks the safe lookahead to
+	// zero — it always runs on the lockstep reference.
+	c.parOn = rc.Parallel >= 1 && c.res == nil && (oblivious || c.lookOn)
+	c.parWorkers = rc.Parallel
 	return c, nil
 }
 
@@ -605,8 +606,9 @@ const (
 )
 
 // Executor reports which execution strategy Run uses for this cluster. A
-// RunConfig.Parallel request with the resilience layer armed reports
-// ExecutorLockstep — the documented fallback (see RunConfig.Parallel).
+// RunConfig.Parallel request that falls back — no arrival protocol for the
+// dispatcher, a zero dispatch floor, or the resilience layer armed — reports
+// ExecutorLockstep (see RunConfig.Parallel).
 func (c *Cluster) Executor() string {
 	if c.parOn {
 		return ExecutorParallelWindow
@@ -623,8 +625,7 @@ func (c *Cluster) DispatchFloor() sim.Time { return c.floorMin }
 // Run simulates the arrival stream across the configured fleet and reports
 // per-node plus rolled-up SLO metrics. The simulation stops when every
 // dispatch attempt has resolved — completed or lost to a kill — and the
-// stream is exhausted (or at MaxSimTime / MaxEvents, leaving the remainder
-// in flight).
+// stream is exhausted (or at MaxSimTime, leaving the remainder in flight).
 func Run(tr *trace.ArrivalTrace, rc RunConfig) (*Result, error) {
 	c, err := New(tr, rc)
 	if err != nil {
@@ -677,26 +678,8 @@ func (c *Cluster) done() bool {
 // timestamp is not yet visible to the dispatcher.
 func (c *Cluster) loop() error {
 	var processed uint64
-	for c.err == nil {
-		if c.done() {
-			return c.err
-		}
-		if processed >= c.rc.MaxEvents {
-			// Like the single-machine event watchdog: stop, keep what ran.
-			break
-		}
-		hasA := c.next < len(c.tr.Arrivals)
-		var tA sim.Time
-		if hasA {
-			tA = c.tr.Arrivals[c.next].At
-		}
-		ni := -1
-		var tN sim.Time
-		for i := range c.Nodes {
-			if c.hasNext[i] && (ni < 0 || c.nextAt[i] < tN) {
-				tN, ni = c.nextAt[i], i
-			}
-		}
+	for c.err == nil && !c.done() && processed < maxEvents {
+		hasA, tA, ni, tN := c.peekNext()
 		switch {
 		case c.ctlHas && (!hasA || c.ctlAt <= tA) && (ni < 0 || c.ctlAt <= tN):
 			if c.ctlAt > c.rc.MaxSimTime {
@@ -729,6 +712,22 @@ func (c *Cluster) loop() error {
 		}
 	}
 	return c.err
+}
+
+// peekNext returns the next undispatched arrival (hasA, its time tA) and the
+// node holding the earliest pending engine event (ni < 0 when every engine
+// is idle), ties to the lowest index.
+func (c *Cluster) peekNext() (hasA bool, tA sim.Time, ni int, tN sim.Time) {
+	if hasA = c.next < len(c.tr.Arrivals); hasA {
+		tA = c.tr.Arrivals[c.next].At
+	}
+	ni = -1
+	for i := range c.Nodes {
+		if c.hasNext[i] && (ni < 0 || c.nextAt[i] < tN) {
+			tN, ni = c.nextAt[i], i
+		}
+	}
+	return hasA, tA, ni, tN
 }
 
 // dispatch places arrival i on a node at its arrival time — through
@@ -794,7 +793,8 @@ func (c *Cluster) pickNode(i int, at sim.Time) *Node {
 // placeOn applies the cluster- and dispatcher-visible bookkeeping of placing
 // arrival i on node n, so a later arrival at the same timestamp already sees
 // this request. The engine-side admission is scheduled separately — by place
-// in lockstep, by the window runner on the pre-shard path.
+// in lockstep, by the window runner on the pre-shard path, by lookPlace in a
+// lookahead merge.
 func (c *Cluster) placeOn(n *Node, i int, at sim.Time) {
 	a := &c.tr.Arrivals[i]
 	n.admitted++
@@ -839,17 +839,26 @@ func (c *Cluster) startRun(n *Node, i int) {
 			})
 			return
 		}
-		n.finished++
-		n.inflightByApp[app]--
-		n.memDemand -= c.ws[app]
-		c.finished++
-		c.disp.Completed(n.Index, class, app, exec)
-		if n.state == NodeDraining && n.InFlight() == 0 {
-			c.retire(n, c.now)
-		}
+		c.complete(n, class, app, exec)
 	})
 	if err != nil {
 		c.nodeFail(n, fmt.Errorf("cluster: admitting request %d on node %d: %w", i, n.Index, err))
+	}
+}
+
+// complete applies a completion's node counters, the fleet counter, the
+// dispatcher feedback and the drained-node retirement at c.now — inline on
+// the lockstep loop, at its replay position in a window merge. The
+// retirement check reads the same counters in both, because a Draining node
+// receives no placements mid-window.
+func (c *Cluster) complete(n *Node, class, app int, exec sim.Time) {
+	n.finished++
+	n.inflightByApp[app]--
+	n.memDemand -= c.ws[app]
+	c.finished++
+	c.disp.Completed(n.Index, class, app, exec)
+	if n.state == NodeDraining && n.InFlight() == 0 {
+		c.retire(n, c.now)
 	}
 }
 

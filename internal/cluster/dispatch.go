@@ -111,13 +111,15 @@ const (
 // an implementation declares, via LookaheadReads, every node-state category
 // its Pick (and hooks) consume beyond the dispatcher's own internal state.
 // If all declared reads are merge-reproducible — today every StateRead is —
-// the parallel executor may run node engines past an arrival up to its
-// dispatch-path latency floor and replay the declared inputs in lockstep
-// order before running Pick, instead of hard-syncing the fleet at every
-// arrival (see parallel.go). Declaring reads the Pick does not make is
-// harmless; making reads it does not declare (wall-clock node internals,
-// engine peeks) breaks byte-identity with lockstep. A dispatcher that is
-// also LoadOblivious keeps the stronger pre-sharding path.
+// and the fleet's dispatch floor is positive, the parallel executor may run
+// node engines past an arrival up to that floor and replay the declared
+// inputs in lockstep order before running Pick (see parallel.go). A
+// dispatcher that is neither Lookahead nor LoadOblivious, or declares an
+// unknown read, runs on the lockstep loop whatever RunConfig.Parallel asks.
+// Declaring reads the Pick does not make is harmless; making reads it does
+// not declare (wall-clock node internals, engine peeks) breaks byte-identity
+// with lockstep. A dispatcher that is also LoadOblivious keeps the stronger
+// pre-sharding path.
 type Lookahead interface {
 	LookaheadReads() []StateRead
 }
@@ -125,7 +127,7 @@ type Lookahead interface {
 // lookaheadReadsSafe reports whether a declared read set opts a dispatcher
 // into lookahead windows: non-empty and entirely within the known
 // merge-reproducible categories (an unknown value from a third-party
-// dispatcher falls back to hard-syncing at every arrival).
+// dispatcher falls back to the lockstep loop).
 func lookaheadReadsSafe(reads []StateRead) bool {
 	if len(reads) == 0 {
 		return false

@@ -14,30 +14,35 @@
 //     load), and
 //   - MaxSimTime.
 //
-// Between now and B = min(tA, ctlAt, MaxSimTime+1) every pending node event
-// is node-local: an event on node i can only schedule on node i, and no
-// dispatch or fleet mutation can land before B. So all node engines may run
-// their events strictly before B independently — in parallel — provided the
-// cross-node effects of completions (the fleet counter, Dispatcher.Completed
-// feedback, drained-node retirement) are buffered and replayed at the window
-// boundary in exactly the lockstep order: ascending (time, node index), with
-// each node's buffer already in its engine's firing order. After the merge
-// the cluster state is indistinguishable from having run lockstep to B.
+// Between now and a bound B no later than all three, every pending node
+// event is node-local: an event on node i can only schedule on node i, and
+// no dispatch or fleet mutation can land before B. So all node engines may
+// run their events strictly before B independently — in parallel — provided
+// the cross-node effects of completions (the fleet counter,
+// Dispatcher.Completed feedback, drained-node retirement) are buffered and
+// replayed at the window boundary in exactly the lockstep order: ascending
+// (time, node index), with each node's buffer already in its engine's firing
+// order. After the merge the cluster state is indistinguishable from having
+// run lockstep to B.
 //
-// Three refinements make the windows long enough to matter:
+// Control events and MaxSimTime always bound a window. The arrival bound is
+// where the executor needs a dispatcher contract, and it has exactly two
+// arrival protocols; a run that qualifies for neither stays on the lockstep
+// loop (see Cluster.Executor):
 //
 // Pre-sharding. A LoadOblivious dispatcher's Pick reads nothing but its own
-// internal state, so arrival dispatch stops being a serialization point: the
-// loop batches every arrival before the next control event, runs the
-// bookkeeping and Pick serially in arrival order (the eligible Up-set only
-// changes at control events), and appends each decision to the chosen node's
-// shard. The window then extends to the control horizon and each node
-// interleaves its shard into its own engine exactly where the lockstep
-// insertion would have happened: an admission is inserted the moment the
-// engine's next pending event is at or after the arrival time, which
-// reproduces the engine's insertion-order tie-break (equal-time events fire
-// FIFO by insertion) verbatim. On a fixed fleet with no faults this makes
-// the whole run one window per control gap — or a single window.
+// internal state, so arrival dispatch stops being a serialization point:
+// whenever an arrival is pending the loop batches every arrival before the
+// next control event, runs the bookkeeping and Pick serially in arrival
+// order (the eligible Up-set only changes at control events), and appends
+// each decision to the chosen node's shard. The window then extends to the
+// control horizon and each node interleaves its shard into its own engine
+// exactly where the lockstep insertion would have happened: an admission is
+// inserted the moment the engine's next pending event is at or after the
+// arrival time, which reproduces the engine's insertion-order tie-break
+// (equal-time events fire FIFO by insertion) verbatim. On a fixed fleet with
+// no faults this makes the whole run one window per control gap — or a
+// single window.
 //
 // Latency-floor lookahead. A load-aware Pick at arrival time tA reads fleet
 // state — but every admission physically lands floor(n) after its decision
@@ -47,18 +52,17 @@
 // Lookahead dispatcher declares that its Pick reads only state the boundary
 // merge reconstructs (in-flight counts, memory demand, completion feedback),
 // which makes this two-level soft-sync protocol safe: (1) run every node in
-// parallel to B = min(nextControl, tA+floorMin) — a hard-sync boundary would
-// have been tA itself; (2) without tearing down the worker pool, replay the
-// window serially as an "arrival micro-merge": buffered completions and the
-// batched arrivals interleave in lockstep total order (arrivals before
-// same-time node events), each Pick seeing exactly the counters lockstep
-// would have shown it; (3) schedule each admission at its decision time plus
-// floor(n) — at or after B, so the already-advanced engine accepts it — on a
-// sequence slot the node reserved when its in-window run crossed the
-// arrival's timestamp (sim.Engine.ReserveSeq), so same-time ties fire in the
-// exact lockstep order. Node-local counters (in-flight, per-app, memory
-// demand) defer to the merge along with the fleet effects; in-window drain
-// checks read Node.liveLocal, which counts the buffered completions.
+// parallel to B = min(nextControl, tA+floorMin); (2) without tearing down the
+// worker pool, replay the window serially as an "arrival micro-merge":
+// buffered completions and the batched arrivals interleave in lockstep total
+// order (arrivals before same-time node events), each Pick seeing exactly the
+// counters lockstep would have shown it; (3) schedule each admission at its
+// decision time plus floor(n) — at or after B, so the already-advanced engine
+// accepts it — on a sequence slot the node reserved when its in-window run
+// crossed the arrival's timestamp (sim.Engine.ReserveSeq), so same-time ties
+// fire in the exact lockstep order. Node-local counters (in-flight, per-app,
+// memory demand) defer to the merge along with the fleet effects; in-window
+// drain checks read Node.liveLocal, which counts the buffered completions.
 //
 // Final windows. Once the stream is exhausted, the run must stop at the
 // exact completion that resolves the last request — lockstep checks done()
@@ -73,10 +77,12 @@
 // stays put. If some node was still busy at the bound, no global finish
 // happened in the window and everyone simply tops up to the bound.
 //
-// The resilience layer is the counterexample to all of this: a completion
-// there resolves hedges on other nodes, feeds breakers and re-dispatches
-// queued work immediately, so the safe lookahead collapses to zero and the
-// run stays on the lockstep reference (see DESIGN.md).
+// Everything else runs lockstep: a dispatcher with neither contract (or a
+// Lookahead read set naming an unknown StateRead) would have to hard-sync at
+// every arrival, a fleet whose dispatch floor is zero has no lookahead to
+// spend, and the resilience layer couples nodes at event granularity — a
+// completion there resolves hedges on other nodes, feeds breakers and
+// re-dispatches queued work immediately (see DESIGN.md).
 package cluster
 
 import (
@@ -118,28 +124,14 @@ type LoadOblivious interface {
 // parLoop is the parallel-window equivalent of loop: identical control,
 // arrival and MaxSimTime handling, but contiguous runs of node events
 // execute as parallel windows with a deterministic merge. Byte-identical to
-// loop at any RunConfig.Parallel value.
+// loop at any RunConfig.Parallel value. It runs only when the dispatcher is
+// LoadOblivious or lookahead-safe (see New), so a pending arrival takes one of
+// the two arrival protocols and a node-event window without one happens only
+// once the stream is exhausted.
 func (c *Cluster) parLoop() error {
 	var processed uint64
-	for c.err == nil {
-		if c.done() {
-			return c.err
-		}
-		if processed >= c.rc.MaxEvents {
-			break
-		}
-		hasA := c.next < len(c.tr.Arrivals)
-		var tA sim.Time
-		if hasA {
-			tA = c.tr.Arrivals[c.next].At
-		}
-		ni := -1
-		var tN sim.Time
-		for i := range c.Nodes {
-			if c.hasNext[i] && (ni < 0 || c.nextAt[i] < tN) {
-				tN, ni = c.nextAt[i], i
-			}
-		}
+	for c.err == nil && !c.done() && processed < maxEvents {
+		hasA, tA, ni, tN := c.peekNext()
 		switch {
 		case c.ctlHas && (!hasA || c.ctlAt <= tA) && (ni < 0 || c.ctlAt <= tN):
 			if c.ctlAt > c.rc.MaxSimTime {
@@ -150,48 +142,38 @@ func (c *Cluster) parLoop() error {
 			c.ctl.Step()
 			c.refreshCtl()
 			processed++
-		case c.lookOn && hasA:
-			// Latency-floor lookahead: run every node to
-			// min(nextControl, tA+floorMin), batching the arrivals inside
-			// the floor, then micro-merge arrivals and completions serially.
-			steps, progressed := c.runLookahead(c.lookBound(tA))
-			if !progressed {
-				// Nothing pending at or before the horizon (the remaining
-				// arrivals land beyond it) — exactly lockstep's stop.
-				c.now = c.rc.MaxSimTime
-				return c.err
-			}
-			processed += steps
-		case hasA && (ni < 0 || tA <= tN):
-			if tA > c.rc.MaxSimTime {
-				c.now = c.rc.MaxSimTime
-				return c.err
-			}
-			if c.oblivious {
-				// Batch every arrival up to the control horizon and run the
-				// whole gap as one window.
-				bound := c.windowBound(false, 0)
-				c.preShard(bound)
-				if c.err != nil {
-					return c.err
-				}
-				processed += c.runWindow(bound, c.next >= len(c.tr.Arrivals))
-				continue
-			}
-			c.now = tA
-			c.dispatch(c.next)
-			c.next++
-		case ni >= 0:
-			if tN > c.rc.MaxSimTime {
-				c.now = c.rc.MaxSimTime
-				return c.err
-			}
-			processed += c.runWindow(c.windowBound(hasA, tA), !hasA)
-		default:
+		case !hasA && ni < 0:
 			return c.err
+		case (!hasA || tA > c.rc.MaxSimTime) && (ni < 0 || tN > c.rc.MaxSimTime):
+			// The earliest pending event lies past MaxSimTime: lockstep's stop.
+			c.now = c.rc.MaxSimTime
+			return c.err
+		case c.lookOn && hasA:
+			processed += c.runLookahead(c.lookBound(tA))
+		default:
+			// Pre-shard every arrival up to the control horizon (none once the
+			// stream is exhausted) and run the whole gap as one window.
+			bound := c.windowBound()
+			c.preShard(bound)
+			if c.err != nil {
+				return c.err
+			}
+			processed += c.runWindow(bound, c.next >= len(c.tr.Arrivals))
 		}
 	}
 	return c.err
+}
+
+// windowBound returns the conservative horizon every window respects: the
+// next control event or MaxSimTime, whichever comes first. Events strictly
+// before the bound are safe to run node-locally once the arrivals before it
+// are accounted for.
+func (c *Cluster) windowBound() sim.Time {
+	bound := c.rc.MaxSimTime + 1
+	if c.ctlHas && c.ctlAt < bound {
+		bound = c.ctlAt
+	}
+	return bound
 }
 
 // lookBound returns the latency-floor lookahead horizon for a window whose
@@ -199,24 +181,16 @@ func (c *Cluster) parLoop() error {
 // hard-syncs, but the arrival itself does not — no placement decided in
 // [tA, tA+floorMin) can land on any node engine before tA+floorMin.
 func (c *Cluster) lookBound(tA sim.Time) sim.Time {
-	bound := c.rc.MaxSimTime + 1
-	if c.ctlHas && c.ctlAt < bound {
-		bound = c.ctlAt
-	}
-	if tA+c.floorMin < bound {
-		bound = tA + c.floorMin
-	}
-	return bound
+	return min(c.windowBound(), tA+c.floorMin)
 }
 
 // runLookahead executes one latency-floor lookahead window: batch the
 // arrivals strictly before bound, run every node with pending events in
 // parallel to the bound (reserving a sequence slot per batched arrival at
 // each arrival-time crossing), then micro-merge the batch and the buffered
-// completions serially in lockstep total order. Reports the node events
-// fired and whether the window made any progress.
-func (c *Cluster) runLookahead(bound sim.Time) (uint64, bool) {
-	c.batch = c.batch[:0]
+// completions serially in lockstep total order. Returns the node events
+// fired.
+func (c *Cluster) runLookahead(bound sim.Time) uint64 {
 	for c.next < len(c.tr.Arrivals) {
 		at := c.tr.Arrivals[c.next].At
 		if at >= bound {
@@ -225,32 +199,12 @@ func (c *Cluster) runLookahead(bound sim.Time) (uint64, bool) {
 		c.batch = append(c.batch, shardEnt{i: c.next, at: at})
 		c.next++
 	}
-	active := c.winActive[:0]
-	for i, n := range c.Nodes {
-		if c.hasNext[i] && c.nextAt[i] < bound {
-			active = append(active, n)
-		}
-	}
-	c.winActive = active
-	if len(active) == 0 && len(c.batch) == 0 {
-		return 0, false
-	}
+	active := c.collectActive(bound)
 	counts := c.stepCounts(len(active))
 	c.fanOut(len(active), func(i int) {
 		counts[i] = c.runNodeLook(active[i], bound)
 	})
-	var steps uint64
-	for _, s := range counts {
-		steps += s
-	}
-	for _, n := range active {
-		c.refresh(n.Index)
-	}
-	c.mergeLookahead()
-	for _, n := range active {
-		n.lookRes = false
-	}
-	return steps, true
+	return c.finishWindow(counts)
 }
 
 // runNodeLook fires node n's events strictly before bound, reserving one of
@@ -288,36 +242,6 @@ func (c *Cluster) runNodeLook(n *Node, bound sim.Time) uint64 {
 	return steps
 }
 
-// mergeLookahead is the arrival micro-merge: replay the batched arrivals and
-// the buffered completions in lockstep total order — ascending time, an
-// arrival before a same-time completion (lockstep fires arrivals before node
-// events), completions tying by node index. Each Pick runs against exactly
-// the counters lockstep would have shown it; each admission is scheduled at
-// decision time + floor(n) on the sequence slot the chosen node reserved.
-func (c *Cluster) mergeLookahead() {
-	bp := 0
-	for c.err == nil {
-		var best *Node
-		for _, n := range c.winActive {
-			if n.winPos < len(n.winBuf) && (best == nil || n.winBuf[n.winPos].at < best.winBuf[best.winPos].at) {
-				best = n
-			}
-		}
-		if bp < len(c.batch) && (best == nil || c.batch[bp].at <= best.winBuf[best.winPos].at) {
-			a := c.batch[bp]
-			c.now = a.at
-			c.lookPlace(a.i, a.at, bp)
-			bp++
-			continue
-		}
-		if best == nil {
-			break
-		}
-		c.applyWinEv(best)
-	}
-	c.resetWinBufs(c.winActive)
-}
-
 // lookPlace is place for a micro-merged arrival: identical protocol, but the
 // admission lands on the reserved sequence slot when the chosen node ran in
 // this window (an idle node's sequence counter already matches lockstep's,
@@ -336,29 +260,16 @@ func (c *Cluster) lookPlace(i int, at sim.Time, bp int) {
 	c.refresh(n.Index)
 }
 
-// windowBound returns the conservative lookahead horizon: the earliest
-// moment a cross-node interaction could occur. Events strictly before the
-// bound are safe to run node-locally.
-func (c *Cluster) windowBound(hasA bool, tA sim.Time) sim.Time {
-	bound := c.rc.MaxSimTime + 1
-	if c.ctlHas && c.ctlAt < bound {
-		bound = c.ctlAt
-	}
-	if hasA && tA < bound {
-		bound = tA
-	}
-	return bound
-}
-
 // preShard consumes every consecutive arrival strictly before the bound
 // (control events win timestamp ties, so an arrival at the control time
-// must see the post-control fleet) and at most MaxSimTime, running the
-// dispatch decision and bookkeeping serially in arrival order and deferring
-// only the engine insertion to the window runner.
+// must see the post-control fleet), running the dispatch decision and
+// bookkeeping serially in arrival order and deferring only the engine
+// insertion to the window runner. The bound never exceeds MaxSimTime+1, so
+// no arrival past MaxSimTime is consumed.
 func (c *Cluster) preShard(bound sim.Time) {
 	for c.next < len(c.tr.Arrivals) {
 		at := c.tr.Arrivals[c.next].At
-		if at >= bound || at > c.rc.MaxSimTime {
+		if at >= bound {
 			return
 		}
 		n := c.pickNode(c.next, at)
@@ -376,6 +287,21 @@ func (c *Cluster) preShard(bound sim.Time) {
 // pool exists), re-cache their engine peeks, and replay the buffered
 // completions in lockstep order. Returns the number of node events fired.
 func (c *Cluster) runWindow(bound sim.Time, final bool) uint64 {
+	active := c.collectActive(bound)
+	counts := c.stepCounts(len(active))
+	if final {
+		c.runFinal(active, bound, counts)
+	} else {
+		c.fanOut(len(active), func(i int) {
+			counts[i] = c.runNodeTo(active[i], bound, nil)
+		})
+	}
+	return c.finishWindow(counts)
+}
+
+// collectActive gathers the nodes with work before bound — a pending event
+// or pre-sharded admissions — into the per-window scratch.
+func (c *Cluster) collectActive(bound sim.Time) []*Node {
 	active := c.winActive[:0]
 	for i, n := range c.Nodes {
 		if (c.hasNext[i] && c.nextAt[i] < bound) || len(n.shard) > 0 {
@@ -383,25 +309,18 @@ func (c *Cluster) runWindow(bound sim.Time, final bool) uint64 {
 		}
 	}
 	c.winActive = active
-	if len(active) == 0 {
-		return 0
-	}
+	return active
+}
+
+// finishWindow closes a window: re-cache the active nodes' engine peeks,
+// merge, and total the per-node step counts.
+func (c *Cluster) finishWindow(counts []uint64) uint64 {
 	var steps uint64
-	if final {
-		steps = c.runFinal(active, bound)
-	} else {
-		counts := c.stepCounts(len(active))
-		c.fanOut(len(active), func(i int) {
-			counts[i] = c.runNodeTo(active[i], bound)
-		})
-		for _, s := range counts {
-			steps += s
-		}
-	}
-	for _, n := range active {
+	for i, n := range c.winActive {
 		c.refresh(n.Index)
+		steps += counts[i]
 	}
-	c.mergeWindow(active)
+	c.merge()
 	return steps
 }
 
@@ -434,8 +353,11 @@ func (c *Cluster) fanOut(n int, fn func(int)) {
 // time t is inserted into the engine the moment the engine's next pending
 // event is at or after t (or the engine is idle), exactly when the lockstep
 // loop would have called Eng.At — so equal-time events keep their FIFO
-// insertion order and the run stays byte-identical.
-func (c *Cluster) runNodeTo(n *Node, bound sim.Time) uint64 {
+// insertion order and the run stays byte-identical. With fin non-nil (pass
+// one of a final window) it also stops the moment the node's own in-flight
+// population hits zero (liveLocal: completions buffered for the merge count),
+// recording the draining completion's time in *fin.
+func (c *Cluster) runNodeTo(n *Node, bound sim.Time, fin *sim.Time) uint64 {
 	eng := n.Sys.Eng
 	var steps uint64
 	sp := 0
@@ -452,34 +374,7 @@ func (c *Cluster) runNodeTo(n *Node, bound sim.Time) uint64 {
 		}
 		eng.Step()
 		steps++
-	}
-	n.shard = n.shard[:0]
-	return steps
-}
-
-// runNodeDrain is runNodeTo for pass one of a final window: it additionally
-// stops the moment the node's own in-flight population hits zero (liveLocal:
-// completions buffered for the merge count), recording the draining
-// completion's time in *fin (which stays negative if the node was still busy
-// at the bound).
-func (c *Cluster) runNodeDrain(n *Node, bound sim.Time, fin *sim.Time) uint64 {
-	eng := n.Sys.Eng
-	var steps uint64
-	sp := 0
-	for {
-		t, ok := eng.Peek()
-		for sp < len(n.shard) && (!ok || n.shard[sp].at <= t) {
-			s := n.shard[sp]
-			sp++
-			eng.AtFunc(s.at+n.floor, admitEvent, n, int64(s.i))
-			t, ok = eng.Peek()
-		}
-		if !ok || t >= bound {
-			break
-		}
-		eng.Step()
-		steps++
-		if n.liveLocal() == 0 && sp == len(n.shard) {
+		if fin != nil && n.liveLocal() == 0 && sp == len(n.shard) {
 			*fin = eng.Now()
 			break
 		}
@@ -488,28 +383,12 @@ func (c *Cluster) runNodeDrain(n *Node, bound sim.Time, fin *sim.Time) uint64 {
 	return steps
 }
 
-// runNodeUntil fires node n's events at or before limit (pass two of a
-// final window: residual, non-completing events only).
-func (c *Cluster) runNodeUntil(n *Node, limit sim.Time) uint64 {
-	eng := n.Sys.Eng
-	var steps uint64
-	for {
-		t, ok := eng.Peek()
-		if !ok || t > limit {
-			break
-		}
-		eng.Step()
-		steps++
-	}
-	return steps
-}
-
-// runFinal executes a window in which the run may end: the arrival stream is
-// exhausted, so the completion resolving the last in-flight request must be
-// the run's final fired event, exactly as lockstep's done()-before-every-
-// event check guarantees.
-func (c *Cluster) runFinal(active []*Node, bound sim.Time) uint64 {
-	counts := c.stepCounts(len(active))
+// runFinal executes a window in which the run may end, adding each active
+// node's fired events to counts: the arrival stream is exhausted, so the
+// completion resolving the last in-flight request must be the run's final
+// fired event, exactly as lockstep's done()-before-every-event check
+// guarantees.
+func (c *Cluster) runFinal(active []*Node, bound sim.Time, counts []uint64) {
 	if cap(c.finTimes) < len(active) {
 		c.finTimes = make([]sim.Time, len(active))
 	}
@@ -523,7 +402,7 @@ func (c *Cluster) runFinal(active []*Node, bound sim.Time) uint64 {
 		if n.liveLocal() == 0 && len(n.shard) == 0 {
 			return
 		}
-		counts[i] = c.runNodeDrain(n, bound, &fins[i])
+		counts[i] = c.runNodeTo(n, bound, &fins[i])
 	})
 	totalIn := 0
 	for _, n := range c.Nodes {
@@ -534,83 +413,72 @@ func (c *Cluster) runFinal(active []*Node, bound sim.Time) uint64 {
 		// before it), so the run does not end in this window and every event
 		// before the bound fires, exactly as lockstep with done() false.
 		c.fanOut(len(active), func(i int) {
-			counts[i] += c.runNodeTo(active[i], bound)
+			counts[i] += c.runNodeTo(active[i], bound, nil)
 		})
-	} else {
-		// The fleet drained: the run ends at T*, the latest per-node drain
-		// time, resolved by the highest-index node finishing there. Replay
-		// the residual events lockstep would still have fired: all of a
-		// lower-index node's events at T* precede node k's resolving
-		// completion; a higher-index node's events at T* never fire.
-		tstar, k := sim.Time(-1), -1
-		for i, n := range active {
-			if fins[i] >= 0 && (fins[i] > tstar || (fins[i] == tstar && n.Index > k)) {
-				tstar, k = fins[i], n.Index
-			}
+		return
+	}
+	// The fleet drained: the run ends at T*, the latest per-node drain time,
+	// resolved by the highest-index node finishing there. Replay the
+	// residual events lockstep would still have fired: all of a lower-index
+	// node's events at T* precede node k's resolving completion; a
+	// higher-index node's events at T* never fire. Pass one emptied every
+	// shard, so these top-ups only step the engines.
+	tstar, k := sim.Time(-1), -1
+	for i, n := range active {
+		if fins[i] >= 0 && (fins[i] > tstar || (fins[i] == tstar && n.Index > k)) {
+			tstar, k = fins[i], n.Index
 		}
-		c.fanOut(len(active), func(i int) {
-			n := active[i]
-			switch {
-			case n.Index < k:
-				counts[i] += c.runNodeUntil(n, tstar)
-			case n.Index > k:
-				counts[i] += c.runNodeUntil(n, tstar-1)
-			}
-		})
 	}
-	var steps uint64
-	for _, s := range counts {
-		steps += s
-	}
-	return steps
+	c.fanOut(len(active), func(i int) {
+		n := active[i]
+		switch {
+		case n.Index < k:
+			counts[i] += c.runNodeTo(n, tstar+1, nil)
+		case n.Index > k:
+			counts[i] += c.runNodeTo(n, tstar, nil)
+		}
+	})
 }
 
-// mergeWindow replays the completions buffered during a window in the
-// lockstep total order — ascending time, ties by node index, each node's
-// buffer already engine-ordered — applying the node- and cluster-visible
-// effects the in-window callbacks deferred. It also promotes the
-// lowest-index node's window error, keeping failures deterministic at any
-// worker count.
-func (c *Cluster) mergeWindow(active []*Node) {
-	for {
+// merge replays the window in lockstep total order: the batched lookahead
+// arrivals (empty for pre-shard and final windows) and the completions
+// buffered on the active nodes interleave by ascending time, an arrival
+// before a same-time completion (lockstep fires arrivals before node
+// events), completions tying by node index and each node's buffer already
+// engine-ordered. Each Pick runs against exactly the counters lockstep would
+// have shown it; each admission is scheduled at decision time + floor(n) on
+// the sequence slot the chosen node reserved. Finally it clears the window
+// buffers and reservations and promotes the lowest-index node's window
+// error, keeping failures deterministic at any worker count.
+func (c *Cluster) merge() {
+	bp := 0
+	for c.err == nil {
 		var best *Node
-		for _, n := range active {
+		for _, n := range c.winActive {
 			if n.winPos < len(n.winBuf) && (best == nil || n.winBuf[n.winPos].at < best.winBuf[best.winPos].at) {
 				best = n
 			}
 		}
+		if bp < len(c.batch) && (best == nil || c.batch[bp].at <= best.winBuf[best.winPos].at) {
+			a := c.batch[bp]
+			c.now = a.at
+			c.lookPlace(a.i, a.at, bp)
+			bp++
+			continue
+		}
 		if best == nil {
 			break
 		}
-		c.applyWinEv(best)
+		ev := &best.winBuf[best.winPos]
+		best.winPos++
+		c.now = ev.at
+		c.complete(best, ev.class, ev.app, ev.exec)
 	}
-	c.resetWinBufs(active)
-}
-
-// applyWinEv replays node n's next buffered completion: the deferred node
-// counters, the fleet counter, the dispatcher feedback, and the drained-node
-// retirement check — which reads the same counters lockstep's inline check
-// would, because a Draining node receives no placements mid-window.
-func (c *Cluster) applyWinEv(n *Node) {
-	ev := &n.winBuf[n.winPos]
-	n.winPos++
-	c.now = ev.at
-	n.finished++
-	n.inflightByApp[ev.app]--
-	n.memDemand -= c.ws[ev.app]
-	c.finished++
-	c.disp.Completed(n.Index, ev.class, ev.app, ev.exec)
-	if n.state == NodeDraining && n.InFlight() == 0 {
-		c.retire(n, ev.at)
-	}
-}
-
-// resetWinBufs clears the window buffers and promotes the lowest-index
-// node's window error.
-func (c *Cluster) resetWinBufs(active []*Node) {
-	for _, n := range active {
+	c.batch = c.batch[:0]
+	for _, n := range c.winActive {
 		n.winBuf = n.winBuf[:0]
 		n.winPos = 0
+		n.lookRes = false
 		if n.winErr != nil {
 			c.fail(n.winErr)
 			n.winErr = nil

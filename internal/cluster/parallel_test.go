@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -181,60 +182,129 @@ func TestLookaheadMemoryPressureMatchesLockstep(t *testing.T) {
 	}
 }
 
-// TestParallelPreShardMatchesLockstep pins the pre-sharding fast path: a
-// fixed round-robin fleet with no control events runs the whole stream as
-// one giant window whose arrivals are all batched ahead of execution —
+// TestParallelPreShardMatchesLockstep pins both arrival protocols: on a
+// fixed fleet with no control events round-robin pre-shards the whole stream
+// into one giant window and jsq runs latency-floor lookahead windows —
 // including the final window, where the exact-stop logic must reproduce
-// lockstep's done()-before-every-event termination. Swept at every committed
-// worker count and cross-checked at a second arrival rate so both the
-// saturated and the sparse window shapes are covered.
+// lockstep's done()-before-every-event termination. A MaxSimTime axis cuts
+// the run early in the stream, mid-stream, just before, at and just after
+// the last arrival (mid-drain), on the fixed fleet and behind an autoscaler
+// whose ticks bound every window, so each of parLoop's stop branches
+// (control event, arrival or node event past MaxSimTime) must land where
+// lockstep stops. Swept at every committed worker count and at a sparse and
+// a saturated arrival rate.
 func TestParallelPreShardMatchesLockstep(t *testing.T) {
+	if _, ok := any(NewRoundRobin()).(LoadOblivious); !ok {
+		t.Fatal("round-robin lost its LoadOblivious marker; pre-sharding untested")
+	}
+	dispatchers := []struct {
+		name string
+		mk   func() Dispatcher
+	}{
+		{"round-robin", NewRoundRobin},
+		{"jsq", NewJSQ},
+	}
 	for _, rate := range []float64{8000, 60000} {
 		tr := testTrace(t, rate, 59)
-		ref, err := Run(tr, testRunConfig(4, NewRoundRobin()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, ok := any(NewRoundRobin()).(LoadOblivious); !ok {
-			t.Fatal("round-robin lost its LoadOblivious marker; pre-sharding untested")
-		}
-		for _, workers := range []int{1, 4, 8} {
-			rc := testRunConfig(4, NewRoundRobin())
-			rc.Parallel = workers
-			par, err := Run(tr, rc)
-			if err != nil {
-				t.Fatalf("parallel(%d): %v", workers, err)
-			}
-			if !reflect.DeepEqual(ref, par) {
-				t.Errorf("rate=%g: pre-sharded parallel(%d) diverged from lockstep: completed %d/%d end %v/%v",
-					rate, workers, ref.Completed, par.Completed, ref.EndTime, par.EndTime)
+		last := tr.Arrivals[len(tr.Arrivals)-1].At
+		for _, d := range dispatchers {
+			for _, scaled := range []bool{false, true} {
+				// 600µs falls in an idle gap of the sparse stream between two
+				// autoscaler ticks, where a control event is the first past the
+				// cut.
+				cuts := []sim.Time{0, 100 * sim.Microsecond, 500 * sim.Microsecond, 600 * sim.Microsecond, last - 1, last, last + 1}
+				for _, maxT := range cuts {
+					name := fmt.Sprintf("rate=%g/%s/autoscale=%v/max=%v", rate, d.name, scaled, maxT)
+					mkRC := func(parallel int) RunConfig {
+						rc := testRunConfig(4, d.mk())
+						if scaled {
+							asc, err := NewStepAutoscaler(StepConfig{Min: 3, Max: 5, HighBacklog: 6, LowBacklog: 1})
+							if err != nil {
+								t.Fatal(err)
+							}
+							rc.Autoscale = asc
+						}
+						rc.MaxSimTime = maxT
+						rc.Parallel = parallel
+						return rc
+					}
+					ref, err := Run(tr, mkRC(0))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if maxT > 0 && ref.EndTime != maxT {
+						t.Fatalf("%s: lockstep ended at %v, not cut at MaxSimTime", name, ref.EndTime)
+					}
+					for _, workers := range []int{1, 4, 8} {
+						par, err := Run(tr, mkRC(workers))
+						if err != nil {
+							t.Fatalf("%s: parallel(%d): %v", name, workers, err)
+						}
+						if !reflect.DeepEqual(ref, par) {
+							t.Errorf("%s: parallel(%d) diverged from lockstep: completed %d/%d end %v/%v",
+								name, workers, ref.Completed, par.Completed, ref.EndTime, par.EndTime)
+						}
+					}
+				}
 			}
 		}
 	}
 }
 
-// TestParallelResilienceFallsBackToLockstep pins the documented safety
-// fallback: with the request-lifecycle manager armed the safe lookahead is
-// zero, so any Parallel value must silently run the lockstep reference and
-// reproduce it exactly.
-func TestParallelResilienceFallsBackToLockstep(t *testing.T) {
+// TestParallelFallsBackToLockstep pins the documented lockstep fallbacks: a
+// run with no usable arrival protocol — the request-lifecycle manager armed,
+// a load-aware dispatcher hiding its Lookahead contract, or a fleet whose
+// dispatch floor is zero — must report the lockstep executor at any Parallel
+// value and reproduce the lockstep reference exactly.
+func TestParallelFallsBackToLockstep(t *testing.T) {
 	tr := testTrace(t, 40000, 61)
-	mkRC := func(parallel int) RunConfig {
-		rc := testRunConfig(3, NewJSQ())
-		rc.Resilience = resilienceSpec()
-		rc.Parallel = parallel
-		return rc
+	cases := []struct {
+		name string
+		rc   func() RunConfig
+	}{
+		{"resilience", func() RunConfig {
+			rc := testRunConfig(3, NewJSQ())
+			rc.Resilience = resilienceSpec()
+			return rc
+		}},
+		{"no-contract", func() RunConfig {
+			return testRunConfig(3, struct{ Dispatcher }{NewJSQ()})
+		}},
+		{"zero-floor", func() RunConfig {
+			rc := testRunConfig(3, NewJSQ())
+			rc.Sys.PCIe.IssueLatency = 0
+			rc.Sys.PCIe.BurstOverhead = 0
+			if f := rc.Sys.PCIe.DispatchFloor(); f != 0 {
+				t.Fatalf("zero-floor PCIe config has dispatch floor %v", f)
+			}
+			return rc
+		}},
 	}
-	ref, err := Run(tr, mkRC(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := Run(tr, mkRC(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(ref, par) {
-		t.Error("resilient run with Parallel set diverged from lockstep")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ref, err := Run(tr, tc.rc())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, workers := range []int{1, 8} {
+				rc := tc.rc()
+				rc.Parallel = workers
+				c, err := New(tr, rc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if c.Executor() != ExecutorLockstep {
+					t.Errorf("parallel(%d) reports executor %q, want the lockstep fallback", workers, c.Executor())
+				}
+				par, err := c.Run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(ref, par) {
+					t.Errorf("parallel(%d) diverged from lockstep", workers)
+				}
+			}
+		})
 	}
 }
 

@@ -219,7 +219,8 @@ type Options struct {
 	// inside conservative time windows on this many workers, with a
 	// deterministic merge at every window boundary. Results are
 	// byte-identical to the lockstep reference at any value (0 = lockstep);
-	// a run with Resilience armed always uses lockstep.
+	// a run with Resilience armed always uses lockstep (ClusterResult.Executor
+	// reports which loop ran).
 	ParWindow int
 	// WarmStart, when positive, has RunCluster first play a warmup stream of
 	// this duration through a throwaway fleet and carry the dispatcher's
