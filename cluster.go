@@ -11,30 +11,65 @@ import (
 	"repro/internal/sim"
 )
 
-// DispatchKind selects a cluster dispatch policy: how RunCluster places each
-// arriving request on one of the simulated GPUs.
-type DispatchKind string
+// The fleet configuration types are aliases of the internal specs, which are
+// their single declaration: field docs, defaults, Validate methods and the
+// JSON tags that make up the topology schema (see ReadClusterTopology) live
+// in internal/cluster and internal/resilience. Their duration fields are
+// SimTime; convert a time.Duration with SimTime(d).
+type (
+	// SimTime is a simulated duration in integer nanoseconds. It counts the
+	// same unit as time.Duration, so SimTime(d) converts exactly.
+	SimTime = sim.Time
+	// DispatchKind selects a cluster dispatch policy: how RunCluster places
+	// each arriving request on one of the simulated GPUs.
+	DispatchKind = cluster.Kind
+	// ClusterNodeType describes one slice of a heterogeneous fleet: Count
+	// GPUs sharing hardware overrides of the base machine.
+	ClusterNodeType = cluster.NodeType
+	// AutoscalePolicy configures RunCluster's step autoscaler.
+	AutoscalePolicy = cluster.StepConfig
+	// FaultPlan configures RunCluster's seeded fault injector: Poisson GPU
+	// kills and restarts, plus per-incarnation straggler draws.
+	FaultPlan = cluster.FaultSpec
+	// ResilienceSpec configures RunCluster's per-request lifecycle manager:
+	// attempt timeouts, budgeted backoff-with-jitter retries, hedged
+	// requests, per-GPU circuit breakers and admission-control load
+	// shedding. A nil or zero-valued spec leaves the run bit-for-bit on the
+	// plain fleet path.
+	ResilienceSpec = resilience.Spec
+	// RetryPolicy governs re-dispatch of failed attempts.
+	RetryPolicy = resilience.RetryPolicy
+	// RetryBudget is a per-class retry token bucket.
+	RetryBudget = resilience.Budget
+	// HedgePolicy races a backup attempt for slow requests.
+	HedgePolicy = resilience.HedgePolicy
+	// BreakerPolicy parameterizes the per-GPU circuit breaker.
+	BreakerPolicy = resilience.BreakerPolicy
+	// ShedPolicy is admission control: per-class live-request ceilings, a
+	// bounded overflow queue, and shedding past it.
+	ShedPolicy = resilience.ShedPolicy
+)
 
 // Available dispatch policies.
 const (
 	// DispatchRoundRobin cycles through the GPUs in order, ignoring load.
-	DispatchRoundRobin DispatchKind = DispatchKind(cluster.KindRoundRobin)
+	DispatchRoundRobin = cluster.KindRoundRobin
 	// DispatchJSQ joins the shortest queue (fewest outstanding requests).
-	DispatchJSQ DispatchKind = DispatchKind(cluster.KindJSQ)
+	DispatchJSQ = cluster.KindJSQ
 	// DispatchLeastLoaded minimizes predicted backlog: outstanding requests
 	// weighted by an online per-application service-time estimate.
-	DispatchLeastLoaded DispatchKind = DispatchKind(cluster.KindLeastLoaded)
+	DispatchLeastLoaded = cluster.KindLeastLoaded
 	// DispatchClassAffinity pins each service class to a GPU subset and
 	// joins the shortest queue within it.
-	DispatchClassAffinity DispatchKind = DispatchKind(cluster.KindClassAffinity)
+	DispatchClassAffinity = cluster.KindClassAffinity
 	// DispatchPowerOfTwo samples two GPUs with a seeded RNG and joins the
 	// shorter queue of the two.
-	DispatchPowerOfTwo DispatchKind = DispatchKind(cluster.KindPowerOfTwo)
+	DispatchPowerOfTwo = cluster.KindPowerOfTwo
 	// DispatchLeastLoadedFits is least-loaded made memory-aware: least
 	// predicted backlog among the GPUs whose free HBM fits the request's
 	// working set, falling back to least projected oversubscription when
 	// nothing fits.
-	DispatchLeastLoadedFits DispatchKind = DispatchKind(cluster.KindLeastLoadedFits)
+	DispatchLeastLoadedFits = cluster.KindLeastLoadedFits
 )
 
 // Execution strategies reported by ClusterResult.Executor.
@@ -47,163 +82,7 @@ const (
 )
 
 // DispatchKinds lists the dispatch policies in report order.
-func DispatchKinds() []DispatchKind {
-	kinds := cluster.Kinds()
-	out := make([]DispatchKind, len(kinds))
-	for i, k := range kinds {
-		out[i] = DispatchKind(k)
-	}
-	return out
-}
-
-// ClusterNodeType describes one slice of a heterogeneous fleet: Count GPUs
-// sharing hardware overrides of the base machine. Zero-valued fields keep the
-// base value.
-type ClusterNodeType struct {
-	// Count is how many GPUs of this type the fleet starts with.
-	Count int
-	// SMs overrides the GPU's SM count (0 = base machine).
-	SMs int
-	// PCIeGen overrides the PCIe generation, 1..5; the base machine's
-	// bandwidth is generation 2 and each generation doubles it (0 = base).
-	PCIeGen int
-	// SlowFactor multiplies the type's service time (0 = nominal speed).
-	SlowFactor float64
-	// HBMBytes overrides the type's device-memory capacity (0 = the base
-	// machine's, which Options.HBM may itself override).
-	HBMBytes int64
-}
-
-// AutoscalePolicy configures RunCluster's step autoscaler: every Interval it
-// inspects the watched class's rolling window (completions since the last
-// tick) and the fleet backlog, scales up by Step when a high-water signal
-// fires, scales down by Step when the fleet idles below the low-water
-// backlog, and respects Cooldown between actions. A zero threshold disables
-// that signal.
-type AutoscalePolicy struct {
-	// Interval is the decision period. Default 250µs.
-	Interval time.Duration
-	// Cooldown is the minimum time between scale actions. Default Interval.
-	Cooldown time.Duration
-	// Min and Max bound the Up-GPU count. Defaults 1 and the cluster's
-	// MaxNodes.
-	Min, Max int
-	// Step is the GPU-count delta per action. Default 1.
-	Step int
-	// Class is the arrival-class index the latency thresholds watch.
-	Class int
-	// HighP99 scales up when the window completion-latency p99 exceeds it.
-	HighP99 time.Duration
-	// HighMiss scales up when the window deadline-miss fraction exceeds it.
-	HighMiss float64
-	// HighBacklog scales up when fleet in-flight exceeds it per Up GPU;
-	// LowBacklog scales down when fleet in-flight falls below it per Up GPU.
-	HighBacklog, LowBacklog int
-}
-
-// FaultPlan configures RunCluster's seeded fault injector: Poisson node
-// kills (in-flight requests are lost and re-dispatched, the node restarts
-// after Downtime), plus per-incarnation straggler draws.
-type FaultPlan struct {
-	// Seed drives the injector; 0 derives one from Options.Seed.
-	Seed uint64
-	// KillRate is the mean GPU kills per simulated second (0 = none).
-	KillRate float64
-	// Downtime is how long a killed GPU stays down. Default 500µs.
-	Downtime time.Duration
-	// StragglerFrac is the probability each GPU incarnation serves
-	// SlowFactor times slower (default factor 2).
-	StragglerFrac float64
-	SlowFactor    float64
-}
-
-// ResilienceSpec configures RunCluster's per-request lifecycle manager:
-// attempt timeouts, budgeted backoff-with-jitter retries, hedged requests,
-// per-GPU circuit breakers and admission-control load shedding. Each policy
-// arms independently; a nil or zero-valued spec leaves the run bit-for-bit on
-// the plain fleet path.
-type ResilienceSpec struct {
-	// Seed drives the retry-jitter stream; 0 derives one from Options.Seed.
-	Seed uint64
-	// Timeout is the per-attempt deadline: an attempt still running Timeout
-	// after its dispatch is abandoned and the request moves to the retry
-	// policy. 0 disables timeouts.
-	Timeout time.Duration
-	// Retry, when non-nil, re-dispatches attempts abandoned by timeout or
-	// destroyed by a GPU kill; without it a failed request is dropped.
-	Retry *RetryPolicy
-	// Hedge, when non-nil, races a backup attempt on another GPU when the
-	// first outlives the class's observed latency quantile.
-	Hedge *HedgePolicy
-	// Breaker, when non-nil, arms a circuit breaker per GPU slot: tripped
-	// GPUs are masked from dispatch until a half-open probe succeeds.
-	Breaker *BreakerPolicy
-	// Shed, when non-nil, bounds per-class admission and sheds best-effort
-	// overflow before it reaches a GPU; the highest-priority class is exempt.
-	Shed *ShedPolicy
-}
-
-// RetryPolicy governs re-dispatch of failed attempts.
-type RetryPolicy struct {
-	// MaxAttempts bounds attempts per request, first dispatch included
-	// (0 = unlimited — the naive retry-storm baseline).
-	MaxAttempts int
-	// BackoffBase is the delay before the first retry, doubling each retry
-	// up to BackoffMax (default 64 × base). 0 retries immediately.
-	BackoffBase, BackoffMax time.Duration
-	// JitterFrac spreads each delay uniformly over [1-JitterFrac, 1] × delay
-	// (default 0.5 when backoff is armed).
-	JitterFrac float64
-	// Budget, when non-nil, caps fleet-wide retry volume per class; a retry
-	// with no token drops the request.
-	Budget *RetryBudget
-}
-
-// RetryBudget is a per-class retry token bucket: each fresh admission refills
-// Ratio tokens (capped at Tokens), each retry spends one. With Ratio 0.1 the
-// fleet amplifies offered load by at most 10% no matter how hard it fails.
-type RetryBudget struct {
-	// Tokens is the bucket capacity and starting balance. Default 10.
-	Tokens float64
-	// Ratio is the tokens refilled per fresh admission. Default 0.1.
-	Ratio float64
-}
-
-// HedgePolicy races a backup attempt for slow requests.
-type HedgePolicy struct {
-	// Quantile of observed class completion latency at which the hedge
-	// fires. Default 0.95.
-	Quantile float64
-	// MinObs is how many class completions must exist before hedging arms.
-	// Default 16.
-	MinObs int
-	// MaxHedges bounds backup attempts per request. Default 1.
-	MaxHedges int
-}
-
-// BreakerPolicy parameterizes the per-GPU circuit breaker.
-type BreakerPolicy struct {
-	// Window is the rolling outcome window. Default 500µs.
-	Window time.Duration
-	// ErrorRate is the windowed failure fraction that trips the breaker
-	// (given MinVolume observations). Defaults 0.5 and 8.
-	ErrorRate float64
-	MinVolume int
-	// Cooldown is how long a tripped breaker stays open before letting
-	// Probes trial requests through. Defaults Window and 1.
-	Cooldown time.Duration
-	Probes   int
-}
-
-// ShedPolicy is admission control: per-class live-request ceilings scaled by
-// the Up-GPU count, a bounded FIFO overflow queue, and shedding past it.
-type ShedPolicy struct {
-	// PerNode is the per-class live-request ceiling per Up GPU. Default 8.
-	PerNode int
-	// Queue is the per-class admission-queue depth; arrivals past it are
-	// shed. Default 0 (shed at the ceiling).
-	Queue int
-}
+func DispatchKinds() []DispatchKind { return cluster.Kinds() }
 
 // NodeReport is one simulated GPU slot's outcome in a cluster run.
 type NodeReport struct {
@@ -299,132 +178,23 @@ type ClusterResult struct {
 	TimedOut, Canceled, Retries, Hedges, Rejected, BreakerTrips int
 }
 
-// lower converts the public autoscale policy to the internal step config.
-func (p *AutoscalePolicy) lower() cluster.StepConfig {
-	return cluster.StepConfig{
-		Interval:    sim.Time(p.Interval.Nanoseconds()),
-		Cooldown:    sim.Time(p.Cooldown.Nanoseconds()),
-		Min:         p.Min,
-		Max:         p.Max,
-		Step:        p.Step,
-		Class:       p.Class,
-		HighP99:     sim.Time(p.HighP99.Nanoseconds()),
-		HighMiss:    p.HighMiss,
-		HighBacklog: p.HighBacklog,
-		LowBacklog:  p.LowBacklog,
-	}
-}
-
-// lower converts the public resilience spec to the internal one.
-func (p *ResilienceSpec) lower() *resilience.Spec {
-	s := &resilience.Spec{
-		Seed:    p.Seed,
-		Timeout: sim.Time(p.Timeout.Nanoseconds()),
-	}
-	if p.Retry != nil {
-		s.Retry = &resilience.RetryPolicy{
-			MaxAttempts: p.Retry.MaxAttempts,
-			BackoffBase: sim.Time(p.Retry.BackoffBase.Nanoseconds()),
-			BackoffMax:  sim.Time(p.Retry.BackoffMax.Nanoseconds()),
-			JitterFrac:  p.Retry.JitterFrac,
-		}
-		if p.Retry.Budget != nil {
-			s.Retry.Budget = &resilience.Budget{
-				Tokens: p.Retry.Budget.Tokens,
-				Ratio:  p.Retry.Budget.Ratio,
-			}
-		}
-	}
-	if p.Hedge != nil {
-		s.Hedge = &resilience.HedgePolicy{
-			Quantile:  p.Hedge.Quantile,
-			MinObs:    p.Hedge.MinObs,
-			MaxHedges: p.Hedge.MaxHedges,
-		}
-	}
-	if p.Breaker != nil {
-		s.Breaker = &resilience.BreakerPolicy{
-			Window:    sim.Time(p.Breaker.Window.Nanoseconds()),
-			ErrorRate: p.Breaker.ErrorRate,
-			MinVolume: p.Breaker.MinVolume,
-			Cooldown:  sim.Time(p.Breaker.Cooldown.Nanoseconds()),
-			Probes:    p.Breaker.Probes,
-		}
-	}
-	if p.Shed != nil {
-		s.Shed = &resilience.ShedPolicy{PerNode: p.Shed.PerNode, Queue: p.Shed.Queue}
-	}
-	return s
-}
-
-// liftResilience converts the internal resilience spec to the public one.
-func liftResilience(s *resilience.Spec) *ResilienceSpec {
-	p := &ResilienceSpec{
-		Seed:    s.Seed,
-		Timeout: time.Duration(s.Timeout),
-	}
-	if s.Retry != nil {
-		p.Retry = &RetryPolicy{
-			MaxAttempts: s.Retry.MaxAttempts,
-			BackoffBase: time.Duration(s.Retry.BackoffBase),
-			BackoffMax:  time.Duration(s.Retry.BackoffMax),
-			JitterFrac:  s.Retry.JitterFrac,
-		}
-		if s.Retry.Budget != nil {
-			p.Retry.Budget = &RetryBudget{Tokens: s.Retry.Budget.Tokens, Ratio: s.Retry.Budget.Ratio}
-		}
-	}
-	if s.Hedge != nil {
-		p.Hedge = &HedgePolicy{Quantile: s.Hedge.Quantile, MinObs: s.Hedge.MinObs, MaxHedges: s.Hedge.MaxHedges}
-	}
-	if s.Breaker != nil {
-		p.Breaker = &BreakerPolicy{
-			Window:    time.Duration(s.Breaker.Window),
-			ErrorRate: s.Breaker.ErrorRate,
-			MinVolume: s.Breaker.MinVolume,
-			Cooldown:  time.Duration(s.Breaker.Cooldown),
-			Probes:    s.Breaker.Probes,
-		}
-	}
-	if s.Shed != nil {
-		p.Shed = &ShedPolicy{PerNode: s.Shed.PerNode, Queue: s.Shed.Queue}
-	}
-	return p
-}
-
-// lower converts the public fault plan to the internal spec.
-func (p *FaultPlan) lower() *cluster.FaultSpec {
-	return &cluster.FaultSpec{
-		Seed:          p.Seed,
-		KillRate:      p.KillRate,
-		Downtime:      sim.Time(p.Downtime.Nanoseconds()),
-		StragglerFrac: p.StragglerFrac,
-		SlowFactor:    p.SlowFactor,
-	}
-}
-
 // ReadClusterTopology parses a cluster topology (GPU count or heterogeneous
 // node types, dispatch policy, optional dispatch seed, per-node context
-// capacity, autoscale policy and fault plan) from JSON and applies the
-// fields it carries to a copy of the options — the file-based alternative to
-// setting Options.Nodes and friends directly. The fleet size is always
-// applied (a topology must carry it); fields absent from the file leave the
-// corresponding options untouched.
+// capacity, autoscale policy, fault plan and resilience spec) from JSON and
+// applies the fields it carries to a copy of the options — the file-based
+// alternative to setting Options.Nodes and friends directly. The schema is
+// the JSON tags of the fleet types; durations are integer nanoseconds. The
+// fleet size is always applied (a topology must carry it); fields absent
+// from the file leave the corresponding options untouched.
 func ReadClusterTopology(r io.Reader, o Options) (Options, error) {
 	c, err := cluster.ReadConfig(r)
 	if err != nil {
 		return o, err
 	}
 	o.Nodes = c.StartNodes()
-	o.NodeTypes = nil
-	for _, t := range c.Types() {
-		o.NodeTypes = append(o.NodeTypes, ClusterNodeType{
-			Count: t.Count, SMs: t.SMs, PCIeGen: t.PCIeGen,
-			SlowFactor: t.SlowFactor, HBMBytes: t.HBMBytes,
-		})
-	}
+	o.NodeTypes = c.Types()
 	if c.Dispatch != "" {
-		o.Dispatch = DispatchKind(c.Dispatch)
+		o.Dispatch = c.Dispatch
 	}
 	if c.Seed != 0 {
 		o.DispatchSeed = c.Seed
@@ -433,32 +203,13 @@ func ReadClusterTopology(r io.Reader, o Options) (Options, error) {
 		o.ContextCapacity = c.ContextCapacity
 	}
 	if c.Autoscale != nil {
-		a := c.Autoscale
-		o.Autoscale = &AutoscalePolicy{
-			Interval:    time.Duration(a.Interval),
-			Cooldown:    time.Duration(a.Cooldown),
-			Min:         a.Min,
-			Max:         a.Max,
-			Step:        a.Step,
-			Class:       a.Class,
-			HighP99:     time.Duration(a.HighP99),
-			HighMiss:    a.HighMiss,
-			HighBacklog: a.HighBacklog,
-			LowBacklog:  a.LowBacklog,
-		}
+		o.Autoscale = c.Autoscale
 	}
 	if c.Faults != nil {
-		f := c.Faults
-		o.Faults = &FaultPlan{
-			Seed:          f.Seed,
-			KillRate:      f.KillRate,
-			Downtime:      time.Duration(f.Downtime),
-			StragglerFrac: f.StragglerFrac,
-			SlowFactor:    f.SlowFactor,
-		}
+		o.Faults = c.Faults
 	}
 	if c.Resilience != nil {
-		o.Resilience = liftResilience(c.Resilience)
+		o.Resilience = c.Resilience
 	}
 	return o, nil
 }
@@ -533,39 +284,28 @@ func RunCluster(o Options) (*ClusterResult, error) {
 	// Dispatchers and autoscalers are stateful and single-use, so the
 	// warm-start path below needs a fresh RunConfig per cluster run.
 	newCRC := func() (cluster.RunConfig, error) {
-		disp, err := cluster.NewDispatcher(cluster.Kind(o.Dispatch), dispSeed)
+		disp, err := cluster.NewDispatcher(o.Dispatch, dispSeed)
 		if err != nil {
 			return cluster.RunConfig{}, err
 		}
 		crc := cluster.RunConfig{
 			Sys:        rc.Sys,
 			Nodes:      nodes,
+			NodeTypes:  o.NodeTypes,
 			Dispatcher: disp,
 			Policy:     rc.Policy,
 			Mechanism:  rc.Mechanism,
 			MaxSimTime: rc.MaxSimTime,
+			Faults:     o.Faults,
+			Resilience: o.Resilience,
 			Parallel:   o.ParWindow,
 			HBM:        o.HBM,
 			Swap:       o.Swap,
 		}
-		for _, t := range o.NodeTypes {
-			crc.NodeTypes = append(crc.NodeTypes, cluster.NodeType{
-				Count: t.Count, SMs: t.SMs, PCIeGen: t.PCIeGen,
-				SlowFactor: t.SlowFactor, HBMBytes: t.HBMBytes,
-			})
-		}
 		if o.Autoscale != nil {
-			asc, err := cluster.NewStepAutoscaler(o.Autoscale.lower())
-			if err != nil {
+			if crc.Autoscale, err = cluster.NewStepAutoscaler(*o.Autoscale); err != nil {
 				return cluster.RunConfig{}, err
 			}
-			crc.Autoscale = asc
-		}
-		if o.Faults != nil {
-			crc.Faults = o.Faults.lower()
-		}
-		if o.Resilience != nil {
-			crc.Resilience = o.Resilience.lower()
 		}
 		return crc, nil
 	}

@@ -3,8 +3,11 @@ package repro
 import (
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/cluster"
 )
 
 func TestRunCluster(t *testing.T) {
@@ -116,7 +119,7 @@ func TestRunClusterExecutor(t *testing.T) {
 	}
 	fallback := run(func(o *Options) {
 		o.ParWindow = 4
-		o.Resilience = &ResilienceSpec{Timeout: time.Millisecond}
+		o.Resilience = &ResilienceSpec{Timeout: SimTime(time.Millisecond)}
 	})
 	if fallback.Executor != ExecutorLockstep {
 		t.Errorf("ParWindow with Resilience reports executor %q, want the lockstep fallback", fallback.Executor)
@@ -174,5 +177,123 @@ func TestReadClusterTopology(t *testing.T) {
 	}
 	if _, err := ReadClusterTopology(strings.NewReader(`garbage`), Options{}); err == nil {
 		t.Error("malformed JSON accepted")
+	}
+	t.Run("every stanza", testFullTopology)
+}
+
+// fullTopology carries every topology stanza: heterogeneous node types, an
+// autoscale policy, a fault plan and all five resilience policies.
+const fullTopology = `{
+  "node_types": [{"count": 2, "sms": 10}, {"count": 1, "pcie_gen": 3, "slow_factor": 1.5, "hbm_bytes": 4294967296}],
+  "dispatch": "least-loaded", "seed": 5, "context_capacity": 64,
+  "autoscale": {"interval": 200000, "cooldown": 400000, "min": 2, "max": 5, "step": 1, "high_backlog": 4, "low_backlog": 1},
+  "faults": {"seed": 11, "kill_rate": 1500, "downtime": 300000, "straggler_frac": 0.25, "slow_factor": 3},
+  "resilience": {
+    "seed": 13, "timeout": 800000,
+    "retry": {"max_attempts": 4, "backoff_base": 20000, "backoff_max": 160000, "jitter_frac": 0.25, "budget": {"tokens": 10, "ratio": 0.1}},
+    "hedge": {"quantile": 0.9, "min_obs": 8, "max_hedges": 2},
+    "breaker": {"window": 400000, "error_rate": 0.5, "min_volume": 4, "cooldown": 200000, "probes": 2},
+    "shed": {"per_node": 8, "queue": 16}
+  }
+}`
+
+// fullTopologyOptions spells fullTopology out by hand on top of base.
+func fullTopologyOptions(base Options) Options {
+	us := func(n int) SimTime { return SimTime(time.Duration(n) * time.Microsecond) }
+	o := base
+	o.Nodes = 3
+	o.NodeTypes = []ClusterNodeType{{Count: 2, SMs: 10}, {Count: 1, PCIeGen: 3, SlowFactor: 1.5, HBMBytes: 4 << 30}}
+	o.Dispatch = DispatchLeastLoaded
+	o.DispatchSeed = 5
+	o.ContextCapacity = 64
+	o.Autoscale = &AutoscalePolicy{Interval: us(200), Cooldown: us(400), Min: 2, Max: 5, Step: 1, HighBacklog: 4, LowBacklog: 1}
+	o.Faults = &FaultPlan{Seed: 11, KillRate: 1500, Downtime: us(300), StragglerFrac: 0.25, SlowFactor: 3}
+	o.Resilience = &ResilienceSpec{
+		Seed:    13,
+		Timeout: us(800),
+		Retry: &RetryPolicy{MaxAttempts: 4, BackoffBase: us(20), BackoffMax: us(160), JitterFrac: 0.25,
+			Budget: &RetryBudget{Tokens: 10, Ratio: 0.1}},
+		Hedge:   &HedgePolicy{Quantile: 0.9, MinObs: 8, MaxHedges: 2},
+		Breaker: &BreakerPolicy{Window: us(400), ErrorRate: 0.5, MinVolume: 4, Cooldown: us(200), Probes: 2},
+		Shed:    &ShedPolicy{PerNode: 8, Queue: 16},
+	}
+	return o
+}
+
+// testFullTopology pins every topology stanza at the facade: the options hold
+// exactly the specs cluster.ReadConfig decodes, equal the same options built
+// by hand, and run to the same result.
+func testFullTopology(t *testing.T) {
+	base := Options{Policy: PolicyPPQ, Mechanism: MechanismAdaptive, Seed: 3, Arrivals: openSpec(t)}
+	o, err := ReadClusterTopology(strings.NewReader(fullTopology), base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := cluster.ReadConfig(strings.NewReader(fullTopology))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []struct {
+		name      string
+		got, want any
+	}{
+		{"node types", o.NodeTypes, c.Types()},
+		{"autoscale", o.Autoscale, c.Autoscale},
+		{"faults", o.Faults, c.Faults},
+		{"resilience", o.Resilience, c.Resilience},
+	} {
+		if !reflect.DeepEqual(f.got, f.want) {
+			t.Errorf("%s: options hold %+v, topology decodes %+v", f.name, f.got, f.want)
+		}
+	}
+	hand := fullTopologyOptions(base)
+	if !reflect.DeepEqual(o, hand) {
+		t.Fatalf("topology options differ from the hand-built ones:\n got %+v\nwant %+v", o, hand)
+	}
+	fromFile, err := RunCluster(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	byHand, err := RunCluster(hand)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(fromFile, byHand) {
+		t.Error("RunCluster on the topology differs from RunCluster on the hand-built options")
+	}
+	if fromFile.Requests == 0 || fromFile.Autoscale == "" {
+		t.Errorf("topology run did not arm the lifecycle manager and autoscaler: %+v", fromFile)
+	}
+}
+
+// TestRunClusterSharedSpecs pins that concurrent runs may share one set of
+// spec pointers: RunCluster only reads them, so both runs agree and the
+// specs are unchanged afterwards.
+func TestRunClusterSharedSpecs(t *testing.T) {
+	base := Options{Policy: PolicyPPQ, Mechanism: MechanismAdaptive, Seed: 3, Arrivals: openSpec(t)}
+	o := fullTopologyOptions(base)
+	var res [2]*ClusterResult
+	var errs [2]error
+	var wg sync.WaitGroup
+	for i := range res {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res[i], errs[i] = RunCluster(o)
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !reflect.DeepEqual(res[0], res[1]) {
+		t.Error("concurrent runs sharing spec pointers diverged")
+	}
+	fresh := fullTopologyOptions(base)
+	if !reflect.DeepEqual(o.Resilience, fresh.Resilience) || !reflect.DeepEqual(o.Faults, fresh.Faults) ||
+		!reflect.DeepEqual(o.Autoscale, fresh.Autoscale) || !reflect.DeepEqual(o.NodeTypes, fresh.NodeTypes) {
+		t.Error("RunCluster mutated a shared spec")
 	}
 }

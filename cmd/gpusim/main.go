@@ -32,6 +32,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -184,14 +185,7 @@ func main() {
 	opts.Swap = *swapF
 	// Validate the policy name up front: a typo should fail identically
 	// whether or not this run's fleet size makes the dispatcher matter.
-	known := false
-	for _, k := range repro.DispatchKinds() {
-		if opts.Dispatch == k {
-			known = true
-			break
-		}
-	}
-	if !known {
+	if !slices.Contains(repro.DispatchKinds(), opts.Dispatch) {
 		fatal(fmt.Errorf("unknown -dispatch policy %q (use %s)", *dispatch, dispatchNames()))
 	}
 	if *clusterF != "" {
@@ -211,7 +205,7 @@ func main() {
 			fatal(fmt.Errorf("-autoscale wants min:max with 1 <= min <= max, got %q", *ascale))
 		}
 		opts.Autoscale = &repro.AutoscalePolicy{
-			Interval:    *asIval,
+			Interval:    repro.SimTime(*asIval),
 			Min:         lo,
 			Max:         hi,
 			HighBacklog: *asHigh,
@@ -221,7 +215,7 @@ func main() {
 	if *killRate > 0 || *straggle > 0 {
 		opts.Faults = &repro.FaultPlan{
 			KillRate:      *killRate,
-			Downtime:      *downtime,
+			Downtime:      repro.SimTime(*downtime),
 			StragglerFrac: *straggle,
 			SlowFactor:    *slowF,
 		}
@@ -250,7 +244,7 @@ func main() {
 		if (*hp < 0 || *hp >= len(apps)) && !deadlineSet {
 			*deadline = 0
 		}
-		runOpen(apps, *hp, *arrFlag, *rate, *horizon, *deadline, *arrOut, parsePhases(*phasesF), opts)
+		runOpen(apps, *hp, *arrFlag, *rate, *horizon, *deadline, *arrOut, parsePhases(*phasesF), fleet, opts)
 		return
 	}
 	if *reps > 1 {
@@ -292,7 +286,8 @@ func main() {
 // replayed arrival-trace file. With -hp set, apps[hp] forms a high-priority
 // "rt" class carrying the -deadline budget and the remaining apps the
 // best-effort "batch" class; without it every app joins one "open" class.
-func runOpen(apps []*repro.App, hp int, mode string, rate float64, horizon, deadline time.Duration, outPath string, phases []repro.ArrivalPhase, opts repro.Options) {
+// A fleet runs on the cluster layer, anything else on one GPU.
+func runOpen(apps []*repro.App, hp int, mode string, rate float64, horizon, deadline time.Duration, outPath string, phases []repro.ArrivalPhase, fleet bool, opts repro.Options) {
 	spec := &repro.ArrivalSpec{Rate: rate, Horizon: horizon, Phases: phases}
 	switch mode {
 	case "poisson", "bursty", "heavytail":
@@ -345,8 +340,7 @@ func runOpen(apps []*repro.App, hp int, mode string, rate float64, horizon, dead
 		fmt.Fprintf(os.Stderr, "wrote %d arrivals to %s\n", tr.Len(), outPath)
 	}
 
-	if opts.Nodes > 1 || len(opts.NodeTypes) > 0 || opts.Autoscale != nil || opts.Faults != nil ||
-		opts.Resilience != nil || opts.HBM > 0 || opts.Swap {
+	if fleet {
 		runCluster(mode, opts)
 		return
 	}
@@ -381,12 +375,12 @@ func buildResilience(timeout time.Duration, retries int, budget, hedge, breaker,
 	if timeout == 0 && retries == 0 && budget == "" && hedge == "" && breaker == "" && shed == "" {
 		return nil
 	}
-	s := &repro.ResilienceSpec{Timeout: timeout}
+	s := &repro.ResilienceSpec{Timeout: repro.SimTime(timeout)}
 	if budget != "" && retries == 0 {
 		fatal(fmt.Errorf("-retry-budget needs -retries to arm the retry policy"))
 	}
 	if retries > 0 {
-		s.Retry = &repro.RetryPolicy{MaxAttempts: retries, BackoffBase: 20 * time.Microsecond}
+		s.Retry = &repro.RetryPolicy{MaxAttempts: retries, BackoffBase: repro.SimTime(20 * time.Microsecond)}
 		if budget != "" {
 			var tokens, ratio float64
 			if _, err := fmt.Sscanf(budget, "%f:%f", &tokens, &ratio); err != nil || tokens <= 0 || ratio <= 0 {
@@ -417,9 +411,11 @@ func buildResilience(timeout time.Duration, retries int, budget, hedge, breaker,
 			fatal(fmt.Errorf("-breaker wants error-rate[:window] with rate in (0, 1], got %q", breaker))
 		}
 		if hasWin {
-			if b.Window, err = time.ParseDuration(win); err != nil || b.Window <= 0 {
+			w, err := time.ParseDuration(win)
+			if err != nil || w <= 0 {
 				fatal(fmt.Errorf("-breaker %q: bad rolling window", breaker))
 			}
+			b.Window = repro.SimTime(w)
 		}
 		s.Breaker = b
 	}
@@ -444,8 +440,8 @@ func runCluster(mode string, opts repro.Options) {
 	if opts.ParWindow > 0 && res.Executor == repro.ExecutorLockstep {
 		// On stderr so the report itself stays byte-identical across
 		// -par-window values, which the executors guarantee for the numbers.
-		fmt.Fprintf(os.Stderr, "note: -par-window %d requested but the run executed in lockstep: "+
-			"-resilience couples the GPUs through the control engine mid-window\n", opts.ParWindow)
+		fmt.Fprintf(os.Stderr, "note: -par-window %d requested but the run executed in lockstep: the lifecycle manager "+
+			"(-timeout/-retries/-retry-budget/-hedge/-breaker/-shed) couples the GPUs through the control engine mid-window\n", opts.ParWindow)
 	}
 	fmt.Printf("cluster: gpus=%d dispatch=%s policy=%s mechanism=%s arrivals=%s seed=%d",
 		len(res.Nodes), res.Dispatch, opts.Policy, orDefault(string(opts.Mechanism), "auto"), mode, opts.Seed)

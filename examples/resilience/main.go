@@ -79,13 +79,13 @@ func main() {
 	}{
 		{"none", nil},
 		{"deadline-only", &repro.ResilienceSpec{
-			Timeout: 800 * time.Microsecond,
+			Timeout: repro.SimTime(800 * time.Microsecond),
 		}},
 		{"guarded", &repro.ResilienceSpec{
-			Timeout: 800 * time.Microsecond,
+			Timeout: repro.SimTime(800 * time.Microsecond),
 			Retry: &repro.RetryPolicy{
 				MaxAttempts: 4,
-				BackoffBase: 20 * time.Microsecond,
+				BackoffBase: repro.SimTime(20 * time.Microsecond),
 				Budget:      &repro.RetryBudget{Tokens: 20, Ratio: 0.1},
 			},
 			Hedge:   &repro.HedgePolicy{Quantile: 0.95, MinObs: 16},

@@ -31,8 +31,9 @@ type NodeType struct {
 	// stragglers (0 = nominal speed).
 	SlowFactor float64 `json:"slow_factor,omitempty"`
 	// HBMBytes overrides the type's device-memory capacity, the budget each
-	// node's working-set ledger enforces at admission (0 = the GPU spec's
-	// memory size).
+	// node's working-set ledger enforces at admission (0 = the base
+	// machine's, which RunConfig.HBM — Options.HBM at the repro facade — may
+	// itself override).
 	HBMBytes int64 `json:"hbm_bytes,omitempty"`
 }
 

@@ -81,7 +81,9 @@ type Autoscaler interface {
 	Decide(s *FleetSnapshot) int
 }
 
-// StepConfig parameterizes the step autoscaler. The zero value of a threshold
+// StepConfig parameterizes the step autoscaler (see StepAutoscaler): every
+// Interval it inspects the watched class's rolling window (completions since
+// the last tick) and the fleet backlog. The zero value of a threshold
 // disables that signal. JSON tags let a cluster topology file carry the
 // policy (gpusim -cluster).
 type StepConfig struct {

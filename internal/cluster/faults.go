@@ -29,7 +29,7 @@ const (
 // carry the plan (gpusim -cluster).
 type FaultSpec struct {
 	// Seed drives the injector (kill times, victims, straggler draws);
-	// 0 derives one from the machine seed.
+	// 0 derives one from the machine seed (Options.Seed at the repro facade).
 	Seed uint64 `json:"seed,omitempty"`
 	// KillRate is the mean node kills per simulated second (0 = no kills).
 	KillRate float64 `json:"kill_rate,omitempty"`

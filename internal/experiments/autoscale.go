@@ -1,18 +1,11 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
-	"sync"
 
 	"repro/internal/arrivals"
 	"repro/internal/cluster"
-	"repro/internal/core"
-	"repro/internal/pcie"
-	"repro/internal/policy"
-	"repro/internal/preempt"
 	"repro/internal/rng"
-	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -225,50 +218,33 @@ func RunAutoscale(o Options) (*AutoscaleResult, error) {
 		}
 	}
 
-	ctx := h.Opts.Context
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	var mu sync.Mutex
-	done := 0
-	results, err := runner.Map(ctx, len(jobs), runner.Options{Workers: o.Workers},
-		func(ctx context.Context, i int) (*cluster.Result, error) {
-			j := jobs[i]
-			disp, err := cluster.NewDispatcher(cluster.KindJSQ, o.Seed)
+	results, err := mapCells(o, len(jobs), func(i int) (*cluster.Result, error) {
+		j := jobs[i]
+		rc, err := h.fleetConfig(cluster.KindJSQ, adaptive)
+		if err != nil {
+			return nil, err
+		}
+		rc.Nodes = j.fleet.nodes
+		if j.fleet.auto {
+			asc, err := cluster.NewStepAutoscaler(autoscaleStepConfig())
 			if err != nil {
 				return nil, err
 			}
-			rc := cluster.RunConfig{
-				Sys:        h.runConfig(pcie.FCFS{}).Sys,
-				Nodes:      j.fleet.nodes,
-				Dispatcher: disp,
-				Policy:     func(n int) core.Policy { return policy.NewPPQ(false) },
-				Mechanism:  func() core.Mechanism { return preempt.NewAdaptive() },
-				Parallel:   o.ParWindow,
-			}
-			if j.fleet.auto {
-				asc, err := cluster.NewStepAutoscaler(autoscaleStepConfig())
-				if err != nil {
-					return nil, err
-				}
-				rc.Autoscale = asc
-			}
-			if j.killRate > 0 {
-				rc.Faults = &cluster.FaultSpec{KillRate: j.killRate}
-			}
-			res, err := cluster.Run(j.tr, rc)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: autoscale %s %s kill=%g: %w", j.pattern, j.fleet.label, j.killRate, err)
-			}
-			if o.Progress != nil {
-				mu.Lock()
-				done++
-				fmt.Fprintf(o.Progress, "  [%d/%d] %-8s %-10s kill=%-5.0f done=%-5d lost=%-3d node-ms=%.3f\n",
-					done, len(jobs), j.pattern, j.fleet.label, j.killRate, res.Completed, res.Lost, res.NodeSeconds*1e3)
-				mu.Unlock()
-			}
-			return res, nil
-		})
+			rc.Autoscale = asc
+		}
+		if j.killRate > 0 {
+			rc.Faults = &cluster.FaultSpec{KillRate: j.killRate}
+		}
+		res, err := cluster.Run(j.tr, rc)
+		if err != nil {
+			return nil, fmt.Errorf("experiments: autoscale %s %s kill=%g: %w", j.pattern, j.fleet.label, j.killRate, err)
+		}
+		return res, nil
+	}, func(i int, res *cluster.Result) string {
+		j := jobs[i]
+		return fmt.Sprintf("%-8s %-10s kill=%-5.0f done=%-5d lost=%-3d node-ms=%.3f",
+			j.pattern, j.fleet.label, j.killRate, res.Completed, res.Lost, res.NodeSeconds*1e3)
+	})
 	if err != nil {
 		return nil, err
 	}

@@ -1,17 +1,15 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
-	"sync"
 
 	"repro/internal/arrivals"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/pcie"
 	"repro/internal/policy"
+	"repro/internal/preempt"
 	"repro/internal/rng"
-	"repro/internal/runner"
 )
 
 // clusterSeedTag namespaces the cluster sweep's arrival-stream seed.
@@ -107,6 +105,28 @@ func (r *ClusterResult) Table() *Table {
 	return t
 }
 
+// fleetConfig returns the base cluster configuration the fleet grids share:
+// the harness machine, PPQ on every node, the given preemption mechanism,
+// Options.ParWindow, and a fresh dispatcher of the given kind seeded from
+// Options.Seed. Callers fill in the fleet shape and any fleet policies.
+func (h *Harness) fleetConfig(kind cluster.Kind, mech func() core.Mechanism) (cluster.RunConfig, error) {
+	disp, err := cluster.NewDispatcher(kind, h.Opts.Seed)
+	if err != nil {
+		return cluster.RunConfig{}, err
+	}
+	return cluster.RunConfig{
+		Sys:        h.runConfig(pcie.FCFS{}).Sys,
+		Dispatcher: disp,
+		Policy:     func(n int) core.Policy { return policy.NewPPQ(false) },
+		Mechanism:  mech,
+		Parallel:   h.Opts.ParWindow,
+	}, nil
+}
+
+// adaptive builds the adaptive preemption mechanism, the one the fleet
+// grids other than RunCluster hold fixed.
+func adaptive() core.Mechanism { return preempt.NewAdaptive() }
+
 // RunCluster sweeps fleet size x dispatch policy x preemption mechanism at a
 // fixed offered load (the peak of the load sweep: a rate that overloads one
 // machine). Every cell replays the identical arrival trace, so rows differ
@@ -160,39 +180,23 @@ func RunCluster(o Options, gpus []int) (*ClusterResult, error) {
 		}
 	}
 
-	ctx := h.Opts.Context
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	var mu sync.Mutex
-	done := 0
-	results, err := runner.Map(ctx, len(jobs), runner.Options{Workers: o.Workers},
-		func(ctx context.Context, i int) (*cluster.Result, error) {
-			j := jobs[i]
-			disp, err := cluster.NewDispatcher(j.dispatch, o.Seed)
-			if err != nil {
-				return nil, err
-			}
-			res, err := cluster.Run(tr, cluster.RunConfig{
-				Sys:        h.runConfig(pcie.FCFS{}).Sys,
-				Nodes:      j.gpus,
-				Dispatcher: disp,
-				Policy:     func(n int) core.Policy { return policy.NewPPQ(false) },
-				Mechanism:  j.mech.mk,
-				Parallel:   o.ParWindow,
-			})
-			if err != nil {
-				return nil, fmt.Errorf("experiments: cluster %d GPUs %s %s: %w", j.gpus, j.label, j.mech.label, err)
-			}
-			if o.Progress != nil {
-				mu.Lock()
-				done++
-				fmt.Fprintf(o.Progress, "  [%d/%d] gpus=%d %-14s %-14s done=%-5d end=%-12v util=%.2f\n",
-					done, len(jobs), j.gpus, j.label, j.mech.label, res.Completed, res.EndTime, res.Utilization)
-				mu.Unlock()
-			}
-			return res, nil
-		})
+	results, err := mapCells(o, len(jobs), func(i int) (*cluster.Result, error) {
+		j := jobs[i]
+		rc, err := h.fleetConfig(j.dispatch, j.mech.mk)
+		if err != nil {
+			return nil, err
+		}
+		rc.Nodes = j.gpus
+		res, err := cluster.Run(tr, rc)
+		if err != nil {
+			return nil, fmt.Errorf("experiments: cluster %d GPUs %s %s: %w", j.gpus, j.label, j.mech.label, err)
+		}
+		return res, nil
+	}, func(i int, res *cluster.Result) string {
+		j := jobs[i]
+		return fmt.Sprintf("gpus=%d %-14s %-14s done=%-5d end=%-12v util=%.2f",
+			j.gpus, j.label, j.mech.label, res.Completed, res.EndTime, res.Utilization)
+	})
 	if err != nil {
 		return nil, err
 	}

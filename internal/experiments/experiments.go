@@ -159,28 +159,36 @@ func baselineJobs(h *Harness, specs []workload.Spec) []simJob {
 // the same nested-loop order their aggregation walks, so aggregating
 // results[i] in that order reproduces the sequential path exactly.
 func (h *Harness) runAll(jobs []simJob) ([]*workload.Result, error) {
-	ctx := h.Opts.Context
+	return mapCells(h.Opts, len(jobs),
+		func(i int) (*workload.Result, error) { return h.run(jobs[i]) },
+		func(i int, res *workload.Result) string {
+			return fmt.Sprintf("%-10s %-9s end=%-12v util=%.2f preempt=%d",
+				jobs[i].spec.Name, jobs[i].label, res.EndTime, res.Utilization, res.Stats.Preemptions)
+		})
+}
+
+// mapCells runs run(i) for every cell i in [0, n) of an experiment grid on
+// the shared concurrent runner (o.Workers, o.Context) and returns the
+// results in submission order. With o.Progress set and a non-nil progress,
+// every completed cell prints one line: a [completed/total] counter followed
+// by progress(i, result).
+func mapCells[T any](o Options, n int, run func(i int) (T, error), progress func(i int, res T) string) ([]T, error) {
+	ctx := o.Context
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	total := len(jobs)
 	var mu sync.Mutex
 	done := 0
-	return runner.Map(ctx, total, runner.Options{Workers: h.Opts.Workers},
-		func(ctx context.Context, i int) (*workload.Result, error) {
-			j := jobs[i]
-			res, err := h.run(j)
-			if err != nil {
-				return nil, err
-			}
-			if h.Opts.Progress != nil {
+	return runner.Map(ctx, n, runner.Options{Workers: o.Workers},
+		func(ctx context.Context, i int) (T, error) {
+			res, err := run(i)
+			if err == nil && o.Progress != nil && progress != nil {
 				mu.Lock()
 				done++
-				fmt.Fprintf(h.Opts.Progress, "  [%d/%d] %-10s %-9s end=%-12v util=%.2f preempt=%d\n",
-					done, total, j.spec.Name, j.label, res.EndTime, res.Utilization, res.Stats.Preemptions)
+				fmt.Fprintf(o.Progress, "  [%d/%d] %s\n", done, n, progress(i, res))
 				mu.Unlock()
 			}
-			return res, nil
+			return res, err
 		})
 }
 

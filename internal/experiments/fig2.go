@@ -1,14 +1,12 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/core"
 	"repro/internal/pcie"
 	"repro/internal/policy"
 	"repro/internal/preempt"
-	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/system"
 	"repro/internal/trace"
@@ -89,27 +87,22 @@ func RunFig2(seed uint64, o Options) (*Fig2Result, error) {
 		{func(n int) core.Policy { return policy.NewPPQ(false) },
 			func() core.Mechanism { return preempt.ContextSwitch{} }},
 	}
-	ctx := o.Context
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	times, err := runner.Map(ctx, len(scheds), runner.Options{Workers: o.Workers},
-		func(ctx context.Context, i int) (sim.Time, error) {
-			rc := workload.RunConfig{
-				Sys:       systemConfigForFig2(seed),
-				Policy:    scheds[i].pol,
-				Mechanism: scheds[i].mech,
-				MinRuns:   1,
-			}
-			res, err := workload.Run(spec, rc)
-			if err != nil {
-				return 0, err
-			}
-			if !res.Completed {
-				return 0, fmt.Errorf("experiments: fig2 scenario did not complete")
-			}
-			return res.Apps[2].MeanTurnaround, nil
-		})
+	times, err := mapCells(o, len(scheds), func(i int) (sim.Time, error) {
+		rc := workload.RunConfig{
+			Sys:       systemConfigForFig2(seed),
+			Policy:    scheds[i].pol,
+			Mechanism: scheds[i].mech,
+			MinRuns:   1,
+		}
+		res, err := workload.Run(spec, rc)
+		if err != nil {
+			return 0, err
+		}
+		if !res.Completed {
+			return 0, fmt.Errorf("experiments: fig2 scenario did not complete")
+		}
+		return res.Apps[2].MeanTurnaround, nil
+	}, nil)
 	if err != nil {
 		return nil, err
 	}

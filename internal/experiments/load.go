@@ -1,16 +1,13 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
-	"sync"
 
 	"repro/internal/arrivals"
 	"repro/internal/core"
 	"repro/internal/pcie"
 	"repro/internal/policy"
 	"repro/internal/rng"
-	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -162,33 +159,22 @@ func RunLoad(o Options, rates []float64) (*LoadResult, error) {
 		}
 	}
 
-	ctx := h.Opts.Context
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	var mu sync.Mutex
-	done := 0
-	results, err := runner.Map(ctx, len(jobs), runner.Options{Workers: o.Workers},
-		func(ctx context.Context, i int) (*arrivals.Result, error) {
-			j := jobs[i]
-			sys := h.runConfig(pcie.FCFS{}).Sys
-			res, err := arrivals.Run(j.tr, arrivals.RunConfig{
-				Sys:       sys,
-				Policy:    func(n int) core.Policy { return policy.NewPPQ(false) },
-				Mechanism: j.mech.mk,
-			})
-			if err != nil {
-				return nil, fmt.Errorf("experiments: load %g/s %s: %w", j.rate, j.mech.label, err)
-			}
-			if o.Progress != nil {
-				mu.Lock()
-				done++
-				fmt.Fprintf(o.Progress, "  [%d/%d] load=%-8.0f %-14s done=%-5d end=%-12v util=%.2f\n",
-					done, len(jobs), j.rate, j.mech.label, res.Completed, res.EndTime, res.Utilization)
-				mu.Unlock()
-			}
-			return res, nil
+	results, err := mapCells(o, len(jobs), func(i int) (*arrivals.Result, error) {
+		j := jobs[i]
+		res, err := arrivals.Run(j.tr, arrivals.RunConfig{
+			Sys:       h.runConfig(pcie.FCFS{}).Sys,
+			Policy:    func(n int) core.Policy { return policy.NewPPQ(false) },
+			Mechanism: j.mech.mk,
 		})
+		if err != nil {
+			return nil, fmt.Errorf("experiments: load %g/s %s: %w", j.rate, j.mech.label, err)
+		}
+		return res, nil
+	}, func(i int, res *arrivals.Result) string {
+		j := jobs[i]
+		return fmt.Sprintf("load=%-8.0f %-14s done=%-5d end=%-12v util=%.2f",
+			j.rate, j.mech.label, res.Completed, res.EndTime, res.Utilization)
+	})
 	if err != nil {
 		return nil, err
 	}

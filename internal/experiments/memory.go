@@ -1,18 +1,11 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
-	"sync"
 
 	"repro/internal/arrivals"
 	"repro/internal/cluster"
-	"repro/internal/core"
-	"repro/internal/pcie"
-	"repro/internal/policy"
-	"repro/internal/preempt"
 	"repro/internal/rng"
-	"repro/internal/runner"
 	"repro/internal/trace"
 )
 
@@ -190,45 +183,26 @@ func RunMemory(o Options) (*MemoryResult, error) {
 		}
 	}
 
-	ctx := h.Opts.Context
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	var mu sync.Mutex
-	done := 0
-	results, err := runner.Map(ctx, len(jobs), runner.Options{Workers: o.Workers},
-		func(ctx context.Context, i int) (*cluster.Result, error) {
-			j := jobs[i]
-			disp, err := cluster.NewDispatcher(j.disp, o.Seed)
-			if err != nil {
-				return nil, err
-			}
-			rc := cluster.RunConfig{
-				Sys:        h.runConfig(pcie.FCFS{}).Sys,
-				Dispatcher: disp,
-				Policy:     func(n int) core.Policy { return policy.NewPPQ(false) },
-				Mechanism:  func() core.Mechanism { return preempt.NewAdaptive() },
-				Parallel:   o.ParWindow,
-				HBM:        j.regime.hbm,
-				NodeTypes:  j.regime.types,
-				Swap:       j.swap,
-			}
-			if len(rc.NodeTypes) == 0 {
-				rc.Nodes = memoryFleetSize
-			}
-			res, err := cluster.Run(tr, rc)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: memory %s %s swap=%v: %w", j.regime.label, j.disp, j.swap, err)
-			}
-			if o.Progress != nil {
-				mu.Lock()
-				done++
-				fmt.Fprintf(o.Progress, "  [%d/%d] %-7s %-18s swap=%-5v done=%-5d spills=%-4d\n",
-					done, len(jobs), j.regime.label, j.disp, j.swap, res.Completed, res.Spills)
-				mu.Unlock()
-			}
-			return res, nil
-		})
+	results, err := mapCells(o, len(jobs), func(i int) (*cluster.Result, error) {
+		j := jobs[i]
+		rc, err := h.fleetConfig(j.disp, adaptive)
+		if err != nil {
+			return nil, err
+		}
+		rc.HBM, rc.NodeTypes, rc.Swap = j.regime.hbm, j.regime.types, j.swap
+		if len(rc.NodeTypes) == 0 {
+			rc.Nodes = memoryFleetSize
+		}
+		res, err := cluster.Run(tr, rc)
+		if err != nil {
+			return nil, fmt.Errorf("experiments: memory %s %s swap=%v: %w", j.regime.label, j.disp, j.swap, err)
+		}
+		return res, nil
+	}, func(i int, res *cluster.Result) string {
+		j := jobs[i]
+		return fmt.Sprintf("%-7s %-18s swap=%-5v done=%-5d spills=%-4d",
+			j.regime.label, j.disp, j.swap, res.Completed, res.Spills)
+	})
 	if err != nil {
 		return nil, err
 	}

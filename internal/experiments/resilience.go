@@ -1,19 +1,12 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
-	"sync"
 
 	"repro/internal/arrivals"
 	"repro/internal/cluster"
-	"repro/internal/core"
-	"repro/internal/pcie"
-	"repro/internal/policy"
-	"repro/internal/preempt"
 	"repro/internal/resilience"
 	"repro/internal/rng"
-	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -230,48 +223,29 @@ func RunResilience(o Options) (*ResilienceResult, error) {
 		}
 	}
 
-	ctx := h.Opts.Context
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	var mu sync.Mutex
-	done := 0
-	results, err := runner.Map(ctx, len(jobs), runner.Options{Workers: o.Workers},
-		func(ctx context.Context, i int) (*cluster.Result, error) {
-			j := jobs[i]
-			disp, err := cluster.NewDispatcher(cluster.KindJSQ, o.Seed)
-			if err != nil {
-				return nil, err
-			}
-			rc := cluster.RunConfig{
-				Sys:        h.runConfig(pcie.FCFS{}).Sys,
-				Nodes:      resilienceNodes,
-				Dispatcher: disp,
-				Policy:     func(n int) core.Policy { return policy.NewPPQ(false) },
-				Mechanism:  func() core.Mechanism { return preempt.NewAdaptive() },
-				Resilience: j.spec,
-				MaxSimTime: resilienceMaxSimTime,
-				// The resilience layer forces the lockstep reference; passing
-				// the knob through keeps the grids uniform (and pins that the
-				// fallback is byte-identical in the golden tests).
-				Parallel: o.ParWindow,
-			}
-			if j.killRate > 0 {
-				rc.Faults = &cluster.FaultSpec{KillRate: j.killRate}
-			}
-			res, err := cluster.Run(j.tr, rc)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: resilience %s kill=%g %s: %w", j.pattern, j.killRate, j.label, err)
-			}
-			if o.Progress != nil {
-				mu.Lock()
-				done++
-				fmt.Fprintf(o.Progress, "  [%d/%d] %-7s kill=%-5.0f %-12s done=%-5d dropped=%-4d retries=%-4d trips=%d\n",
-					done, len(jobs), j.pattern, j.killRate, j.label, res.ReqCompleted, res.Dropped, res.Retries, res.BreakerTrips)
-				mu.Unlock()
-			}
-			return res, nil
-		})
+	results, err := mapCells(o, len(jobs), func(i int) (*cluster.Result, error) {
+		j := jobs[i]
+		// fleetConfig passes ParWindow through although the resilience layer
+		// forces the lockstep reference: it keeps the grids uniform (and pins
+		// that the fallback is byte-identical in the golden tests).
+		rc, err := h.fleetConfig(cluster.KindJSQ, adaptive)
+		if err != nil {
+			return nil, err
+		}
+		rc.Nodes, rc.Resilience, rc.MaxSimTime = resilienceNodes, j.spec, resilienceMaxSimTime
+		if j.killRate > 0 {
+			rc.Faults = &cluster.FaultSpec{KillRate: j.killRate}
+		}
+		res, err := cluster.Run(j.tr, rc)
+		if err != nil {
+			return nil, fmt.Errorf("experiments: resilience %s kill=%g %s: %w", j.pattern, j.killRate, j.label, err)
+		}
+		return res, nil
+	}, func(i int, res *cluster.Result) string {
+		j := jobs[i]
+		return fmt.Sprintf("%-7s kill=%-5.0f %-12s done=%-5d dropped=%-4d retries=%-4d trips=%d",
+			j.pattern, j.killRate, j.label, res.ReqCompleted, res.Dropped, res.Retries, res.BreakerTrips)
+	})
 	if err != nil {
 		return nil, err
 	}

@@ -1,13 +1,11 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/gpu"
 	"repro/internal/parboil"
 	"repro/internal/pcie"
-	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -45,49 +43,44 @@ func (r Table1Row) Spec() trace.KernelSpec {
 // the published values. Rows are independent, so they are computed on the
 // shared runner (o.Workers, o.Context) and returned in Table 1 order.
 func RunTable1(o Options) ([]Table1Row, error) {
-	ctx := o.Context
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	cfg := gpu.DefaultConfig()
 	table := parboil.Table1()
-	return runner.Map(ctx, len(table), runner.Options{Workers: o.Workers},
-		func(ctx context.Context, i int) (Table1Row, error) {
-			r := table[i]
-			spec := trace.KernelSpec{
-				Name:           r.Kernel,
-				NumTBs:         r.NumTBs,
-				TBTime:         sim.Microseconds(r.TimePerTBUs),
-				RegsPerTB:      r.RegsPerTB,
-				SharedMemPerTB: r.SharedMemB,
-				ThreadsPerTB:   r.ThreadsPerTB,
-				Launches:       r.Launches,
-			}
-			occ, err := cfg.Occupancy(&spec)
-			if err != nil {
-				return Table1Row{}, fmt.Errorf("experiments: table1 %s/%s: %w", r.App, r.Kernel, err)
-			}
-			util, err := cfg.ResourceUtilization(&spec)
-			if err != nil {
-				return Table1Row{}, err
-			}
-			save, err := cfg.SaveTime(&spec)
-			if err != nil {
-				return Table1Row{}, err
-			}
-			app, err := parboil.App(r.App)
-			if err != nil {
-				return Table1Row{}, err
-			}
-			return Table1Row{
-				Row:            r,
-				GotTBsPerSM:    occ,
-				GotResourcePct: util * 100,
-				GotSaveUs:      save.Microseconds(),
-				Class1:         app.Class1,
-				Class2:         app.Class2,
-			}, nil
-		})
+	return mapCells(o, len(table), func(i int) (Table1Row, error) {
+		r := table[i]
+		spec := trace.KernelSpec{
+			Name:           r.Kernel,
+			NumTBs:         r.NumTBs,
+			TBTime:         sim.Microseconds(r.TimePerTBUs),
+			RegsPerTB:      r.RegsPerTB,
+			SharedMemPerTB: r.SharedMemB,
+			ThreadsPerTB:   r.ThreadsPerTB,
+			Launches:       r.Launches,
+		}
+		occ, err := cfg.Occupancy(&spec)
+		if err != nil {
+			return Table1Row{}, fmt.Errorf("experiments: table1 %s/%s: %w", r.App, r.Kernel, err)
+		}
+		util, err := cfg.ResourceUtilization(&spec)
+		if err != nil {
+			return Table1Row{}, err
+		}
+		save, err := cfg.SaveTime(&spec)
+		if err != nil {
+			return Table1Row{}, err
+		}
+		app, err := parboil.App(r.App)
+		if err != nil {
+			return Table1Row{}, err
+		}
+		return Table1Row{
+			Row:            r,
+			GotTBsPerSM:    occ,
+			GotResourcePct: util * 100,
+			GotSaveUs:      save.Microseconds(),
+			Class1:         app.Class1,
+			Class2:         app.Class2,
+		}, nil
+	}, nil)
 }
 
 // Table1Table renders the recomputed Table 1.

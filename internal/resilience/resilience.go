@@ -27,7 +27,7 @@ import (
 // (gpusim -cluster).
 type Spec struct {
 	// Seed drives the retry-jitter stream; 0 derives one from the machine
-	// seed.
+	// seed (Options.Seed at the repro facade).
 	Seed uint64 `json:"seed,omitempty"`
 	// Timeout is the per-attempt deadline: an attempt that has not completed
 	// Timeout after its dispatch is abandoned (counted TimedOut) and the
@@ -39,10 +39,12 @@ type Spec struct {
 	// Hedge, when present, launches a second attempt on another node when the
 	// first outlives the class's observed latency quantile.
 	Hedge *HedgePolicy `json:"hedge,omitempty"`
-	// Breaker, when present, arms a circuit breaker per node slot.
+	// Breaker, when present, arms a circuit breaker per node slot: tripped
+	// nodes are masked from dispatch until a half-open probe succeeds.
 	Breaker *BreakerPolicy `json:"breaker,omitempty"`
 	// Shed, when present, bounds per-class admission and sheds best-effort
-	// overflow before it reaches a node.
+	// overflow before it reaches a node; the highest-priority class is
+	// exempt.
 	Shed *ShedPolicy `json:"shed,omitempty"`
 }
 
