@@ -132,6 +132,78 @@ func TestGoldenTables(t *testing.T) {
 	checkGolden(t, "cluster", clu.Table().Render())
 }
 
+// TestGoldenSharingAndAblations pins the comparison grids of §2.1 and §5
+// (MPS, static partitioning, kernel slicing) and every ablation sweep
+// against their committed goldens at the golden options.
+func TestGoldenSharingAndAblations(t *testing.T) {
+	if testing.Short() {
+		t.Skip("golden sweeps in -short mode")
+	}
+	o := goldenOpts()
+	tables := []struct {
+		name string
+		run  func() (*Table, error)
+	}{
+		{"mps", func() (*Table, error) {
+			r, err := RunMPS(o)
+			if err != nil {
+				return nil, err
+			}
+			return r.Table(), nil
+		}},
+		{"static", func() (*Table, error) {
+			r, err := RunStaticVsDSS(o)
+			if err != nil {
+				return nil, err
+			}
+			return StaticVsDSSTable(r), nil
+		}},
+		{"slicing", func() (*Table, error) {
+			r, err := RunSlicing(o, nil)
+			if err != nil {
+				return nil, err
+			}
+			return r.Table(), nil
+		}},
+		{"ablation-pipeline", func() (*Table, error) {
+			r, err := AblationPipelineDrain(o, nil)
+			if err != nil {
+				return nil, err
+			}
+			return r.Table(), nil
+		}},
+		{"ablation-jitter", func() (*Table, error) {
+			r, err := AblationJitter(o, nil)
+			if err != nil {
+				return nil, err
+			}
+			return r.Table(), nil
+		}},
+		{"ablation-activeq", func() (*Table, error) {
+			r, err := AblationActiveLimit(o, nil)
+			if err != nil {
+				return nil, err
+			}
+			return r.Table(), nil
+		}},
+		{"ablation-tokens", func() (*Table, error) {
+			r, err := AblationTokens(o)
+			if err != nil {
+				return nil, err
+			}
+			return r.Table(), nil
+		}},
+		{"ablation-smem", AblationSharedMem},
+	}
+	for _, tc := range tables {
+		tab, err := tc.run()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		checkGolden(t, tc.name, tab.Render())
+	}
+}
+
 // goldenLoad memoizes the load sweep at the golden options, so the golden
 // comparison and the adaptive-vs-draining property test share one run of
 // the most expensive grid instead of simulating all 12 cells twice.
