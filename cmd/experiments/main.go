@@ -203,7 +203,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		emit("static", experiments.StaticVsDSSTable(r))
+		emit("static", r.Table())
 	}
 	if want("slicing") {
 		r, err := experiments.RunSlicing(opts, nil)

@@ -10,6 +10,7 @@ import (
 	"repro/internal/policy"
 	"repro/internal/preempt"
 	"repro/internal/sim"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -42,11 +43,64 @@ func (r *AblationResult) Table() *Table {
 	return t
 }
 
-// ablationWorkloads builds the fixed workload set used by the sweeps:
-// PerSize random 4-process workloads with a high-priority process.
-func ablationWorkloads(h *Harness, withHP bool) []workload.Spec {
-	return workload.Random(h.Suite, 4, h.Opts.PerSize, h.Opts.Seed+4, withHP)
+// hpPoint is one value of a priority sweep: its row label and the job that
+// simulates one workload at this value.
+type hpPoint struct {
+	param string
+	job   func(spec workload.Spec) simJob
 }
+
+// hpSweep runs a priority sweep over PerSize random 4-process workloads with
+// a high-priority first process. One nonprioritized FCFS baseline per
+// workload is shared by every point; each point then runs its job on every
+// workload. A point reports the mean high-priority NTT improvement over the
+// baseline and the mean of column, which metric reads off each run's score.
+// Every run is scored against the workload's own apps, so a job may
+// transform the apps it simulates (kernel slicing) without changing the
+// isolated baselines it is normalized against.
+func (h *Harness) hpSweep(name, column string, metric func(metrics.Summary) float64, points []hpPoint) (*AblationResult, error) {
+	specs := workload.Random(h.Suite, 4, h.Opts.PerSize, h.Opts.Seed+4, true)
+	var jobs []simJob
+	for _, spec := range specs {
+		jobs = append(jobs, h.baselineJob(spec))
+	}
+	for _, p := range points {
+		for _, spec := range specs {
+			jobs = append(jobs, p.job(spec))
+		}
+	}
+	results, err := h.runAll(jobs)
+	if err != nil {
+		return nil, err
+	}
+	res := &AblationResult{Name: name, Columns: []string{"hp NTT improvement", column}}
+	next := len(specs)
+	for _, p := range points {
+		imp, sum := 0.0, 0.0
+		for si, spec := range specs {
+			base, err := h.score(spec.Apps, results[si])
+			if err != nil {
+				return nil, err
+			}
+			run, err := h.score(spec.Apps, results[next])
+			if err != nil {
+				return nil, err
+			}
+			next++
+			imp += base.NTTs[0] / run.NTTs[0]
+			sum += metric(run)
+		}
+		n := float64(len(specs))
+		res.Points = append(res.Points, AblationPoint{
+			Param:  p.param,
+			Values: map[string]float64{"hp NTT improvement": imp / n, column: sum / n},
+		})
+	}
+	return res, nil
+}
+
+func stpOf(s metrics.Summary) float64  { return s.STP }
+func anttOf(s metrics.Summary) float64 { return s.ANTT }
 
 // AblationPipelineDrain sweeps the pipeline-drain latency that precedes the
 // context-save trap (§3.2: precise exceptions) and reports the mean
@@ -57,62 +111,15 @@ func AblationPipelineDrain(o Options, latencies []sim.Time) (*AblationResult, er
 		latencies = []sim.Time{0, sim.Microseconds(0.5), sim.Microseconds(1),
 			sim.Microseconds(2), sim.Microseconds(4), sim.Microseconds(8)}
 	}
-	specs := ablationWorkloads(h, true)
-	res := &AblationResult{Name: "pipeline-drain latency before context save",
-		Columns: []string{"hp NTT improvement", "STP"}}
-	// The FCFS baseline does not depend on the swept latency, so it is
-	// simulated once per workload and shared across all sweep values.
-	jobs := baselineJobs(h, specs)
+	var points []hpPoint
 	for _, lat := range latencies {
-		for _, spec := range specs {
+		points = append(points, hpPoint{param: lat.String(), job: func(spec workload.Spec) simJob {
 			rc := h.runConfig(pcie.PriorityFCFS{})
 			rc.Sys.GPU.PipelineDrainLatency = lat
-			jobs = append(jobs, simJob{spec: spec, rc: rc,
-				pol:   func(int) core.Policy { return policy.NewPPQ(false) },
-				mech:  func() core.Mechanism { return preempt.ContextSwitch{} },
-				label: fmt.Sprintf("PPQ-CS/%v", lat)})
-		}
+			return simJob{spec: spec, rc: rc, pol: ppq, mech: contextSwitch, label: fmt.Sprintf("PPQ-CS/%v", lat)}
+		}})
 	}
-	results, err := h.runAll(jobs)
-	if err != nil {
-		return nil, err
-	}
-	next := len(specs)
-	for _, lat := range latencies {
-		impAgg, stpAgg := 0.0, 0.0
-		n := 0
-		for si := range specs {
-			baseRes, r := results[si], results[next]
-			next++
-			baseNTT, err := h.appNTT(baseRes, 0)
-			if err != nil {
-				return nil, err
-			}
-			ntt, err := h.appNTT(r, 0)
-			if err != nil {
-				return nil, err
-			}
-			perfs, err := h.perf(r)
-			if err != nil {
-				return nil, err
-			}
-			sum, err := metrics.Summarize(perfs)
-			if err != nil {
-				return nil, err
-			}
-			impAgg += baseNTT / ntt
-			stpAgg += sum.STP
-			n++
-		}
-		res.Points = append(res.Points, AblationPoint{
-			Param: lat.String(),
-			Values: map[string]float64{
-				"hp NTT improvement": impAgg / float64(n),
-				"STP":                stpAgg / float64(n),
-			},
-		})
-	}
-	return res, nil
+	return h.hpSweep("pipeline-drain latency before context save", "STP", stpOf, points)
 }
 
 // AblationJitter sweeps thread-block time variability and reports the STP
@@ -132,66 +139,21 @@ func AblationJitter(o Options, jitters []float64) (*AblationResult, error) {
 			oj.Jitter = -1 // Options treats 0 as "default"; negative disables
 		}
 		h := NewHarness(oj)
-		if oj.Jitter < 0 {
-			h.Opts.Jitter = 0
-		}
-		specs := ablationWorkloads(h, false)
-		rcJitter := func() workload.RunConfig {
-			rc := h.runConfig(pcie.FCFS{})
-			rc.Sys.Jitter = h.Opts.Jitter
-			return rc
-		}
-		mechJob := func(spec workload.Spec, mech core.Mechanism) simJob {
-			return simJob{spec: spec, rc: rcJitter(),
-				pol:  func(n int) core.Policy { return policy.NewDSS(n) },
-				mech: func() core.Mechanism { return mech }, label: "DSS/" + mech.Name()}
-		}
-		var jobs []simJob
-		for _, spec := range specs {
-			jobs = append(jobs,
-				simJob{spec: spec, rc: rcJitter(),
-					pol: func(n int) core.Policy { return policy.NewFCFS() }, label: "FCFS"},
-				mechJob(spec, preempt.ContextSwitch{}),
-				mechJob(spec, preempt.Drain{}))
-		}
-		results, err := h.runAll(jobs)
+		grid, err := h.runGrid([]int{4}, false, h.confJobs([]gridConf{
+			{label: "FCFS", pol: fcfs},
+			{label: "DSS/" + preempt.ContextSwitch{}.Name(), pol: dss, mk: contextSwitch},
+			{label: "DSS/" + preempt.Drain{}.Name(), pol: dss, mk: drain},
+		}))
 		if err != nil {
 			return nil, err
 		}
 		var degCS, degDrain float64
 		n := 0
-		for si := range specs {
-			baseRes := results[3*si]
-			basePerfs, err := h.perf(baseRes)
-			if err != nil {
-				return nil, err
-			}
-			baseSum, err := metrics.Summarize(basePerfs)
-			if err != nil {
-				return nil, err
-			}
-			stpOf := func(r *workload.Result) (float64, error) {
-				perfs, err := h.perf(r)
-				if err != nil {
-					return 0, err
-				}
-				sum, err := metrics.Summarize(perfs)
-				if err != nil {
-					return 0, err
-				}
-				return sum.STP, nil
-			}
-			stpCS, err := stpOf(results[3*si+1])
-			if err != nil {
-				return nil, err
-			}
-			stpDrain, err := stpOf(results[3*si+2])
-			if err != nil {
-				return nil, err
-			}
-			if stpCS > 0 && stpDrain > 0 && baseSum.STP > 0 {
-				degCS += baseSum.STP / stpCS
-				degDrain += baseSum.STP / stpDrain
+		for _, w := range grid {
+			base, cs, dr := w.scores[0].STP, w.scores[1].STP, w.scores[2].STP
+			if cs > 0 && dr > 0 && base > 0 {
+				degCS += base / cs
+				degDrain += base / dr
 				n++
 			}
 		}
@@ -221,9 +183,7 @@ func AblationActiveLimit(o Options, limits []int) (*AblationResult, error) {
 		for _, spec := range specs {
 			rc := h.runConfig(pcie.FCFS{})
 			rc.Sys.ActiveLimit = lim
-			jobs = append(jobs, simJob{spec: spec, rc: rc,
-				pol:   func(n int) core.Policy { return policy.NewDSS(n) },
-				mech:  func() core.Mechanism { return preempt.ContextSwitch{} },
+			jobs = append(jobs, simJob{spec: spec, rc: rc, pol: dss, mech: contextSwitch,
 				label: fmt.Sprintf("DSS/limit=%d", lim)})
 		}
 	}
@@ -231,27 +191,18 @@ func AblationActiveLimit(o Options, limits []int) (*AblationResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	next := 0
-	for _, lim := range limits {
+	for li, lim := range limits {
 		antt := 0.0
-		n := 0
-		for range specs {
-			r := results[next]
-			next++
-			perfs, err := h.perf(r)
-			if err != nil {
-				return nil, err
-			}
-			sum, err := metrics.Summarize(perfs)
+		for si, spec := range specs {
+			sum, err := h.score(spec.Apps, results[li*len(specs)+si])
 			if err != nil {
 				return nil, err
 			}
 			antt += sum.ANTT
-			n++
 		}
 		res.Points = append(res.Points, AblationPoint{
 			Param:  fmt.Sprintf("%d", lim),
-			Values: map[string]float64{"DSS-CS ANTT": antt / float64(n)},
+			Values: map[string]float64{"DSS-CS ANTT": antt / float64(len(specs))},
 		})
 	}
 	return res, nil
@@ -262,77 +213,67 @@ func AblationActiveLimit(o Options, limits []int) (*AblationResult, error) {
 // share), reporting the high-priority NTT improvement and overall ANTT.
 func AblationTokens(o Options) (*AblationResult, error) {
 	h := NewHarness(o)
-	specs := ablationWorkloads(h, true)
-	res := &AblationResult{Name: "DSS token weighting (equal vs 2x high-priority share)",
-		Columns: []string{"hp NTT improvement", "ANTT"}}
-	// The FCFS baseline is shared by both token weightings.
-	jobs := baselineJobs(h, specs)
-	for _, weighted := range []bool{false, true} {
-		weighted := weighted
-		pol := func(nproc int) core.Policy {
-			p := policy.NewDSS(nproc)
-			if weighted {
-				p.TokenFunc = func(fw *core.Framework, k *core.KSR) int {
-					shares := nproc + 1 // high-priority counts twice
-					tc := fw.NumSMs() / shares
-					if k.Priority() > 0 {
-						return 2 * tc
-					}
-					return tc
+	weighted := func(nproc int) core.Policy {
+		p := policy.NewDSS(nproc)
+		p.TokenFunc = func(fw *core.Framework, k *core.KSR) int {
+			shares := nproc + 1 // high-priority counts twice
+			tc := fw.NumSMs() / shares
+			if k.Priority() > 0 {
+				return 2 * tc
+			}
+			return tc
+		}
+		return p
+	}
+	point := func(param string, pol func(int) core.Policy, label string) hpPoint {
+		return hpPoint{param: param, job: func(spec workload.Spec) simJob {
+			return simJob{spec: spec, rc: h.runConfig(pcie.FCFS{}), pol: pol, mech: contextSwitch, label: label}
+		}}
+	}
+	return h.hpSweep("DSS token weighting (equal vs 2x high-priority share)", "ANTT", anttOf, []hpPoint{
+		point("equal", dss, "DSS/weighted=false"),
+		point("2x-high-priority", weighted, "DSS/weighted=true"),
+	})
+}
+
+// RunSlicing compares software kernel slicing (§5: Basaran & Kang, elastic
+// kernels, Kernelet) against hardware preemption for serving a
+// high-priority process. Slicing creates preemption points at slice
+// boundaries under a plain priority scheduler with no preemption hardware;
+// smaller slices reduce the high-priority waiting time but add
+// kernel-launch overheads that erode throughput — while PPQ with the
+// context-switch mechanism gets low latency without slicing costs. Every
+// run is normalized against the unsliced traces' isolated baselines:
+// slicing changes the trace, not the app.
+func RunSlicing(o Options, sliceSizes []int) (*AblationResult, error) {
+	h := NewHarness(o)
+	if len(sliceSizes) == 0 {
+		// Slices expressed in thread blocks; 0 = unsliced NPQ baseline.
+		sliceSizes = []int{0, 512, 128, 32}
+	}
+	var points []hpPoint
+	for _, slice := range sliceSizes {
+		label := "NPQ unsliced"
+		if slice > 0 {
+			label = fmt.Sprintf("NPQ sliced @%d TBs", slice)
+		}
+		points = append(points, hpPoint{param: label, job: func(spec workload.Spec) simJob {
+			if slice > 0 {
+				apps := make([]*trace.App, len(spec.Apps))
+				for i, a := range spec.Apps {
+					apps[i] = trace.SliceKernels(a, slice)
 				}
+				spec.Apps = apps
 			}
-			return p
-		}
-		for _, spec := range specs {
-			jobs = append(jobs, simJob{spec: spec, rc: h.runConfig(pcie.FCFS{}), pol: pol,
-				mech:  func() core.Mechanism { return preempt.ContextSwitch{} },
-				label: fmt.Sprintf("DSS/weighted=%v", weighted)})
-		}
+			return simJob{spec: spec, rc: h.runConfig(pcie.PriorityFCFS{}), pol: npq, label: label}
+		}})
 	}
-	results, err := h.runAll(jobs)
-	if err != nil {
-		return nil, err
-	}
-	next := len(specs)
-	for _, weighted := range []bool{false, true} {
-		imp, antt := 0.0, 0.0
-		n := 0
-		for si := range specs {
-			baseRes, r := results[si], results[next]
-			next++
-			baseNTT, err := h.appNTT(baseRes, 0)
-			if err != nil {
-				return nil, err
-			}
-			ntt, err := h.appNTT(r, 0)
-			if err != nil {
-				return nil, err
-			}
-			perfs, err := h.perf(r)
-			if err != nil {
-				return nil, err
-			}
-			sum, err := metrics.Summarize(perfs)
-			if err != nil {
-				return nil, err
-			}
-			imp += baseNTT / ntt
-			antt += sum.ANTT
-			n++
-		}
-		label := "equal"
-		if weighted {
-			label = "2x-high-priority"
-		}
-		res.Points = append(res.Points, AblationPoint{
-			Param: label,
-			Values: map[string]float64{
-				"hp NTT improvement": imp / float64(n),
-				"ANTT":               antt / float64(n),
-			},
-		})
-	}
-	return res, nil
+	// Hardware preemption reference.
+	const hw = "PPQ context switch (hardware)"
+	points = append(points, hpPoint{param: hw, job: func(spec workload.Spec) simJob {
+		return simJob{spec: spec, rc: h.runConfig(pcie.PriorityFCFS{}), pol: ppq, mech: contextSwitch, label: hw}
+	}})
+	return h.hpSweep("software kernel slicing vs hardware preemption (4-process workloads)", "STP", stpOf, points)
 }
 
 // AblationSharedMem reports how restricting the shared-memory configuration

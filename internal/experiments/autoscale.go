@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/arrivals"
 	"repro/internal/cluster"
-	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -171,26 +170,7 @@ func RunAutoscale(o Options) (*AutoscaleResult, error) {
 	// The peak load-sweep rate: the quiet phases fit on the minimum fleet,
 	// and the flash peak (2.2x) overloads even the maximum for its duration
 	// — the regime where elasticity has a decision to make.
-	rates := DefaultLoadRates(o.Scale)
-	rate := rates[len(rates)-1]
-	classes := loadClasses(h.Suite)
-
-	patterns := autoscalePatterns()
-	traces := make([]*trace.ArrivalTrace, len(patterns))
-	for pi, p := range patterns {
-		tr, err := arrivals.Generate(arrivals.GenSpec{
-			Process: arrivals.ProcPoisson,
-			Rate:    rate,
-			Horizon: loadHorizon,
-			Seed:    rng.SeedFrom(o.Seed, autoscaleSeedTag, uint64(pi)),
-			Classes: classes,
-			Phases:  p.phases,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("experiments: generating %s load %g/s: %w", p.label, rate, err)
-		}
-		traces[pi] = tr
-	}
+	rate := peakLoadRate(o.Scale)
 
 	type fleetConf struct {
 		label string
@@ -210,10 +190,14 @@ func RunAutoscale(o Options) (*AutoscaleResult, error) {
 		killRate float64
 	}
 	var jobs []autoscaleJob
-	for pi, p := range patterns {
+	for pi, p := range autoscalePatterns() {
+		tr, err := h.poissonStream(rate, loadClasses(h.Suite), p.phases, autoscaleSeedTag, uint64(pi))
+		if err != nil {
+			return nil, err
+		}
 		for _, f := range fleets {
 			for _, kr := range autoscaleKillRates {
-				jobs = append(jobs, autoscaleJob{pattern: p.label, tr: traces[pi], fleet: f, killRate: kr})
+				jobs = append(jobs, autoscaleJob{pattern: p.label, tr: tr, fleet: f, killRate: kr})
 			}
 		}
 	}

@@ -3,13 +3,10 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/arrivals"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/pcie"
-	"repro/internal/policy"
 	"repro/internal/preempt"
-	"repro/internal/rng"
 )
 
 // clusterSeedTag namespaces the cluster sweep's arrival-stream seed.
@@ -42,18 +39,9 @@ type ClusterRow struct {
 	Dispatch string
 	// Mechanism is the per-GPU preemption mechanism label.
 	Mechanism string
-	// Admitted/Completed/InFlight are fleet-wide request counts.
-	Admitted, Completed, InFlight int
-	// RTWaitP95Us is the rt class's p95 queueing latency in microseconds.
-	RTWaitP95Us float64
-	// RTLatP50Us/P95/P99 are the rt class's completion-latency percentiles.
-	RTLatP50Us, RTLatP95Us, RTLatP99Us float64
-	// RTMissRate is the rt class's fleet-wide deadline-miss rate.
-	RTMissRate float64
-	// Goodput is fleet-wide SLO-compliant completions per simulated second.
-	Goodput float64
-	// Utilization is the mean SM busy fraction across the fleet.
-	Utilization float64
+	// rtStats are fleet-wide: request counts and rt outcomes summed across
+	// nodes, utilization the mean across them.
+	rtStats
 }
 
 // ClusterResult is the data behind the cluster sweep.
@@ -81,26 +69,11 @@ func (r *ClusterResult) Row(gpus int, dispatch, mech string) (ClusterRow, bool) 
 // upgrading the mechanism?
 func (r *ClusterResult) Table() *Table {
 	t := &Table{
-		Title: fmt.Sprintf("Cluster sweep: %0.f req/s (Poisson, rt/batch classes over the Parboil kernel mix) under PPQ, GPU count x dispatch x mechanism", r.RatePerSec),
-		Header: []string{"gpus", "dispatch", "mechanism", "admitted", "done", "inflight",
-			"rt-wait-p95(us)", "rt-p50(us)", "rt-p95(us)", "rt-p99(us)", "rt-miss", "goodput(req/s)", "util"},
+		Title:  fmt.Sprintf("Cluster sweep: %0.f req/s (Poisson, rt/batch classes over the Parboil kernel mix) under PPQ, GPU count x dispatch x mechanism", r.RatePerSec),
+		Header: append([]string{"gpus", "dispatch", "mechanism"}, rtStatsHeader...),
 	}
 	for _, row := range r.Rows {
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%d", row.GPUs),
-			row.Dispatch,
-			row.Mechanism,
-			fmt.Sprintf("%d", row.Admitted),
-			fmt.Sprintf("%d", row.Completed),
-			fmt.Sprintf("%d", row.InFlight),
-			fmt.Sprintf("%.1f", row.RTWaitP95Us),
-			fmt.Sprintf("%.1f", row.RTLatP50Us),
-			fmt.Sprintf("%.1f", row.RTLatP95Us),
-			fmt.Sprintf("%.1f", row.RTLatP99Us),
-			fmt.Sprintf("%.3f", row.RTMissRate),
-			fmt.Sprintf("%.0f", row.Goodput),
-			fmt.Sprintf("%.2f", row.Utilization),
-		})
+		t.Rows = append(t.Rows, append([]string{fmt.Sprintf("%d", row.GPUs), row.Dispatch, row.Mechanism}, row.cells()...))
 	}
 	return t
 }
@@ -117,7 +90,7 @@ func (h *Harness) fleetConfig(kind cluster.Kind, mech func() core.Mechanism) (cl
 	return cluster.RunConfig{
 		Sys:        h.runConfig(pcie.FCFS{}).Sys,
 		Dispatcher: disp,
-		Policy:     func(n int) core.Policy { return policy.NewPPQ(false) },
+		Policy:     ppq,
 		Mechanism:  mech,
 		Parallel:   h.Opts.ParWindow,
 	}, nil
@@ -140,19 +113,10 @@ func RunCluster(o Options, gpus []int) (*ClusterResult, error) {
 	if gpus == nil {
 		gpus = DefaultClusterGPUs()
 	}
-	rates := DefaultLoadRates(o.Scale)
-	rate := rates[len(rates)-1]
-	classes := loadClasses(h.Suite)
-
-	tr, err := arrivals.Generate(arrivals.GenSpec{
-		Process: arrivals.ProcPoisson,
-		Rate:    rate,
-		Horizon: loadHorizon,
-		Seed:    rng.SeedFrom(o.Seed, clusterSeedTag),
-		Classes: classes,
-	})
+	rate := peakLoadRate(o.Scale)
+	tr, err := h.poissonStream(rate, loadClasses(h.Suite), nil, clusterSeedTag)
 	if err != nil {
-		return nil, fmt.Errorf("experiments: generating cluster load %g/s: %w", rate, err)
+		return nil, err
 	}
 
 	confs := mechConfs()
@@ -204,22 +168,8 @@ func RunCluster(o Options, gpus []int) (*ClusterResult, error) {
 	out := &ClusterResult{GPUs: gpus, RatePerSec: rate}
 	for i, res := range results {
 		j := jobs[i]
-		rt := &res.Classes[0]
-		out.Rows = append(out.Rows, ClusterRow{
-			GPUs:        j.gpus,
-			Dispatch:    j.label,
-			Mechanism:   j.mech.label,
-			Admitted:    res.Admitted,
-			Completed:   res.Completed,
-			InFlight:    res.InFlight,
-			RTWaitP95Us: rt.Wait.Quantile(0.95).Microseconds(),
-			RTLatP50Us:  rt.Latency.Quantile(0.50).Microseconds(),
-			RTLatP95Us:  rt.Latency.Quantile(0.95).Microseconds(),
-			RTLatP99Us:  rt.Latency.Quantile(0.99).Microseconds(),
-			RTMissRate:  rt.MissRate(),
-			Goodput:     res.Goodput,
-			Utilization: res.Utilization,
-		})
+		out.Rows = append(out.Rows, ClusterRow{GPUs: j.gpus, Dispatch: j.label, Mechanism: j.mech.label,
+			rtStats: newRTStats(&res.Classes[0], res.Admitted, res.Completed, res.InFlight, res.Goodput, res.Utilization)})
 	}
 	return out, nil
 }

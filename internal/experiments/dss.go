@@ -3,13 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/core"
-	"repro/internal/metrics"
-	"repro/internal/pcie"
-	"repro/internal/policy"
-	"repro/internal/preempt"
 	"repro/internal/stats"
-	"repro/internal/workload"
 )
 
 // DSS-experiment configuration labels (Figures 7 and 8).
@@ -68,11 +62,7 @@ func (r *Fig7Result) Tables() []*Table {
 		for _, size := range r.Sizes {
 			row := []string{g, fmt.Sprintf("%d", size)}
 			for _, c := range []string{ConfDSSCS, ConfDSSDrain} {
-				if v, ok := r.NTTImprovement(g, c, size); ok {
-					row = append(row, fmt.Sprintf("%.2f", v))
-				} else {
-					row = append(row, "-")
-				}
+				row = append(row, r.nttImp.cell(fig7aKey{Group: g, Conf: c, Size: size}, "%.2f"))
 			}
 			a.Rows = append(a.Rows, row)
 		}
@@ -89,16 +79,8 @@ func (r *Fig7Result) Tables() []*Table {
 		rowB := []string{fmt.Sprintf("%d", size)}
 		rowC := []string{fmt.Sprintf("%d", size)}
 		for _, conf := range []string{ConfDSSCS, ConfDSSDrain} {
-			if v, ok := r.FairnessImprovement(conf, size); ok {
-				rowB = append(rowB, fmt.Sprintf("%.2f", v))
-			} else {
-				rowB = append(rowB, "-")
-			}
-			if v, ok := r.STPDegradation(conf, size); ok {
-				rowC = append(rowC, fmt.Sprintf("%.3f", v))
-			} else {
-				rowC = append(rowC, "-")
-			}
+			rowB = append(rowB, r.fairImp.cell(fig7Key{Conf: conf, Size: size}, "%.2f"))
+			rowC = append(rowC, r.stpDeg.cell(fig7Key{Conf: conf, Size: size}, "%.3f"))
 		}
 		b.Rows = append(b.Rows, rowB)
 		c.Rows = append(c.Rows, rowC)
@@ -181,76 +163,45 @@ func RunDSS(o Options) (*Fig7Result, *Fig8Result, error) {
 	}
 	fig8 := &Fig8Result{Sizes: o.Sizes, ANTT: make(map[int]map[string][]float64)}
 
-	type conf struct {
-		label string
-		pol   func(n int) core.Policy
-		mk    func() core.Mechanism
+	confs := []gridConf{
+		{label: ConfFCFS, pol: fcfs},
+		{label: ConfDSSCS, pol: dss, mk: contextSwitch},
+		{label: ConfDSSDrain, pol: dss, mk: drain},
 	}
-	confs := []conf{
-		{ConfFCFS, func(n int) core.Policy { return policy.NewFCFS() }, nil},
-		{ConfDSSCS, func(n int) core.Policy { return policy.NewDSS(n) },
-			func() core.Mechanism { return preempt.ContextSwitch{} }},
-		{ConfDSSDrain, func(n int) core.Policy { return policy.NewDSS(n) },
-			func() core.Mechanism { return preempt.Drain{} }},
-	}
-
-	specsBySize := make(map[int][]workload.Spec, len(o.Sizes))
-	var jobs []simJob
-	for _, size := range o.Sizes {
-		specs := workload.Random(h.Suite, size, o.PerSize, o.Seed+uint64(size), false)
-		specsBySize[size] = specs
-		for _, spec := range specs {
-			for _, c := range confs {
-				jobs = append(jobs, simJob{spec: spec, rc: h.runConfig(pcie.FCFS{}),
-					pol: c.pol, mech: c.mk, label: c.label})
-			}
-		}
-	}
-	results, err := h.runAll(jobs)
+	grid, err := h.runGrid(o.Sizes, false, h.confJobs(confs))
 	if err != nil {
 		return nil, nil, err
 	}
 
-	next := 0
-	for _, size := range o.Sizes {
-		fig8.ANTT[size] = make(map[string][]float64)
-		for _, spec := range specsBySize[size] {
-			var base metrics.Summary
-			var baseNTTs []float64
-			for ci, c := range confs {
-				res := results[next]
-				next++
-				perfs, err := h.perf(res)
-				if err != nil {
-					return nil, nil, err
-				}
-				sum, err := metrics.Summarize(perfs)
-				if err != nil {
-					return nil, nil, err
-				}
-				fig8.ANTT[size][c.label] = append(fig8.ANTT[size][c.label], sum.ANTT)
-				if ci == 0 {
-					base = sum
-					baseNTTs = sum.NTTs
+	for i, w := range grid {
+		if i%o.PerSize == 0 {
+			// Each size's curves start at its first workload, so a size
+			// listed twice keeps the curves of its last listing.
+			fig8.ANTT[w.size] = make(map[string][]float64)
+		}
+		base := w.scores[0]
+		for ci, c := range confs {
+			sum := w.scores[ci]
+			fig8.ANTT[w.size][c.label] = append(fig8.ANTT[w.size][c.label], sum.ANTT)
+			if ci == 0 {
+				continue
+			}
+			// Figure 7a: per-application NTT improvement by class.
+			for i, app := range w.spec.Apps {
+				if base.NTTs[i] <= 0 || sum.NTTs[i] <= 0 {
 					continue
 				}
-				// Figure 7a: per-application NTT improvement by class.
-				for i, app := range spec.Apps {
-					if baseNTTs[i] <= 0 || sum.NTTs[i] <= 0 {
-						continue
-					}
-					imp := baseNTTs[i] / sum.NTTs[i]
-					group := app.Class2.String()
-					fig7.nttImp.add(fig7aKey{Group: group, Conf: c.label, Size: size}, imp)
-					fig7.nttImp.add(fig7aKey{Group: "AVERAGE", Conf: c.label, Size: size}, imp)
-				}
-				// Figure 7b/7c: per-workload fairness and STP.
-				if base.Fairness > 0 && sum.Fairness > 0 {
-					fig7.fairImp.add(fig7Key{Conf: c.label, Size: size}, sum.Fairness/base.Fairness)
-				}
-				if base.STP > 0 && sum.STP > 0 {
-					fig7.stpDeg.add(fig7Key{Conf: c.label, Size: size}, base.STP/sum.STP)
-				}
+				imp := base.NTTs[i] / sum.NTTs[i]
+				group := app.Class2.String()
+				fig7.nttImp.add(fig7aKey{Group: group, Conf: c.label, Size: w.size}, imp)
+				fig7.nttImp.add(fig7aKey{Group: "AVERAGE", Conf: c.label, Size: w.size}, imp)
+			}
+			// Figure 7b/7c: per-workload fairness and STP.
+			if base.Fairness > 0 && sum.Fairness > 0 {
+				fig7.fairImp.add(fig7Key{Conf: c.label, Size: w.size}, sum.Fairness/base.Fairness)
+			}
+			if base.STP > 0 && sum.STP > 0 {
+				fig7.stpDeg.add(fig7Key{Conf: c.label, Size: w.size}, base.STP/sum.STP)
 			}
 		}
 	}

@@ -17,6 +17,7 @@ import (
 	"repro/internal/parboil"
 	"repro/internal/pcie"
 	"repro/internal/policy"
+	"repro/internal/preempt"
 	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/system"
@@ -39,7 +40,8 @@ type Options struct {
 	MinRuns int
 	// Scale divides benchmark sizes for quick runs (1 = paper-faithful).
 	Scale int
-	// Jitter is the per-thread-block time variability. Default 0.30.
+	// Jitter is the per-thread-block time variability fraction; negative
+	// disables jitter. Default 0.30.
 	Jitter float64
 	// Progress, when non-nil, receives one line per completed simulation,
 	// prefixed with a [completed/total] job counter.
@@ -76,6 +78,9 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Jitter == 0 {
 		o.Jitter = 0.30
+	}
+	if o.Jitter < 0 {
+		o.Jitter = 0
 	}
 	return o
 }
@@ -139,19 +144,44 @@ func (h *Harness) run(j simJob) (*workload.Result, error) {
 	return res, nil
 }
 
-// baselineJobs builds one nonprioritized FCFS baseline job per workload
-// (the "nonprioritized execution" reference the priority sweeps compare
-// against). The baseline is independent of any swept parameter, so sweeps
-// submit these once and share the results across all sweep values.
-func baselineJobs(h *Harness, specs []workload.Spec) []simJob {
-	jobs := make([]simJob, 0, len(specs))
-	for _, spec := range specs {
-		base := spec
-		base.HighPriority = -1
-		jobs = append(jobs, simJob{spec: base, rc: h.runConfig(pcie.FCFS{}),
-			pol: func(int) core.Policy { return policy.NewFCFS() }, label: "FCFS"})
+// The schedulers and preemption mechanisms the grids share.
+func fcfs(int) core.Policy          { return policy.NewFCFS() }
+func npq(int) core.Policy           { return policy.NewNPQ() }
+func ppq(int) core.Policy           { return policy.NewPPQ(false) }
+func dss(n int) core.Policy         { return policy.NewDSS(n) }
+func contextSwitch() core.Mechanism { return preempt.ContextSwitch{} }
+func drain() core.Mechanism         { return preempt.Drain{} }
+
+// gridConf is one configuration of a workload grid: a scheduler, a
+// preemption mechanism (nil = none) and whether all processes share one
+// GPU context (MPS).
+type gridConf struct {
+	label string
+	pol   func(n int) core.Policy
+	mk    func() core.Mechanism
+	mps   bool
+}
+
+// confJobs returns the runGrid cells function that runs every configuration
+// on the workload, in order, with the FCFS transfer engine.
+func (h *Harness) confJobs(confs []gridConf) func(workload.Spec) []simJob {
+	return func(spec workload.Spec) []simJob {
+		jobs := make([]simJob, len(confs))
+		for i, c := range confs {
+			rc := h.runConfig(pcie.FCFS{})
+			rc.MPS = c.mps
+			jobs[i] = simJob{spec: spec, rc: rc, pol: c.pol, mech: c.mk, label: c.label}
+		}
+		return jobs
 	}
-	return jobs
+}
+
+// baselineJob builds the nonprioritized FCFS baseline job for a workload:
+// the same workload on the FCFS machine with no priorities ("nonprioritized
+// execution"), the reference every high-priority NTT improvement divides by.
+func (h *Harness) baselineJob(spec workload.Spec) simJob {
+	spec.HighPriority = -1
+	return simJob{spec: spec, rc: h.runConfig(pcie.FCFS{}), pol: fcfs, label: "FCFS"}
 }
 
 // runAll submits the grid to the shared concurrent runner and returns one
@@ -192,27 +222,58 @@ func mapCells[T any](o Options, n int, run func(i int) (T, error), progress func
 		})
 }
 
-// perf builds the per-application performance pairs for a workload result.
-func (h *Harness) perf(res *workload.Result) ([]metrics.AppPerf, error) {
-	perfs := make([]metrics.AppPerf, 0, len(res.Apps))
-	for i, ar := range res.Apps {
-		iso, err := h.Isolated(res.Spec.Apps[i])
-		if err != nil {
-			return nil, err
-		}
-		perfs = append(perfs, metrics.AppPerf{Name: ar.Name, Isolated: iso, Shared: ar.MeanTurnaround})
-	}
-	return perfs, nil
+// gridWorkload is one workload of a size x workload x configuration grid
+// with the scores of its configurations, in the order the grid's cells
+// function returned them.
+type gridWorkload struct {
+	size   int
+	spec   workload.Spec
+	scores []metrics.Summary
 }
 
-// appNTT returns the normalized turnaround time of application index i.
-func (h *Harness) appNTT(res *workload.Result, i int) (float64, error) {
-	iso, err := h.Isolated(res.Spec.Apps[i])
-	if err != nil {
-		return 0, err
+// runGrid simulates a size x workload x configuration grid: for every size,
+// PerSize random workloads (the first process high-priority when withHP)
+// and, for each workload, the jobs cells returns. Jobs are submitted in that
+// nested order and scored against the workload's isolated baselines.
+func (h *Harness) runGrid(sizes []int, withHP bool, cells func(spec workload.Spec) []simJob) ([]gridWorkload, error) {
+	var grid []gridWorkload
+	var jobs []simJob
+	for _, size := range sizes {
+		for _, spec := range workload.Random(h.Suite, size, h.Opts.PerSize, h.Opts.Seed+uint64(size), withHP) {
+			cs := cells(spec)
+			grid = append(grid, gridWorkload{size: size, spec: spec, scores: make([]metrics.Summary, len(cs))})
+			jobs = append(jobs, cs...)
+		}
 	}
-	p := metrics.AppPerf{Name: res.Apps[i].Name, Isolated: iso, Shared: res.Apps[i].MeanTurnaround}
-	return p.NTT(), nil
+	results, err := h.runAll(jobs)
+	if err != nil {
+		return nil, err
+	}
+	for _, w := range grid {
+		for i := range w.scores {
+			if w.scores[i], err = h.score(w.spec.Apps, results[0]); err != nil {
+				return nil, err
+			}
+			results = results[1:]
+		}
+	}
+	return grid, nil
+}
+
+// score summarizes a workload result against the isolated baselines of
+// apps, position by position: the result's own apps, or the untransformed
+// apps a transformed run (kernel slicing) is normalized against. NTTs[0] is
+// the first process's normalized turnaround time.
+func (h *Harness) score(apps []*trace.App, res *workload.Result) (metrics.Summary, error) {
+	perfs := make([]metrics.AppPerf, len(res.Apps))
+	for i, ar := range res.Apps {
+		iso, err := h.Isolated(apps[i])
+		if err != nil {
+			return metrics.Summary{}, err
+		}
+		perfs[i] = metrics.AppPerf{Name: ar.Name, Isolated: iso, Shared: ar.MeanTurnaround}
+	}
+	return metrics.Summarize(perfs)
 }
 
 // --- aggregation ----------------------------------------------------------
@@ -240,6 +301,16 @@ func (a *meanAgg[K]) mean(k K) (float64, bool) {
 }
 
 func (a *meanAgg[K]) count(k K) int { return a.n[k] }
+
+// cell renders the mean for a table cell in format, or "-" when nothing was
+// added under k.
+func (a *meanAgg[K]) cell(k K, format string) string {
+	v, ok := a.mean(k)
+	if !ok {
+		return "-"
+	}
+	return fmt.Sprintf(format, v)
+}
 
 // --- generic table rendering ----------------------------------------------
 

@@ -255,6 +255,9 @@ func TestOptionsDefaults(t *testing.T) {
 	if o.Jitter != 0.30 {
 		t.Errorf("default jitter %v", o.Jitter)
 	}
+	if o := (Options{Jitter: -1}).withDefaults(); o.Jitter != 0 {
+		t.Errorf("negative jitter not clamped to 0 (disabled): %v", o.Jitter)
+	}
 }
 
 func TestRunMPSComparison(t *testing.T) {
@@ -394,7 +397,7 @@ func TestRunStaticVsDSSProducesAllCells(t *testing.T) {
 			}
 		}
 	}
-	if tab := StaticVsDSSTable(r); len(tab.Rows) != 2 {
+	if tab := r.Table(); len(tab.Rows) != 2 {
 		t.Errorf("table rows = %d", len(tab.Rows))
 	}
 }

@@ -156,7 +156,7 @@ func TestGoldenSharingAndAblations(t *testing.T) {
 			if err != nil {
 				return nil, err
 			}
-			return StaticVsDSSTable(r), nil
+			return r.Table(), nil
 		}},
 		{"slicing", func() (*Table, error) {
 			r, err := RunSlicing(o, nil)

@@ -4,9 +4,8 @@ import (
 	"fmt"
 
 	"repro/internal/arrivals"
-	"repro/internal/core"
+	"repro/internal/metrics"
 	"repro/internal/pcie"
-	"repro/internal/policy"
 	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -35,11 +34,8 @@ func DefaultLoadRates(scale int) []float64 {
 	return []float64{100 * s, 400 * s, 1600 * s}
 }
 
-// LoadRow is one cell of the load sweep: one mechanism at one offered load.
-type LoadRow struct {
-	// RatePerSec is the offered load (requests per second).
-	RatePerSec float64
-	Mechanism  string
+// rtStats are the per-cell statistics the load and cluster sweeps share.
+type rtStats struct {
 	// Admitted/Completed/InFlight are request counts; InFlight is the
 	// backlog still in the machine at the end of the simulation.
 	Admitted, Completed, InFlight int
@@ -51,8 +47,52 @@ type LoadRow struct {
 	RTMissRate float64
 	// Goodput is SLO-compliant completions per simulated second.
 	Goodput float64
-	// Utilization is the SM busy fraction.
+	// Utilization is the SM busy fraction (the fleet mean on a cluster).
 	Utilization float64
+}
+
+// rtStatsHeader heads the columns rtStats.cells renders.
+var rtStatsHeader = []string{"admitted", "done", "inflight",
+	"rt-wait-p95(us)", "rt-p50(us)", "rt-p95(us)", "rt-p99(us)", "rt-miss", "goodput(req/s)", "util"}
+
+// newRTStats collects a cell's statistics; rt is the rt class's account.
+func newRTStats(rt *metrics.ClassSLO, admitted, completed, inFlight int, goodput, util float64) rtStats {
+	return rtStats{
+		Admitted:    admitted,
+		Completed:   completed,
+		InFlight:    inFlight,
+		RTWaitP95Us: rt.Wait.Quantile(0.95).Microseconds(),
+		RTLatP50Us:  rt.Latency.Quantile(0.50).Microseconds(),
+		RTLatP95Us:  rt.Latency.Quantile(0.95).Microseconds(),
+		RTLatP99Us:  rt.Latency.Quantile(0.99).Microseconds(),
+		RTMissRate:  rt.MissRate(),
+		Goodput:     goodput,
+		Utilization: util,
+	}
+}
+
+// cells renders the statistics under rtStatsHeader.
+func (s rtStats) cells() []string {
+	return []string{
+		fmt.Sprintf("%d", s.Admitted),
+		fmt.Sprintf("%d", s.Completed),
+		fmt.Sprintf("%d", s.InFlight),
+		fmt.Sprintf("%.1f", s.RTWaitP95Us),
+		fmt.Sprintf("%.1f", s.RTLatP50Us),
+		fmt.Sprintf("%.1f", s.RTLatP95Us),
+		fmt.Sprintf("%.1f", s.RTLatP99Us),
+		fmt.Sprintf("%.3f", s.RTMissRate),
+		fmt.Sprintf("%.0f", s.Goodput),
+		fmt.Sprintf("%.2f", s.Utilization),
+	}
+}
+
+// LoadRow is one cell of the load sweep: one mechanism at one offered load.
+type LoadRow struct {
+	// RatePerSec is the offered load (requests per second).
+	RatePerSec float64
+	Mechanism  string
+	rtStats
 }
 
 // LoadResult is the data behind the load sweep.
@@ -76,25 +116,11 @@ func (r *LoadResult) Row(rate float64, mech string) (LoadRow, bool) {
 // rt class's tail latency and deadline misses against goodput.
 func (r *LoadResult) Table() *Table {
 	t := &Table{
-		Title: "Load sweep: open-system arrivals (Poisson, rt/batch classes over the Parboil kernel mix) under PPQ",
-		Header: []string{"rate(req/s)", "mechanism", "admitted", "done", "inflight",
-			"rt-wait-p95(us)", "rt-p50(us)", "rt-p95(us)", "rt-p99(us)", "rt-miss", "goodput(req/s)", "util"},
+		Title:  "Load sweep: open-system arrivals (Poisson, rt/batch classes over the Parboil kernel mix) under PPQ",
+		Header: append([]string{"rate(req/s)", "mechanism"}, rtStatsHeader...),
 	}
 	for _, row := range r.Rows {
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%.0f", row.RatePerSec),
-			row.Mechanism,
-			fmt.Sprintf("%d", row.Admitted),
-			fmt.Sprintf("%d", row.Completed),
-			fmt.Sprintf("%d", row.InFlight),
-			fmt.Sprintf("%.1f", row.RTWaitP95Us),
-			fmt.Sprintf("%.1f", row.RTLatP50Us),
-			fmt.Sprintf("%.1f", row.RTLatP95Us),
-			fmt.Sprintf("%.1f", row.RTLatP99Us),
-			fmt.Sprintf("%.3f", row.RTMissRate),
-			fmt.Sprintf("%.0f", row.Goodput),
-			fmt.Sprintf("%.2f", row.Utilization),
-		})
+		t.Rows = append(t.Rows, append([]string{fmt.Sprintf("%.0f", row.RatePerSec), row.Mechanism}, row.cells()...))
 	}
 	return t
 }
@@ -118,6 +144,32 @@ func loadClasses(suite []*trace.App) []arrivals.ClassSpec {
 		{Name: "rt", Priority: 1, Weight: 1, Deadline: loadDeadline, Apps: short},
 		{Name: "batch", Priority: 0, Weight: 3, Apps: long},
 	}
+}
+
+// peakLoadRate is the top of DefaultLoadRates: a rate that overloads one
+// machine, the offered load every fleet grid but the load sweep serves.
+func peakLoadRate(scale int) float64 {
+	rates := DefaultLoadRates(scale)
+	return rates[len(rates)-1]
+}
+
+// poissonStream generates the arrival stream a fleet grid replays in every
+// cell: a Poisson process at rate requests per second, modulated by phases
+// (nil = constant), over the load horizon, drawing from classes and seeded
+// by Options.Seed and the grid's seed coordinates.
+func (h *Harness) poissonStream(rate float64, classes []arrivals.ClassSpec, phases []arrivals.Phase, coords ...uint64) (*trace.ArrivalTrace, error) {
+	tr, err := arrivals.Generate(arrivals.GenSpec{
+		Process: arrivals.ProcPoisson,
+		Rate:    rate,
+		Horizon: loadHorizon,
+		Seed:    rng.SeedFrom(h.Opts.Seed, coords...),
+		Classes: classes,
+		Phases:  phases,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("experiments: generating load %g/s: %w", rate, err)
+	}
+	return tr, nil
 }
 
 // RunLoad sweeps offered load x preemption mechanism on an open-system
@@ -144,15 +196,9 @@ func RunLoad(o Options, rates []float64) (*LoadResult, error) {
 	}
 	var jobs []loadJob
 	for ri, rate := range rates {
-		tr, err := arrivals.Generate(arrivals.GenSpec{
-			Process: arrivals.ProcPoisson,
-			Rate:    rate,
-			Horizon: loadHorizon,
-			Seed:    rng.SeedFrom(o.Seed, 0x10AD, uint64(ri)),
-			Classes: classes,
-		})
+		tr, err := h.poissonStream(rate, classes, nil, 0x10AD, uint64(ri))
 		if err != nil {
-			return nil, fmt.Errorf("experiments: generating load %g/s: %w", rate, err)
+			return nil, err
 		}
 		for _, c := range confs {
 			jobs = append(jobs, loadJob{rate: rate, mech: c, tr: tr})
@@ -163,7 +209,7 @@ func RunLoad(o Options, rates []float64) (*LoadResult, error) {
 		j := jobs[i]
 		res, err := arrivals.Run(j.tr, arrivals.RunConfig{
 			Sys:       h.runConfig(pcie.FCFS{}).Sys,
-			Policy:    func(n int) core.Policy { return policy.NewPPQ(false) },
+			Policy:    ppq,
 			Mechanism: j.mech.mk,
 		})
 		if err != nil {
@@ -182,21 +228,8 @@ func RunLoad(o Options, rates []float64) (*LoadResult, error) {
 	out := &LoadResult{Rates: rates}
 	for i, res := range results {
 		j := jobs[i]
-		rt := &res.Classes[0]
-		out.Rows = append(out.Rows, LoadRow{
-			RatePerSec:  j.rate,
-			Mechanism:   j.mech.label,
-			Admitted:    res.Admitted,
-			Completed:   res.Completed,
-			InFlight:    res.InFlight,
-			RTWaitP95Us: rt.Wait.Quantile(0.95).Microseconds(),
-			RTLatP50Us:  rt.Latency.Quantile(0.50).Microseconds(),
-			RTLatP95Us:  rt.Latency.Quantile(0.95).Microseconds(),
-			RTLatP99Us:  rt.Latency.Quantile(0.99).Microseconds(),
-			RTMissRate:  rt.MissRate(),
-			Goodput:     res.Goodput,
-			Utilization: res.Utilization,
-		})
+		out.Rows = append(out.Rows, LoadRow{RatePerSec: j.rate, Mechanism: j.mech.label,
+			rtStats: newRTStats(&res.Classes[0], res.Admitted, res.Completed, res.InFlight, res.Goodput, res.Utilization)})
 	}
 	return out, nil
 }

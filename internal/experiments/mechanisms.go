@@ -4,9 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/metrics"
 	"repro/internal/pcie"
-	"repro/internal/policy"
 	"repro/internal/preempt"
 	"repro/internal/rng"
 	"repro/internal/sim"
@@ -36,10 +34,10 @@ type mechConf struct {
 // grids, so adding a mechanism reaches every sweep at once.
 func mechConfs() []mechConf {
 	return []mechConf{
-		{MechDraining, func() core.Mechanism { return preempt.Drain{} }},
-		{MechContextSwitch, func() core.Mechanism { return preempt.ContextSwitch{} }},
+		{MechDraining, drain},
+		{MechContextSwitch, contextSwitch},
 		{MechFlush, func() core.Mechanism { return preempt.Flush{} }},
-		{MechAdaptive, func() core.Mechanism { return preempt.NewAdaptive() }},
+		{MechAdaptive, adaptive},
 	}
 }
 
@@ -161,13 +159,10 @@ func RunMechanisms(o Options) (*MechanismsResult, error) {
 			HighPriority: 0,
 			Seed:         rng.SeedFrom(o.Seed, 0xDECADE, uint64(pi)),
 		}
-		base := spec
-		base.HighPriority = -1
-		jobs = append(jobs, simJob{spec: base, rc: h.runConfig(pcie.FCFS{}),
-			pol: func(int) core.Policy { return policy.NewFCFS() }, label: "FCFS"})
+		jobs = append(jobs, h.baselineJob(spec))
 		for _, c := range confs(pi) {
 			jobs = append(jobs, simJob{spec: spec, rc: h.runConfig(pcie.PriorityFCFS{}),
-				pol: func(int) core.Policy { return policy.NewPPQ(false) }, mech: c.mk, label: c.label})
+				pol: ppq, mech: c.mk, label: c.label})
 		}
 	}
 	results, err := h.runAll(jobs)
@@ -178,29 +173,22 @@ func RunMechanisms(o Options) (*MechanismsResult, error) {
 	out := &MechanismsResult{}
 	next := 0
 	for pi, pair := range mechPairings {
-		baseRes := results[next]
-		next++
-		baseNTT, err := h.appNTT(baseRes, 0)
+		base, err := h.score(results[next].Spec.Apps, results[next])
 		if err != nil {
 			return nil, err
 		}
+		next++
+		baseNTT := base.NTTs[0]
 		// Iterate the labels, not confs(pi): rebuilding the factory closures
 		// here would recreate the adaptives-capturing one for no reason.
 		for _, label := range MechLabels {
 			res := results[next]
 			next++
-			perfs, err := h.perf(res)
+			sum, err := h.score(res.Spec.Apps, res)
 			if err != nil {
 				return nil, err
 			}
-			sum, err := metrics.Summarize(perfs)
-			if err != nil {
-				return nil, err
-			}
-			hpNTT, err := h.appNTT(res, 0)
-			if err != nil {
-				return nil, err
-			}
+			hpNTT := sum.NTTs[0]
 			st := res.Stats
 			row := MechanismsRow{
 				Pairing:     pair[0] + "+" + pair[1],

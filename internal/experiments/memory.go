@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/arrivals"
 	"repro/internal/cluster"
-	"repro/internal/rng"
 	"repro/internal/trace"
 )
 
@@ -141,17 +140,10 @@ func RunMemory(o Options) (*MemoryResult, error) {
 	// The peak load-sweep rate: backlogs build on every node, so the sum of
 	// placed working sets far exceeds the tight nodes' HBM and the memory
 	// discipline — not compute — decides the rt tail in the scarce regime.
-	rates := DefaultLoadRates(o.Scale)
-	rate := rates[len(rates)-1]
-	tr, err := arrivals.Generate(arrivals.GenSpec{
-		Process: arrivals.ProcPoisson,
-		Rate:    rate,
-		Horizon: loadHorizon,
-		Seed:    rng.SeedFrom(o.Seed, memorySeedTag),
-		Classes: memoryClasses(h.Suite),
-	})
+	rate := peakLoadRate(o.Scale)
+	tr, err := h.poissonStream(rate, memoryClasses(h.Suite), nil, memorySeedTag)
 	if err != nil {
-		return nil, fmt.Errorf("experiments: generating memory load %g/s: %w", rate, err)
+		return nil, err
 	}
 
 	type regimeConf struct {

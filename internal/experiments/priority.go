@@ -4,10 +4,8 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/metrics"
 	"repro/internal/pcie"
 	"repro/internal/policy"
-	"repro/internal/preempt"
 	"repro/internal/workload"
 )
 
@@ -57,11 +55,7 @@ func (r *Fig5Result) Table() *Table {
 		for _, size := range r.Sizes {
 			row := []string{g, fmt.Sprintf("%d", size)}
 			for _, s := range r.Schedulers {
-				if v, ok := r.Improvement(g, s, size); ok {
-					row = append(row, fmt.Sprintf("%.2f", v))
-				} else {
-					row = append(row, "-")
-				}
+				row = append(row, r.mean.cell(fig5Key{Group: g, Sched: s, Size: size}, "%.2f"))
 			}
 			t.Rows = append(t.Rows, row)
 		}
@@ -90,11 +84,7 @@ func (r *Fig6Result) Table() *Table {
 		for _, size := range r.Sizes {
 			row := []string{scheme, fmt.Sprintf("%d", size)}
 			for _, mech := range []string{"Context Switch", "Draining"} {
-				if v, ok := r.Degradation(scheme, mech, size); ok {
-					row = append(row, fmt.Sprintf("%.3f", v))
-				} else {
-					row = append(row, "-")
-				}
+				row = append(row, r.mean.cell(fig6Key{Scheme: scheme, Mech: mech, Size: size}, "%.3f"))
 			}
 			t.Rows = append(t.Rows, row)
 		}
@@ -127,84 +117,47 @@ func RunPriority(o Options) (*Fig5Result, *Fig6Result, error) {
 		pol    func(n int) core.Policy
 		mk     func() core.Mechanism
 	}
-	cs := func() core.Mechanism { return preempt.ContextSwitch{} }
-	dr := func() core.Mechanism { return preempt.Drain{} }
 	schedulers := []sched{
-		{label: SchedNPQ, pol: func(n int) core.Policy { return policy.NewNPQ() }},
-		{label: SchedPPQCS, scheme: "exclusive", mech: "Context Switch",
-			pol: func(n int) core.Policy { return policy.NewPPQ(false) }, mk: cs},
-		{label: SchedPPQDrain, scheme: "exclusive", mech: "Draining",
-			pol: func(n int) core.Policy { return policy.NewPPQ(false) }, mk: dr},
+		{label: SchedNPQ, pol: npq},
+		{label: SchedPPQCS, scheme: "exclusive", mech: "Context Switch", pol: ppq, mk: contextSwitch},
+		{label: SchedPPQDrain, scheme: "exclusive", mech: "Draining", pol: ppq, mk: drain},
 		{label: "PPQ-shared-CS", scheme: "shared", mech: "Context Switch",
-			pol: func(n int) core.Policy { return policy.NewPPQ(true) }, mk: cs},
+			pol: func(n int) core.Policy { return policy.NewPPQ(true) }, mk: contextSwitch},
 		{label: "PPQ-shared-Drain", scheme: "shared", mech: "Draining",
-			pol: func(n int) core.Policy { return policy.NewPPQ(true) }, mk: dr},
+			pol: func(n int) core.Policy { return policy.NewPPQ(true) }, mk: drain},
 	}
 
-	specsBySize := make(map[int][]workload.Spec, len(o.Sizes))
-	var jobs []simJob
-	for _, size := range o.Sizes {
-		specs := workload.Random(h.Suite, size, o.PerSize, o.Seed+uint64(size), true)
-		specsBySize[size] = specs
-		for _, spec := range specs {
-			// Baseline: the same workload on the FCFS machine with no
-			// priorities ("nonprioritized execution").
-			base := spec
-			base.HighPriority = -1
-			jobs = append(jobs, simJob{spec: base, rc: h.runConfig(pcie.FCFS{}),
-				pol: func(n int) core.Policy { return policy.NewFCFS() }, label: "FCFS"})
-			for _, s := range schedulers {
-				jobs = append(jobs, simJob{spec: spec, rc: h.runConfig(pcie.PriorityFCFS{}),
-					pol: s.pol, mech: s.mk, label: s.label})
-			}
+	grid, err := h.runGrid(o.Sizes, true, func(spec workload.Spec) []simJob {
+		jobs := []simJob{h.baselineJob(spec)}
+		for _, s := range schedulers {
+			jobs = append(jobs, simJob{spec: spec, rc: h.runConfig(pcie.PriorityFCFS{}),
+				pol: s.pol, mech: s.mk, label: s.label})
 		}
-	}
-	results, err := h.runAll(jobs)
+		return jobs
+	})
 	if err != nil {
 		return nil, nil, err
 	}
 
-	next := 0
-	for _, size := range o.Sizes {
-		for _, spec := range specsBySize[size] {
-			baseRes := results[next]
-			next++
-			baseNTT, err := h.appNTT(baseRes, 0)
-			if err != nil {
-				return nil, nil, err
+	for _, w := range grid {
+		baseNTT := w.scores[0].NTTs[0]
+		group := w.spec.Apps[0].Class1.String()
+		var npqSTP float64
+		for i, s := range schedulers {
+			sum := w.scores[i+1]
+			if s.label == SchedNPQ {
+				npqSTP = sum.STP
 			}
-
-			group := spec.Apps[0].Class1.String()
-			var npqSTP float64
-			for _, s := range schedulers {
-				res := results[next]
-				next++
-				perfs, err := h.perf(res)
-				if err != nil {
-					return nil, nil, err
-				}
-				sum, err := metrics.Summarize(perfs)
-				if err != nil {
-					return nil, nil, err
-				}
-				hpNTT, err := h.appNTT(res, 0)
-				if err != nil {
-					return nil, nil, err
-				}
-				if s.label == SchedNPQ {
-					npqSTP = sum.STP
-				}
-				// Figure 5 reports only the three headline schedulers.
-				if s.label == SchedNPQ || s.label == SchedPPQCS || s.label == SchedPPQDrain {
-					imp := baseNTT / hpNTT
-					fig5.mean.add(fig5Key{Group: group, Sched: s.label, Size: size}, imp)
-					fig5.mean.add(fig5Key{Group: "AVERAGE", Sched: s.label, Size: size}, imp)
-				}
-				// Figure 6 reports STP degradation of the PPQ variants
-				// relative to NPQ on the same workload.
-				if s.scheme != "" && npqSTP > 0 && sum.STP > 0 {
-					fig6.mean.add(fig6Key{Scheme: s.scheme, Mech: s.mech, Size: size}, npqSTP/sum.STP)
-				}
+			// Figure 5 reports only the three headline schedulers.
+			if s.label == SchedNPQ || s.label == SchedPPQCS || s.label == SchedPPQDrain {
+				imp := baseNTT / sum.NTTs[0]
+				fig5.mean.add(fig5Key{Group: group, Sched: s.label, Size: w.size}, imp)
+				fig5.mean.add(fig5Key{Group: "AVERAGE", Sched: s.label, Size: w.size}, imp)
+			}
+			// Figure 6 reports STP degradation of the PPQ variants
+			// relative to NPQ on the same workload.
+			if s.scheme != "" && npqSTP > 0 && sum.STP > 0 {
+				fig6.mean.add(fig6Key{Scheme: s.scheme, Mech: s.mech, Size: w.size}, npqSTP/sum.STP)
 			}
 		}
 	}

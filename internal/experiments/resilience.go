@@ -6,7 +6,6 @@ import (
 	"repro/internal/arrivals"
 	"repro/internal/cluster"
 	"repro/internal/resilience"
-	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -85,20 +84,13 @@ func resilienceConfigs() []struct {
 }
 
 // resiliencePatterns returns the swept load shapes: a steady stream the
-// fleet can absorb (failure handling is the only stressor) and a flash
-// crowd whose burst overloads even the full fleet (retry amplification
-// meets genuine congestion).
+// fleet can absorb (failure handling is the only stressor) and the elastic
+// sweep's flash crowd, whose burst overloads even the full fleet (retry
+// amplification meets genuine congestion).
 func resiliencePatterns() []arrivalPattern {
-	seg := loadHorizon / 5
 	return []arrivalPattern{
-		{"steady", []arrivals.Phase{{RateFactor: 0.6, Duration: seg}}},
-		{"flash", []arrivals.Phase{
-			{RateFactor: 0.3, Duration: seg},
-			{RateFactor: 0.3, Duration: seg},
-			{RateFactor: 2.2, Duration: seg},
-			{RateFactor: 0.3, Duration: seg},
-			{RateFactor: 0.3, Duration: seg},
-		}},
+		{"steady", []arrivals.Phase{{RateFactor: 0.6, Duration: loadHorizon / 5}}},
+		autoscalePatterns()[1],
 	}
 }
 
@@ -182,26 +174,7 @@ func (r *ResilienceResult) Table() *Table {
 func RunResilience(o Options) (*ResilienceResult, error) {
 	h := NewHarness(o)
 	o = h.Opts
-	rates := DefaultLoadRates(o.Scale)
-	rate := rates[len(rates)-1]
-	classes := loadClasses(h.Suite)
-
-	patterns := resiliencePatterns()
-	traces := make([]*trace.ArrivalTrace, len(patterns))
-	for pi, p := range patterns {
-		tr, err := arrivals.Generate(arrivals.GenSpec{
-			Process: arrivals.ProcPoisson,
-			Rate:    rate,
-			Horizon: loadHorizon,
-			Seed:    rng.SeedFrom(o.Seed, resilienceSweepSeedTag, uint64(pi)),
-			Classes: classes,
-			Phases:  p.phases,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("experiments: generating %s load %g/s: %w", p.label, rate, err)
-		}
-		traces[pi] = tr
-	}
+	rate := peakLoadRate(o.Scale)
 
 	confs := resilienceConfigs()
 
@@ -213,11 +186,15 @@ func RunResilience(o Options) (*ResilienceResult, error) {
 		spec     *resilience.Spec
 	}
 	var jobs []resilienceJob
-	for pi, p := range patterns {
+	for pi, p := range resiliencePatterns() {
+		tr, err := h.poissonStream(rate, loadClasses(h.Suite), p.phases, resilienceSweepSeedTag, uint64(pi))
+		if err != nil {
+			return nil, err
+		}
 		for _, kr := range resilienceKillRates {
 			for _, cf := range confs {
 				jobs = append(jobs, resilienceJob{
-					pattern: p.label, tr: traces[pi], killRate: kr, label: cf.label, spec: cf.spec,
+					pattern: p.label, tr: tr, killRate: kr, label: cf.label, spec: cf.spec,
 				})
 			}
 		}

@@ -46,16 +46,8 @@ func RunTable1(o Options) ([]Table1Row, error) {
 	cfg := gpu.DefaultConfig()
 	table := parboil.Table1()
 	return mapCells(o, len(table), func(i int) (Table1Row, error) {
-		r := table[i]
-		spec := trace.KernelSpec{
-			Name:           r.Kernel,
-			NumTBs:         r.NumTBs,
-			TBTime:         sim.Microseconds(r.TimePerTBUs),
-			RegsPerTB:      r.RegsPerTB,
-			SharedMemPerTB: r.SharedMemB,
-			ThreadsPerTB:   r.ThreadsPerTB,
-			Launches:       r.Launches,
-		}
+		r := Table1Row{Row: table[i]}
+		spec := r.Spec()
 		occ, err := cfg.Occupancy(&spec)
 		if err != nil {
 			return Table1Row{}, fmt.Errorf("experiments: table1 %s/%s: %w", r.App, r.Kernel, err)
@@ -72,14 +64,9 @@ func RunTable1(o Options) ([]Table1Row, error) {
 		if err != nil {
 			return Table1Row{}, err
 		}
-		return Table1Row{
-			Row:            r,
-			GotTBsPerSM:    occ,
-			GotResourcePct: util * 100,
-			GotSaveUs:      save.Microseconds(),
-			Class1:         app.Class1,
-			Class2:         app.Class2,
-		}, nil
+		r.GotTBsPerSM, r.GotResourcePct, r.GotSaveUs = occ, util*100, save.Microseconds()
+		r.Class1, r.Class2 = app.Class1, app.Class2
+		return r, nil
 	}, nil)
 }
 
