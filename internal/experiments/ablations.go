@@ -99,6 +99,7 @@ func (h *Harness) hpSweep(name, column string, metric func(metrics.Summary) floa
 	return res, nil
 }
 
+// stpOf and anttOf read a priority sweep's summary column off a run's score.
 func stpOf(s metrics.Summary) float64  { return s.STP }
 func anttOf(s metrics.Summary) float64 { return s.ANTT }
 
