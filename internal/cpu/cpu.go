@@ -47,7 +47,10 @@ func (c *Config) Validate() error {
 // Model is the host CPU scheduler. Phases are served FCFS when all hardware
 // threads are busy. The SMT penalty is applied pessimistically at dispatch
 // time based on the occupancy at that moment (a deterministic, conservative
-// approximation that avoids re-scaling in-flight phases).
+// approximation that avoids re-scaling in-flight phases): one slowdown
+// decision and one rounding per phase. A process's CPU phase is a maximal
+// run of adjacent trace CPU ops (see package proc), or the issue cost of one
+// command.
 type Model struct {
 	eng   *sim.Engine
 	cfg   Config

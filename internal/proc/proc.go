@@ -7,6 +7,11 @@
 // inspecting a queue after issuing from it until the engine notifies
 // completion), commands in different streams may overlap, and the CPU
 // enqueues asynchronously, blocking only at synchronization points.
+//
+// The host side is modelled as coarse CPU phases between GPU commands
+// (§4.1): a CPU phase is a maximal run of adjacent trace CPU ops, replayed
+// as one cpu.Model phase of their summed duration. The trace keeps every
+// op; only the replay folds them.
 package proc
 
 import (
@@ -106,7 +111,7 @@ func newProcess(sys *system.System, ctx *gpu.Context, app *trace.App) *Process {
 	}
 	p.cpuPhaseDone = func() {
 		p.inCPUPhase = false
-		p.opIdx++
+		p.opIdx = p.cpuRunEnd(p.opIdx)
 		p.step()
 	}
 	p.issuePhaseDone = func() {
@@ -185,12 +190,18 @@ func (p *Process) step() {
 		op := p.app.Ops[p.opIdx]
 		switch op.Kind {
 		case trace.OpCPU:
-			if !p.inCPUPhase {
-				p.inCPUPhase = true
-				p.sys.CPU.Exec(op.Dur, p.cpuPhaseDone)
-				return
+			if p.inCPUPhase {
+				panic("proc: re-entered CPU phase")
 			}
-			panic("proc: re-entered CPU phase")
+			// The whole run of adjacent CPU ops is one phase: one Exec for
+			// the summed duration, after which cpuPhaseDone skips the run.
+			var dur sim.Time
+			for _, o := range p.app.Ops[p.opIdx:p.cpuRunEnd(p.opIdx)] {
+				dur += o.Dur
+			}
+			p.inCPUPhase = true
+			p.sys.CPU.Exec(dur, p.cpuPhaseDone)
+			return
 		case trace.OpSync:
 			if p.outstanding > 0 {
 				p.waitingSync = true
@@ -219,6 +230,16 @@ func (p *Process) step() {
 		return
 	}
 	p.finishRun()
+}
+
+// cpuRunEnd returns the index just past the maximal run of adjacent OpCPU
+// ops that starts at i.
+func (p *Process) cpuRunEnd(i int) int {
+	ops := p.app.Ops
+	for i < len(ops) && ops[i].Kind == trace.OpCPU {
+		i++
+	}
+	return i
 }
 
 func (p *Process) finishRun() {

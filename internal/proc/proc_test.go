@@ -1,8 +1,11 @@
 package proc
 
 import (
+	"reflect"
 	"testing"
 
+	"repro/internal/cpu"
+	"repro/internal/parboil"
 	"repro/internal/pcie"
 	"repro/internal/policy"
 	"repro/internal/preempt"
@@ -301,5 +304,137 @@ func TestIssueOverheadAccumulates(t *testing.T) {
 	end := p.Runs()[0].End
 	if end < cpuDoneBy {
 		t.Errorf("run ended before the CPU could have issued all commands: %v < %v", end, cpuDoneBy)
+	}
+}
+
+// runApps starts one process per app on sys, app i at starts[i], runs the
+// engine to completion and returns each process's run records.
+func runApps(t *testing.T, sys *system.System, starts []sim.Time, apps ...*trace.App) [][]RunRecord {
+	t.Helper()
+	procs := make([]*Process, len(apps))
+	for i, app := range apps {
+		p, err := New(sys, app, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Start(starts[i]); err != nil {
+			t.Fatal(err)
+		}
+		procs[i] = p
+	}
+	if err := sys.Eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	recs := make([][]RunRecord, len(procs))
+	for i, p := range procs {
+		recs[i] = p.Runs()
+	}
+	return recs
+}
+
+// withOps returns simpleApp(name) replaying ops.
+func withOps(name string, ops ...trace.Op) *trace.App {
+	app := simpleApp(name)
+	app.Ops = ops
+	return app
+}
+
+func cpuOp(d sim.Time) trace.Op { return trace.Op{Kind: trace.OpCPU, Dur: d} }
+
+var (
+	syncOp   = trace.Op{Kind: trace.OpSync}
+	launchOp = trace.Op{Kind: trace.OpLaunch, Kernel: 0}
+)
+
+// A Sync with no outstanding commands is a no-op, so separating adjacent
+// CPU ops with Syncs gives an unfolded twin of the same trace: on an
+// uncontended host both must replay identically, while the folded trace
+// dispatches one CPU phase where the twin dispatches three.
+func TestCPURunFoldMatchesUnfoldedTwin(t *testing.T) {
+	a, b, c := sim.Microseconds(3), sim.Microseconds(5), sim.Time(7001)
+	folded := withOps("folded", cpuOp(a), cpuOp(b), cpuOp(c), launchOp, syncOp)
+	twin := withOps("twin", cpuOp(a), syncOp, cpuOp(b), syncOp, cpuOp(c), launchOp, syncOp)
+
+	sysF, sysT := testSystem(t), testSystem(t)
+	got := runApps(t, sysF, []sim.Time{0}, folded)
+	want := runApps(t, sysT, []sim.Time{0}, twin)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("folded run %+v, unfolded twin %+v", got, want)
+	}
+	// One CPU phase plus one issue micro-phase, against three plus one.
+	if d := sysF.CPU.Dispatched; d != 2 {
+		t.Errorf("folded trace dispatched %d CPU phases, want 2", d)
+	}
+	if d := sysT.CPU.Dispatched; d != 4 {
+		t.Errorf("unfolded twin dispatched %d CPU phases, want 4", d)
+	}
+}
+
+// Every maximal run of adjacent CPU ops is one CPU phase and every command
+// costs one issue micro-phase, so a run dispatches exactly runs+commands
+// phases on the host CPU. The scaled Parboil traces hold long CPU runs
+// (lbm keeps 100 CPU ops around one launch at scale 128).
+func TestCPUDispatchesOnePhasePerRunAndCommand(t *testing.T) {
+	for _, name := range []string{"lbm", "spmv", "sgemm"} {
+		t.Run(name, func(t *testing.T) {
+			full, err := parboil.App(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			app := full.Scale(128)
+			var runs, cmds, cpuOps uint64
+			for i, op := range app.Ops {
+				switch op.Kind {
+				case trace.OpCPU:
+					cpuOps++
+					if i == 0 || app.Ops[i-1].Kind != trace.OpCPU {
+						runs++
+					}
+				case trace.OpH2D, trace.OpD2H, trace.OpLaunch:
+					cmds++
+				}
+			}
+			sys := testSystem(t)
+			runApps(t, sys, []sim.Time{0}, app)
+			if got, want := sys.CPU.Dispatched, runs+cmds; got != want {
+				t.Errorf("dispatched %d CPU phases, want %d runs + %d commands = %d (trace has %d CPU ops)",
+					got, runs, cmds, want, cpuOps)
+			}
+		})
+	}
+}
+
+// On a contended host the fold is a model change: cpu.Model makes one SMT
+// slowdown decision, and one rounding, per phase at dispatch. A folded run
+// must therefore replay exactly like a single CPU op of the summed
+// duration, and differently from its unfolded twin, whose later ops are
+// dispatched while the second process holds the SMT sibling.
+func TestCPURunFoldOneSMTDecisionPerRun(t *testing.T) {
+	contended := func(t *testing.T) *system.System {
+		t.Helper()
+		cfg := system.DefaultConfig()
+		cfg.Jitter = 0
+		cfg.CPU = cpu.Config{Cores: 1, ThreadsPerCore: 2, SMTSlowdown: 1.5}
+		sys, err := system.New(cfg, policy.NewFCFS(), preempt.Drain{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sys
+	}
+	// Odd nanosecond durations: per-op truncation of d*1.5 loses 0.5 ns
+	// on each op, a single truncation loses it once.
+	d := sim.Time(1001)
+	starts := []sim.Time{0, 500}
+	run := func(ops ...trace.Op) [][]RunRecord {
+		return runApps(t, contended(t), starts, withOps("a", ops...), withOps("b", ops...))
+	}
+	folded := run(cpuOp(d), cpuOp(d), cpuOp(d), launchOp, syncOp)
+	single := run(cpuOp(3*d), launchOp, syncOp)
+	twin := run(cpuOp(d), syncOp, cpuOp(d), syncOp, cpuOp(d), launchOp, syncOp)
+	if !reflect.DeepEqual(folded, single) {
+		t.Errorf("folded run %+v, want the single-phase replay %+v", folded, single)
+	}
+	if reflect.DeepEqual(folded, twin) {
+		t.Errorf("folded run equals its unfolded twin %+v under SMT contention; the test no longer pins the fold", twin)
 	}
 }
