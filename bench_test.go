@@ -457,12 +457,13 @@ func benchClusterOpts(b *testing.B) Options {
 
 // BenchmarkRunCluster measures the cluster hot path end to end through the
 // public facade on a million-arrival, 64-GPU fleet. The unprefixed lines
-// dispatch round-robin (load-oblivious, so the windowed executor pre-shards
-// the whole stream): lockstep is the event-by-event reference; window=N runs
-// the parallel-in-time executor on N workers. The jsq- lines dispatch
-// join-shortest-queue, where every placement reads fleet load, so the
-// windowed executor leans on the PCIe latency-floor lookahead instead of
-// pre-sharding — the comparison that prices serial dispatch decisions.
+// dispatch round-robin (load-oblivious: its Pick reads no node state):
+// lockstep is the event-by-event reference; window=N runs the
+// parallel-in-time executor on N workers. The jsq- lines dispatch
+// join-shortest-queue, where every placement reads fleet load that the
+// window merge must rebuild first. Both windowed families run the PCIe
+// latency-floor lookahead, so the pair prices load-aware dispatch
+// decisions.
 // Results are byte-identical within a dispatch policy — only the wall-clock
 // changes. The lockstep, window=8, jsq-lockstep and jsq-window=8 lines are
 // gated by the benchcheck CI job via bench_baseline.json.

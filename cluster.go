@@ -128,12 +128,13 @@ type ClusterResult struct {
 	// for the event-by-event reference — including when a positive ParWindow
 	// fell back. The cluster layer falls back in three cases: the run armed
 	// Options.Resilience (the lifecycle manager couples nodes through the
-	// control engine mid-window), the dispatcher declares neither arrival
-	// protocol (pre-sharding or latency-floor lookahead), or the fleet's
-	// PCIe dispatch floor is zero. Every DispatchKind declares a protocol and
-	// every PCIe generation keeps a positive floor, so through Options only
-	// Resilience falls back. The two strategies produce byte-identical
-	// results; this field only reports which one ran.
+	// control engine mid-window), the dispatcher does not qualify for the
+	// latency-floor lookahead (it neither declares a merge-reconstructible
+	// read set nor is load-oblivious), or the fleet's PCIe dispatch floor is
+	// zero. Every DispatchKind qualifies and every PCIe generation keeps a
+	// positive floor, so through Options only Resilience falls back. The two
+	// strategies produce byte-identical results; this field only reports
+	// which one ran.
 	Executor string
 	// Classes lists fleet-wide per-class outcomes in spec order (per-node
 	// counters summed, latency sketches merged).

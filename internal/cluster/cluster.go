@@ -101,12 +101,13 @@ type RunConfig struct {
 	// inside conservative time windows on this many workers, with a
 	// deterministic merge at every window boundary. Results are
 	// byte-identical to the lockstep path at any worker count; 0 keeps the
-	// lockstep reference. Windows need an arrival protocol, so three kinds
-	// of run stay lockstep whatever the value: a dispatcher that is neither
-	// LoadOblivious nor a Lookahead with a known read set, a fleet whose
-	// dispatch floor is zero, and a run with the resilience layer armed,
-	// whose cross-node completion coupling (hedge cancellation, breaker
-	// feedback) shrinks the safe lookahead to zero (see DESIGN.md).
+	// lockstep reference. Windows need the latency-floor lookahead, so three
+	// kinds of run stay lockstep whatever the value: a dispatcher that is
+	// neither LoadOblivious (an empty read set) nor a Lookahead with a known
+	// read set, a fleet whose dispatch floor is zero, and a run with the
+	// resilience layer armed, whose cross-node completion coupling (hedge
+	// cancellation, breaker feedback) shrinks the safe lookahead to zero
+	// (see DESIGN.md).
 	// Cluster.Executor reports which loop runs.
 	Parallel int
 	// Warmth, when non-nil, warm-starts the dispatcher from a snapshot of a
@@ -192,12 +193,11 @@ type Node struct {
 	// Parallel-window scratch (see parallel.go). Inside a window only the
 	// owning worker touches these; the merge at the window boundary drains
 	// them on the cluster goroutine.
-	winBuf  []winEv    // completions buffered during the current window
-	winPos  int        // merge cursor into winBuf
-	winErr  error      // first admission error raised inside a window
-	shard   []shardEnt // pre-sharded arrivals awaiting engine insertion
-	resSeq  []uint64   // lookahead windows: per-batch-arrival reserved seq slots
-	lookRes bool       // node reserved seq slots in the current lookahead window
+	winBuf  []winEv  // completions buffered during the current window
+	winPos  int      // merge cursor into winBuf
+	winErr  error    // first admission error raised inside a window
+	resSeq  []uint64 // lookahead windows: per-batch-arrival reserved seq slots
+	lookRes bool     // node reserved seq slots in the current lookahead window
 }
 
 // Admitted returns the number of dispatch attempts placed on this node.
@@ -382,10 +382,9 @@ type Cluster struct {
 	parOn      bool
 	parWorkers int
 	pool       *runner.Pool
-	lookOn     bool       // dispatcher is Lookahead: latency-floor windows, else pre-shard
 	floorMin   sim.Time   // min dispatch floor over every possible target node
 	winActive  []*Node    // per-window scratch: nodes with work in the window
-	batch      []shardEnt // lookahead scratch: the arrivals inside the window
+	batch      []batchEnt // lookahead scratch: the arrivals inside the window
 	winCounts  []uint64   // per-window scratch: per-active-node step counts
 	finTimes   []sim.Time // final-window scratch: per-active-node drain times
 
@@ -583,15 +582,16 @@ func New(tr *trace.ArrivalTrace, rc RunConfig) (*Cluster, error) {
 			c.floorMin = n.floor
 		}
 	}
+	// Windows need the lookahead protocol: a positive floor and a Pick that
+	// reads nothing the merge cannot rebuild (LoadOblivious reads nothing).
+	// The resilience layer couples node completions across the fleet at
+	// event granularity (hedge cancellation, breaker feedback), which
+	// shrinks the safe lookahead to zero — it always runs on the lockstep
+	// reference.
 	_, oblivious := c.disp.(LoadOblivious)
-	if la, ok := c.disp.(Lookahead); ok && !oblivious {
-		c.lookOn = lookaheadReadsSafe(la.LookaheadReads()) && c.floorMin > 0
-	}
-	// Windows need one of the two arrival protocols. The resilience layer
-	// couples node completions across the fleet at event granularity (hedge
-	// cancellation, breaker feedback), which shrinks the safe lookahead to
-	// zero — it always runs on the lockstep reference.
-	c.parOn = rc.Parallel >= 1 && c.res == nil && (oblivious || c.lookOn)
+	la, aware := c.disp.(Lookahead)
+	c.parOn = rc.Parallel >= 1 && c.res == nil && c.floorMin > 0 &&
+		(oblivious || aware && lookaheadReadsSafe(la.LookaheadReads()))
 	c.parWorkers = rc.Parallel
 	return c, nil
 }
@@ -793,8 +793,7 @@ func (c *Cluster) pickNode(i int, at sim.Time) *Node {
 // placeOn applies the cluster- and dispatcher-visible bookkeeping of placing
 // arrival i on node n, so a later arrival at the same timestamp already sees
 // this request. The engine-side admission is scheduled separately — by place
-// in lockstep, by the window runner on the pre-shard path, by lookPlace in a
-// lookahead merge.
+// in lockstep, by lookPlace in a lookahead merge.
 func (c *Cluster) placeOn(n *Node, i int, at sim.Time) {
 	a := &c.tr.Arrivals[i]
 	n.admitted++

@@ -114,12 +114,12 @@ const (
 // and the fleet's dispatch floor is positive, the parallel executor may run
 // node engines past an arrival up to that floor and replay the declared
 // inputs in lockstep order before running Pick (see parallel.go). A
+// LoadOblivious dispatcher takes the same windows with an empty read set. A
 // dispatcher that is neither Lookahead nor LoadOblivious, or declares an
 // unknown read, runs on the lockstep loop whatever RunConfig.Parallel asks.
 // Declaring reads the Pick does not make is harmless; making reads it does
 // not declare (wall-clock node internals, engine peeks) breaks byte-identity
-// with lockstep. A dispatcher that is also LoadOblivious keeps the stronger
-// pre-sharding path.
+// with lockstep.
 type Lookahead interface {
 	LookaheadReads() []StateRead
 }
@@ -227,10 +227,10 @@ func (d *roundRobin) Pick(at sim.Time, class, app int, nodes []*Node) int {
 	return pick
 }
 
-// LoadObliviousDispatch marks round-robin safe for arrival pre-sharding: Pick
+// LoadObliviousDispatch marks round-robin's lookahead read set empty: Pick
 // reads only the cursor and the eligible-set length, never node load or
-// completion feedback, so decisions for a whole arrival batch can be computed
-// before any of the batch's completions merge.
+// completion feedback, so the micro-merge has no node state to rebuild
+// before replaying it.
 func (d *roundRobin) LoadObliviousDispatch() {}
 
 // WarmState and WarmStart carry round-robin's only state, the cursor, across

@@ -26,32 +26,19 @@
 // run lockstep to B.
 //
 // Control events and MaxSimTime always bound a window. The arrival bound is
-// where the executor needs a dispatcher contract, and it has exactly two
-// arrival protocols; a run that qualifies for neither stays on the lockstep
-// loop (see Cluster.Executor):
+// where the executor needs a dispatcher contract, and it has exactly one
+// arrival protocol; a run that does not qualify stays on the lockstep loop
+// (see Cluster.Executor):
 //
-// Pre-sharding. A LoadOblivious dispatcher's Pick reads nothing but its own
-// internal state, so arrival dispatch stops being a serialization point:
-// whenever an arrival is pending the loop batches every arrival before the
-// next control event, runs the bookkeeping and Pick serially in arrival
-// order (the eligible Up-set only changes at control events), and appends
-// each decision to the chosen node's shard. The window then extends to the
-// control horizon and each node interleaves its shard into its own engine
-// exactly where the lockstep insertion would have happened: an admission is
-// inserted the moment the engine's next pending event is at or after the
-// arrival time, which reproduces the engine's insertion-order tie-break
-// (equal-time events fire FIFO by insertion) verbatim. On a fixed fleet with
-// no faults this makes the whole run one window per control gap — or a
-// single window.
-//
-// Latency-floor lookahead. A load-aware Pick at arrival time tA reads fleet
-// state — but every admission physically lands floor(n) after its decision
-// (the dispatch command must cross the node's PCIe link; see
+// Latency-floor lookahead. A Pick at arrival time tA may read fleet state —
+// but every admission physically lands floor(n) after its decision (the
+// dispatch command must cross the node's PCIe link; see
 // pcie.Config.DispatchFloor and Cluster.place), so no decision made in
 // [tA, tA+floorMin) can perturb any node engine before tA+floorMin. A
 // Lookahead dispatcher declares that its Pick reads only state the boundary
-// merge reconstructs (in-flight counts, memory demand, completion feedback),
-// which makes this two-level soft-sync protocol safe: (1) run every node in
+// merge reconstructs (in-flight counts, memory demand, completion feedback);
+// a LoadOblivious one (round-robin) reads none, an empty read set. Either
+// makes this two-level soft-sync protocol safe: (1) run every node in
 // parallel to B = min(nextControl, tA+floorMin); (2) without tearing down the
 // worker pool, replay the window serially as an "arrival micro-merge":
 // buffered completions and the batched arrivals interleave in lockstep total
@@ -100,22 +87,19 @@ type winEv struct {
 	exec       sim.Time
 }
 
-// shardEnt is one pre-sharded arrival awaiting engine insertion by the
-// window runner: the dispatch decision is already made and booked, only the
-// engine-side admission event is deferred so it lands with the same
-// insertion-order seq as the lockstep path.
-type shardEnt struct {
+// batchEnt is one arrival batched into a lookahead window, awaiting its
+// dispatch decision in the micro-merge.
+type batchEnt struct {
 	i  int // arrival index
 	at sim.Time
 }
 
 // LoadOblivious marks a Dispatcher whose Pick and hooks depend only on the
 // dispatcher's own internal state and the eligible-set size — never on node
-// load or completion feedback. For such a policy the parallel-window loop
-// pre-computes dispatch decisions for whole arrival batches (the eligible
-// set is constant between control events), which extends windows to the
-// control horizon. Round-robin qualifies; any policy reading
-// Node.InFlight or observing Completed does not.
+// load or completion feedback. The parallel-window loop treats it as a
+// Lookahead with an empty read set: the micro-merge has nothing to rebuild
+// for its Pick. Round-robin qualifies; any policy reading Node.InFlight or
+// observing Completed does not.
 type LoadOblivious interface {
 	// LoadObliviousDispatch is a marker; implementations do nothing.
 	LoadObliviousDispatch()
@@ -125,8 +109,8 @@ type LoadOblivious interface {
 // arrival and MaxSimTime handling, but contiguous runs of node events
 // execute as parallel windows with a deterministic merge. Byte-identical to
 // loop at any RunConfig.Parallel value. It runs only when the dispatcher is
-// LoadOblivious or lookahead-safe (see New), so a pending arrival takes one of
-// the two arrival protocols and a node-event window without one happens only
+// LoadOblivious or lookahead-safe (see New), so a pending arrival always
+// opens a lookahead window and a node-event window without one happens only
 // once the stream is exhausted.
 func (c *Cluster) parLoop() error {
 	var processed uint64
@@ -148,17 +132,11 @@ func (c *Cluster) parLoop() error {
 			// The earliest pending event lies past MaxSimTime: lockstep's stop.
 			c.now = c.rc.MaxSimTime
 			return c.err
-		case c.lookOn && hasA:
+		case hasA:
 			processed += c.runLookahead(c.lookBound(tA))
 		default:
-			// Pre-shard every arrival up to the control horizon (none once the
-			// stream is exhausted) and run the whole gap as one window.
-			bound := c.windowBound()
-			c.preShard(bound)
-			if c.err != nil {
-				return c.err
-			}
-			processed += c.runWindow(bound, c.next >= len(c.tr.Arrivals))
+			// The stream is exhausted: the run may end inside this window.
+			processed += c.runFinal(c.windowBound())
 		}
 	}
 	return c.err
@@ -196,7 +174,7 @@ func (c *Cluster) runLookahead(bound sim.Time) uint64 {
 		if at >= bound {
 			break
 		}
-		c.batch = append(c.batch, shardEnt{i: c.next, at: at})
+		c.batch = append(c.batch, batchEnt{i: c.next, at: at})
 		c.next++
 	}
 	active := c.collectActive(bound)
@@ -260,51 +238,12 @@ func (c *Cluster) lookPlace(i int, at sim.Time, bp int) {
 	c.refresh(n.Index)
 }
 
-// preShard consumes every consecutive arrival strictly before the bound
-// (control events win timestamp ties, so an arrival at the control time
-// must see the post-control fleet), running the dispatch decision and
-// bookkeeping serially in arrival order and deferring only the engine
-// insertion to the window runner. The bound never exceeds MaxSimTime+1, so
-// no arrival past MaxSimTime is consumed.
-func (c *Cluster) preShard(bound sim.Time) {
-	for c.next < len(c.tr.Arrivals) {
-		at := c.tr.Arrivals[c.next].At
-		if at >= bound {
-			return
-		}
-		n := c.pickNode(c.next, at)
-		if n == nil {
-			return
-		}
-		c.placeOn(n, c.next, at)
-		n.shard = append(n.shard, shardEnt{i: c.next, at: at})
-		c.next++
-	}
-}
-
-// runWindow executes one parallel window up to bound and merges the results:
-// collect the nodes with work before the bound, run them (in parallel when a
-// pool exists), re-cache their engine peeks, and replay the buffered
-// completions in lockstep order. Returns the number of node events fired.
-func (c *Cluster) runWindow(bound sim.Time, final bool) uint64 {
-	active := c.collectActive(bound)
-	counts := c.stepCounts(len(active))
-	if final {
-		c.runFinal(active, bound, counts)
-	} else {
-		c.fanOut(len(active), func(i int) {
-			counts[i] = c.runNodeTo(active[i], bound, nil)
-		})
-	}
-	return c.finishWindow(counts)
-}
-
-// collectActive gathers the nodes with work before bound — a pending event
-// or pre-sharded admissions — into the per-window scratch.
+// collectActive gathers the nodes with a pending event before bound into
+// the per-window scratch.
 func (c *Cluster) collectActive(bound sim.Time) []*Node {
 	active := c.winActive[:0]
 	for i, n := range c.Nodes {
-		if (c.hasNext[i] && c.nextAt[i] < bound) || len(n.shard) > 0 {
+		if c.hasNext[i] && c.nextAt[i] < bound {
 			active = append(active, n)
 		}
 	}
@@ -348,47 +287,38 @@ func (c *Cluster) fanOut(n int, fn func(int)) {
 	c.pool.Run(n, fn)
 }
 
-// runNodeTo fires node n's events strictly before bound, interleaving any
-// pre-sharded admissions at their lockstep insertion points: an admission at
-// time t is inserted into the engine the moment the engine's next pending
-// event is at or after t (or the engine is idle), exactly when the lockstep
-// loop would have called Eng.At — so equal-time events keep their FIFO
-// insertion order and the run stays byte-identical. With fin non-nil (pass
-// one of a final window) it also stops the moment the node's own in-flight
-// population hits zero (liveLocal: completions buffered for the merge count),
-// recording the draining completion's time in *fin.
+// runNodeTo fires node n's events strictly before bound. With fin non-nil
+// (pass one of a final window) it also stops the moment the node's own
+// in-flight population hits zero (liveLocal: completions buffered for the
+// merge count), recording the draining completion's time in *fin.
 func (c *Cluster) runNodeTo(n *Node, bound sim.Time, fin *sim.Time) uint64 {
 	eng := n.Sys.Eng
 	var steps uint64
-	sp := 0
 	for {
 		t, ok := eng.Peek()
-		for sp < len(n.shard) && (!ok || n.shard[sp].at <= t) {
-			s := n.shard[sp]
-			sp++
-			eng.AtFunc(s.at+n.floor, admitEvent, n, int64(s.i))
-			t, ok = eng.Peek()
-		}
 		if !ok || t >= bound {
 			break
 		}
 		eng.Step()
 		steps++
-		if fin != nil && n.liveLocal() == 0 && sp == len(n.shard) {
+		if fin != nil && n.liveLocal() == 0 {
 			*fin = eng.Now()
 			break
 		}
 	}
-	n.shard = n.shard[:0]
 	return steps
 }
 
-// runFinal executes a window in which the run may end, adding each active
-// node's fired events to counts: the arrival stream is exhausted, so the
-// completion resolving the last in-flight request must be the run's final
-// fired event, exactly as lockstep's done()-before-every-event check
-// guarantees.
-func (c *Cluster) runFinal(active []*Node, bound sim.Time, counts []uint64) {
+// runFinal executes one window up to bound once the arrival stream is
+// exhausted, so the run may end inside it: the completion resolving the last
+// in-flight request must be the run's final fired event, exactly as
+// lockstep's done()-before-every-event check guarantees. It collects the
+// nodes with work before the bound, runs them (in parallel when a pool
+// exists) and merges the buffered completions. Returns the node events
+// fired.
+func (c *Cluster) runFinal(bound sim.Time) uint64 {
+	active := c.collectActive(bound)
+	counts := c.stepCounts(len(active))
 	if cap(c.finTimes) < len(active) {
 		c.finTimes = make([]sim.Time, len(active))
 	}
@@ -399,7 +329,7 @@ func (c *Cluster) runFinal(active []*Node, bound sim.Time, counts []uint64) {
 	c.fanOut(len(active), func(i int) {
 		fins[i] = -1
 		n := active[i]
-		if n.liveLocal() == 0 && len(n.shard) == 0 {
+		if n.liveLocal() == 0 {
 			return
 		}
 		counts[i] = c.runNodeTo(n, bound, &fins[i])
@@ -415,14 +345,13 @@ func (c *Cluster) runFinal(active []*Node, bound sim.Time, counts []uint64) {
 		c.fanOut(len(active), func(i int) {
 			counts[i] += c.runNodeTo(active[i], bound, nil)
 		})
-		return
+		return c.finishWindow(counts)
 	}
 	// The fleet drained: the run ends at T*, the latest per-node drain time,
 	// resolved by the highest-index node finishing there. Replay the
 	// residual events lockstep would still have fired: all of a lower-index
 	// node's events at T* precede node k's resolving completion; a
-	// higher-index node's events at T* never fire. Pass one emptied every
-	// shard, so these top-ups only step the engines.
+	// higher-index node's events at T* never fire.
 	tstar, k := sim.Time(-1), -1
 	for i, n := range active {
 		if fins[i] >= 0 && (fins[i] > tstar || (fins[i] == tstar && n.Index > k)) {
@@ -438,14 +367,14 @@ func (c *Cluster) runFinal(active []*Node, bound sim.Time, counts []uint64) {
 			counts[i] += c.runNodeTo(n, tstar, nil)
 		}
 	})
+	return c.finishWindow(counts)
 }
 
 // merge replays the window in lockstep total order: the batched lookahead
-// arrivals (empty for pre-shard and final windows) and the completions
-// buffered on the active nodes interleave by ascending time, an arrival
-// before a same-time completion (lockstep fires arrivals before node
-// events), completions tying by node index and each node's buffer already
-// engine-ordered. Each Pick runs against exactly the counters lockstep would
+// arrivals (empty for final windows) and the completions buffered on the
+// active nodes interleave by ascending time, an arrival before a same-time
+// completion (lockstep fires arrivals before node events), completions tying
+// by node index and each node's buffer already engine-ordered. Each Pick runs against exactly the counters lockstep would
 // have shown it; each admission is scheduled at decision time + floor(n) on
 // the sequence slot the chosen node reserved. Finally it clears the window
 // buffers and reservations and promotes the lowest-index node's window

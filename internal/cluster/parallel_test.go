@@ -83,12 +83,12 @@ func TestParallelWindowMatchesLockstep(t *testing.T) {
 	}
 }
 
-// TestLookaheadEngages pins the latency-floor wiring: every load-aware
-// dispatcher declares its window reads and engages the lookahead executor,
-// while load-oblivious round-robin keeps the pre-sharding fast path (lookOn
-// off — it never windows at arrivals in the first place). The safe lookahead
-// must equal the PCIe dispatch floor minimized across the fleet, including
-// the autoscaler's add-node config.
+// TestLookaheadEngages pins the latency-floor wiring: every built-in
+// dispatcher runs the parallel-window executor — each load-aware one by
+// declaring merge-reconstructible window reads, load-oblivious round-robin
+// as the empty read set. The safe lookahead must equal the PCIe dispatch
+// floor minimized across the fleet, including the autoscaler's add-node
+// config.
 func TestLookaheadEngages(t *testing.T) {
 	tr := testTrace(t, 40000, 63)
 	for ki, kind := range Kinds() {
@@ -103,7 +103,7 @@ func TestLookaheadEngages(t *testing.T) {
 			t.Fatal(err)
 		}
 		if c.Executor() != ExecutorParallelWindow {
-			t.Fatalf("%s: executor %q with Parallel set", kind, c.Executor())
+			t.Errorf("%s: executor %q with Parallel set, want %q", kind, c.Executor(), ExecutorParallelWindow)
 		}
 		want := rc.Sys.PCIe.DispatchFloor()
 		if want <= 0 {
@@ -119,9 +119,6 @@ func TestLookaheadEngages(t *testing.T) {
 		}
 		if aware && !lookaheadReadsSafe(la.LookaheadReads()) {
 			t.Errorf("%s: LookaheadReads %v not within the merge-reconstructible set", kind, la.LookaheadReads())
-		}
-		if c.lookOn == oblivious {
-			t.Errorf("%s: lookOn = %v with oblivious = %v", kind, c.lookOn, oblivious)
 		}
 	}
 
@@ -182,20 +179,20 @@ func TestLookaheadMemoryPressureMatchesLockstep(t *testing.T) {
 	}
 }
 
-// TestParallelPreShardMatchesLockstep pins both arrival protocols: on a
-// fixed fleet with no control events round-robin pre-shards the whole stream
-// into one giant window and jsq runs latency-floor lookahead windows —
-// including the final window, where the exact-stop logic must reproduce
-// lockstep's done()-before-every-event termination. A MaxSimTime axis cuts
+// TestParallelLookaheadMatchesLockstep pins the latency-floor lookahead for
+// both kinds of dispatcher it serves: load-oblivious round-robin (an empty
+// read set) and load-aware jsq — including the final window, where the
+// exact-stop logic must reproduce lockstep's done()-before-every-event
+// termination. A MaxSimTime axis cuts
 // the run early in the stream, mid-stream, just before, at and just after
 // the last arrival (mid-drain), on the fixed fleet and behind an autoscaler
 // whose ticks bound every window, so each of parLoop's stop branches
 // (control event, arrival or node event past MaxSimTime) must land where
 // lockstep stops. Swept at every committed worker count and at a sparse and
 // a saturated arrival rate.
-func TestParallelPreShardMatchesLockstep(t *testing.T) {
+func TestParallelLookaheadMatchesLockstep(t *testing.T) {
 	if _, ok := any(NewRoundRobin()).(LoadOblivious); !ok {
-		t.Fatal("round-robin lost its LoadOblivious marker; pre-sharding untested")
+		t.Fatal("round-robin lost its LoadOblivious marker; the empty read set is untested")
 	}
 	dispatchers := []struct {
 		name string
@@ -254,24 +251,28 @@ func TestParallelPreShardMatchesLockstep(t *testing.T) {
 // TestParallelFallsBackToLockstep pins the documented lockstep fallbacks: a
 // run with no usable arrival protocol — the request-lifecycle manager armed,
 // a load-aware dispatcher hiding its Lookahead contract, or a fleet whose
-// dispatch floor is zero — must report the lockstep executor at any Parallel
-// value and reproduce the lockstep reference exactly.
+// dispatch floor is zero (for load-oblivious round-robin too: its only
+// window protocol is the latency-floor lookahead) — must report the lockstep
+// executor at any Parallel value and reproduce the lockstep reference
+// exactly.
 func TestParallelFallsBackToLockstep(t *testing.T) {
 	tr := testTrace(t, 40000, 61)
+	jsq := []func() Dispatcher{NewJSQ}
 	cases := []struct {
-		name string
-		rc   func() RunConfig
+		name  string
+		disps []func() Dispatcher
+		rc    func(d Dispatcher) RunConfig
 	}{
-		{"resilience", func() RunConfig {
-			rc := testRunConfig(3, NewJSQ())
+		{"resilience", jsq, func(d Dispatcher) RunConfig {
+			rc := testRunConfig(3, d)
 			rc.Resilience = resilienceSpec()
 			return rc
 		}},
-		{"no-contract", func() RunConfig {
-			return testRunConfig(3, struct{ Dispatcher }{NewJSQ()})
+		{"no-contract", jsq, func(d Dispatcher) RunConfig {
+			return testRunConfig(3, struct{ Dispatcher }{d})
 		}},
-		{"zero-floor", func() RunConfig {
-			rc := testRunConfig(3, NewJSQ())
+		{"zero-floor", []func() Dispatcher{NewJSQ, NewRoundRobin}, func(d Dispatcher) RunConfig {
+			rc := testRunConfig(3, d)
 			rc.Sys.PCIe.IssueLatency = 0
 			rc.Sys.PCIe.BurstOverhead = 0
 			if f := rc.Sys.PCIe.DispatchFloor(); f != 0 {
@@ -282,26 +283,29 @@ func TestParallelFallsBackToLockstep(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			ref, err := Run(tr, tc.rc())
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, workers := range []int{1, 8} {
-				rc := tc.rc()
-				rc.Parallel = workers
-				c, err := New(tr, rc)
+			for _, mk := range tc.disps {
+				name := mk().Name()
+				ref, err := Run(tr, tc.rc(mk()))
 				if err != nil {
 					t.Fatal(err)
 				}
-				if c.Executor() != ExecutorLockstep {
-					t.Errorf("parallel(%d) reports executor %q, want the lockstep fallback", workers, c.Executor())
-				}
-				par, err := c.Run()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(ref, par) {
-					t.Errorf("parallel(%d) diverged from lockstep", workers)
+				for _, workers := range []int{1, 8} {
+					rc := tc.rc(mk())
+					rc.Parallel = workers
+					c, err := New(tr, rc)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if c.Executor() != ExecutorLockstep {
+						t.Errorf("%s: parallel(%d) reports executor %q, want the lockstep fallback", name, workers, c.Executor())
+					}
+					par, err := c.Run()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(ref, par) {
+						t.Errorf("%s: parallel(%d) diverged from lockstep", name, workers)
+					}
 				}
 			}
 		})

@@ -41,12 +41,15 @@ func (o Options) workers() int {
 // themselves.
 type Pool struct {
 	jobs chan poolJob
+	// wg counts the current Run's outstanding calls. It lives on the pool,
+	// not in Run's frame, because the workers' Done calls would otherwise
+	// move it to the heap once per Run.
+	wg sync.WaitGroup
 }
 
 type poolJob struct {
 	i  int
 	fn func(int)
-	wg *sync.WaitGroup
 }
 
 // NewPool starts a pool of the given number of worker goroutines (zero or
@@ -60,7 +63,7 @@ func NewPool(workers int) *Pool {
 		go func() {
 			for j := range p.jobs {
 				j.fn(j.i)
-				j.wg.Done()
+				p.wg.Done()
 			}
 		}()
 	}
@@ -72,12 +75,11 @@ func NewPool(workers int) *Pool {
 // not be called concurrently from multiple goroutines, and fn must not call
 // Run reentrantly (the workers it would wait on are occupied running it).
 func (p *Pool) Run(n int, fn func(int)) {
-	var wg sync.WaitGroup
-	wg.Add(n)
+	p.wg.Add(n)
 	for i := 0; i < n; i++ {
-		p.jobs <- poolJob{i: i, fn: fn, wg: &wg}
+		p.jobs <- poolJob{i: i, fn: fn}
 	}
-	wg.Wait()
+	p.wg.Wait()
 }
 
 // Close shuts the pool's workers down. Run must not be called after Close.

@@ -152,3 +152,38 @@ func TestMapDeterministicAcrossWorkerCounts(t *testing.T) {
 		}
 	}
 }
+
+// TestPoolRunsEachIndexOnce checks Run's contract across repeated fan-outs on
+// one pool: every index in [0, n) runs exactly once and Run returns only
+// after all of them, including the empty and single-job batches the cluster
+// windows issue most often.
+func TestPoolRunsEachIndexOnce(t *testing.T) {
+	for _, workers := range []int{1, 3, 8} {
+		p := NewPool(workers)
+		for round, n := range []int{0, 1, 2, 7, 1, 0, 50, 3} {
+			calls := make([]atomic.Int32, n)
+			p.Run(n, func(i int) { calls[i].Add(1) })
+			for i := range calls {
+				if c := calls[i].Load(); c != 1 {
+					t.Errorf("workers=%d round %d (n=%d): index %d ran %d times", workers, round, n, i, c)
+				}
+			}
+		}
+		p.Close()
+	}
+}
+
+// TestPoolRunAllocs pins Run allocation-free: the parallel cluster executor
+// calls it once per multi-node window, millions of times per run.
+func TestPoolRunAllocs(t *testing.T) {
+	p := NewPool(4)
+	defer p.Close()
+	var sum atomic.Int64
+	fn := func(i int) { sum.Add(int64(i)) }
+	if a := testing.AllocsPerRun(100, func() { p.Run(8, fn) }); a != 0 {
+		t.Errorf("Pool.Run allocates %v times per call, want 0", a)
+	}
+	if got, want := sum.Load(), int64(101*28); got != want {
+		t.Errorf("fn sum %d, want %d", got, want)
+	}
+}
