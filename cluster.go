@@ -74,10 +74,11 @@ const (
 
 // Execution strategies reported by ClusterResult.Executor.
 const (
-	// ExecutorLockstep is the event-by-event reference loop.
+	// ExecutorLockstep steps events one at a time: the reference.
 	ExecutorLockstep = cluster.ExecutorLockstep
-	// ExecutorParallelWindow is the parallel-in-time window loop; it
-	// produces byte-identical results to lockstep at any worker count.
+	// ExecutorParallelWindow runs arrivals and node events in parallel-in-time
+	// windows; it produces byte-identical results to lockstep at any worker
+	// count.
 	ExecutorParallelWindow = cluster.ExecutorParallelWindow
 )
 

@@ -76,7 +76,7 @@ func TestRunClusterSingleNodeDefault(t *testing.T) {
 }
 
 // TestRunClusterExecutor pins the executor surfacing: ParWindow selects the
-// parallel-window loop, a zero or negative value keeps the lockstep
+// parallel-window executor, a zero or negative value keeps the lockstep
 // reference, Resilience forces the documented lockstep fallback — and the
 // reported executor is the only field that may differ between the two.
 func TestRunClusterExecutor(t *testing.T) {

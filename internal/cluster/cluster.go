@@ -48,8 +48,7 @@ import (
 const nodeSeedTag = 0xC105
 
 // maxEvents is the runaway guard: a run stops, keeping what ran, after this
-// many control and node events (the parallel-window loop checks it between
-// windows).
+// many control and node events (windowed runs check it between windows).
 const maxEvents = 2e9
 
 // RunConfig parameterizes a cluster simulation.
@@ -196,6 +195,8 @@ type Node struct {
 	winBuf  []winEv  // completions buffered during the current window
 	winPos  int      // merge cursor into winBuf
 	winErr  error    // first admission error raised inside a window
+	errAt   sim.Time // engine time of winErr
+	errPos  int      // len(winBuf) when winErr was raised
 	resSeq  []uint64 // lookahead windows: per-batch-arrival reserved seq slots
 	lookRes bool     // node reserved seq slots in the current lookahead window
 }
@@ -437,6 +438,39 @@ func (c *Cluster) newSystem(n *Node) error {
 	return nil
 }
 
+// addNode appends one Up node slot built from machine config cfg at
+// service-time scale, with its memory ledger, first incarnation, next-event
+// cache entry and (with the resilience layer armed) attempt set and breaker.
+func (c *Cluster) addNode(cfg system.Config, scale float64, upSince sim.Time) error {
+	n := &Node{
+		Index:         len(c.Nodes),
+		Acct:          metrics.NewSLOAccount(c.tr.Classes),
+		inflightByApp: make([]int, len(c.tr.Apps)),
+		pending:       make(map[int]sim.Time),
+		baseCfg:       cfg,
+		baseScale:     scale,
+		state:         NodeUp,
+		upSince:       upSince,
+		hbm:           cfg.GPU.MemSize,
+		clu:           c,
+		floor:         cfg.PCIe.DispatchFloor(),
+	}
+	n.memInit()
+	if err := c.newSystem(n); err != nil {
+		return err
+	}
+	c.Nodes = append(c.Nodes, n)
+	c.nextAt = append(c.nextAt, 0)
+	c.hasNext = append(c.hasNext, false)
+	if c.res != nil {
+		n.resLive = make(map[int]struct{})
+		if c.breakers != nil {
+			c.breakers = append(c.breakers, resilience.NewBreaker(*c.res.Breaker))
+		}
+	}
+	return nil
+}
+
 // New validates the configuration and assembles the cluster's starting nodes.
 // Each node gets its own policy and mechanism instance from the config's
 // factories and a jitter seed derived from its index.
@@ -523,28 +557,18 @@ func New(tr *trace.ArrivalTrace, rc RunConfig) (*Cluster, error) {
 		}
 		c.faults = &fs
 	}
-	for i, nc := range cfgs {
-		n := &Node{
-			Index:         i,
-			Acct:          metrics.NewSLOAccount(tr.Classes),
-			inflightByApp: make([]int, len(tr.Apps)),
-			pending:       make(map[int]sim.Time),
-			baseCfg:       nc.cfg,
-			baseScale:     nc.scale,
-			state:         NodeUp,
-			hbm:           nc.cfg.GPU.MemSize,
-			clu:           c,
-			floor:         nc.cfg.PCIe.DispatchFloor(),
+	if rc.Resilience.Enabled() {
+		if err := rc.Resilience.Validate(); err != nil {
+			return nil, err
 		}
-		n.memInit()
-		if err := c.newSystem(n); err != nil {
+		c.initResilience()
+	}
+	for i, nc := range cfgs {
+		if err := c.addNode(nc.cfg, nc.scale, 0); err != nil {
 			return nil, fmt.Errorf("cluster: building node %d: %w", i, err)
 		}
-		c.Nodes = append(c.Nodes, n)
 	}
 	c.addCfg, c.addScale = base, baseScale
-	c.nextAt = make([]sim.Time, len(c.Nodes))
-	c.hasNext = make([]bool, len(c.Nodes))
 	c.disp.Reset(len(c.Nodes), len(tr.Classes), len(tr.Apps))
 	if wa, ok := c.disp.(WorkingSetAware); ok {
 		wa.SetWorkingSets(c.ws)
@@ -566,12 +590,6 @@ func New(tr *trace.ArrivalTrace, rc RunConfig) (*Cluster, error) {
 	if c.faults != nil && c.faults.KillRate > 0 {
 		c.faultR = rng.New(c.faults.Seed)
 		c.scheduleKill(0)
-	}
-	if rc.Resilience.Enabled() {
-		if err := rc.Resilience.Validate(); err != nil {
-			return nil, err
-		}
-		c.initResilience()
 	}
 	// The latency-floor lookahead bound must hold for every node an arrival
 	// could land on — including nodes the autoscaler has yet to add, which
@@ -598,10 +616,10 @@ func New(tr *trace.ArrivalTrace, rc RunConfig) (*Cluster, error) {
 
 // Executor names for Cluster.Executor.
 const (
-	// ExecutorLockstep is the event-by-event reference loop.
+	// ExecutorLockstep steps events one at a time: the reference.
 	ExecutorLockstep = "lockstep"
-	// ExecutorParallelWindow is the parallel-in-time window loop
-	// (byte-identical to lockstep at any worker count).
+	// ExecutorParallelWindow runs arrivals and node events in parallel-in-time
+	// windows (byte-identical to lockstep at any worker count).
 	ExecutorParallelWindow = "parallel-window"
 )
 
@@ -634,22 +652,17 @@ func Run(tr *trace.ArrivalTrace, rc RunConfig) (*Result, error) {
 	return c.Run()
 }
 
-// Run drives the lockstep loop (or its parallel-window equivalent) to
-// completion and assembles the result.
+// Run drives the run loop to completion and assembles the result.
 func (c *Cluster) Run() (*Result, error) {
 	if c.ran {
 		return nil, fmt.Errorf("cluster: Run called twice (a Cluster is single-use)")
 	}
 	c.ran = true
-	loop := c.loop
-	if c.parOn {
-		loop = c.parLoop
-		if c.parWorkers > 1 {
-			c.pool = runner.NewPool(c.parWorkers)
-			defer c.pool.Close()
-		}
+	if c.parOn && c.parWorkers > 1 {
+		c.pool = runner.NewPool(c.parWorkers)
+		defer c.pool.Close()
 	}
-	if err := loop(); err != nil {
+	if err := c.loop(); err != nil {
 		return nil, err
 	}
 	return c.result()
@@ -670,45 +683,55 @@ func (c *Cluster) done() bool {
 	return c.finished+c.lost == c.admitted
 }
 
-// loop is the deterministic lockstep core: fire the globally earliest
-// pending event across the control engine, the arrival stream and the node
-// engines. At equal timestamps control events run first (a scale-up or kill
-// at t shapes the fleet the arrival at t sees), then arrivals, then node
-// events (tie-break by node index) — so a completion at an arrival's own
-// timestamp is not yet visible to the dispatcher.
+// loop is the deterministic run loop: fire the globally earliest pending
+// event across the control engine, the arrival stream and the node engines.
+// At equal timestamps control events run first (a scale-up or kill at t
+// shapes the fleet the arrival at t sees), then arrivals, then node events
+// (tie-break by node index) — so a completion at an arrival's own timestamp
+// is not yet visible to the dispatcher. With the windowed executor on
+// (parOn), every run of node and arrival events up to the next control event
+// executes as one parallel window with a deterministic merge instead (see
+// parallel.go): a lookahead window while arrivals remain, a final window once
+// the stream is exhausted. Both paths only ever fire or test the earliest
+// event, so the stops are shared.
 func (c *Cluster) loop() error {
 	var processed uint64
 	for c.err == nil && !c.done() && processed < maxEvents {
 		hasA, tA, ni, tN := c.peekNext()
+		ctlFirst := c.ctlHas && (!hasA || c.ctlAt <= tA) && (ni < 0 || c.ctlAt <= tN)
+		arrFirst := !ctlFirst && hasA && (ni < 0 || tA <= tN)
+		first := tN
+		if ctlFirst {
+			first = c.ctlAt
+		} else if arrFirst {
+			first = tA
+		}
 		switch {
-		case c.ctlHas && (!hasA || c.ctlAt <= tA) && (ni < 0 || c.ctlAt <= tN):
-			if c.ctlAt > c.rc.MaxSimTime {
-				c.now = c.rc.MaxSimTime
-				return c.err
-			}
+		case !c.ctlHas && !hasA && ni < 0:
+			return c.err
+		case first > c.rc.MaxSimTime:
+			// The earliest pending event lies past MaxSimTime.
+			c.now = c.rc.MaxSimTime
+			return c.err
+		case ctlFirst:
 			c.now = c.ctlAt
 			c.ctl.Step()
 			c.refreshCtl()
 			processed++
-		case hasA && (ni < 0 || tA <= tN):
-			if tA > c.rc.MaxSimTime {
-				c.now = c.rc.MaxSimTime
-				return c.err
-			}
+		case c.parOn && hasA:
+			processed += c.runLookahead(c.lookBound(tA))
+		case c.parOn:
+			// The stream is exhausted: the run may end inside this window.
+			processed += c.runFinal(c.windowBound())
+		case arrFirst:
 			c.now = tA
 			c.dispatch(c.next)
 			c.next++
-		case ni >= 0:
-			if tN > c.rc.MaxSimTime {
-				c.now = c.rc.MaxSimTime
-				return c.err
-			}
+		default:
 			c.now = tN
 			c.Nodes[ni].Sys.Eng.Step()
 			c.refresh(ni)
 			processed++
-		default:
-			return c.err
 		}
 	}
 	return c.err
@@ -737,7 +760,7 @@ func (c *Cluster) dispatch(i int) {
 		c.resArrive(i, c.tr.Arrivals[i].At)
 		return
 	}
-	c.place(i, c.tr.Arrivals[i].At)
+	c.place(i, c.tr.Arrivals[i].At, -1)
 }
 
 // place runs the dispatch protocol for arrival i at time at (the arrival
@@ -749,14 +772,28 @@ func (c *Cluster) dispatch(i int) {
 // time plus the node's dispatch-path latency floor — a dispatched request
 // cannot touch the device before its command crosses the PCIe link, and
 // modeling that delay is also what lets the parallel executor run nodes past
-// an arrival (see parallel.go).
-func (c *Cluster) place(i int, at sim.Time) {
-	n := c.pickNode(i, at)
+// an arrival (see parallel.go). In a lookahead merge bp is the arrival's
+// batch position (-1 elsewhere): a chosen node that ran in the window
+// reserved its admission's sequence slot there (an idle node's sequence
+// counter already matches lockstep's, so a plain schedule is exact).
+func (c *Cluster) place(i int, at sim.Time, bp int) {
+	elig := c.eligible[:0]
+	for _, n := range c.Nodes {
+		if n.state == NodeUp {
+			elig = append(elig, n)
+		}
+	}
+	n := c.pickFrom(elig, i, at)
 	if n == nil {
 		return
 	}
-	c.placeOn(n, i, at)
-	n.Sys.Eng.AtFunc(at+n.floor, admitEvent, n, int64(i))
+	c.book(n, i)
+	n.pending[i] = at
+	if n.lookRes {
+		n.Sys.Eng.AtSeqFunc(at+n.floor, n.resSeq[bp], admitEvent, n, int64(i))
+	} else {
+		n.Sys.Eng.AtFunc(at+n.floor, admitEvent, n, int64(i))
+	}
 	c.refresh(n.Index)
 }
 
@@ -766,21 +803,15 @@ func admitEvent(p any, x int64) {
 	n.clu.admit(n, int(x))
 }
 
-// pickNode runs the dispatcher over the currently eligible (Up) nodes for
-// arrival i and returns the chosen node, or nil after recording the error.
-func (c *Cluster) pickNode(i int, at sim.Time) *Node {
-	a := &c.tr.Arrivals[i]
-	elig := c.eligible[:0]
-	for _, n := range c.Nodes {
-		if n.state == NodeUp {
-			elig = append(elig, n)
-		}
-	}
+// pickFrom runs the dispatcher over the eligible set elig for arrival i and
+// returns the chosen node, or nil after recording the error.
+func (c *Cluster) pickFrom(elig []*Node, i int, at sim.Time) *Node {
 	c.eligible = elig
 	if len(elig) == 0 {
 		c.fail(fmt.Errorf("cluster: no Up node to dispatch request %d at %v", i, at))
 		return nil
 	}
+	a := &c.tr.Arrivals[i]
 	pi := c.disp.Pick(at, a.Class, a.App, elig)
 	if pi < 0 || pi >= len(elig) {
 		c.fail(fmt.Errorf("cluster: dispatcher %s picked position %d of %d for request %d",
@@ -790,19 +821,32 @@ func (c *Cluster) pickNode(i int, at sim.Time) *Node {
 	return elig[pi]
 }
 
-// placeOn applies the cluster- and dispatcher-visible bookkeeping of placing
+// book applies the cluster- and dispatcher-visible bookkeeping of placing
 // arrival i on node n, so a later arrival at the same timestamp already sees
-// this request. The engine-side admission is scheduled separately — by place
-// in lockstep, by lookPlace in a lookahead merge.
-func (c *Cluster) placeOn(n *Node, i int, at sim.Time) {
+// it: the admission counters, the per-app in-flight population, the memory
+// demand, the SLO admission and the dispatcher's Dispatched hook.
+func (c *Cluster) book(n *Node, i int) {
 	a := &c.tr.Arrivals[i]
 	n.admitted++
 	c.admitted++
 	n.inflightByApp[a.App]++
 	n.memDemand += c.ws[a.App]
 	n.Acct.Admit(a.Class)
-	n.pending[i] = at
 	c.disp.Dispatched(n.Index, a.Class, a.App)
+}
+
+// unbook takes one resolved or removed request of app off node n's per-app
+// in-flight population and memory demand.
+func (c *Cluster) unbook(n *Node, app int) {
+	n.inflightByApp[app]--
+	n.memDemand -= c.ws[app]
+}
+
+// lose counts one live request of class destroyed or refused on node n.
+func (c *Cluster) lose(n *Node, class int) {
+	n.lost++
+	c.lost++
+	n.Acct.Lose(class)
 }
 
 // admit runs on the owning node's engine at the dispatch time. The request
@@ -847,18 +891,15 @@ func (c *Cluster) startRun(n *Node, i int) {
 
 // complete applies a completion's node counters, the fleet counter, the
 // dispatcher feedback and the drained-node retirement at c.now — inline on
-// the lockstep loop, at its replay position in a window merge. The
+// lockstep stepping, at its replay position in a window merge. The
 // retirement check reads the same counters in both, because a Draining node
 // receives no placements mid-window.
 func (c *Cluster) complete(n *Node, class, app int, exec sim.Time) {
 	n.finished++
-	n.inflightByApp[app]--
-	n.memDemand -= c.ws[app]
 	c.finished++
+	c.unbook(n, app)
 	c.disp.Completed(n.Index, class, app, exec)
-	if n.state == NodeDraining && n.InFlight() == 0 {
-		c.retire(n, c.now)
-	}
+	c.afterResolve(n)
 }
 
 func (c *Cluster) fail(err error) {
@@ -868,13 +909,14 @@ func (c *Cluster) fail(err error) {
 }
 
 // nodeFail records an error raised on a node's engine. Inside a parallel
-// window it lands in the node's private slot (c.err is shared); the merge
-// promotes the lowest-index node's error, so failing runs abort with a
-// deterministic error at any worker count.
+// window it lands in the node's private slot (c.err is shared) with its
+// engine time and buffer position; the merge raises the earliest one at its
+// lockstep position, so failing runs abort with lockstep's error at any
+// worker count.
 func (c *Cluster) nodeFail(n *Node, err error) {
 	if c.parOn {
 		if n.winErr == nil {
-			n.winErr = err
+			n.winErr, n.errAt, n.errPos = err, n.Sys.Eng.Now(), len(n.winBuf)
 		}
 		return
 	}

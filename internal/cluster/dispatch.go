@@ -116,7 +116,7 @@ const (
 // inputs in lockstep order before running Pick (see parallel.go). A
 // LoadOblivious dispatcher takes the same windows with an empty read set. A
 // dispatcher that is neither Lookahead nor LoadOblivious, or declares an
-// unknown read, runs on the lockstep loop whatever RunConfig.Parallel asks.
+// unknown read, runs lockstep whatever RunConfig.Parallel asks.
 // Declaring reads the Pick does not make is harmless; making reads it does
 // not declare (wall-clock node internals, engine peeks) breaks byte-identity
 // with lockstep.
@@ -127,7 +127,7 @@ type Lookahead interface {
 // lookaheadReadsSafe reports whether a declared read set opts a dispatcher
 // into lookahead windows: non-empty and entirely within the known
 // merge-reproducible categories (an unknown value from a third-party
-// dispatcher falls back to the lockstep loop).
+// dispatcher falls back to lockstep).
 func lookaheadReadsSafe(reads []StateRead) bool {
 	if len(reads) == 0 {
 		return false

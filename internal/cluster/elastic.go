@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/metrics"
-	"repro/internal/resilience"
 	"repro/internal/sim"
 )
 
@@ -282,34 +281,11 @@ func (c *Cluster) snapshot(at sim.Time) *FleetSnapshot {
 // heterogeneous box.
 func (c *Cluster) scaleUp(k int, at sim.Time) {
 	for j := 0; j < k && len(c.Nodes) < MaxNodes; j++ {
-		n := &Node{
-			Index:         len(c.Nodes),
-			Acct:          metrics.NewSLOAccount(c.tr.Classes),
-			inflightByApp: make([]int, len(c.tr.Apps)),
-			pending:       make(map[int]sim.Time),
-			baseCfg:       c.addCfg,
-			baseScale:     c.addScale,
-			state:         NodeUp,
-			upSince:       at,
-			hbm:           c.addCfg.GPU.MemSize,
-			clu:           c,
-			floor:         c.addCfg.PCIe.DispatchFloor(),
-		}
-		n.memInit()
-		if err := c.newSystem(n); err != nil {
-			c.fail(fmt.Errorf("cluster: scaling up node %d: %w", n.Index, err))
+		if err := c.addNode(c.addCfg, c.addScale, at); err != nil {
+			c.fail(fmt.Errorf("cluster: scaling up node %d: %w", len(c.Nodes), err))
 			return
 		}
-		c.Nodes = append(c.Nodes, n)
-		c.nextAt = append(c.nextAt, 0)
-		c.hasNext = append(c.hasNext, false)
 		c.scaleUps++
-		if c.res != nil {
-			n.resLive = make(map[int]struct{})
-			if c.breakers != nil {
-				c.breakers = append(c.breakers, resilience.NewBreaker(*c.res.Breaker))
-			}
-		}
 	}
 	if c.res != nil {
 		c.drainQueues(at)

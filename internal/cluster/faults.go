@@ -143,16 +143,13 @@ func (c *Cluster) killNode(n *Node, at sim.Time) {
 		sort.Ints(idxs)
 		for _, i := range idxs {
 			a := &c.tr.Arrivals[i]
-			n.lost++
-			c.lost++
-			n.Acct.Lose(a.Class)
-			n.inflightByApp[a.App]--
-			n.memDemand -= c.ws[a.App]
+			c.lose(n, a.Class)
+			c.unbook(n, a.App)
 			c.lostWork += at - n.pending[i]
 		}
 		clear(n.pending)
 		for _, i := range idxs {
-			c.place(i, at)
+			c.place(i, at, -1)
 		}
 	}
 

@@ -174,14 +174,7 @@ func (c *Cluster) swapInDone(n *Node, i int, ws int64) {
 // the ledger dies with the incarnation. The traffic counters persist — the
 // slot, not the incarnation, is the unit of accounting.
 func (n *Node) memWipe(c *Cluster) {
-	if c.swapOn {
-		for _, w := range n.memQ {
-			n.swapLostB += c.wsOf(w.i)
-		}
-		for i := range n.staging {
-			n.swapLostB += c.wsOf(i)
-		}
-	}
+	n.swapLostB += c.memSpilledNow(n)
 	n.memQ = nil
 	clear(n.staging)
 	n.mem = nil

@@ -1,10 +1,13 @@
 // Parallel-in-time cluster execution.
 //
-// The lockstep loop in cluster.go is the reference semantics: fire the
-// globally earliest event across the control engine, the arrival stream and
-// every node engine, with ties broken control < arrivals < node events and
-// node events by index. That total order is also why one cluster run is
-// single-threaded — every event waits for the global minimum.
+// Cluster.loop (cluster.go) is the one run loop. Its lockstep cases are the
+// reference semantics: fire the globally earliest event across the control
+// engine, the arrival stream and every node engine, with ties broken
+// control < arrivals < node events and node events by index. That total
+// order is also why one cluster run is single-threaded — every event waits
+// for the global minimum. With the windowed executor on, the same loop hands
+// arrivals and node events to the windows below instead; the control step
+// and the MaxSimTime and empty-fleet stops stay shared.
 //
 // The observation that unlocks parallelism is that nodes only interact
 // through three serialization points, all of which are visible in advance:
@@ -27,7 +30,7 @@
 //
 // Control events and MaxSimTime always bound a window. The arrival bound is
 // where the executor needs a dispatcher contract, and it has exactly one
-// arrival protocol; a run that does not qualify stays on the lockstep loop
+// arrival protocol; a run that does not qualify keeps lockstep stepping
 // (see Cluster.Executor):
 //
 // Latency-floor lookahead. A Pick at arrival time tA may read fleet state —
@@ -96,50 +99,13 @@ type batchEnt struct {
 
 // LoadOblivious marks a Dispatcher whose Pick and hooks depend only on the
 // dispatcher's own internal state and the eligible-set size — never on node
-// load or completion feedback. The parallel-window loop treats it as a
+// load or completion feedback. The windowed executor treats it as a
 // Lookahead with an empty read set: the micro-merge has nothing to rebuild
 // for its Pick. Round-robin qualifies; any policy reading Node.InFlight or
 // observing Completed does not.
 type LoadOblivious interface {
 	// LoadObliviousDispatch is a marker; implementations do nothing.
 	LoadObliviousDispatch()
-}
-
-// parLoop is the parallel-window equivalent of loop: identical control,
-// arrival and MaxSimTime handling, but contiguous runs of node events
-// execute as parallel windows with a deterministic merge. Byte-identical to
-// loop at any RunConfig.Parallel value. It runs only when the dispatcher is
-// LoadOblivious or lookahead-safe (see New), so a pending arrival always
-// opens a lookahead window and a node-event window without one happens only
-// once the stream is exhausted.
-func (c *Cluster) parLoop() error {
-	var processed uint64
-	for c.err == nil && !c.done() && processed < maxEvents {
-		hasA, tA, ni, tN := c.peekNext()
-		switch {
-		case c.ctlHas && (!hasA || c.ctlAt <= tA) && (ni < 0 || c.ctlAt <= tN):
-			if c.ctlAt > c.rc.MaxSimTime {
-				c.now = c.rc.MaxSimTime
-				return c.err
-			}
-			c.now = c.ctlAt
-			c.ctl.Step()
-			c.refreshCtl()
-			processed++
-		case !hasA && ni < 0:
-			return c.err
-		case (!hasA || tA > c.rc.MaxSimTime) && (ni < 0 || tN > c.rc.MaxSimTime):
-			// The earliest pending event lies past MaxSimTime: lockstep's stop.
-			c.now = c.rc.MaxSimTime
-			return c.err
-		case hasA:
-			processed += c.runLookahead(c.lookBound(tA))
-		default:
-			// The stream is exhausted: the run may end inside this window.
-			processed += c.runFinal(c.windowBound())
-		}
-	}
-	return c.err
 }
 
 // windowBound returns the conservative horizon every window respects: the
@@ -187,7 +153,7 @@ func (c *Cluster) runLookahead(bound sim.Time) uint64 {
 
 // runNodeLook fires node n's events strictly before bound, reserving one of
 // the engine's sequence slots per batched arrival the moment the engine
-// crosses that arrival's timestamp — the exact point the lockstep loop would
+// crosses that arrival's timestamp — the exact point lockstep stepping would
 // have scheduled the admission, whose seq the reservation therefore
 // captures. Every node reserves for every batched arrival (placement is not
 // yet decided); unspent slots are harmless.
@@ -218,24 +184,6 @@ func (c *Cluster) runNodeLook(n *Node, bound sim.Time) uint64 {
 		bp++
 	}
 	return steps
-}
-
-// lookPlace is place for a micro-merged arrival: identical protocol, but the
-// admission lands on the reserved sequence slot when the chosen node ran in
-// this window (an idle node's sequence counter already matches lockstep's,
-// so a plain schedule is exact there).
-func (c *Cluster) lookPlace(i int, at sim.Time, bp int) {
-	n := c.pickNode(i, at)
-	if n == nil {
-		return
-	}
-	c.placeOn(n, i, at)
-	if n.lookRes {
-		n.Sys.Eng.AtSeqFunc(at+n.floor, n.resSeq[bp], admitEvent, n, int64(i))
-	} else {
-		n.Sys.Eng.AtFunc(at+n.floor, admitEvent, n, int64(i))
-	}
-	c.refresh(n.Index)
 }
 
 // collectActive gathers the nodes with a pending event before bound into
@@ -374,12 +322,20 @@ func (c *Cluster) runFinal(bound sim.Time) uint64 {
 // arrivals (empty for final windows) and the completions buffered on the
 // active nodes interleave by ascending time, an arrival before a same-time
 // completion (lockstep fires arrivals before node events), completions tying
-// by node index and each node's buffer already engine-ordered. Each Pick runs against exactly the counters lockstep would
-// have shown it; each admission is scheduled at decision time + floor(n) on
-// the sequence slot the chosen node reserved. Finally it clears the window
-// buffers and reservations and promotes the lowest-index node's window
-// error, keeping failures deterministic at any worker count.
+// by node index and each node's buffer already engine-ordered. Each Pick runs
+// against exactly the counters lockstep would have shown it; each admission
+// is scheduled at decision time + floor(n) on the sequence slot the chosen
+// node reserved. The earliest window error (by time, then node index) is
+// raised at its own place in that order, where lockstep would have stopped,
+// so a failing run reports lockstep's error at any worker count. Finally it
+// clears the window buffers, reservations and errors.
 func (c *Cluster) merge() {
+	var errN *Node
+	for _, n := range c.winActive {
+		if n.winErr != nil && (errN == nil || n.errAt < errN.errAt) {
+			errN = n
+		}
+	}
 	bp := 0
 	for c.err == nil {
 		var best *Node
@@ -390,12 +346,15 @@ func (c *Cluster) merge() {
 		}
 		if bp < len(c.batch) && (best == nil || c.batch[bp].at <= best.winBuf[best.winPos].at) {
 			a := c.batch[bp]
+			if errN != nil && errN.errAt < a.at {
+				break
+			}
 			c.now = a.at
-			c.lookPlace(a.i, a.at, bp)
+			c.place(a.i, a.at, bp)
 			bp++
 			continue
 		}
-		if best == nil {
+		if best == nil || errN != nil && errN.failsBefore(best) {
 			break
 		}
 		ev := &best.winBuf[best.winPos]
@@ -403,14 +362,28 @@ func (c *Cluster) merge() {
 		c.now = ev.at
 		c.complete(best, ev.class, ev.app, ev.exec)
 	}
+	if errN != nil {
+		c.fail(errN.winErr)
+	}
 	c.batch = c.batch[:0]
 	for _, n := range c.winActive {
 		n.winBuf = n.winBuf[:0]
 		n.winPos = 0
 		n.lookRes = false
-		if n.winErr != nil {
-			c.fail(n.winErr)
-			n.winErr = nil
-		}
+		n.winErr = nil
 	}
+}
+
+// failsBefore reports whether n's window error fired before m's next
+// buffered completion in lockstep order: earlier time, then lower node index,
+// and on n itself the completions buffered before the error.
+func (n *Node) failsBefore(m *Node) bool {
+	ev := &m.winBuf[m.winPos]
+	switch {
+	case m == n:
+		return n.errPos <= m.winPos
+	case n.errAt != ev.at:
+		return n.errAt < ev.at
+	}
+	return n.Index < m.Index
 }

@@ -186,7 +186,7 @@ func TestLookaheadMemoryPressureMatchesLockstep(t *testing.T) {
 // termination. A MaxSimTime axis cuts
 // the run early in the stream, mid-stream, just before, at and just after
 // the last arrival (mid-drain), on the fixed fleet and behind an autoscaler
-// whose ticks bound every window, so each of parLoop's stop branches
+// whose ticks bound every window, so each of the run loop's stop cases
 // (control event, arrival or node event past MaxSimTime) must land where
 // lockstep stops. Swept at every committed worker count and at a sparse and
 // a saturated arrival rate.
@@ -389,5 +389,48 @@ func TestWarmthRoundTrip(t *testing.T) {
 	}
 	if _, err := undrained.Warmth(); err == nil {
 		t.Error("undrained cluster produced a warmth snapshot")
+	}
+}
+
+// TestParallelAdmissionErrorMatchesLockstep pins the failing-run half of the
+// executor contract: when context tables are too small for the offered load,
+// admissions fail on several nodes, often inside one window, and the windowed
+// run must abort with exactly the error lockstep raises — the earliest
+// failing admission in (time, node index) order, raised before any later
+// merged arrival or completion. Swept over seeds, context capacities and
+// every dispatch policy, at every committed worker count.
+func TestParallelAdmissionErrorMatchesLockstep(t *testing.T) {
+	failed := 0
+	for seed := uint64(10); seed < 18; seed++ {
+		tr := testTrace(t, 120000, seed)
+		for _, capacity := range []int{2, 3, 4} {
+			for ki, kind := range Kinds() {
+				run := func(parallel int) error {
+					d, err := NewDispatcher(kind, uint64(ki+1))
+					if err != nil {
+						t.Fatal(err)
+					}
+					rc := testRunConfig(4, d)
+					rc.Sys.ContextCapacity = capacity
+					rc.Parallel = parallel
+					_, err = Run(tr, rc)
+					return err
+				}
+				name := fmt.Sprintf("seed=%d/capacity=%d/%s", seed, capacity, kind)
+				ref := run(0)
+				if ref == nil {
+					continue
+				}
+				failed++
+				for _, workers := range []int{1, 4, 8} {
+					if err := run(workers); err == nil || err.Error() != ref.Error() {
+						t.Errorf("%s: parallel(%d) error %v, lockstep %q", name, workers, err, ref)
+					}
+				}
+			}
+		}
+	}
+	if failed == 0 {
+		t.Fatal("no configuration failed admission; the sweep tests nothing")
 	}
 }

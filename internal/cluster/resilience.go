@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"fmt"
 	"sort"
 
 	"repro/internal/arrivals"
@@ -65,7 +64,7 @@ const (
 // initResilience arms the request-lifecycle manager: the per-request and
 // per-attempt ledgers, per-class retry budgets and admission queues, per-node
 // circuit breakers, and the per-class latency sketches the hedger reads.
-// Called from New after the starting fleet is built.
+// Called from New before the starting fleet is built.
 func (c *Cluster) initResilience() {
 	spec := c.rc.Resilience.WithDefaults()
 	c.res = &spec
@@ -84,10 +83,8 @@ func (c *Cluster) initResilience() {
 		}
 	}
 	if spec.Breaker != nil {
-		c.breakers = make([]resilience.Breaker, len(c.Nodes))
-		for i := range c.breakers {
-			c.breakers[i] = resilience.NewBreaker(*spec.Breaker)
-		}
+		// Non-nil even while empty: addNode appends one breaker per node.
+		c.breakers = make([]resilience.Breaker, 0)
 	}
 	c.hedgeLat = make([]metrics.Sketch, len(c.tr.Classes))
 	c.queues = make([][]int, len(c.tr.Classes))
@@ -97,9 +94,6 @@ func (c *Cluster) initResilience() {
 		if cl.Priority > c.maxPrio {
 			c.maxPrio = cl.Priority
 		}
-	}
-	for _, n := range c.Nodes {
-		n.resLive = make(map[int]struct{})
 	}
 }
 
@@ -175,29 +169,16 @@ func (c *Cluster) launch(i, kind int, at sim.Time) {
 		c.eligible = elig
 		return
 	}
-	if len(elig) == 0 {
-		c.eligible = elig
-		c.fail(fmt.Errorf("cluster: no Up node to dispatch request %d at %v", i, at))
+	n := c.pickFrom(elig, i, at)
+	if n == nil {
 		return
 	}
-	c.eligible = elig
-	pi := c.disp.Pick(at, a.Class, a.App, elig)
-	if pi < 0 || pi >= len(elig) {
-		c.fail(fmt.Errorf("cluster: dispatcher %s picked position %d of %d for request %d",
-			c.disp.Name(), pi, len(elig), i))
-		return
-	}
-	n := elig[pi]
 
 	attID := len(c.atts)
 	c.atts = append(c.atts, attRec{req: i, node: n.Index, at: at, isHedge: kind == attHedge})
 	att := &c.atts[attID]
 
-	n.admitted++
-	c.admitted++
-	n.inflightByApp[a.App]++
-	n.memDemand += c.ws[a.App]
-	n.Acct.Admit(a.Class)
+	c.book(n, i)
 	switch kind {
 	case attRetry:
 		n.Acct.Retry(a.Class)
@@ -207,7 +188,6 @@ func (c *Cluster) launch(i, kind int, at sim.Time) {
 		c.hedgeCount++
 	}
 	n.resLive[attID] = struct{}{}
-	c.disp.Dispatched(n.Index, a.Class, a.App)
 	if c.breakers != nil {
 		c.breakers[n.Index].Dispatched(at)
 	}
@@ -315,18 +295,11 @@ func (c *Cluster) rejectAttempt(n *Node, attID int) {
 	att.abandoned = true
 	a := &c.tr.Arrivals[att.req]
 	delete(n.resLive, attID)
-	n.inflightByApp[a.App]--
-	n.memDemand -= c.ws[a.App]
+	c.unbook(n, a.App)
 	n.mem.FreeOwner(attID) // no-op when the memory reservation failed
-	n.lost++
-	c.lost++
+	c.lose(n, a.Class)
 	c.rejected++
-	n.Acct.Lose(a.Class)
-	if att.hasTimeout {
-		att.hasTimeout = false
-		c.ctl.Cancel(att.timeoutID)
-		c.refreshCtl()
-	}
+	c.disarmTimeout(att)
 	if c.breakers != nil {
 		c.breakers[n.Index].Record(c.now, false)
 	}
@@ -343,8 +316,7 @@ func (c *Cluster) attComplete(n *Node, attID int, rec proc.RunRecord) {
 	att := &c.atts[attID]
 	a := &c.tr.Arrivals[att.req]
 	delete(n.resLive, attID)
-	n.inflightByApp[a.App]--
-	n.memDemand -= c.ws[a.App]
+	c.unbook(n, a.App)
 	// Ghost or winner, the attempt held its working set until now.
 	n.mem.FreeOwner(attID)
 	if att.abandoned {
@@ -352,11 +324,7 @@ func (c *Cluster) attComplete(n *Node, attID int, rec proc.RunRecord) {
 		c.afterResolve(n)
 		return
 	}
-	if att.hasTimeout {
-		att.hasTimeout = false
-		c.ctl.Cancel(att.timeoutID)
-		c.refreshCtl()
-	}
+	c.disarmTimeout(att)
 	n.finished++
 	c.finished++
 	exec := rec.End - a.At
@@ -425,18 +393,32 @@ func (c *Cluster) cancelAttempt(attID int) {
 	n := c.Nodes[att.node]
 	a := &c.tr.Arrivals[att.req]
 	n.Acct.CancelAttempt(a.Class)
+	c.disarmTimeout(att)
+	if !att.started {
+		c.dropUnstarted(n, attID, a.App)
+	}
+}
+
+// dropUnstarted takes an abandoned attempt that never reached its node's
+// engine off the node: its admission event is cancelled (when the machine
+// still exists) and it resolves there as a ghost. It never started, so it
+// never reserved memory.
+func (c *Cluster) dropUnstarted(n *Node, attID, app int) {
+	if n.Sys != nil {
+		n.Sys.Eng.Cancel(c.atts[attID].admitID)
+		c.refresh(n.Index)
+	}
+	delete(n.resLive, attID)
+	c.unbook(n, app)
+	n.ghostDone++
+}
+
+// disarmTimeout cancels att's pending control-engine timeout, if any.
+func (c *Cluster) disarmTimeout(att *attRec) {
 	if att.hasTimeout {
 		att.hasTimeout = false
 		c.ctl.Cancel(att.timeoutID)
 		c.refreshCtl()
-	}
-	if !att.started {
-		n.Sys.Eng.Cancel(att.admitID)
-		c.refresh(att.node)
-		delete(n.resLive, attID)
-		n.inflightByApp[a.App]--
-		n.memDemand -= c.ws[a.App] // never started, so never reserved
-		n.ghostDone++
 	}
 }
 
@@ -458,14 +440,7 @@ func (c *Cluster) attTimeout(attID int, t sim.Time) {
 		c.breakers[att.node].Record(t, false)
 	}
 	if !att.started {
-		if n.Sys != nil {
-			n.Sys.Eng.Cancel(att.admitID)
-			c.refresh(att.node)
-		}
-		delete(n.resLive, attID)
-		n.inflightByApp[a.App]--
-		n.memDemand -= c.ws[a.App] // never started, so never reserved
-		n.ghostDone++
+		c.dropUnstarted(n, attID, a.App)
 	}
 	c.attFailed(attID, t, 0)
 }
@@ -572,23 +547,16 @@ func (c *Cluster) killAttempts(n *Node, at sim.Time) {
 	for _, attID := range ids {
 		att := &c.atts[attID]
 		a := &c.tr.Arrivals[att.req]
-		n.inflightByApp[a.App]--
-		n.memDemand -= c.ws[a.App]
+		c.unbook(n, a.App)
 		if att.abandoned {
 			n.ghostLost++
 			continue
 		}
-		n.lost++
-		c.lost++
-		n.Acct.Lose(a.Class)
+		c.lose(n, a.Class)
 		c.lostWork += at - att.at
-		if att.hasTimeout {
-			att.hasTimeout = false
-			c.ctl.Cancel(att.timeoutID)
-		}
+		c.disarmTimeout(att)
 		lost = append(lost, attID)
 	}
-	c.refreshCtl()
 	clear(n.resLive)
 	for _, attID := range lost {
 		c.attFailed(attID, at, 0)

@@ -401,3 +401,47 @@ func TestConfigResilienceStanza(t *testing.T) {
 		}
 	}
 }
+
+// TestResilienceDrainRetires drives the resilient drain → retire path: an
+// autoscaler that grows the fleet under load and drains it as the backlog
+// falls, so draining nodes retire when their last attempt resolves. Every
+// retired node must end empty, the lifecycle ledger must balance, and a
+// rerun must reproduce the run exactly.
+func TestResilienceDrainRetires(t *testing.T) {
+	tr := testTrace(t, 40000, 203)
+	mkRC := func() RunConfig {
+		asc, err := NewStepAutoscaler(StepConfig{Min: 1, Max: 6, HighBacklog: 6, LowBacklog: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rc := testRunConfig(6, NewJSQ())
+		rc.Autoscale = asc
+		rc.Resilience = resilienceSpec()
+		return rc
+	}
+	res, err := Run(tr, mkRC())
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkResilienceConservation(t, "drain", res)
+	retired := 0
+	for i, n := range res.Nodes {
+		if n.State != NodeRetired {
+			continue
+		}
+		retired++
+		if n.InFlight != 0 {
+			t.Errorf("node %d retired with %d attempts in flight", i, n.InFlight)
+		}
+	}
+	if res.Drains == 0 || retired == 0 {
+		t.Fatalf("%d drains, %d retired nodes: the drain path never ran", res.Drains, retired)
+	}
+	again, err := Run(tr, mkRC())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res, again) {
+		t.Error("re-run diverged")
+	}
+}

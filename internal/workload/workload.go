@@ -328,7 +328,18 @@ func (p *baselineFCFS) assign(fw *core.Framework) {
 // other simulations are in flight.
 type Cache struct {
 	mu      sync.Mutex
-	entries map[string]*cacheEntry
+	entries map[cacheKey]*cacheEntry
+}
+
+// cacheKey identifies one baseline: the application by identity (distinct
+// apps that share a name stay distinct) plus the machine fields a baseline
+// depends on, compared exactly.
+type cacheKey struct {
+	app     *trace.App
+	numSMs  int
+	minRuns int
+	jitter  float64
+	seed    uint64
 }
 
 // cacheEntry computes one baseline exactly once; distinct keys compute
@@ -340,13 +351,13 @@ type cacheEntry struct {
 }
 
 // NewCache returns an empty baseline cache.
-func NewCache() *Cache { return &Cache{entries: make(map[string]*cacheEntry)} }
+func NewCache() *Cache { return &Cache{entries: make(map[cacheKey]*cacheEntry)} }
 
 // Isolated returns the cached isolated turnaround, computing it on demand.
 // Concurrent callers with the same key share one simulation; callers with
 // different keys do not block each other.
 func (c *Cache) Isolated(app *trace.App, rc RunConfig) (sim.Time, error) {
-	key := fmt.Sprintf("%s|%d|%d|%.3f|%d", app.Name, rc.Sys.GPU.NumSMs, rc.MinRuns, rc.Sys.Jitter, rc.Sys.Seed)
+	key := cacheKey{app, rc.Sys.GPU.NumSMs, rc.MinRuns, rc.Sys.Jitter, rc.Sys.Seed}
 	c.mu.Lock()
 	e, ok := c.entries[key]
 	if !ok {

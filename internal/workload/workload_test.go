@@ -7,6 +7,7 @@ import (
 	"repro/internal/parboil"
 	"repro/internal/policy"
 	"repro/internal/preempt"
+	"repro/internal/sim"
 	"repro/internal/system"
 	"repro/internal/trace"
 )
@@ -48,6 +49,44 @@ func TestIsolatedBaselines(t *testing.T) {
 				t.Fatalf("Isolated(%s) = %v, want positive", app.Name, iso)
 			}
 		})
+	}
+}
+
+// TestCacheKeysByAppIdentity pins the baseline cache's key: two distinct
+// applications that share a name must each get their own baseline, and a
+// repeat lookup must return the memoized value.
+func TestCacheKeysByAppIdentity(t *testing.T) {
+	suite := scaledSuite(t, 32)
+	rc := testRunConfig()
+	a := suite[0]
+	alias := *suite[1]
+	alias.Name = a.Name
+	wantA, err := Isolated(a, rc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantAlias, err := Isolated(&alias, rc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wantA == wantAlias {
+		t.Fatalf("apps %s and %s have equal baselines %v; the test cannot tell them apart",
+			suite[0].Name, suite[1].Name, wantA)
+	}
+	c := NewCache()
+	for pass := 0; pass < 2; pass++ {
+		for _, tc := range []struct {
+			app  *trace.App
+			want sim.Time
+		}{{a, wantA}, {&alias, wantAlias}} {
+			got, err := c.Isolated(tc.app, rc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != tc.want {
+				t.Errorf("pass %d: cached baseline of %s (%p) = %v, want %v", pass, tc.app.Name, tc.app, got, tc.want)
+			}
+		}
 	}
 }
 

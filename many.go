@@ -2,12 +2,9 @@ package repro
 
 import (
 	"context"
-	"sync"
 
 	"repro/internal/rng"
 	"repro/internal/runner"
-	"repro/internal/sim"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -29,32 +26,10 @@ func RunMany(ctx context.Context, ws []Workload, o Options) ([]*Result, error) {
 	}
 	// Isolated baselines depend only on the application and the shared
 	// options, not on per-workload seeds, so workloads sharing applications
-	// (e.g. replicas of one workload) share one baseline simulation. Keyed
-	// by trace identity: distinct traces with equal names stay distinct.
-	isoRC, err := o.isolatedConfig()
-	if err != nil {
-		return nil, err
-	}
-	// Per-app once: each baseline simulates exactly once, but baselines of
-	// distinct apps run concurrently instead of serializing on one lock.
-	type isoEntry struct {
-		once sync.Once
-		t    sim.Time
-		err  error
-	}
-	var mu sync.Mutex
-	memo := make(map[*trace.App]*isoEntry)
-	iso := func(a *trace.App) (sim.Time, error) {
-		mu.Lock()
-		e, ok := memo[a]
-		if !ok {
-			e = &isoEntry{}
-			memo[a] = e
-		}
-		mu.Unlock()
-		e.once.Do(func() { e.t, e.err = workload.Isolated(a, isoRC) })
-		return e.t, e.err
-	}
+	// (e.g. replicas of one workload) share one baseline simulation. The
+	// cache keys by trace identity: distinct traces with equal names stay
+	// distinct.
+	iso := workload.NewCache()
 	return runner.Map(ctx, len(ws), runner.Options{Workers: o.Parallel, OnProgress: o.OnProgress},
 		func(ctx context.Context, i int) (*Result, error) {
 			w := ws[i]

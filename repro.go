@@ -397,14 +397,14 @@ func (o Options) isolatedConfig() (workload.RunConfig, error) {
 
 // Run simulates a multiprogrammed workload and reports the paper's metrics.
 func Run(w Workload, o Options) (*Result, error) {
-	return run(w, o.fill(), nil)
+	return run(w, o.fill(), workload.NewCache())
 }
 
-// run is the shared implementation behind Run and RunMany. iso, when
-// non-nil, supplies isolated baseline turnarounds (RunMany passes a
-// memoizer so replicas of the same applications share baselines); nil
-// computes each baseline directly. o must already be filled.
-func run(w Workload, o Options, iso func(*trace.App) (sim.Time, error)) (*Result, error) {
+// run is the shared implementation behind Run and RunMany. iso memoizes the
+// isolated baseline turnarounds (RunMany shares one across the batch so
+// replicas of the same applications share baselines). o must already be
+// filled.
+func run(w Workload, o Options, iso *workload.Cache) (*Result, error) {
 	if len(w.Apps) == 0 {
 		return nil, fmt.Errorf("repro: empty workload")
 	}
@@ -427,12 +427,9 @@ func run(w Workload, o Options, iso func(*trace.App) (sim.Time, error)) (*Result
 	}
 
 	// Isolated baselines for the metrics.
-	if iso == nil {
-		isoRC, err := o.isolatedConfig()
-		if err != nil {
-			return nil, err
-		}
-		iso = func(a *trace.App) (sim.Time, error) { return workload.Isolated(a, isoRC) }
+	isoRC, err := o.isolatedConfig()
+	if err != nil {
+		return nil, err
 	}
 	out := &Result{
 		EndTime:           time.Duration(res.EndTime),
@@ -444,7 +441,7 @@ func run(w Workload, o Options, iso func(*trace.App) (sim.Time, error)) (*Result
 	}
 	perfs := make([]metrics.AppPerf, len(res.Apps))
 	for i, ar := range res.Apps {
-		isoT, err := iso(apps[i])
+		isoT, err := iso.Isolated(apps[i], isoRC)
 		if err != nil {
 			return nil, err
 		}
