@@ -242,6 +242,11 @@ func Generate(spec GenSpec) (*trace.ArrivalTrace, error) {
 		return -math.Log(1-r.Float64()) * mean
 	}
 
+	if spec.Horizon <= 0 {
+		// Unbounded in time, the stream is exactly MaxArrivals long. Under a
+		// horizon MaxArrivals is only a loose cap, so the slice grows.
+		out.Arrivals = make([]trace.Arrival, 0, spec.MaxArrivals)
+	}
 	var t float64 // seconds
 	burstLeft := 0
 	intraGap := meanGap / 10

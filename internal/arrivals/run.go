@@ -75,12 +75,13 @@ type Result struct {
 }
 
 // engine drives one open-system simulation: it injects arrivals as virtual
-// time reaches them, admits a fresh process per request, and retires the
-// process's context when its run completes.
+// time reaches them, admits each request through the machine's Admitter, and
+// accounts its completion.
 type engine struct {
 	sys      *system.System
 	tr       *trace.ArrivalTrace
 	acct     *metrics.SLOAccount
+	adm      *Admitter
 	delay    sim.Time // RunConfig.AdmitDelay
 	admitted int
 	finished int
@@ -119,9 +120,10 @@ func Run(tr *trace.ArrivalTrace, rc RunConfig) (*Result, error) {
 	sys.Eng.SetMaxEvents(rc.MaxEvents)
 
 	e := &engine{sys: sys, tr: tr, acct: metrics.NewSLOAccount(tr.Classes), delay: rc.AdmitDelay}
+	e.adm = NewAdmitter(sys, tr, e.requestDone)
 	// Arrivals chain-schedule: each injection schedules the next, so the
 	// event heap holds one pending arrival at a time.
-	sys.Eng.At(tr.Arrivals[0].At+e.delay, func() { e.inject(0) })
+	sys.Eng.AtFunc(tr.Arrivals[0].At+e.delay, injectEvent, e, 0)
 	sys.Eng.At(rc.MaxSimTime, func() { sys.Eng.Stop() })
 
 	if err := sys.Eng.Run(); err != nil && !errors.Is(err, sim.ErrEventLimit) {
@@ -148,74 +150,125 @@ func Run(tr *trace.ArrivalTrace, rc RunConfig) (*Result, error) {
 	return res, nil
 }
 
-// AdmitRequest admits arrival i of tr on sys at the engine's current time:
-// a fresh GPU context and process replay the request's application once.
-// Completion records the request's queueing and completion latency in acct,
-// retires the context (a completed run has no pending commands or active
-// kernels, so a retire failure is an engine invariant violation and
-// panics), and finally calls onDone with the observed execution time (first
-// issue to completion; arrival to completion for runs that never issued).
-// The caller accounts the admission itself (acct.Admit plus its own
-// counters) — the single-node engine at inject time, the cluster layer at
-// dispatch time. Exported for internal/cluster, which admits the same way
-// on whichever node the dispatcher chose.
-func AdmitRequest(sys *system.System, acct *metrics.SLOAccount, tr *trace.ArrivalTrace, i int, onDone func(exec sim.Time)) error {
-	at, class := tr.Arrivals[i].At, tr.Arrivals[i].Class
-	return AdmitAttempt(sys, tr, i, func(rec proc.RunRecord) {
-		exec := rec.End - at
-		if rec.FirstIssue >= 0 {
-			acct.Issued(class, rec.FirstIssue-at)
-			exec = rec.End - rec.FirstIssue
-		}
-		acct.Complete(class, rec.End-at)
-		onDone(exec)
-	})
+// Admitter is one machine's open-system admission desk. Each admitted
+// request replays its application once in a fresh GPU context and process.
+// When the run completes, the context retires (a completed run has no
+// pending commands or active kernels, so a retire failure is an engine
+// invariant violation and panics) and onRun receives the request's id and
+// raw completion record. Only after onRun has returned do the request's
+// context struct (with its page table), process and admission record go back
+// to free lists on the desk for later admissions. The lists start empty and
+// grow to the machine's peak concurrency. A completion may synchronously
+// admit another request (an HBM-queued one, say): that admission never
+// receives an object of the request still completing.
+//
+// The single-node engine admits at injection time; internal/cluster keeps
+// one desk per node incarnation and admits wherever the dispatcher placed
+// the request. The caller accounts the admission itself (acct.Admit plus its
+// own counters).
+type Admitter struct {
+	sys   *system.System
+	tr    *trace.ArrivalTrace
+	onRun func(id int, rec proc.RunRecord)
+	free  []*admission
 }
 
-// AdmitAttempt is the accounting-free admission primitive under AdmitRequest:
-// it places the context and process for arrival i on sys at the engine's
-// current time and hands the raw completion record to onDone after the
-// context retires. The cluster's resilience layer admits through it so each
-// attempt's outcome can be judged (winner, ghost, hedge loser) before any SLO
-// accounting happens.
-func AdmitAttempt(sys *system.System, tr *trace.ArrivalTrace, i int, onDone func(rec proc.RunRecord)) error {
-	a := &tr.Arrivals[i]
-	cls := &tr.Classes[a.Class]
-	ctx, err := sys.NewContext(cls.Name, cls.Priority)
+// admission is one admitted request's record. Its process and completion
+// continuation are allocated once and survive recycling.
+type admission struct {
+	ad    *Admitter
+	i, id int // arrival index, caller's id
+	p     *proc.Process
+}
+
+// NewAdmitter returns the admission desk of machine sys for the requests of
+// tr; onRun is called with each completed request's id and run record.
+func NewAdmitter(sys *system.System, tr *trace.ArrivalTrace, onRun func(id int, rec proc.RunRecord)) *Admitter {
+	return &Admitter{sys: sys, tr: tr, onRun: onRun}
+}
+
+// Admit places arrival i on the machine at the engine's current time; id is
+// the value onRun receives at completion. A refused admission (context table
+// full, invalid application) leaves the machine untouched, so the caller may
+// retry elsewhere.
+func (ad *Admitter) Admit(i, id int) error {
+	a := &ad.tr.Arrivals[i]
+	cls := &ad.tr.Classes[a.Class]
+	ctx, err := ad.sys.NewContext(cls.Name, cls.Priority)
 	if err != nil {
 		return err
 	}
-	p, err := proc.NewWithContext(sys, ctx, tr.Apps[a.App])
+	var rq *admission
+	if n := len(ad.free); n > 0 {
+		rq, ad.free = ad.free[n-1], ad.free[:n-1]
+	} else {
+		rq = &admission{ad: ad}
+	}
+	app := ad.tr.Apps[a.App]
+	if rq.p == nil {
+		if rq.p, err = proc.NewWithContext(ad.sys, ctx, app); err == nil {
+			rq.p.OnRunComplete = rq.runComplete
+		}
+	} else {
+		err = rq.p.Reuse(ctx, app)
+	}
 	if err != nil {
-		// Give the slot back so a refused admission leaves the node untouched
-		// and the caller may retry elsewhere.
-		_ = sys.RetireContext(ctx.ID)
+		_ = ad.sys.RetireContext(ctx.ID)
+		ad.sys.Contexts.Recycle(ctx)
+		ad.free = append(ad.free, rq)
 		return err
 	}
-	ctxID := ctx.ID
-	p.OnRunComplete = func(p *proc.Process, rec proc.RunRecord) {
-		if err := sys.RetireContext(ctxID); err != nil {
-			panic(fmt.Sprintf("arrivals: retiring request %d: %v", i, err))
-		}
-		onDone(rec)
-	}
-	return p.Start(sys.Eng.Now())
+	rq.i, rq.id = i, id
+	return rq.p.Start(ad.sys.Eng.Now())
 }
 
-// inject admits arrival i and chain-schedules the next injection.
-func (e *engine) inject(i int) {
+// runComplete is the process's completion continuation: retire the context,
+// report, and only then recycle.
+func (rq *admission) runComplete(p *proc.Process, rec proc.RunRecord) {
+	ad := rq.ad
+	ctx := p.Ctx()
+	if err := ad.sys.RetireContext(ctx.ID); err != nil {
+		panic(fmt.Sprintf("arrivals: retiring request %d: %v", rq.i, err))
+	}
+	ad.onRun(rq.id, rec)
+	ad.sys.Contexts.Recycle(ctx)
+	ad.free = append(ad.free, rq)
+}
+
+// Account records a completed request's queueing and completion latency in
+// acct and returns its execution time: first issue to completion, or arrival
+// to completion for a run that never issued.
+func Account(acct *metrics.SLOAccount, a *trace.Arrival, rec proc.RunRecord) sim.Time {
+	exec := rec.End - a.At
+	if rec.FirstIssue >= 0 {
+		acct.Issued(a.Class, rec.FirstIssue-a.At)
+		exec = rec.End - rec.FirstIssue
+	}
+	acct.Complete(a.Class, rec.End-a.At)
+	return exec
+}
+
+// injectEvent is the closure-free engine callback that admits arrival x and
+// chain-schedules the next injection.
+func injectEvent(p any, x int64) {
+	e := p.(*engine)
+	i := int(x)
 	e.acct.Admit(e.tr.Arrivals[i].Class)
 	e.admitted++
-	if err := AdmitRequest(e.sys, e.acct, e.tr, i, func(sim.Time) {
-		e.finished++
-		e.maybeDone()
-	}); err != nil {
+	if err := e.adm.Admit(i, i); err != nil {
 		e.fail(fmt.Errorf("arrivals: admitting request %d: %w", i, err))
 		return
 	}
 	if next := i + 1; next < len(e.tr.Arrivals) {
-		e.sys.Eng.At(e.tr.Arrivals[next].At+e.delay, func() { e.inject(next) })
+		e.sys.Eng.AtFunc(e.tr.Arrivals[next].At+e.delay, injectEvent, e, int64(next))
 	}
+}
+
+// requestDone accounts request i's completion.
+func (e *engine) requestDone(i int, rec proc.RunRecord) {
+	Account(e.acct, &e.tr.Arrivals[i], rec)
+	e.finished++
+	e.maybeDone()
 }
 
 // maybeDone stops the engine once the stream is exhausted and every admitted

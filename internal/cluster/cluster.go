@@ -34,6 +34,7 @@ import (
 	"repro/internal/gmem"
 	"repro/internal/metrics"
 	"repro/internal/preempt"
+	"repro/internal/proc"
 	"repro/internal/resilience"
 	"repro/internal/rng"
 	"repro/internal/runner"
@@ -144,6 +145,10 @@ type Node struct {
 	Index int
 	// Sys is the node's assembled machine (nil while the node is down).
 	Sys *system.System
+	// adm is the machine's admission desk: it recycles each finished
+	// request's context, process and record for the node's next admission,
+	// and dies with the incarnation.
+	adm *arrivals.Admitter
 	// Acct is the node's per-class SLO accounting.
 	Acct *metrics.SLOAccount
 
@@ -435,6 +440,11 @@ func (c *Cluster) newSystem(n *Node) error {
 		return err
 	}
 	n.Sys = sys
+	onRun := n.runDone
+	if c.res != nil {
+		onRun = n.attDone
+	}
+	n.adm = arrivals.NewAdmitter(sys, c.tr, onRun)
 	return nil
 }
 
@@ -860,33 +870,37 @@ func (c *Cluster) admit(n *Node, i int) {
 }
 
 // startRun starts arrival i's run on node n, memory already reserved: the
-// shared open-system admission protocol (arrivals.AdmitRequest) places a
-// fresh context and process on this node, and completion retires them here —
-// on the owning node — before the cluster and dispatcher bookkeeping updates.
-// A draining node that empties retires.
+// node's admission desk places a fresh context and process, and completion
+// (runDone) retires them on the owning node before the cluster and
+// dispatcher bookkeeping updates. A draining node that empties retires.
 func (c *Cluster) startRun(n *Node, i int) {
-	class, app := c.tr.Arrivals[i].Class, c.tr.Arrivals[i].App
-	err := arrivals.AdmitRequest(n.Sys, n.Acct, c.tr, i, func(exec sim.Time) {
-		delete(n.pending, i)
-		c.memRelease(n, i)
-		if c.parOn {
-			// Inside a window only engine-local state may move; every
-			// dispatcher-visible counter (the node's in-flight population and
-			// memory demand as much as the fleet counter, Completed feedback
-			// and retirement) replays in deterministic merge order at the
-			// window boundary, so a lookahead Pick mid-batch sees exactly the
-			// completions lockstep would have shown it. In-window drain checks
-			// read liveLocal, which counts this buffered entry.
-			n.winBuf = append(n.winBuf, winEv{
-				at: n.Sys.Eng.Now(), class: class, app: app, exec: exec,
-			})
-			return
-		}
-		c.complete(n, class, app, exec)
-	})
-	if err != nil {
+	if err := n.adm.Admit(i, i); err != nil {
 		c.nodeFail(n, fmt.Errorf("cluster: admitting request %d on node %d: %w", i, n.Index, err))
 	}
+}
+
+// runDone is the node's plain-path completion callback for arrival i, run
+// on the node's engine after the request's context has retired.
+func (n *Node) runDone(i int, rec proc.RunRecord) {
+	c := n.clu
+	a := &c.tr.Arrivals[i]
+	exec := arrivals.Account(n.Acct, a, rec)
+	delete(n.pending, i)
+	c.memRelease(n, i)
+	if c.parOn {
+		// Inside a window only engine-local state may move; every
+		// dispatcher-visible counter (the node's in-flight population and
+		// memory demand as much as the fleet counter, Completed feedback and
+		// retirement) replays in deterministic merge order at the window
+		// boundary, so a lookahead Pick mid-batch sees exactly the
+		// completions lockstep would have shown it. In-window drain checks
+		// read liveLocal, which counts this buffered entry.
+		n.winBuf = append(n.winBuf, winEv{
+			at: n.Sys.Eng.Now(), class: a.Class, app: a.App, exec: exec,
+		})
+		return
+	}
+	c.complete(n, a.Class, a.App, exec)
 }
 
 // complete applies a completion's node counters, the fleet counter, the

@@ -300,3 +300,35 @@ func TestChaosMemoryConservation(t *testing.T) {
 		}
 	}
 }
+
+// TestMemoryReleaseAdmitsRecycledRequest runs a blocking-mode node with HBM
+// for about one batch working set, so most completions start the next
+// HBM-queued request synchronously from memRelease, while the completing
+// request's context, process and record are still on the call stack. The
+// node's admission desk must hand the queued request other objects: a
+// reuse of the completing request's would corrupt its run. Two runs must
+// complete every arrival and agree exactly.
+func TestMemoryReleaseAdmitsRecycledRequest(t *testing.T) {
+	tr := memTrace(t, 40000, 17)
+	run := func() *Result {
+		rc := testRunConfig(1, NewLeastLoaded())
+		rc.HBM = memTestTight
+		res, err := Run(tr, rc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	a, b := run(), run()
+	if a.Completed != len(tr.Arrivals) || a.InFlight != 0 {
+		t.Fatalf("completed %d of %d arrivals, %d in flight", a.Completed, len(tr.Arrivals), a.InFlight)
+	}
+	roomy := testRunConfig(1, NewLeastLoaded())
+	roomy.HBM = 1 << 30
+	if r, err := Run(tr, roomy); err != nil || r.EndTime >= a.EndTime {
+		t.Fatalf("memory never bound: roomy run ends at %v (err %v), tight at %v", r.EndTime, err, a.EndTime)
+	}
+	if !reflect.DeepEqual(a, b) {
+		t.Error("two runs of the same tight-HBM fleet differ")
+	}
+}

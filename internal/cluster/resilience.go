@@ -196,11 +196,11 @@ func (c *Cluster) launch(i, kind int, at sim.Time) {
 	// the node's PCIe link before it can touch the device. Timeouts and
 	// cancellations keyed on the attempt still work — admitID stays
 	// cancelable until the event fires.
-	att.admitID = n.Sys.Eng.At(at+n.floor, func() { c.resAdmit(n, attID) })
+	att.admitID = n.Sys.Eng.AtFunc(at+n.floor, resAdmitEvent, n, int64(attID))
 	c.refresh(n.Index)
 	if c.res.Timeout > 0 {
 		to := at + c.res.Timeout
-		att.timeoutID = c.ctl.At(to, func() { c.attTimeout(attID, to) })
+		att.timeoutID = c.ctl.AtFunc(to, attTimeoutEvent, c, int64(attID))
 		att.hasTimeout = true
 		c.refreshCtl()
 	}
@@ -244,9 +244,32 @@ func (c *Cluster) armHedge(i int, at sim.Time) {
 		d = 1
 	}
 	t := at + d
-	req.hedgeID = c.ctl.At(t, func() { c.fireHedge(i, t) })
+	req.hedgeID = c.ctl.AtFunc(t, fireHedgeEvent, c, int64(i))
 	req.hedgeArmed = true
 	c.refreshCtl()
+}
+
+// The request lifecycle's per-attempt events are closure-free (sim.Func):
+// the node or cluster rides as the context and the attempt or arrival index
+// as the scalar. A control event's time is the control engine's clock.
+func resAdmitEvent(p any, x int64) {
+	n := p.(*Node)
+	n.clu.resAdmit(n, int(x))
+}
+
+func attTimeoutEvent(p any, x int64) {
+	c := p.(*Cluster)
+	c.attTimeout(int(x), c.ctl.Now())
+}
+
+func fireHedgeEvent(p any, x int64) {
+	c := p.(*Cluster)
+	c.fireHedge(int(x), c.ctl.Now())
+}
+
+func fireRetryEvent(p any, x int64) {
+	c := p.(*Cluster)
+	c.fireRetry(int(x), c.ctl.Now())
 }
 
 // fireHedge launches the backup attempt if the primary is still out.
@@ -278,13 +301,13 @@ func (c *Cluster) resAdmit(n *Node, attID int) {
 		c.rejectAttempt(n, attID)
 		return
 	}
-	err := arrivals.AdmitAttempt(n.Sys, c.tr, i, func(rec proc.RunRecord) {
-		c.attComplete(n, attID, rec)
-	})
-	if err != nil {
+	if err := n.adm.Admit(i, attID); err != nil {
 		c.rejectAttempt(n, attID)
 	}
 }
+
+// attDone is the node's resilient-path completion callback.
+func (n *Node) attDone(attID int, rec proc.RunRecord) { n.clu.attComplete(n, attID, rec) }
 
 // rejectAttempt handles a node refusing an attempt at admission time (context
 // table full): the attempt counts as lost on the refusing node, its breaker
@@ -327,12 +350,7 @@ func (c *Cluster) attComplete(n *Node, attID int, rec proc.RunRecord) {
 	c.disarmTimeout(att)
 	n.finished++
 	c.finished++
-	exec := rec.End - a.At
-	if rec.FirstIssue >= 0 {
-		n.Acct.Issued(a.Class, rec.FirstIssue-a.At)
-		exec = rec.End - rec.FirstIssue
-	}
-	n.Acct.Complete(a.Class, rec.End-a.At)
+	exec := arrivals.Account(n.Acct, a, rec)
 	c.disp.Completed(n.Index, a.Class, a.App, exec)
 	if c.breakers != nil {
 		c.breakers[n.Index].Record(c.now, true)
@@ -490,7 +508,7 @@ func (c *Cluster) attFailed(attID int, t, minDelay sim.Time) {
 		return
 	}
 	at := t + d
-	c.ctl.At(at, func() { c.fireRetry(i, at) })
+	c.ctl.AtFunc(at, fireRetryEvent, c, int64(i))
 	c.refreshCtl()
 }
 

@@ -32,10 +32,16 @@ type Framework struct {
 	active []KernelID
 
 	// pendq holds, per context id, the FIFO of launch commands whose head
-	// occupies that context's command buffer. Entries persist (with an empty
-	// queue) once a context has submitted, so the queue's backing array is
-	// reused across submissions.
-	pendq map[int]*ctxPending
+	// occupies that context's command buffer. An entry lives from the
+	// context's first submission until ReleaseContext, which moves it to
+	// cpFree; a later context's first submission takes it from there, so
+	// queue backing arrays are reused across the processes of an open
+	// system.
+	pendq  map[int]*ctxPending
+	cpFree []*ctxPending
+	// ksrFree holds the KSRs of finished kernels for reuse by allocKSR. A
+	// KSR goes back only after its kernel's OnDone callback has returned.
+	ksrFree []*KSR
 	// pendingCtxs keeps contexts with pending commands in the arrival order
 	// of their current head. It stays sorted by head-enqueue time (stable on
 	// ties), so insertion is a binary search and removal is O(1) lookup via
@@ -218,7 +224,12 @@ func (fw *Framework) Submit(cmd *LaunchCmd) error {
 	ctxID := cmd.Ctx.ID
 	cp := fw.pendq[ctxID]
 	if cp == nil {
-		cp = &ctxPending{id: ctxID, pos: -1}
+		if n := len(fw.cpFree); n > 0 {
+			cp, fw.cpFree = fw.cpFree[n-1], fw.cpFree[:n-1]
+			cp.id = ctxID
+		} else {
+			cp = &ctxPending{id: ctxID, pos: -1}
+		}
 		fw.pendq[ctxID] = cp
 	}
 	wasEmpty := cp.empty()
@@ -262,8 +273,9 @@ func (fw *Framework) occupancy(spec *trace.KernelSpec) (occInfo, error) {
 }
 
 // ReleaseContext retires a GPU context from the framework: its (empty)
-// command-buffer queue is dropped so the per-context bookkeeping does not
-// grow with the lifetime total of an open system's admitted processes. It is
+// command-buffer queue leaves pendq for the free list, so the per-context
+// bookkeeping does not grow with the lifetime total of an open system's
+// admitted processes and the next context reuses the queue. It is
 // an error to release a context that still has pending commands or active
 // kernels; context ids are never reused, so per-SM installed-context state
 // needs no scrubbing.
@@ -276,7 +288,11 @@ func (fw *Framework) ReleaseContext(ctxID int) error {
 			return fmt.Errorf("core: releasing context %d with active kernel %s", ctxID, k.Spec().Name)
 		}
 	}
-	delete(fw.pendq, ctxID)
+	if cp := fw.pendq[ctxID]; cp != nil {
+		delete(fw.pendq, ctxID)
+		cp.cmds, cp.head = cp.cmds[:0], 0
+		fw.cpFree = append(fw.cpFree, cp)
+	}
 	return nil
 }
 
@@ -411,13 +427,20 @@ func (fw *Framework) allocKSR(cmd *LaunchCmd) *KSR {
 		panic(fmt.Sprintf("core: occupancy validated at submit but failed at activation: %v", err))
 	}
 	fw.slots[slot].gen++
-	k := &KSR{
+	var k *KSR
+	if n := len(fw.ksrFree); n > 0 {
+		k, fw.ksrFree = fw.ksrFree[n-1], fw.ksrFree[:n-1]
+	} else {
+		k = &KSR{}
+	}
+	*k = KSR{
 		id:         KernelID{slot: slot, gen: fw.slots[slot].gen},
 		Cmd:        cmd,
 		TBsPerSM:   info.occ,
 		SmemConfig: info.smem,
 		Activated:  fw.eng.Now(),
 		ctxBytes:   fw.cfg.TBContextBytes(cmd.Spec),
+		ptbq:       k.ptbq[:0],
 	}
 	fw.slots[slot].k = k
 	fw.allocSaveArea(k)
@@ -795,7 +818,9 @@ func (fw *Framework) smBecameIdle(s *sm) {
 
 // finishKernel retires a completed kernel: it leaves the active queue, its
 // KSR is freed, the process is notified, and pending commands get a chance
-// to activate.
+// to activate. The KSR struct returns to the free list only once OnDone has
+// returned: the callback may submit and activate further kernels, and those
+// must not be handed the struct still on this call's stack.
 func (fw *Framework) finishKernel(k *KSR) {
 	if !k.Finished() {
 		panic("core: finishing unfinished kernel")
@@ -817,6 +842,8 @@ func (fw *Framework) finishKernel(k *KSR) {
 	if k.Cmd.OnDone != nil {
 		k.Cmd.OnDone(fw.eng.Now())
 	}
+	k.Cmd = nil
+	fw.ksrFree = append(fw.ksrFree, k)
 	fw.tryActivate()
 }
 

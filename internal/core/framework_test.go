@@ -939,3 +939,56 @@ func TestReadAccessors(t *testing.T) {
 	for eng.Step() {
 	}
 }
+
+// TestRecyclingKSRsAndCommandBuffers pins the framework's free lists: a
+// finished kernel's KSR is reused only after its OnDone has returned, so a
+// launch submitted from inside OnDone (as a stream reissues its one command
+// record) gets a different KSR; later launches reuse it; and a released
+// context's command-buffer queue serves the next context.
+func TestRecyclingKSRsAndCommandBuffers(t *testing.T) {
+	pol := &scriptPolicy{}
+	eng, fw, tbl := testFW(t, pol, drainMech{})
+	var ksrs []*KSR
+	pol.onActivated = func(fw *Framework, k KernelID) {
+		ksrs = append(ksrs, fw.Kernel(k))
+		pol.greedyAssign(fw)
+	}
+	a := mustCtx(t, tbl, "a", 0)
+	spec := kernelOcc("k", 2, 5, 1)
+	resubmitted := false
+	cmd := &LaunchCmd{Ctx: a, Spec: spec}
+	cmd.OnDone = func(sim.Time) {
+		if !resubmitted {
+			resubmitted = true
+			if err := fw.Submit(cmd); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := fw.Submit(cmd); err != nil {
+		t.Fatal(err)
+	}
+	runAndValidate(t, eng, fw)
+	submit(t, fw, a, spec)
+	runAndValidate(t, eng, fw)
+	if len(ksrs) != 3 {
+		t.Fatalf("%d activations, want 3", len(ksrs))
+	}
+	if ksrs[1] == ksrs[0] {
+		t.Error("launch submitted from OnDone got the finishing kernel's KSR")
+	}
+	if ksrs[2] != ksrs[0] && ksrs[2] != ksrs[1] {
+		t.Error("third launch did not reuse a finished KSR")
+	}
+
+	cp := fw.pendq[a.ID]
+	if err := fw.ReleaseContext(a.ID); err != nil {
+		t.Fatal(err)
+	}
+	b := mustCtx(t, tbl, "b", 0)
+	submit(t, fw, b, spec)
+	if fw.pendq[b.ID] != cp || fw.pendq[a.ID] != nil || cp.id != b.ID {
+		t.Error("released context's command buffer was not reused by the next context")
+	}
+	runAndValidate(t, eng, fw)
+}

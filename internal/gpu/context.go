@@ -35,10 +35,18 @@ const DefaultContextCapacity = 64
 // ContextTable is the execution engine's table of active contexts (§3.1).
 // The SM driver reads it during SM setup to install per-context state (the
 // context id and base page-table registers) into the SM.
+//
+// The table also keeps a free list of retired Context structs. An open
+// system admits one short-lived process per request, so Create reuses a
+// recycled struct, and its page table's level-2 tables, when one is
+// available. Only the struct is reused: every created context gets a fresh
+// id from a counter that never goes back, because TLB entries, the SMs'
+// installed-context registers and memory owners are keyed by that id.
 type ContextTable struct {
 	capacity int
 	byID     map[int]*Context
 	nextID   int
+	free     []*Context // recycled structs, starts empty
 }
 
 // NewContextTable returns a context table with the given capacity.
@@ -56,11 +64,18 @@ func (t *ContextTable) Create(name string, priority int) (*Context, error) {
 	}
 	id := t.nextID
 	t.nextID++
-	ctx := &Context{
-		ID:        id,
-		Name:      name,
-		Priority:  priority,
-		PageTable: mmu.NewPageTable(id),
+	var ctx *Context
+	if n := len(t.free); n > 0 {
+		ctx, t.free = t.free[n-1], t.free[:n-1]
+		ctx.PageTable.Reset(id)
+		ctx.ID, ctx.Name, ctx.Priority = id, name, priority
+	} else {
+		ctx = &Context{
+			ID:        id,
+			Name:      name,
+			Priority:  priority,
+			PageTable: mmu.NewPageTable(id),
+		}
 	}
 	t.byID[id] = ctx
 	return ctx, nil
@@ -76,6 +91,21 @@ func (t *ContextTable) Destroy(id int) error {
 	}
 	delete(t.byID, id)
 	return nil
+}
+
+// Recycle hands a destroyed context's struct back for reuse by a later
+// Create. The caller must hold no other reference to it: in particular, it
+// recycles only after the owning process's completion callback has
+// returned. Recycling a live context, or one whose page table still maps
+// pages, is a caller bug and panics.
+func (t *ContextTable) Recycle(ctx *Context) {
+	if t.byID[ctx.ID] == ctx {
+		panic(fmt.Sprintf("gpu: recycling live context %d", ctx.ID))
+	}
+	if n := ctx.PageTable.Mapped(); n != 0 {
+		panic(fmt.Sprintf("gpu: recycling context %d with %d mapped pages", ctx.ID, n))
+	}
+	t.free = append(t.free, ctx)
 }
 
 // Len returns the number of active contexts.

@@ -3,6 +3,7 @@ package gpu
 import (
 	"testing"
 
+	"repro/internal/mmu"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -203,4 +204,89 @@ func TestContextTable(t *testing.T) {
 	if tbl.Len() != 1 || tbl.Capacity() != 2 {
 		t.Errorf("Len=%d Cap=%d", tbl.Len(), tbl.Capacity())
 	}
+}
+
+// TestContextRecycling pins what a recycled context may and may not carry
+// over from its previous owner: the struct and its page table's level-2
+// tables are reused, but the id is fresh, no translation survives, and a TLB
+// entry filled under the old id never hits for the new one.
+func TestContextRecycling(t *testing.T) {
+	tbl := NewContextTable(4)
+	old, err := tbl.Create("old", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oldID := old.ID
+	va, err := old.PageTable.AllocRegion(0x400000, 3*mmu.PageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tlb := mmu.NewTLB(8)
+	if _, err := tlb.Lookup(old.PageTable, va); err != nil {
+		t.Fatal(err)
+	}
+	if err := old.PageTable.Unmap(va, 3); err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.Destroy(oldID); err != nil {
+		t.Fatal(err)
+	}
+	tbl.Recycle(old)
+
+	ctx, err := tbl.Create("new", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ctx != old {
+		t.Fatal("Create did not reuse the recycled context")
+	}
+	if ctx.ID <= oldID || ctx.PageTable.ASID != ctx.ID || ctx.Name != "new" || ctx.Priority != 1 {
+		t.Fatalf("recycled context: id %d (old %d), asid %d, name %q, priority %d",
+			ctx.ID, oldID, ctx.PageTable.ASID, ctx.Name, ctx.Priority)
+	}
+	if n := ctx.PageTable.Mapped(); n != 0 {
+		t.Fatalf("recycled page table maps %d pages", n)
+	}
+	if _, err := ctx.PageTable.Translate(va); err == nil {
+		t.Fatal("recycled page table translates the previous owner's save area")
+	}
+	hits, faults := tlb.Hits, tlb.Faults
+	if _, err := tlb.Lookup(ctx.PageTable, va); err == nil || tlb.Hits != hits || tlb.Faults != faults+1 {
+		t.Fatalf("TLB lookup of the previous owner's VA: err %v, hits %d->%d, faults %d->%d",
+			err, hits, tlb.Hits, faults, tlb.Faults)
+	}
+	// The new owner's first region lands at the same VA; the TLB must walk
+	// the new mapping rather than return the retired ASID's entry.
+	va2, err := ctx.PageTable.AllocRegion(0x900000, mmu.PageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if va2 != va {
+		t.Fatalf("recycled address space starts at %#x, want %#x", uint64(va2), uint64(va))
+	}
+	pa, err := tlb.Lookup(ctx.PageTable, va)
+	if err != nil || pa != 0x900000 || tlb.Hits != hits {
+		t.Fatalf("TLB lookup after remap: pa %#x, err %v, hits %d->%d", uint64(pa), err, hits, tlb.Hits)
+	}
+}
+
+func TestContextRecycleRejectsMisuse(t *testing.T) {
+	tbl := NewContextTable(2)
+	live, _ := tbl.Create("live", 0)
+	mustPanic(t, "recycling a live context", func() { tbl.Recycle(live) })
+	if _, err := live.PageTable.AllocRegion(0, mmu.PageSize); err != nil {
+		t.Fatal(err)
+	}
+	tbl.Destroy(live.ID) //nolint:errcheck // live
+	mustPanic(t, "recycling a context with mapped pages", func() { tbl.Recycle(live) })
+}
+
+func mustPanic(t *testing.T, what string, fn func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("%s did not panic", what)
+		}
+	}()
+	fn()
 }

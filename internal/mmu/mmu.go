@@ -32,7 +32,9 @@ const (
 // the physical location named by the base page table register of §3.1.
 // Level-2 tables are dense arrays with a presence bitmap — like the real
 // structure, and unlike a hash map it makes the per-activation save-area
-// map/unmap traffic a handful of array stores with no allocation.
+// map/unmap traffic a handful of array stores with no allocation. An emptied
+// level-2 table stays attached, so a recycled page table (Reset) maps its
+// next owner's save areas into the tables its previous owner grew.
 type PageTable struct {
 	ASID int // address-space identifier (the GPU context id)
 	root []*ptLevel2
@@ -57,6 +59,18 @@ func NewPageTable(asid int) *PageTable {
 		ASID: asid,
 		next: PageSize, // keep page 0 unmapped to catch null derefs
 	}
+}
+
+// Reset readies an empty page table for a new address space: the ASID and
+// the growing virtual address space start over, and the level-2 tables are
+// kept for reuse. Resetting a table that still maps pages is a caller bug
+// and panics, since the new owner would inherit the old owner's translations.
+func (pt *PageTable) Reset(asid int) {
+	if n := pt.Mapped(); n != 0 {
+		panic(fmt.Sprintf("mmu: resetting asid %d with %d mapped pages", pt.ASID, n))
+	}
+	pt.ASID = asid
+	pt.next = PageSize
 }
 
 // level2 returns the level-2 table for an L1 index, growing the root and
@@ -113,9 +127,6 @@ func (pt *PageTable) Unmap(va VAddr, npages int) error {
 		}
 		tbl.clear(l2)
 		tbl.count--
-		if tbl.count == 0 {
-			pt.root[l1] = nil
-		}
 	}
 	return nil
 }
@@ -160,7 +171,10 @@ func (pt *PageTable) AllocRegion(pa gmem.PAddr, size int64) (VAddr, error) {
 
 // TLB is a per-SM translation lookaside buffer with LRU replacement. A miss
 // walks the page table selected by the SM's base page table register (here:
-// the PageTable passed to Lookup).
+// the PageTable passed to Lookup). The entry map is created by the first
+// Lookup that fills an entry: an SM translates only on the context
+// save/restore path, which many SMs of a large fleet never take. Flush,
+// FlushASID and Len work on the nil map.
 type TLB struct {
 	capacity int
 	entries  map[tlbKey]tlbEntry
@@ -186,7 +200,7 @@ func NewTLB(capacity int) *TLB {
 	if capacity <= 0 {
 		panic("mmu: non-positive TLB capacity")
 	}
-	return &TLB{capacity: capacity, entries: make(map[tlbKey]tlbEntry, capacity)}
+	return &TLB{capacity: capacity}
 }
 
 // Lookup translates va through the TLB, walking pt on a miss.
@@ -206,6 +220,9 @@ func (t *TLB) Lookup(pt *PageTable, va VAddr) (gmem.PAddr, error) {
 		return 0, err
 	}
 	base := pa - gmem.PAddr(uint64(va)&(PageSize-1))
+	if t.entries == nil {
+		t.entries = make(map[tlbKey]tlbEntry, t.capacity)
+	}
 	if len(t.entries) >= t.capacity {
 		t.evict()
 	}

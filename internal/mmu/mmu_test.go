@@ -245,3 +245,68 @@ func TestPageTableIsolation(t *testing.T) {
 		t.Fatalf("isolation violated: %#x %#x", uint64(pa), uint64(pb))
 	}
 }
+
+// TestPageTableResetReusesLevel2 pins recycling: an emptied table keeps its
+// level-2 tables, so a Reset table maps its next owner's region without
+// allocating, and Reset refuses a table that still maps pages.
+func TestPageTableResetReusesLevel2(t *testing.T) {
+	pt := NewPageTable(1)
+	va, err := pt.AllocRegion(0x100000, 2*PageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("Reset of a table with mapped pages did not panic")
+			}
+		}()
+		pt.Reset(2)
+	}()
+	if err := pt.Unmap(va, 2); err != nil {
+		t.Fatal(err)
+	}
+	if a := testing.AllocsPerRun(20, func() {
+		pt.Reset(2)
+		v, err := pt.AllocRegion(0x300000, 2*PageSize)
+		if err != nil || v != va {
+			t.Fatalf("AllocRegion after Reset: va %#x, err %v", uint64(v), err)
+		}
+		if err := pt.Unmap(v, 2); err != nil {
+			t.Fatal(err)
+		}
+	}); a != 0 {
+		t.Errorf("Reset+AllocRegion+Unmap allocates %v times, want 0", a)
+	}
+	if pt.ASID != 2 || pt.Mapped() != 0 {
+		t.Errorf("after reuse: asid %d, %d pages mapped", pt.ASID, pt.Mapped())
+	}
+}
+
+// TestTLBMapIsLazy pins that a TLB costs no map until a lookup fills an
+// entry, that the maintenance calls work before then, and that a faulting
+// lookup counts exactly as it does on a filled TLB.
+func TestTLBMapIsLazy(t *testing.T) {
+	tlb := NewTLB(4)
+	tlb.Flush()
+	tlb.FlushASID(1)
+	if tlb.Len() != 0 || tlb.entries != nil {
+		t.Fatalf("fresh TLB: len %d, map allocated %v", tlb.Len(), tlb.entries != nil)
+	}
+	pt := NewPageTable(1)
+	if _, err := tlb.Lookup(pt, PageSize); err == nil {
+		t.Fatal("lookup of an unmapped VA succeeded")
+	}
+	if tlb.Misses != 1 || tlb.Faults != 1 || tlb.Hits != 0 || tlb.Len() != 0 {
+		t.Fatalf("after fault: hits %d misses %d faults %d len %d", tlb.Hits, tlb.Misses, tlb.Faults, tlb.Len())
+	}
+	pt.Map(PageSize, 0x10000, 1) //nolint:errcheck // fresh table
+	for i := 0; i < 2; i++ {
+		if _, err := tlb.Lookup(pt, PageSize); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if tlb.Misses != 2 || tlb.Hits != 1 || tlb.Len() != 1 {
+		t.Fatalf("after fill: hits %d misses %d len %d", tlb.Hits, tlb.Misses, tlb.Len())
+	}
+}

@@ -12,6 +12,12 @@
 // (§4.1): a CPU phase is a maximal run of adjacent trace CPU ops, replayed
 // as one cpu.Model phase of their summed duration. The trace keeps every
 // op; only the replay folds them.
+//
+// A finished process can be recycled for another run in a fresh context
+// (Reuse). Open-system admission does this for every request, so a
+// machine's processes, their streams, stream queues, per-stream command
+// records, run records and continuations are allocated once per concurrent
+// request rather than once per request.
 package proc
 
 import (
@@ -82,6 +88,13 @@ type stream struct {
 	head   int // index of the stream's oldest queued command
 	busy   bool
 	onDone func(at sim.Time) // the stream's completion continuation, allocated once
+
+	// The stream's command records. A stream has at most one outstanding
+	// command, and neither engine reads a command once it has called its
+	// OnDone, so one record of each kind serves every command the stream
+	// issues.
+	launch core.LaunchCmd
+	xfer   pcie.Command
 }
 
 type queuedCmd struct {
@@ -147,6 +160,31 @@ func NewWithContext(sys *system.System, ctx *gpu.Context, app *trace.App) (*Proc
 		return nil, fmt.Errorf("proc: nil context")
 	}
 	return newProcess(sys, ctx, app), nil
+}
+
+// Reuse readies a finished process for one more run of app inside ctx, as if
+// it were fresh from NewWithContext: the run records and the started flag
+// reset, and the streams, queues and continuations are kept. Loop,
+// RestartGap and OnRunComplete are the caller's and stay as set. Only a
+// process with nothing in flight can be reused: one that never started, or
+// whose run completed without looping.
+func (p *Process) Reuse(ctx *gpu.Context, app *trace.App) error {
+	if err := app.Validate(); err != nil {
+		return err
+	}
+	if ctx == nil {
+		return fmt.Errorf("proc: nil context")
+	}
+	if p.Loop || p.outstanding > 0 || p.inCPUPhase || p.waitingSync || (p.started && len(p.runs) == 0) {
+		return fmt.Errorf("proc: reusing process %s with a run in flight", p.app.Name)
+	}
+	p.ctx, p.app = ctx, app
+	p.opIdx = 0
+	p.runStart = 0
+	p.firstIssue = -1
+	p.runs = p.runs[:0]
+	p.started = false
+	return nil
 }
 
 // Ctx returns the process's GPU context.
@@ -297,12 +335,13 @@ func (p *Process) dispatch(st *stream) {
 	switch cmd.op.Kind {
 	case trace.OpLaunch:
 		spec := &p.app.Kernels[cmd.op.Kernel]
-		err := p.sys.Exec.Submit(&core.LaunchCmd{
+		st.launch = core.LaunchCmd{
 			Ctx:     p.ctx,
 			Spec:    spec,
 			OnStart: p.kernelStarted,
 			OnDone:  onDone,
-		})
+		}
+		err := p.sys.Exec.Submit(&st.launch)
 		if err != nil {
 			panic(fmt.Sprintf("proc: submitting kernel %s: %v", spec.Name, err))
 		}
@@ -311,14 +350,15 @@ func (p *Process) dispatch(st *stream) {
 		if cmd.op.Kind == trace.OpD2H {
 			dir = pcie.DeviceToHost
 		}
-		err := p.sys.DMA.Submit(&pcie.Command{
+		st.xfer = pcie.Command{
 			CtxID:    p.ctx.ID,
 			Name:     p.app.Name,
 			Dir:      dir,
 			Bytes:    cmd.op.Bytes,
 			Priority: p.ctx.Priority,
 			OnDone:   onDone,
-		})
+		}
+		err := p.sys.DMA.Submit(&st.xfer)
 		if err != nil {
 			panic(fmt.Sprintf("proc: submitting transfer: %v", err))
 		}

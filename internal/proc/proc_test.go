@@ -438,3 +438,59 @@ func TestCPURunFoldOneSMTDecisionPerRun(t *testing.T) {
 		t.Errorf("folded run equals its unfolded twin %+v under SMT contention; the test no longer pins the fold", twin)
 	}
 }
+
+// TestReuseReplaysLikeAFreshProcess pins Reuse: a finished process rerun in
+// a new context produces the same run as a fresh process started at the
+// same time on a twin machine, and a process with a run in flight (or a
+// looping one) refuses reuse.
+func TestReuseReplaysLikeAFreshProcess(t *testing.T) {
+	sys := testSystem(t)
+	app := simpleApp("app")
+	p, err := New(sys, app, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Start(0)
+	if err := p.Reuse(sys.Contexts.Lookup(p.Ctx().ID), app); err == nil {
+		t.Fatal("Reuse of a process with a run in flight succeeded")
+	}
+	if err := sys.Eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	ctx, err := sys.NewContext("again", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := sys.Eng.Now()
+	if err := p.Reuse(ctx, app); err != nil {
+		t.Fatal(err)
+	}
+	if p.Ctx() != ctx || p.CompletedRuns() != 0 {
+		t.Fatalf("after Reuse: ctx %d, %d runs", p.Ctx().ID, p.CompletedRuns())
+	}
+	p.Start(start)
+	if err := sys.Eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The twin: a fresh machine idles until the same start, then runs a
+	// fresh process with the same priority.
+	twin := testSystem(t)
+	q, err := New(twin, app, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q.Start(start)
+	if err := twin.Eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	got, want := p.Runs(), q.Runs()
+	if len(got) != 1 || len(want) != 1 || got[0].Turnaround() != want[0].Turnaround() || got[0].FirstIssue-got[0].Start != want[0].FirstIssue-want[0].Start {
+		t.Errorf("reused run %+v, fresh run %+v", got, want)
+	}
+
+	p.Loop = true
+	if err := p.Reuse(ctx, app); err == nil {
+		t.Error("Reuse of a looping process succeeded")
+	}
+}
