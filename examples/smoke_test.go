@@ -1,18 +1,25 @@
 // Package examples smoke-tests every runnable example: each program must
-// build and run to completion (with a tiny configuration) so the examples
-// cannot silently rot as the library evolves. The test is part of the
-// ordinary `go test ./...` tree and therefore runs in CI.
+// build, run to completion (with a tiny configuration) and print exactly its
+// pinned output in testdata/<name>.golden, so the examples cannot silently
+// rot or drift as the library evolves. The test is part of the ordinary
+// `go test ./...` tree and therefore runs in CI. Regenerate the goldens
+// after an intended output change with
+//
+//	go test ./examples -run TestExamplesSmoke -update
 package examples
 
 import (
 	"bytes"
 	"context"
+	"flag"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"testing"
 	"time"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/<example>.golden from the current output")
 
 // smokeCases lists every example with the arguments of its tiny
 // configuration. Keep this table in sync with the directories under
@@ -43,7 +50,7 @@ func TestExamplesCovered(t *testing.T) {
 		covered[c.name] = true
 	}
 	for _, e := range entries {
-		if !e.IsDir() {
+		if !e.IsDir() || e.Name() == "testdata" {
 			continue
 		}
 		if !covered[e.Name()] {
@@ -53,7 +60,8 @@ func TestExamplesCovered(t *testing.T) {
 }
 
 // TestExamplesSmoke builds every example once and runs each with its tiny
-// configuration, requiring a zero exit status and non-empty output.
+// configuration, requiring a zero exit status and output byte-identical to
+// the example's golden file (every example is deterministic).
 func TestExamplesSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("example smoke runs in -short mode")
@@ -78,6 +86,20 @@ func TestExamplesSmoke(t *testing.T) {
 			}
 			if out.Len() == 0 {
 				t.Errorf("examples/%s produced no output", tc.name)
+			}
+			golden := filepath.Join("testdata", tc.name+".golden")
+			if *update {
+				if err := os.WriteFile(golden, out.Bytes(), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(golden)
+			if err != nil {
+				t.Fatalf("%v (run with -update to create it)", err)
+			}
+			if !bytes.Equal(out.Bytes(), want) {
+				t.Errorf("examples/%s output differs from %s:\n got:\n%s\nwant:\n%s", tc.name, golden, out.String(), want)
 			}
 		})
 	}
