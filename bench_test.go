@@ -390,10 +390,10 @@ func BenchmarkRunOpen(b *testing.B) {
 	spec := &ArrivalSpec{
 		Process: ArrivalPoisson,
 		Rate:    30000,
-		Horizon: 4 * time.Millisecond,
+		Horizon: SimTime(4 * time.Millisecond),
 		Classes: []ArrivalClass{
-			{Name: "rt", Priority: 1, Weight: 1, Deadline: 250 * time.Microsecond, Apps: []*App{spmv.Scale(96)}},
-			{Name: "batch", Priority: 0, Weight: 3, Apps: []*App{lbm.Scale(96)}},
+			{Name: "rt", Priority: 1, Weight: 1, Deadline: SimTime(250 * time.Microsecond), Apps: []AppChoice{{App: spmv.Scale(96), Weight: 1}}},
+			{Name: "batch", Priority: 0, Weight: 3, Apps: []AppChoice{{App: lbm.Scale(96), Weight: 1}}},
 		},
 	}
 	opts := Options{Policy: PolicyPPQ, Mechanism: MechanismAdaptive, Seed: 7, Arrivals: spec}
@@ -432,11 +432,11 @@ func benchClusterOpts(b *testing.B) Options {
 	spec := &ArrivalSpec{
 		Process:     ArrivalPoisson,
 		Rate:        2e6,
-		Horizon:     2 * time.Second,
+		Horizon:     SimTime(2 * time.Second),
 		MaxArrivals: 1_000_000,
 		Classes: []ArrivalClass{
-			{Name: "rt", Priority: 1, Weight: 1, Deadline: 250 * time.Microsecond, Apps: []*App{spmv.Scale(1 << 20)}},
-			{Name: "batch", Priority: 0, Weight: 3, Apps: []*App{lbm.Scale(1 << 20)}},
+			{Name: "rt", Priority: 1, Weight: 1, Deadline: SimTime(250 * time.Microsecond), Apps: []AppChoice{{App: spmv.Scale(1 << 20), Weight: 1}}},
+			{Name: "batch", Priority: 0, Weight: 3, Apps: []AppChoice{{App: lbm.Scale(1 << 20), Weight: 1}}},
 		},
 	}
 	opts := Options{
@@ -493,8 +493,8 @@ func BenchmarkRunCluster(b *testing.B) {
 				}
 				last = res
 			}
-			if last.Completed != opts.Arrivals.Trace.Len() {
-				b.Fatalf("completed %d of %d arrivals", last.Completed, opts.Arrivals.Trace.Len())
+			if n := len(opts.Arrivals.Trace.Arrivals); last.Completed != n {
+				b.Fatalf("completed %d of %d arrivals", last.Completed, n)
 			}
 			b.ReportMetric(float64(last.Completed)/b.Elapsed().Seconds()*float64(b.N), "requests/s")
 		})

@@ -119,5 +119,5 @@ func (b *AppBuilder) Build() (*App, error) {
 	if err := b.app.Validate(); err != nil {
 		return nil, err
 	}
-	return &App{t: b.app}, nil
+	return b.app, nil
 }

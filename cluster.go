@@ -3,7 +3,6 @@ package repro
 import (
 	"fmt"
 	"io"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/resilience"
@@ -48,6 +47,13 @@ type (
 	// ShedPolicy is admission control: per-class live-request ceilings, a
 	// bounded overflow queue, and shedding past it.
 	ShedPolicy = resilience.ShedPolicy
+	// ClusterResult reports a cluster simulation: the fleet-wide rollup plus
+	// each GPU's outcome in Nodes, indexed by GPU number. Dispatcher and
+	// Executor name the placement policy and the execution strategy that
+	// ran; Stats.PreemptionsDone counts completed SM preemptions.
+	ClusterResult = cluster.Result
+	// NodeReport is one simulated GPU slot's outcome in a cluster run.
+	NodeReport = cluster.NodeResult
 )
 
 // Available dispatch policies.
@@ -72,113 +78,15 @@ const (
 	DispatchLeastLoadedFits = cluster.KindLeastLoadedFits
 )
 
-// Execution strategies reported by ClusterResult.Executor.
+// Execution strategies reported by ClusterResult.Executor, which describes
+// both.
 const (
-	// ExecutorLockstep steps events one at a time: the reference.
-	ExecutorLockstep = cluster.ExecutorLockstep
-	// ExecutorParallelWindow runs arrivals and node events in parallel-in-time
-	// windows; it produces byte-identical results to lockstep at any worker
-	// count.
+	ExecutorLockstep       = cluster.ExecutorLockstep
 	ExecutorParallelWindow = cluster.ExecutorParallelWindow
 )
 
 // DispatchKinds lists the dispatch policies in report order.
 func DispatchKinds() []DispatchKind { return cluster.Kinds() }
-
-// NodeReport is one simulated GPU slot's outcome in a cluster run.
-type NodeReport struct {
-	// Node is the GPU's index in the cluster.
-	Node int
-	// Admitted/Completed/Lost/InFlight/Missed are dispatch-attempt counts on
-	// this GPU (Lost counts attempts destroyed by kills of this GPU).
-	Admitted, Completed, Lost, InFlight, Missed int
-	// State is the GPU's lifecycle state at the end ("up", "draining",
-	// "down", "retired").
-	State string
-	// Incarnations counts the machines that occupied this slot (1 + kills
-	// survived).
-	Incarnations int
-	// TimeScale is the final incarnation's service-time multiplier (>1 =
-	// straggler or slow node type).
-	TimeScale float64
-	// UpTime is how long the slot was serving (Up or Draining).
-	UpTime time.Duration
-	// Utilization is this GPU's SM busy fraction.
-	Utilization float64
-	// Preemptions counts completed SM preemptions on this GPU.
-	Preemptions int
-	// HBM is the GPU's device-memory capacity in bytes. Spills counts
-	// requests whose working set did not fit at admission and swapped out to
-	// the host; SwapIns counts completed swap-back-ins (both zero without
-	// Options.Swap — blocked requests just wait); the byte fields are the
-	// matching traffic (lost = destroyed by kills before the swap-in).
-	HBM                                      int64
-	Spills, SwapIns                          int
-	SwapOutBytes, SwapInBytes, SwapLostBytes int64
-}
-
-// ClusterResult reports a cluster simulation: the fleet-wide rollup (same
-// shape as OpenResult) plus each GPU's individual outcome.
-type ClusterResult struct {
-	// Dispatch is the placement policy that produced this result.
-	Dispatch DispatchKind
-	// Autoscale names the scaling policy ("" = fixed fleet).
-	Autoscale string
-	// Executor names the execution strategy the run used: "parallel-window"
-	// when Options.ParWindow engaged the parallel-in-time loop, "lockstep"
-	// for the event-by-event reference — including when a positive ParWindow
-	// fell back. The cluster layer falls back in three cases: the run armed
-	// Options.Resilience (the lifecycle manager couples nodes through the
-	// control engine mid-window), the dispatcher does not qualify for the
-	// latency-floor lookahead (it neither declares a merge-reconstructible
-	// read set nor is load-oblivious), or the fleet's PCIe dispatch floor is
-	// zero. Every DispatchKind qualifies and every PCIe generation keeps a
-	// positive floor, so through Options only Resilience falls back. The two
-	// strategies produce byte-identical results; this field only reports
-	// which one ran.
-	Executor string
-	// Classes lists fleet-wide per-class outcomes in spec order (per-node
-	// counters summed, latency sketches merged).
-	Classes []ClassReport
-	// Nodes lists per-GPU outcomes in node order.
-	Nodes []NodeReport
-	// Admitted = Completed + Lost + InFlight across the fleet
-	// (conservation). A request re-dispatched after a kill is a new
-	// admission, so Admitted counts attempts.
-	Admitted, Completed, Lost, InFlight, Missed int
-	// EndTime is the virtual time the simulation stopped.
-	EndTime time.Duration
-	// Utilization is the mean SM busy fraction across GPUs.
-	Utilization float64
-	// Goodput is fleet-wide SLO-compliant completions per simulated second.
-	Goodput float64
-	// NodeSeconds is the capacity the run consumed: total serving GPU time
-	// in simulated seconds — the cost axis autoscaling trades against SLO
-	// attainment.
-	NodeSeconds float64
-	// LostWork is in-flight virtual time destroyed by kills.
-	LostWork time.Duration
-	// ScaleUps/Drains/Kills/Restarts count fleet control events.
-	ScaleUps, Drains, Kills, Restarts int
-	// Preemptions counts completed SM preemptions across the fleet.
-	Preemptions int
-	// Spills/SwapIns and the swap byte flows sum per-GPU swap activity (all
-	// zero without Options.Swap and with every working set resident).
-	Spills, SwapIns                          int
-	SwapOutBytes, SwapInBytes, SwapLostBytes int64
-
-	// The request-lifecycle fields below are filled only when
-	// Options.Resilience armed the lifecycle manager; they stay zero
-	// otherwise. Requests counts trace arrivals; each resolves exactly once
-	// as ReqCompleted, Dropped (retries or budget exhausted), Shed (refused
-	// by admission control) or remains in ReqInFlight.
-	Requests, ReqCompleted, Dropped, Shed, ReqInFlight int
-	// TimedOut and Canceled count abandoned attempts (per-attempt deadline,
-	// hedge-race losers); Retries and Hedges count re-dispatched and hedged
-	// attempts; Rejected counts attempts refused by a full GPU (included in
-	// Lost); BreakerTrips counts circuit breakers opening.
-	TimedOut, Canceled, Retries, Hedges, Rejected, BreakerTrips int
-}
 
 // ReadClusterTopology parses a cluster topology (GPU count or heterogeneous
 // node types, dispatch policy, optional dispatch seed, per-node context
@@ -232,14 +140,14 @@ func clusterWarmth(o Options, crc cluster.RunConfig) (*cluster.Warmth, error) {
 			seed = o.Seed
 		}
 		spec.Seed = rng.SeedFrom(seed, warmSeedTag)
-		spec.Horizon = o.WarmStart
+		spec.Horizon = SimTime(o.WarmStart)
 		spec.MaxArrivals = 0
 	}
 	wat, err := spec.Synthesize(o)
 	if err != nil {
 		return nil, err
 	}
-	wc, err := cluster.New(wat.t, crc)
+	wc, err := cluster.New(wat, crc)
 	if err != nil {
 		return nil, err
 	}
@@ -257,11 +165,10 @@ func clusterWarmth(o Options, crc cluster.RunConfig) (*cluster.Warmth, error) {
 // fleet of simulated GPUs behind the o.Dispatch placement policy. The fleet
 // starts as o.Nodes identical GPUs (or the heterogeneous o.NodeTypes) and —
 // when o.Autoscale or o.Faults is set — grows, drains, fails and recovers as
-// the run unfolds. Everything runs in deterministic lockstep (per-GPU event
-// engines plus a fleet control engine merged by timestamp), so results are
-// byte-identical across runs and worker counts. Each GPU runs its own
-// instance of the configured scheduling policy and preemption mechanism; a
-// completed request retires on the GPU that ran it.
+// the run unfolds. Either executor (see ClusterResult.Executor) gives
+// byte-identical results across runs and worker counts. Each GPU runs its
+// own instance of the configured scheduling policy and preemption mechanism;
+// a completed request retires on the GPU that ran it.
 func RunCluster(o Options) (*ClusterResult, error) {
 	o = o.fill()
 	if o.Arrivals == nil {
@@ -325,79 +232,9 @@ func RunCluster(o Options) (*ClusterResult, error) {
 		}
 		crc.Warmth = w
 	}
-	cl, err := cluster.New(at.t, crc)
+	cl, err := cluster.New(at, crc)
 	if err != nil {
 		return nil, err
 	}
-	res, err := cl.Run()
-	if err != nil {
-		return nil, err
-	}
-
-	out := &ClusterResult{
-		Dispatch:    DispatchKind(res.Dispatcher),
-		Autoscale:   res.Autoscaler,
-		Executor:    cl.Executor(),
-		Admitted:    res.Admitted,
-		Completed:   res.Completed,
-		Lost:        res.Lost,
-		InFlight:    res.InFlight,
-		Missed:      res.Missed,
-		EndTime:     time.Duration(res.EndTime),
-		Utilization: res.Utilization,
-		Goodput:     res.Goodput,
-		NodeSeconds: res.NodeSeconds,
-		LostWork:    time.Duration(res.LostWork),
-		ScaleUps:    res.ScaleUps,
-		Drains:      res.Drains,
-		Kills:       res.Kills,
-		Restarts:    res.Restarts,
-		Preemptions: res.Stats.PreemptionsDone,
-
-		Spills:        res.Spills,
-		SwapIns:       res.SwapIns,
-		SwapOutBytes:  res.SwapOutBytes,
-		SwapInBytes:   res.SwapInBytes,
-		SwapLostBytes: res.SwapLostBytes,
-
-		Requests:     res.Requests,
-		ReqCompleted: res.ReqCompleted,
-		Dropped:      res.Dropped,
-		Shed:         res.Shed,
-		ReqInFlight:  res.ReqInFlight,
-		TimedOut:     res.TimedOut,
-		Canceled:     res.Canceled,
-		Retries:      res.Retries,
-		Hedges:       res.Hedges,
-		Rejected:     res.Rejected,
-		BreakerTrips: res.BreakerTrips,
-	}
-	for i := range res.Classes {
-		out.Classes = append(out.Classes, classReport(&res.Classes[i]))
-	}
-	for i := range res.Nodes {
-		n := &res.Nodes[i]
-		out.Nodes = append(out.Nodes, NodeReport{
-			Node:         i,
-			Admitted:     n.Admitted,
-			Completed:    n.Completed,
-			Lost:         n.Lost,
-			InFlight:     n.InFlight,
-			Missed:       n.Missed,
-			State:        n.State.String(),
-			Incarnations: n.Incarnations,
-			TimeScale:    n.TimeScale,
-			UpTime:       time.Duration(n.UpTime),
-			Utilization:  n.Utilization,
-			Preemptions:  n.Stats.PreemptionsDone,
-
-			HBM:           n.HBM,
-			Spills:        n.Spills,
-			SwapIns:       n.SwapIns,
-			SwapOutBytes:  n.SwapOutBytes,
-			SwapInBytes:   n.SwapInBytes,
-			SwapLostBytes: n.SwapLostBytes,
-		})
-	}
-	return out, nil
+	return cl.Run()
 }

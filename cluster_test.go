@@ -29,18 +29,18 @@ func TestRunCluster(t *testing.T) {
 	if res.Admitted != res.Completed+res.InFlight {
 		t.Errorf("conservation violated: %d != %d + %d", res.Admitted, res.Completed, res.InFlight)
 	}
-	if res.Dispatch != DispatchJSQ {
-		t.Errorf("dispatch = %q, want jsq", res.Dispatch)
+	if res.Dispatcher != string(DispatchJSQ) {
+		t.Errorf("dispatch = %q, want jsq", res.Dispatcher)
 	}
 	if len(res.Nodes) != 3 {
 		t.Fatalf("nodes = %d, want 3", len(res.Nodes))
 	}
 	var adm, done int
-	for _, n := range res.Nodes {
+	for i, n := range res.Nodes {
 		adm += n.Admitted
 		done += n.Completed
 		if n.Admitted != n.Completed+n.InFlight {
-			t.Errorf("node %d conservation violated", n.Node)
+			t.Errorf("node %d conservation violated", i)
 		}
 	}
 	if adm != res.Admitted || done != res.Completed {
@@ -261,7 +261,7 @@ func testFullTopology(t *testing.T) {
 	if !reflect.DeepEqual(fromFile, byHand) {
 		t.Error("RunCluster on the topology differs from RunCluster on the hand-built options")
 	}
-	if fromFile.Requests == 0 || fromFile.Autoscale == "" {
+	if fromFile.Requests == 0 || fromFile.Autoscaler == "" {
 		t.Errorf("topology run did not arm the lifecycle manager and autoscaler: %+v", fromFile)
 	}
 }

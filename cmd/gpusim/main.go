@@ -12,10 +12,12 @@
 // goodput.
 //
 // With -gpus N (N > 1) the open system becomes a fleet: N identical GPUs
-// run in deterministic lockstep behind the -dispatch placement policy
-// (round-robin, join-shortest-queue, predicted-backlog least-loaded,
-// class-affinity, or seeded power-of-two-choices), and the report adds each
-// GPU's share of the work. -cluster loads the same topology from JSON.
+// run behind the -dispatch placement policy (round-robin,
+// join-shortest-queue, predicted-backlog least-loaded, class-affinity, or
+// seeded power-of-two-choices), and the report adds each GPU's share of the
+// work. -par-window picks the executor; either one prints the same report
+// (see repro.ClusterResult.Executor). -cluster loads the same topology from
+// JSON.
 //
 // Examples:
 //
@@ -143,7 +145,7 @@ func main() {
 	if *list {
 		for _, n := range repro.Names() {
 			a, _ := repro.AppByName(n)
-			fmt.Printf("%-14s kernels:%-7s app:%s\n", n, a.KernelClass(), a.AppClass())
+			fmt.Printf("%-14s kernels:%-7s app:%s\n", n, a.Class1, a.Class2)
 		}
 		return
 	}
@@ -288,7 +290,7 @@ func main() {
 // best-effort "batch" class; without it every app joins one "open" class.
 // A fleet runs on the cluster layer, anything else on one GPU.
 func runOpen(apps []*repro.App, hp int, mode string, rate float64, horizon, deadline time.Duration, outPath string, phases []repro.ArrivalPhase, fleet bool, opts repro.Options) {
-	spec := &repro.ArrivalSpec{Rate: rate, Horizon: horizon, Phases: phases}
+	spec := &repro.ArrivalSpec{Rate: rate, Horizon: repro.SimTime(horizon), Phases: phases}
 	switch mode {
 	case "poisson", "bursty", "heavytail":
 		spec.Process = repro.ArrivalProcess(mode)
@@ -300,12 +302,12 @@ func runOpen(apps []*repro.App, hp int, mode string, rate float64, horizon, dead
 				rest = apps
 			}
 			spec.Classes = []repro.ArrivalClass{
-				{Name: "rt", Priority: 1, Weight: 1, Deadline: deadline, Apps: []*repro.App{apps[hp]}},
-				{Name: "batch", Priority: 0, Weight: 3, Apps: rest},
+				{Name: "rt", Priority: 1, Weight: 1, Deadline: repro.SimTime(deadline), Apps: uniform(apps[hp : hp+1])},
+				{Name: "batch", Priority: 0, Weight: 3, Apps: uniform(rest)},
 			}
 		} else {
 			spec.Classes = []repro.ArrivalClass{
-				{Name: "open", Priority: 0, Weight: 1, Deadline: deadline, Apps: apps},
+				{Name: "open", Priority: 0, Weight: 1, Deadline: repro.SimTime(deadline), Apps: uniform(apps)},
 			}
 		}
 	default:
@@ -337,7 +339,7 @@ func runOpen(apps []*repro.App, hp int, mode string, rate float64, horizon, dead
 		if err := f.Close(); err != nil {
 			fatal(err)
 		}
-		fmt.Fprintf(os.Stderr, "wrote %d arrivals to %s\n", tr.Len(), outPath)
+		fmt.Fprintf(os.Stderr, "wrote %d arrivals to %s\n", len(tr.Arrivals), outPath)
 	}
 
 	if fleet {
@@ -351,8 +353,17 @@ func runOpen(apps []*repro.App, hp int, mode string, rate float64, horizon, dead
 	fmt.Printf("open system: policy=%s mechanism=%s arrivals=%s seed=%d\n",
 		opts.Policy, orDefault(string(opts.Mechanism), "auto"), mode, opts.Seed)
 	fmt.Printf("simulated time: %v   admitted: %d   completed: %d   in-flight: %d   utilization: %.1f%%   preemptions: %d\n\n",
-		res.EndTime, res.Admitted, res.Completed, res.InFlight, res.Utilization*100, res.Preemptions)
+		time.Duration(res.EndTime), res.Admitted, res.Completed, res.InFlight, res.Utilization*100, res.Stats.PreemptionsDone)
 	printClassTable(res.Classes, res.Goodput)
+}
+
+// uniform weighs every app of a class's mix equally.
+func uniform(apps []*repro.App) []repro.AppChoice {
+	out := make([]repro.AppChoice, len(apps))
+	for i, a := range apps {
+		out[i] = repro.AppChoice{App: a, Weight: 1}
+	}
+	return out
 }
 
 // printClassTable prints the per-class SLO table and goodput footer shared
@@ -362,7 +373,9 @@ func printClassTable(classes []repro.ClassReport, goodput float64) {
 		"class", "admitted", "done", "inflight", "wait-p95", "lat-p50", "lat-p95", "lat-p99", "miss-rate")
 	for _, c := range classes {
 		fmt.Printf("%-8s %9d %6d %8d %12v %12v %12v %12v %10.3f\n",
-			c.Name, c.Admitted, c.Completed, c.InFlight, c.WaitP95, c.LatencyP50, c.LatencyP95, c.LatencyP99, c.MissRate)
+			c.Name, c.Admitted, c.Completed, c.InFlight(), time.Duration(c.Wait.Quantile(0.95)),
+			time.Duration(c.Latency.Quantile(0.50)), time.Duration(c.Latency.Quantile(0.95)),
+			time.Duration(c.Latency.Quantile(0.99)), c.MissRate())
 	}
 	fmt.Printf("\ngoodput=%.0f req/s (SLO-compliant completions per simulated second)\n", goodput)
 }
@@ -444,15 +457,15 @@ func runCluster(mode string, opts repro.Options) {
 			"(-timeout/-retries/-retry-budget/-hedge/-breaker/-shed) couples the GPUs through the control engine mid-window\n", opts.ParWindow)
 	}
 	fmt.Printf("cluster: gpus=%d dispatch=%s policy=%s mechanism=%s arrivals=%s seed=%d",
-		len(res.Nodes), res.Dispatch, opts.Policy, orDefault(string(opts.Mechanism), "auto"), mode, opts.Seed)
-	if res.Autoscale != "" {
-		fmt.Printf(" autoscale=%s", res.Autoscale)
+		len(res.Nodes), res.Dispatcher, opts.Policy, orDefault(string(opts.Mechanism), "auto"), mode, opts.Seed)
+	if res.Autoscaler != "" {
+		fmt.Printf(" autoscale=%s", res.Autoscaler)
 	}
 	fmt.Println()
 	fmt.Printf("simulated time: %v   admitted: %d   completed: %d   in-flight: %d   lost: %d   mean utilization: %.1f%%   preemptions: %d\n",
-		res.EndTime, res.Admitted, res.Completed, res.InFlight, res.Lost, res.Utilization*100, res.Preemptions)
+		time.Duration(res.EndTime), res.Admitted, res.Completed, res.InFlight, res.Lost, res.Utilization*100, res.Stats.PreemptionsDone)
 	fmt.Printf("fleet: node-seconds: %.6f   scale-ups: %d   drains: %d   kills: %d   restarts: %d   lost work: %v\n",
-		res.NodeSeconds, res.ScaleUps, res.Drains, res.Kills, res.Restarts, res.LostWork)
+		res.NodeSeconds, res.ScaleUps, res.Drains, res.Kills, res.Restarts, time.Duration(res.LostWork))
 	if res.Spills > 0 || res.SwapOutBytes > 0 {
 		fmt.Printf("memory: spills: %d   swap-ins: %d   swapped out: %s   swapped in: %s   lost to kills: %s\n",
 			res.Spills, res.SwapIns, bytesHuman(res.SwapOutBytes), bytesHuman(res.SwapInBytes), bytesHuman(res.SwapLostBytes))
@@ -466,9 +479,9 @@ func runCluster(mode string, opts repro.Options) {
 	fmt.Println()
 	fmt.Printf("%-6s %-9s %9s %6s %8s %6s %8s %7s %12s %12s\n",
 		"gpu", "state", "admitted", "done", "inflight", "lost", "missed", "incarn", "uptime", "utilization")
-	for _, n := range res.Nodes {
+	for i, n := range res.Nodes {
 		fmt.Printf("%-6d %-9s %9d %6d %8d %6d %8d %7d %12v %11.1f%%\n",
-			n.Node, n.State, n.Admitted, n.Completed, n.InFlight, n.Lost, n.Missed, n.Incarnations, n.UpTime, n.Utilization*100)
+			i, n.State, n.Admitted, n.Completed, n.InFlight, n.Lost, n.Missed, n.Incarnations, time.Duration(n.UpTime), n.Utilization*100)
 	}
 	fmt.Println()
 	printClassTable(res.Classes, res.Goodput)
@@ -526,7 +539,7 @@ func parsePhases(s string) []repro.ArrivalPhase {
 		if err != nil {
 			fatal(fmt.Errorf("-phases %q: bad duration: %w", part, err))
 		}
-		out = append(out, repro.ArrivalPhase{RateFactor: f, Duration: d})
+		out = append(out, repro.ArrivalPhase{RateFactor: f, Duration: repro.SimTime(d)})
 	}
 	return out
 }

@@ -56,12 +56,12 @@ func main() {
 	spec := &repro.ArrivalSpec{
 		Process: repro.ArrivalPoisson,
 		Rate:    *rate,
-		Horizon: 5 * time.Millisecond,
+		Horizon: repro.SimTime(5 * time.Millisecond),
 		Classes: []repro.ArrivalClass{
-			{Name: "rt", Priority: 1, Weight: 1, Deadline: 30 * time.Microsecond,
-				Apps: []*repro.App{infer}},
+			{Name: "rt", Priority: 1, Weight: 1, Deadline: repro.SimTime(30 * time.Microsecond),
+				Apps: []repro.AppChoice{{App: infer, Weight: 1}}},
 			{Name: "batch", Priority: 0, Weight: 2,
-				Apps: []*repro.App{sgemm.Scale(*scale), lbm.Scale(*scale)}},
+				Apps: []repro.AppChoice{{App: sgemm.Scale(*scale), Weight: 1}, {App: lbm.Scale(*scale), Weight: 1}}},
 		},
 	}
 
@@ -79,7 +79,7 @@ func main() {
 		}
 		return res
 	}
-	rt := func(res *repro.ClusterResult) repro.ClassReport { return res.Classes[0] }
+	rt := func(res *repro.ClusterResult) *repro.ClassReport { return &res.Classes[0] }
 
 	fmt.Printf("offered load: %.0f req/s (overloads one GPU); PPQ + adaptive preemption on every GPU\n\n", *rate)
 
@@ -98,14 +98,14 @@ func main() {
 		}
 		c := rt(res)
 		fmt.Printf("%-5d %9d %6d %12v %12v %12v %9.1f%% %14.0f\n",
-			gpus, res.Admitted, res.Completed, res.EndTime.Round(10*time.Microsecond),
-			c.LatencyP50, c.LatencyP99, c.MissRate*100, res.Goodput)
+			gpus, res.Admitted, res.Completed, time.Duration(res.EndTime).Round(10*time.Microsecond),
+			time.Duration(c.Latency.Quantile(0.50)), time.Duration(c.Latency.Quantile(0.99)), c.MissRate()*100, res.Goodput)
 	}
 
 	// Part 2: placement at fixed hardware — JSQ vs blind round-robin.
 	fmt.Println("\n=== 4 GPUs: round-robin vs join-shortest-queue ===")
 	fmt.Printf("%-12s %12s %12s %10s %s\n", "dispatch", "rt-p99", "rt-wait-p95", "rt-miss", "per-gpu admitted")
-	var rr, jsq repro.ClassReport
+	var rr, jsq *repro.ClassReport
 	for _, d := range []repro.DispatchKind{repro.DispatchRoundRobin, repro.DispatchJSQ} {
 		res := jsq4
 		if d == repro.DispatchRoundRobin {
@@ -116,15 +116,16 @@ func main() {
 		for _, n := range res.Nodes {
 			shares += fmt.Sprintf("%d ", n.Admitted)
 		}
-		fmt.Printf("%-12s %12v %12v %9.1f%% %s\n", d, c.LatencyP99, c.WaitP95, c.MissRate*100, shares)
+		fmt.Printf("%-12s %12v %12v %9.1f%% %s\n", d, time.Duration(c.Latency.Quantile(0.99)),
+			time.Duration(c.Wait.Quantile(0.95)), c.MissRate()*100, shares)
 		if d == repro.DispatchRoundRobin {
 			rr = c
 		} else {
 			jsq = c
 		}
 	}
-	if jsq.LatencyP99 < rr.LatencyP99 {
-		fmt.Printf("\nJSQ beats round-robin on rt-class p99 by %v at identical hardware cost:\n", rr.LatencyP99-jsq.LatencyP99)
+	if rrP99, jsqP99 := rr.Latency.Quantile(0.99), jsq.Latency.Quantile(0.99); jsqP99 < rrP99 {
+		fmt.Printf("\nJSQ beats round-robin on rt-class p99 by %v at identical hardware cost:\n", time.Duration(rrP99-jsqP99))
 		fmt.Println("round-robin ignores backlog, so every fourth request lands behind the")
 		fmt.Println("most loaded GPU — queueing delay no per-GPU preemption mechanism can fix.")
 	} else {

@@ -22,7 +22,7 @@ func main() {
 	flag.Parse()
 	byName := map[string]*repro.App{}
 	for _, a := range repro.Suite() {
-		byName[a.Name()] = a
+		byName[a.Name] = a
 	}
 	apps := []*repro.App{
 		byName["spmv"].Scale(*scale),

@@ -60,12 +60,12 @@ func main() {
 	spec := &repro.ArrivalSpec{
 		Process: repro.ArrivalPoisson,
 		Rate:    *rate,
-		Horizon: 5 * time.Millisecond,
+		Horizon: repro.SimTime(5 * time.Millisecond),
 		Classes: []repro.ArrivalClass{
-			{Name: "rt", Priority: 1, Weight: 1, Deadline: 60 * time.Microsecond,
-				Apps: []*repro.App{infer}},
+			{Name: "rt", Priority: 1, Weight: 1, Deadline: repro.SimTime(60 * time.Microsecond),
+				Apps: []repro.AppChoice{{App: infer, Weight: 1}}},
 			{Name: "batch", Priority: 0, Weight: 2,
-				Apps: []*repro.App{sgemm.Scale(*scale), tpacf.Scale(*scale)}},
+				Apps: []repro.AppChoice{{App: sgemm.Scale(*scale), Weight: 1}, {App: tpacf.Scale(*scale), Weight: 1}}},
 		},
 	}
 
@@ -83,11 +83,12 @@ func main() {
 		}
 		fmt.Printf("=== PPQ with %s ===\n", mech)
 		fmt.Printf("  %d requests admitted, %d completed, %d in flight at %v (utilization %.0f%%, %d preemptions)\n",
-			res.Admitted, res.Completed, res.InFlight, res.EndTime, res.Utilization*100, res.Preemptions)
+			res.Admitted, res.Completed, res.InFlight, time.Duration(res.EndTime), res.Utilization*100, res.Stats.PreemptionsDone)
 		for _, c := range res.Classes {
-			fmt.Printf("  %-6s p50=%-10v p95=%-10v p99=%-10v", c.Name, c.LatencyP50, c.LatencyP95, c.LatencyP99)
+			fmt.Printf("  %-6s p50=%-10v p95=%-10v p99=%-10v", c.Name, time.Duration(c.Latency.Quantile(0.50)),
+				time.Duration(c.Latency.Quantile(0.95)), time.Duration(c.Latency.Quantile(0.99)))
 			if c.Name == "rt" {
-				fmt.Printf("  deadline misses: %.0f%%", c.MissRate*100)
+				fmt.Printf("  deadline misses: %.0f%%", c.MissRate()*100)
 			}
 			fmt.Println()
 		}
@@ -120,5 +121,5 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("replay check: %d arrivals serialized to %d bytes of JSON, replayed result identical: %v\n",
-		tr.Len(), jsonBytes, reflect.DeepEqual(direct, again))
+		len(tr.Arrivals), jsonBytes, reflect.DeepEqual(direct, again))
 }

@@ -21,7 +21,7 @@ func main() {
 	// FCFS hurts the short app the most.
 	var spmv, lbm *repro.App
 	for _, a := range suite {
-		switch a.Name() {
+		switch a.Name {
 		case "spmv":
 			spmv = a.Scale(*scale)
 		case "lbm":

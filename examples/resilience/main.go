@@ -64,12 +64,12 @@ func main() {
 	spec := &repro.ArrivalSpec{
 		Process: repro.ArrivalPoisson,
 		Rate:    *rate,
-		Horizon: 5 * time.Millisecond,
+		Horizon: repro.SimTime(5 * time.Millisecond),
 		Classes: []repro.ArrivalClass{
-			{Name: "rt", Priority: 1, Weight: 1, Deadline: 300 * time.Microsecond,
-				Apps: []*repro.App{infer}},
+			{Name: "rt", Priority: 1, Weight: 1, Deadline: repro.SimTime(300 * time.Microsecond),
+				Apps: []repro.AppChoice{{App: infer, Weight: 1}}},
 			{Name: "batch", Priority: 0, Weight: 2,
-				Apps: []*repro.App{sgemm.Scale(*scale)}},
+				Apps: []repro.AppChoice{{App: sgemm.Scale(*scale), Weight: 1}}},
 		},
 	}
 
@@ -125,10 +125,10 @@ func main() {
 		if p.spec == nil {
 			requests, done = res.Admitted, res.Completed
 		}
-		rt := res.Classes[0]
+		rtP99 := time.Duration(res.Classes[0].Latency.Quantile(0.99))
 		fmt.Printf("%-14s %9d %6d %8d %6d %6d %8d %7d %6d %12v %14.0f\n",
 			p.label, requests, done, res.Dropped, res.Shed, res.Lost,
-			res.Retries, res.Hedges, res.BreakerTrips, rt.LatencyP99, res.Goodput)
+			res.Retries, res.Hedges, res.BreakerTrips, rtP99, res.Goodput)
 	}
 
 	fmt.Println()

@@ -19,7 +19,7 @@ func main() {
 	suite := repro.Suite()
 	byName := map[string]*repro.App{}
 	for _, a := range suite {
-		byName[a.Name()] = a
+		byName[a.Name] = a
 	}
 	// Two medium, one short and one long application; scaled to keep the
 	// timeline readable.

@@ -96,18 +96,14 @@ type RunConfig struct {
 	Mechanism func() core.Mechanism
 	// MaxSimTime aborts the simulation at this virtual time (0 = 120s).
 	MaxSimTime sim.Time
-	// Parallel switches the run from the event-by-event lockstep reference
-	// to parallel-in-time window execution: node engines run independently
-	// inside conservative time windows on this many workers, with a
-	// deterministic merge at every window boundary. Results are
-	// byte-identical to the lockstep path at any worker count; 0 keeps the
-	// lockstep reference. Windows need the latency-floor lookahead, so three
-	// kinds of run stay lockstep whatever the value: a dispatcher that is
-	// neither LoadOblivious (an empty read set) nor a Lookahead with a known
-	// read set, a fleet whose dispatch floor is zero, and a run with the
-	// resilience layer armed, whose cross-node completion coupling (hedge
-	// cancellation, breaker feedback) shrinks the safe lookahead to zero
-	// (see DESIGN.md).
+	// Parallel selects the parallel-window executor on this many workers
+	// (see Result.Executor); 0 keeps the lockstep reference. Windows need
+	// the latency-floor lookahead, so three kinds of run stay lockstep
+	// whatever the value: a dispatcher that is neither LoadOblivious (an
+	// empty read set) nor a Lookahead with a known read set, a fleet whose
+	// dispatch floor is zero, and a run with the resilience layer armed,
+	// whose cross-node completion coupling (hedge cancellation, breaker
+	// feedback) shrinks the safe lookahead to zero (see DESIGN.md).
 	// Cluster.Executor reports which loop runs.
 	Parallel int
 	// Warmth, when non-nil, warm-starts the dispatcher from a snapshot of a
@@ -286,6 +282,16 @@ type Result struct {
 	Dispatcher string
 	// Autoscaler names the scaling policy ("" = fixed fleet).
 	Autoscaler string
+	// Executor names the execution strategy the run used.
+	// ExecutorLockstep, the reference, steps the fleet one event at a time:
+	// per-node engines and the control engine merged by timestamp.
+	// ExecutorParallelWindow runs the node engines independently inside
+	// conservative parallel-in-time windows on RunConfig.Parallel workers,
+	// with a deterministic merge at every window boundary. Both produce
+	// byte-identical results at any worker count, so this field only reports
+	// which one ran; RunConfig.Parallel lists when a parallel request falls
+	// back to lockstep.
+	Executor string
 	// Nodes lists per-node outcomes, in node-index order.
 	Nodes []NodeResult
 	// Classes is the cluster rollup of the per-node SLO accounts (counters
@@ -330,8 +336,9 @@ type Result struct {
 	TimedOut, Canceled, Retries, Hedges, Rejected, BreakerTrips int
 }
 
-// Cluster runs an elastic fleet in deterministic lockstep over one arrival
-// stream. Build one with New and drive it with Run; a Cluster is single-use.
+// Cluster runs an elastic fleet deterministically over one arrival stream, on
+// either executor (see Result.Executor). Build one with New and drive it with
+// Run; a Cluster is single-use.
 type Cluster struct {
 	Nodes []*Node
 
@@ -624,19 +631,14 @@ func New(tr *trace.ArrivalTrace, rc RunConfig) (*Cluster, error) {
 	return c, nil
 }
 
-// Executor names for Cluster.Executor.
+// Executor names reported by Result.Executor, which describes both.
 const (
-	// ExecutorLockstep steps events one at a time: the reference.
-	ExecutorLockstep = "lockstep"
-	// ExecutorParallelWindow runs arrivals and node events in parallel-in-time
-	// windows (byte-identical to lockstep at any worker count).
+	ExecutorLockstep       = "lockstep"
 	ExecutorParallelWindow = "parallel-window"
 )
 
-// Executor reports which execution strategy Run uses for this cluster. A
-// RunConfig.Parallel request that falls back — no arrival protocol for the
-// dispatcher, a zero dispatch floor, or the resilience layer armed — reports
-// ExecutorLockstep (see RunConfig.Parallel).
+// Executor reports which execution strategy Run uses for this cluster (see
+// Result.Executor).
 func (c *Cluster) Executor() string {
 	if c.parOn {
 		return ExecutorParallelWindow
@@ -943,6 +945,7 @@ func (c *Cluster) nodeFail(n *Node, err error) {
 func (c *Cluster) result() (*Result, error) {
 	out := &Result{
 		Dispatcher: c.disp.Name(),
+		Executor:   c.Executor(),
 		EndTime:    c.now,
 		LostWork:   c.lostWork,
 		ScaleUps:   c.scaleUps,

@@ -170,6 +170,31 @@ func TestClusterRejectsBadConfig(t *testing.T) {
 	}
 }
 
+// TestInvalidAppRejectedAtSetUp pins the precondition proc.Reuse relies on:
+// an arrival trace holding an invalid application is rejected when the run
+// is set up, by both the cluster and the single-GPU open-system engine, so
+// per-request admission never has to validate an app again.
+func TestInvalidAppRejectedAtSetUp(t *testing.T) {
+	tr := testTrace(t, 20000, 3)
+	bad := *tr
+	bad.Apps = append([]*trace.App(nil), tr.Apps...)
+	broken := *bad.Apps[len(bad.Apps)-1]
+	broken.Ops = append([]trace.Op{{Kind: trace.OpLaunch, Kernel: len(broken.Kernels)}}, broken.Ops...)
+	bad.Apps[len(bad.Apps)-1] = &broken
+	if _, err := New(&bad, testRunConfig(2, NewJSQ())); err == nil || !strings.Contains(err.Error(), "out of range") {
+		t.Errorf("cluster.New accepted a trace with an invalid app: %v", err)
+	}
+	rc := testRunConfig(1, nil)
+	_, err := arrivals.Run(&bad, arrivals.RunConfig{Sys: rc.Sys, Policy: rc.Policy, Mechanism: rc.Mechanism})
+	if err == nil || !strings.Contains(err.Error(), "out of range") {
+		t.Errorf("arrivals.Run accepted a trace with an invalid app: %v", err)
+	}
+	// The untouched trace still runs: the rejection is the broken app's.
+	if _, err := Run(tr, testRunConfig(2, NewJSQ())); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // badDispatcher returns an out-of-range node.
 type badDispatcher struct{ noopHooks }
 

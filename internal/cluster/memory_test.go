@@ -293,7 +293,7 @@ func TestChaosMemoryConservation(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !reflect.DeepEqual(res, par) {
+				if !sameRun(res, par) {
 					t.Errorf("%s/kill=%g: parallel-window run diverged from lockstep", name, killRate)
 				}
 			}

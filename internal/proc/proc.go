@@ -167,11 +167,11 @@ func NewWithContext(sys *system.System, ctx *gpu.Context, app *trace.App) (*Proc
 // reset, and the streams, queues and continuations are kept. Loop,
 // RestartGap and OnRunComplete are the caller's and stay as set. Only a
 // process with nothing in flight can be reused: one that never started, or
-// whose run completed without looping.
+// whose run completed without looping. Unlike New and NewWithContext, Reuse
+// does not validate app: the caller must pass an already validated trace (the
+// open-system admission path replays apps of an ArrivalTrace, whose Validate
+// checked every app once when the run was set up).
 func (p *Process) Reuse(ctx *gpu.Context, app *trace.App) error {
-	if err := app.Validate(); err != nil {
-		return err
-	}
 	if ctx == nil {
 		return fmt.Errorf("proc: nil context")
 	}

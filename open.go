@@ -3,58 +3,60 @@ package repro
 import (
 	"fmt"
 	"io"
-	"time"
 
 	"repro/internal/arrivals"
 	"repro/internal/metrics"
-	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
-// ArrivalProcess selects a synthetic inter-arrival process for open-system
-// workloads.
-type ArrivalProcess string
+// The open-system types are aliases of the internal specs and reports, which
+// are their single declaration: field docs and validation live in
+// internal/arrivals, internal/trace and internal/metrics. Their duration
+// fields are SimTime, as in the fleet types; convert a time.Duration with
+// SimTime(d) and print one with time.Duration(t).
+type (
+	// ArrivalProcess selects a synthetic inter-arrival process for
+	// open-system workloads.
+	ArrivalProcess = arrivals.Process
+	// ArrivalClass describes one service class of an open-system workload:
+	// requests of the class share a scheduling priority, an optional
+	// completion deadline, and a weighted application mix (Apps). Each
+	// arrival of the class replays one of its applications once.
+	ArrivalClass = arrivals.ClassSpec
+	// AppChoice pairs one application of a class's mix with its positive
+	// weight. Applications may come from the Parboil suite or from the
+	// AppBuilder.
+	AppChoice = arrivals.AppChoice
+	// ArrivalPhase scales the arrival rate for a stretch of simulated time.
+	// A phase sequence models time-varying offered load — a diurnal curve or
+	// a flash crowd — and cycles until the stream ends.
+	ArrivalPhase = arrivals.Phase
+	// ArrivalTrace is a serializable open-system arrival stream
+	// (applications, service classes and time-ordered arrivals). Write it
+	// out with WriteJSON to replay a synthesized stream byte-identically in
+	// a later run.
+	ArrivalTrace = trace.ArrivalTrace
+	// ClassReport is one service class's outcome in an open-system or
+	// cluster simulation: request counters plus the Wait (arrival to first
+	// thread block on an SM) and Latency (arrival to run completion) quantile
+	// sketches. Read a percentile with c.Latency.Quantile(0.99) and the
+	// derived counts with c.InFlight() and c.MissRate().
+	ClassReport = metrics.ClassSLO
+	// OpenResult reports an open-system simulation; Stats.PreemptionsDone
+	// counts completed SM preemptions.
+	OpenResult = arrivals.Result
+)
 
 // Available inter-arrival processes.
 const (
 	// ArrivalPoisson draws memoryless exponential inter-arrival gaps.
-	ArrivalPoisson ArrivalProcess = "poisson"
+	ArrivalPoisson = arrivals.ProcPoisson
 	// ArrivalBursty emits geometric bursts of back-to-back arrivals
 	// separated by long gaps, at the same mean rate.
-	ArrivalBursty ArrivalProcess = "bursty"
+	ArrivalBursty = arrivals.ProcBursty
 	// ArrivalHeavyTail draws truncated-Pareto gaps (self-similar traffic).
-	ArrivalHeavyTail ArrivalProcess = "heavytail"
+	ArrivalHeavyTail = arrivals.ProcHeavyTail
 )
-
-// ArrivalClass describes one service class of an open-system workload:
-// requests of the class share a scheduling priority, an optional completion
-// deadline, and a weighted application mix. Applications may come from the
-// Parboil suite or from the AppBuilder.
-type ArrivalClass struct {
-	// Name labels the class in reports.
-	Name string
-	// Priority is the GPU scheduling priority (larger = more important).
-	Priority int
-	// Weight is the class's share of arrivals (must be positive).
-	Weight float64
-	// Deadline is the completion-latency budget of a request; 0 = none.
-	Deadline time.Duration
-	// Apps is the class's application mix: each arrival of this class
-	// replays one of these applications once.
-	Apps []*App
-	// AppWeights optionally weights Apps (len must match); nil = uniform.
-	AppWeights []float64
-}
-
-// ArrivalPhase scales the arrival rate for a stretch of simulated time. A
-// phase sequence models time-varying offered load — a diurnal curve or a
-// flash crowd — and cycles until the stream ends.
-type ArrivalPhase struct {
-	// RateFactor multiplies the base Rate while the phase is active.
-	RateFactor float64
-	// Duration is the phase's length.
-	Duration time.Duration
-}
 
 // ArrivalSpec describes an open-system workload: a synthetic arrival stream
 // (Process/Rate/Horizon over Classes) or a replayed trace. Assign it to
@@ -65,7 +67,7 @@ type ArrivalSpec struct {
 	// Rate is the mean offered load in requests per simulated second.
 	Rate float64
 	// Horizon bounds arrival times to [0, Horizon).
-	Horizon time.Duration
+	Horizon SimTime
 	// MaxArrivals caps the stream length (0 = bounded by Horizon only).
 	MaxArrivals int
 	// Seed drives stream generation; 0 falls back to Options.Seed.
@@ -80,133 +82,29 @@ type ArrivalSpec struct {
 	Trace *ArrivalTrace
 }
 
-// ArrivalTrace is a serializable open-system arrival stream (applications,
-// service classes and time-ordered arrivals). Write it out to replay a
-// synthesized stream byte-identically in a later run.
-type ArrivalTrace struct {
-	t *trace.ArrivalTrace
-}
-
-// WriteJSON serializes the arrival stream as indented JSON.
-func (t *ArrivalTrace) WriteJSON(w io.Writer) error { return t.t.WriteJSON(w) }
-
-// Len returns the number of arrivals in the stream.
-func (t *ArrivalTrace) Len() int { return len(t.t.Arrivals) }
-
 // ReadArrivals parses and validates an arrival stream from JSON.
-func ReadArrivals(r io.Reader) (*ArrivalTrace, error) {
-	t, err := trace.ReadArrivalTrace(r)
-	if err != nil {
-		return nil, err
-	}
-	return &ArrivalTrace{t: t}, nil
-}
-
-// genSpec lowers the public spec to the internal generator's form.
-func (s ArrivalSpec) genSpec(seed uint64) (arrivals.GenSpec, error) {
-	g := arrivals.GenSpec{
-		Process:     arrivals.Process(s.Process),
-		Rate:        s.Rate,
-		Horizon:     sim.Time(s.Horizon.Nanoseconds()),
-		MaxArrivals: s.MaxArrivals,
-		Seed:        seed,
-	}
-	if s.Process == "" {
-		g.Process = arrivals.ProcPoisson
-	}
-	for _, p := range s.Phases {
-		g.Phases = append(g.Phases, arrivals.Phase{
-			RateFactor: p.RateFactor,
-			Duration:   sim.Time(p.Duration.Nanoseconds()),
-		})
-	}
-	for _, c := range s.Classes {
-		if c.AppWeights != nil && len(c.AppWeights) != len(c.Apps) {
-			return g, fmt.Errorf("repro: class %s: %d app weights for %d apps", c.Name, len(c.AppWeights), len(c.Apps))
-		}
-		cs := arrivals.ClassSpec{
-			Name:     c.Name,
-			Priority: c.Priority,
-			Weight:   c.Weight,
-			Deadline: sim.Time(c.Deadline.Nanoseconds()),
-		}
-		for i, a := range c.Apps {
-			if a == nil {
-				return g, fmt.Errorf("repro: class %s: nil app", c.Name)
-			}
-			w := 1.0
-			if c.AppWeights != nil {
-				w = c.AppWeights[i]
-			}
-			cs.Apps = append(cs.Apps, arrivals.AppChoice{App: a.t, Weight: w})
-		}
-		g.Classes = append(g.Classes, cs)
-	}
-	return g, nil
-}
+func ReadArrivals(r io.Reader) (*ArrivalTrace, error) { return trace.ReadArrivalTrace(r) }
 
 // Synthesize generates the spec's arrival stream without running it, for
 // inspection or for writing out and replaying later. The stream is a pure
 // function of the spec and the effective seed (spec.Seed, or o.Seed when
 // unset), so RunOpen on the returned trace equals RunOpen on the spec.
 func (s ArrivalSpec) Synthesize(o Options) (*ArrivalTrace, error) {
-	o = o.fill()
 	if s.Trace != nil {
 		return s.Trace, nil
 	}
-	seed := s.Seed
-	if seed == 0 {
-		seed = o.Seed
+	if s.Seed == 0 {
+		s.Seed = o.fill().Seed
 	}
-	g, err := s.genSpec(seed)
-	if err != nil {
-		return nil, err
-	}
-	tr, err := arrivals.Generate(g)
-	if err != nil {
-		return nil, err
-	}
-	return &ArrivalTrace{t: tr}, nil
-}
-
-// ClassReport is one service class's outcome in an open-system simulation.
-type ClassReport struct {
-	Name string
-	// Admitted/Completed/InFlight/Missed are request counts; InFlight is
-	// the population still in the machine when the simulation ended.
-	Admitted, Completed, InFlight, Missed int
-	// MissRate is Missed / Completed (0 for classes without a deadline).
-	MissRate float64
-	// WaitP50/P95/P99 are queueing-latency percentiles (arrival to first
-	// thread block on an SM) over completed requests.
-	WaitP50, WaitP95, WaitP99 time.Duration
-	// LatencyP50/P95/P99 are completion-latency percentiles (arrival to
-	// run completion).
-	LatencyP50, LatencyP95, LatencyP99 time.Duration
-	// The lifecycle counters below are non-zero only under a cluster run
-	// with Options.Resilience set. TimedOut/Canceled count abandoned
-	// attempts, Retried/Hedged count extra attempts launched, Dropped
-	// counts requests abandoned for good, and Shed counts requests refused
-	// by admission control before reaching any GPU.
-	TimedOut, Canceled, Retried, Hedged, Dropped, Shed int
-}
-
-// OpenResult reports an open-system simulation.
-type OpenResult struct {
-	// Classes lists per-class outcomes in spec order.
-	Classes []ClassReport
-	// Admitted = Completed + InFlight (conservation); Missed counts
-	// completed requests that exceeded their class deadline.
-	Admitted, Completed, InFlight, Missed int
-	// EndTime is the virtual time the simulation stopped (the last
-	// completion, or MaxSimTime if requests were still in flight).
-	EndTime time.Duration
-	// Utilization is the SM busy fraction.
-	Utilization float64
-	// Goodput is SLO-compliant completions per simulated second.
-	Goodput float64
-	// Preemptions counts completed SM preemptions.
-	Preemptions int
+	return arrivals.Generate(arrivals.GenSpec{
+		Process:     s.Process,
+		Rate:        s.Rate,
+		Horizon:     s.Horizon,
+		MaxArrivals: s.MaxArrivals,
+		Seed:        s.Seed,
+		Classes:     s.Classes,
+		Phases:      s.Phases,
+	})
 }
 
 // RunOpen simulates the open-system workload described by o.Arrivals: the
@@ -228,52 +126,10 @@ func RunOpen(o Options) (*OpenResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := arrivals.Run(at.t, arrivals.RunConfig{
+	return arrivals.Run(at, arrivals.RunConfig{
 		Sys:        rc.Sys,
 		Policy:     rc.Policy,
 		Mechanism:  rc.Mechanism,
 		MaxSimTime: rc.MaxSimTime,
 	})
-	if err != nil {
-		return nil, err
-	}
-	out := &OpenResult{
-		Admitted:    res.Admitted,
-		Completed:   res.Completed,
-		InFlight:    res.InFlight,
-		Missed:      res.Missed,
-		EndTime:     time.Duration(res.EndTime),
-		Utilization: res.Utilization,
-		Goodput:     res.Goodput,
-		Preemptions: res.Stats.PreemptionsDone,
-	}
-	for i := range res.Classes {
-		out.Classes = append(out.Classes, classReport(&res.Classes[i]))
-	}
-	return out, nil
-}
-
-// classReport converts one class's internal SLO accounting to the public
-// report shape shared by RunOpen and RunCluster.
-func classReport(c *metrics.ClassSLO) ClassReport {
-	return ClassReport{
-		Name:       c.Name,
-		Admitted:   c.Admitted,
-		Completed:  c.Completed,
-		InFlight:   c.InFlight(),
-		Missed:     c.Missed,
-		MissRate:   c.MissRate(),
-		WaitP50:    time.Duration(c.Wait.Quantile(0.50)),
-		WaitP95:    time.Duration(c.Wait.Quantile(0.95)),
-		WaitP99:    time.Duration(c.Wait.Quantile(0.99)),
-		LatencyP50: time.Duration(c.Latency.Quantile(0.50)),
-		LatencyP95: time.Duration(c.Latency.Quantile(0.95)),
-		LatencyP99: time.Duration(c.Latency.Quantile(0.99)),
-		TimedOut:   c.TimedOut,
-		Canceled:   c.Canceled,
-		Retried:    c.Retried,
-		Hedged:     c.Hedged,
-		Dropped:    c.Dropped,
-		Shed:       c.Shed,
-	}
 }

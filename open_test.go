@@ -3,6 +3,7 @@ package repro
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -26,10 +27,10 @@ func openSpec(t *testing.T) *ArrivalSpec {
 	return &ArrivalSpec{
 		Process: ArrivalPoisson,
 		Rate:    20000,
-		Horizon: 2 * time.Millisecond,
+		Horizon: SimTime(2 * time.Millisecond),
 		Classes: []ArrivalClass{
-			{Name: "rt", Priority: 1, Weight: 1, Deadline: 500 * time.Microsecond, Apps: []*App{ping}},
-			{Name: "batch", Priority: 0, Weight: 2, Apps: []*App{spmv.Scale(48)}},
+			{Name: "rt", Priority: 1, Weight: 1, Deadline: SimTime(500 * time.Microsecond), Apps: []AppChoice{{App: ping, Weight: 1}}},
+			{Name: "batch", Priority: 0, Weight: 2, Apps: []AppChoice{{App: spmv.Scale(48), Weight: 1}}},
 		},
 	}
 }
@@ -50,8 +51,9 @@ func TestRunOpen(t *testing.T) {
 		t.Fatalf("classes = %+v", res.Classes)
 	}
 	for _, c := range res.Classes {
-		if c.Completed > 0 && (c.LatencyP50 <= 0 || c.LatencyP95 < c.LatencyP50) {
-			t.Errorf("class %s: implausible percentiles p50=%v p95=%v", c.Name, c.LatencyP50, c.LatencyP95)
+		p50, p95 := c.Latency.Quantile(0.50), c.Latency.Quantile(0.95)
+		if c.Completed > 0 && (p50 <= 0 || p95 < p50) {
+			t.Errorf("class %s: implausible percentiles p50=%v p95=%v", c.Name, p50, p95)
 		}
 	}
 	if res.Goodput <= 0 || res.Utilization <= 0 {
@@ -89,8 +91,8 @@ func TestRunOpenReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if parsed.Len() != tr.Len() {
-		t.Fatalf("round trip changed arrival count: %d != %d", parsed.Len(), tr.Len())
+	if len(parsed.Arrivals) != len(tr.Arrivals) {
+		t.Fatalf("round trip changed arrival count: %d != %d", len(parsed.Arrivals), len(tr.Arrivals))
 	}
 	ro := o
 	ro.Arrivals = &ArrivalSpec{Trace: parsed}
@@ -107,12 +109,19 @@ func TestRunOpenErrors(t *testing.T) {
 	if _, err := RunOpen(Options{}); err == nil {
 		t.Error("RunOpen without Arrivals accepted")
 	}
-	if _, err := RunOpen(Options{Arrivals: &ArrivalSpec{Rate: 100, Horizon: time.Millisecond}}); err == nil {
+	if _, err := RunOpen(Options{Arrivals: &ArrivalSpec{Rate: 100, Horizon: SimTime(time.Millisecond)}}); err == nil {
 		t.Error("spec without classes accepted")
 	}
-	bad := openSpec(t)
-	bad.Classes[0].AppWeights = []float64{1, 2, 3}
-	if _, err := RunOpen(Options{Arrivals: bad}); err == nil {
-		t.Error("mismatched app weights accepted")
+	nilApp := openSpec(t)
+	nilApp.Classes[0].Apps = append(nilApp.Classes[0].Apps, AppChoice{Weight: 1})
+	if _, err := RunOpen(Options{Arrivals: nilApp}); err == nil || !strings.Contains(err.Error(), "nil application") {
+		t.Errorf("nil app accepted: %v", err)
+	}
+	for _, w := range []float64{0, -1} {
+		bad := openSpec(t)
+		bad.Classes[1].Apps[0].Weight = w
+		if _, err := RunOpen(Options{Arrivals: bad}); err == nil || !strings.Contains(err.Error(), "weight must be positive") {
+			t.Errorf("app weight %v accepted: %v", w, err)
+		}
 	}
 }

@@ -86,50 +86,21 @@ const (
 	MechanismNone MechanismKind = "none"
 )
 
-// App is an application trace.
-type App struct {
-	t *trace.App
-}
+// App is an application trace: a Parboil benchmark from Suite or AppByName,
+// or a custom application from AppBuilder. Name, Class1 and Class2 (the
+// Table 1 groups by kernel and by application length) describe it, and
+// Scale shrinks it for fast experimentation. Treat an App as read-only.
+type App = trace.App
 
 // Suite returns the ten Parboil benchmark applications of the paper's
 // evaluation (Table 1).
-func Suite() []*App {
-	apps := parboil.Suite()
-	out := make([]*App, len(apps))
-	for i, a := range apps {
-		out[i] = &App{t: a}
-	}
-	return out
-}
+func Suite() []*App { return parboil.Suite() }
 
 // AppByName returns one Parboil benchmark by name (see Names).
-func AppByName(name string) (*App, error) {
-	a, err := parboil.App(name)
-	if err != nil {
-		return nil, err
-	}
-	return &App{t: a}, nil
-}
+func AppByName(name string) (*App, error) { return parboil.App(name) }
 
 // Names lists the benchmark names.
 func Names() []string { return parboil.Names() }
-
-// Name returns the application name.
-func (a *App) Name() string { return a.t.Name }
-
-// KernelClass returns the Table 1 "Class 1" group (by kernel length).
-func (a *App) KernelClass() string { return a.t.Class1.String() }
-
-// AppClass returns the Table 1 "Class 2" group (by application length).
-func (a *App) AppClass() string { return a.t.Class2.String() }
-
-// Scale returns a copy of the application scaled down by factor (thread
-// blocks, launches, transfers and CPU time all shrink; per-thread-block
-// statistics are preserved). Useful for fast experimentation.
-func (a *App) Scale(factor int) *App { return &App{t: a.t.Scale(factor)} }
-
-// Trace exposes the underlying trace (read-only by convention).
-func (a *App) Trace() *trace.App { return a.t }
 
 // Workload is a set of applications to co-schedule.
 type Workload struct {
@@ -214,13 +185,9 @@ type Options struct {
 	// the GPU's PCIe link and are proactively swapped back in as memory
 	// frees.
 	Swap bool
-	// ParWindow switches RunCluster from event-by-event lockstep to
-	// parallel-in-time window execution: per-GPU engines run independently
-	// inside conservative time windows on this many workers, with a
-	// deterministic merge at every window boundary. Results are
-	// byte-identical to the lockstep reference at any value (0 = lockstep);
-	// a run with Resilience armed always uses lockstep (ClusterResult.Executor
-	// reports which loop ran).
+	// ParWindow runs RunCluster on the parallel-window executor with this
+	// many workers (0 = lockstep; see ClusterResult.Executor). A run with
+	// Resilience armed always uses lockstep.
 	ParWindow int
 	// WarmStart, when positive, has RunCluster first play a warmup stream of
 	// this duration through a throwaway fleet and carry the dispatcher's
@@ -412,15 +379,11 @@ func run(w Workload, o Options, iso *workload.Cache) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	apps := make([]*trace.App, len(w.Apps))
-	for i, a := range w.Apps {
-		apps[i] = a.t
-	}
 	hp := w.HighPriority
-	if hp < 0 || hp >= len(apps) {
+	if hp < 0 || hp >= len(w.Apps) {
 		hp = -1
 	}
-	spec := workload.Spec{Name: "workload", Apps: apps, HighPriority: hp, Seed: w.Seed}
+	spec := workload.Spec{Name: "workload", Apps: w.Apps, HighPriority: hp, Seed: w.Seed}
 	res, err := workload.Run(spec, rc)
 	if err != nil {
 		return nil, err
@@ -441,7 +404,7 @@ func run(w Workload, o Options, iso *workload.Cache) (*Result, error) {
 	}
 	perfs := make([]metrics.AppPerf, len(res.Apps))
 	for i, ar := range res.Apps {
-		isoT, err := iso.Isolated(apps[i], isoRC)
+		isoT, err := iso.Isolated(w.Apps[i], isoRC)
 		if err != nil {
 			return nil, err
 		}
@@ -483,6 +446,6 @@ func Isolated(a *App, o Options) (time.Duration, error) {
 	if err != nil {
 		return 0, err
 	}
-	t, err := workload.Isolated(a.t, rc)
+	t, err := workload.Isolated(a, rc)
 	return time.Duration(t), err
 }

@@ -27,8 +27,8 @@ func TestSuiteExposesTenBenchmarks(t *testing.T) {
 		t.Fatalf("suite has %d apps", len(suite))
 	}
 	for _, a := range suite {
-		if a.Name() == "" || a.KernelClass() == "UNKNOWN" || a.AppClass() == "UNKNOWN" {
-			t.Errorf("app %q missing metadata", a.Name())
+		if a.Name == "" || a.Class1.String() == "UNKNOWN" || a.Class2.String() == "UNKNOWN" {
+			t.Errorf("app %q missing metadata", a.Name)
 		}
 	}
 	if len(Names()) != 10 {
