@@ -102,6 +102,10 @@ type KSR struct {
 	// Held counts SMs currently attached to this kernel (running on behalf
 	// of it, or reserved for it).
 	Held int
+	// RunningSMs counts SMs in state Running on behalf of this kernel
+	// (including ones still setting up; reserved SMs already changed
+	// ownership and are excluded).
+	RunningSMs int
 
 	// Tokens is the DSS token count (current, may be negative: debt).
 	Tokens int

@@ -515,17 +515,6 @@ func (fw *Framework) SMState(smID int) (state SMState, ksr, next KernelID) {
 // SMResident returns the number of thread blocks resident on the SM.
 func (fw *Framework) SMResident(smID int) int { return len(fw.sms[smID].resident) }
 
-// IdleSMs returns the ids of all idle SMs.
-func (fw *Framework) IdleSMs() []int {
-	var out []int
-	for _, s := range fw.sms {
-		if s.state == SMIdle {
-			out = append(out, s.id)
-		}
-	}
-	return out
-}
-
 // FirstIdleSM returns the lowest-numbered idle SM, or -1.
 func (fw *Framework) FirstIdleSM() int {
 	for _, s := range fw.sms {
@@ -534,19 +523,6 @@ func (fw *Framework) FirstIdleSM() int {
 		}
 	}
 	return -1
-}
-
-// RunningSMsOf returns the SMs currently running on behalf of kernel k
-// (state Running; reserved SMs are excluded since they already changed
-// ownership).
-func (fw *Framework) RunningSMsOf(k KernelID) []int {
-	var out []int
-	for _, s := range fw.sms {
-		if s.state == SMRunning && s.ksr == k {
-			out = append(out, s.id)
-		}
-	}
-	return out
 }
 
 // SMsHeldBy returns the number of SMs attached to kernel k: running for it
@@ -596,6 +572,7 @@ func (fw *Framework) AssignSM(smID int, kid KernelID) {
 	s.busyFrom = fw.eng.Now()
 	k.Incoming++
 	k.Held++
+	k.RunningSMs++
 	fw.policy.OnSMAttached(fw, kid, smID)
 	fw.timeline.transition(smID, fw.eng.Now(), IntervalSetup, k.Spec().Name, k.Cmd.Launch, k.Ctx().ID)
 	setup := fw.cfg.SMSetupLatency
@@ -811,6 +788,7 @@ func (fw *Framework) smBecameIdle(s *sm) {
 	fw.timeline.closeOpen(s.id, fw.eng.Now())
 	if k := fw.Kernel(prev); k != nil {
 		k.Held--
+		k.RunningSMs--
 		fw.policy.OnSMDetached(fw, prev, s.id)
 	}
 	fw.policy.OnSMIdle(fw, s.id)
@@ -871,6 +849,7 @@ func (fw *Framework) ReserveSM(smID int, kid KernelID) {
 	fw.stats.Preemptions++
 	if ko := fw.Kernel(old); ko != nil {
 		ko.Held--
+		ko.RunningSMs--
 		fw.timeline.kernelPreempted(ko.Cmd.Launch)
 		fw.policy.OnSMDetached(fw, old, smID)
 	}
@@ -1122,6 +1101,7 @@ func (fw *Framework) PreemptionDone(smID int) {
 	s.state = SMRunning
 	s.ksr = kid
 	s.settingUp = true
+	next.RunningSMs++
 	fw.timeline.transition(s.id, fw.eng.Now(), IntervalSetup, next.Spec().Name, next.Cmd.Launch, next.Ctx().ID)
 	setup := fw.cfg.SMSetupLatency
 	fw.stats.SetupTime += setup

@@ -920,12 +920,27 @@ func TestReadAccessors(t *testing.T) {
 	var kid KernelID
 	pol.onActivated = func(fw *Framework, k KernelID) { kid = k; pol.greedyAssign(fw) }
 	submit(t, fw, ctx, kernelOcc("k", 2, 50, 1))
-	if len(fw.IdleSMs()) != 2 {
-		t.Errorf("IdleSMs = %v, want 2 idle of 4", fw.IdleSMs())
+	idle := 0
+	for smID := 0; smID < fw.NumSMs(); smID++ {
+		if state, _, _ := fw.SMState(smID); state == SMIdle {
+			idle++
+		}
+	}
+	if idle != 2 || fw.FirstIdleSM() != 2 {
+		t.Errorf("%d idle SMs, first %d; want 2 idle of 4, first SM 2", idle, fw.FirstIdleSM())
+	}
+	// Setting-up SMs already count as running for the kernel.
+	if got := fw.Kernel(kid).RunningSMs; got != 2 {
+		t.Errorf("RunningSMs while setting up = %d, want 2", got)
 	}
 	eng.RunUntil(sim.Microseconds(2))
-	if got := fw.RunningSMsOf(kid); len(got) != 2 {
-		t.Errorf("RunningSMsOf = %v, want 2 SMs", got)
+	for smID := 0; smID < 2; smID++ {
+		if state, ksr, _ := fw.SMState(smID); state != SMRunning || ksr != kid {
+			t.Errorf("SM %d = %v running %v, want running %v", smID, state, ksr, kid)
+		}
+	}
+	if got := fw.Kernel(kid).RunningSMs; got != 2 {
+		t.Errorf("RunningSMs = %d, want 2", got)
 	}
 	if fw.SMsHeldBy(kid) != 2 {
 		t.Errorf("SMsHeldBy = %d, want 2", fw.SMsHeldBy(kid))

@@ -34,6 +34,7 @@ func (fw *Framework) Validate() error {
 	}
 
 	running := make(map[KernelID]int)
+	runningSMs := make(map[KernelID]int)
 	held := make(map[KernelID]int)
 	incoming := make(map[KernelID]int)
 	for _, s := range fw.sms {
@@ -58,6 +59,7 @@ func (fw *Framework) Validate() error {
 				}
 			} else {
 				held[s.ksr]++
+				runningSMs[s.ksr]++
 				if s.settingUp {
 					incoming[s.ksr]++
 				}
@@ -98,6 +100,10 @@ func (fw *Framework) Validate() error {
 		if k.Held != held[id] {
 			return fmt.Errorf("core: kernel %s Held=%d but attached to %d SMs",
 				k.Spec().Name, k.Held, held[id])
+		}
+		if k.RunningSMs != runningSMs[id] {
+			return fmt.Errorf("core: kernel %s RunningSMs=%d but %d SMs running for it",
+				k.Spec().Name, k.RunningSMs, runningSMs[id])
 		}
 		if k.Incoming != incoming[id] {
 			return fmt.Errorf("core: kernel %s Incoming=%d but %d SMs incoming",

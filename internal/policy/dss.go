@@ -185,10 +185,10 @@ func (p *DSS) minTokens(fw *core.Framework, exclude core.KernelID) *core.KSR {
 		if id == exclude {
 			continue
 		}
-		if len(fw.RunningSMsOf(id)) == 0 {
+		k := fw.Kernel(id)
+		if k.RunningSMs == 0 {
 			continue
 		}
-		k := fw.Kernel(id)
 		if best == nil || k.Tokens < best.Tokens {
 			best = k
 		}
@@ -200,18 +200,18 @@ func (p *DSS) minTokens(fw *core.Framework, exclude core.KernelID) *core.KSR {
 // the fewest resident thread blocks (cheapest to vacate), ties broken by
 // the highest SM id.
 func victimOf(fw *core.Framework, kid core.KernelID) (int, bool) {
-	sms := fw.RunningSMsOf(kid)
-	if len(sms) == 0 {
-		return -1, false
-	}
 	best := -1
 	bestResident := 0
-	for _, smID := range sms {
-		res := fw.SMResident(smID)
-		if best < 0 || res < bestResident || (res == bestResident && smID > best) {
+	for smID := 0; smID < fw.NumSMs(); smID++ {
+		state, ksr, _ := fw.SMState(smID)
+		if state != core.SMRunning || ksr != kid {
+			continue
+		}
+		// Ascending scan: <= hands ties to the higher SM id.
+		if res := fw.SMResident(smID); best < 0 || res <= bestResident {
 			best = smID
 			bestResident = res
 		}
 	}
-	return best, true
+	return best, best >= 0
 }

@@ -371,37 +371,67 @@ func TestDSSRepartitionsOnArrival(t *testing.T) {
 	}
 }
 
+// TestDSSTokenConservation checks, after every event, that each active
+// kernel's tokens plus the SMs it holds equal its budget: floor(13/n), plus
+// one for at most 13 mod n kernels holding a remainder bonus.
 func TestDSSTokenConservation(t *testing.T) {
-	eng, fw, tbl := newFW(t, 13, NewDSS(3), preempt.Drain{})
-	var probes []*probe
-	for i := 0; i < 3; i++ {
-		ctx := ctxOf(t, tbl, "p", 0)
-		probes = append(probes, launch(t, fw, ctx, spec("k", 60, 15, 1)))
+	mechs := []struct {
+		name string
+		mech core.Mechanism
+	}{
+		{"drain", preempt.Drain{}},
+		{"context-switch", preempt.ContextSwitch{}},
 	}
-	// Tokens spent must equal SMs held at every instant:
-	// budget - Tokens == Held for every active kernel.
-	for eng.Step() {
-		if err := fw.Validate(); err != nil {
-			t.Fatalf("invariants: %v", err)
-		}
-		for _, id := range fw.Active() {
-			k := fw.Kernel(id)
-			spent := -k.Tokens // relative: budget was added once
-			_ = spent
-			// Budget is 4 or 5 (13/3 = 4 r1). Holdings must equal
-			// budget - tokens.
-			budget := 4
-			if k.Tokens+k.Held == 5 {
-				budget = 5
-			}
-			if k.Tokens+k.Held != budget {
-				t.Fatalf("token leak: tokens=%d held=%d (budget %d)", k.Tokens, k.Held, budget)
-			}
-		}
+	loads := []struct {
+		name    string
+		kernels int
+		stagger sim.Time
+	}{
+		{"3-together", 3, 0},
+		{"8-staggered", 8, sim.Microseconds(25)},
 	}
-	for _, p := range probes {
-		if !p.done {
-			t.Fatal("kernel did not finish")
+	const numSMs = 13
+	for _, m := range mechs {
+		for _, l := range loads {
+			t.Run(m.name+"/"+l.name, func(t *testing.T) {
+				eng, fw, tbl := newFW(t, numSMs, NewDSS(l.kernels), m.mech)
+				probes := make([]*probe, l.kernels)
+				for i := range probes {
+					ctx := ctxOf(t, tbl, "p", 0)
+					eng.At(sim.Time(i)*l.stagger, func() {
+						probes[i] = launch(t, fw, ctx, spec("k", 60, 15, 1))
+					})
+				}
+				base, rem := numSMs/l.kernels, numSMs%l.kernels
+				for eng.Step() {
+					if err := fw.Validate(); err != nil {
+						t.Fatalf("invariants at %v: %v", eng.Now(), err)
+					}
+					bonus := 0
+					for _, id := range fw.Active() {
+						k := fw.Kernel(id)
+						switch k.Tokens + k.Held {
+						case base:
+						case base + 1:
+							bonus++
+						default:
+							t.Fatalf("token leak at %v: tokens=%d held=%d (budget %d or %d)",
+								eng.Now(), k.Tokens, k.Held, base, base+1)
+						}
+					}
+					if bonus > rem {
+						t.Fatalf("%d kernels hold a remainder bonus, at most %d may", bonus, rem)
+					}
+				}
+				for i, p := range probes {
+					if p == nil || !p.done {
+						t.Fatalf("kernel %d did not finish", i)
+					}
+				}
+				if l.stagger > 0 && fw.Stats().Preemptions == 0 {
+					t.Error("staggered arrivals should force repartitioning preemptions")
+				}
+			})
 		}
 	}
 }
