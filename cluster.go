@@ -102,7 +102,7 @@ func ReadClusterTopology(r io.Reader, o Options) (Options, error) {
 		return o, err
 	}
 	o.Nodes = c.StartNodes()
-	o.NodeTypes = c.Types()
+	o.NodeTypes = c.NodeTypes
 	if c.Dispatch != "" {
 		o.Dispatch = c.Dispatch
 	}

@@ -237,7 +237,7 @@ func testFullTopology(t *testing.T) {
 		name      string
 		got, want any
 	}{
-		{"node types", o.NodeTypes, c.Types()},
+		{"node types", o.NodeTypes, c.NodeTypes},
 		{"autoscale", o.Autoscale, c.Autoscale},
 		{"faults", o.Faults, c.Faults},
 		{"resilience", o.Resilience, c.Resilience},

@@ -18,7 +18,9 @@ var update = flag.Bool("update", false, "rewrite the golden reports under testda
 // goldenReports pins one report per output mode. The two fleet runs split
 // because the resilience layer rejects instead of swapping, so its report
 // never prints the memory line: together they cover every printed field of
-// the cluster and per-GPU reports.
+// the cluster and per-GPU reports. Their fleet policy (autoscale, faults,
+// resilience) comes from the topology files under testdata/, the only way
+// gpusim takes it.
 var goldenReports = []struct {
 	name string
 	args string
@@ -26,23 +28,16 @@ var goldenReports = []struct {
 	{"closed", "-apps spmv,lbm,sgemm -policy dss -mech context-switch -hp 0 -scale 16"},
 	{"open", "-apps spmv,lbm -policy ppq -mech adaptive -hp 0 -scale 48 -arrivals poisson -rate 20000 -horizon 2ms"},
 	{"fleet-resilience", "-apps spmv,lbm,sgemm -policy ppq -mech context-switch -hp 0 -deadline 40us -scale 48 " +
-		"-arrivals poisson -rate 200000 -horizon 2ms -gpus 4 -dispatch least-loaded-fits -autoscale 2:4 " +
-		"-hbm 1MiB -swap -kill-rate 1500 -timeout 300us -retries 3 -hedge 0.9:16 -breaker 0.5:500us -shed 8:32"},
+		"-arrivals poisson -rate 200000 -horizon 2ms -hbm 1MiB -swap -cluster testdata/fleet-resilience.json"},
 	{"fleet-swap", "-policy ppq -mech context-switch -hp 0 -deadline 40us -scale 48 " +
-		"-arrivals poisson -rate 80000 -horizon 2ms -gpus 4 -dispatch least-loaded-fits -hbm 128KiB -swap -kill-rate 1500"},
+		"-arrivals poisson -rate 80000 -horizon 2ms -dispatch least-loaded-fits -hbm 128KiB -swap -cluster testdata/kills.json"},
 }
 
 // TestGoldenReports builds gpusim and requires each pinned report's stdout
 // to be byte-identical to testdata/<name>.golden, so a change to the library
 // facade or the simulator that moves any printed number fails here.
 func TestGoldenReports(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds and runs the binary")
-	}
-	bin := filepath.Join(t.TempDir(), "gpusim")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("building gpusim: %v\n%s", err, out)
-	}
+	bin := buildGpusim(t)
 	for _, tc := range goldenReports {
 		t.Run(tc.name, func(t *testing.T) {
 			var stdout, stderr bytes.Buffer
@@ -64,6 +59,52 @@ func TestGoldenReports(t *testing.T) {
 			}
 			if !bytes.Equal(stdout.Bytes(), want) {
 				t.Errorf("gpusim %s drifted from %s:\n--- got ---\n%s\n--- want ---\n%s", tc.args, path, stdout.String(), want)
+			}
+		})
+	}
+}
+
+// buildGpusim builds the command into a temporary directory, skipping the
+// test under -short.
+func buildGpusim(t *testing.T) string {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("builds and runs the binary")
+	}
+	bin := filepath.Join(t.TempDir(), "gpusim")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("building gpusim: %v\n%s", err, out)
+	}
+	return bin
+}
+
+// TestRejectsBadFlags requires gpusim to exit non-zero, naming the problem
+// on stderr, for out-of-range values that once ran a silently different
+// model and for the fleet-policy flags that a -cluster file replaced.
+func TestRejectsBadFlags(t *testing.T) {
+	bin := buildGpusim(t)
+	type badRun struct{ args, stderr string }
+	cases := []badRun{
+		{"-scale 0", "-scale must be at least 1"},
+		{"-scale -3", "-scale must be at least 1"},
+		{"-jitter 5", "jitter fraction 5 outside [0, 1]"},
+	}
+	for _, f := range []string{"autoscale 2:4", "as-high 4", "as-low 1", "as-interval 250us",
+		"kill-rate 1500", "downtime 500us", "straggler 0.2", "slow-factor 2", "timeout 300us",
+		"retries 3", "retry-budget 10:0.1", "hedge 0.9", "breaker 0.5", "shed 8:32"} {
+		name, _, _ := strings.Cut(f, " ")
+		cases = append(cases, badRun{"-" + f, "flag provided but not defined: -" + name})
+	}
+	for _, tc := range cases {
+		t.Run(tc.args, func(t *testing.T) {
+			var stderr bytes.Buffer
+			cmd := exec.Command(bin, strings.Fields(tc.args)...)
+			cmd.Stderr = &stderr
+			if err := cmd.Run(); err == nil {
+				t.Fatalf("gpusim %s exited 0", tc.args)
+			}
+			if !strings.Contains(stderr.String(), tc.stderr) {
+				t.Errorf("gpusim %s: stderr %q lacks %q", tc.args, stderr.String(), tc.stderr)
 			}
 		})
 	}

@@ -16,8 +16,12 @@
 // join-shortest-queue, predicted-backlog least-loaded, class-affinity, or
 // seeded power-of-two-choices), and the report adds each GPU's share of the
 // work. -par-window picks the executor; either one prints the same report
-// (see repro.ClusterResult.Executor). -cluster loads the same topology from
-// JSON.
+// (see repro.ClusterResult.Executor).
+//
+// -cluster loads the fleet's topology from JSON: its size or heterogeneous
+// node types and dispatch policy (overriding -gpus/-dispatch), and the only
+// spelling of fleet policy — the autoscale, faults and resilience stanzas
+// (durations in integer nanoseconds; see README "Topology JSON").
 //
 // Examples:
 //
@@ -26,6 +30,7 @@
 //	gpusim -apps spmv,lbm -hp 0 -policy ppq -mech adaptive -scale 48 -arrivals poisson -rate 20000
 //	gpusim -apps spmv,lbm -scale 48 -arrivals stream.json   # replay a saved stream
 //	gpusim -apps spmv,lbm -hp 0 -scale 48 -arrivals poisson -rate 60000 -gpus 4 -dispatch jsq
+//	gpusim -apps spmv,lbm -hp 0 -scale 48 -arrivals poisson -rate 60000 -cluster topology.json
 package main
 
 import (
@@ -74,21 +79,7 @@ func main() {
 		phasesF  = flag.String("phases", "", "arrival-rate phases as factor:duration pairs, e.g. 0.3:1ms,2.2:500us,0.3:1ms (cycles until the horizon; empty = constant rate)")
 		gpus     = flag.Int("gpus", 1, "number of simulated GPUs; with -arrivals >1 runs the fleet behind -dispatch")
 		dispatch = flag.String("dispatch", "round-robin", "cluster dispatch policy: "+dispatchNames())
-		clusterF = flag.String("cluster", "", "cluster topology JSON file; the fields it carries override -gpus/-dispatch")
-		ascale   = flag.String("autoscale", "", "autoscale the fleet between min:max GPUs (e.g. -autoscale 2:8)")
-		asHigh   = flag.Int("as-high", 4, "autoscale up when fleet in-flight exceeds this per Up GPU")
-		asLow    = flag.Int("as-low", 1, "autoscale down when fleet in-flight falls below this per Up GPU")
-		asIval   = flag.Duration("as-interval", 250*time.Microsecond, "autoscaler decision period")
-		timeoutF = flag.Duration("timeout", 0, "resilience: per-attempt deadline; expired attempts retry or drop (0 = off)")
-		retriesF = flag.Int("retries", 0, "resilience: attempts per request with seeded exponential backoff (0 = no retries)")
-		budgetF  = flag.String("retry-budget", "", "resilience: retry token bucket as tokens:ratio, e.g. 10:0.1 (needs -retries)")
-		hedgeF   = flag.String("hedge", "", "resilience: hedge slow attempts at this latency quantile, e.g. 0.95 or 0.95:16 (quantile[:warmup])")
-		breakerF = flag.String("breaker", "", "resilience: per-GPU circuit breaker as error-rate[:window], e.g. 0.5 or 0.5:500us")
-		shedF    = flag.String("shed", "", "resilience: admission control as per-gpu:queue bounds, e.g. 8:32")
-		killRate = flag.Float64("kill-rate", 0, "fault injection: mean GPU kills per simulated second")
-		downtime = flag.Duration("downtime", 500*time.Microsecond, "fault injection: how long a killed GPU stays down")
-		straggle = flag.Float64("straggler", 0, "fault injection: probability each GPU incarnation is a straggler")
-		slowF    = flag.Float64("slow-factor", 2, "fault injection: straggler service-time multiplier")
+		clusterF = flag.String("cluster", "", "cluster topology JSON file (fleet size, dispatch, node types and the autoscale, faults and resilience stanzas); the fields it carries override -gpus/-dispatch")
 		hbmF     = flag.String("hbm", "", "per-GPU device-memory capacity, e.g. 512MiB or 4GiB (default: the GPU spec's); admitted working sets are charged against it and oversubscription blocks admission")
 		swapF    = flag.Bool("swap", false, "swap oversubscribed contexts to host memory over PCIe instead of blocking admission (needs request working sets; see -hbm)")
 		parWin   = flag.Int("par-window", 0, "cluster runs: execute GPU engines in parallel-in-time windows on this many workers (0 = lockstep; output is byte-identical either way)")
@@ -102,19 +93,20 @@ func main() {
 
 	// Reject out-of-range numeric flags up front with a clear message: a
 	// non-positive rate or horizon would synthesize an empty stream (or spin
-	// forever), zero GPUs has no machine to simulate, and a negative kill
-	// rate or worker count has no meaning.
+	// forever), zero GPUs has no machine to simulate, a scale below 1 would
+	// silently run the paper-faithful apps, and a negative worker count has
+	// no meaning.
 	if *gpus < 1 {
 		fatal(fmt.Errorf("-gpus must be at least 1, got %d", *gpus))
+	}
+	if *scale < 1 {
+		fatal(fmt.Errorf("-scale must be at least 1, got %d", *scale))
 	}
 	if *rate <= 0 {
 		fatal(fmt.Errorf("-rate must be positive (requests per simulated second), got %g", *rate))
 	}
 	if *horizon <= 0 {
 		fatal(fmt.Errorf("-horizon must be positive, got %v", *horizon))
-	}
-	if *killRate < 0 {
-		fatal(fmt.Errorf("-kill-rate must be non-negative, got %g", *killRate))
 	}
 	if *parWin < 0 {
 		fatal(fmt.Errorf("-par-window must be non-negative, got %d", *parWin))
@@ -201,34 +193,10 @@ func main() {
 			fatal(err)
 		}
 	}
-	if *ascale != "" {
-		var lo, hi int
-		if _, err := fmt.Sscanf(*ascale, "%d:%d", &lo, &hi); err != nil || lo < 1 || hi < lo {
-			fatal(fmt.Errorf("-autoscale wants min:max with 1 <= min <= max, got %q", *ascale))
-		}
-		opts.Autoscale = &repro.AutoscalePolicy{
-			Interval:    repro.SimTime(*asIval),
-			Min:         lo,
-			Max:         hi,
-			HighBacklog: *asHigh,
-			LowBacklog:  *asLow,
-		}
-	}
-	if *killRate > 0 || *straggle > 0 {
-		opts.Faults = &repro.FaultPlan{
-			KillRate:      *killRate,
-			Downtime:      repro.SimTime(*downtime),
-			StragglerFrac: *straggle,
-			SlowFactor:    *slowF,
-		}
-	}
-	if spec := buildResilience(*timeoutF, *retriesF, *budgetF, *hedgeF, *breakerF, *shedF); spec != nil {
-		opts.Resilience = spec
-	}
 	fleet := opts.Nodes > 1 || len(opts.NodeTypes) > 0 || opts.Autoscale != nil || opts.Faults != nil ||
 		opts.Resilience != nil || opts.HBM > 0 || opts.Swap
 	if fleet && *arrFlag == "" {
-		fatal(fmt.Errorf("a fleet (-gpus/-autoscale/-kill-rate/-timeout/-retries/-hbm/-swap) needs -arrivals: the cluster layer serves open request streams"))
+		fatal(fmt.Errorf("a fleet (-gpus/-hbm/-swap or a -cluster file) needs -arrivals: the cluster layer serves open request streams"))
 	}
 	if *arrFlag != "" {
 		if *timeline || *reps > 1 {
@@ -380,68 +348,6 @@ func printClassTable(classes []repro.ClassReport, goodput float64) {
 	fmt.Printf("\ngoodput=%.0f req/s (SLO-compliant completions per simulated second)\n", goodput)
 }
 
-// buildResilience assembles the request-lifecycle spec from the resilience
-// flags, or returns nil when none was given so the zero-config path stays on
-// the plain fleet code. Policies left partially specified are completed by
-// the library's per-policy defaults.
-func buildResilience(timeout time.Duration, retries int, budget, hedge, breaker, shed string) *repro.ResilienceSpec {
-	if timeout == 0 && retries == 0 && budget == "" && hedge == "" && breaker == "" && shed == "" {
-		return nil
-	}
-	s := &repro.ResilienceSpec{Timeout: repro.SimTime(timeout)}
-	if budget != "" && retries == 0 {
-		fatal(fmt.Errorf("-retry-budget needs -retries to arm the retry policy"))
-	}
-	if retries > 0 {
-		s.Retry = &repro.RetryPolicy{MaxAttempts: retries, BackoffBase: repro.SimTime(20 * time.Microsecond)}
-		if budget != "" {
-			var tokens, ratio float64
-			if _, err := fmt.Sscanf(budget, "%f:%f", &tokens, &ratio); err != nil || tokens <= 0 || ratio <= 0 {
-				fatal(fmt.Errorf("-retry-budget wants tokens:ratio (both positive), got %q", budget))
-			}
-			s.Retry.Budget = &repro.RetryBudget{Tokens: tokens, Ratio: ratio}
-		}
-	}
-	if hedge != "" {
-		q, warm, hasWarm := strings.Cut(hedge, ":")
-		h := &repro.HedgePolicy{}
-		var err error
-		if h.Quantile, err = strconv.ParseFloat(q, 64); err != nil || h.Quantile <= 0 || h.Quantile >= 1 {
-			fatal(fmt.Errorf("-hedge wants quantile[:warmup] with quantile in (0, 1), got %q", hedge))
-		}
-		if hasWarm {
-			if h.MinObs, err = strconv.Atoi(warm); err != nil || h.MinObs < 1 {
-				fatal(fmt.Errorf("-hedge %q: bad warmup count", hedge))
-			}
-		}
-		s.Hedge = h
-	}
-	if breaker != "" {
-		rate, win, hasWin := strings.Cut(breaker, ":")
-		b := &repro.BreakerPolicy{}
-		var err error
-		if b.ErrorRate, err = strconv.ParseFloat(rate, 64); err != nil || b.ErrorRate <= 0 || b.ErrorRate > 1 {
-			fatal(fmt.Errorf("-breaker wants error-rate[:window] with rate in (0, 1], got %q", breaker))
-		}
-		if hasWin {
-			w, err := time.ParseDuration(win)
-			if err != nil || w <= 0 {
-				fatal(fmt.Errorf("-breaker %q: bad rolling window", breaker))
-			}
-			b.Window = repro.SimTime(w)
-		}
-		s.Breaker = b
-	}
-	if shed != "" {
-		p := &repro.ShedPolicy{}
-		if _, err := fmt.Sscanf(shed, "%d:%d", &p.PerNode, &p.Queue); err != nil || p.PerNode < 1 || p.Queue < 0 {
-			fatal(fmt.Errorf("-shed wants per-gpu:queue bounds, got %q", shed))
-		}
-		s.Shed = p
-	}
-	return s
-}
-
 // runCluster simulates the open-system stream on a fleet of GPUs behind the
 // configured dispatch policy and prints the fleet rollup plus each GPU's
 // share of the work.
@@ -454,7 +360,7 @@ func runCluster(mode string, opts repro.Options) {
 		// On stderr so the report itself stays byte-identical across
 		// -par-window values, which the executors guarantee for the numbers.
 		fmt.Fprintf(os.Stderr, "note: -par-window %d requested but the run executed in lockstep: the lifecycle manager "+
-			"(-timeout/-retries/-retry-budget/-hedge/-breaker/-shed) couples the GPUs through the control engine mid-window\n", opts.ParWindow)
+			"(the -cluster file's resilience stanza) couples the GPUs through the control engine mid-window\n", opts.ParWindow)
 	}
 	fmt.Printf("cluster: gpus=%d dispatch=%s policy=%s mechanism=%s arrivals=%s seed=%d",
 		len(res.Nodes), res.Dispatcher, opts.Policy, orDefault(string(opts.Mechanism), "auto"), mode, opts.Seed)

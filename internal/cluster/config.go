@@ -83,15 +83,16 @@ func (t NodeType) scale() float64 {
 
 // Config is a serializable cluster topology: how many replicated machines
 // (or which heterogeneous node types), which dispatch policy feeds them, and
-// the optional autoscaling and fault-injection plans. CLIs load it from JSON
-// (gpusim -cluster) as an alternative to spelling the topology out in flags.
+// the optional autoscaling, fault-injection and request-resilience plans.
+// gpusim -cluster loads it from JSON; the file is that CLI's only way to set
+// the three plans.
 type Config struct {
 	// Nodes is the number of replicated machines (1..MaxNodes). With
 	// NodeTypes set it may be 0 (derived) or must equal their total count.
 	Nodes int `json:"nodes"`
 	// NodeTypes optionally describes a heterogeneous fleet; the types expand
 	// in order to the starting nodes.
-	NodeTypes []*NodeType `json:"node_types,omitempty"`
+	NodeTypes []NodeType `json:"node_types,omitempty"`
 	// Dispatch names the placement policy (see Kinds; empty = round-robin).
 	Dispatch Kind `json:"dispatch,omitempty"`
 	// Seed drives randomized dispatch policies (p2c); 0 = 1.
@@ -115,20 +116,16 @@ func (c Config) StartNodes() int {
 	}
 	total := 0
 	for _, t := range c.NodeTypes {
-		if t != nil {
-			total += t.Count
-		}
+		total += t.Count
 	}
 	return total
 }
 
 // Validate checks the topology: node count in range, a known dispatch
-// policy, and well-formed node-type, autoscale and fault stanzas.
+// policy, and well-formed node-type, autoscale, fault and resilience
+// stanzas.
 func (c Config) Validate() error {
 	for i, t := range c.NodeTypes {
-		if t == nil {
-			return fmt.Errorf("cluster: node type %d is null", i)
-		}
 		if err := t.Validate(); err != nil {
 			return fmt.Errorf("cluster: node type %d: %w", i, err)
 		}
@@ -162,23 +159,6 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Dispatcher builds the topology's dispatch policy. The config must have
-// been validated.
-func (c Config) Dispatcher() (Dispatcher, error) {
-	return NewDispatcher(c.Dispatch, c.Seed)
-}
-
-// Types returns the topology's node types by value, for RunConfig.NodeTypes.
-func (c Config) Types() []NodeType {
-	var out []NodeType
-	for _, t := range c.NodeTypes {
-		if t != nil {
-			out = append(out, *t)
-		}
-	}
-	return out
-}
-
 // ReadConfig parses and validates a cluster topology from JSON.
 func ReadConfig(r io.Reader) (Config, error) {
 	var c Config
@@ -191,11 +171,4 @@ func ReadConfig(r io.Reader) (Config, error) {
 		return Config{}, err
 	}
 	return c, nil
-}
-
-// WriteJSON serializes the topology as indented JSON.
-func (c Config) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(c)
 }

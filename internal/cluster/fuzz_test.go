@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
@@ -9,10 +10,10 @@ import (
 
 // FuzzReadClusterConfig fuzzes the topology JSON decoder: whatever the
 // input, the decoder must never panic, and an accepted topology must
-// validate, round-trip through WriteJSON, and build its dispatcher. The
+// validate, round-trip through json.Marshal, and build its dispatcher. The
 // corpus covers the heterogeneous-node, autoscale and fault stanzas,
 // including the decoder panics they once invited (null node-type entries,
-// negative downtimes).
+// which now decode to a rejected zero count, and negative downtimes).
 func FuzzReadClusterConfig(f *testing.F) {
 	f.Add(`{"nodes": 4, "dispatch": "jsq"}`)
 	f.Add(`{"nodes": 1}`)
@@ -26,6 +27,7 @@ func FuzzReadClusterConfig(f *testing.F) {
 	f.Add(`{"nodes": 2, "unknown_field": true}`)
 	f.Add(`{"node_types": [{"count": 2, "sms": 16}, {"count": 2, "pcie_gen": 3}]}`)
 	f.Add(`{"node_types": [null]}`)
+	f.Add(`{"nodes": 2, "node_types": []}`)
 	f.Add(`{"node_types": [{"count": 0}]}`)
 	f.Add(`{"nodes": 3, "node_types": [{"count": 2}]}`)
 	f.Add(`{"node_types": [{"count": 1, "slow_factor": -1}]}`)
@@ -58,7 +60,7 @@ func FuzzReadClusterConfig(f *testing.F) {
 		if err := c.Validate(); err != nil {
 			t.Fatalf("accepted topology fails validation: %v\ninput: %s", err, data)
 		}
-		if _, err := c.Dispatcher(); err != nil {
+		if _, err := NewDispatcher(c.Dispatch, c.Seed); err != nil {
 			t.Fatalf("accepted topology cannot build its dispatcher: %v\ninput: %s", err, data)
 		}
 		if c.Autoscale != nil {
@@ -69,13 +71,18 @@ func FuzzReadClusterConfig(f *testing.F) {
 		if n := c.StartNodes(); n < 1 || n > MaxNodes {
 			t.Fatalf("accepted topology has %d starting nodes\ninput: %s", n, data)
 		}
-		var buf bytes.Buffer
-		if err := c.WriteJSON(&buf); err != nil {
+		blob, err := json.Marshal(c)
+		if err != nil {
 			t.Fatalf("accepted topology does not serialize: %v", err)
 		}
-		rt, err := ReadConfig(&buf)
+		rt, err := ReadConfig(bytes.NewReader(blob))
 		if err != nil {
-			t.Fatalf("round-trip rejected: %v\njson: %s", err, buf.String())
+			t.Fatalf("round-trip rejected: %v\njson: %s", err, blob)
+		}
+		// An empty node_types list is omitted on encoding, so it comes back
+		// nil: the same topology.
+		if len(c.NodeTypes) == 0 {
+			c.NodeTypes = nil
 		}
 		if !reflect.DeepEqual(rt, c) {
 			t.Fatalf("round-trip changed the topology: %+v vs %+v", rt, c)

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
@@ -358,7 +359,7 @@ func TestResilienceBreakerMasksFailingNode(t *testing.T) {
 }
 
 // TestConfigResilienceStanza pins the topology-JSON path: a resilience stanza
-// decodes, validates, survives a WriteJSON round trip, and malformed stanzas
+// decodes, validates, survives a json.Marshal round trip, and malformed stanzas
 // are rejected at ReadConfig time.
 func TestConfigResilienceStanza(t *testing.T) {
 	good := `{"nodes": 2, "dispatch": "jsq", "resilience": {
@@ -378,11 +379,11 @@ func TestConfigResilienceStanza(t *testing.T) {
 		c.Resilience.Retry.Budget.Tokens != 10 || c.Resilience.Shed.Queue != 32 {
 		t.Errorf("stanza decoded wrong: %+v", *c.Resilience)
 	}
-	var buf bytes.Buffer
-	if err := c.WriteJSON(&buf); err != nil {
+	blob, err := json.Marshal(c)
+	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadConfig(&buf)
+	back, err := ReadConfig(bytes.NewReader(blob))
 	if err != nil {
 		t.Fatalf("round trip: %v", err)
 	}

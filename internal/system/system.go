@@ -6,6 +6,7 @@ package system
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/core"
 	"repro/internal/cpu"
@@ -22,7 +23,8 @@ type Config struct {
 	CPU  cpu.Config
 	// DMAPolicy orders the data-transfer engine's queue. Defaults to FCFS.
 	DMAPolicy pcie.QueuePolicy
-	// Jitter is the per-thread-block execution time jitter fraction.
+	// Jitter is the per-thread-block execution time jitter fraction, at most
+	// 1 (0 or negative = no jitter).
 	Jitter float64
 	// Seed drives all randomness in the machine.
 	Seed uint64
@@ -63,6 +65,11 @@ type System struct {
 
 // New assembles a machine running the given policy and mechanism.
 func New(cfg Config, pol core.Policy, mech core.Mechanism) (*System, error) {
+	// A thread block's time factor is drawn from [1-Jitter, 1+Jitter), so a
+	// fraction above 1 would yield negative execution times.
+	if cfg.Jitter > 1 || math.IsNaN(cfg.Jitter) {
+		return nil, fmt.Errorf("system: jitter fraction %v outside [0, 1]", cfg.Jitter)
+	}
 	eng := sim.NewEngine()
 	mem := gmem.NewManager(cfg.GPU.MemSize)
 	opts := []core.Option{

@@ -1,6 +1,7 @@
 package system
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/core"
@@ -51,6 +52,26 @@ func TestNewRejectsBadConfig(t *testing.T) {
 	cfg.PCIe.Bandwidth = -1
 	if _, err := New(cfg, policy.NewFCFS(), preempt.Drain{}); err == nil {
 		t.Fatal("invalid PCIe config accepted")
+	}
+}
+
+// TestNewRejectsJitterAboveOne pins the jitter bound: a fraction above 1
+// makes 1-f+2fu negative for part of the draws, which would silently clamp
+// those thread blocks to the minimum duration.
+func TestNewRejectsJitterAboveOne(t *testing.T) {
+	for _, j := range []float64{1.5, 5, math.NaN()} {
+		cfg := DefaultConfig()
+		cfg.Jitter = j
+		if _, err := New(cfg, policy.NewFCFS(), preempt.Drain{}); err == nil {
+			t.Errorf("jitter %v accepted", j)
+		}
+	}
+	for _, j := range []float64{-1, 0, 0.5, 1} {
+		cfg := DefaultConfig()
+		cfg.Jitter = j
+		if _, err := New(cfg, policy.NewFCFS(), preempt.Drain{}); err != nil {
+			t.Errorf("jitter %v rejected: %v", j, err)
+		}
 	}
 }
 
