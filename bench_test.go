@@ -443,8 +443,7 @@ func benchClusterOpts(b *testing.B) Options {
 		Policy:    PolicyPPQ,
 		Mechanism: MechanismAdaptive,
 		Seed:      7,
-		Nodes:     64,
-		Dispatch:  DispatchRoundRobin,
+		Cluster:   ClusterConfig{Nodes: 64, Dispatch: DispatchRoundRobin},
 		Arrivals:  spec,
 	}
 	tr, err := spec.Synthesize(opts)
@@ -482,7 +481,7 @@ func BenchmarkRunCluster(b *testing.B) {
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
 			b.ReportAllocs()
-			opts.Dispatch = cfg.dispatch
+			opts.Cluster.Dispatch = cfg.dispatch
 			opts.ParWindow = cfg.workers
 			b.ResetTimer()
 			var last *ClusterResult

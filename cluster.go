@@ -12,13 +12,18 @@ import (
 
 // The fleet configuration types are aliases of the internal specs, which are
 // their single declaration: field docs, defaults, Validate methods and the
-// JSON tags that make up the topology schema (see ReadClusterTopology) live
+// JSON tags that make up the topology schema (see ReadClusterConfig) live
 // in internal/cluster and internal/resilience. Their duration fields are
 // SimTime; convert a time.Duration with SimTime(d).
 type (
 	// SimTime is a simulated duration in integer nanoseconds. It counts the
 	// same unit as time.Duration, so SimTime(d) converts exactly.
 	SimTime = sim.Time
+	// ClusterConfig is RunCluster's fleet (Options.Cluster) and the topology
+	// file's schema: fleet size or heterogeneous node types, dispatch policy
+	// and seed, per-GPU context capacity, and the optional autoscale, fault
+	// and resilience plans.
+	ClusterConfig = cluster.Config
 	// DispatchKind selects a cluster dispatch policy: how RunCluster places
 	// each arriving request on one of the simulated GPUs.
 	DispatchKind = cluster.Kind
@@ -88,41 +93,11 @@ const (
 // DispatchKinds lists the dispatch policies in report order.
 func DispatchKinds() []DispatchKind { return cluster.Kinds() }
 
-// ReadClusterTopology parses a cluster topology (GPU count or heterogeneous
-// node types, dispatch policy, optional dispatch seed, per-node context
-// capacity, autoscale policy, fault plan and resilience spec) from JSON and
-// applies the fields it carries to a copy of the options — the file-based
-// alternative to setting Options.Nodes and friends directly. The schema is
-// the JSON tags of the fleet types; durations are integer nanoseconds. The
-// fleet size is always applied (a topology must carry it); fields absent
-// from the file leave the corresponding options untouched.
-func ReadClusterTopology(r io.Reader, o Options) (Options, error) {
-	c, err := cluster.ReadConfig(r)
-	if err != nil {
-		return o, err
-	}
-	o.Nodes = c.StartNodes()
-	o.NodeTypes = c.NodeTypes
-	if c.Dispatch != "" {
-		o.Dispatch = c.Dispatch
-	}
-	if c.Seed != 0 {
-		o.DispatchSeed = c.Seed
-	}
-	if c.ContextCapacity != 0 {
-		o.ContextCapacity = c.ContextCapacity
-	}
-	if c.Autoscale != nil {
-		o.Autoscale = c.Autoscale
-	}
-	if c.Faults != nil {
-		o.Faults = c.Faults
-	}
-	if c.Resilience != nil {
-		o.Resilience = c.Resilience
-	}
-	return o, nil
-}
+// ReadClusterConfig parses and validates a cluster topology from JSON: the
+// file form of Options.Cluster. The schema is the JSON tags of the fleet
+// types; durations are integer nanoseconds. A topology must carry the fleet
+// size (nodes or node_types).
+func ReadClusterConfig(r io.Reader) (ClusterConfig, error) { return cluster.ReadConfig(r) }
 
 // warmSeedTag namespaces the warmup stream's seed derivation, so warm-start
 // traffic never duplicates the measured stream.
@@ -161,26 +136,23 @@ func clusterWarmth(o Options, crc cluster.RunConfig) (*cluster.Warmth, error) {
 	return w, nil
 }
 
-// RunCluster simulates the open-system workload described by o.Arrivals on a
-// fleet of simulated GPUs behind the o.Dispatch placement policy. The fleet
-// starts as o.Nodes identical GPUs (or the heterogeneous o.NodeTypes) and —
-// when o.Autoscale or o.Faults is set — grows, drains, fails and recovers as
-// the run unfolds. Either executor (see ClusterResult.Executor) gives
-// byte-identical results across runs and worker counts. Each GPU runs its
-// own instance of the configured scheduling policy and preemption mechanism;
-// a completed request retires on the GPU that ran it.
+// RunCluster simulates the open-system workload described by o.Arrivals on
+// the fleet o.Cluster describes. The fleet starts as Cluster.Nodes identical
+// GPUs (or the heterogeneous Cluster.NodeTypes) behind the Cluster.Dispatch
+// placement policy and — when Cluster.Autoscale or Cluster.Faults is set —
+// grows, drains, fails and recovers as the run unfolds. Either executor (see
+// ClusterResult.Executor) gives byte-identical results across runs and
+// worker counts. Each GPU runs its own instance of the configured scheduling
+// policy and preemption mechanism; a completed request retires on the GPU
+// that ran it.
 func RunCluster(o Options) (*ClusterResult, error) {
 	o = o.fill()
 	if o.Arrivals == nil {
 		return nil, fmt.Errorf("repro: RunCluster needs Options.Arrivals")
 	}
-	nodes := o.Nodes
-	if nodes <= 0 && len(o.NodeTypes) == 0 {
-		nodes = 1
-	}
-	dispSeed := o.DispatchSeed
-	if dispSeed == 0 {
-		dispSeed = o.Seed
+	c := o.Cluster
+	if c.Seed == 0 {
+		c.Seed = o.Seed
 	}
 	at, err := o.Arrivals.Synthesize(o)
 	if err != nil {
@@ -190,29 +162,34 @@ func RunCluster(o Options) (*ClusterResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	rc.Sys.ContextCapacity = c.ContextCapacity
+	if o.HBM != 0 {
+		// NodeTypes' HBMBytes still win per type; a negative size fails
+		// the GPU config's validation in cluster.New.
+		rc.Sys.GPU.MemSize = o.HBM
+	}
 	// Dispatchers and autoscalers are stateful and single-use, so the
 	// warm-start path below needs a fresh RunConfig per cluster run.
 	newCRC := func() (cluster.RunConfig, error) {
-		disp, err := cluster.NewDispatcher(o.Dispatch, dispSeed)
+		disp, err := cluster.NewDispatcher(c.Dispatch, c.Seed)
 		if err != nil {
 			return cluster.RunConfig{}, err
 		}
 		crc := cluster.RunConfig{
 			Sys:        rc.Sys,
-			Nodes:      nodes,
-			NodeTypes:  o.NodeTypes,
+			Nodes:      c.Nodes,
+			NodeTypes:  c.NodeTypes,
 			Dispatcher: disp,
 			Policy:     rc.Policy,
 			Mechanism:  rc.Mechanism,
 			MaxSimTime: rc.MaxSimTime,
-			Faults:     o.Faults,
-			Resilience: o.Resilience,
+			Faults:     c.Faults,
+			Resilience: c.Resilience,
 			Parallel:   o.ParWindow,
-			HBM:        o.HBM,
 			Swap:       o.Swap,
 		}
-		if o.Autoscale != nil {
-			if crc.Autoscale, err = cluster.NewStepAutoscaler(*o.Autoscale); err != nil {
+		if c.Autoscale != nil {
+			if crc.Autoscale, err = cluster.NewStepAutoscaler(*c.Autoscale); err != nil {
 				return cluster.RunConfig{}, err
 			}
 		}

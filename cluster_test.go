@@ -6,8 +6,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"repro/internal/cluster"
 )
 
 func TestRunCluster(t *testing.T) {
@@ -16,8 +14,7 @@ func TestRunCluster(t *testing.T) {
 		Mechanism: MechanismAdaptive,
 		Seed:      3,
 		Arrivals:  openSpec(t),
-		Nodes:     3,
-		Dispatch:  DispatchJSQ,
+		Cluster:   ClusterConfig{Nodes: 3, Dispatch: DispatchJSQ},
 	}
 	res, err := RunCluster(o)
 	if err != nil {
@@ -64,7 +61,7 @@ func TestRunCluster(t *testing.T) {
 // every dispatch policy degenerates gracefully there.
 func TestRunClusterSingleNodeDefault(t *testing.T) {
 	for _, d := range DispatchKinds() {
-		o := Options{Policy: PolicyPPQ, Seed: 3, Arrivals: openSpec(t), Dispatch: d}
+		o := Options{Policy: PolicyPPQ, Seed: 3, Arrivals: openSpec(t), Cluster: ClusterConfig{Dispatch: d}}
 		res, err := RunCluster(o)
 		if err != nil {
 			t.Fatalf("%s: %v", d, err)
@@ -85,8 +82,7 @@ func TestRunClusterExecutor(t *testing.T) {
 		Mechanism: MechanismAdaptive,
 		Seed:      3,
 		Arrivals:  openSpec(t),
-		Nodes:     3,
-		Dispatch:  DispatchJSQ,
+		Cluster:   ClusterConfig{Nodes: 3, Dispatch: DispatchJSQ},
 	}
 	run := func(mut func(*Options)) *ClusterResult {
 		t.Helper()
@@ -119,7 +115,7 @@ func TestRunClusterExecutor(t *testing.T) {
 	}
 	fallback := run(func(o *Options) {
 		o.ParWindow = 4
-		o.Resilience = &ResilienceSpec{Timeout: SimTime(time.Millisecond)}
+		o.Cluster.Resilience = &ResilienceSpec{Timeout: SimTime(time.Millisecond)}
 	})
 	if fallback.Executor != ExecutorLockstep {
 		t.Errorf("ParWindow with Resilience reports executor %q, want the lockstep fallback", fallback.Executor)
@@ -130,52 +126,30 @@ func TestRunClusterValidation(t *testing.T) {
 	if _, err := RunCluster(Options{Policy: PolicyPPQ}); err == nil {
 		t.Error("missing Arrivals accepted")
 	}
-	o := Options{Policy: PolicyPPQ, Arrivals: openSpec(t), Dispatch: "no-such-policy", Nodes: 2}
+	o := Options{Policy: PolicyPPQ, Arrivals: openSpec(t), Cluster: ClusterConfig{Nodes: 2, Dispatch: "no-such-policy"}}
 	if _, err := RunCluster(o); err == nil {
 		t.Error("unknown dispatch policy accepted")
 	}
-	o = Options{Policy: PolicyPPQ, Arrivals: openSpec(t), Nodes: 100000}
+	o = Options{Policy: PolicyPPQ, Arrivals: openSpec(t), Cluster: ClusterConfig{Nodes: 100000}}
 	if _, err := RunCluster(o); err == nil {
 		t.Error("absurd node count accepted")
 	}
 	// A positive ContextCapacity is enforced per node: a single slot cannot
 	// hold this stream's overlapping requests.
-	o = Options{Policy: PolicyPPQ, Arrivals: openSpec(t), Nodes: 1, ContextCapacity: 1}
+	o = Options{Policy: PolicyPPQ, Arrivals: openSpec(t), Cluster: ClusterConfig{Nodes: 1, ContextCapacity: 1}}
 	if _, err := RunCluster(o); err == nil {
 		t.Error("over-admission beyond ContextCapacity accepted")
 	}
 }
 
-func TestReadClusterTopology(t *testing.T) {
-	o, err := ReadClusterTopology(strings.NewReader(`{"nodes": 4, "dispatch": "least-loaded"}`), Options{Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if o.Nodes != 4 || o.Dispatch != DispatchLeastLoaded || o.Seed != 9 {
-		t.Errorf("topology not applied: %+v", o)
-	}
-	if o.DispatchSeed != 0 || o.ContextCapacity != 0 {
-		t.Errorf("absent topology fields overwrote options: %+v", o)
-	}
-	o, err = ReadClusterTopology(strings.NewReader(`{"nodes": 2}`), Options{Dispatch: DispatchJSQ})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if o.Dispatch != DispatchJSQ {
-		t.Errorf("topology without a dispatch field overwrote the preset policy: %+v", o)
-	}
-	o, err = ReadClusterTopology(
-		strings.NewReader(`{"nodes": 2, "dispatch": "p2c", "seed": 42, "context_capacity": 16}`), Options{Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if o.DispatchSeed != 42 || o.ContextCapacity != 16 || o.Seed != 9 {
-		t.Errorf("topology seed/capacity not applied: %+v", o)
-	}
-	if _, err := ReadClusterTopology(strings.NewReader(`{"nodes": 0}`), Options{}); err == nil {
+// TestReadClusterConfig pins the file form of Options.Cluster: an invalid or
+// malformed file is rejected, and a topology carrying every stanza decodes
+// to the config built by hand and arms every plan it names.
+func TestReadClusterConfig(t *testing.T) {
+	if _, err := ReadClusterConfig(strings.NewReader(`{"nodes": 0}`)); err == nil {
 		t.Error("invalid topology accepted")
 	}
-	if _, err := ReadClusterTopology(strings.NewReader(`garbage`), Options{}); err == nil {
+	if _, err := ReadClusterConfig(strings.NewReader(`garbage`)); err == nil {
 		t.Error("malformed JSON accepted")
 	}
 	t.Run("every stanza", testFullTopology)
@@ -197,72 +171,45 @@ const fullTopology = `{
   }
 }`
 
-// fullTopologyOptions spells fullTopology out by hand on top of base.
-func fullTopologyOptions(base Options) Options {
+// fullTopologyConfig spells fullTopology out by hand.
+func fullTopologyConfig() ClusterConfig {
 	us := func(n int) SimTime { return SimTime(time.Duration(n) * time.Microsecond) }
-	o := base
-	o.Nodes = 3
-	o.NodeTypes = []ClusterNodeType{{Count: 2, SMs: 10}, {Count: 1, PCIeGen: 3, SlowFactor: 1.5, HBMBytes: 4 << 30}}
-	o.Dispatch = DispatchLeastLoaded
-	o.DispatchSeed = 5
-	o.ContextCapacity = 64
-	o.Autoscale = &AutoscalePolicy{Interval: us(200), Cooldown: us(400), Min: 2, Max: 5, Step: 1, HighBacklog: 4, LowBacklog: 1}
-	o.Faults = &FaultPlan{Seed: 11, KillRate: 1500, Downtime: us(300), StragglerFrac: 0.25, SlowFactor: 3}
-	o.Resilience = &ResilienceSpec{
-		Seed:    13,
-		Timeout: us(800),
-		Retry: &RetryPolicy{MaxAttempts: 4, BackoffBase: us(20), BackoffMax: us(160), JitterFrac: 0.25,
-			Budget: &RetryBudget{Tokens: 10, Ratio: 0.1}},
-		Hedge:   &HedgePolicy{Quantile: 0.9, MinObs: 8, MaxHedges: 2},
-		Breaker: &BreakerPolicy{Window: us(400), ErrorRate: 0.5, MinVolume: 4, Cooldown: us(200), Probes: 2},
-		Shed:    &ShedPolicy{PerNode: 8, Queue: 16},
+	return ClusterConfig{
+		NodeTypes:       []ClusterNodeType{{Count: 2, SMs: 10}, {Count: 1, PCIeGen: 3, SlowFactor: 1.5, HBMBytes: 4 << 30}},
+		Dispatch:        DispatchLeastLoaded,
+		Seed:            5,
+		ContextCapacity: 64,
+		Autoscale:       &AutoscalePolicy{Interval: us(200), Cooldown: us(400), Min: 2, Max: 5, Step: 1, HighBacklog: 4, LowBacklog: 1},
+		Faults:          &FaultPlan{Seed: 11, KillRate: 1500, Downtime: us(300), StragglerFrac: 0.25, SlowFactor: 3},
+		Resilience: &ResilienceSpec{
+			Seed:    13,
+			Timeout: us(800),
+			Retry: &RetryPolicy{MaxAttempts: 4, BackoffBase: us(20), BackoffMax: us(160), JitterFrac: 0.25,
+				Budget: &RetryBudget{Tokens: 10, Ratio: 0.1}},
+			Hedge:   &HedgePolicy{Quantile: 0.9, MinObs: 8, MaxHedges: 2},
+			Breaker: &BreakerPolicy{Window: us(400), ErrorRate: 0.5, MinVolume: 4, Cooldown: us(200), Probes: 2},
+			Shed:    &ShedPolicy{PerNode: 8, Queue: 16},
+		},
 	}
-	return o
 }
 
-// testFullTopology pins every topology stanza at the facade: the options hold
-// exactly the specs cluster.ReadConfig decodes, equal the same options built
-// by hand, and run to the same result.
+// testFullTopology pins every topology stanza at the facade: the file
+// decodes to exactly the hand-built config, and a run on it arms the
+// lifecycle manager and the autoscaler.
 func testFullTopology(t *testing.T) {
-	base := Options{Policy: PolicyPPQ, Mechanism: MechanismAdaptive, Seed: 3, Arrivals: openSpec(t)}
-	o, err := ReadClusterTopology(strings.NewReader(fullTopology), base)
+	c, err := ReadClusterConfig(strings.NewReader(fullTopology))
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := cluster.ReadConfig(strings.NewReader(fullTopology))
+	if hand := fullTopologyConfig(); !reflect.DeepEqual(c, hand) {
+		t.Fatalf("topology decodes differently from the hand-built config:\n got %+v\nwant %+v", c, hand)
+	}
+	res, err := RunCluster(Options{Policy: PolicyPPQ, Mechanism: MechanismAdaptive, Seed: 3, Arrivals: openSpec(t), Cluster: c})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range []struct {
-		name      string
-		got, want any
-	}{
-		{"node types", o.NodeTypes, c.NodeTypes},
-		{"autoscale", o.Autoscale, c.Autoscale},
-		{"faults", o.Faults, c.Faults},
-		{"resilience", o.Resilience, c.Resilience},
-	} {
-		if !reflect.DeepEqual(f.got, f.want) {
-			t.Errorf("%s: options hold %+v, topology decodes %+v", f.name, f.got, f.want)
-		}
-	}
-	hand := fullTopologyOptions(base)
-	if !reflect.DeepEqual(o, hand) {
-		t.Fatalf("topology options differ from the hand-built ones:\n got %+v\nwant %+v", o, hand)
-	}
-	fromFile, err := RunCluster(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	byHand, err := RunCluster(hand)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(fromFile, byHand) {
-		t.Error("RunCluster on the topology differs from RunCluster on the hand-built options")
-	}
-	if fromFile.Requests == 0 || fromFile.Autoscaler == "" {
-		t.Errorf("topology run did not arm the lifecycle manager and autoscaler: %+v", fromFile)
+	if len(res.Nodes) < 3 || res.Requests == 0 || res.Autoscaler == "" {
+		t.Errorf("topology run did not build the typed fleet and arm the lifecycle manager and autoscaler: %+v", res)
 	}
 }
 
@@ -270,8 +217,7 @@ func testFullTopology(t *testing.T) {
 // spec pointers: RunCluster only reads them, so both runs agree and the
 // specs are unchanged afterwards.
 func TestRunClusterSharedSpecs(t *testing.T) {
-	base := Options{Policy: PolicyPPQ, Mechanism: MechanismAdaptive, Seed: 3, Arrivals: openSpec(t)}
-	o := fullTopologyOptions(base)
+	o := Options{Policy: PolicyPPQ, Mechanism: MechanismAdaptive, Seed: 3, Arrivals: openSpec(t), Cluster: fullTopologyConfig()}
 	var res [2]*ClusterResult
 	var errs [2]error
 	var wg sync.WaitGroup
@@ -291,9 +237,7 @@ func TestRunClusterSharedSpecs(t *testing.T) {
 	if !reflect.DeepEqual(res[0], res[1]) {
 		t.Error("concurrent runs sharing spec pointers diverged")
 	}
-	fresh := fullTopologyOptions(base)
-	if !reflect.DeepEqual(o.Resilience, fresh.Resilience) || !reflect.DeepEqual(o.Faults, fresh.Faults) ||
-		!reflect.DeepEqual(o.Autoscale, fresh.Autoscale) || !reflect.DeepEqual(o.NodeTypes, fresh.NodeTypes) {
+	if !reflect.DeepEqual(o.Cluster, fullTopologyConfig()) {
 		t.Error("RunCluster mutated a shared spec")
 	}
 }

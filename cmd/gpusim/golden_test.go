@@ -88,6 +88,10 @@ func TestRejectsBadFlags(t *testing.T) {
 		{"-scale 0", "-scale must be at least 1"},
 		{"-scale -3", "-scale must be at least 1"},
 		{"-jitter 5", "jitter fraction 5 outside [0, 1]"},
+		{"-hp 7 -scale 48", "-hp must be -1 (none) or an application index in [0, 2), got 7"},
+		{"-hp -2", "-hp must be -1 (none) or an application index in [0, 2), got -2"},
+		{"-runs 0", "-runs must be at least 1"},
+		{"-runs -2", "-runs must be at least 1"},
 	}
 	for _, f := range []string{"autoscale 2:4", "as-high 4", "as-low 1", "as-interval 250us",
 		"kill-rate 1500", "downtime 500us", "straggler 0.2", "slow-factor 2", "timeout 300us",
@@ -96,16 +100,40 @@ func TestRejectsBadFlags(t *testing.T) {
 		cases = append(cases, badRun{"-" + f, "flag provided but not defined: -" + name})
 	}
 	for _, tc := range cases {
-		t.Run(tc.args, func(t *testing.T) {
-			var stderr bytes.Buffer
-			cmd := exec.Command(bin, strings.Fields(tc.args)...)
-			cmd.Stderr = &stderr
-			if err := cmd.Run(); err == nil {
-				t.Fatalf("gpusim %s exited 0", tc.args)
+		t.Run(tc.args, func(t *testing.T) { requireFailure(t, bin, strings.Fields(tc.args), tc.stderr) })
+	}
+}
+
+// TestRejectsBadClusterFile requires gpusim to exit non-zero on a -cluster
+// topology that leaves out the fleet size (the file replaces -gpus, so it
+// must carry nodes or node_types) and on one that is not valid JSON.
+func TestRejectsBadClusterFile(t *testing.T) {
+	bin := buildGpusim(t)
+	for _, tc := range []struct{ name, topology, stderr string }{
+		{"no fleet size", `{"dispatch": "jsq", "faults": {"kill_rate": 1500}}`, "node count 0 out of range"},
+		{"malformed", `{"nodes": 4,`, "decoding topology"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "topology.json")
+			if err := os.WriteFile(path, []byte(tc.topology), 0o644); err != nil {
+				t.Fatal(err)
 			}
-			if !strings.Contains(stderr.String(), tc.stderr) {
-				t.Errorf("gpusim %s: stderr %q lacks %q", tc.args, stderr.String(), tc.stderr)
-			}
+			requireFailure(t, bin, []string{"-arrivals", "poisson", "-cluster", path}, tc.stderr)
 		})
+	}
+}
+
+// requireFailure runs gpusim with args and requires a non-zero exit whose
+// stderr names the problem.
+func requireFailure(t *testing.T, bin string, args []string, stderr string) {
+	t.Helper()
+	var buf bytes.Buffer
+	cmd := exec.Command(bin, args...)
+	cmd.Stderr = &buf
+	if err := cmd.Run(); err == nil {
+		t.Fatalf("gpusim %s exited 0", strings.Join(args, " "))
+	}
+	if !strings.Contains(buf.String(), stderr) {
+		t.Errorf("gpusim %s: stderr %q lacks %q", strings.Join(args, " "), buf.String(), stderr)
 	}
 }

@@ -94,13 +94,17 @@ func main() {
 	// Reject out-of-range numeric flags up front with a clear message: a
 	// non-positive rate or horizon would synthesize an empty stream (or spin
 	// forever), zero GPUs has no machine to simulate, a scale below 1 would
-	// silently run the paper-faithful apps, and a negative worker count has
-	// no meaning.
+	// silently run the paper-faithful apps, fewer than one run would
+	// silently run the default three, and a negative worker count has no
+	// meaning.
 	if *gpus < 1 {
 		fatal(fmt.Errorf("-gpus must be at least 1, got %d", *gpus))
 	}
 	if *scale < 1 {
 		fatal(fmt.Errorf("-scale must be at least 1, got %d", *scale))
+	}
+	if *runs < 1 {
+		fatal(fmt.Errorf("-runs must be at least 1, got %d", *runs))
 	}
 	if *rate <= 0 {
 		fatal(fmt.Errorf("-rate must be positive (requests per simulated second), got %g", *rate))
@@ -160,6 +164,10 @@ func main() {
 	if len(apps) == 0 {
 		fatal(fmt.Errorf("no applications given"))
 	}
+	// An index past the apps would silently run with no prioritized one.
+	if *hp < -1 || *hp >= len(apps) {
+		fatal(fmt.Errorf("-hp must be -1 (none) or an application index in [0, %d), got %d", len(apps), *hp))
+	}
 
 	opts := repro.Options{
 		Policy:         repro.PolicyKind(*policy),
@@ -171,15 +179,14 @@ func main() {
 		PriorityDMA:    *prioDMA,
 		Parallel:       *parallel,
 	}
-	opts.Nodes = *gpus
-	opts.Dispatch = repro.DispatchKind(*dispatch)
+	opts.Cluster = repro.ClusterConfig{Nodes: *gpus, Dispatch: repro.DispatchKind(*dispatch)}
 	opts.ParWindow = *parWin
 	opts.WarmStart = *warmup
 	opts.HBM = hbmBytes
 	opts.Swap = *swapF
 	// Validate the policy name up front: a typo should fail identically
 	// whether or not this run's fleet size makes the dispatcher matter.
-	if !slices.Contains(repro.DispatchKinds(), opts.Dispatch) {
+	if !slices.Contains(repro.DispatchKinds(), opts.Cluster.Dispatch) {
 		fatal(fmt.Errorf("unknown -dispatch policy %q (use %s)", *dispatch, dispatchNames()))
 	}
 	if *clusterF != "" {
@@ -187,14 +194,21 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		opts, err = repro.ReadClusterTopology(f, opts)
+		topo, err := repro.ReadClusterConfig(f)
 		f.Close()
 		if err != nil {
 			fatal(err)
 		}
+		// The file replaces -gpus (it must carry the fleet size); -dispatch
+		// stands in for a dispatch key it leaves out.
+		if topo.Dispatch == "" {
+			topo.Dispatch = opts.Cluster.Dispatch
+		}
+		opts.Cluster = topo
 	}
-	fleet := opts.Nodes > 1 || len(opts.NodeTypes) > 0 || opts.Autoscale != nil || opts.Faults != nil ||
-		opts.Resilience != nil || opts.HBM > 0 || opts.Swap
+	c := opts.Cluster
+	fleet := c.Nodes > 1 || len(c.NodeTypes) > 0 || c.Autoscale != nil || c.Faults != nil ||
+		c.Resilience != nil || opts.HBM > 0 || opts.Swap
 	if fleet && *arrFlag == "" {
 		fatal(fmt.Errorf("a fleet (-gpus/-hbm/-swap or a -cluster file) needs -arrivals: the cluster layer serves open request streams"))
 	}
@@ -211,7 +225,7 @@ func main() {
 				deadlineSet = true
 			}
 		})
-		if (*hp < 0 || *hp >= len(apps)) && !deadlineSet {
+		if *hp < 0 && !deadlineSet {
 			*deadline = 0
 		}
 		runOpen(apps, *hp, *arrFlag, *rate, *horizon, *deadline, *arrOut, parsePhases(*phasesF), fleet, opts)
@@ -262,7 +276,7 @@ func runOpen(apps []*repro.App, hp int, mode string, rate float64, horizon, dead
 	switch mode {
 	case "poisson", "bursty", "heavytail":
 		spec.Process = repro.ArrivalProcess(mode)
-		if hp >= 0 && hp < len(apps) {
+		if hp >= 0 {
 			rest := make([]*repro.App, 0, len(apps)-1)
 			rest = append(rest, apps[:hp]...)
 			rest = append(rest, apps[hp+1:]...)

@@ -71,8 +71,7 @@ func main() {
 			Mechanism: repro.MechanismAdaptive,
 			Seed:      7,
 			Arrivals:  spec,
-			Nodes:     gpus,
-			Dispatch:  dispatch,
+			Cluster:   repro.ClusterConfig{Nodes: gpus, Dispatch: dispatch},
 		})
 		if err != nil {
 			log.Fatal(err)

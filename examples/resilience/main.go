@@ -101,14 +101,16 @@ func main() {
 	var deadlineOnly, guarded *repro.ClusterResult
 	for _, p := range policies {
 		res, err := repro.RunCluster(repro.Options{
-			Policy:     repro.PolicyPPQ,
-			Mechanism:  repro.MechanismAdaptive,
-			Seed:       7,
-			Arrivals:   spec,
-			Nodes:      4,
-			Dispatch:   repro.DispatchJSQ,
-			Faults:     &repro.FaultPlan{KillRate: *kills},
-			Resilience: p.spec,
+			Policy:    repro.PolicyPPQ,
+			Mechanism: repro.MechanismAdaptive,
+			Seed:      7,
+			Arrivals:  spec,
+			Cluster: repro.ClusterConfig{
+				Nodes:      4,
+				Dispatch:   repro.DispatchJSQ,
+				Faults:     &repro.FaultPlan{KillRate: *kills},
+				Resilience: p.spec,
+			},
 		})
 		if err != nil {
 			log.Fatal(err)

@@ -81,11 +81,6 @@ type RunConfig struct {
 	// breakers and admission-control load shedding. A nil or zero-valued
 	// spec leaves the run bit-for-bit on the plain elastic-fleet path.
 	Resilience *resilience.Spec
-	// HBM overrides every node's device-memory capacity in bytes (0 = the
-	// GPU spec's memory size; NodeTypes' HBMBytes override this per type).
-	// Each node charges admitted working sets against its capacity and
-	// blocks — or swaps — when oversubscribed (see memory.go).
-	HBM int64
 	// Swap switches oversubscribed nodes from FIFO admission blocking to
 	// host swap: contexts that do not fit spill to the host over the node's
 	// PCIe link and are proactively swapped back in as residency frees.
@@ -509,13 +504,10 @@ func New(tr *trace.ArrivalTrace, rc RunConfig) (*Cluster, error) {
 	if base.ContextCapacity <= 0 {
 		base.ContextCapacity = arrivals.ContextCapacityFor(tr)
 	}
-	if rc.HBM < 0 {
-		return nil, fmt.Errorf("cluster: negative HBM size %d", rc.HBM)
-	}
-	if rc.HBM > 0 {
-		// Fleet-wide capacity override; NodeTypes' HBMBytes still wins per
-		// type (apply only overrides when set).
-		base.GPU.MemSize = rc.HBM
+	// Reject a bad base GPU (a non-positive Sys.GPU.MemSize, say) before the
+	// working-set check below reads its capacity.
+	if err := base.GPU.Validate(); err != nil {
+		return nil, fmt.Errorf("cluster: %w", err)
 	}
 	baseScale := 1.0
 	if base.TimeScale > 0 {

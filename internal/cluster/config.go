@@ -32,8 +32,7 @@ type NodeType struct {
 	SlowFactor float64 `json:"slow_factor,omitempty"`
 	// HBMBytes overrides the type's device-memory capacity, the budget each
 	// node's working-set ledger enforces at admission (0 = the base
-	// machine's, which RunConfig.HBM — Options.HBM at the repro facade — may
-	// itself override).
+	// machine's Sys.GPU.MemSize, which Options.HBM sets at the repro facade).
 	HBMBytes int64 `json:"hbm_bytes,omitempty"`
 }
 
@@ -84,8 +83,8 @@ func (t NodeType) scale() float64 {
 // Config is a serializable cluster topology: how many replicated machines
 // (or which heterogeneous node types), which dispatch policy feeds them, and
 // the optional autoscaling, fault-injection and request-resilience plans.
-// gpusim -cluster loads it from JSON; the file is that CLI's only way to set
-// the three plans.
+// It is repro.Options.Cluster at the facade; gpusim -cluster loads it from
+// JSON, the CLI's only way to set the three plans.
 type Config struct {
 	// Nodes is the number of replicated machines (1..MaxNodes). With
 	// NodeTypes set it may be 0 (derived) or must equal their total count.
@@ -95,7 +94,8 @@ type Config struct {
 	NodeTypes []NodeType `json:"node_types,omitempty"`
 	// Dispatch names the placement policy (see Kinds; empty = round-robin).
 	Dispatch Kind `json:"dispatch,omitempty"`
-	// Seed drives randomized dispatch policies (p2c); 0 = 1.
+	// Seed drives randomized dispatch policies (p2c); 0 falls back to the
+	// run's seed (Options.Seed, gpusim -seed).
 	Seed uint64 `json:"seed,omitempty"`
 	// ContextCapacity overrides each node's context-table capacity
 	// (0 = sized to the arrival count, as in RunConfig.Sys).

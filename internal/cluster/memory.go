@@ -1,12 +1,12 @@
 // Device-memory-aware admission.
 //
 // Every node owns a working-set ledger: a gmem.Manager sized to the node's
-// HBM capacity (NodeType.HBMBytes, RunConfig.HBM, or the GPU spec's memory
-// size). Each admitted request charges its application's working set
-// (trace.App.WorkingSetBytes — the explicit override or the trace's total
-// transfer bytes) against the ledger for the lifetime of its run; a request
-// whose working set does not fit waits instead of starting, which turns the
-// fleet model from slot-limited into memory-limited.
+// HBM capacity (NodeType.HBMBytes, or else the base machine's
+// Sys.GPU.MemSize). Each admitted request charges its application's working
+// set (trace.App.WorkingSetBytes — the explicit override or the trace's
+// total transfer bytes) against the ledger for the lifetime of its run; a
+// request whose working set does not fit waits instead of starting, which
+// turns the fleet model from slot-limited into memory-limited.
 //
 // Two oversubscription disciplines:
 //

@@ -89,14 +89,14 @@ func TestMemoryBlockOversubscription(t *testing.T) {
 	tr := memTrace(t, 40000, 31)
 
 	tight := testRunConfig(1, NewLeastLoaded())
-	tight.HBM = memTestTight
+	tight.Sys.GPU.MemSize = memTestTight
 	resTight, err := Run(tr, tight)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	roomy := testRunConfig(1, NewLeastLoaded())
-	roomy.HBM = 1 << 30
+	roomy.Sys.GPU.MemSize = 1 << 30
 	resRoomy, err := Run(tr, roomy)
 	if err != nil {
 		t.Fatal(err)
@@ -124,7 +124,7 @@ func TestMemoryBlockOversubscription(t *testing.T) {
 func TestMemorySwapConservation(t *testing.T) {
 	tr := memTrace(t, 40000, 31)
 	rc := testRunConfig(1, NewLeastLoaded())
-	rc.HBM = memTestTight
+	rc.Sys.GPU.MemSize = memTestTight
 	rc.Swap = true
 	res, err := Run(tr, rc)
 	if err != nil {
@@ -145,35 +145,35 @@ func TestMemorySwapConservation(t *testing.T) {
 	checkSwapLedger(t, "swap", res)
 }
 
-// TestMemoryRejectsInvalidConfig pins the validation surface: a negative HBM
-// override, and any working set larger than the smallest node's HBM (which
-// could never be admitted and would deadlock its queue), are rejected up
-// front.
+// TestMemoryRejectsInvalidConfig pins the validation surface: a negative
+// base HBM (Sys.GPU.MemSize), and any working set larger than the smallest
+// node's HBM (which could never be admitted and would deadlock its queue),
+// are rejected up front.
 func TestMemoryRejectsInvalidConfig(t *testing.T) {
 	tr := memTrace(t, 40000, 31)
 
 	rc := testRunConfig(1, NewLeastLoaded())
-	rc.HBM = -1
-	if _, err := Run(tr, rc); err == nil || !strings.Contains(err.Error(), "HBM") {
+	rc.Sys.GPU.MemSize = -1
+	if _, err := Run(tr, rc); err == nil || !strings.Contains(err.Error(), "MemSize must be positive") {
 		t.Errorf("negative HBM accepted: %v", err)
 	}
 
 	rc = testRunConfig(1, NewLeastLoaded())
-	rc.HBM = memTestBatchWS - 1
+	rc.Sys.GPU.MemSize = memTestBatchWS - 1
 	if _, err := Run(tr, rc); err == nil || !strings.Contains(err.Error(), "working set") {
 		t.Errorf("working set exceeding HBM accepted: %v", err)
 	}
 }
 
 // TestMemoryNodeTypeHBMOverride pins the capacity precedence: a node type's
-// HBMBytes overrides the fleet-wide RunConfig.HBM, which overrides the GPU
-// spec, and each node slot reports the capacity it actually got.
+// HBMBytes overrides the base machine's Sys.GPU.MemSize, and each node slot
+// reports the capacity it actually got.
 func TestMemoryNodeTypeHBMOverride(t *testing.T) {
 	tr := memTrace(t, 40000, 31)
 	rc := testRunConfig(0, NewLeastLoaded())
-	rc.HBM = memTestRoomy
+	rc.Sys.GPU.MemSize = memTestRoomy
 	rc.NodeTypes = []NodeType{
-		{Count: 1},                         // inherits the fleet-wide override
+		{Count: 1},                         // inherits the base capacity
 		{Count: 1, HBMBytes: memTestTight}, // per-type override wins
 		{Count: 1, HBMBytes: 2 * memTestRoomy},
 	}
@@ -312,7 +312,7 @@ func TestMemoryReleaseAdmitsRecycledRequest(t *testing.T) {
 	tr := memTrace(t, 40000, 17)
 	run := func() *Result {
 		rc := testRunConfig(1, NewLeastLoaded())
-		rc.HBM = memTestTight
+		rc.Sys.GPU.MemSize = memTestTight
 		res, err := Run(tr, rc)
 		if err != nil {
 			t.Fatal(err)
@@ -324,7 +324,7 @@ func TestMemoryReleaseAdmitsRecycledRequest(t *testing.T) {
 		t.Fatalf("completed %d of %d arrivals, %d in flight", a.Completed, len(tr.Arrivals), a.InFlight)
 	}
 	roomy := testRunConfig(1, NewLeastLoaded())
-	roomy.HBM = 1 << 30
+	roomy.Sys.GPU.MemSize = 1 << 30
 	if r, err := Run(tr, roomy); err != nil || r.EndTime >= a.EndTime {
 		t.Fatalf("memory never bound: roomy run ends at %v (err %v), tight at %v", r.EndTime, err, a.EndTime)
 	}

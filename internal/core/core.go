@@ -193,8 +193,6 @@ type sm struct {
 	next      KernelID // kernel the SM is reserved for
 	resident  []residentTB
 	settingUp bool
-	draining  bool
-	saving    bool
 	ctxOnSM   int // installed context id; -1 = none
 	tlb       *mmu.TLB
 	busyFrom  sim.Time

@@ -782,8 +782,6 @@ func (fw *Framework) smBecameIdle(s *sm) {
 	s.state = SMIdle
 	s.ksr = NoKernel
 	s.next = NoKernel
-	s.draining = false
-	s.saving = false
 	s.busyFrom = -1
 	fw.timeline.closeOpen(s.id, fw.eng.Now())
 	if k := fw.Kernel(prev); k != nil {
@@ -1035,21 +1033,19 @@ func (fw *Framework) SMKernel(smID int) KernelID { return fw.sms[smID].ksr }
 // SMNext returns the kernel the SM is reserved for.
 func (fw *Framework) SMNext(smID int) KernelID { return fw.sms[smID].next }
 
-// MarkDraining flags the SM as draining (timeline bookkeeping for the
+// MarkDraining records the SM's drain on the timeline (bookkeeping for the
 // draining mechanism).
 func (fw *Framework) MarkDraining(smID int) {
 	s := fw.sms[smID]
-	s.draining = true
 	if k := fw.Kernel(s.ksr); k != nil {
 		fw.timeline.transition(smID, fw.eng.Now(), IntervalDrain, k.Spec().Name, k.Cmd.Launch, k.Ctx().ID)
 	}
 }
 
-// MarkSaving flags the SM as saving context (timeline bookkeeping for the
-// context-switch mechanism).
+// MarkSaving accounts the SM's context save and records it on the timeline
+// (bookkeeping for the context-switch mechanism).
 func (fw *Framework) MarkSaving(smID int, dur sim.Time) {
 	s := fw.sms[smID]
-	s.saving = true
 	fw.stats.SaveTime += dur
 	if k := fw.Kernel(s.ksr); k != nil {
 		fw.timeline.transition(smID, fw.eng.Now(), IntervalSave, k.Spec().Name, k.Cmd.Launch, k.Ctx().ID)
@@ -1067,11 +1063,6 @@ func (fw *Framework) PreemptionDone(smID int) {
 	if len(s.resident) != 0 {
 		panic(fmt.Sprintf("core: preemption done on SM %d with %d resident thread blocks", smID, len(s.resident)))
 	}
-	if s.draining {
-		fw.stats.DrainTime += fw.eng.Now() - timelineStart(fw, smID)
-	}
-	s.draining = false
-	s.saving = false
 	if s.reservedAt >= 0 {
 		fw.stats.PreemptLatency += fw.eng.Now() - s.reservedAt
 		s.reservedAt = -1
@@ -1106,18 +1097,6 @@ func (fw *Framework) PreemptionDone(smID int) {
 	setup := fw.cfg.SMSetupLatency
 	fw.stats.SetupTime += setup
 	fw.eng.AfterFunc(setup, setupDoneEvent, s, packKernelID(kid))
-}
-
-// timelineStart returns the start of the SM's open timeline interval, or
-// the current time when no timeline is attached (making DrainTime zero).
-func timelineStart(fw *Framework, smID int) sim.Time {
-	if fw.timeline == nil {
-		return fw.eng.Now()
-	}
-	if iv := fw.timeline.open[smID]; iv != nil {
-		return iv.Start
-	}
-	return fw.eng.Now()
 }
 
 // Utilization returns the fraction of SM time spent busy from the epoch to

@@ -195,7 +195,6 @@ type Stats struct {
 	ContextRestored   int64
 	SaveTime          sim.Time // total time SMs spent saving context
 	RestoreTime       sim.Time // total time SMs spent restoring context
-	DrainTime         sim.Time // total time SMs spent draining
 	WastedWork        sim.Time // execution time discarded by flushes
 	PreemptLatency    sim.Time // total reservation-to-completion time
 	SetupTime         sim.Time
@@ -225,7 +224,6 @@ func (s *Stats) Accumulate(o Stats) {
 	s.ContextRestored += o.ContextRestored
 	s.SaveTime += o.SaveTime
 	s.RestoreTime += o.RestoreTime
-	s.DrainTime += o.DrainTime
 	s.WastedWork += o.WastedWork
 	s.PreemptLatency += o.PreemptLatency
 	s.SetupTime += o.SetupTime

@@ -181,9 +181,9 @@ func RunMemory(o Options) (*MemoryResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		rc.HBM, rc.NodeTypes, rc.Swap = j.regime.hbm, j.regime.types, j.swap
+		rc.NodeTypes, rc.Swap = j.regime.types, j.swap
 		if len(rc.NodeTypes) == 0 {
-			rc.Nodes = memoryFleetSize
+			rc.Nodes, rc.Sys.GPU.MemSize = memoryFleetSize, j.regime.hbm
 		}
 		res, err := cluster.Run(tr, rc)
 		if err != nil {

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/gpu"
+	"repro/internal/policy"
 	"repro/internal/preempt"
 	"repro/internal/proc"
 	"repro/internal/rng"
@@ -264,7 +265,7 @@ func Run(spec Spec, rc RunConfig) (*Result, error) {
 // immaterial) for MinRuns runs.
 func Isolated(app *trace.App, rc RunConfig) (sim.Time, error) {
 	iso := rc
-	iso.Policy = func(n int) core.Policy { return isolatedPolicy() }
+	iso.Policy = func(n int) core.Policy { return policy.NewFCFS() }
 	iso.Mechanism = nil
 	iso.defaults()
 	spec := Spec{Name: "iso-" + app.Name, Apps: []*trace.App{app}, HighPriority: -1, Seed: rc.Sys.Seed}
@@ -276,51 +277,6 @@ func Isolated(app *trace.App, rc RunConfig) (sim.Time, error) {
 		return 0, fmt.Errorf("workload: isolated run of %s did not complete", app.Name)
 	}
 	return res.Apps[0].MeanTurnaround, nil
-}
-
-// isolatedPolicy is constructed lazily to avoid an import cycle with the
-// policy package; FCFS admission with single-context back-to-back issue is
-// what isolated execution needs, which BaselineFCFS provides.
-var isolatedPolicy = func() core.Policy { return &baselineFCFS{} }
-
-// baselineFCFS is a minimal FCFS policy for isolated baselines: admit in
-// arrival order, give idle SMs to the oldest active kernel with work.
-type baselineFCFS struct {
-	core.BasePolicy
-}
-
-func (*baselineFCFS) Name() string { return "FCFS" }
-
-func (*baselineFCFS) PickPending(fw *core.Framework) int {
-	ctxs := fw.PendingContexts()
-	if len(ctxs) == 0 {
-		return -1
-	}
-	return ctxs[0]
-}
-
-func (p *baselineFCFS) OnActivated(fw *core.Framework, k core.KernelID) { p.assign(fw) }
-
-func (p *baselineFCFS) OnSMIdle(fw *core.Framework, smID int) { p.assign(fw) }
-
-func (p *baselineFCFS) assign(fw *core.Framework) {
-	for {
-		smID := fw.FirstIdleSM()
-		if smID < 0 {
-			return
-		}
-		var pick core.KernelID = core.NoKernel
-		for _, id := range fw.Active() {
-			if fw.WantsMoreSMs(id) {
-				pick = id
-				break
-			}
-		}
-		if !pick.Valid() {
-			return
-		}
-		fw.AssignSM(smID, pick)
-	}
 }
 
 // Cache memoizes isolated baselines per (app, machine-relevant key). It is

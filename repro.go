@@ -149,36 +149,16 @@ type Options struct {
 	// instead of a fixed co-scheduled set); it is consumed by RunOpen and
 	// RunCluster and ignored by Run/RunMany. See ArrivalSpec.
 	Arrivals *ArrivalSpec
-	// Nodes is the number of simulated GPUs for RunCluster (0 or 1 = one
-	// machine). Run/RunMany/RunOpen ignore it.
-	Nodes int
-	// NodeTypes optionally makes RunCluster's starting fleet heterogeneous:
-	// the types expand in order, each overriding pieces of the base machine.
-	// When set, Nodes must be zero or equal the types' total count.
-	NodeTypes []ClusterNodeType
-	// Dispatch selects how RunCluster places each arrival on a node.
-	// Default DispatchRoundRobin.
-	Dispatch DispatchKind
-	// Autoscale, when non-nil, lets RunCluster resize the fleet from rolling
-	// SLO feedback instead of keeping it fixed.
-	Autoscale *AutoscalePolicy
-	// Faults, when non-nil, makes RunCluster's fleet misbehave
-	// deterministically: seeded node kills and restarts, plus straggler
-	// incarnations.
-	Faults *FaultPlan
-	// Resilience, when non-nil, arms RunCluster's request-lifecycle manager:
-	// per-attempt deadlines, budgeted retries with backoff, hedged requests,
-	// per-node circuit breakers and admission-control load shedding. A
-	// zero-valued spec arms nothing and is bit-for-bit inert.
-	Resilience *ResilienceSpec
-	// DispatchSeed drives randomized dispatch policies (DispatchPowerOfTwo)
-	// separately from the machine's jitter seed; 0 falls back to Seed.
-	DispatchSeed uint64
+	// Cluster is RunCluster's fleet: its size or heterogeneous node types,
+	// dispatch policy and seed, per-GPU context capacity, and the optional
+	// autoscale, fault and resilience plans. It is the topology file's
+	// schema (see ReadClusterConfig). Run, RunMany and RunOpen ignore it.
+	Cluster ClusterConfig
 	// HBM overrides each simulated GPU's device-memory capacity in bytes for
-	// RunCluster (0 = the GPU spec's memory size; NodeTypes' HBMBytes
-	// override it per type). Each admitted request charges its application's
-	// working set against the node's capacity; when HBM is oversubscribed
-	// admission blocks FIFO — or swaps, with Swap set.
+	// RunCluster (0 = the GPU spec's memory size; Cluster.NodeTypes'
+	// HBMBytes override it per type). Each admitted request charges its
+	// application's working set against the node's capacity; when HBM is
+	// oversubscribed admission blocks FIFO — or swaps, with Swap set.
 	HBM int64
 	// Swap switches RunCluster's oversubscribed GPUs from FIFO admission
 	// blocking to host swap: contexts that do not fit spill to the host over
@@ -187,7 +167,7 @@ type Options struct {
 	Swap bool
 	// ParWindow runs RunCluster on the parallel-window executor with this
 	// many workers (0 = lockstep; see ClusterResult.Executor). A run with
-	// Resilience armed always uses lockstep.
+	// Cluster.Resilience armed always uses lockstep.
 	ParWindow int
 	// WarmStart, when positive, has RunCluster first play a warmup stream of
 	// this duration through a throwaway fleet and carry the dispatcher's
@@ -196,11 +176,6 @@ type Options struct {
 	// so load sweeps measure steady-state placement instead of the
 	// predictor's cold-start transient.
 	WarmStart time.Duration
-	// ContextCapacity overrides each simulated GPU's context-table capacity
-	// (0 = the arrival count for open-system and cluster runs, so admission
-	// never fails; gpu.DefaultContextCapacity for closed workloads). A
-	// positive value makes over-admission a simulation error.
-	ContextCapacity int
 	// Parallel bounds the number of concurrently simulated workloads in
 	// RunMany (0 = runtime.NumCPU(), 1 = sequential). Run ignores it.
 	Parallel int
@@ -334,7 +309,6 @@ func (o Options) runConfig() (workload.RunConfig, error) {
 	sys.Seed = o.Seed
 	sys.Jitter = o.Jitter
 	sys.RecordTimeline = o.RecordTimeline
-	sys.ContextCapacity = o.ContextCapacity
 	if o.PriorityDMA {
 		sys.DMAPolicy = pcie.PriorityFCFS{}
 	}
