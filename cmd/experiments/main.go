@@ -43,6 +43,20 @@ func main() {
 		memProf  = flag.String("memprofile", "", "write a pprof heap profile to this file on exit")
 	)
 	flag.Parse()
+	// Out-of-range values would otherwise be replaced silently: fewer than
+	// one workload, run or worker by the defaults (10, 3, NumCPU), a scale
+	// below 1 by the paper-faithful apps, and a negative window by lockstep.
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"n", *n}, {"runs", *minRuns}, {"scale", *scale}, {"parallel", *parallel}} {
+		if f.v < 1 {
+			fatal(fmt.Errorf("-%s must be at least 1, got %d", f.name, f.v))
+		}
+	}
+	if *parWin < 0 {
+		fatal(fmt.Errorf("-par-window must be non-negative, got %d", *parWin))
+	}
 
 	var err error
 	stopProf, err = profiling.Start(*cpuProf, *memProf)

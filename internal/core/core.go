@@ -120,6 +120,9 @@ type KSR struct {
 	// ctxBytes caches Config.TBContextBytes(Spec()) — hit once per restored
 	// thread block and per save-area touch.
 	ctxBytes int64
+	// jitterState is the rng.Hash64 state after mixing (seed, launch); each
+	// thread block's jitter mixes in its index (Framework.jitterFactor).
+	jitterState uint64
 
 	ptbq   []PreemptedTB
 	saveVA mmu.VAddr
@@ -176,9 +179,13 @@ func (s SMState) String() string {
 	return fmt.Sprintf("SMState(%d)", int(s))
 }
 
+// residentTB is one thread block resident on an SM. An SM's resident set is
+// unordered (completeTB swap-deletes); seq, the SM's issue count when the
+// block was issued, restores issue order where it matters (sortResident).
 type residentTB struct {
-	index    int
+	index    int32 // trace.KernelSpec.Validate bounds NumTBs to int32
 	restored bool
+	seq      uint64
 	start    sim.Time
 	end      sim.Time
 	ev       sim.EventID
@@ -192,6 +199,7 @@ type sm struct {
 	ksr       KernelID // kernel whose thread blocks occupy the SM
 	next      KernelID // kernel the SM is reserved for
 	resident  []residentTB
+	issued    uint64 // thread blocks issued so far; the next residentTB.seq
 	settingUp bool
 	ctxOnSM   int // installed context id; -1 = none
 	tlb       *mmu.TLB
@@ -203,4 +211,21 @@ type sm struct {
 	// saveBuf is the reusable buffer CancelResident fills; its contents stay
 	// valid until the next CancelResident on this SM.
 	saveBuf []PreemptedTB
+}
+
+// sortResident puts the SM's resident set back in issue order. completeTB
+// deletes by swapping with the last slot, so only the paths that hand the
+// order on — CancelResident and FlushResident (it becomes the PTBQ order,
+// and so the re-issue order) and ResidentTBs — pay for it. An insertion
+// sort suits the at most TBsPerSM entries.
+func (s *sm) sortResident() {
+	r := s.resident
+	for i := 1; i < len(r); i++ {
+		tb := r[i]
+		j := i
+		for ; j > 0 && r[j-1].seq > tb.seq; j-- {
+			r[j] = r[j-1]
+		}
+		r[j] = tb
+	}
 }

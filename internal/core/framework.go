@@ -434,13 +434,14 @@ func (fw *Framework) allocKSR(cmd *LaunchCmd) *KSR {
 		k = &KSR{}
 	}
 	*k = KSR{
-		id:         KernelID{slot: slot, gen: fw.slots[slot].gen},
-		Cmd:        cmd,
-		TBsPerSM:   info.occ,
-		SmemConfig: info.smem,
-		Activated:  fw.eng.Now(),
-		ctxBytes:   fw.cfg.TBContextBytes(cmd.Spec),
-		ptbq:       k.ptbq[:0],
+		id:          KernelID{slot: slot, gen: fw.slots[slot].gen},
+		Cmd:         cmd,
+		TBsPerSM:    info.occ,
+		SmemConfig:  info.smem,
+		Activated:   fw.eng.Now(),
+		ctxBytes:    fw.cfg.TBContextBytes(cmd.Spec),
+		jitterState: rng.Mix(rng.Mix(rng.HashStart, fw.seed), cmd.Launch),
+		ptbq:        k.ptbq[:0],
 	}
 	fw.slots[slot].k = k
 	fw.allocSaveArea(k)
@@ -666,12 +667,12 @@ func (fw *Framework) issueTB(s *sm, k *KSR) {
 			// Flushed thread block: no context to restore, it simply runs
 			// again from scratch for its full (deterministically jittered)
 			// duration.
-			tb = residentTB{index: h.Index, start: now, end: now + fw.tbDuration(k, h.Index)}
+			tb = residentTB{index: int32(h.Index), start: now, end: now + fw.tbDuration(k, h.Index)}
 			fw.stats.TBsRestarted++
 		} else {
 			restore := fw.cfg.ContextMoveTime(k.ctxBytes)
 			fw.touchSaveArea(s, k, h.Index)
-			tb = residentTB{index: h.Index, restored: true, start: now, end: now + restore + h.Remaining}
+			tb = residentTB{index: int32(h.Index), restored: true, start: now, end: now + restore + h.Remaining}
 			fw.stats.TBsRestored++
 			fw.stats.ContextRestored += k.ctxBytes
 			fw.stats.RestoreTime += restore
@@ -679,10 +680,12 @@ func (fw *Framework) issueTB(s *sm, k *KSR) {
 	} else {
 		idx := k.NextTB
 		k.NextTB++
-		tb = residentTB{index: idx, start: now, end: now + fw.tbDuration(k, idx)}
+		tb = residentTB{index: int32(idx), start: now, end: now + fw.tbDuration(k, idx)}
 	}
 	k.Running++
 	fw.stats.TBsIssued++
+	tb.seq = s.issued
+	s.issued++
 	tb.ev = fw.eng.AtFunc(tb.end, completeTBEvent, s, int64(tb.index))
 	s.resident = append(s.resident, tb)
 }
@@ -697,12 +700,19 @@ func completeTBEvent(p any, x int64) {
 // tbDuration returns the jittered execution time of thread block idx of
 // kernel k.
 func (fw *Framework) tbDuration(k *KSR, idx int) sim.Time {
-	f := rng.JitterFactor(fw.jitter, fw.seed, k.Cmd.Launch, uint64(idx))
-	d := sim.Time(float64(k.Spec().TBTime) * f * fw.timeScale)
+	d := sim.Time(float64(k.Spec().TBTime) * fw.jitterFactor(k, idx) * fw.timeScale)
 	if d < 1 {
 		d = 1
 	}
 	return d
+}
+
+// jitterFactor returns thread block idx's execution-time factor,
+// rng.Jitter over rng.Hash64(seed, launch, idx): allocKSR mixed (seed,
+// launch) into k.jitterState once, so each thread block costs one round
+// plus the finalizer.
+func (fw *Framework) jitterFactor(k *KSR, idx int) float64 {
+	return rng.Jitter(fw.jitter, rng.Finish(rng.Mix(k.jitterState, uint64(idx))))
 }
 
 // touchSaveArea exercises the SM's TLB and the process page table for the
@@ -729,7 +739,7 @@ func (fw *Framework) completeTB(s *sm, index int) {
 	}
 	pos := -1
 	for i := range s.resident {
-		if s.resident[i].index == index {
+		if int(s.resident[i].index) == index {
 			pos = i
 			break
 		}
@@ -739,7 +749,9 @@ func (fw *Framework) completeTB(s *sm, index int) {
 	}
 	elapsed := fw.eng.Now() - s.resident[pos].start
 	restored := s.resident[pos].restored
-	s.resident = append(s.resident[:pos], s.resident[pos+1:]...)
+	last := len(s.resident) - 1
+	s.resident[pos] = s.resident[last]
+	s.resident = s.resident[:last]
 	k.Running--
 	k.Done++
 	fw.stats.TBsCompleted++
@@ -893,6 +905,7 @@ func (fw *Framework) CancelResident(smID int) []PreemptedTB {
 	s := fw.sms[smID]
 	k := fw.Kernel(s.ksr)
 	now := fw.eng.Now()
+	s.sortResident()
 	s.saveBuf = s.saveBuf[:0]
 	for i := range s.resident {
 		tb := &s.resident[i]
@@ -901,7 +914,7 @@ func (fw *Framework) CancelResident(smID int) []PreemptedTB {
 		if rem < 0 {
 			rem = 0
 		}
-		s.saveBuf = append(s.saveBuf, PreemptedTB{Index: tb.index, Remaining: rem})
+		s.saveBuf = append(s.saveBuf, PreemptedTB{Index: int(tb.index), Remaining: rem})
 		if k != nil {
 			k.Running--
 		}
@@ -937,6 +950,7 @@ func (fw *Framework) FlushResident(smID int) int {
 	if !k.Spec().Idempotent {
 		panic(fmt.Sprintf("core: flushing non-idempotent kernel %s", k.Spec().Name))
 	}
+	s.sortResident()
 	s.saveBuf = s.saveBuf[:0]
 	for i := range s.resident {
 		tb := &s.resident[i]
@@ -954,7 +968,7 @@ func (fw *Framework) FlushResident(smID int) int {
 		fw.stats.WastedWork += elapsed
 		fw.stats.TBsFlushed++
 		k.Running--
-		s.saveBuf = append(s.saveBuf, PreemptedTB{Index: tb.index, Restart: true})
+		s.saveBuf = append(s.saveBuf, PreemptedTB{Index: int(tb.index), Restart: true})
 	}
 	s.resident = s.resident[:0]
 	fw.PushPreempted(s.ksr, s.saveBuf)
@@ -980,11 +994,12 @@ type ResidentTBInfo struct {
 func (fw *Framework) ResidentTBs(smID int) []ResidentTBInfo {
 	s := fw.sms[smID]
 	now := fw.eng.Now()
+	s.sortResident()
 	fw.tbScratch = fw.tbScratch[:0]
 	for i := range s.resident {
 		tb := &s.resident[i]
 		fw.tbScratch = append(fw.tbScratch, ResidentTBInfo{
-			Index:    tb.index,
+			Index:    int(tb.index),
 			Elapsed:  now - tb.start,
 			Restored: tb.restored,
 		})

@@ -1,7 +1,9 @@
 package predict
 
 import (
+	"maps"
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -70,4 +72,75 @@ func TestAlphaValidation(t *testing.T) {
 		}()
 	}
 	NewEWMA[int](1) // boundary: valid
+}
+
+// TestMatchesPlainMap interleaves Observe, Predict, Forget, Snapshot and
+// Restore over a few keys, seeded, and compares every step with a plain map
+// running the same update: the hot-key cache must never show.
+func TestMatchesPlainMap(t *testing.T) {
+	const alpha = 0.25
+	for seed := int64(1); seed <= 20; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		e := NewEWMA[int](alpha)
+		ref := map[int]float64{}
+		var snap map[int]float64
+		var refSnap map[int]float64
+		for step := 0; step < 2000; step++ {
+			key := r.Intn(4)
+			if r.Intn(3) > 0 {
+				key = 0 // long runs of one key, as thread blocks of a kernel give
+			}
+			switch op := r.Intn(20); {
+			case op < 12:
+				sample := r.Float64() * 1000
+				e.Observe(key, sample)
+				if old, ok := ref[key]; ok {
+					ref[key] = old + float64(alpha*(sample-old))
+				} else {
+					ref[key] = sample
+				}
+			case op < 16:
+				// Predict is checked after every step below.
+			case op < 17:
+				e.Forget(key)
+				delete(ref, key)
+			case op < 19:
+				snap, refSnap = e.Snapshot(), maps.Clone(ref)
+				if !maps.Equal(snap, refSnap) {
+					t.Fatalf("seed %d step %d: Snapshot %v, want %v", seed, step, snap, refSnap)
+				}
+			default:
+				if snap != nil {
+					e.Restore(snap)
+					ref = maps.Clone(refSnap)
+				}
+			}
+			if e.Len() != len(ref) {
+				t.Fatalf("seed %d step %d: Len %d, want %d", seed, step, e.Len(), len(ref))
+			}
+			for k := 0; k < 4; k++ {
+				got, ok := e.Predict(k)
+				want, wok := ref[k]
+				if got != want || ok != wok {
+					t.Fatalf("seed %d step %d: Predict(%d) = %v,%v, want %v,%v", seed, step, k, got, ok, want, wok)
+				}
+			}
+		}
+	}
+}
+
+// TestHotKeyAddsNoAllocation requires a run of one key's Observe and Predict
+// to allocate nothing once the key is known.
+func TestHotKeyAddsNoAllocation(t *testing.T) {
+	e := NewEWMA[int](0.5)
+	e.Observe(1, 10)
+	e.Observe(2, 20)
+	if n := testing.AllocsPerRun(100, func() {
+		e.Observe(1, 12)
+		e.Predict(1)
+		e.Observe(2, 22)
+		e.Predict(2)
+	}); n != 0 {
+		t.Errorf("Observe/Predict allocated %v times per run", n)
+	}
 }

@@ -61,19 +61,47 @@ func (s *Source) Perm(n int) []int {
 	return p
 }
 
-// Hash64 mixes an arbitrary number of 64-bit values into a single
-// well-distributed 64-bit hash. It is used to derive per-thread-block jitter
-// deterministically from (seed, launch id, thread-block index).
-func Hash64(vals ...uint64) uint64 {
-	h := uint64(0x9e3779b97f4a7c15)
-	for _, v := range vals {
-		h ^= v + 0x9e3779b97f4a7c15 + (h << 6) + (h >> 2)
-		h *= 0xff51afd7ed558ccd
-		h ^= h >> 33
-	}
+// HashStart is Hash64's state before any value is mixed in.
+const HashStart uint64 = 0x9e3779b97f4a7c15
+
+// Mix folds v into the hash state h: one round of Hash64. Hash64(a, b) is
+// Finish(Mix(Mix(HashStart, a), b)), so a caller that hashes many tuples
+// sharing a prefix can mix the prefix once and keep the state.
+func Mix(h, v uint64) uint64 {
+	h ^= v + 0x9e3779b97f4a7c15 + (h << 6) + (h >> 2)
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	return h
+}
+
+// Finish applies Hash64's finalizer to the hash state h.
+func Finish(h uint64) uint64 {
 	h *= 0xc4ceb9fe1a85ec53
 	h ^= h >> 33
 	return h
+}
+
+// Hash64 mixes an arbitrary number of 64-bit values into a single
+// well-distributed 64-bit hash. Per-thread-block jitter hashes (seed,
+// launch id, thread-block index) through its Mix and Finish halves.
+func Hash64(vals ...uint64) uint64 {
+	h := HashStart
+	for _, v := range vals {
+		h = Mix(h, v)
+	}
+	return Finish(h)
+}
+
+// Jitter maps the hash h to a multiplicative factor uniform in
+// [1-frac, 1+frac]; frac must be below 1, and a frac of 0 (or less) yields
+// exactly 1. The conversion rounds the product, so no GOARCH fuses the sum
+// into a multiply-add and the factor is the same on every machine.
+func Jitter(frac float64, h uint64) float64 {
+	if frac <= 0 {
+		return 1
+	}
+	u := float64(h>>11) / (1 << 53) // [0,1)
+	return 1 - frac + float64(2*frac*u)
 }
 
 // SeedFrom derives a child seed from a base seed and the coordinates of a
@@ -87,16 +115,4 @@ func SeedFrom(base uint64, coords ...uint64) uint64 {
 		h = 0x9e3779b97f4a7c15
 	}
 	return h
-}
-
-// JitterFactor returns a deterministic multiplicative factor in
-// [1-frac, 1+frac] derived from the given identifiers. frac must be in
-// [0, 1); a frac of 0 always yields exactly 1.
-func JitterFactor(frac float64, ids ...uint64) float64 {
-	if frac <= 0 {
-		return 1
-	}
-	h := Hash64(ids...)
-	u := float64(h>>11) / (1 << 53) // [0,1)
-	return 1 - frac + 2*frac*u
 }

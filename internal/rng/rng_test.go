@@ -95,9 +95,32 @@ func TestHash64Deterministic(t *testing.T) {
 	}
 }
 
+// TestMixFinishComposeHash64 requires Hash64 to be HashStart folded through
+// Mix once per value and closed by Finish, so a caller may cache the state
+// after a shared prefix and mix only the rest.
+func TestMixFinishComposeHash64(t *testing.T) {
+	s := New(11)
+	for i := 0; i < 10000; i++ {
+		vals := make([]uint64, s.Intn(5))
+		for j := range vals {
+			vals[j] = s.Uint64()
+		}
+		if i%7 == 0 && len(vals) > 0 {
+			vals[0] = 0 // a zero seed or id is legal input
+		}
+		h := HashStart
+		for _, v := range vals {
+			h = Mix(h, v)
+		}
+		if got, want := Finish(h), Hash64(vals...); got != want {
+			t.Fatalf("Finish(Mix...(%v)) = %#x, Hash64 = %#x", vals, got, want)
+		}
+	}
+}
+
 func TestJitterFactorBounds(t *testing.T) {
-	f := func(a, b uint64) bool {
-		v := JitterFactor(0.3, a, b)
+	f := func(h uint64) bool {
+		v := Jitter(0.3, h)
 		return v >= 0.7 && v <= 1.3
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -106,22 +129,24 @@ func TestJitterFactorBounds(t *testing.T) {
 }
 
 func TestJitterFactorZeroFraction(t *testing.T) {
-	if v := JitterFactor(0, 1, 2, 3); v != 1 {
-		t.Fatalf("JitterFactor(0, ...) = %v, want exactly 1", v)
-	}
-	if v := JitterFactor(-0.5, 1); v != 1 {
-		t.Fatalf("JitterFactor(-0.5, ...) = %v, want exactly 1", v)
+	for _, h := range []uint64{0, Hash64(1, 2, 3), ^uint64(0)} {
+		if v := Jitter(0, h); v != 1 {
+			t.Fatalf("Jitter(0, %#x) = %v, want exactly 1", h, v)
+		}
+		if v := Jitter(-0.5, h); v != 1 {
+			t.Fatalf("Jitter(-0.5, %#x) = %v, want exactly 1", h, v)
+		}
 	}
 }
 
 func TestJitterFactorVariesWithIDs(t *testing.T) {
-	a := JitterFactor(0.3, 1, 1)
-	b := JitterFactor(0.3, 1, 2)
+	a := Jitter(0.3, Hash64(1, 1))
+	b := Jitter(0.3, Hash64(1, 2))
 	if a == b {
 		t.Fatal("jitter identical for different thread blocks")
 	}
 	// And is stable for the same ids.
-	if a != JitterFactor(0.3, 1, 1) {
+	if a != Jitter(0.3, Hash64(1, 1)) {
 		t.Fatal("jitter not deterministic")
 	}
 }
@@ -130,7 +155,7 @@ func TestJitterFactorMeanNearOne(t *testing.T) {
 	sum := 0.0
 	n := 10000
 	for i := 0; i < n; i++ {
-		sum += JitterFactor(0.3, 99, uint64(i))
+		sum += Jitter(0.3, Hash64(99, uint64(i)))
 	}
 	mean := sum / float64(n)
 	if mean < 0.99 || mean > 1.01 {

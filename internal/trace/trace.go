@@ -10,6 +10,7 @@ package trace
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/sim"
 )
@@ -84,6 +85,8 @@ func (k *KernelSpec) Validate() error {
 		return fmt.Errorf("trace: kernel with empty name")
 	case k.NumTBs <= 0:
 		return fmt.Errorf("trace: kernel %s: NumTBs must be positive, got %d", k.Name, k.NumTBs)
+	case k.NumTBs > math.MaxInt32:
+		return fmt.Errorf("trace: kernel %s: NumTBs must be at most %d, got %d", k.Name, math.MaxInt32, k.NumTBs)
 	case k.TBTime <= 0:
 		return fmt.Errorf("trace: kernel %s: TBTime must be positive, got %v", k.Name, k.TBTime)
 	case k.RegsPerTB < 0:

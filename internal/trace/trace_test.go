@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 
@@ -42,6 +43,7 @@ func TestKernelSpecValidate(t *testing.T) {
 	}{
 		{"empty name", func(k *KernelSpec) { k.Name = "" }},
 		{"zero TBs", func(k *KernelSpec) { k.NumTBs = 0 }},
+		{"TB index beyond int32", func(k *KernelSpec) { k.NumTBs = math.MaxInt32; k.NumTBs++ }},
 		{"zero TB time", func(k *KernelSpec) { k.TBTime = 0 }},
 		{"negative regs", func(k *KernelSpec) { k.RegsPerTB = -1 }},
 		{"negative smem", func(k *KernelSpec) { k.SharedMemPerTB = -1 }},
