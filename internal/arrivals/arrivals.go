@@ -239,7 +239,7 @@ func Generate(spec GenSpec) (*trace.ArrivalTrace, error) {
 
 	meanGap := 1 / spec.Rate // seconds
 	expGap := func(mean float64) float64 {
-		return -math.Log(1-r.Float64()) * mean
+		return -float64(math.Log(1-r.Float64()) * mean)
 	}
 
 	if spec.Horizon <= 0 {
@@ -273,7 +273,7 @@ func Generate(spec GenSpec) (*trace.ArrivalTrace, error) {
 					size++
 				}
 				burstLeft = size - 1
-				interGap := float64(size)*mg - float64(size-1)*intraGap
+				interGap := float64(float64(size)*mg) - float64(float64(size-1)*intraGap)
 				if interGap < intraGap {
 					interGap = intraGap
 				}

@@ -117,10 +117,16 @@ func Run(tr *trace.ArrivalTrace, rc RunConfig) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	sys.Eng.SetMaxEvents(rc.MaxEvents)
-
 	e := &engine{sys: sys, tr: tr, acct: metrics.NewSLOAccount(tr.Classes), delay: rc.AdmitDelay}
 	e.adm = NewAdmitter(sys, tr, e.requestDone)
+	return e.run(rc)
+}
+
+// run simulates the stream on the engine's machine from its current state
+// (a fresh or freshly reset one) and reports the result.
+func (e *engine) run(rc RunConfig) (*Result, error) {
+	sys, tr := e.sys, e.tr
+	sys.Eng.SetMaxEvents(rc.MaxEvents)
 	// Arrivals chain-schedule: each injection schedules the next, so the
 	// event heap holds one pending arrival at a time.
 	sys.Eng.AtFunc(tr.Arrivals[0].At+e.delay, injectEvent, e, 0)
@@ -163,14 +169,17 @@ func Run(tr *trace.ArrivalTrace, rc RunConfig) (*Result, error) {
 // receives an object of the request still completing.
 //
 // The single-node engine admits at injection time; internal/cluster keeps
-// one desk per node incarnation and admits wherever the dispatcher placed
-// the request. The caller accounts the admission itself (acct.Admit plus its
+// one desk per node and admits wherever the dispatcher placed the request.
+// When the cluster kills a node it resets the machine in place and then the
+// desk (Reset), so the next incarnation starts with every record the last
+// one grew. The caller accounts the admission itself (acct.Admit plus its
 // own counters).
 type Admitter struct {
 	sys   *system.System
 	tr    *trace.ArrivalTrace
 	onRun func(id int, rec proc.RunRecord)
 	free  []*admission
+	last  *admission // the newest record the desk created; see admission.prev
 }
 
 // admission is one admitted request's record. Its process and completion
@@ -179,12 +188,31 @@ type admission struct {
 	ad    *Admitter
 	i, id int // arrival index, caller's id
 	p     *proc.Process
+	prev  *admission // the record created before this one: Reset's list
 }
 
 // NewAdmitter returns the admission desk of machine sys for the requests of
 // tr; onRun is called with each completed request's id and run record.
 func NewAdmitter(sys *system.System, tr *trace.ArrivalTrace, onRun func(id int, rec proc.RunRecord)) *Admitter {
-	return &Admitter{sys: sys, tr: tr, onRun: onRun}
+	ad := &Admitter{sys: sys, tr: tr, onRun: onRun}
+	ad.Reset()
+	return ad
+}
+
+// Reset readies the desk for its freshly reset machine
+// (system.System.Reset): every admission record it created goes back to the
+// free list, so it admits as a new desk would while reusing them. Requests
+// that were in flight are abandoned without completing (onRun is not
+// called) and their processes aborted; their contexts went back to the
+// machine's context table with its reset.
+func (ad *Admitter) Reset() {
+	ad.free = ad.free[:0]
+	for rq := ad.last; rq != nil; rq = rq.prev {
+		if rq.p != nil {
+			rq.p.Abort()
+		}
+		ad.free = append(ad.free, rq)
+	}
 }
 
 // Admit places arrival i on the machine at the engine's current time; id is
@@ -202,7 +230,8 @@ func (ad *Admitter) Admit(i, id int) error {
 	if n := len(ad.free); n > 0 {
 		rq, ad.free = ad.free[n-1], ad.free[:n-1]
 	} else {
-		rq = &admission{ad: ad}
+		rq = &admission{ad: ad, prev: ad.last}
+		ad.last = rq
 	}
 	app := ad.tr.Apps[a.App]
 	if rq.p == nil {

@@ -128,17 +128,21 @@ func (rc *RunConfig) defaults() {
 
 // Node is one machine slot of the cluster: an assembled system with its own
 // event engine, context table and streaming SLO account, plus its lifecycle
-// state. A kill replaces the machine but not the slot — the SLO account and
-// counters span incarnations. Dispatchers read nodes through the accessor
-// methods; everything else is maintained by the Cluster.
+// state. A kill ends the machine's incarnation but not the slot — the SLO
+// account and counters span incarnations. Dispatchers read nodes through the
+// accessor methods; everything else is maintained by the Cluster.
 type Node struct {
 	// Index is the node's position in the cluster (the timestamp tie-break).
 	Index int
 	// Sys is the node's assembled machine (nil while the node is down).
 	Sys *system.System
+	// spare is the machine a kill left behind while the node is down; the
+	// restart resets it in place for the next incarnation (see newSystem).
+	spare *system.System
 	// adm is the machine's admission desk: it recycles each finished
-	// request's context, process and record for the node's next admission,
-	// and dies with the incarnation.
+	// request's context, process and record for the node's next admission.
+	// A restart resets it with the machine, so every incarnation of the slot
+	// reuses the records the earlier ones grew.
 	adm *arrivals.Admitter
 	// Acct is the node's per-class SLO accounting.
 	Acct *metrics.SLOAccount
@@ -384,6 +388,8 @@ type Cluster struct {
 	rejected                    int
 
 	eligible []*Node // dispatch scratch: current Up nodes
+	ups      []*Node // kill scratch: the Up nodes a kill picks from
+	lostIDs  []int   // kill scratch: the dead node's sorted in-flight ids
 
 	// Parallel-window execution state (zero when the lockstep reference
 	// runs; see parallel.go).
@@ -431,13 +437,25 @@ func nodeSeed(base uint64, index, incarnation int) uint64 {
 
 // newSystem (re)builds a node's machine for its current incarnation: fresh
 // policy and mechanism instances, an incarnation-specific jitter seed, and
-// the straggler die rolled into the service-time scale.
+// the straggler die rolled into the service-time scale. A restarted node
+// resets the machine and admission desk its last incarnation left behind
+// instead of building new ones; a reset machine runs exactly as a fresh one
+// (system.System.Reset), so only the allocations differ.
 func (c *Cluster) newSystem(n *Node) error {
 	cfg := n.baseCfg
 	cfg.Seed = nodeSeed(c.rc.Sys.Seed, n.Index, n.incarnation)
 	n.timeScale = n.baseScale * c.stragglerFactor(n.Index, n.incarnation)
 	cfg.TimeScale = n.timeScale
-	sys, err := system.New(cfg, c.rc.Policy(len(c.tr.Classes)), c.rc.Mechanism())
+	pol, mech := c.rc.Policy(len(c.tr.Classes)), c.rc.Mechanism()
+	if sys := n.spare; sys != nil {
+		if err := sys.Reset(cfg, pol, mech); err != nil {
+			return err
+		}
+		n.Sys, n.spare = sys, nil
+		n.adm.Reset()
+		return nil
+	}
+	sys, err := system.New(cfg, pol, mech)
 	if err != nil {
 		return err
 	}

@@ -340,7 +340,7 @@ func (d *leastLoaded) backlog(n *Node) float64 {
 	var load float64
 	for a, c := range n.inflightByApp {
 		if c > 0 {
-			load += float64(c) * d.weights[a]
+			load += float64(float64(c) * d.weights[a])
 		}
 	}
 	return load

@@ -91,20 +91,34 @@ func (c *Cluster) scheduleKill(from sim.Time) {
 	if at <= from {
 		at = from + 1
 	}
-	c.ctl.At(at, func() { c.kill(at) })
+	c.ctl.AtFunc(at, killEvent, c, 0)
 	c.refreshCtl()
+}
+
+// killEvent and restartEvent are the closure-free control-engine callbacks
+// of a kill and of the restart it schedules; both fire at the control
+// engine's current time.
+func killEvent(p any, _ int64) {
+	c := p.(*Cluster)
+	c.kill(c.ctl.Now())
+}
+
+func restartEvent(p any, _ int64) {
+	n := p.(*Node)
+	n.clu.restart(n, n.clu.ctl.Now())
 }
 
 // kill fires one kill event: pick a uniform Up victim (skipping the kill
 // entirely when fewer than two nodes are Up, so the fleet always keeps
 // serving) and chain-schedule the next one.
 func (c *Cluster) kill(at sim.Time) {
-	var ups []*Node
+	ups := c.ups[:0]
 	for _, n := range c.Nodes {
 		if n.state == NodeUp {
 			ups = append(ups, n)
 		}
 	}
+	c.ups = ups
 	if len(ups) >= 2 {
 		c.killNode(ups[c.faultR.Intn(len(ups))], at)
 	}
@@ -114,14 +128,15 @@ func (c *Cluster) kill(at sim.Time) {
 // killNode destroys one node: its machine vanishes mid-flight (pending engine
 // events die with it), every in-flight request is counted lost and
 // immediately re-dispatched as a fresh admission through the dispatcher, and
-// a restart is scheduled after the configured downtime.
+// a restart is scheduled after the configured downtime. The dead machine
+// stays on the node as its spare, for the restart to reset in place.
 func (c *Cluster) killNode(n *Node, at sim.Time) {
 	c.kills++
 	n.state = NodeDown
 	n.upTime += at - n.upSince
 	n.statsAcc.Accumulate(n.Sys.Exec.Stats())
-	n.busyAcc += n.Sys.Exec.Utilization(at) * float64(at)
-	n.Sys = nil
+	n.busyAcc += float64(n.Sys.Exec.Utilization(at) * float64(at))
+	n.spare, n.Sys = n.Sys, nil
 	c.hasNext[n.Index] = false
 	// The memory ledger, wait queue and in-flight swap-ins die with the
 	// machine (their engine events can no longer fire); spilled bytes whose
@@ -136,11 +151,12 @@ func (c *Cluster) killNode(n *Node, at sim.Time) {
 	} else {
 		// Sort the in-flight arrival indices so the re-dispatch order (and
 		// with it every downstream dispatcher decision) is deterministic.
-		idxs := make([]int, 0, len(n.pending))
+		idxs := c.lostIDs[:0]
 		for i := range n.pending {
 			idxs = append(idxs, i)
 		}
 		sort.Ints(idxs)
+		c.lostIDs = idxs
 		for _, i := range idxs {
 			a := &c.tr.Arrivals[i]
 			c.lose(n, a.Class)
@@ -153,18 +169,17 @@ func (c *Cluster) killNode(n *Node, at sim.Time) {
 		}
 	}
 
-	restartAt := at + c.faults.Downtime
-	c.ctl.At(restartAt, func() { c.restart(n, restartAt) })
+	c.ctl.AtFunc(at+c.faults.Downtime, restartEvent, n, 0)
 	c.refreshCtl()
 }
 
-// restart brings a killed node back as a fresh incarnation: new machine, new
-// jitter seed, new straggler draw. Its SLO account and lifetime counters
-// carry over — the node slot is the unit of accounting, not the incarnation.
+// restart brings a killed node back as a fresh incarnation: its machine is
+// reset in place with a new jitter seed and a new straggler draw. Its SLO
+// account and lifetime counters carry over — the node slot is the unit of
+// accounting, not the incarnation.
 func (c *Cluster) restart(n *Node, at sim.Time) {
 	c.restarts++
 	n.incarnation++
-	n.memInit()
 	if err := c.newSystem(n); err != nil {
 		c.fail(fmt.Errorf("cluster: restarting node %d: %w", n.Index, err))
 		return

@@ -171,21 +171,20 @@ func (c *Cluster) swapInDone(n *Node, i int, ws int64) {
 // memWipe destroys a node's memory state with its machine: spilled bytes
 // whose swap-in will now never happen are counted lost, the queue and staging
 // set are emptied (their requests are re-dispatched by the kill path), and
-// the ledger dies with the incarnation. The traffic counters persist — the
-// slot, not the incarnation, is the unit of accounting.
+// the ledger is reset empty for the next incarnation, all keeping their
+// capacity. The traffic counters persist — the slot, not the incarnation, is
+// the unit of accounting.
 func (n *Node) memWipe(c *Cluster) {
 	n.swapLostB += c.memSpilledNow(n)
-	n.memQ = nil
+	n.memQ = n.memQ[:0]
 	clear(n.staging)
-	n.mem = nil
+	n.mem.Reset(n.hbm)
 }
 
-// memInit arms a node's working-set ledger for a fresh incarnation.
+// memInit arms a new node slot's working-set ledger.
 func (n *Node) memInit() {
 	n.mem = gmem.NewManager(n.hbm)
-	if n.staging == nil {
-		n.staging = make(map[int]struct{})
-	}
+	n.staging = make(map[int]struct{})
 }
 
 // memSpilledNow returns the bytes currently cold on the host: queued waiters
@@ -210,7 +209,7 @@ func (c *Cluster) memSpilledNow(n *Node) int64 {
 // per-app in-flight population, and every swapped-out byte either swapped
 // back in, still cold on the host, or destroyed by a kill.
 func (c *Cluster) memCheck(n *Node) {
-	if n.mem != nil && n.mem.Used() > n.hbm {
+	if n.mem.Used() > n.hbm {
 		panic(fmt.Sprintf("cluster: node %d resident %d exceeds HBM %d", n.Index, n.mem.Used(), n.hbm))
 	}
 	var want int64

@@ -556,11 +556,12 @@ func (c *Cluster) queuedTotal() int {
 // decision. Attempt ids are sorted so the loss order — and every downstream
 // dispatcher decision — is deterministic.
 func (c *Cluster) killAttempts(n *Node, at sim.Time) {
-	ids := make([]int, 0, len(n.resLive))
+	ids := c.lostIDs[:0]
 	for id := range n.resLive {
 		ids = append(ids, id)
 	}
 	sort.Ints(ids)
+	c.lostIDs = ids
 	lost := ids[:0]
 	for _, attID := range ids {
 		att := &c.atts[attID]

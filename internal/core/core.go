@@ -213,6 +213,25 @@ type sm struct {
 	saveBuf []PreemptedTB
 }
 
+// reset returns the SM to its power-on state: idle, no kernel, nothing
+// resident or installed, an empty TLB of the given capacity.
+func (s *sm) reset(tlbEntries int) {
+	s.state = SMIdle
+	s.ksr, s.next = NoKernel, NoKernel
+	s.resident = s.resident[:0]
+	s.issued = 0
+	s.settingUp = false
+	s.ctxOnSM = -1
+	if s.tlb == nil {
+		s.tlb = mmu.NewTLB(tlbEntries)
+	} else {
+		s.tlb.Reset(tlbEntries)
+	}
+	s.busyFrom = -1
+	s.reservedAt = -1
+	s.saveBuf = s.saveBuf[:0]
+}
+
 // sortResident puts the SM's resident set back in issue order. completeTB
 // deletes by swapping with the last slot, so only the paths that hand the
 // order on — CancelResident and FlushResident (it becomes the PTBQ order,

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"repro/internal/gmem"
 	"repro/internal/gpu"
@@ -138,48 +140,89 @@ func WithTimeScale(f float64) Option {
 
 // New builds a framework for the given machine, policy and mechanism.
 func New(eng *sim.Engine, cfg gpu.Config, policy Policy, mech Mechanism, opts ...Option) (*Framework, error) {
-	if err := cfg.Validate(); err != nil {
+	fw := &Framework{}
+	if err := fw.Reset(eng, cfg, policy, mech, opts...); err != nil {
 		return nil, err
 	}
+	return fw, nil
+}
+
+// Reset returns the framework to the state New(eng, cfg, policy, mech,
+// opts...) produces, keeping every slice's and map's capacity: the SMs
+// (their resident sets, TLBs and context registers), the KSRT and its KSRs,
+// the command-buffer queues and the memoized occupancies. Kernels and
+// commands in flight are dropped without completing; their KSRs and queues
+// go back to the free lists. Launch ids and KSR generations start over, as
+// do the statistics. The engine must have been reset first (or be fresh):
+// events the old kernels scheduled would otherwise fire into the new state.
+// On error the framework is unusable until a successful Reset.
+func (fw *Framework) Reset(eng *sim.Engine, cfg gpu.Config, policy Policy, mech Mechanism, opts ...Option) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
 	if eng == nil || policy == nil || mech == nil {
-		return nil, fmt.Errorf("core: nil engine, policy or mechanism")
+		return fmt.Errorf("core: nil engine, policy or mechanism")
 	}
-	fw := &Framework{
-		eng:         eng,
-		cfg:         cfg,
-		policy:      policy,
-		mech:        mech,
-		pendq:       make(map[int]*ctxPending),
-		occ:         make(map[*trace.KernelSpec]occInfo),
-		activeLimit: cfg.NumSMs,
-		jitter:      0.30,
-		timeScale:   1,
-	}
+	fw.eng, fw.cfg, fw.policy, fw.mech = eng, cfg, policy, mech
+	fw.mem = nil
+	fw.activeLimit = cfg.NumSMs
+	fw.jitter = 0.30
+	fw.timeScale = 1
+	fw.seed = 0
+	fw.timeline = nil
 	for _, opt := range opts {
 		opt(fw)
 	}
 	if fw.timeScale <= 0 {
-		return nil, fmt.Errorf("core: time scale must be positive, got %g", fw.timeScale)
+		return fmt.Errorf("core: time scale must be positive, got %g", fw.timeScale)
 	}
 	fw.mechObs, _ = mech.(TBObserver)
 	if fw.activeLimit <= 0 {
-		return nil, fmt.Errorf("core: active-kernel limit must be positive, got %d", fw.activeLimit)
+		return fmt.Errorf("core: active-kernel limit must be positive, got %d", fw.activeLimit)
 	}
-	fw.sms = make([]*sm, cfg.NumSMs)
-	for i := range fw.sms {
-		fw.sms[i] = &sm{
-			fw:         fw,
-			id:         i,
-			ksr:        NoKernel,
-			next:       NoKernel,
-			ctxOnSM:    -1,
-			busyFrom:   -1,
-			reservedAt: -1,
-			tlb:        mmu.NewTLB(cfg.TLBEntriesPerSM),
+	keep := min(len(fw.sms), cfg.NumSMs)
+	clear(fw.sms[keep:])
+	fw.sms = slices.Grow(fw.sms[:keep], cfg.NumSMs-keep)
+	for len(fw.sms) < cfg.NumSMs {
+		fw.sms = append(fw.sms, &sm{fw: fw, id: len(fw.sms)})
+	}
+	for _, s := range fw.sms {
+		s.reset(cfg.TLBEntriesPerSM)
+	}
+	for i := range fw.slots {
+		if k := fw.slots[i].k; k != nil {
+			k.Cmd, k.ptbq = nil, k.ptbq[:0]
+			fw.ksrFree = append(fw.ksrFree, k)
 		}
 	}
-	fw.slots = make([]ksrSlot, fw.activeLimit)
-	return fw, nil
+	fw.slots = slices.Grow(fw.slots[:0], fw.activeLimit)[:fw.activeLimit]
+	clear(fw.slots)
+	fw.active = fw.active[:0]
+	// pendq's map order is random; free the queues in context-id order so
+	// that reuse is deterministic.
+	start := len(fw.cpFree)
+	for _, cp := range fw.pendq {
+		fw.cpFree = append(fw.cpFree, cp)
+	}
+	slices.SortFunc(fw.cpFree[start:], func(a, b *ctxPending) int { return cmp.Compare(a.id, b.id) })
+	for _, cp := range fw.cpFree[start:] {
+		clear(cp.cmds)
+		cp.cmds, cp.head, cp.pos = cp.cmds[:0], 0, -1
+	}
+	if fw.pendq == nil {
+		fw.pendq = make(map[int]*ctxPending)
+		fw.occ = make(map[*trace.KernelSpec]occInfo)
+	}
+	clear(fw.pendq)
+	clear(fw.pendingCtxs)
+	fw.pendingCtxs = fw.pendingCtxs[:0]
+	fw.ctxScratch = fw.ctxScratch[:0]
+	fw.tbScratch = fw.tbScratch[:0]
+	clear(fw.occ)
+	fw.launchSeq = 0
+	fw.stats = Stats{}
+	fw.activating = false
+	return nil
 }
 
 // Engine returns the simulation engine.
@@ -277,8 +320,8 @@ func (fw *Framework) occupancy(spec *trace.KernelSpec) (occInfo, error) {
 // bookkeeping does not grow with the lifetime total of an open system's
 // admitted processes and the next context reuses the queue. It is
 // an error to release a context that still has pending commands or active
-// kernels; context ids are never reused, so per-SM installed-context state
-// needs no scrubbing.
+// kernels; context ids are never reused before a Reset, so per-SM
+// installed-context state needs no scrubbing.
 func (fw *Framework) ReleaseContext(ctxID int) error {
 	if cp := fw.pendq[ctxID]; cp != nil && !cp.empty() {
 		return fmt.Errorf("core: releasing context %d with %d pending commands", ctxID, len(cp.cmds)-cp.head)

@@ -80,10 +80,29 @@ type phaseSlot struct {
 
 // New builds a CPU model.
 func New(eng *sim.Engine, cfg Config) (*Model, error) {
-	if err := cfg.Validate(); err != nil {
+	m := &Model{}
+	if err := m.Reset(eng, cfg); err != nil {
 		return nil, err
 	}
-	return &Model{eng: eng, cfg: cfg}, nil
+	return m, nil
+}
+
+// Reset returns the model to the state New(eng, cfg) produces — no running
+// or waiting phases, zero statistics — keeping the queue's and the phase
+// pool's capacity. Running and waiting phases are dropped without
+// completing. An invalid cfg leaves the model untouched.
+func (m *Model) Reset(eng *sim.Engine, cfg Config) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	m.eng, m.cfg = eng, cfg
+	m.busy = 0
+	clear(m.queue)
+	m.queue, m.qhead = m.queue[:0], 0
+	clear(m.phases)
+	m.phases, m.freeSlots = m.phases[:0], m.freeSlots[:0]
+	m.Dispatched, m.Queued, m.BusyTime = 0, 0, 0
+	return nil
 }
 
 // Config returns the CPU configuration.

@@ -5,6 +5,7 @@
 package gmem
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -24,6 +25,7 @@ type Manager struct {
 	inUse map[PAddr]alloc
 	owned map[int]int64
 	bases []PAddr // FreeOwner's scratch, reused across calls
+	oom   oomError
 }
 
 type span struct {
@@ -36,17 +38,52 @@ type alloc struct {
 	owner int
 }
 
+// ErrOutOfMemory matches (errors.Is) the error Alloc returns when no free
+// span can hold the request.
+var ErrOutOfMemory = errors.New("gmem: out of memory")
+
+// oomError details a failed Alloc. Admission paths probe for space on every
+// placement and discard the failure, so the manager keeps one in place and
+// returns a pointer to it: a failing Alloc allocates nothing, and the
+// message is formatted only if someone reads it. Its details describe the
+// manager's latest failure, so a caller that keeps the error across Alloc
+// calls may see them change.
+type oomError struct {
+	size, used, total int64
+	owner             int
+}
+
+func (e *oomError) Error() string {
+	return fmt.Sprintf("gmem: out of memory allocating %d bytes for owner %d (used %d of %d, %d free)",
+		e.size, e.owner, e.used, e.total, e.total-e.used)
+}
+
+// Is makes errors.Is(err, ErrOutOfMemory) hold.
+func (e *oomError) Is(target error) bool { return target == ErrOutOfMemory }
+
 // NewManager returns a manager for size bytes of physical memory.
 func NewManager(size int64) *Manager {
+	m := &Manager{}
+	m.Reset(size)
+	return m
+}
+
+// Reset returns the manager to the state NewManager(size) produces — one
+// free span covering all of memory, no allocations, no owners — keeping the
+// free list's and maps' capacity. Every address handed out before the reset
+// is forgotten.
+func (m *Manager) Reset(size int64) {
 	if size <= 0 {
 		panic("gmem: non-positive memory size")
 	}
-	return &Manager{
-		size:  size,
-		free:  []span{{base: 0, size: size}},
-		inUse: make(map[PAddr]alloc),
-		owned: make(map[int]int64),
+	m.size, m.used = size, 0
+	m.free = append(m.free[:0], span{base: 0, size: size})
+	if m.inUse == nil {
+		m.inUse = make(map[PAddr]alloc)
+		m.owned = make(map[int]int64)
 	}
+	clear(m.inUse)
+	clear(m.owned)
 }
 
 // Size returns the total physical memory size in bytes.
@@ -64,8 +101,9 @@ func (m *Manager) Available() int64 { return m.size - m.used }
 func (m *Manager) OwnedBy(owner int) int64 { return m.owned[owner] }
 
 // Alloc reserves size bytes for owner and returns the base physical address.
-// It fails when no free span is large enough (no paging, as in the paper's
-// baseline architecture).
+// It fails with an error matching ErrOutOfMemory when no free span is large
+// enough (no paging, as in the paper's baseline architecture); a failing
+// call allocates nothing.
 func (m *Manager) Alloc(owner int, size int64) (PAddr, error) {
 	if size <= 0 {
 		return 0, fmt.Errorf("gmem: allocation of %d bytes", size)
@@ -85,8 +123,8 @@ func (m *Manager) Alloc(owner int, size int64) (PAddr, error) {
 		m.used += size
 		return base, nil
 	}
-	return 0, fmt.Errorf("gmem: out of memory allocating %d bytes for owner %d (used %d of %d, %d free)",
-		size, owner, m.used, m.size, m.size-m.used)
+	m.oom = oomError{size: size, used: m.used, total: m.size, owner: owner}
+	return 0, &m.oom
 }
 
 // Free releases the allocation at base.

@@ -1,6 +1,7 @@
 package gmem
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -250,5 +251,48 @@ func TestAllocatorConsistencyProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAllocOutOfMemoryIsSentinel: a failed Alloc matches ErrOutOfMemory and
+// allocates nothing — admission paths probe for space on every placement.
+func TestAllocOutOfMemoryIsSentinel(t *testing.T) {
+	m := NewManager(8192)
+	if _, err := m.Alloc(1, 8192); err != nil {
+		t.Fatal(err)
+	}
+	_, err := m.Alloc(2, 1)
+	if !errors.Is(err, ErrOutOfMemory) {
+		t.Fatalf("Alloc on full memory returned %v, want ErrOutOfMemory", err)
+	}
+	if a := testing.AllocsPerRun(100, func() { _, err = m.Alloc(3, 4096) }); a != 0 {
+		t.Errorf("a failing Alloc allocates %v times, want 0", a)
+	}
+	if _, err := m.Alloc(4, 0); err == nil || errors.Is(err, ErrOutOfMemory) {
+		t.Errorf("zero-byte Alloc returned %v, want a non-OOM error", err)
+	}
+}
+
+// TestResetMatchesNew: a reset manager forgets every allocation and owner and
+// hands out the addresses a fresh one would.
+func TestResetMatchesNew(t *testing.T) {
+	m := NewManager(1 << 20)
+	for i := 0; i < 10; i++ {
+		if _, err := m.Alloc(i, int64(1000*(i+1))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m.Reset(1 << 16)
+	if m.Size() != 1<<16 || m.Used() != 0 || m.OwnedBy(3) != 0 || m.FreeSpans() != 1 {
+		t.Fatalf("reset manager: size %d, used %d, owner 3 holds %d, %d spans",
+			m.Size(), m.Used(), m.OwnedBy(3), m.FreeSpans())
+	}
+	fresh := NewManager(1 << 16)
+	for i := 0; i < 5; i++ {
+		a, errA := m.Alloc(i, 3000)
+		b, errB := fresh.Alloc(i, 3000)
+		if a != b || (errA == nil) != (errB == nil) {
+			t.Fatalf("alloc %d: reset manager gave %#x (%v), fresh %#x (%v)", i, a, errA, b, errB)
+		}
 	}
 }

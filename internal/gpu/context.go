@@ -1,7 +1,9 @@
 package gpu
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"repro/internal/mmu"
 )
@@ -41,7 +43,8 @@ const DefaultContextCapacity = 64
 // recycled struct, and its page table's level-2 tables, when one is
 // available. Only the struct is reused: every created context gets a fresh
 // id from a counter that never goes back, because TLB entries, the SMs'
-// installed-context registers and memory owners are keyed by that id.
+// installed-context registers and memory owners are keyed by that id. Only
+// Reset, which empties the whole machine, restarts the counter.
 type ContextTable struct {
 	capacity int
 	byID     map[int]*Context
@@ -51,10 +54,35 @@ type ContextTable struct {
 
 // NewContextTable returns a context table with the given capacity.
 func NewContextTable(capacity int) *ContextTable {
+	t := &ContextTable{}
+	t.Reset(capacity)
+	return t
+}
+
+// Reset returns the table to the state NewContextTable(capacity) produces,
+// except that every context struct — live or already recycled — stays on
+// the free list for later Creates. Live contexts are recycled with their
+// page tables cleared: a machine reset abandons their processes mid-flight.
+// The id counter starts over, so the caller must also empty every structure
+// keyed by context id (TLBs, SM context registers, command buffers, memory
+// owners); system.System.Reset does.
+func (t *ContextTable) Reset(capacity int) {
 	if capacity <= 0 {
 		panic("gpu: non-positive context table capacity")
 	}
-	return &ContextTable{capacity: capacity, byID: make(map[int]*Context)}
+	t.capacity = capacity
+	if t.byID == nil {
+		t.byID = make(map[int]*Context)
+	}
+	start := len(t.free)
+	for _, ctx := range t.byID {
+		ctx.PageTable.Clear()
+		t.free = append(t.free, ctx)
+	}
+	// Map order is random; recycle in id order so reuse is deterministic.
+	slices.SortFunc(t.free[start:], func(a, b *Context) int { return cmp.Compare(a.ID, b.ID) })
+	clear(t.byID)
+	t.nextID = 0
 }
 
 // Create allocates a new context with the next free id.

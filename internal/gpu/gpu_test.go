@@ -290,3 +290,43 @@ func mustPanic(t *testing.T, what string, fn func()) {
 	}()
 	fn()
 }
+
+// TestContextTableResetRestartsIDs: Reset recycles every live context, its
+// page table cleared, and restarts the id counter as on a fresh table.
+func TestContextTableResetRestartsIDs(t *testing.T) {
+	tab := NewContextTable(4)
+	var live []*Context
+	for i := 0; i < 3; i++ {
+		c, err := tab.Create("p", i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.PageTable.AllocRegion(0, 3*mmu.PageSize); err != nil {
+			t.Fatal(err)
+		}
+		live = append(live, c)
+	}
+	tab.Reset(2)
+	if tab.Len() != 0 || tab.Capacity() != 2 {
+		t.Fatalf("reset table: %d live, capacity %d; want 0, 2", tab.Len(), tab.Capacity())
+	}
+	for i := 0; i < 2; i++ {
+		c, err := tab.Create("q", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.ID != i {
+			t.Errorf("context %d after reset got id %d", i, c.ID)
+		}
+		if c.PageTable.Mapped() != 0 || c.PageTable.ASID != i {
+			t.Errorf("context %d: recycled page table maps %d pages, asid %d", i, c.PageTable.Mapped(), c.PageTable.ASID)
+		}
+		// The free list is a stack of the structs in id order.
+		if c != live[len(live)-1-i] {
+			t.Errorf("context %d: reset did not recycle the structs in id order", i)
+		}
+	}
+	if _, err := tab.Create("r", 0); err == nil {
+		t.Error("reset capacity not enforced")
+	}
+}

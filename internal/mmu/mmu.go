@@ -73,6 +73,19 @@ func (pt *PageTable) Reset(asid int) {
 	pt.next = PageSize
 }
 
+// Clear unmaps every page, keeping the level-2 tables for reuse. A machine
+// reset uses it on the page tables of contexts that die mid-flight, whose
+// save areas are still mapped; afterwards the table can be Reset for a new
+// address space.
+func (pt *PageTable) Clear() {
+	for _, tbl := range pt.root {
+		if tbl != nil && tbl.count != 0 {
+			tbl.present = [l2Entries / 64]uint64{}
+			tbl.count = 0
+		}
+	}
+}
+
 // level2 returns the level-2 table for an L1 index, growing the root and
 // creating the table as needed.
 func (pt *PageTable) level2(l1 uint64) *ptLevel2 {
@@ -197,10 +210,21 @@ type tlbEntry struct {
 
 // NewTLB returns a TLB with the given number of entries.
 func NewTLB(capacity int) *TLB {
+	t := &TLB{}
+	t.Reset(capacity)
+	return t
+}
+
+// Reset returns the TLB to the state NewTLB(capacity) produces: no entries,
+// the LRU clock and the counters at zero. The entry map is kept (cleared).
+func (t *TLB) Reset(capacity int) {
 	if capacity <= 0 {
 		panic("mmu: non-positive TLB capacity")
 	}
-	return &TLB{capacity: capacity}
+	t.capacity = capacity
+	clear(t.entries)
+	t.clock = 0
+	t.Hits, t.Misses, t.Faults = 0, 0, 0
 }
 
 // Lookup translates va through the TLB, walking pt on a miss.

@@ -310,3 +310,46 @@ func TestTLBMapIsLazy(t *testing.T) {
 		t.Fatalf("after fill: hits %d misses %d len %d", tlb.Hits, tlb.Misses, tlb.Len())
 	}
 }
+
+// TestTLBResetMatchesNew: a reset TLB holds no translation of the old
+// address spaces and counts from zero, like a new one.
+func TestTLBResetMatchesNew(t *testing.T) {
+	pt := NewPageTable(0)
+	va, err := pt.AllocRegion(gmem.PAddr(0x100000), 2*PageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tlb := NewTLB(4)
+	for i := 0; i < 3; i++ {
+		if _, err := tlb.Lookup(pt, va); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tlb.Reset(8)
+	if tlb.Len() != 0 || tlb.Hits != 0 || tlb.Misses != 0 || tlb.Faults != 0 {
+		t.Fatalf("reset TLB: %d entries, %d/%d/%d hits/misses/faults", tlb.Len(), tlb.Hits, tlb.Misses, tlb.Faults)
+	}
+	if _, err := tlb.Lookup(pt, va); err != nil || tlb.Misses != 1 {
+		t.Errorf("first lookup after reset: err %v, %d misses; want a miss", err, tlb.Misses)
+	}
+}
+
+// TestPageTableClear: Clear drops every mapping so the table can be Reset
+// for another address space.
+func TestPageTableClear(t *testing.T) {
+	pt := NewPageTable(1)
+	if _, err := pt.AllocRegion(gmem.PAddr(0), 5*PageSize); err != nil {
+		t.Fatal(err)
+	}
+	pt.Clear()
+	if pt.Mapped() != 0 {
+		t.Fatalf("%d pages mapped after Clear", pt.Mapped())
+	}
+	pt.Reset(2)
+	if _, err := pt.Translate(PageSize); err == nil {
+		t.Error("translation survived Clear")
+	}
+	if _, err := pt.AllocRegion(gmem.PAddr(0), PageSize); err != nil {
+		t.Errorf("remapping after Clear: %v", err)
+	}
+}

@@ -160,13 +160,30 @@ type Engine struct {
 
 // NewEngine returns a transfer engine using the given queueing policy.
 func NewEngine(eng *sim.Engine, cfg Config, policy QueuePolicy) (*Engine, error) {
-	if err := cfg.Validate(); err != nil {
+	e := &Engine{}
+	if err := e.Reset(eng, cfg, policy); err != nil {
 		return nil, err
+	}
+	return e, nil
+}
+
+// Reset returns the transfer engine to the state NewEngine(eng, cfg,
+// policy) produces — empty queue, nothing in flight, zero statistics —
+// keeping the queue's capacity. Queued and in-flight commands are dropped
+// without completing. An invalid cfg leaves the engine untouched.
+func (e *Engine) Reset(eng *sim.Engine, cfg Config, policy QueuePolicy) error {
+	if err := cfg.Validate(); err != nil {
+		return err
 	}
 	if policy == nil {
 		policy = FCFS{}
 	}
-	return &Engine{eng: eng, cfg: cfg, policy: policy}, nil
+	e.eng, e.cfg, e.policy = eng, cfg, policy
+	clear(e.queue)
+	e.queue = e.queue[:0]
+	e.busy, e.running = false, nil
+	e.stats = Stats{}
+	return nil
 }
 
 // Config returns the engine's bus configuration.

@@ -187,6 +187,29 @@ func (p *Process) Reuse(ctx *gpu.Context, app *trace.App) error {
 	return nil
 }
 
+// Abort drops the process's run in flight after its machine was reset (see
+// system.System.Reset): the machine's events, queued commands and CPU
+// phases are gone, so the process forgets its outstanding commands, stream
+// queues, phase and run records and becomes reusable (Reuse) as if it had
+// never started. Its streams and continuations are kept. Aborting a process
+// whose machine still holds its events is a caller bug: they would fire
+// into the next run.
+func (p *Process) Abort() {
+	for _, st := range p.streams {
+		clear(st.queue)
+		st.queue, st.head, st.busy = st.queue[:0], 0, false
+		st.launch, st.xfer = core.LaunchCmd{}, pcie.Command{}
+	}
+	p.opIdx = 0
+	p.outstanding = 0
+	p.waitingSync = false
+	p.inCPUPhase = false
+	p.runStart = 0
+	p.firstIssue = -1
+	p.runs = p.runs[:0]
+	p.started = false
+}
+
 // Ctx returns the process's GPU context.
 func (p *Process) Ctx() *gpu.Context { return p.ctx }
 

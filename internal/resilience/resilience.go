@@ -189,7 +189,7 @@ func (p *RetryPolicy) Delay(n int, u float64) sim.Time {
 		d = p.BackoffMax
 	}
 	if p.JitterFrac > 0 {
-		f := 1 - p.JitterFrac*u
+		f := 1 - float64(p.JitterFrac*u)
 		d = sim.Time(float64(d) * f)
 		if d < 1 {
 			d = 1

@@ -26,7 +26,7 @@ func (s *Source) Uint64() uint64 {
 
 // Float64 returns a uniform float in [0, 1).
 func (s *Source) Float64() float64 {
-	return float64(s.Uint64()>>11) / (1 << 53)
+	return float64(float64(s.Uint64()>>11) / (1 << 53))
 }
 
 // Intn returns a uniform int in [0, n). It panics if n <= 0.
@@ -110,7 +110,11 @@ func Jitter(frac float64, h uint64) float64 {
 // any execution order. The result is never zero, making it safe for fields
 // where zero means "unset" (e.g. workload.Spec.Seed).
 func SeedFrom(base uint64, coords ...uint64) uint64 {
-	h := Hash64(append([]uint64{base}, coords...)...)
+	h := Mix(HashStart, base)
+	for _, v := range coords {
+		h = Mix(h, v)
+	}
+	h = Finish(h)
 	if h == 0 {
 		h = 0x9e3779b97f4a7c15
 	}

@@ -179,3 +179,23 @@ func TestShuffleKeepsElements(t *testing.T) {
 		t.Fatalf("shuffle changed elements: %v", vals)
 	}
 }
+
+// TestSeedFromMatchesHash64 pins SeedFrom to its definition over random
+// inputs — Hash64 of the base followed by the coordinates, with zero mapped
+// away — and checks it no longer allocates the joined slice.
+func TestSeedFromMatchesHash64(t *testing.T) {
+	f := func(base uint64, coords []uint64) bool {
+		want := Hash64(append([]uint64{base}, coords...)...)
+		if want == 0 {
+			want = 0x9e3779b97f4a7c15
+		}
+		return SeedFrom(base, coords...) == want
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+	var sink uint64
+	if a := testing.AllocsPerRun(100, func() { sink += SeedFrom(sink, 0xC105, 3, 7) }); a != 0 {
+		t.Errorf("SeedFrom allocates %v times per call, want 0", a)
+	}
+}

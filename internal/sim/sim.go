@@ -40,9 +40,9 @@ const (
 // fractional, as in the paper's tables) to a Time.
 func Microseconds(us float64) Time {
 	if us < 0 {
-		return Time(us*float64(Microsecond) - 0.5)
+		return Time(float64(us*float64(Microsecond)) - 0.5)
 	}
-	return Time(us*float64(Microsecond) + 0.5)
+	return Time(float64(us*float64(Microsecond)) + 0.5)
 }
 
 // Microseconds reports t as a floating-point number of microseconds.
@@ -137,7 +137,30 @@ type Engine struct {
 
 // NewEngine returns an engine with the clock at the epoch.
 func NewEngine() *Engine {
-	return &Engine{}
+	e := &Engine{}
+	e.Reset()
+	return e
+}
+
+// Reset returns the engine to the state NewEngine produces — clock at the
+// epoch, nothing scheduled, sequence and event counters at zero, no event
+// limit — while keeping the record pool and heap capacity. Every pending
+// event is dropped without firing, and every record's generation is bumped,
+// so no EventID issued before the reset can cancel (or report as canceled)
+// an event scheduled after it. The free list is refilled in descending
+// index order, so records are handed out in the order a fresh engine
+// appends them.
+func (e *Engine) Reset() {
+	e.now, e.seq = 0, 0
+	e.free = e.free[:0]
+	for i := len(e.rec) - 1; i >= 0; i-- {
+		e.release(int32(i))
+	}
+	e.heap = e.heap[:0]
+	e.ncanceled = 0
+	e.stopped = false
+	e.processed = 0
+	e.maxEvents = 0
 }
 
 // Now returns the current virtual time.

@@ -65,52 +65,75 @@ type System struct {
 
 // New assembles a machine running the given policy and mechanism.
 func New(cfg Config, pol core.Policy, mech core.Mechanism) (*System, error) {
+	s := &System{
+		Eng:      &sim.Engine{},
+		Exec:     &core.Framework{},
+		DMA:      &pcie.Engine{},
+		CPU:      &cpu.Model{},
+		Contexts: &gpu.ContextTable{},
+		Mem:      &gmem.Manager{},
+	}
+	if err := s.Reset(cfg, pol, mech); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// Reset reassembles the machine in place for cfg, pol and mech: afterwards
+// it is in the state New(cfg, pol, mech) produces, and a simulation run on
+// it is identical to one on a fresh machine. Every component is reset, not
+// rebuilt, so their slices, maps and free lists keep their capacity.
+// Whatever was in flight — events, kernels, transfers, CPU phases, live
+// contexts and their mappings — is dropped. Context ids start over; every
+// structure keyed by them (TLBs, SM context registers, command buffers,
+// memory owners) is emptied with them. New is allocation plus this reset,
+// so fresh and recycled machines run one code path. On error the machine
+// is unusable until a successful Reset.
+func (s *System) Reset(cfg Config, pol core.Policy, mech core.Mechanism) error {
 	// A thread block's time factor is drawn from [1-Jitter, 1+Jitter), so a
 	// fraction above 1 would yield negative execution times.
 	if cfg.Jitter > 1 || math.IsNaN(cfg.Jitter) {
-		return nil, fmt.Errorf("system: jitter fraction %v outside [0, 1]", cfg.Jitter)
+		return fmt.Errorf("system: jitter fraction %v outside [0, 1]", cfg.Jitter)
 	}
-	eng := sim.NewEngine()
-	mem := gmem.NewManager(cfg.GPU.MemSize)
-	opts := []core.Option{
+	s.Cfg = cfg
+	s.Eng.Reset()
+	s.Mem.Reset(cfg.GPU.MemSize)
+	// Every option is passed, its zero-config value spelt as the
+	// framework's default, so the option list never grows on the heap.
+	var tl *core.Timeline
+	if cfg.RecordTimeline {
+		tl = core.NewTimeline()
+	}
+	limit := cfg.ActiveLimit
+	if limit <= 0 {
+		limit = cfg.GPU.NumSMs
+	}
+	scale := cfg.TimeScale
+	if !(scale > 0) {
+		scale = 1
+	}
+	if err := s.Exec.Reset(s.Eng, cfg.GPU, pol, mech,
 		core.WithJitter(cfg.Jitter),
 		core.WithSeed(cfg.Seed),
-		core.WithMemory(mem),
+		core.WithMemory(s.Mem),
+		core.WithTimeline(tl),
+		core.WithActiveLimit(limit),
+		core.WithTimeScale(scale),
+	); err != nil {
+		return fmt.Errorf("system: building execution engine: %w", err)
 	}
-	if cfg.RecordTimeline {
-		opts = append(opts, core.WithTimeline(core.NewTimeline()))
+	if err := s.DMA.Reset(s.Eng, cfg.PCIe, cfg.DMAPolicy); err != nil {
+		return fmt.Errorf("system: building transfer engine: %w", err)
 	}
-	if cfg.ActiveLimit > 0 {
-		opts = append(opts, core.WithActiveLimit(cfg.ActiveLimit))
-	}
-	if cfg.TimeScale > 0 {
-		opts = append(opts, core.WithTimeScale(cfg.TimeScale))
-	}
-	fw, err := core.New(eng, cfg.GPU, pol, mech, opts...)
-	if err != nil {
-		return nil, fmt.Errorf("system: building execution engine: %w", err)
-	}
-	dma, err := pcie.NewEngine(eng, cfg.PCIe, cfg.DMAPolicy)
-	if err != nil {
-		return nil, fmt.Errorf("system: building transfer engine: %w", err)
-	}
-	host, err := cpu.New(eng, cfg.CPU)
-	if err != nil {
-		return nil, fmt.Errorf("system: building host CPU: %w", err)
+	if err := s.CPU.Reset(s.Eng, cfg.CPU); err != nil {
+		return fmt.Errorf("system: building host CPU: %w", err)
 	}
 	ctxCap := cfg.ContextCapacity
 	if ctxCap <= 0 {
 		ctxCap = gpu.DefaultContextCapacity
 	}
-	return &System{
-		Eng:      eng,
-		Cfg:      cfg,
-		Exec:     fw,
-		DMA:      dma,
-		CPU:      host,
-		Contexts: gpu.NewContextTable(ctxCap),
-		Mem:      mem,
-	}, nil
+	s.Contexts.Reset(ctxCap)
+	return nil
 }
 
 // NewContext registers a new GPU context (one per process).
