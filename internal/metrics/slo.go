@@ -96,8 +96,10 @@ func (s *Sketch) Quantile(q float64) sim.Time {
 	if q >= 1 {
 		return s.max
 	}
-	// rank = ceil(q * n), in [1, n].
-	rank := uint64(q * float64(s.n))
+	// rank = ceil(q * n), in [1, n]. The explicit float64 rounds the
+	// product, so no GOARCH fuses it into the multiply-subtract that
+	// converting a value >= 2^63 to uint64 takes.
+	rank := uint64(float64(q * float64(s.n)))
 	if float64(rank) < q*float64(s.n) {
 		rank++
 	}
@@ -144,7 +146,7 @@ func (s *Sketch) SinceQuantile(prev *Sketch, q float64) sim.Time {
 		q = 1
 	}
 	// rank = ceil(q * n), in [1, n], as in Quantile.
-	rank := uint64(q * float64(n))
+	rank := uint64(float64(q * float64(n)))
 	if float64(rank) < q*float64(n) {
 		rank++
 	}

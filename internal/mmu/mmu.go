@@ -11,6 +11,7 @@ package mmu
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/gmem"
 )
@@ -32,13 +33,17 @@ const (
 // the physical location named by the base page table register of §3.1.
 // Level-2 tables are dense arrays with a presence bitmap — like the real
 // structure, and unlike a hash map it makes the per-activation save-area
-// map/unmap traffic a handful of array stores with no allocation. An emptied
-// level-2 table stays attached, so a recycled page table (Reset) maps its
-// next owner's save areas into the tables its previous owner grew.
+// map/unmap traffic allocation-free. Map and Unmap work one run of pages per
+// level-2 table at a time: they test and then set or clear the run's
+// presence bits a 64-bit word at a time, and Map writes the run's entries in
+// one loop. An emptied level-2 table stays attached, so a recycled page
+// table (Reset) maps its next owner's save areas into the tables its
+// previous owner grew.
 type PageTable struct {
-	ASID int // address-space identifier (the GPU context id)
-	root []*ptLevel2
-	next VAddr // simple growing virtual address space
+	ASID   int // address-space identifier (the GPU context id)
+	root   []*ptLevel2
+	next   VAddr // simple growing virtual address space
+	mapped int   // number of mapped pages
 }
 
 const l2Entries = 1 << level2Bits
@@ -46,12 +51,55 @@ const l2Entries = 1 << level2Bits
 type ptLevel2 struct {
 	entries [l2Entries]gmem.PAddr
 	present [l2Entries / 64]uint64
-	count   int
 }
 
 func (t *ptLevel2) has(l2 uint64) bool { return t.present[l2>>6]&(1<<(l2&63)) != 0 }
-func (t *ptLevel2) set(l2 uint64)      { t.present[l2>>6] |= 1 << (l2 & 63) }
-func (t *ptLevel2) clear(l2 uint64)    { t.present[l2>>6] &^= 1 << (l2 & 63) }
+
+// wordMask returns the bits of presence word w that cover entries [a, b),
+// which must overlap the word.
+func wordMask(w, a, b uint64) uint64 {
+	lo, hi := max(w<<6, a), min(w<<6+64, b)
+	return ^uint64(0) >> (64 - (hi - lo)) << (lo & 63)
+}
+
+// first returns the first entry in [a, b) whose presence is present, or -1
+// if there is none.
+func (t *ptLevel2) first(a, b uint64, present bool) int {
+	var flip uint64 // inverts the words when looking for an absent entry
+	if !present {
+		flip = ^uint64(0)
+	}
+	for w := a >> 6; w <= (b-1)>>6; w++ {
+		if m := (t.present[w] ^ flip) & wordMask(w, a, b); m != 0 {
+			return int(w<<6) + bits.TrailingZeros64(m)
+		}
+	}
+	return -1
+}
+
+// setRange marks entries [a, b) present.
+func (t *ptLevel2) setRange(a, b uint64) {
+	for w := a >> 6; w <= (b-1)>>6; w++ {
+		t.present[w] |= wordMask(w, a, b)
+	}
+}
+
+// clearRange marks entries [a, b) absent.
+func (t *ptLevel2) clearRange(a, b uint64) {
+	for w := a >> 6; w <= (b-1)>>6; w++ {
+		t.present[w] &^= wordMask(w, a, b)
+	}
+}
+
+// run splits the pages [vpn, end) at the first level-2 boundary: it returns
+// the level-1 index and the level-2 entries [a, b) of the first run.
+func run(vpn, end uint64) (l1, a, b uint64) {
+	l1, a = vpn>>level2Bits, vpn&(l2Entries-1)
+	return l1, a, a + min(end-vpn, l2Entries-a)
+}
+
+// pageVA returns the virtual address of entry l2 of level-2 table l1.
+func pageVA(l1, l2 uint64) uint64 { return (l1<<level2Bits | l2) << pageShift }
 
 // NewPageTable returns an empty page table for the given address space.
 func NewPageTable(asid int) *PageTable {
@@ -66,8 +114,8 @@ func NewPageTable(asid int) *PageTable {
 // kept for reuse. Resetting a table that still maps pages is a caller bug
 // and panics, since the new owner would inherit the old owner's translations.
 func (pt *PageTable) Reset(asid int) {
-	if n := pt.Mapped(); n != 0 {
-		panic(fmt.Sprintf("mmu: resetting asid %d with %d mapped pages", pt.ASID, n))
+	if pt.mapped != 0 {
+		panic(fmt.Sprintf("mmu: resetting asid %d with %d mapped pages", pt.ASID, pt.mapped))
 	}
 	pt.ASID = asid
 	pt.next = PageSize
@@ -78,12 +126,15 @@ func (pt *PageTable) Reset(asid int) {
 // save areas are still mapped; afterwards the table can be Reset for a new
 // address space.
 func (pt *PageTable) Clear() {
+	if pt.mapped == 0 {
+		return
+	}
 	for _, tbl := range pt.root {
-		if tbl != nil && tbl.count != 0 {
+		if tbl != nil {
 			tbl.present = [l2Entries / 64]uint64{}
-			tbl.count = 0
 		}
 	}
+	pt.mapped = 0
 }
 
 // level2 returns the level-2 table for an L1 index, growing the root and
@@ -108,39 +159,68 @@ func (pt *PageTable) lookup(l1 uint64) *ptLevel2 {
 	return pt.root[l1]
 }
 
-// Map installs translations for npages pages starting at va -> pa.
+// Map installs translations for npages pages starting at va -> pa. It is
+// all-or-nothing: the whole run is checked before any page is mapped, so a
+// run that overlaps a mapped page fails and changes nothing.
 func (pt *PageTable) Map(va VAddr, pa gmem.PAddr, npages int) error {
 	if va%PageSize != 0 {
 		return fmt.Errorf("mmu: unaligned virtual address %#x", uint64(va))
 	}
-	for i := 0; i < npages; i++ {
-		v := va + VAddr(i*PageSize)
-		l1 := uint64(v) >> (pageShift + level2Bits)
-		l2 := (uint64(v) >> pageShift) & (l2Entries - 1)
-		tbl := pt.level2(l1)
-		if tbl.has(l2) {
-			return fmt.Errorf("mmu: double map of va %#x in asid %d", uint64(v), pt.ASID)
-		}
-		tbl.entries[l2] = pa + gmem.PAddr(i*PageSize)
-		tbl.set(l2)
-		tbl.count++
+	if npages <= 0 {
+		return nil
 	}
+	vpn := uint64(va) >> pageShift
+	end := vpn + uint64(npages)
+	for p := vpn; p < end; {
+		l1, a, b := run(p, end)
+		if tbl := pt.lookup(l1); tbl != nil {
+			if i := tbl.first(a, b, true); i >= 0 {
+				return fmt.Errorf("mmu: double map of va %#x in asid %d", pageVA(l1, uint64(i)), pt.ASID)
+			}
+		}
+		p += b - a
+	}
+	for p := vpn; p < end; {
+		l1, a, b := run(p, end)
+		tbl := pt.level2(l1)
+		tbl.setRange(a, b)
+		frame := pa + gmem.PAddr((p-vpn)<<pageShift)
+		e := tbl.entries[a:b]
+		for i := range e {
+			e[i] = frame + gmem.PAddr(i)<<pageShift
+		}
+		p += b - a
+	}
+	pt.mapped += npages
 	return nil
 }
 
-// Unmap removes translations for npages pages starting at va.
+// Unmap removes translations for npages pages starting at va. Like Map it
+// is all-or-nothing: if any page of the run is unmapped, it fails and
+// changes nothing.
 func (pt *PageTable) Unmap(va VAddr, npages int) error {
-	for i := 0; i < npages; i++ {
-		v := va + VAddr(i*PageSize)
-		l1 := uint64(v) >> (pageShift + level2Bits)
-		l2 := (uint64(v) >> pageShift) & (l2Entries - 1)
-		tbl := pt.lookup(l1)
-		if tbl == nil || !tbl.has(l2) {
-			return fmt.Errorf("mmu: unmap of unmapped va %#x in asid %d", uint64(v), pt.ASID)
-		}
-		tbl.clear(l2)
-		tbl.count--
+	if npages <= 0 {
+		return nil
 	}
+	vpn := uint64(va) >> pageShift
+	end := vpn + uint64(npages)
+	for p := vpn; p < end; {
+		l1, a, b := run(p, end)
+		i := int(a)
+		if tbl := pt.lookup(l1); tbl != nil {
+			i = tbl.first(a, b, false)
+		}
+		if i >= 0 {
+			return fmt.Errorf("mmu: unmap of unmapped va %#x in asid %d", pageVA(l1, uint64(i)), pt.ASID)
+		}
+		p += b - a
+	}
+	for p := vpn; p < end; {
+		l1, a, b := run(p, end)
+		pt.root[l1].clearRange(a, b)
+		p += b - a
+	}
+	pt.mapped -= npages
 	return nil
 }
 
@@ -159,16 +239,8 @@ func (pt *PageTable) Translate(va VAddr) (gmem.PAddr, error) {
 	return tbl.entries[l2] + gmem.PAddr(uint64(va)&(PageSize-1)), nil
 }
 
-// Mapped returns the number of mapped pages.
-func (pt *PageTable) Mapped() int {
-	n := 0
-	for _, tbl := range pt.root {
-		if tbl != nil {
-			n += tbl.count
-		}
-	}
-	return n
-}
+// Mapped returns the number of mapped pages. It is O(1): a running count.
+func (pt *PageTable) Mapped() int { return pt.mapped }
 
 // AllocRegion reserves a fresh region of virtual address space covering
 // size bytes and maps it to pa. It returns the base virtual address.
@@ -186,8 +258,8 @@ func (pt *PageTable) AllocRegion(pa gmem.PAddr, size int64) (VAddr, error) {
 // walks the page table selected by the SM's base page table register (here:
 // the PageTable passed to Lookup). The entry map is created by the first
 // Lookup that fills an entry: an SM translates only on the context
-// save/restore path, which many SMs of a large fleet never take. Flush,
-// FlushASID and Len work on the nil map.
+// save/restore path, which many SMs of a large fleet never take. Flush and
+// Len work on the nil map.
 type TLB struct {
 	capacity int
 	entries  map[tlbKey]tlbEntry
@@ -252,16 +324,6 @@ func (t *TLB) Lookup(pt *PageTable, va VAddr) (gmem.PAddr, error) {
 	}
 	t.entries[key] = tlbEntry{pa: base, used: t.clock}
 	return pa, nil
-}
-
-// FlushASID removes all entries belonging to the given address space. The SM
-// driver flushes the SM's TLB when it installs a different context (§3.1).
-func (t *TLB) FlushASID(asid int) {
-	for k := range t.entries {
-		if k.asid == asid {
-			delete(t.entries, k)
-		}
-	}
 }
 
 // Flush empties the TLB. The map is cleared, not reallocated: installing a

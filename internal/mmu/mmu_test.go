@@ -190,25 +190,6 @@ func TestTLBIsolationBetweenASIDs(t *testing.T) {
 	}
 }
 
-func TestTLBFlushASID(t *testing.T) {
-	ptA := NewPageTable(1)
-	ptB := NewPageTable(2)
-	ptA.Map(PageSize, 0x1000000, 1)
-	ptB.Map(PageSize, 0x2000000, 1)
-	tlb := NewTLB(8)
-	tlb.Lookup(ptA, PageSize)
-	tlb.Lookup(ptB, PageSize)
-	tlb.FlushASID(1)
-	if tlb.Len() != 1 {
-		t.Fatalf("FlushASID removed %d entries, want 1 left", tlb.Len())
-	}
-	misses := tlb.Misses
-	tlb.Lookup(ptB, PageSize)
-	if tlb.Misses != misses {
-		t.Fatal("other ASID's entry was flushed")
-	}
-}
-
 func TestTLBFlush(t *testing.T) {
 	pt := NewPageTable(1)
 	pt.Map(PageSize, 0, 4)
@@ -289,7 +270,6 @@ func TestPageTableResetReusesLevel2(t *testing.T) {
 func TestTLBMapIsLazy(t *testing.T) {
 	tlb := NewTLB(4)
 	tlb.Flush()
-	tlb.FlushASID(1)
 	if tlb.Len() != 0 || tlb.entries != nil {
 		t.Fatalf("fresh TLB: len %d, map allocated %v", tlb.Len(), tlb.entries != nil)
 	}
