@@ -97,6 +97,12 @@ func TestRejectsBadFlags(t *testing.T) {
 		{"-reps -2", "-reps must be at least 1"},
 		{"-parallel 0", "-parallel must be at least 1"},
 		{"-parallel -3", "-parallel must be at least 1"},
+		{"-rate NaN", "-rate must be positive and finite"},
+		{"-rate +Inf", "-rate must be positive and finite"},
+		// Finite but with gaps under 1ns: the stream would never reach the
+		// horizon, so the generator must refuse it.
+		{"-apps spmv,lbm -scale 48 -arrivals poisson -horizon 1ms -rate 1e300", "peak rate 1e+300/s exceeds 1e9/s"},
+		{"-apps spmv,lbm -scale 48 -arrivals poisson -horizon 1ms -phases NaN:1ms", "rate factor must be positive and finite, got NaN"},
 	}
 	for _, f := range []string{"autoscale 2:4", "as-high 4", "as-low 1", "as-interval 250us",
 		"kill-rate 1500", "downtime 500us", "straggler 0.2", "slow-factor 2", "timeout 300us",

@@ -37,6 +37,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"slices"
@@ -92,12 +93,13 @@ func main() {
 	flag.Parse()
 
 	// Reject out-of-range numeric flags up front with a clear message: a
-	// non-positive rate or horizon would synthesize an empty stream (or spin
-	// forever), zero GPUs has no machine to simulate, a scale below 1 would
-	// silently run the paper-faithful apps, fewer than one run would
-	// silently run the default three, fewer than one replica or worker
-	// would silently run one replica or NumCPU workers, and a negative
-	// worker count or jitter has no meaning.
+	// non-positive or non-finite rate or a non-positive horizon would
+	// synthesize an empty stream (or spin forever), zero GPUs has no
+	// machine to simulate, a scale below 1 would silently run the
+	// paper-faithful apps, fewer than one run would silently run the
+	// default three, fewer than one replica or worker would silently run
+	// one replica or NumCPU workers, and a negative worker count or jitter
+	// has no meaning.
 	if *gpus < 1 {
 		fatal(fmt.Errorf("-gpus must be at least 1, got %d", *gpus))
 	}
@@ -116,8 +118,8 @@ func main() {
 	if *jitter < 0 {
 		fatal(fmt.Errorf("-jitter must be in [0, 1], got %g", *jitter))
 	}
-	if *rate <= 0 {
-		fatal(fmt.Errorf("-rate must be positive (requests per simulated second), got %g", *rate))
+	if !(*rate > 0) || math.IsInf(*rate, 1) {
+		fatal(fmt.Errorf("-rate must be positive and finite (requests per simulated second), got %g", *rate))
 	}
 	if *horizon <= 0 {
 		fatal(fmt.Errorf("-horizon must be positive, got %v", *horizon))

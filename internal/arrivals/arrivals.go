@@ -69,7 +69,7 @@ type ClassSpec struct {
 // is a short phase with a large factor between calm ones.
 type Phase struct {
 	// RateFactor multiplies the base Rate while the phase is active. Must be
-	// positive.
+	// positive and finite.
 	RateFactor float64
 	// Duration is the phase's length. Must be positive.
 	Duration sim.Time
@@ -79,7 +79,9 @@ type Phase struct {
 type GenSpec struct {
 	// Process is the inter-arrival process. Default ProcPoisson.
 	Process Process
-	// Rate is the mean offered load in arrivals per simulated second.
+	// Rate is the mean offered load in arrivals per simulated second. Rate
+	// times the largest phase factor must not exceed 1e9: the trace counts
+	// whole nanoseconds, so a mean gap under 1ns cannot be represented.
 	Rate float64
 	// Horizon bounds arrival times to [0, Horizon). Zero means unbounded,
 	// in which case MaxArrivals must be set.
@@ -118,8 +120,8 @@ func (g GenSpec) withDefaults() GenSpec {
 }
 
 func (g *GenSpec) validate() error {
-	if g.Rate <= 0 {
-		return fmt.Errorf("arrivals: rate must be positive, got %v", g.Rate)
+	if !(g.Rate > 0) || math.IsInf(g.Rate, 1) {
+		return fmt.Errorf("arrivals: rate must be positive and finite, got %v", g.Rate)
 	}
 	if g.Horizon <= 0 && g.MaxArrivals <= 0 {
 		return fmt.Errorf("arrivals: either Horizon or MaxArrivals must bound the stream")
@@ -149,13 +151,20 @@ func (g *GenSpec) validate() error {
 			}
 		}
 	}
+	maxFactor := 1.0
 	for i, p := range g.Phases {
-		if p.RateFactor <= 0 {
-			return fmt.Errorf("arrivals: phase %d: rate factor must be positive, got %v", i, p.RateFactor)
+		if !(p.RateFactor > 0) || math.IsInf(p.RateFactor, 1) {
+			return fmt.Errorf("arrivals: phase %d: rate factor must be positive and finite, got %v", i, p.RateFactor)
 		}
 		if p.Duration <= 0 {
 			return fmt.Errorf("arrivals: phase %d: duration must be positive, got %v", i, p.Duration)
 		}
+		if i == 0 || p.RateFactor > maxFactor {
+			maxFactor = p.RateFactor
+		}
+	}
+	if peak := g.Rate * maxFactor; peak > float64(sim.Second) {
+		return fmt.Errorf("arrivals: peak rate %v/s exceeds 1e9/s: a mean gap under 1ns does not fit the nanosecond trace", peak)
 	}
 	switch g.Process {
 	case ProcPoisson, ProcBursty, ProcHeavyTail:

@@ -2,6 +2,7 @@ package arrivals
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"repro/internal/core"
@@ -112,6 +113,42 @@ func TestGenerateRespectsBounds(t *testing.T) {
 	}
 	if _, err := Generate(GenSpec{Rate: -1, MaxArrivals: 1}); err == nil {
 		t.Error("negative rate accepted")
+	}
+}
+
+// TestRejectsEndlessStreams pins that a rate whose gaps never advance the
+// clock is rejected up front: a NaN rate or factor, an infinite one, or a
+// peak rate above 1e9/s (a mean gap under 1ns) would otherwise generate
+// arrivals until memory runs out, never reaching the horizon.
+func TestRejectsEndlessStreams(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	phases := func(f float64) []Phase {
+		return []Phase{{RateFactor: 1, Duration: sim.Millisecond}, {RateFactor: f, Duration: sim.Millisecond}}
+	}
+	cases := map[string]func(*GenSpec){
+		"NaN rate":         func(g *GenSpec) { g.Rate = nan },
+		"+Inf rate":        func(g *GenSpec) { g.Rate = inf },
+		"1e300 rate":       func(g *GenSpec) { g.Rate = 1e300 },
+		"NaN factor":       func(g *GenSpec) { g.Phases = phases(nan) },
+		"+Inf factor":      func(g *GenSpec) { g.Phases = phases(inf) },
+		"peak above 1e9":   func(g *GenSpec) { g.Rate, g.Phases = 1e8, phases(20) },
+		"overflowing peak": func(g *GenSpec) { g.Rate, g.Phases = 1e200, phases(1e200) },
+	}
+	for name, mutate := range cases {
+		spec := testSpec(ProcPoisson, 100000, 3)
+		mutate(&spec)
+		if _, err := Generate(spec); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+	// The boundary: a 1ns mean gap is representable, and a large factor on
+	// a low base rate is fine.
+	for _, g := range []GenSpec{{Rate: 1e9}, {Rate: 1e3, Phases: phases(1e6)}} {
+		spec := testSpec(ProcPoisson, g.Rate, 3)
+		spec.Phases, spec.MaxArrivals = g.Phases, 10
+		if _, err := Generate(spec); err != nil {
+			t.Errorf("rate %v, phases %v: %v", g.Rate, g.Phases, err)
+		}
 	}
 }
 

@@ -167,7 +167,7 @@ type Node struct {
 	hbm       int64            // device-memory capacity (bytes)
 	memDemand int64            // Σ working sets of placed-but-unresolved requests
 	mem       *gmem.Manager    // resident working-set ledger (nil while down)
-	memQ      []memWait        // requests waiting for residency, arrival order
+	memQ      []int            // arrival indices waiting for residency, in order
 	staging   map[int]struct{} // arrival index -> in-flight swap-in
 
 	spills, swapIns              int   // swap-outs / completed swap-ins
@@ -201,22 +201,6 @@ type Node struct {
 	lookRes bool     // node reserved seq slots in the current lookahead window
 }
 
-// Admitted returns the number of dispatch attempts placed on this node.
-func (n *Node) Admitted() int { return n.admitted }
-
-// Completed returns the number of requests that finished on this node.
-func (n *Node) Completed() int { return n.finished }
-
-// Lost returns the number of attempts destroyed by kills of this node.
-func (n *Node) Lost() int { return n.lost }
-
-// State returns the node's lifecycle state.
-func (n *Node) State() NodeState { return n.state }
-
-// TimeScale returns the current incarnation's service-time multiplier
-// (1 = nominal, >1 = straggler or slow node type).
-func (n *Node) TimeScale() float64 { return n.timeScale }
-
 // InFlight returns the node's physical occupancy (attempts dispatched but
 // not yet resolved, abandoned ghosts included) — the queue length
 // join-shortest-queue minimizes. Without the resilience layer the ghost
@@ -224,11 +208,6 @@ func (n *Node) TimeScale() float64 { return n.timeScale }
 func (n *Node) InFlight() int {
 	return n.admitted - n.finished - n.lost - n.ghostDone - n.ghostLost
 }
-
-// InFlightByApp returns how many outstanding requests of the given
-// application index the node holds. Predictive dispatchers weigh these
-// counts by per-application service-time estimates.
-func (n *Node) InFlightByApp(app int) int { return n.inflightByApp[app] }
 
 // liveLocal is the node's in-flight population as seen from inside a
 // parallel window: completions buffered for the boundary merge have already
@@ -655,12 +634,6 @@ func (c *Cluster) Executor() string {
 	}
 	return ExecutorLockstep
 }
-
-// DispatchFloor returns the fleet-wide dispatch-path latency floor: the
-// minimum delay between any dispatch decision and its admission landing on
-// the chosen node's engine, conservatively min'd across every node type the
-// fleet can contain.
-func (c *Cluster) DispatchFloor() sim.Time { return c.floorMin }
 
 // Run simulates the arrival stream across the configured fleet and reports
 // per-node plus rolled-up SLO metrics. The simulation stops when every

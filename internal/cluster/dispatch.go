@@ -94,8 +94,8 @@ const (
 	// ReadInFlight is Node.InFlight — the outstanding-attempt count jsq,
 	// class-affinity and p2c minimize.
 	ReadInFlight StateRead = iota
-	// ReadInFlightByApp is Node.InFlightByApp — the per-application counts
-	// predictive backlog weighting multiplies.
+	// ReadInFlightByApp is the node's per-application in-flight counts —
+	// what predictive backlog weighting multiplies.
 	ReadInFlightByApp
 	// ReadMemory is Node.FreeHBM / the memory-demand counters a
 	// memory-aware Pick screens against.

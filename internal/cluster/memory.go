@@ -42,27 +42,12 @@ import (
 	"repro/internal/sim"
 )
 
-// memWait is one admitted request waiting for device memory on its node. On
-// the swap path its working set has already spilled to the host.
-type memWait struct {
-	i  int      // arrival index
-	at sim.Time // time it started waiting
-}
-
 // FreeHBM returns the node's uncommitted device memory: HBM capacity minus
 // the working sets of every placed-but-unresolved request (resident, waiting
 // and swapping-in alike). It can be negative — that is the node's
 // oversubscription debt — and it is the signal memory-aware dispatchers
 // filter on.
 func (n *Node) FreeHBM() int64 { return n.hbm - n.memDemand }
-
-// HBM returns the node's device-memory capacity in bytes.
-func (n *Node) HBM() int64 { return n.hbm }
-
-// SwapDebt returns the spilled bytes the node still owes a swap-in: swap-out
-// traffic not yet matched by swap-ins (and not destroyed by kills). Zero with
-// swap disabled.
-func (n *Node) SwapDebt() int64 { return n.swapOutB - n.swapInB - n.swapLostB }
 
 // wsOf returns arrival i's working set in bytes.
 func (c *Cluster) wsOf(i int) int64 { return c.ws[c.tr.Arrivals[i].App] }
@@ -87,7 +72,7 @@ func (c *Cluster) memAdmit(n *Node, i int) bool {
 		_ = n.Sys.DMA.Submit(&pcie.Command{
 			CtxID: -1, Name: "swap-out", Dir: pcie.DeviceToHost, Bytes: ws,
 		})
-		n.memQ = append(n.memQ, memWait{i: i, at: n.Sys.Eng.Now()})
+		n.memQ = append(n.memQ, i)
 		return false
 	}
 	// Blocking mode is strict FIFO: nobody overtakes the queue, even into a
@@ -95,7 +80,7 @@ func (c *Cluster) memAdmit(n *Node, i int) bool {
 	if len(n.memQ) == 0 && c.memReserve(n, i, ws) {
 		return true
 	}
-	n.memQ = append(n.memQ, memWait{i: i, at: n.Sys.Eng.Now()})
+	n.memQ = append(n.memQ, i)
 	return false
 }
 
@@ -128,12 +113,12 @@ func (c *Cluster) memRelease(n *Node, i int) {
 func (c *Cluster) memDrain(n *Node) {
 	if !c.swapOn {
 		for len(n.memQ) > 0 {
-			w := n.memQ[0]
-			if !c.memReserve(n, w.i, c.wsOf(w.i)) {
+			i := n.memQ[0]
+			if !c.memReserve(n, i, c.wsOf(i)) {
 				return
 			}
 			n.memQ = n.memQ[1:]
-			c.startRun(n, w.i)
+			c.startRun(n, i)
 		}
 		if len(n.memQ) == 0 {
 			n.memQ = nil
@@ -141,15 +126,14 @@ func (c *Cluster) memDrain(n *Node) {
 		return
 	}
 	kept := n.memQ[:0]
-	for _, w := range n.memQ {
-		ws := c.wsOf(w.i)
-		if !c.memReserve(n, w.i, ws) {
-			kept = append(kept, w)
+	for _, i := range n.memQ {
+		ws := c.wsOf(i)
+		if !c.memReserve(n, i, ws) {
+			kept = append(kept, i)
 			continue
 		}
 		// Reserved: proactively swap the waiter back in ahead of its turn.
 		// The run starts when the H2D transfer lands.
-		i := w.i
 		n.staging[i] = struct{}{}
 		_ = n.Sys.DMA.Submit(&pcie.Command{
 			CtxID: -1, Name: "swap-in", Dir: pcie.HostToDevice, Bytes: ws,
@@ -195,8 +179,8 @@ func (c *Cluster) memSpilledNow(n *Node) int64 {
 		return 0
 	}
 	var b int64
-	for _, w := range n.memQ {
-		b += c.wsOf(w.i)
+	for _, i := range n.memQ {
+		b += c.wsOf(i)
 	}
 	for i := range n.staging {
 		b += c.wsOf(i)

@@ -118,8 +118,8 @@ func TestLookaheadEngages(t *testing.T) {
 		if want <= 0 {
 			t.Fatal("default PCIe config has no dispatch floor; the lookahead is untestable")
 		}
-		if c.DispatchFloor() != want {
-			t.Errorf("%s: fleet floor %v, want the PCIe dispatch floor %v", kind, c.DispatchFloor(), want)
+		if c.floorMin != want {
+			t.Errorf("%s: fleet floor %v, want the PCIe dispatch floor %v", kind, c.floorMin, want)
 		}
 		_, oblivious := any(d).(LoadOblivious)
 		la, aware := any(d).(Lookahead)

@@ -46,9 +46,8 @@ type attRec struct {
 	req        int
 	node       int // fleet node index the attempt was placed on
 	at         sim.Time
-	started    bool // admission event fired (context and process exist)
-	abandoned  bool // logically dead (timed out or lost the hedge race)
-	isHedge    bool
+	started    bool        // admission event fired (context and process exist)
+	abandoned  bool        // logically dead (timed out or lost the hedge race)
 	admitID    sim.EventID // node-engine admission event, cancelable until started
 	timeoutID  sim.EventID // control-engine timeout
 	hasTimeout bool
@@ -175,7 +174,7 @@ func (c *Cluster) launch(i, kind int, at sim.Time) {
 	}
 
 	attID := len(c.atts)
-	c.atts = append(c.atts, attRec{req: i, node: n.Index, at: at, isHedge: kind == attHedge})
+	c.atts = append(c.atts, attRec{req: i, node: n.Index, at: at})
 	att := &c.atts[attID]
 
 	c.book(n, i)

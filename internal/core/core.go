@@ -154,9 +154,6 @@ func (k *KSR) HasWork() bool { return k.IssueableTBs() > 0 }
 // Finished reports whether every thread block has completed.
 func (k *KSR) Finished() bool { return k.Done == k.Total() }
 
-// PTBQLen returns the number of preempted thread blocks queued.
-func (k *KSR) PTBQLen() int { return len(k.ptbq) }
-
 // SMState is the state of an SM in the SM Status Table.
 type SMState int
 

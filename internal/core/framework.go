@@ -231,9 +231,6 @@ func (fw *Framework) Engine() *sim.Engine { return fw.eng }
 // Config returns the machine configuration.
 func (fw *Framework) Config() *gpu.Config { return &fw.cfg }
 
-// Policy returns the installed scheduling policy.
-func (fw *Framework) Policy() Policy { return fw.policy }
-
 // Mechanism returns the installed preemption mechanism.
 func (fw *Framework) Mechanism() Mechanism { return fw.mech }
 
@@ -288,7 +285,6 @@ func (fw *Framework) Submit(cmd *LaunchCmd) error {
 		fw.pendingCtxs = append(fw.pendingCtxs, cp)
 	}
 	fw.stats.KernelsSubmitted++
-	fw.timeline.kernelEnqueued(cmd.Launch, cmd.Spec.Name, ctxID, cmd.Enqueued)
 	fw.tryActivate()
 	return nil
 }
@@ -358,16 +354,6 @@ func (fw *Framework) PendingHead(ctxID int) *LaunchCmd {
 		return nil
 	}
 	return cp.headCmd()
-}
-
-// PendingDepth returns the number of commands queued behind (and including)
-// the context's command buffer.
-func (fw *Framework) PendingDepth(ctxID int) int {
-	cp := fw.pendq[ctxID]
-	if cp == nil {
-		return 0
-	}
-	return len(cp.cmds) - cp.head
 }
 
 func (fw *Framework) popPending(ctxID int) *LaunchCmd {
@@ -449,7 +435,6 @@ func (fw *Framework) tryActivate() {
 			fw.stats.MaxActive = len(fw.active)
 		}
 		fw.stats.KernelsActivated++
-		fw.timeline.kernelActivated(cmd.Launch, fw.eng.Now())
 		fw.policy.OnActivated(fw, k.id)
 	}
 }
@@ -567,15 +552,6 @@ func (fw *Framework) FirstIdleSM() int {
 		}
 	}
 	return -1
-}
-
-// SMsHeldBy returns the number of SMs attached to kernel k: running for it
-// or reserved for it.
-func (fw *Framework) SMsHeldBy(k KernelID) int {
-	if ksr := fw.Kernel(k); ksr != nil {
-		return ksr.Held
-	}
-	return 0
 }
 
 // DemandSMs estimates how many more SMs kernel k can profitably use: the
@@ -868,7 +844,6 @@ func (fw *Framework) finishKernel(k *KSR) {
 	fw.freeSaveArea(k)
 	fw.slots[k.id.slot].k = nil
 	fw.stats.KernelsFinished++
-	fw.timeline.kernelFinished(k.Cmd.Launch, fw.eng.Now())
 	fw.policy.OnKernelFinished(fw, k.id)
 	if k.Cmd.OnDone != nil {
 		k.Cmd.OnDone(fw.eng.Now())
@@ -903,7 +878,6 @@ func (fw *Framework) ReserveSM(smID int, kid KernelID) {
 	if ko := fw.Kernel(old); ko != nil {
 		ko.Held--
 		ko.RunningSMs--
-		fw.timeline.kernelPreempted(ko.Cmd.Launch)
 		fw.policy.OnSMDetached(fw, old, smID)
 	}
 	fw.policy.OnSMAttached(fw, kid, smID)

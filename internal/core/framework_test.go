@@ -301,8 +301,8 @@ func TestPendingOrderFollowsHeadArrival(t *testing.T) {
 	if len(order) != 2 || order[0] != ctxA.ID || order[1] != ctxB.ID {
 		t.Fatalf("pending order = %v, want [A B]", order)
 	}
-	if fw.PendingDepth(ctxA.ID) != 2 {
-		t.Errorf("PendingDepth(A) = %d, want 2", fw.PendingDepth(ctxA.ID))
+	if cp := fw.pendq[ctxA.ID]; len(cp.cmds)-cp.head != 2 {
+		t.Errorf("pending depth of A = %d, want 2", len(cp.cmds)-cp.head)
 	}
 	if fw.PendingHead(ctxA.ID).Spec.Name != "a1" {
 		t.Errorf("head of A = %s, want a1", fw.PendingHead(ctxA.ID).Spec.Name)
@@ -546,8 +546,8 @@ func TestPTBQIssuesPreemptedFirst(t *testing.T) {
 	if kA == nil {
 		t.Fatal("A finished too early")
 	}
-	if kA.PTBQLen() != 2 {
-		t.Fatalf("PTBQ holds %d TBs, want 2 (SM 0's residents)", kA.PTBQLen())
+	if len(kA.ptbq) != 2 {
+		t.Fatalf("PTBQ holds %d TBs, want 2 (SM 0's residents)", len(kA.ptbq))
 	}
 	pol.onActivated = nil
 	runAndValidate(t, eng, fw)
@@ -596,13 +596,20 @@ func TestTimelineRecordsPhases(t *testing.T) {
 	if kinds[IntervalSetup] == 0 || kinds[IntervalRun] == 0 || kinds[IntervalSave] == 0 {
 		t.Errorf("missing interval kinds: %v", kinds)
 	}
-	if len(tl.Spans) != 2 {
-		t.Fatalf("kernel spans = %d, want 2", len(tl.Spans))
+	if st := fw.Stats(); st.KernelsActivated != 2 || st.KernelsFinished != 2 {
+		t.Fatalf("kernels activated %d, finished %d; want 2, 2", st.KernelsActivated, st.KernelsFinished)
 	}
-	for _, s := range tl.Spans {
-		if s.Activated < s.Enqueued || s.Finished <= s.Activated {
-			t.Errorf("span times inconsistent: %+v", s)
+	// Each kernel runs, and ka (enqueued first) starts first.
+	firstRun := map[string]sim.Time{}
+	for _, iv := range tl.Intervals {
+		if _, ok := firstRun[iv.Kernel]; !ok && iv.Kind == IntervalRun {
+			firstRun[iv.Kernel] = iv.Start
 		}
+	}
+	ka, okA := firstRun["ka"]
+	kb, okB := firstRun["kb"]
+	if !okA || !okB || kb <= ka {
+		t.Errorf("first run intervals: ka %v (%v), kb %v (%v)", ka, okA, kb, okB)
 	}
 }
 
@@ -709,28 +716,26 @@ func TestTimelineBusyTimeAndPreemptedSpans(t *testing.T) {
 	tl := fw.Timeline()
 	tl.Finish(eng.Now())
 
-	if tl.BusyTime(IntervalRun) <= 0 {
-		t.Error("no run time recorded")
-	}
-	if tl.BusyTime(IntervalSave) <= 0 {
-		t.Error("no save time recorded")
-	}
-	if tl.BusyTime(IntervalRun, IntervalSave, IntervalSetup) <=
-		tl.BusyTime(IntervalRun) {
-		t.Error("multi-kind BusyTime not additive")
-	}
-	// The preempted kernel's span records the preemption.
-	var ka *KernelSpan
-	for i := range tl.Spans {
-		if tl.Spans[i].Kernel == "ka" {
-			ka = &tl.Spans[i]
+	busy := map[IntervalKind]sim.Time{}
+	saves := map[string]int{}
+	for _, iv := range tl.Intervals {
+		busy[iv.Kind] += iv.End - iv.Start
+		if iv.Kind == IntervalSave {
+			saves[iv.Kernel]++
 		}
 	}
-	if ka == nil {
-		t.Fatal("no span for ka")
+	if busy[IntervalRun] <= 0 {
+		t.Error("no run time recorded")
 	}
-	if ka.Preempted != 1 {
-		t.Errorf("ka preempted %d times, want 1", ka.Preempted)
+	if busy[IntervalSave] <= 0 {
+		t.Error("no save time recorded")
+	}
+	// The preempted kernel lost its SM once and saved its context once.
+	if n := fw.Stats().Preemptions; n != 1 {
+		t.Errorf("%d preemptions, want 1", n)
+	}
+	if saves["ka"] != 1 || len(saves) != 1 {
+		t.Errorf("save intervals per kernel = %v, want ka once", saves)
 	}
 }
 
@@ -738,14 +743,7 @@ func TestNilTimelineIsSafe(t *testing.T) {
 	var tl *Timeline
 	tl.transition(0, 0, IntervalRun, "k", 1, 0)
 	tl.closeOpen(0, 0)
-	tl.kernelEnqueued(1, "k", 0, 0)
-	tl.kernelActivated(1, 0)
-	tl.kernelPreempted(1)
-	tl.kernelFinished(1, 0)
 	tl.Finish(0)
-	if tl.BusyTime(IntervalRun) != 0 {
-		t.Error("nil timeline BusyTime != 0")
-	}
 }
 
 func TestTLBStatsExposed(t *testing.T) {
@@ -910,7 +908,7 @@ func TestPendingRequeueAfterActivation(t *testing.T) {
 func TestReadAccessors(t *testing.T) {
 	pol := &scriptPolicy{}
 	eng, fw, tbl := testFW(t, pol, drainMech{})
-	if fw.Policy() == nil || fw.Mechanism() == nil {
+	if fw.policy == nil || fw.Mechanism() == nil {
 		t.Error("Policy/Mechanism accessors broken")
 	}
 	if fw.ActiveLimit() != fw.NumSMs() {
@@ -942,14 +940,14 @@ func TestReadAccessors(t *testing.T) {
 	if got := fw.Kernel(kid).RunningSMs; got != 2 {
 		t.Errorf("RunningSMs = %d, want 2", got)
 	}
-	if fw.SMsHeldBy(kid) != 2 {
-		t.Errorf("SMsHeldBy = %d, want 2", fw.SMsHeldBy(kid))
+	if got := fw.Kernel(kid).Held; got != 2 {
+		t.Errorf("Held = %d, want 2", got)
 	}
 	if fw.SMNext(0).Valid() {
 		t.Error("running SM reports a next kernel")
 	}
-	if fw.SMsHeldBy(NoKernel) != 0 {
-		t.Error("stale kernel holds SMs")
+	if fw.Kernel(NoKernel) != nil {
+		t.Error("NoKernel resolves to a kernel")
 	}
 	for eng.Step() {
 	}

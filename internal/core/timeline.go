@@ -48,33 +48,17 @@ type Interval struct {
 	CtxID  int
 }
 
-// KernelSpan records the lifetime of one kernel launch.
-type KernelSpan struct {
-	Kernel    string
-	CtxID     int
-	Launch    uint64
-	Enqueued  sim.Time
-	Activated sim.Time
-	Finished  sim.Time
-	Preempted int // number of times one of its SMs was preempted away
-}
-
-// Timeline records per-SM activity intervals and kernel spans. A nil
-// *Timeline is valid and records nothing, so recording can be disabled
-// without sprinkling conditionals.
+// Timeline records per-SM activity intervals. A nil *Timeline is valid and
+// records nothing, so recording can be disabled without sprinkling
+// conditionals.
 type Timeline struct {
 	open      map[int]*Interval
 	Intervals []Interval
-	spans     map[uint64]*KernelSpan
-	Spans     []KernelSpan
 }
 
 // NewTimeline returns an empty timeline recorder.
 func NewTimeline() *Timeline {
-	return &Timeline{
-		open:  make(map[int]*Interval),
-		spans: make(map[uint64]*KernelSpan),
-	}
+	return &Timeline{open: make(map[int]*Interval)}
 }
 
 // transition closes the SM's open interval (if any) at time now and opens a
@@ -104,45 +88,6 @@ func (t *Timeline) closeOpen(smID int, now sim.Time) {
 	}
 }
 
-func (t *Timeline) kernelEnqueued(launch uint64, kernel string, ctxID int, at sim.Time) {
-	if t == nil {
-		return
-	}
-	t.spans[launch] = &KernelSpan{
-		Kernel: kernel, CtxID: ctxID, Launch: launch,
-		Enqueued: at, Activated: -1, Finished: -1,
-	}
-}
-
-func (t *Timeline) kernelActivated(launch uint64, at sim.Time) {
-	if t == nil {
-		return
-	}
-	if s := t.spans[launch]; s != nil {
-		s.Activated = at
-	}
-}
-
-func (t *Timeline) kernelPreempted(launch uint64) {
-	if t == nil {
-		return
-	}
-	if s := t.spans[launch]; s != nil {
-		s.Preempted++
-	}
-}
-
-func (t *Timeline) kernelFinished(launch uint64, at sim.Time) {
-	if t == nil {
-		return
-	}
-	if s := t.spans[launch]; s != nil {
-		s.Finished = at
-		t.Spans = append(t.Spans, *s)
-		delete(t.spans, launch)
-	}
-}
-
 // Finish closes all open intervals at time now and sorts the records.
 func (t *Timeline) Finish(now sim.Time) {
 	if t == nil {
@@ -157,25 +102,6 @@ func (t *Timeline) Finish(now sim.Time) {
 		}
 		return t.Intervals[i].SM < t.Intervals[j].SM
 	})
-	sort.Slice(t.Spans, func(i, j int) bool { return t.Spans[i].Launch < t.Spans[j].Launch })
-}
-
-// BusyTime returns the total SM time spent in the given interval kinds.
-func (t *Timeline) BusyTime(kinds ...IntervalKind) sim.Time {
-	if t == nil {
-		return 0
-	}
-	want := make(map[IntervalKind]bool, len(kinds))
-	for _, k := range kinds {
-		want[k] = true
-	}
-	var total sim.Time
-	for _, iv := range t.Intervals {
-		if want[iv.Kind] {
-			total += iv.End - iv.Start
-		}
-	}
-	return total
 }
 
 // Stats aggregates the framework's activity counters.

@@ -105,15 +105,6 @@ func (m *Model) Reset(eng *sim.Engine, cfg Config) error {
 	return nil
 }
 
-// Config returns the CPU configuration.
-func (m *Model) Config() Config { return m.cfg }
-
-// Busy returns the number of running phases.
-func (m *Model) Busy() int { return m.busy }
-
-// QueueLen returns the number of waiting phases.
-func (m *Model) QueueLen() int { return len(m.queue) - m.qhead }
-
 // Exec runs a CPU phase of the given duration, invoking done when it
 // completes. Zero-duration phases complete via a zero-delay event to keep
 // event ordering consistent.

@@ -59,8 +59,8 @@ func TestPhasesQueueBeyondCapacity(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		m.Exec(sim.Microseconds(10), func() { ends = append(ends, eng.Now()) })
 	}
-	if m.Busy() != 1 || m.QueueLen() != 2 {
-		t.Fatalf("busy=%d queue=%d, want 1/2", m.Busy(), m.QueueLen())
+	if q := len(m.queue) - m.qhead; m.busy != 1 || q != 2 {
+		t.Fatalf("busy=%d queue=%d, want 1/2", m.busy, q)
 	}
 	eng.Run()
 	want := []sim.Time{sim.Microseconds(10), sim.Microseconds(20), sim.Microseconds(30)}
@@ -124,8 +124,8 @@ func TestEightProcessesFitTheTable2Host(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		m.Exec(sim.Microseconds(50), func() {})
 	}
-	if m.QueueLen() != 0 {
-		t.Fatalf("queue=%d with 8 phases on 8 threads", m.QueueLen())
+	if q := len(m.queue) - m.qhead; q != 0 {
+		t.Fatalf("queue=%d with 8 phases on 8 threads", q)
 	}
 	eng.Run()
 	if m.Queued != 0 {

@@ -118,16 +118,6 @@ type AutoscaleResult struct {
 	Rows       []AutoscaleRow
 }
 
-// Row returns the cell for a pattern, fleet label and kill rate.
-func (r *AutoscaleResult) Row(pattern, fleet string, killRate float64) (AutoscaleRow, bool) {
-	for _, row := range r.Rows {
-		if row.Pattern == pattern && row.Fleet == fleet && row.KillRate == killRate {
-			return row, true
-		}
-	}
-	return AutoscaleRow{}, false
-}
-
 // Table renders the sweep: per load shape, what the rt class's SLO costs in
 // node-seconds on a fixed small fleet, a fixed peak-provisioned fleet and an
 // autoscaled fleet — with and without node kills.

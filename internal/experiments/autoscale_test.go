@@ -40,15 +40,21 @@ func TestAutoscaleFlashCrowdPin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	min, ok := r.Row("flash", FleetStaticMin, 0)
+	min, ok := find(r.Rows, func(x AutoscaleRow) bool {
+		return x.Pattern == "flash" && x.Fleet == FleetStaticMin && x.KillRate == 0
+	})
 	if !ok {
 		t.Fatalf("missing flash %s row", FleetStaticMin)
 	}
-	max, ok := r.Row("flash", FleetStaticMax, 0)
+	max, ok := find(r.Rows, func(x AutoscaleRow) bool {
+		return x.Pattern == "flash" && x.Fleet == FleetStaticMax && x.KillRate == 0
+	})
 	if !ok {
 		t.Fatalf("missing flash %s row", FleetStaticMax)
 	}
-	auto, ok := r.Row("flash", FleetAutoscaled, 0)
+	auto, ok := find(r.Rows, func(x AutoscaleRow) bool {
+		return x.Pattern == "flash" && x.Fleet == FleetAutoscaled && x.KillRate == 0
+	})
 	if !ok {
 		t.Fatalf("missing flash %s row", FleetAutoscaled)
 	}

@@ -53,16 +53,6 @@ type ClusterResult struct {
 	Rows       []ClusterRow
 }
 
-// Row returns the cell for a fleet size, dispatch policy and mechanism.
-func (r *ClusterResult) Row(gpus int, dispatch, mech string) (ClusterRow, bool) {
-	for _, row := range r.Rows {
-		if row.GPUs == gpus && row.Dispatch == dispatch && row.Mechanism == mech {
-			return row, true
-		}
-	}
-	return ClusterRow{}, false
-}
-
 // Table renders the sweep: per fleet size, how each dispatch policy and
 // preemption mechanism trade the rt class's tail latency and deadline misses
 // against goodput at the same offered load — does adding a GPU beat

@@ -2,8 +2,7 @@ package experiments
 
 import (
 	"fmt"
-
-	"repro/internal/stats"
+	"slices"
 )
 
 // DSS-experiment configuration labels (Figures 7 and 8).
@@ -98,7 +97,7 @@ type Fig8Result struct {
 // Sorted returns the configuration's ANTT values sorted ascending (the
 // x-axis of Figure 8 is "percent of workloads").
 func (r *Fig8Result) Sorted(size int, conf string) []float64 {
-	return stats.Sorted(r.ANTT[size][conf])
+	return slices.Sorted(slices.Values(r.ANTT[size][conf]))
 }
 
 // Table renders the sorted curves.

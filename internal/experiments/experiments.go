@@ -300,8 +300,6 @@ func (a *meanAgg[K]) mean(k K) (float64, bool) {
 	return a.sum[k] / float64(a.n[k]), true
 }
 
-func (a *meanAgg[K]) count(k K) int { return a.n[k] }
-
 // cell renders the mean for a table cell in format, or "-" when nothing was
 // added under k.
 func (a *meanAgg[K]) cell(k K, format string) string {

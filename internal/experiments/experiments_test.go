@@ -3,9 +3,19 @@ package experiments
 import (
 	"bytes"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 )
+
+// find returns the first row match accepts and whether there is one.
+func find[R any](rows []R, match func(R) bool) (R, bool) {
+	if i := slices.IndexFunc(rows, match); i >= 0 {
+		return rows[i], true
+	}
+	var zero R
+	return zero, false
+}
 
 // quickOpts keeps experiment tests fast: scaled-down apps, one small size.
 func quickOpts(sizes ...int) Options {
@@ -272,15 +282,15 @@ func TestRunMPSComparison(t *testing.T) {
 	}
 	for _, conf := range []string{ConfFCFS, ConfMPS, ConfDSSCS} {
 		for _, m := range []string{"ANTT", "STP", "fairness"} {
-			if v, ok := r.Metric(conf, m, 2); !ok || v <= 0 {
+			if v, ok := r.mean.mean(fig7Key{Conf: conf + "/" + m, Size: 2}); !ok || v <= 0 {
 				t.Errorf("%s/%s missing or non-positive: %v", conf, m, v)
 			}
 		}
 	}
 	// MPS recovers concurrency: its ANTT must not be worse than the
 	// serialized FCFS baseline on average.
-	fcfs, _ := r.Metric(ConfFCFS, "ANTT", 2)
-	mps, _ := r.Metric(ConfMPS, "ANTT", 2)
+	fcfs, _ := r.mean.mean(fig7Key{Conf: ConfFCFS + "/ANTT", Size: 2})
+	mps, _ := r.mean.mean(fig7Key{Conf: ConfMPS + "/ANTT", Size: 2})
 	if mps > fcfs*1.05 {
 		t.Errorf("MPS ANTT %.2f worse than FCFS %.2f", mps, fcfs)
 	}
@@ -309,6 +319,16 @@ func TestBarChart(t *testing.T) {
 	// Degenerate inputs.
 	if BarChart("t", []string{"a"}, nil, 10) != "" {
 		t.Error("mismatched inputs accepted")
+	}
+}
+
+func TestFig8SortedDoesNotMutate(t *testing.T) {
+	r := &Fig8Result{ANTT: map[int]map[string][]float64{4: {ConfFCFS: {3, 1, 2}}}}
+	if got := r.Sorted(4, ConfFCFS); !slices.Equal(got, []float64{1, 2, 3}) {
+		t.Errorf("Sorted = %v, want [1 2 3]", got)
+	}
+	if in := r.ANTT[4][ConfFCFS]; !slices.Equal(in, []float64{3, 1, 2}) {
+		t.Errorf("Sorted reordered the result to %v", in)
 	}
 }
 
@@ -350,8 +370,8 @@ func TestMeanAggCounts(t *testing.T) {
 	if v, ok := agg.mean("k"); !ok || v != 3 {
 		t.Errorf("mean = %v,%v", v, ok)
 	}
-	if agg.count("k") != 2 {
-		t.Errorf("count = %d", agg.count("k"))
+	if agg.n["k"] != 2 {
+		t.Errorf("count = %d", agg.n["k"])
 	}
 }
 
@@ -392,7 +412,7 @@ func TestRunStaticVsDSSProducesAllCells(t *testing.T) {
 	}
 	for _, conf := range []string{"Static partition", ConfDSSCS} {
 		for _, m := range []string{"ANTT", "STP", "fairness"} {
-			if v, ok := r.Metric(conf, m, 4); !ok || v <= 0 {
+			if v, ok := r.mean.mean(fig7Key{Conf: conf + "/" + m, Size: 4}); !ok || v <= 0 {
 				t.Errorf("%s/%s missing: %v", conf, m, v)
 			}
 		}

@@ -225,11 +225,15 @@ func TestLoadAdaptiveBeatsDrainingAtPeak(t *testing.T) {
 		t.Fatal(err)
 	}
 	peak := load.Rates[len(load.Rates)-1]
-	drain, ok := load.Row(peak, MechDraining)
+	drain, ok := find(load.Rows, func(x LoadRow) bool {
+		return x.RatePerSec == peak && x.Mechanism == MechDraining
+	})
 	if !ok {
 		t.Fatal("missing draining row at peak load")
 	}
-	adaptive, ok := load.Row(peak, MechAdaptive)
+	adaptive, ok := find(load.Rows, func(x LoadRow) bool {
+		return x.RatePerSec == peak && x.Mechanism == MechAdaptive
+	})
 	if !ok {
 		t.Fatal("missing adaptive row at peak load")
 	}
@@ -263,7 +267,9 @@ func TestClusterFourJSQBeatsSingleGPU(t *testing.T) {
 	}
 	bestSingle := 1.0
 	for _, mech := range MechLabels {
-		row, ok := clu.Row(1, SingleGPUDispatch, mech)
+		row, ok := find(clu.Rows, func(x ClusterRow) bool {
+			return x.GPUs == 1 && x.Dispatch == SingleGPUDispatch && x.Mechanism == mech
+		})
 		if !ok {
 			t.Fatalf("missing 1-GPU row for %s", mech)
 		}
@@ -276,7 +282,9 @@ func TestClusterFourJSQBeatsSingleGPU(t *testing.T) {
 		}
 	}
 	for _, mech := range MechLabels {
-		row, ok := clu.Row(4, string(cluster.KindJSQ), mech)
+		row, ok := find(clu.Rows, func(x ClusterRow) bool {
+			return x.GPUs == 4 && x.Dispatch == string(cluster.KindJSQ) && x.Mechanism == mech
+		})
 		if !ok {
 			t.Fatalf("missing 4-GPU jsq row for %s", mech)
 		}

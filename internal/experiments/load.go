@@ -102,16 +102,6 @@ type LoadResult struct {
 	Rows  []LoadRow
 }
 
-// Row returns the cell for an offered load and mechanism label.
-func (r *LoadResult) Row(rate float64, mech string) (LoadRow, bool) {
-	for _, row := range r.Rows {
-		if row.RatePerSec == rate && row.Mechanism == mech {
-			return row, true
-		}
-	}
-	return LoadRow{}, false
-}
-
 // Table renders the sweep: per offered load, how each mechanism trades the
 // rt class's tail latency and deadline misses against goodput.
 func (r *LoadResult) Table() *Table {

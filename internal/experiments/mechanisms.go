@@ -84,16 +84,6 @@ type MechanismsResult struct {
 	Rows []MechanismsRow
 }
 
-// Row returns the cell for a pairing and mechanism label.
-func (r *MechanismsResult) Row(pairing, mech string) (MechanismsRow, bool) {
-	for _, row := range r.Rows {
-		if row.Pairing == pairing && row.Mechanism == mech {
-			return row, true
-		}
-	}
-	return MechanismsRow{}, false
-}
-
 // Table renders the grid in the style of Figure 5: preemption latency and
 // overhead per mechanism, next to the scheduling outcome they buy.
 func (r *MechanismsResult) Table() *Table {

@@ -23,7 +23,9 @@ func TestRunMechanismsGridShape(t *testing.T) {
 	for _, pair := range mechPairings {
 		pairing := pair[0] + "+" + pair[1]
 		for _, mech := range MechLabels {
-			row, ok := r.Row(pairing, mech)
+			row, ok := find(r.Rows, func(x MechanismsRow) bool {
+				return x.Pairing == pairing && x.Mechanism == mech
+			})
 			if !ok {
 				t.Errorf("missing cell %s/%s", pairing, mech)
 				continue
@@ -54,9 +56,15 @@ func TestMechanismsAcceptance(t *testing.T) {
 	found := ""
 	for _, pair := range mechPairings {
 		pairing := pair[0] + "+" + pair[1]
-		ad, okA := r.Row(pairing, MechAdaptive)
-		cs, okC := r.Row(pairing, MechContextSwitch)
-		dr, okD := r.Row(pairing, MechDraining)
+		ad, okA := find(r.Rows, func(x MechanismsRow) bool {
+			return x.Pairing == pairing && x.Mechanism == MechAdaptive
+		})
+		cs, okC := find(r.Rows, func(x MechanismsRow) bool {
+			return x.Pairing == pairing && x.Mechanism == MechContextSwitch
+		})
+		dr, okD := find(r.Rows, func(x MechanismsRow) bool {
+			return x.Pairing == pairing && x.Mechanism == MechDraining
+		})
 		if !okA || !okC || !okD || ad.Preemptions == 0 || cs.Preemptions == 0 {
 			continue
 		}
@@ -79,16 +87,19 @@ func TestMechanismsDrainingHasNoOverhead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, pair := range mechPairings {
-		pairing := pair[0] + "+" + pair[1]
-		if dr, ok := r.Row(pairing, MechDraining); ok && dr.OverheadUs != 0 {
-			t.Errorf("%s: draining overhead %.2fus, want 0", pairing, dr.OverheadUs)
+	for _, row := range r.Rows {
+		if row.Mechanism == MechDraining && row.OverheadUs != 0 {
+			t.Errorf("%s: draining overhead %.2fus, want 0", row.Pairing, row.OverheadUs)
 		}
 	}
 	// sad+tpacf's victim kernel (genhists) is atomic, so flush must behave
 	// exactly like the context switch there.
-	fl, _ := r.Row("sad+tpacf", MechFlush)
-	cs, _ := r.Row("sad+tpacf", MechContextSwitch)
+	fl, _ := find(r.Rows, func(x MechanismsRow) bool {
+		return x.Pairing == "sad+tpacf" && x.Mechanism == MechFlush
+	})
+	cs, _ := find(r.Rows, func(x MechanismsRow) bool {
+		return x.Pairing == "sad+tpacf" && x.Mechanism == MechContextSwitch
+	})
 	if fl.Preemptions != cs.Preemptions || fl.MeanLatencyUs != cs.MeanLatencyUs || fl.ANTT != cs.ANTT {
 		t.Errorf("flush fallback diverged from context switch on atomic victim:\nflush=%+v\ncs=%+v", fl, cs)
 	}

@@ -64,16 +64,6 @@ type MemoryResult struct {
 	Rows       []MemoryRow
 }
 
-// Row returns the cell for a regime, dispatch policy and memory mode.
-func (r *MemoryResult) Row(regime string, disp cluster.Kind, mem string) (MemoryRow, bool) {
-	for _, row := range r.Rows {
-		if row.Regime == regime && row.Dispatch == string(disp) && row.Mem == mem {
-			return row, true
-		}
-	}
-	return MemoryRow{}, false
-}
-
 // Table renders the grid: per HBM regime, what memory-blind vs memory-aware
 // placement costs the rt class under admission blocking and under swap.
 func (r *MemoryResult) Table() *Table {

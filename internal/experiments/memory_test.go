@@ -42,11 +42,15 @@ func TestMemoryFitsBeatsPlainPin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, ok := r.Row("scarce", cluster.KindLeastLoaded, "block")
+	plain, ok := find(r.Rows, func(x MemoryRow) bool {
+		return x.Regime == "scarce" && x.Dispatch == string(cluster.KindLeastLoaded) && x.Mem == "block"
+	})
 	if !ok {
 		t.Fatal("missing scarce least-loaded block row")
 	}
-	fits, ok := r.Row("scarce", cluster.KindLeastLoadedFits, "block")
+	fits, ok := find(r.Rows, func(x MemoryRow) bool {
+		return x.Regime == "scarce" && x.Dispatch == string(cluster.KindLeastLoadedFits) && x.Mem == "block"
+	})
 	if !ok {
 		t.Fatal("missing scarce least-loaded-fits block row")
 	}
@@ -76,13 +80,17 @@ func TestMemoryAmpleRegimeInert(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, ok := r.Row("ample", cluster.KindLeastLoaded, "block")
+	base, ok := find(r.Rows, func(x MemoryRow) bool {
+		return x.Regime == "ample" && x.Dispatch == string(cluster.KindLeastLoaded) && x.Mem == "block"
+	})
 	if !ok {
 		t.Fatal("missing ample least-loaded block row")
 	}
 	for _, d := range []cluster.Kind{cluster.KindLeastLoaded, cluster.KindLeastLoadedFits} {
 		for _, mem := range []string{"block", "swap"} {
-			row, ok := r.Row("ample", d, mem)
+			row, ok := find(r.Rows, func(x MemoryRow) bool {
+				return x.Regime == "ample" && x.Dispatch == string(d) && x.Mem == mem
+			})
 			if !ok {
 				t.Fatalf("missing ample %s %s row", d, mem)
 			}
@@ -112,11 +120,15 @@ func TestMemoryBlockVsSwapTradeOff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	block, ok := r.Row("scarce", cluster.KindLeastLoaded, "block")
+	block, ok := find(r.Rows, func(x MemoryRow) bool {
+		return x.Regime == "scarce" && x.Dispatch == string(cluster.KindLeastLoaded) && x.Mem == "block"
+	})
 	if !ok {
 		t.Fatal("missing scarce least-loaded block row")
 	}
-	swap, ok := r.Row("scarce", cluster.KindLeastLoaded, "swap")
+	swap, ok := find(r.Rows, func(x MemoryRow) bool {
+		return x.Regime == "scarce" && x.Dispatch == string(cluster.KindLeastLoaded) && x.Mem == "swap"
+	})
 	if !ok {
 		t.Fatal("missing scarce least-loaded swap row")
 	}

@@ -124,16 +124,6 @@ type ResilienceResult struct {
 	Rows       []ResilienceRow
 }
 
-// Row returns the cell for a pattern, kill rate and lifecycle config.
-func (r *ResilienceResult) Row(pattern string, killRate float64, config string) (ResilienceRow, bool) {
-	for _, row := range r.Rows {
-		if row.Pattern == pattern && row.KillRate == killRate && row.Config == config {
-			return row, true
-		}
-	}
-	return ResilienceRow{}, false
-}
-
 // Table renders the sweep: per load shape and kill rate, what each lifecycle
 // policy does to the rt class's goodput — does retrying recover kill losses,
 // and does unbounded retrying melt down under overload?

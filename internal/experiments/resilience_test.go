@@ -49,11 +49,15 @@ func TestResilienceGuardedBeatsNaiveAtPeakKills(t *testing.T) {
 		t.Fatal("sweep has no fault-injecting cells")
 	}
 	for _, pattern := range []string{"steady", "flash"} {
-		naive, ok := r.Row(pattern, peak, LifecycleNaive)
+		naive, ok := find(r.Rows, func(x ResilienceRow) bool {
+			return x.Pattern == pattern && x.KillRate == peak && x.Config == LifecycleNaive
+		})
 		if !ok {
 			t.Fatalf("missing %s naive row at kill rate %g", pattern, peak)
 		}
-		guarded, ok := r.Row(pattern, peak, LifecycleGuarded)
+		guarded, ok := find(r.Rows, func(x ResilienceRow) bool {
+			return x.Pattern == pattern && x.KillRate == peak && x.Config == LifecycleGuarded
+		})
 		if !ok {
 			t.Fatalf("missing %s guarded row at kill rate %g", pattern, peak)
 		}
@@ -89,7 +93,9 @@ func TestResilienceNaiveRetryAmplifiesTimeouts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, ok := r.Row("steady", 0, LifecycleNoRetry)
+	base, ok := find(r.Rows, func(x ResilienceRow) bool {
+		return x.Pattern == "steady" && x.KillRate == 0 && x.Config == LifecycleNoRetry
+	})
 	if !ok {
 		t.Fatal("missing steady fault-free no-retry row")
 	}
@@ -98,15 +104,21 @@ func TestResilienceNaiveRetryAmplifiesTimeouts(t *testing.T) {
 	}
 	peak := resilienceKillRates[len(resilienceKillRates)-1]
 	for _, pattern := range []string{"steady", "flash"} {
-		none, ok := r.Row(pattern, peak, LifecycleNoRetry)
+		none, ok := find(r.Rows, func(x ResilienceRow) bool {
+			return x.Pattern == pattern && x.KillRate == peak && x.Config == LifecycleNoRetry
+		})
 		if !ok {
 			t.Fatalf("missing %s no-retry row at kill rate %g", pattern, peak)
 		}
-		naive, ok := r.Row(pattern, peak, LifecycleNaive)
+		naive, ok := find(r.Rows, func(x ResilienceRow) bool {
+			return x.Pattern == pattern && x.KillRate == peak && x.Config == LifecycleNaive
+		})
 		if !ok {
 			t.Fatalf("missing %s naive row at kill rate %g", pattern, peak)
 		}
-		guarded, ok := r.Row(pattern, peak, LifecycleGuarded)
+		guarded, ok := find(r.Rows, func(x ResilienceRow) bool {
+			return x.Pattern == pattern && x.KillRate == peak && x.Config == LifecycleGuarded
+		})
 		if !ok {
 			t.Fatalf("missing %s guarded row at kill rate %g", pattern, peak)
 		}

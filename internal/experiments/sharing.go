@@ -34,12 +34,6 @@ const (
 // configuration of both sharing grids.
 var dssCS = gridConf{label: ConfDSSCS, pol: dss, mk: contextSwitch}
 
-// Metric returns the mean of the named metric ("ANTT", "STP", "fairness")
-// for the configuration at the given size.
-func (r *MPSResult) Metric(conf, metric string, size int) (float64, bool) {
-	return r.mean.mean(fig7Key{Conf: conf + "/" + metric, Size: size})
-}
-
 // Table renders the comparison.
 func (r *MPSResult) Table() *Table {
 	t := &Table{

@@ -85,9 +85,6 @@ func (m *Manager) Reset(size int64) {
 	m.live = m.live[:0]
 }
 
-// Size returns the total physical memory size in bytes.
-func (m *Manager) Size() int64 { return m.size }
-
 // Used returns the number of bytes currently allocated. It is O(1) — a
 // running counter, not a walk of the live allocations — because dispatchers
 // consult free memory on every placement decision.

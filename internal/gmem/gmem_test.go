@@ -294,9 +294,9 @@ func TestResetMatchesNew(t *testing.T) {
 		}
 	}
 	m.Reset(1 << 16)
-	if m.Size() != 1<<16 || m.Used() != 0 || ownedBy(m, 3) != 0 || len(m.free) != 1 {
+	if m.size != 1<<16 || m.Used() != 0 || ownedBy(m, 3) != 0 || len(m.free) != 1 {
 		t.Fatalf("reset manager: size %d, used %d, owner 3 holds %d, %d spans",
-			m.Size(), m.Used(), ownedBy(m, 3), len(m.free))
+			m.size, m.Used(), ownedBy(m, 3), len(m.free))
 	}
 	fresh := NewManager(1 << 16)
 	for i := 0; i < 5; i++ {

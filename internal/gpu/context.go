@@ -138,6 +138,3 @@ func (t *ContextTable) Recycle(ctx *Context) {
 
 // Len returns the number of active contexts.
 func (t *ContextTable) Len() int { return len(t.byID) }
-
-// Capacity returns the table capacity.
-func (t *ContextTable) Capacity() int { return t.capacity }

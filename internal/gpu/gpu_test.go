@@ -201,8 +201,8 @@ func TestContextTable(t *testing.T) {
 	if err := tbl.Destroy(a.ID); err == nil {
 		t.Fatal("double destroy succeeded")
 	}
-	if tbl.Len() != 1 || tbl.Capacity() != 2 {
-		t.Errorf("Len=%d Cap=%d", tbl.Len(), tbl.Capacity())
+	if tbl.Len() != 1 || tbl.capacity != 2 {
+		t.Errorf("Len=%d Cap=%d", tbl.Len(), tbl.capacity)
 	}
 }
 
@@ -307,8 +307,8 @@ func TestContextTableResetRestartsIDs(t *testing.T) {
 		live = append(live, c)
 	}
 	tab.Reset(2)
-	if tab.Len() != 0 || tab.Capacity() != 2 {
-		t.Fatalf("reset table: %d live, capacity %d; want 0, 2", tab.Len(), tab.Capacity())
+	if tab.Len() != 0 || tab.capacity != 2 {
+		t.Fatalf("reset table: %d live, capacity %d; want 0, 2", tab.Len(), tab.capacity)
 	}
 	for i := 0; i < 2; i++ {
 		c, err := tab.Create("q", 0)

@@ -24,7 +24,6 @@ type VAddr uint64
 const PageSize = 64 * 1024
 
 const (
-	level1Bits = 10
 	level2Bits = 10
 	pageShift  = 16 // log2(PageSize)
 )
@@ -331,9 +330,6 @@ func (t *TLB) Lookup(pt *PageTable, va VAddr) (gmem.PAddr, error) {
 func (t *TLB) Flush() {
 	clear(t.entries)
 }
-
-// Len returns the number of resident entries.
-func (t *TLB) Len() int { return len(t.entries) }
 
 func (t *TLB) evict() {
 	var victim tlbKey

@@ -163,8 +163,8 @@ func TestTLBEvictionLRU(t *testing.T) {
 	if tlb.Misses != misses+1 {
 		t.Fatal("expected miss on evicted entry")
 	}
-	if tlb.Len() > 2 {
-		t.Fatalf("TLB over capacity: %d", tlb.Len())
+	if len(tlb.entries) > 2 {
+		t.Fatalf("TLB over capacity: %d", len(tlb.entries))
 	}
 }
 
@@ -198,8 +198,8 @@ func TestTLBFlush(t *testing.T) {
 		tlb.Lookup(pt, VAddr(i)*PageSize)
 	}
 	tlb.Flush()
-	if tlb.Len() != 0 {
-		t.Fatalf("Flush left %d entries", tlb.Len())
+	if len(tlb.entries) != 0 {
+		t.Fatalf("Flush left %d entries", len(tlb.entries))
 	}
 }
 
@@ -270,15 +270,15 @@ func TestPageTableResetReusesLevel2(t *testing.T) {
 func TestTLBMapIsLazy(t *testing.T) {
 	tlb := NewTLB(4)
 	tlb.Flush()
-	if tlb.Len() != 0 || tlb.entries != nil {
-		t.Fatalf("fresh TLB: len %d, map allocated %v", tlb.Len(), tlb.entries != nil)
+	if len(tlb.entries) != 0 || tlb.entries != nil {
+		t.Fatalf("fresh TLB: len %d, map allocated %v", len(tlb.entries), tlb.entries != nil)
 	}
 	pt := NewPageTable(1)
 	if _, err := tlb.Lookup(pt, PageSize); err == nil {
 		t.Fatal("lookup of an unmapped VA succeeded")
 	}
-	if tlb.Misses != 1 || tlb.Faults != 1 || tlb.Hits != 0 || tlb.Len() != 0 {
-		t.Fatalf("after fault: hits %d misses %d faults %d len %d", tlb.Hits, tlb.Misses, tlb.Faults, tlb.Len())
+	if tlb.Misses != 1 || tlb.Faults != 1 || tlb.Hits != 0 || len(tlb.entries) != 0 {
+		t.Fatalf("after fault: hits %d misses %d faults %d len %d", tlb.Hits, tlb.Misses, tlb.Faults, len(tlb.entries))
 	}
 	pt.Map(PageSize, 0x10000, 1) //nolint:errcheck // fresh table
 	for i := 0; i < 2; i++ {
@@ -286,8 +286,8 @@ func TestTLBMapIsLazy(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if tlb.Misses != 2 || tlb.Hits != 1 || tlb.Len() != 1 {
-		t.Fatalf("after fill: hits %d misses %d len %d", tlb.Hits, tlb.Misses, tlb.Len())
+	if tlb.Misses != 2 || tlb.Hits != 1 || len(tlb.entries) != 1 {
+		t.Fatalf("after fill: hits %d misses %d len %d", tlb.Hits, tlb.Misses, len(tlb.entries))
 	}
 }
 
@@ -306,8 +306,8 @@ func TestTLBResetMatchesNew(t *testing.T) {
 		}
 	}
 	tlb.Reset(8)
-	if tlb.Len() != 0 || tlb.Hits != 0 || tlb.Misses != 0 || tlb.Faults != 0 {
-		t.Fatalf("reset TLB: %d entries, %d/%d/%d hits/misses/faults", tlb.Len(), tlb.Hits, tlb.Misses, tlb.Faults)
+	if len(tlb.entries) != 0 || tlb.Hits != 0 || tlb.Misses != 0 || tlb.Faults != 0 {
+		t.Fatalf("reset TLB: %d entries, %d/%d/%d hits/misses/faults", len(tlb.entries), tlb.Hits, tlb.Misses, tlb.Faults)
 	}
 	if _, err := tlb.Lookup(pt, va); err != nil || tlb.Misses != 1 {
 		t.Errorf("first lookup after reset: err %v, %d misses; want a miss", err, tlb.Misses)

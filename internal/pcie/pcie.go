@@ -192,13 +192,6 @@ func (e *Engine) Config() Config { return e.cfg }
 // Stats returns a snapshot of the engine statistics.
 func (e *Engine) Stats() Stats { return e.stats }
 
-// QueueLen returns the number of commands waiting (not including a running
-// transfer).
-func (e *Engine) QueueLen() int { return len(e.queue) }
-
-// Busy reports whether a transfer is in flight.
-func (e *Engine) Busy() bool { return e.busy }
-
 // Submit enqueues a transfer command. The engine notifies completion through
 // cmd.OnDone.
 func (e *Engine) Submit(cmd *Command) error {

@@ -63,12 +63,12 @@ func TestEngineSerializesTransfers(t *testing.T) {
 		}
 	}
 	submit("a", 1<<20)
-	if !e.Busy() {
+	if !e.busy {
 		t.Fatal("engine idle with transfer in flight")
 	}
 	submit("b", 1<<10)
-	if e.QueueLen() != 1 {
-		t.Fatalf("QueueLen = %d, want 1", e.QueueLen())
+	if len(e.queue) != 1 {
+		t.Fatalf("queue length = %d, want 1", len(e.queue))
 	}
 	eng.Run()
 	if len(done) != 2 || done[0] != "a" || done[1] != "b" {

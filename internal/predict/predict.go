@@ -84,16 +84,6 @@ func (e *EWMA[K]) Predict(key K) (float64, bool) {
 	return v, ok
 }
 
-// Len returns the number of keys with an estimate.
-func (e *EWMA[K]) Len() int { return len(e.est) }
-
-// Forget drops the key's estimate (for callers that retire keys).
-func (e *EWMA[K]) Forget(key K) {
-	e.writeBack()
-	e.hot = false
-	delete(e.est, key)
-}
-
 // Snapshot returns a copy of every key's current estimate, suitable for
 // warm-starting a fresh estimator with Restore. The copy shares nothing with
 // the estimator, so the snapshot stays valid as observations continue.

@@ -45,18 +45,14 @@ func TestKeysAreIndependent(t *testing.T) {
 	e := NewEWMA[string](0.5)
 	e.Observe("a", 1)
 	e.Observe("b", 2)
-	if e.Len() != 2 {
-		t.Errorf("Len = %d", e.Len())
+	if len(e.est) != 2 {
+		t.Errorf("%d keys, want 2", len(e.est))
 	}
 	if v, _ := e.Predict("a"); v != 1 {
 		t.Errorf("a = %v", v)
 	}
-	e.Forget("a")
-	if _, ok := e.Predict("a"); ok {
-		t.Error("forgotten key still predicts")
-	}
 	if v, _ := e.Predict("b"); v != 2 {
-		t.Errorf("b = %v after forgetting a", v)
+		t.Errorf("b = %v, want 2", v)
 	}
 }
 
@@ -74,9 +70,9 @@ func TestAlphaValidation(t *testing.T) {
 	NewEWMA[int](1) // boundary: valid
 }
 
-// TestMatchesPlainMap interleaves Observe, Predict, Forget, Snapshot and
-// Restore over a few keys, seeded, and compares every step with a plain map
-// running the same update: the hot-key cache must never show.
+// TestMatchesPlainMap interleaves Observe, Predict, Snapshot and Restore
+// over a few keys, seeded, and compares every step with a plain map running
+// the same update: the hot-key cache must never show.
 func TestMatchesPlainMap(t *testing.T) {
 	const alpha = 0.25
 	for seed := int64(1); seed <= 20; seed++ {
@@ -90,7 +86,7 @@ func TestMatchesPlainMap(t *testing.T) {
 			if r.Intn(3) > 0 {
 				key = 0 // long runs of one key, as thread blocks of a kernel give
 			}
-			switch op := r.Intn(20); {
+			switch op := r.Intn(19); {
 			case op < 12:
 				sample := r.Float64() * 1000
 				e.Observe(key, sample)
@@ -101,10 +97,7 @@ func TestMatchesPlainMap(t *testing.T) {
 				}
 			case op < 16:
 				// Predict is checked after every step below.
-			case op < 17:
-				e.Forget(key)
-				delete(ref, key)
-			case op < 19:
+			case op < 18:
 				snap, refSnap = e.Snapshot(), maps.Clone(ref)
 				if !maps.Equal(snap, refSnap) {
 					t.Fatalf("seed %d step %d: Snapshot %v, want %v", seed, step, snap, refSnap)
@@ -115,8 +108,8 @@ func TestMatchesPlainMap(t *testing.T) {
 					ref = maps.Clone(refSnap)
 				}
 			}
-			if e.Len() != len(ref) {
-				t.Fatalf("seed %d step %d: Len %d, want %d", seed, step, e.Len(), len(ref))
+			if len(e.est) != len(ref) {
+				t.Fatalf("seed %d step %d: %d keys, want %d", seed, step, len(e.est), len(ref))
 			}
 			for k := 0; k < 4; k++ {
 				got, ok := e.Predict(k)

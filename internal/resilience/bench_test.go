@@ -40,7 +40,7 @@ func BenchmarkBreakerSnapshot(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		now := sim.Time(i) * 10
 		br.Record(now, i&7 != 0)
-		v, e := br.Snapshot(now)
+		v, e := snapshot(&br, now)
 		vol += v
 		errs += e
 	}

@@ -212,12 +212,3 @@ func (b *Breaker) Reset(now sim.Time) {
 
 // Trips returns how many times the breaker has opened.
 func (b *Breaker) Trips() int { return b.trips }
-
-// Snapshot reports the rolling window as of now: observation volume and
-// error count.
-func (b *Breaker) Snapshot(now sim.Time) (volume, errors int) {
-	b.rotate(now)
-	errors = b.curErr + b.prevErr
-	volume = errors + b.curOK + b.prevOK
-	return
-}

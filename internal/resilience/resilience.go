@@ -266,9 +266,6 @@ func (t *TokenBucket) Take() bool {
 	return true
 }
 
-// Balance returns the current token balance.
-func (t *TokenBucket) Balance() float64 { return t.bal }
-
 // HedgePolicy launches a backup attempt for a request whose first attempt
 // outlives the class's observed completion-latency quantile; the first
 // completion wins and the loser is cancelled.

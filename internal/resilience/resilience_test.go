@@ -201,8 +201,8 @@ func TestTokenBucket(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		b.Refill()
 	}
-	if b.Balance() != 2 {
-		t.Errorf("balance %v exceeds capacity 2", b.Balance())
+	if b.bal != 2 {
+		t.Errorf("balance %v exceeds capacity 2", b.bal)
 	}
 }
 
@@ -258,9 +258,17 @@ func TestBreakerLifecycle(t *testing.T) {
 	if b.State(108) != BreakerClosed {
 		t.Fatal("probe success did not close the breaker")
 	}
-	if vol, errs := b.Snapshot(108); vol != 0 || errs != 0 {
+	if vol, errs := snapshot(&b, 108); vol != 0 || errs != 0 {
 		t.Fatalf("window not cleared on close: %d/%d", errs, vol)
 	}
+}
+
+// snapshot reports the breaker's rolling window as of now: observation
+// volume and error count.
+func snapshot(b *Breaker, now sim.Time) (volume, errors int) {
+	b.rotate(now)
+	errors = b.curErr + b.prevErr
+	return errors + b.curOK + b.prevOK, errors
 }
 
 func TestBreakerWindowRotation(t *testing.T) {
@@ -269,20 +277,20 @@ func TestBreakerWindowRotation(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		b.Record(sim.Time(i), false)
 	}
-	if vol, errs := b.Snapshot(10); vol != 6 || errs != 6 {
+	if vol, errs := snapshot(&b, 10); vol != 6 || errs != 6 {
 		t.Fatalf("fresh window %d/%d, want 6/6", errs, vol)
 	}
 	// Half a window later the errors move to the previous bucket but still
 	// count; a full window later they age out.
-	if _, errs := b.Snapshot(60); errs != 6 {
+	if _, errs := snapshot(&b, 60); errs != 6 {
 		t.Fatalf("half-window-old errors dropped: %d", errs)
 	}
-	if vol, errs := b.Snapshot(160); vol != 0 || errs != 0 {
+	if vol, errs := snapshot(&b, 160); vol != 0 || errs != 0 {
 		t.Fatalf("stale window retained %d/%d", errs, vol)
 	}
 	// A long quiet gap clears in one rotate, not thousands.
 	b.Record(200, false)
-	if vol, _ := b.Snapshot(sim.Second); vol != 0 {
+	if vol, _ := snapshot(&b, sim.Second); vol != 0 {
 		t.Fatal("long gap did not clear the window")
 	}
 }
@@ -298,7 +306,7 @@ func TestBreakerReset(t *testing.T) {
 	if b.State(3) != BreakerClosed || !b.Allow(3) {
 		t.Fatal("reset breaker not closed")
 	}
-	if vol, _ := b.Snapshot(3); vol != 0 {
+	if vol, _ := snapshot(&b, 3); vol != 0 {
 		t.Fatal("reset did not clear the window")
 	}
 	if b.Trips() != 1 {

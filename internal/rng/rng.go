@@ -37,11 +37,6 @@ func (s *Source) Intn(n int) int {
 	return int(s.Uint64() % uint64(n))
 }
 
-// Range returns a uniform float in [lo, hi).
-func (s *Source) Range(lo, hi float64) float64 {
-	return lo + (hi-lo)*s.Float64()
-}
-
 // Shuffle permutes the first n elements using the Fisher-Yates algorithm,
 // calling swap(i, j) for each exchange.
 func (s *Source) Shuffle(n int, swap func(i, j int)) {

@@ -61,16 +61,6 @@ func TestIntnPanicsOnNonPositive(t *testing.T) {
 	New(1).Intn(0)
 }
 
-func TestRangeBounds(t *testing.T) {
-	s := New(3)
-	for i := 0; i < 1000; i++ {
-		v := s.Range(2.5, 7.5)
-		if v < 2.5 || v >= 7.5 {
-			t.Fatalf("Range(2.5, 7.5) = %v", v)
-		}
-	}
-}
-
 func TestPermIsPermutation(t *testing.T) {
 	s := New(11)
 	p := s.Perm(20)

@@ -20,7 +20,7 @@ func TestResetStalesEveryHandle(t *testing.T) {
 	e.Cancel(old[5])
 	e.Step() // old[0] fires
 	e.Reset()
-	if e.Now() != 0 || e.Pending() != 0 || e.Processed() != 0 || e.Stopped() {
+	if e.Now() != 0 || e.Pending() != 0 || e.Processed() != 0 || e.stopped {
 		t.Fatalf("reset engine not at the epoch: now %v, %d pending, %d processed",
 			e.Now(), e.Pending(), e.Processed())
 	}
@@ -29,7 +29,7 @@ func TestResetStalesEveryHandle(t *testing.T) {
 		e.At(Time(20+i), func() { fired++ })
 	}
 	for i, id := range old {
-		if e.Canceled(id) {
+		if canceled(e, id) {
 			t.Errorf("handle %d from before the reset reports canceled", i)
 		}
 		if e.Cancel(id) {

@@ -79,10 +79,6 @@ type EventID struct {
 	gen uint32
 }
 
-// Valid reports whether the handle ever referred to an event. Use
-// Engine.Canceled / Engine.Cancel to check whether it still does.
-func (id EventID) Valid() bool { return id.gen != 0 }
-
 // Func is the closure-free callback form: a plain function (typically a
 // top-level one, so the func value itself never allocates) receiving the
 // context pointer and scalar argument it was scheduled with.
@@ -305,16 +301,6 @@ func (e *Engine) Cancel(id EventID) bool {
 	return true
 }
 
-// Canceled reports whether the handle refers to a canceled event whose
-// record has not been reclaimed yet. Stale handles report false.
-func (e *Engine) Canceled(id EventID) bool {
-	if id.idx < 0 || int(id.idx) >= len(e.rec) {
-		return false
-	}
-	r := &e.rec[id.idx]
-	return r.gen == id.gen && r.state == evCanceled
-}
-
 // --- 4-ary heap of inline keys -------------------------------------------
 
 // signBit flips a Time's sign so that signed order becomes unsigned order.
@@ -420,9 +406,6 @@ func (e *Engine) compact() {
 // Stop makes Run return after the currently executing event completes.
 // The remaining events stay queued; Run can be called again to resume.
 func (e *Engine) Stop() { e.stopped = true }
-
-// Stopped reports whether Stop has been called since the last Run/Resume.
-func (e *Engine) Stopped() bool { return e.stopped }
 
 // ErrEventLimit is returned by Run when the event safety limit is hit.
 var ErrEventLimit = fmt.Errorf("sim: event limit reached")

@@ -6,6 +6,16 @@ import (
 	"testing/quick"
 )
 
+// canceled reports whether the handle refers to a canceled event whose
+// record has not been reclaimed yet. Stale handles report false.
+func canceled(e *Engine, id EventID) bool {
+	if id.idx < 0 || int(id.idx) >= len(e.rec) {
+		return false
+	}
+	r := &e.rec[id.idx]
+	return r.gen == id.gen && r.state == evCanceled
+}
+
 func TestTimeConversions(t *testing.T) {
 	cases := []struct {
 		us   float64
@@ -170,7 +180,7 @@ func TestEngineTypedDispatch(t *testing.T) {
 	e.AtFunc(20, fn, b, 2)
 	e.AtFunc(10, fn, b, 1)
 	id := e.AfterFunc(30, fn, b, 3)
-	if !id.Valid() {
+	if id.gen == 0 {
 		t.Fatal("AfterFunc returned invalid handle")
 	}
 	if err := e.Run(); err != nil {
@@ -234,7 +244,7 @@ func TestEventCancel(t *testing.T) {
 	if e.Cancel(ev) {
 		t.Fatal("second Cancel returned true")
 	}
-	if !e.Canceled(ev) {
+	if !canceled(e, ev) {
 		t.Fatal("Canceled() = false after cancel")
 	}
 	e.Run()
@@ -250,7 +260,7 @@ func TestEventCancelAfterFiring(t *testing.T) {
 	if e.Cancel(ev) {
 		t.Fatal("Cancel returned true after the event fired")
 	}
-	if e.Canceled(ev) {
+	if canceled(e, ev) {
 		t.Fatal("Canceled returned true for a fired event")
 	}
 }
@@ -261,7 +271,7 @@ func TestEventCancelAfterFiring(t *testing.T) {
 func TestCancelZeroEventID(t *testing.T) {
 	e := NewEngine()
 	var ev EventID
-	if ev.Valid() {
+	if ev.gen != 0 {
 		t.Fatal("zero EventID is valid")
 	}
 	if e.Cancel(ev) {
@@ -272,7 +282,7 @@ func TestCancelZeroEventID(t *testing.T) {
 	if e.Cancel(ev) {
 		t.Fatal("zero EventID cancelled the event in slot 0")
 	}
-	if e.Canceled(ev) {
+	if canceled(e, ev) {
 		t.Fatal("zero EventID Canceled returned true")
 	}
 	e.Run()
@@ -281,10 +291,10 @@ func TestCancelZeroEventID(t *testing.T) {
 	}
 	late := e.At(20, func() { fired = append(fired, 1) }) // reuses slot 0
 	e.At(30, func() { fired = append(fired, 2) })         // keeps late's record from compaction
-	if !e.Cancel(late) || !e.Canceled(late) {
+	if !e.Cancel(late) || !canceled(e, late) {
 		t.Fatal("could not cancel the pending slot-0 event")
 	}
-	if e.Canceled(ev) {
+	if canceled(e, ev) {
 		t.Fatal("zero EventID reports the canceled slot-0 event as its own")
 	}
 	e.Run()
@@ -315,10 +325,10 @@ func TestStaleHandleAfterRecordReuse(t *testing.T) {
 	}
 	third := e.At(30, func() { fired = append(fired, 3) }) // reuses it again
 	e.At(40, func() { fired = append(fired, 4) })          // keeps third's record from compaction
-	if !e.Cancel(third) || !e.Canceled(third) {
+	if !e.Cancel(third) || !canceled(e, third) {
 		t.Fatal("live handle could not cancel the slot's third occupant")
 	}
-	if e.Canceled(first) || e.Canceled(second) {
+	if canceled(e, first) || canceled(e, second) {
 		t.Fatal("stale handle reports the third occupant's cancellation")
 	}
 	e.Run()
