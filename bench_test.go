@@ -223,16 +223,16 @@ func BenchmarkRunManyWorkers(b *testing.B) {
 func BenchmarkEventEngine(b *testing.B) {
 	b.ReportAllocs()
 	eng := sim.NewEngine()
-	var tick func()
+	var tick sim.Func
 	n := 0
-	tick = func() {
+	tick = func(any, int64) {
 		n++
 		if n < b.N {
-			eng.After(1, tick)
+			eng.AfterFunc(1, tick, nil, 0)
 		}
 	}
 	b.ResetTimer()
-	eng.After(1, tick)
+	eng.AfterFunc(1, tick, nil, 0)
 	if err := eng.Run(); err != nil {
 		b.Fatal(err)
 	}
@@ -246,7 +246,7 @@ func BenchmarkEventEngine(b *testing.B) {
 func BenchmarkIssueCompleteTB(b *testing.B) {
 	eng := sim.NewEngine()
 	fw, err := core.New(eng, gpu.DefaultConfig(), policy.NewFCFS(), preempt.Drain{},
-		core.WithJitter(0.3), core.WithSeed(1))
+		core.Options{Jitter: 0.3, Seed: 1}, nil, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

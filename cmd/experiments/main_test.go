@@ -2,10 +2,12 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestRejectsBadFlags requires experiments to exit non-zero, naming the
@@ -35,10 +37,18 @@ func TestRejectsBadFlags(t *testing.T) {
 			// table2 needs no simulation, so a flag that slipped through
 			// would exit 0 at once instead of running a grid.
 			args := append(strings.Fields(tc.args), "-exp", "table2", "-q")
+			// A deadline turns a flag that regresses into a long run into a
+			// failure instead of a hung test.
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
 			var stderr bytes.Buffer
-			cmd := exec.Command(bin, args...)
+			cmd := exec.CommandContext(ctx, bin, args...)
 			cmd.Stderr = &stderr
-			if err := cmd.Run(); err == nil {
+			err := cmd.Run()
+			if ctx.Err() != nil {
+				t.Fatalf("experiments %s: no exit within 30s", strings.Join(args, " "))
+			}
+			if err == nil {
 				t.Fatalf("experiments %s exited 0", strings.Join(args, " "))
 			}
 			if !strings.Contains(stderr.String(), tc.stderr) {

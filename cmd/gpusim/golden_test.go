@@ -2,12 +2,14 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
 // update rewrites the golden reports instead of comparing against them:
@@ -40,15 +42,13 @@ func TestGoldenReports(t *testing.T) {
 	bin := buildGpusim(t)
 	for _, tc := range goldenReports {
 		t.Run(tc.name, func(t *testing.T) {
-			var stdout, stderr bytes.Buffer
-			cmd := exec.Command(bin, strings.Fields(tc.args)...)
-			cmd.Stdout, cmd.Stderr = &stdout, &stderr
-			if err := cmd.Run(); err != nil {
-				t.Fatalf("gpusim %s: %v\n%s", tc.args, err, stderr.String())
+			stdout, stderr, err := runGpusim(t, bin, strings.Fields(tc.args)...)
+			if err != nil {
+				t.Fatalf("gpusim %s: %v\n%s", tc.args, err, stderr)
 			}
 			path := filepath.Join("testdata", tc.name+".golden")
 			if *update {
-				if err := os.WriteFile(path, stdout.Bytes(), 0o644); err != nil {
+				if err := os.WriteFile(path, stdout, 0o644); err != nil {
 					t.Fatal(err)
 				}
 				return
@@ -57,8 +57,8 @@ func TestGoldenReports(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%v (seed it with -update)", err)
 			}
-			if !bytes.Equal(stdout.Bytes(), want) {
-				t.Errorf("gpusim %s drifted from %s:\n--- got ---\n%s\n--- want ---\n%s", tc.args, path, stdout.String(), want)
+			if !bytes.Equal(stdout, want) {
+				t.Errorf("gpusim %s drifted from %s:\n--- got ---\n%s\n--- want ---\n%s", tc.args, path, stdout, want)
 			}
 		})
 	}
@@ -103,6 +103,11 @@ func TestRejectsBadFlags(t *testing.T) {
 		// horizon, so the generator must refuse it.
 		{"-apps spmv,lbm -scale 48 -arrivals poisson -horizon 1ms -rate 1e300", "peak rate 1e+300/s exceeds 1e9/s"},
 		{"-apps spmv,lbm -scale 48 -arrivals poisson -horizon 1ms -phases NaN:1ms", "rate factor must be positive and finite, got NaN"},
+		{"-hbm 0", "-hbm must be a positive size"},
+		{"-hbm -4MiB", "-hbm must be a positive size"},
+		{"-hbm NaN", "-hbm must be a positive size"},
+		{"-hbm Inf", "-hbm must be a positive size"},
+		{"-hbm 1e19", "-hbm must be a positive size"},
 	}
 	for _, f := range []string{"autoscale 2:4", "as-high 4", "as-low 1", "as-interval 250us",
 		"kill-rate 1500", "downtime 500us", "straggler 0.2", "slow-factor 2", "timeout 300us",
@@ -121,7 +126,7 @@ func TestRejectsBadFlags(t *testing.T) {
 func TestJitterZeroDisablesJitter(t *testing.T) {
 	bin := buildGpusim(t)
 	report := func(jitter string) string {
-		out, err := exec.Command(bin, "-scale", "48", "-jitter", jitter).Output()
+		out, _, err := runGpusim(t, bin, "-scale", "48", "-jitter", jitter)
 		if err != nil {
 			t.Fatalf("gpusim -jitter %s: %v", jitter, err)
 		}
@@ -156,13 +161,31 @@ func TestRejectsBadClusterFile(t *testing.T) {
 // stderr names the problem.
 func requireFailure(t *testing.T, bin string, args []string, stderr string) {
 	t.Helper()
-	var buf bytes.Buffer
-	cmd := exec.Command(bin, args...)
-	cmd.Stderr = &buf
-	if err := cmd.Run(); err == nil {
+	_, got, err := runGpusim(t, bin, args...)
+	if err == nil {
 		t.Fatalf("gpusim %s exited 0", strings.Join(args, " "))
 	}
-	if !strings.Contains(buf.String(), stderr) {
-		t.Errorf("gpusim %s: stderr %q lacks %q", strings.Join(args, " "), buf.String(), stderr)
+	if !strings.Contains(string(got), stderr) {
+		t.Errorf("gpusim %s: stderr %q lacks %q", strings.Join(args, " "), got, stderr)
 	}
+}
+
+// runDeadline bounds every gpusim run, so that a case that regresses into an
+// endless loop fails the test instead of growing until the host kills it.
+const runDeadline = 30 * time.Second
+
+// runGpusim runs bin with args under runDeadline and returns its stdout,
+// stderr and exit error; it fails the test if the deadline passes.
+func runGpusim(t *testing.T, bin string, args ...string) (stdout, stderr []byte, err error) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), runDeadline)
+	defer cancel()
+	var out, errOut bytes.Buffer
+	cmd := exec.CommandContext(ctx, bin, args...)
+	cmd.Stdout, cmd.Stderr = &out, &errOut
+	err = cmd.Run()
+	if ctx.Err() != nil {
+		t.Fatalf("gpusim %s: no exit within %v", strings.Join(args, " "), runDeadline)
+	}
+	return out.Bytes(), errOut.Bytes(), err
 }

@@ -506,7 +506,14 @@ func parseBytes(s string) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return int64(v * float64(mult)), nil
+	// Go leaves a float-to-int conversion out of int64's range
+	// implementation-defined (amd64 yields MinInt64, arm64 saturates), so
+	// NaN, infinities and sizes of 8 EiB or more are rejected before it.
+	b := v * float64(mult)
+	if !(math.Abs(b) < 1<<63) {
+		return 0, fmt.Errorf("byte size %q out of range", s)
+	}
+	return int64(b), nil
 }
 
 func bytesHuman(b int64) string {

@@ -130,7 +130,7 @@ func (e *engine) run(rc RunConfig) (*Result, error) {
 	// Arrivals chain-schedule: each injection schedules the next, so the
 	// event heap holds one pending arrival at a time.
 	sys.Eng.AtFunc(tr.Arrivals[0].At+e.delay, injectEvent, e, 0)
-	sys.Eng.At(rc.MaxSimTime, func() { sys.Eng.Stop() })
+	sys.Eng.AtFunc(rc.MaxSimTime, stopEvent, sys.Eng, 0)
 
 	if err := sys.Eng.Run(); err != nil && !errors.Is(err, sim.ErrEventLimit) {
 		return nil, fmt.Errorf("arrivals: %w", err)
@@ -277,7 +277,10 @@ func Account(acct *metrics.SLOAccount, a *trace.Arrival, rec proc.RunRecord) sim
 	return exec
 }
 
-// injectEvent is the closure-free engine callback that admits arrival x and
+// stopEvent is the MaxSimTime watchdog: it stops engine p.
+func stopEvent(p any, _ int64) { p.(*sim.Engine).Stop() }
+
+// injectEvent is the engine callback that admits arrival x and
 // chain-schedules the next injection.
 func injectEvent(p any, x int64) {
 	e := p.(*engine)

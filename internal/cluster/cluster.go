@@ -27,6 +27,7 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
 
 	"repro/internal/arrivals"
@@ -164,11 +165,11 @@ type Node struct {
 	// Device-memory state (see memory.go). The ledger and queues belong to
 	// the incarnation and die with a kill; hbm, memDemand and the swap
 	// counters belong to the slot and persist.
-	hbm       int64            // device-memory capacity (bytes)
-	memDemand int64            // Σ working sets of placed-but-unresolved requests
-	mem       *gmem.Manager    // resident working-set ledger (nil while down)
-	memQ      []int            // arrival indices waiting for residency, in order
-	staging   map[int]struct{} // arrival index -> in-flight swap-in
+	hbm       int64         // device-memory capacity (bytes)
+	memDemand int64         // Σ working sets of placed-but-unresolved requests
+	mem       *gmem.Manager // resident working-set ledger (nil while down)
+	memQ      []int         // arrival indices waiting for residency, in order
+	stagedB   int64         // Σ working sets of in-flight swap-ins
 
 	spills, swapIns              int   // swap-outs / completed swap-ins
 	swapOutB, swapInB, swapLostB int64 // spilled / restored / kill-destroyed bytes
@@ -506,10 +507,8 @@ func New(tr *trace.ArrivalTrace, rc RunConfig) (*Cluster, error) {
 	if err := base.GPU.Validate(); err != nil {
 		return nil, fmt.Errorf("cluster: %w", err)
 	}
-	baseScale := 1.0
-	if base.TimeScale > 0 {
-		baseScale = base.TimeScale
-	}
+	// core rejects a negative or NaN scale when the nodes are built.
+	baseScale := cmp.Or(base.TimeScale, 1)
 	base.TimeScale = 0
 	var cfgs []nodeCfg
 	if len(rc.NodeTypes) > 0 {

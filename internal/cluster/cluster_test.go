@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -164,6 +165,13 @@ func TestClusterRejectsBadConfig(t *testing.T) {
 	rc.Sys.GPU.NumSMs = 0
 	if _, err := Run(tr, rc); err == nil {
 		t.Error("invalid node config accepted")
+	}
+	for _, s := range []float64{-1, math.NaN()} {
+		rc = testRunConfig(2, NewJSQ())
+		rc.Sys.TimeScale = s
+		if _, err := Run(tr, rc); err == nil {
+			t.Errorf("time scale %v accepted", s)
+		}
 	}
 	if _, err := Run(&trace.ArrivalTrace{}, testRunConfig(2, NewJSQ())); err == nil {
 		t.Error("invalid trace accepted")

@@ -168,22 +168,13 @@ type noopHooks struct{}
 func (noopHooks) Dispatched(node, class, app int)            {}
 func (noopHooks) Completed(node, class, app int, t sim.Time) {}
 
-// shortestQueue returns the index of the minimum-InFlight node among the
-// given indices (ties to the lowest index). idx == nil scans all nodes.
-func shortestQueue(nodes []*Node, idx []int) int {
+// shortestQueue returns the index of the minimum-InFlight node (ties to the
+// lowest index).
+func shortestQueue(nodes []*Node) int {
 	best, bestLoad := -1, 0
-	consider := func(i int) {
-		if l := nodes[i].InFlight(); best < 0 || l < bestLoad {
+	for i, n := range nodes {
+		if l := n.InFlight(); best < 0 || l < bestLoad {
 			best, bestLoad = i, l
-		}
-	}
-	if idx == nil {
-		for i := range nodes {
-			consider(i)
-		}
-	} else {
-		for _, i := range idx {
-			consider(i)
 		}
 	}
 	return best
@@ -254,7 +245,7 @@ func (jsq) Name() string                   { return string(KindJSQ) }
 func (jsq) Reset(nodes, classes, apps int) {}
 
 func (jsq) Pick(at sim.Time, class, app int, nodes []*Node) int {
-	return shortestQueue(nodes, nil)
+	return shortestQueue(nodes)
 }
 
 // LookaheadReads declares jsq's only input: the in-flight counts.
@@ -466,7 +457,7 @@ func (d *classAffinity) Pick(at sim.Time, class, app int, nodes []*Node) int {
 		}
 	}
 	if best < 0 {
-		return shortestQueue(nodes, nil)
+		return shortestQueue(nodes)
 	}
 	return best
 }

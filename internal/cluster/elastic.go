@@ -218,9 +218,12 @@ func (a *StepAutoscaler) Decide(s *FleetSnapshot) int {
 
 // scheduleTick arms the next autoscaler tick on the control engine.
 func (c *Cluster) scheduleTick(at sim.Time) {
-	c.ctl.At(at, func() { c.tick(at) })
+	c.ctl.AtFunc(at, tickEvent, c, int64(at))
 	c.refreshCtl()
 }
+
+// tickEvent is the control-engine callback of the autoscaler tick due at at.
+func tickEvent(p any, at int64) { p.(*Cluster).tick(sim.Time(at)) }
 
 // tick snapshots the fleet, applies the autoscaler's decision, and re-arms.
 func (c *Cluster) tick(at sim.Time) {

@@ -134,7 +134,7 @@ func (c *Cluster) memDrain(n *Node) {
 		}
 		// Reserved: proactively swap the waiter back in ahead of its turn.
 		// The run starts when the H2D transfer lands.
-		n.staging[i] = struct{}{}
+		n.stagedB += ws
 		_ = n.Sys.DMA.Submit(&pcie.Command{
 			CtxID: -1, Name: "swap-in", Dir: pcie.HostToDevice, Bytes: ws,
 			OnDone: func(sim.Time) { c.swapInDone(n, i, ws) },
@@ -146,29 +146,28 @@ func (c *Cluster) memDrain(n *Node) {
 // swapInDone fires on the node's engine when a waiter's working set finishes
 // staging back into HBM: the swap-in is accounted and the run starts.
 func (c *Cluster) swapInDone(n *Node, i int, ws int64) {
-	delete(n.staging, i)
+	n.stagedB -= ws
 	n.swapIns++
 	n.swapInB += ws
 	c.startRun(n, i)
 }
 
 // memWipe destroys a node's memory state with its machine: spilled bytes
-// whose swap-in will now never happen are counted lost, the queue and staging
-// set are emptied (their requests are re-dispatched by the kill path), and
-// the ledger is reset empty for the next incarnation, all keeping their
-// capacity. The traffic counters persist — the slot, not the incarnation, is
-// the unit of accounting.
+// whose swap-in will now never happen are counted lost, the queue is emptied
+// and the staged bytes zeroed (their requests are re-dispatched by the kill
+// path), and the ledger is reset empty for the next incarnation, keeping
+// their capacity. The traffic counters persist — the slot, not the
+// incarnation, is the unit of accounting.
 func (n *Node) memWipe(c *Cluster) {
 	n.swapLostB += c.memSpilledNow(n)
 	n.memQ = n.memQ[:0]
-	clear(n.staging)
+	n.stagedB = 0
 	n.mem.Reset(n.hbm)
 }
 
 // memInit arms a new node slot's working-set ledger.
 func (n *Node) memInit() {
 	n.mem = gmem.NewManager(n.hbm)
-	n.staging = make(map[int]struct{})
 }
 
 // memSpilledNow returns the bytes currently cold on the host: queued waiters
@@ -178,11 +177,8 @@ func (c *Cluster) memSpilledNow(n *Node) int64 {
 	if !c.swapOn {
 		return 0
 	}
-	var b int64
+	b := n.stagedB
 	for _, i := range n.memQ {
-		b += c.wsOf(i)
-	}
-	for i := range n.staging {
 		b += c.wsOf(i)
 	}
 	return b

@@ -3,6 +3,7 @@ package core
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 
 	"repro/internal/gmem"
@@ -59,11 +60,8 @@ type Framework struct {
 	// submit path used to pay it twice per launch.
 	occ map[*trace.KernelSpec]occInfo
 
-	activeLimit int
-	jitter      float64
-	timeScale   float64
-	seed        uint64
-	launchSeq   uint64
+	opts      Options // ActiveLimit and TimeScale filled in
+	launchSeq uint64
 
 	timeline *Timeline
 	stats    Stats
@@ -98,88 +96,72 @@ type occInfo struct {
 	smem int
 }
 
-// Option configures a Framework.
-type Option func(*Framework)
-
-// WithJitter sets the per-thread-block execution-time jitter fraction
-// (uniform in [1-f, 1+f]); 0 disables jitter.
-func WithJitter(f float64) Option {
-	return func(fw *Framework) { fw.jitter = f }
+// Options holds the per-GPU engine settings; the zero value means no
+// jitter, an active queue of NumSMs kernels and unscaled trace timing.
+type Options struct {
+	// Jitter is the per-thread-block execution-time jitter fraction, at most
+	// 1: each block's time is scaled uniformly in [1-Jitter, 1+Jitter).
+	// 0 or negative disables jitter.
+	Jitter float64
+	// Seed drives the deterministic jitter hash.
+	Seed uint64
+	// ActiveLimit overrides the active-queue capacity (0 = NumSMs). The
+	// paper sets it to the number of SMs (§3.3); mobile configurations may
+	// want a larger ratio of active kernels to SMs.
+	ActiveLimit int
+	// TimeScale multiplies every thread block's execution time (0 = 1). The
+	// cluster layer models straggler nodes — thermally throttled or
+	// misbehaving machines that serve the same work slower — with values > 1.
+	TimeScale float64
 }
 
-// WithSeed sets the seed for the deterministic jitter hash.
-func WithSeed(seed uint64) Option {
-	return func(fw *Framework) { fw.seed = seed }
-}
-
-// WithTimeline attaches a timeline recorder.
-func WithTimeline(t *Timeline) Option {
-	return func(fw *Framework) { fw.timeline = t }
-}
-
-// WithActiveLimit overrides the active-queue capacity. The paper sets it to
-// the number of SMs (§3.3), which is the default; mobile configurations may
-// want a larger ratio of active kernels to SMs.
-func WithActiveLimit(n int) Option {
-	return func(fw *Framework) { fw.activeLimit = n }
-}
-
-// WithMemory attaches a physical memory manager from which the framework
-// preallocates per-kernel context-save areas (§3.2).
-func WithMemory(m *gmem.Manager) Option {
-	return func(fw *Framework) { fw.mem = m }
-}
-
-// WithTimeScale multiplies every thread block's execution time by f (> 0).
-// The cluster layer models straggler nodes — thermally throttled or
-// misbehaving machines that serve the same work slower — with f > 1;
-// 1 (the default) leaves trace timing untouched.
-func WithTimeScale(f float64) Option {
-	return func(fw *Framework) { fw.timeScale = f }
-}
-
-// New builds a framework for the given machine, policy and mechanism.
-func New(eng *sim.Engine, cfg gpu.Config, policy Policy, mech Mechanism, opts ...Option) (*Framework, error) {
+// New builds a framework for the given machine, policy and mechanism. mem,
+// when non-nil, is the physical memory the framework preallocates
+// per-kernel context-save areas from (§3.2); timeline, when non-nil,
+// records SM occupancy.
+func New(eng *sim.Engine, cfg gpu.Config, policy Policy, mech Mechanism, opts Options, mem *gmem.Manager, timeline *Timeline) (*Framework, error) {
 	fw := &Framework{}
-	if err := fw.Reset(eng, cfg, policy, mech, opts...); err != nil {
+	if err := fw.Reset(eng, cfg, policy, mech, opts, mem, timeline); err != nil {
 		return nil, err
 	}
 	return fw, nil
 }
 
-// Reset returns the framework to the state New(eng, cfg, policy, mech,
-// opts...) produces, keeping every slice's and map's capacity: the SMs
-// (their resident sets, TLBs and context registers), the KSRT and its KSRs,
-// the command-buffer queues and the memoized occupancies. Kernels and
+// Reset returns the framework to the state New(eng, cfg, policy, mech, opts,
+// mem, timeline) produces, keeping every slice's and map's capacity: the
+// SMs (their resident sets, TLBs and context registers), the KSRT and its
+// KSRs, the command-buffer queues and the memoized occupancies. Kernels and
 // commands in flight are dropped without completing; their KSRs and queues
 // go back to the free lists. Launch ids and KSR generations start over, as
 // do the statistics. The engine must have been reset first (or be fresh):
 // events the old kernels scheduled would otherwise fire into the new state.
 // On error the framework is unusable until a successful Reset.
-func (fw *Framework) Reset(eng *sim.Engine, cfg gpu.Config, policy Policy, mech Mechanism, opts ...Option) error {
+func (fw *Framework) Reset(eng *sim.Engine, cfg gpu.Config, policy Policy, mech Mechanism, opts Options, mem *gmem.Manager, timeline *Timeline) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
 	if eng == nil || policy == nil || mech == nil {
 		return fmt.Errorf("core: nil engine, policy or mechanism")
 	}
+	// A fraction above 1 would yield negative execution times.
+	if opts.Jitter > 1 || math.IsNaN(opts.Jitter) {
+		return fmt.Errorf("core: jitter fraction %v outside [0, 1]", opts.Jitter)
+	}
+	if opts.ActiveLimit < 0 {
+		return fmt.Errorf("core: negative active-kernel limit %d", opts.ActiveLimit)
+	}
+	if opts.TimeScale < 0 || math.IsNaN(opts.TimeScale) {
+		return fmt.Errorf("core: time scale must be positive, got %g", opts.TimeScale)
+	}
+	if opts.ActiveLimit == 0 {
+		opts.ActiveLimit = cfg.NumSMs
+	}
+	if opts.TimeScale == 0 {
+		opts.TimeScale = 1
+	}
 	fw.eng, fw.cfg, fw.policy, fw.mech = eng, cfg, policy, mech
-	fw.mem = nil
-	fw.activeLimit = cfg.NumSMs
-	fw.jitter = 0.30
-	fw.timeScale = 1
-	fw.seed = 0
-	fw.timeline = nil
-	for _, opt := range opts {
-		opt(fw)
-	}
-	if fw.timeScale <= 0 {
-		return fmt.Errorf("core: time scale must be positive, got %g", fw.timeScale)
-	}
+	fw.opts, fw.mem, fw.timeline = opts, mem, timeline
 	fw.mechObs, _ = mech.(TBObserver)
-	if fw.activeLimit <= 0 {
-		return fmt.Errorf("core: active-kernel limit must be positive, got %d", fw.activeLimit)
-	}
 	keep := min(len(fw.sms), cfg.NumSMs)
 	clear(fw.sms[keep:])
 	fw.sms = slices.Grow(fw.sms[:keep], cfg.NumSMs-keep)
@@ -195,7 +177,7 @@ func (fw *Framework) Reset(eng *sim.Engine, cfg gpu.Config, policy Policy, mech 
 			fw.ksrFree = append(fw.ksrFree, k)
 		}
 	}
-	fw.slots = slices.Grow(fw.slots[:0], fw.activeLimit)[:fw.activeLimit]
+	fw.slots = slices.Grow(fw.slots[:0], opts.ActiveLimit)[:opts.ActiveLimit]
 	clear(fw.slots)
 	fw.active = fw.active[:0]
 	// pendq's map order is random; free the queues in context-id order so
@@ -244,7 +226,7 @@ func (fw *Framework) Timeline() *Timeline { return fw.timeline }
 func (fw *Framework) NumSMs() int { return len(fw.sms) }
 
 // ActiveLimit returns the active-queue capacity.
-func (fw *Framework) ActiveLimit() int { return fw.activeLimit }
+func (fw *Framework) ActiveLimit() int { return fw.opts.ActiveLimit }
 
 // --- Submission and activation -----------------------------------------
 
@@ -420,7 +402,7 @@ func (fw *Framework) tryActivate() {
 	}
 	fw.activating = true
 	defer func() { fw.activating = false }()
-	for len(fw.active) < fw.activeLimit && len(fw.pendingCtxs) > 0 {
+	for len(fw.active) < fw.opts.ActiveLimit && len(fw.pendingCtxs) > 0 {
 		ctxID := fw.policy.PickPending(fw)
 		if ctxID < 0 {
 			return
@@ -468,7 +450,7 @@ func (fw *Framework) allocKSR(cmd *LaunchCmd) *KSR {
 		SmemConfig:  info.smem,
 		Activated:   fw.eng.Now(),
 		ctxBytes:    fw.cfg.TBContextBytes(cmd.Spec),
-		jitterState: rng.Mix(rng.Mix(rng.HashStart, fw.seed), cmd.Launch),
+		jitterState: rng.Mix(rng.Mix(rng.HashStart, fw.opts.Seed), cmd.Launch),
 		ptbq:        k.ptbq[:0],
 	}
 	fw.slots[slot].k = k
@@ -719,7 +701,7 @@ func completeTBEvent(p any, x int64) {
 // tbDuration returns the jittered execution time of thread block idx of
 // kernel k.
 func (fw *Framework) tbDuration(k *KSR, idx int) sim.Time {
-	d := sim.Time(float64(k.Spec().TBTime) * fw.jitterFactor(k, idx) * fw.timeScale)
+	d := sim.Time(float64(k.Spec().TBTime) * fw.jitterFactor(k, idx) * fw.opts.TimeScale)
 	if d < 1 {
 		d = 1
 	}
@@ -731,7 +713,7 @@ func (fw *Framework) tbDuration(k *KSR, idx int) sim.Time {
 // launch) into k.jitterState once, so each thread block costs one round
 // plus the finalizer.
 func (fw *Framework) jitterFactor(k *KSR, idx int) float64 {
-	return rng.Jitter(fw.jitter, rng.Finish(rng.Mix(k.jitterState, uint64(idx))))
+	return rng.Jitter(fw.opts.Jitter, rng.Finish(rng.Mix(k.jitterState, uint64(idx))))
 }
 
 // touchSaveArea exercises the SM's TLB and the process page table for the

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/gmem"
@@ -99,7 +100,7 @@ type csMech struct{}
 func (csMech) Name() string { return "cs" }
 func (csMech) Preempt(fw *Framework, smID int) {
 	kid := fw.SMKernel(smID)
-	fw.Engine().After(fw.Config().PipelineDrainLatency, func() {
+	fw.Engine().AfterFunc(fw.Config().PipelineDrainLatency, func(any, int64) {
 		tbs := fw.CancelResident(smID)
 		if len(tbs) == 0 {
 			fw.PreemptionDone(smID)
@@ -107,11 +108,11 @@ func (csMech) Preempt(fw *Framework, smID int) {
 		}
 		dur := fw.SaveContext(smID, kid, tbs)
 		fw.MarkSaving(smID, dur)
-		fw.Engine().After(dur, func() {
+		fw.Engine().AfterFunc(dur, func(any, int64) {
 			fw.PushPreempted(kid, tbs)
 			fw.PreemptionDone(smID)
-		})
-	})
+		}, nil, 0)
+	}, nil, 0)
 }
 func (csMech) OnTBFinished(fw *Framework, smID int) {}
 
@@ -124,11 +125,10 @@ func testConfig() gpu.Config {
 }
 
 // testFW builds a framework on a 4-SM machine with zero jitter.
-func testFW(t *testing.T, pol Policy, mech Mechanism, opts ...Option) (*sim.Engine, *Framework, *gpu.ContextTable) {
+func testFW(t *testing.T, pol Policy, mech Mechanism) (*sim.Engine, *Framework, *gpu.ContextTable) {
 	t.Helper()
 	eng := sim.NewEngine()
-	opts = append([]Option{WithJitter(0), WithTimeline(NewTimeline())}, opts...)
-	fw, err := New(eng, testConfig(), pol, mech, opts...)
+	fw, err := New(eng, testConfig(), pol, mech, Options{}, nil, NewTimeline())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +270,12 @@ func TestTwoKernelsShareSMsThroughActiveQueue(t *testing.T) {
 }
 
 func TestActiveLimitBlocksAdmission(t *testing.T) {
-	eng, fw, tbl := testFW(t, &scriptPolicy{}, drainMech{}, WithActiveLimit(1))
+	eng := sim.NewEngine()
+	fw, err := New(eng, testConfig(), &scriptPolicy{}, drainMech{}, Options{ActiveLimit: 1}, nil, NewTimeline())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl := gpu.NewContextTable(32)
 	ctxA := mustCtx(t, tbl, "a", 0)
 	ctxB := mustCtx(t, tbl, "b", 0)
 	pa := submit(t, fw, ctxA, kernelOcc("ka", 4, 10, 1))
@@ -643,7 +648,7 @@ func TestSaveAreaAllocatedAndFreed(t *testing.T) {
 	mem := gmem.NewManager(1 << 30)
 	pol := &scriptPolicy{}
 	eng := sim.NewEngine()
-	fw, err := New(eng, testConfig(), pol, csMech{}, WithJitter(0), WithMemory(mem))
+	fw, err := New(eng, testConfig(), pol, csMech{}, Options{}, mem, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -675,7 +680,7 @@ func TestJitterChangesWithSeed(t *testing.T) {
 	run := func(seed uint64) sim.Time {
 		eng := sim.NewEngine()
 		fw, err := New(eng, testConfig(), &scriptPolicy{}, drainMech{},
-			WithJitter(0.3), WithSeed(seed))
+			Options{Jitter: 0.3, Seed: seed}, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -750,7 +755,7 @@ func TestTLBStatsExposed(t *testing.T) {
 	mem := gmem.NewManager(1 << 30)
 	pol := &scriptPolicy{}
 	eng := sim.NewEngine()
-	fw, err := New(eng, testConfig(), pol, csMech{}, WithJitter(0), WithMemory(mem))
+	fw, err := New(eng, testConfig(), pol, csMech{}, Options{}, mem, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -782,22 +787,30 @@ func TestTLBStatsExposed(t *testing.T) {
 func TestFrameworkConstructionErrors(t *testing.T) {
 	eng := sim.NewEngine()
 	cfg := testConfig()
-	if _, err := New(nil, cfg, &scriptPolicy{}, drainMech{}); err == nil {
+	if _, err := New(nil, cfg, &scriptPolicy{}, drainMech{}, Options{}, nil, nil); err == nil {
 		t.Error("nil engine accepted")
 	}
-	if _, err := New(eng, cfg, nil, drainMech{}); err == nil {
+	if _, err := New(eng, cfg, nil, drainMech{}, Options{}, nil, nil); err == nil {
 		t.Error("nil policy accepted")
 	}
-	if _, err := New(eng, cfg, &scriptPolicy{}, nil); err == nil {
+	if _, err := New(eng, cfg, &scriptPolicy{}, nil, Options{}, nil, nil); err == nil {
 		t.Error("nil mechanism accepted")
 	}
 	bad := cfg
 	bad.NumSMs = 0
-	if _, err := New(eng, bad, &scriptPolicy{}, drainMech{}); err == nil {
+	if _, err := New(eng, bad, &scriptPolicy{}, drainMech{}, Options{}, nil, nil); err == nil {
 		t.Error("invalid config accepted")
 	}
-	if _, err := New(eng, cfg, &scriptPolicy{}, drainMech{}, WithActiveLimit(-1)); err == nil {
-		t.Error("negative active limit accepted")
+	for _, o := range []Options{
+		{Jitter: 1.5},
+		{Jitter: math.NaN()},
+		{ActiveLimit: -1},
+		{TimeScale: -1},
+		{TimeScale: math.NaN()},
+	} {
+		if _, err := New(eng, cfg, &scriptPolicy{}, drainMech{}, o, nil, nil); err == nil {
+			t.Errorf("options %+v accepted", o)
+		}
 	}
 }
 

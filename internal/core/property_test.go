@@ -91,7 +91,7 @@ func TestChaosConservation(t *testing.T) {
 				}
 				eng := sim.NewEngine()
 				pol := &chaosPolicy{r: rng.New(seed)}
-				fw, err := New(eng, testConfig(), pol, mech, WithJitter(0.3), WithSeed(seed))
+				fw, err := New(eng, testConfig(), pol, mech, Options{Jitter: 0.3, Seed: seed}, nil, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -111,11 +111,11 @@ func TestChaosConservation(t *testing.T) {
 					// Stagger submissions in time.
 					delay := sim.Time(i) * sim.Microseconds(2)
 					cmd := &LaunchCmd{Ctx: ctx, Spec: spec, OnDone: func(at sim.Time) { finished++ }}
-					eng.At(delay, func() {
+					eng.AtFunc(delay, func(any, int64) {
 						if err := fw.Submit(cmd); err != nil {
 							t.Fatal(err)
 						}
-					})
+					}, nil, 0)
 				}
 				for eng.Step() {
 					if err := fw.Validate(); err != nil {
@@ -155,7 +155,7 @@ func TestChaosDeterminism(t *testing.T) {
 	run := func(seed uint64) (sim.Time, Stats) {
 		eng := sim.NewEngine()
 		pol := &chaosPolicy{r: rng.New(seed)}
-		fw, err := New(eng, testConfig(), pol, csMech{}, WithJitter(0.3), WithSeed(seed))
+		fw, err := New(eng, testConfig(), pol, csMech{}, Options{Jitter: 0.3, Seed: seed}, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -165,7 +165,7 @@ func TestChaosDeterminism(t *testing.T) {
 			spec := kernelOcc("k", 8+i, 5, 1+i%2)
 			cmd := &LaunchCmd{Ctx: ctx, Spec: spec}
 			at := sim.Time(i) * sim.Microseconds(3)
-			eng.At(at, func() { fw.Submit(cmd) })
+			eng.AtFunc(at, func(any, int64) { fw.Submit(cmd) }, nil, 0)
 		}
 		eng.Run()
 		return eng.Now(), fw.Stats()

@@ -29,8 +29,8 @@ func (fw *Framework) Validate() error {
 	if nSlots != len(fw.active) {
 		return fmt.Errorf("core: %d valid KSRT entries but %d active kernels", nSlots, len(fw.active))
 	}
-	if len(fw.active) > fw.activeLimit {
-		return fmt.Errorf("core: active queue over capacity: %d > %d", len(fw.active), fw.activeLimit)
+	if len(fw.active) > fw.opts.ActiveLimit {
+		return fmt.Errorf("core: active queue over capacity: %d > %d", len(fw.active), fw.opts.ActiveLimit)
 	}
 
 	running := make(map[KernelID]int)

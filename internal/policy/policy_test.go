@@ -23,7 +23,7 @@ func newFW(t *testing.T, numSMs int, pol core.Policy, mech core.Mechanism) (*sim
 	eng := sim.NewEngine()
 	cfg := testConfig()
 	cfg.NumSMs = numSMs
-	fw, err := core.New(eng, cfg, pol, mech, core.WithJitter(0))
+	fw, err := core.New(eng, cfg, pol, mech, core.Options{}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,9 +398,9 @@ func TestDSSTokenConservation(t *testing.T) {
 				probes := make([]*probe, l.kernels)
 				for i := range probes {
 					ctx := ctxOf(t, tbl, "p", 0)
-					eng.At(sim.Time(i)*l.stagger, func() {
+					eng.AtFunc(sim.Time(i)*l.stagger, func(any, int64) {
 						probes[i] = launch(t, fw, ctx, spec("k", 60, 15, 1))
-					})
+					}, nil, 0)
 				}
 				base, rem := numSMs/l.kernels, numSMs%l.kernels
 				for eng.Step() {

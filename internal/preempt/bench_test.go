@@ -34,7 +34,7 @@ func BenchmarkPreemptLatency(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				eng := sim.NewEngine()
 				pol := &chaosPolicy{r: rng.New(7)}
-				fw, err := core.New(eng, cfg, pol, mk(), core.WithJitter(0.3), core.WithSeed(7))
+				fw, err := core.New(eng, cfg, pol, mk(), core.Options{Jitter: 0.3, Seed: 7}, nil, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -46,7 +46,7 @@ func BenchmarkPreemptLatency(b *testing.B) {
 						RegsPerTB: 16384, ThreadsPerTB: 256, Idempotent: j%2 == 0,
 					}
 					cmd := &core.LaunchCmd{Ctx: ctx, Spec: spec}
-					eng.At(sim.Time(j)*sim.Microseconds(3), func() { fw.Submit(cmd) })
+					eng.AtFunc(sim.Time(j)*sim.Microseconds(3), func(any, int64) { fw.Submit(cmd) }, nil, 0)
 				}
 				if err := eng.Run(); err != nil {
 					b.Fatal(err)

@@ -64,7 +64,7 @@ func setup(t *testing.T, mech core.Mechanism) (*sim.Engine, *core.Framework, *gp
 	cfg.NumSMs = 4
 	cfg.SMSetupLatency = sim.Microseconds(1)
 	cfg.PipelineDrainLatency = sim.Microseconds(0.5)
-	fw, err := core.New(eng, cfg, &reserveOnSecond{}, mech, core.WithJitter(0))
+	fw, err := core.New(eng, cfg, &reserveOnSecond{}, mech, core.Options{}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

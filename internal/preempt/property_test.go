@@ -102,7 +102,7 @@ func TestMechanismChaosConservation(t *testing.T) {
 				}
 				eng := sim.NewEngine()
 				pol := &chaosPolicy{r: rng.New(seed)}
-				fw, err := core.New(eng, cfg, pol, mk(), core.WithJitter(0.3), core.WithSeed(seed))
+				fw, err := core.New(eng, cfg, pol, mk(), core.Options{Jitter: 0.3, Seed: seed}, nil, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -126,11 +126,11 @@ func TestMechanismChaosConservation(t *testing.T) {
 						Idempotent: sel%2 == 0,
 					}
 					cmd := &core.LaunchCmd{Ctx: ctx, Spec: spec, OnDone: func(at sim.Time) { finished++ }}
-					eng.At(sim.Time(i)*sim.Microseconds(2), func() {
+					eng.AtFunc(sim.Time(i)*sim.Microseconds(2), func(any, int64) {
 						if err := fw.Submit(cmd); err != nil {
 							t.Fatal(err)
 						}
-					})
+					}, nil, 0)
 				}
 				for eng.Step() {
 					if err := fw.Validate(); err != nil {
@@ -191,7 +191,7 @@ func TestMechanismChaosDeterminism(t *testing.T) {
 			run := func(seed uint64) (sim.Time, core.Stats) {
 				eng := sim.NewEngine()
 				pol := &chaosPolicy{r: rng.New(seed)}
-				fw, err := core.New(eng, cfg, pol, mk(), core.WithJitter(0.3), core.WithSeed(seed))
+				fw, err := core.New(eng, cfg, pol, mk(), core.Options{Jitter: 0.3, Seed: seed}, nil, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -203,7 +203,7 @@ func TestMechanismChaosDeterminism(t *testing.T) {
 						RegsPerTB: 16384, ThreadsPerTB: 256, Idempotent: i%2 == 0,
 					}
 					cmd := &core.LaunchCmd{Ctx: ctx, Spec: spec}
-					eng.At(sim.Time(i)*sim.Microseconds(3), func() { fw.Submit(cmd) })
+					eng.AtFunc(sim.Time(i)*sim.Microseconds(3), func(any, int64) { fw.Submit(cmd) }, nil, 0)
 				}
 				if err := eng.Run(); err != nil {
 					t.Fatal(err)

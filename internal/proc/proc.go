@@ -78,7 +78,6 @@ type Process struct {
 	// allocation profile.
 	cpuPhaseDone   func()            // end of a trace CPU phase: advance and continue
 	issuePhaseDone func()            // end of a command-issue micro-phase: continue
-	beginRun       func()            // start of a (re)run: stamp runStart and step
 	kernelStarted  func(at sim.Time) // a kernel's first thread block reached an SM
 }
 
@@ -129,11 +128,6 @@ func newProcess(sys *system.System, ctx *gpu.Context, app *trace.App) *Process {
 	}
 	p.issuePhaseDone = func() {
 		p.inCPUPhase = false
-		p.step()
-	}
-	p.beginRun = func() {
-		p.runStart = p.sys.Eng.Now()
-		p.firstIssue = -1
 		p.step()
 	}
 	p.kernelStarted = func(at sim.Time) {
@@ -240,8 +234,16 @@ func (p *Process) Start(at sim.Time) error {
 		return fmt.Errorf("proc: process %s already started", p.app.Name)
 	}
 	p.started = true
-	p.sys.Eng.At(at, p.beginRun)
+	p.sys.Eng.AtFunc(at, beginRun, p, 0)
 	return nil
+}
+
+// beginRun starts a (re)run of process p: it stamps runStart and steps.
+func beginRun(p any, _ int64) {
+	pr := p.(*Process)
+	pr.runStart = pr.sys.Eng.Now()
+	pr.firstIssue = -1
+	pr.step()
 }
 
 // step advances through the op sequence until it blocks on a CPU phase, a
@@ -313,7 +315,7 @@ func (p *Process) finishRun() {
 		return
 	}
 	p.opIdx = 0
-	p.sys.Eng.After(p.RestartGap, p.beginRun)
+	p.sys.Eng.AfterFunc(p.RestartGap, beginRun, p, 0)
 }
 
 // enqueue places a command in its stream; if the stream has no outstanding

@@ -81,8 +81,9 @@ type propState struct {
 	slots   []uint64 // reserved sequence slots not yet spent
 }
 
-// typedFire is the top-level Func used for the typed-dispatch form, so the
-// property run exercises both callback representations.
+// typedFire is the top-level Func used for half the events; the other half
+// use a func literal capturing the logical id, so the property run
+// exercises both a context-and-argument callback and a capturing one.
 func typedFire(p any, x int64) { p.(*propState).onFire(int(x)) }
 
 // onFire records the firing and, with some probability, performs nested
@@ -109,7 +110,7 @@ func (s *propState) schedule(delay Time) int {
 	if s.r.Intn(2) == 0 {
 		id = s.eng.AtFunc(at, typedFire, s, int64(logical))
 	} else {
-		id = s.eng.At(at, func() { s.onFire(logical) })
+		id = s.eng.AtFunc(at, func(any, int64) { s.onFire(logical) }, nil, 0)
 	}
 	s.handles = append(s.handles, id)
 	s.live = append(s.live, true)

@@ -14,7 +14,7 @@ func TestResetStalesEveryHandle(t *testing.T) {
 	e := NewEngine()
 	var old []EventID
 	for i := 0; i < 8; i++ {
-		old = append(old, e.At(Time(10+i), func() {}))
+		old = append(old, e.AtFunc(Time(10+i), nop, nil, 0))
 	}
 	e.Cancel(old[3])
 	e.Cancel(old[5])
@@ -26,7 +26,7 @@ func TestResetStalesEveryHandle(t *testing.T) {
 	}
 	fired := 0
 	for i := 0; i < 8; i++ {
-		e.At(Time(20+i), func() { fired++ })
+		e.AtFunc(Time(20+i), func(any, int64) { fired++ }, nil, 0)
 	}
 	for i, id := range old {
 		if canceled(e, id) {
@@ -61,12 +61,12 @@ func TestResetEngineMatchesFresh(t *testing.T) {
 		sched = func(at Time, logical int) {
 			var id EventID
 			if logical%2 == 0 {
-				id = e.At(at, func() {
+				id = e.AtFunc(at, func(any, int64) {
 					log = append(log, fire{logical, e.Now()})
 					if r.Intn(3) == 0 {
 						sched(e.Now()+Time(r.Intn(50)), logical+1000)
 					}
-				})
+				}, nil, 0)
 			} else {
 				id = e.AtFunc(at, func(_ any, x int64) { log = append(log, fire{int(x), e.Now()}) }, nil, int64(logical))
 			}

@@ -79,9 +79,9 @@ type EventID struct {
 	gen uint32
 }
 
-// Func is the closure-free callback form: a plain function (typically a
-// top-level one, so the func value itself never allocates) receiving the
-// context pointer and scalar argument it was scheduled with.
+// Func is an event's callback: a plain function (typically a top-level one,
+// so the func value itself never allocates) receiving the context pointer
+// and scalar argument it was scheduled with.
 type Func func(p any, x int64)
 
 // evState is the lifecycle state of an event record.
@@ -99,8 +99,7 @@ const (
 // event's time and sequence slot live in its heap entry, not here.
 type eventRecord struct {
 	x     int64
-	fn    func()
-	tfn   Func
+	fn    Func
 	p     any
 	gen   uint32
 	state evState
@@ -174,35 +173,21 @@ func (e *Engine) Pending() int { return len(e.heap) }
 // Zero (the default) means no limit.
 func (e *Engine) SetMaxEvents(n uint64) { e.maxEvents = n }
 
-// At schedules fn to run at virtual time t. Scheduling in the past panics:
-// it is always a simulation bug.
-func (e *Engine) At(t Time, fn func()) EventID {
-	if fn == nil {
-		panic("sim: scheduling nil callback")
-	}
-	return e.schedule(t, fn, nil, nil, 0)
-}
-
-// After schedules fn to run d after the current time. Negative d panics.
-func (e *Engine) After(d Time, fn func()) EventID {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: negative delay %v", d))
-	}
-	return e.At(e.now+d, fn)
-}
-
-// AtFunc schedules fn(p, x) to run at virtual time t. Unlike At, it captures
-// no closure: when fn is a top-level function and p a pointer (or nil), the
-// call allocates nothing beyond the pooled event record.
+// AtFunc schedules fn(p, x) to run at virtual time t. Scheduling in the past
+// panics: it is always a simulation bug. When fn is a top-level function and
+// p a pointer (or nil), the call allocates nothing beyond the pooled event
+// record.
 func (e *Engine) AtFunc(t Time, fn Func, p any, x int64) EventID {
 	if fn == nil {
 		panic("sim: scheduling nil callback")
 	}
-	return e.schedule(t, nil, fn, p, x)
+	id := e.scheduleSeq(t, e.seq, fn, p, x)
+	e.seq++
+	return id
 }
 
-// AfterFunc schedules fn(p, x) to run d after the current time, without
-// capturing a closure. Negative d panics.
+// AfterFunc schedules fn(p, x) to run d after the current time. Negative d
+// panics.
 func (e *Engine) AfterFunc(d Time, fn Func, p any, x int64) EventID {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", d))
@@ -225,7 +210,7 @@ func (e *Engine) ReserveSeq() uint64 {
 
 // AtSeqFunc schedules fn(p, x) at virtual time t occupying a sequence slot
 // previously returned by ReserveSeq, so that among same-time events it fires
-// in the order the reservation — not this call — established. Like At, t in
+// in the order the reservation — not this call — established. Like AtFunc, t in
 // the past panics; so does an unreserved (future) slot, which could collide
 // with a sequence number the engine has yet to hand out.
 func (e *Engine) AtSeqFunc(t Time, seq uint64, fn Func, p any, x int64) EventID {
@@ -235,19 +220,13 @@ func (e *Engine) AtSeqFunc(t Time, seq uint64, fn Func, p any, x int64) EventID 
 	if seq >= e.seq {
 		panic(fmt.Sprintf("sim: AtSeqFunc with unreserved sequence slot %d (next is %d)", seq, e.seq))
 	}
-	return e.scheduleSeq(t, seq, nil, fn, p, x)
+	return e.scheduleSeq(t, seq, fn, p, x)
 }
 
-// schedule allocates a pooled record for the event and pushes it on the heap.
-func (e *Engine) schedule(t Time, fn func(), tfn Func, p any, x int64) EventID {
-	id := e.scheduleSeq(t, e.seq, fn, tfn, p, x)
-	e.seq++
-	return id
-}
-
-// scheduleSeq is schedule with an explicit sequence slot; it does not advance
-// the engine's sequence counter.
-func (e *Engine) scheduleSeq(t Time, seq uint64, fn func(), tfn Func, p any, x int64) EventID {
+// scheduleSeq allocates a pooled record for the event and pushes it on the
+// heap at sequence slot seq; it does not advance the engine's sequence
+// counter.
+func (e *Engine) scheduleSeq(t Time, seq uint64, fn Func, p any, x int64) EventID {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
@@ -260,7 +239,7 @@ func (e *Engine) scheduleSeq(t Time, seq uint64, fn func(), tfn Func, p any, x i
 		idx = int32(len(e.rec) - 1)
 	}
 	r := &e.rec[idx]
-	r.fn, r.tfn, r.p, r.x = fn, tfn, p, x
+	r.fn, r.p, r.x = fn, p, x
 	r.state = evPending
 	e.heap = append(e.heap, heapEntry{})
 	e.siftUp(len(e.heap)-1, 0, heapEntry{at: t, seq: seq, idx: idx})
@@ -272,7 +251,7 @@ func (e *Engine) scheduleSeq(t Time, seq uint64, fn func(), tfn Func, p any, x i
 func (e *Engine) release(idx int32) {
 	r := &e.rec[idx]
 	r.state = evFree
-	r.fn, r.tfn, r.p = nil, nil, nil
+	r.fn, r.p = nil, nil
 	if r.gen++; r.gen == 0 {
 		r.gen = 1 // skip 0 on wrap: the zero EventID must stay invalid
 	}
@@ -293,7 +272,7 @@ func (e *Engine) Cancel(id EventID) bool {
 		return false
 	}
 	r.state = evCanceled
-	r.fn, r.tfn, r.p = nil, nil, nil // drop references early
+	r.fn, r.p = nil, nil // drop references early
 	e.ncanceled++
 	if e.ncanceled*2 > len(e.heap) {
 		e.compact()
@@ -425,13 +404,9 @@ func (e *Engine) Step() bool {
 		// Copy the callback out and release the record before firing, so the
 		// callback can schedule into the freed slot and stale handles to this
 		// event are already invalid while it runs.
-		fn, tfn, p, x := r.fn, r.tfn, r.p, r.x
+		fn, p, x := r.fn, r.p, r.x
 		e.release(top.idx)
-		if tfn != nil {
-			tfn(p, x)
-		} else {
-			fn()
-		}
+		fn(p, x)
 		return true
 	}
 	return false

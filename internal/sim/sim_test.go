@@ -16,6 +16,9 @@ func canceled(e *Engine, id EventID) bool {
 	return r.gen == id.gen && r.state == evCanceled
 }
 
+// nop is an event callback that does nothing.
+func nop(any, int64) {}
+
 func TestTimeConversions(t *testing.T) {
 	cases := []struct {
 		us   float64
@@ -65,9 +68,9 @@ func TestTimeString(t *testing.T) {
 func TestEngineRunsEventsInTimeOrder(t *testing.T) {
 	e := NewEngine()
 	var order []int
-	e.At(30, func() { order = append(order, 3) })
-	e.At(10, func() { order = append(order, 1) })
-	e.At(20, func() { order = append(order, 2) })
+	e.AtFunc(30, func(any, int64) { order = append(order, 3) }, nil, 0)
+	e.AtFunc(10, func(any, int64) { order = append(order, 1) }, nil, 0)
+	e.AtFunc(20, func(any, int64) { order = append(order, 2) }, nil, 0)
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +87,7 @@ func TestEngineTiesFireInScheduleOrder(t *testing.T) {
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
-		e.At(5, func() { order = append(order, i) })
+		e.AtFunc(5, func(any, int64) { order = append(order, i) }, nil, 0)
 	}
 	e.Run()
 	for i, v := range order {
@@ -163,12 +166,12 @@ func TestEngineAtSeqFuncUnreservedPanics(t *testing.T) {
 func TestEngineAfterSchedulesRelative(t *testing.T) {
 	e := NewEngine()
 	var at Time
-	e.At(100, func() {
-		e.After(50, func() { at = e.Now() })
-	})
+	e.AtFunc(100, func(any, int64) {
+		e.AfterFunc(50, func(any, int64) { at = e.Now() }, nil, 0)
+	}, nil, 0)
 	e.Run()
 	if at != 150 {
-		t.Errorf("After fired at %v, want 150", at)
+		t.Errorf("AfterFunc fired at %v, want 150", at)
 	}
 }
 
@@ -193,14 +196,14 @@ func TestEngineTypedDispatch(t *testing.T) {
 
 func TestEngineSchedulingInPastPanics(t *testing.T) {
 	e := NewEngine()
-	e.At(100, func() {})
+	e.AtFunc(100, nop, nil, 0)
 	e.Run()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("scheduling in the past did not panic")
 		}
 	}()
-	e.At(50, func() {})
+	e.AtFunc(50, nop, nil, 0)
 }
 
 func TestEngineNegativeDelayPanics(t *testing.T) {
@@ -210,7 +213,7 @@ func TestEngineNegativeDelayPanics(t *testing.T) {
 			t.Fatal("negative delay did not panic")
 		}
 	}()
-	e.After(-1, func() {})
+	e.AfterFunc(-1, nop, nil, 0)
 }
 
 func TestEngineNilCallbackPanics(t *testing.T) {
@@ -220,7 +223,7 @@ func TestEngineNilCallbackPanics(t *testing.T) {
 			t.Fatal("nil callback did not panic")
 		}
 	}()
-	e.At(1, nil)
+	e.AfterFunc(1, nil, nil, 0)
 }
 
 func TestEngineNilTypedCallbackPanics(t *testing.T) {
@@ -236,8 +239,8 @@ func TestEngineNilTypedCallbackPanics(t *testing.T) {
 func TestEventCancel(t *testing.T) {
 	e := NewEngine()
 	fired := false
-	ev := e.At(10, func() { fired = true })
-	e.At(20, func() {}) // keeps the heap >50% live so ev is not compacted away
+	ev := e.AtFunc(10, func(any, int64) { fired = true }, nil, 0)
+	e.AtFunc(20, nop, nil, 0) // keeps the heap >50% live so ev is not compacted away
 	if !e.Cancel(ev) {
 		t.Fatal("Cancel returned false on pending event")
 	}
@@ -255,7 +258,7 @@ func TestEventCancel(t *testing.T) {
 
 func TestEventCancelAfterFiring(t *testing.T) {
 	e := NewEngine()
-	ev := e.At(10, func() {})
+	ev := e.AtFunc(10, nop, nil, 0)
 	e.Run()
 	if e.Cancel(ev) {
 		t.Fatal("Cancel returned true after the event fired")
@@ -278,7 +281,7 @@ func TestCancelZeroEventID(t *testing.T) {
 		t.Fatal("zero EventID Cancel returned true on an empty engine")
 	}
 	var fired []int
-	e.At(10, func() { fired = append(fired, 0) }) // occupies slot 0
+	e.AtFunc(10, func(any, int64) { fired = append(fired, 0) }, nil, 0) // occupies slot 0
 	if e.Cancel(ev) {
 		t.Fatal("zero EventID cancelled the event in slot 0")
 	}
@@ -289,8 +292,8 @@ func TestCancelZeroEventID(t *testing.T) {
 	if len(fired) != 1 {
 		t.Fatalf("slot-0 event fired %d times, want 1", len(fired))
 	}
-	late := e.At(20, func() { fired = append(fired, 1) }) // reuses slot 0
-	e.At(30, func() { fired = append(fired, 2) })         // keeps late's record from compaction
+	late := e.AtFunc(20, func(any, int64) { fired = append(fired, 1) }, nil, 0) // reuses slot 0
+	e.AtFunc(30, func(any, int64) { fired = append(fired, 2) }, nil, 0)         // keeps late's record from compaction
 	if !e.Cancel(late) || !canceled(e, late) {
 		t.Fatal("could not cancel the pending slot-0 event")
 	}
@@ -309,10 +312,10 @@ func TestCancelZeroEventID(t *testing.T) {
 func TestStaleHandleAfterRecordReuse(t *testing.T) {
 	e := NewEngine()
 	var fired []int
-	first := e.At(10, func() { fired = append(fired, 1) })
+	first := e.AtFunc(10, func(any, int64) { fired = append(fired, 1) }, nil, 0)
 	// Firing releases the record to the pool; the next event reuses it.
 	e.Run()
-	second := e.At(20, func() { fired = append(fired, 2) })
+	second := e.AtFunc(20, func(any, int64) { fired = append(fired, 2) }, nil, 0)
 	if second.idx != first.idx {
 		t.Fatalf("second event took slot %d, want the freed slot %d", second.idx, first.idx)
 	}
@@ -323,8 +326,8 @@ func TestStaleHandleAfterRecordReuse(t *testing.T) {
 	if e.Cancel(second) {
 		t.Fatal("Cancel returned true after second event fired")
 	}
-	third := e.At(30, func() { fired = append(fired, 3) }) // reuses it again
-	e.At(40, func() { fired = append(fired, 4) })          // keeps third's record from compaction
+	third := e.AtFunc(30, func(any, int64) { fired = append(fired, 3) }, nil, 0) // reuses it again
+	e.AtFunc(40, func(any, int64) { fired = append(fired, 4) }, nil, 0)          // keeps third's record from compaction
 	if !e.Cancel(third) || !canceled(e, third) {
 		t.Fatal("live handle could not cancel the slot's third occupant")
 	}
@@ -341,12 +344,12 @@ func TestEngineStop(t *testing.T) {
 	e := NewEngine()
 	count := 0
 	for i := 1; i <= 10; i++ {
-		e.At(Time(i), func() {
+		e.AtFunc(Time(i), func(any, int64) {
 			count++
 			if count == 3 {
 				e.Stop()
 			}
-		})
+		}, nil, 0)
 	}
 	e.Run()
 	if count != 3 {
@@ -364,7 +367,7 @@ func TestEngineRunUntil(t *testing.T) {
 	var fired []Time
 	for _, at := range []Time{10, 20, 30, 40} {
 		at := at
-		e.At(at, func() { fired = append(fired, at) })
+		e.AtFunc(at, func(any, int64) { fired = append(fired, at) }, nil, 0)
 	}
 	if err := e.RunUntil(25); err != nil {
 		t.Fatal(err)
@@ -383,9 +386,9 @@ func TestEngineRunUntil(t *testing.T) {
 
 func TestEngineMaxEvents(t *testing.T) {
 	e := NewEngine()
-	var reschedule func()
-	reschedule = func() { e.After(1, reschedule) }
-	e.After(1, reschedule)
+	var reschedule Func
+	reschedule = func(any, int64) { e.AfterFunc(1, reschedule, nil, 0) }
+	e.AfterFunc(1, reschedule, nil, 0)
 	e.SetMaxEvents(100)
 	if err := e.Run(); err != ErrEventLimit {
 		t.Fatalf("Run = %v, want ErrEventLimit", err)
@@ -397,8 +400,8 @@ func TestEngineMaxEvents(t *testing.T) {
 
 func TestEnginePendingCountsCanceled(t *testing.T) {
 	e := NewEngine()
-	ev := e.At(10, func() {})
-	e.At(20, func() {})
+	ev := e.AtFunc(10, nop, nil, 0)
+	e.AtFunc(20, nop, nil, 0)
 	e.Cancel(ev)
 	if e.Pending() != 2 {
 		t.Errorf("Pending = %d, want 2 (lazy cancellation)", e.Pending())
@@ -415,7 +418,7 @@ func TestEngineCompactsWhenMostlyCanceled(t *testing.T) {
 	e := NewEngine()
 	var ids []EventID
 	for i := 0; i < 100; i++ {
-		ids = append(ids, e.At(Time(i+1), func() {}))
+		ids = append(ids, e.AtFunc(Time(i+1), nop, nil, 0))
 	}
 	for i := 0; i < 60; i++ {
 		if !e.Cancel(ids[i]) {
@@ -475,7 +478,7 @@ func TestEngineOrderingProperty(t *testing.T) {
 			if at > max {
 				max = at
 			}
-			e.At(at, func() { fired = append(fired, e.Now()) })
+			e.AtFunc(at, func(any, int64) { fired = append(fired, e.Now()) }, nil, 0)
 		}
 		if err := e.Run(); err != nil {
 			return false

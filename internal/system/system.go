@@ -6,7 +6,6 @@ package system
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/core"
 	"repro/internal/cpu"
@@ -23,32 +22,26 @@ type Config struct {
 	CPU  cpu.Config
 	// DMAPolicy orders the data-transfer engine's queue. Defaults to FCFS.
 	DMAPolicy pcie.QueuePolicy
-	// Jitter is the per-thread-block execution time jitter fraction, at most
-	// 1 (0 or negative = no jitter).
-	Jitter float64
-	// Seed drives all randomness in the machine.
-	Seed uint64
+	// Options are the execution engine's jitter, seed, active-queue capacity
+	// and time scale; the cluster's fault injector sets TimeScale > 1 on
+	// straggler nodes.
+	core.Options
 	// RecordTimeline attaches a timeline recorder to the execution engine.
 	RecordTimeline bool
-	// ActiveLimit overrides the active-queue capacity (0 = NumSMs).
-	ActiveLimit int
 	// ContextCapacity overrides the GPU context-table capacity
 	// (0 = gpu.DefaultContextCapacity). Open-system runs size it to their
 	// arrival count so admission never fails while retired contexts free
 	// their slots.
 	ContextCapacity int
-	// TimeScale multiplies every thread block's execution time (0 = 1, no
-	// scaling). The cluster's fault injector sets it > 1 on straggler nodes.
-	TimeScale float64
 }
 
 // DefaultConfig returns the evaluation machine of Table 2.
 func DefaultConfig() Config {
 	return Config{
-		GPU:    gpu.DefaultConfig(),
-		PCIe:   pcie.DefaultConfig(),
-		CPU:    cpu.DefaultConfig(),
-		Jitter: 0.30,
+		GPU:     gpu.DefaultConfig(),
+		PCIe:    pcie.DefaultConfig(),
+		CPU:     cpu.DefaultConfig(),
+		Options: core.Options{Jitter: 0.30},
 	}
 }
 
@@ -90,36 +83,14 @@ func New(cfg Config, pol core.Policy, mech core.Mechanism) (*System, error) {
 // so fresh and recycled machines run one code path. On error the machine
 // is unusable until a successful Reset.
 func (s *System) Reset(cfg Config, pol core.Policy, mech core.Mechanism) error {
-	// A thread block's time factor is drawn from [1-Jitter, 1+Jitter), so a
-	// fraction above 1 would yield negative execution times.
-	if cfg.Jitter > 1 || math.IsNaN(cfg.Jitter) {
-		return fmt.Errorf("system: jitter fraction %v outside [0, 1]", cfg.Jitter)
-	}
 	s.Cfg = cfg
 	s.Eng.Reset()
 	s.Mem.Reset(cfg.GPU.MemSize)
-	// Every option is passed, its zero-config value spelt as the
-	// framework's default, so the option list never grows on the heap.
 	var tl *core.Timeline
 	if cfg.RecordTimeline {
 		tl = core.NewTimeline()
 	}
-	limit := cfg.ActiveLimit
-	if limit <= 0 {
-		limit = cfg.GPU.NumSMs
-	}
-	scale := cfg.TimeScale
-	if !(scale > 0) {
-		scale = 1
-	}
-	if err := s.Exec.Reset(s.Eng, cfg.GPU, pol, mech,
-		core.WithJitter(cfg.Jitter),
-		core.WithSeed(cfg.Seed),
-		core.WithMemory(s.Mem),
-		core.WithTimeline(tl),
-		core.WithActiveLimit(limit),
-		core.WithTimeScale(scale),
-	); err != nil {
+	if err := s.Exec.Reset(s.Eng, cfg.GPU, pol, mech, cfg.Options, s.Mem, tl); err != nil {
 		return fmt.Errorf("system: building execution engine: %w", err)
 	}
 	if err := s.DMA.Reset(s.Eng, cfg.PCIe, cfg.DMAPolicy); err != nil {

@@ -224,7 +224,7 @@ func Run(spec Spec, rc RunConfig) (*Result, error) {
 	}
 	// Watchdog against starvation (e.g. persistent kernels under a
 	// draining-only configuration).
-	sys.Eng.At(rc.MaxSimTime, func() { sys.Eng.Stop() })
+	sys.Eng.AtFunc(rc.MaxSimTime, stopEvent, sys.Eng, 0)
 
 	if err := sys.Eng.Run(); err != nil {
 		if !errors.Is(err, sim.ErrEventLimit) {
@@ -259,6 +259,9 @@ func Run(spec Spec, rc RunConfig) (*Result, error) {
 	}
 	return res, nil
 }
+
+// stopEvent is the MaxSimTime watchdog: it stops engine p.
+func stopEvent(p any, _ int64) { p.(*sim.Engine).Stop() }
 
 // Isolated returns the mean isolated turnaround of the application on the
 // machine: the app runs alone under FCFS (no contention, so the policy is
