@@ -168,14 +168,14 @@ func RunCluster(o Options) (*ClusterResult, error) {
 		// the GPU config's validation in cluster.New.
 		rc.Sys.GPU.MemSize = o.HBM
 	}
-	// Dispatchers and autoscalers are stateful and single-use, so the
-	// warm-start path below needs a fresh RunConfig per cluster run.
+	// Dispatchers are stateful and single-use, so the warm-start path below
+	// needs a fresh RunConfig per cluster run.
 	newCRC := func() (cluster.RunConfig, error) {
 		disp, err := cluster.NewDispatcher(c.Dispatch, c.Seed)
 		if err != nil {
 			return cluster.RunConfig{}, err
 		}
-		crc := cluster.RunConfig{
+		return cluster.RunConfig{
 			Sys:        rc.Sys,
 			Nodes:      c.Nodes,
 			NodeTypes:  c.NodeTypes,
@@ -183,17 +183,12 @@ func RunCluster(o Options) (*ClusterResult, error) {
 			Policy:     rc.Policy,
 			Mechanism:  rc.Mechanism,
 			MaxSimTime: rc.MaxSimTime,
+			Autoscale:  c.Autoscale,
 			Faults:     c.Faults,
 			Resilience: c.Resilience,
 			Parallel:   o.ParWindow,
 			Swap:       o.Swap,
-		}
-		if c.Autoscale != nil {
-			if crc.Autoscale, err = cluster.NewStepAutoscaler(*c.Autoscale); err != nil {
-				return cluster.RunConfig{}, err
-			}
-		}
-		return crc, nil
+		}, nil
 	}
 	crc, err := newCRC()
 	if err != nil {

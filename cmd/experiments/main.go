@@ -23,6 +23,7 @@ import (
 	"strings"
 
 	"repro/internal/experiments"
+	"repro/internal/parboil"
 	"repro/internal/profiling"
 )
 
@@ -57,6 +58,14 @@ func main() {
 	if *parWin < 0 {
 		fatal(fmt.Errorf("-par-window must be non-negative, got %d", *parWin))
 	}
+	// A workload draws distinct applications from the suite, so none can be
+	// larger than it. -gpus shares parseSizes and has no such bound.
+	sizeList, suite := parseSizes(*sizes), len(parboil.Names())
+	for _, v := range sizeList {
+		if v > suite {
+			fatal(fmt.Errorf("-sizes %d exceeds the suite's %d applications", v, suite))
+		}
+	}
 
 	var err error
 	stopProf, err = profiling.Start(*cpuProf, *memProf)
@@ -70,7 +79,7 @@ func main() {
 	}()
 
 	opts := experiments.Options{
-		Sizes:     parseSizes(*sizes),
+		Sizes:     sizeList,
 		PerSize:   *n,
 		Seed:      *seed,
 		Scale:     *scale,

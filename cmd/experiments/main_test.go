@@ -32,6 +32,8 @@ func TestRejectsBadFlags(t *testing.T) {
 		{"-parallel 0", "-parallel must be at least 1, got 0"},
 		{"-parallel -4", "-parallel must be at least 1, got -4"},
 		{"-par-window -1", "-par-window must be non-negative, got -1"},
+		{"-sizes 11", "-sizes 11 exceeds the suite's 10 applications"},
+		{"-sizes 2,11", "-sizes 11 exceeds the suite's 10 applications"},
 	} {
 		t.Run(tc.args, func(t *testing.T) {
 			// table2 needs no simulation, so a flag that slipped through

@@ -20,7 +20,9 @@ var update = flag.Bool("update", false, "rewrite the golden reports under testda
 // goldenReports pins one report per output mode. The two fleet runs split
 // because the resilience layer rejects instead of swapping, so its report
 // never prints the memory line: together they cover every printed field of
-// the cluster and per-GPU reports. Their fleet policy (autoscale, faults,
+// the cluster and per-GPU reports. A third fleet scales up on the watched
+// class's rolling-window p99 and miss rate alone, the autoscaler signals the
+// backlog-driven fleets never fire. Their fleet policy (autoscale, faults,
 // resilience) comes from the topology files under testdata/, the only way
 // gpusim takes it.
 var goldenReports = []struct {
@@ -33,6 +35,8 @@ var goldenReports = []struct {
 		"-arrivals poisson -rate 200000 -horizon 2ms -hbm 1MiB -swap -cluster testdata/fleet-resilience.json"},
 	{"fleet-swap", "-policy ppq -mech context-switch -hp 0 -deadline 40us -scale 48 " +
 		"-arrivals poisson -rate 80000 -horizon 2ms -dispatch least-loaded-fits -hbm 128KiB -swap -cluster testdata/kills.json"},
+	{"fleet-autoscale-slo", "-apps spmv,lbm,sgemm -policy ppq -mech adaptive -hp 0 -deadline 40us -scale 48 " +
+		"-arrivals poisson -rate 120000 -horizon 2ms -cluster testdata/autoscale-slo.json"},
 }
 
 // TestGoldenReports builds gpusim and requires each pinned report's stdout

@@ -95,7 +95,7 @@ func TestResetMachineMatchesFresh(t *testing.T) {
 					cfg.GPU.MemSize = hbm.size
 				}
 				pol := func() core.Policy { return policy.NewPPQ(true) }
-				rc := RunConfig{MaxSimTime: 120 * sim.Second, MaxEvents: 2e9}
+				rc := RunConfig{MaxSimTime: 120 * sim.Second}
 
 				// The killed machine: a different seed and time scale, the
 				// first stream cut off with requests in flight.

@@ -13,6 +13,10 @@ import (
 	"repro/internal/trace"
 )
 
+// maxEvents is the runaway guard: a run stops, keeping what ran, after this
+// many events.
+const maxEvents = 2e9
+
 // RunConfig parameterizes an open-system simulation.
 type RunConfig struct {
 	// Sys is the machine configuration. When Sys.ContextCapacity is zero it
@@ -29,8 +33,6 @@ type RunConfig struct {
 	Mechanism func() core.Mechanism
 	// MaxSimTime aborts the simulation at this virtual time (0 = 120s).
 	MaxSimTime sim.Time
-	// MaxEvents aborts the simulation after this many events (0 = 2e9).
-	MaxEvents uint64
 	// AdmitDelay defers each arrival's admission this far past its arrival
 	// time — the dispatch-path latency floor a cluster node pays between the
 	// dispatch decision and the admission landing on its engine
@@ -44,9 +46,6 @@ type RunConfig struct {
 func (rc *RunConfig) defaults() {
 	if rc.MaxSimTime <= 0 {
 		rc.MaxSimTime = 120 * sim.Second
-	}
-	if rc.MaxEvents == 0 {
-		rc.MaxEvents = 2e9
 	}
 	if rc.Mechanism == nil {
 		rc.Mechanism = func() core.Mechanism { return preempt.None{} }
@@ -126,7 +125,7 @@ func Run(tr *trace.ArrivalTrace, rc RunConfig) (*Result, error) {
 // (a fresh or freshly reset one) and reports the result.
 func (e *engine) run(rc RunConfig) (*Result, error) {
 	sys, tr := e.sys, e.tr
-	sys.Eng.SetMaxEvents(rc.MaxEvents)
+	sys.Eng.SetMaxEvents(maxEvents)
 	// Arrivals chain-schedule: each injection schedules the next, so the
 	// event heap holds one pending arrival at a time.
 	sys.Eng.AtFunc(tr.Arrivals[0].At+e.delay, injectEvent, e, 0)

@@ -36,38 +36,26 @@ func BenchmarkClusterDispatch(b *testing.B) {
 }
 
 // BenchmarkAutoscaleStep measures one autoscaler decision — the per-tick
-// cost every elastic run pays on its control engine: threshold checks over
-// the fleet snapshot's per-class windows plus the cooldown bookkeeping. It
-// must stay allocation-free; the windows are built once by the cluster and
-// only read here.
+// cost every elastic run pays on its control engine once the tick has read
+// the fleet: the step rule's threshold checks over the watched class's
+// window plus the cooldown bookkeeping. It must stay allocation-free.
 func BenchmarkAutoscaleStep(b *testing.B) {
-	asc, err := NewStepAutoscaler(StepConfig{
+	s := &scaler{StepConfig: StepConfig{
 		Min:         2,
 		Max:         8,
 		HighP99:     300 * sim.Microsecond,
 		HighMiss:    0.1,
 		HighBacklog: 4,
 		LowBacklog:  1,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	snap := &FleetSnapshot{
-		Up:       4,
-		InFlight: 12,
-		Window: []ClassWindow{
-			{Admitted: 40, Completed: 38, Missed: 2, P99: 280 * sim.Microsecond},
-			{Admitted: 120, Completed: 110},
-		},
-	}
+	}.withDefaults()}
 	b.ReportAllocs()
+	var now sim.Time
 	sink := 0
 	for i := 0; i < b.N; i++ {
 		// Advance the tick clock and oscillate the backlog so both the
 		// cooldown-gated and the acting paths are exercised.
-		snap.Now += 250 * sim.Microsecond
-		snap.InFlight = 12 + (i%5)*10
-		sink += asc.Decide(snap)
+		now += 250 * sim.Microsecond
+		sink += s.decide(now, 4, 12+(i%5)*10, 38, 2, 280*sim.Microsecond)
 	}
 	if sink > b.N*8 {
 		b.Fatal("implausible decision sum")

@@ -55,13 +55,9 @@ func TestChaosConservationAndDeterminism(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					asc, err := NewStepAutoscaler(StepConfig{Min: 3, Max: 5, HighBacklog: 6, LowBacklog: 1})
-					if err != nil {
-						t.Fatal(err)
-					}
 					rc := testRunConfig(3, d)
 					rc.Mechanism = mech.mk
-					rc.Autoscale = asc
+					rc.Autoscale = &StepConfig{Min: 3, Max: 5, HighBacklog: 6, LowBacklog: 1}
 					rc.Faults = faults
 					return rc
 				}
@@ -180,13 +176,9 @@ func TestChaosResilienceConservation(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				asc, err := NewStepAutoscaler(StepConfig{Min: 3, Max: 5, HighBacklog: 6, LowBacklog: 1})
-				if err != nil {
-					t.Fatal(err)
-				}
 				rc := testRunConfig(3, d)
 				rc.Mechanism = mech.mk
-				rc.Autoscale = asc
+				rc.Autoscale = &StepConfig{Min: 3, Max: 5, HighBacklog: 6, LowBacklog: 1}
 				rc.Faults = faults
 				rc.Resilience = resilienceSpec()
 				return rc

@@ -12,12 +12,12 @@
 //
 // The fleet is elastic and faulty — deterministically. A control engine owned
 // by the cluster carries the events that change the fleet itself: autoscaler
-// ticks (an Autoscaler adds nodes and gracefully drains them from rolling SLO
-// feedback), seeded node kills (in-flight requests are lost and re-dispatched,
-// the node restarts after a downtime as a fresh incarnation, possibly a
-// straggler), and the restarts those kills schedule. With no autoscaler and no
-// faults the control engine stays empty and the run reduces exactly to the
-// fixed-fleet lockstep.
+// ticks (the step autoscaler adds nodes and gracefully drains them from
+// rolling SLO feedback), seeded node kills (in-flight requests are lost and
+// re-dispatched, the node restarts after a downtime as a fresh incarnation,
+// possibly a straggler), and the restarts those kills schedule. With no
+// autoscaler and no faults the control engine stays empty and the run
+// reduces exactly to the fixed-fleet lockstep.
 //
 // The placement decision interacts with the per-GPU preemption mechanism: a
 // dispatcher that lets queues skew creates exactly the head-of-line blocking
@@ -71,8 +71,9 @@ type RunConfig struct {
 	// Dispatchers are stateful; do not share one value across concurrent
 	// runs.
 	Dispatcher Dispatcher
-	// Autoscale, when non-nil, resizes the fleet from rolling SLO feedback.
-	Autoscale Autoscaler
+	// Autoscale, when non-nil, resizes the fleet from rolling SLO feedback
+	// with the step autoscaler; zero fields take their defaults.
+	Autoscale *StepConfig
 	// Faults, when non-nil, is the seeded chaos plan: node kills, restarts
 	// and stragglers.
 	Faults *FaultSpec
@@ -160,7 +161,11 @@ type Node struct {
 
 	admitted, finished, lost int
 	inflightByApp            []int
-	pending                  map[int]sim.Time // in-flight arrival index -> dispatch time
+	// live maps every request physically occupying the node to its dispatch
+	// time: arrival indices on the plain path, attempt ids with the
+	// resilience layer armed (abandoned ghosts included). A kill loses
+	// exactly these.
+	live map[int]sim.Time
 
 	// Device-memory state (see memory.go). The ledger and queues belong to
 	// the incarnation and die with a kill; hbm, memDemand and the swap
@@ -176,11 +181,10 @@ type Node struct {
 
 	// Resilient-mode physical bookkeeping. An abandoned attempt (timed out
 	// or hedge loser) leaves the SLO-visible population immediately but its
-	// work keeps draining on the node as a ghost; resLive tracks every
-	// attempt physically occupying the node, ghostDone counts abandoned
-	// attempts that resolved here (ghost completions plus pre-start
-	// cancellations) and ghostLost abandoned attempts destroyed with a kill.
-	resLive              map[int]struct{}
+	// work keeps draining on the node as a ghost (it stays in live);
+	// ghostDone counts abandoned attempts that resolved here (ghost
+	// completions plus pre-start cancellations) and ghostLost abandoned
+	// attempts destroyed with a kill.
 	ghostDone, ghostLost int
 
 	// clu points back at the owning cluster so engine callbacks can be
@@ -339,10 +343,9 @@ type Cluster struct {
 	ctlAt  sim.Time
 	ctlHas bool
 
-	asc     Autoscaler
-	prevWin []metrics.ClassSLO // previous tick's rollup (rolling-window baseline)
-	faults  *FaultSpec
-	faultR  *rng.Source
+	asc    *scaler // nil = fixed fleet
+	faults *FaultSpec
+	faultR *rng.Source
 
 	addCfg   system.Config // machine config for autoscaler-added nodes
 	addScale float64
@@ -450,13 +453,13 @@ func (c *Cluster) newSystem(n *Node) error {
 
 // addNode appends one Up node slot built from machine config cfg at
 // service-time scale, with its memory ledger, first incarnation, next-event
-// cache entry and (with the resilience layer armed) attempt set and breaker.
+// cache entry and (with the resilience layer armed) breaker.
 func (c *Cluster) addNode(cfg system.Config, scale float64, upSince sim.Time) error {
 	n := &Node{
 		Index:         len(c.Nodes),
 		Acct:          metrics.NewSLOAccount(c.tr.Classes),
 		inflightByApp: make([]int, len(c.tr.Apps)),
-		pending:       make(map[int]sim.Time),
+		live:          make(map[int]sim.Time),
 		baseCfg:       cfg,
 		baseScale:     scale,
 		state:         NodeUp,
@@ -472,11 +475,8 @@ func (c *Cluster) addNode(cfg system.Config, scale float64, upSince sim.Time) er
 	c.Nodes = append(c.Nodes, n)
 	c.nextAt = append(c.nextAt, 0)
 	c.hasNext = append(c.hasNext, false)
-	if c.res != nil {
-		n.resLive = make(map[int]struct{})
-		if c.breakers != nil {
-			c.breakers = append(c.breakers, resilience.NewBreaker(*c.res.Breaker))
-		}
+	if c.breakers != nil {
+		c.breakers = append(c.breakers, resilience.NewBreaker(*c.res.Breaker))
 	}
 	return nil
 }
@@ -562,6 +562,13 @@ func New(tr *trace.ArrivalTrace, rc RunConfig) (*Cluster, error) {
 		}
 		c.faults = &fs
 	}
+	if rc.Autoscale != nil {
+		if err := rc.Autoscale.Validate(); err != nil {
+			return nil, err
+		}
+		c.asc = &scaler{StepConfig: rc.Autoscale.withDefaults(),
+			lat: new(metrics.Sketch), prevLat: new(metrics.Sketch)}
+	}
 	if rc.Resilience.Enabled() {
 		if err := rc.Resilience.Validate(); err != nil {
 			return nil, err
@@ -583,14 +590,8 @@ func New(tr *trace.ArrivalTrace, rc RunConfig) (*Cluster, error) {
 			return nil, err
 		}
 	}
-	if rc.Autoscale != nil {
-		if rc.Autoscale.Interval() <= 0 {
-			return nil, fmt.Errorf("cluster: autoscaler %s has non-positive interval %v",
-				rc.Autoscale.Name(), rc.Autoscale.Interval())
-		}
-		c.asc = rc.Autoscale
-		c.prevWin = metrics.NewSLOAccount(tr.Classes).Classes
-		c.scheduleTick(rc.Autoscale.Interval())
+	if c.asc != nil {
+		c.scheduleTick(c.asc.Interval)
 	}
 	if c.faults != nil && c.faults.KillRate > 0 {
 		c.faultR = rng.New(c.faults.Seed)
@@ -782,7 +783,7 @@ func (c *Cluster) place(i int, at sim.Time, bp int) {
 		return
 	}
 	c.book(n, i)
-	n.pending[i] = at
+	n.live[i] = at
 	if n.lookRes {
 		n.Sys.Eng.AtSeqFunc(at+n.floor, n.resSeq[bp], admitEvent, n, int64(i))
 	} else {
@@ -869,7 +870,7 @@ func (n *Node) runDone(i int, rec proc.RunRecord) {
 	c := n.clu
 	a := &c.tr.Arrivals[i]
 	exec := arrivals.Account(n.Acct, a, rec)
-	delete(n.pending, i)
+	delete(n.live, i)
 	c.memRelease(n, i)
 	if c.parOn {
 		// Inside a window only engine-local state may move; every
@@ -936,7 +937,7 @@ func (c *Cluster) result() (*Result, error) {
 		Restarts:   c.restarts,
 	}
 	if c.asc != nil {
-		out.Autoscaler = c.asc.Name()
+		out.Autoscaler = "step"
 	}
 	rollup := metrics.NewSLOAccount(c.tr.Classes)
 	var admitted, finished, lost int

@@ -176,6 +176,18 @@ func TestClusterRejectsBadConfig(t *testing.T) {
 	if _, err := Run(&trace.ArrivalTrace{}, testRunConfig(2, NewJSQ())); err == nil {
 		t.Error("invalid trace accepted")
 	}
+	rc = testRunConfig(2, NewJSQ())
+	rc.Autoscale = &StepConfig{Min: 3, Max: 2}
+	if _, err := New(tr, rc); err == nil || !strings.Contains(err.Error(), "autoscale bounds") {
+		t.Errorf("autoscale max below min accepted: %v", err)
+	}
+	// A zero policy takes every default.
+	rc.Autoscale = &StepConfig{}
+	if res, err := Run(tr, rc); err != nil {
+		t.Errorf("zero autoscale policy rejected: %v", err)
+	} else if res.Autoscaler != "step" {
+		t.Errorf("zero autoscale policy reports autoscaler %q", res.Autoscaler)
+	}
 }
 
 // TestInvalidAppRejectedAtSetUp pins the precondition proc.Reuse relies on:

@@ -123,11 +123,7 @@ func TestDifferentialElasticMachineryIsInert(t *testing.T) {
 	}
 
 	pinned := run(func(rc *RunConfig) {
-		asc, err := NewStepAutoscaler(StepConfig{Min: nodes, Max: nodes})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rc.Autoscale = asc
+		rc.Autoscale = &StepConfig{Min: nodes, Max: nodes}
 	})
 	if pinned.Autoscaler != "step" {
 		t.Fatalf("pinned run reports autoscaler %q", pinned.Autoscaler)

@@ -136,14 +136,10 @@ func TestClassAffinityEmptySubsetFallsBack(t *testing.T) {
 // frozen-subset bug starved exactly those nodes.
 func TestClassAffinityElasticGrowEndToEnd(t *testing.T) {
 	tr := testTrace(t, 60000, 17)
-	asc, err := NewStepAutoscaler(StepConfig{Min: 2, Max: 4, HighBacklog: 2, LowBacklog: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
 	rc := testRunConfig(2, NewClassAffinity())
 	rc.Mechanism = func() core.Mechanism { return preempt.NewAdaptive() }
 	rc.Policy = func(n int) core.Policy { return policy.NewPPQ(false) }
-	rc.Autoscale = asc
+	rc.Autoscale = &StepConfig{Min: 2, Max: 4, HighBacklog: 2, LowBacklog: 1}
 	res, err := Run(tr, rc)
 	if err != nil {
 		t.Fatal(err)

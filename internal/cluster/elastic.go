@@ -42,49 +42,15 @@ func (s NodeState) String() string {
 	}
 }
 
-// ClassWindow is one service class's activity since the previous autoscaler
-// tick: counter deltas plus the completion-latency p99 over just the window's
-// completions (computed from sketch snapshots, no samples retained).
-type ClassWindow struct {
-	Admitted, Completed, Missed, Lost int
-	P99                               sim.Time
-}
-
-// FleetSnapshot is what an Autoscaler decides from: the fleet's state counts,
-// its outstanding request population, and per-class rolling-window SLO
-// activity. Snapshots are taken on the control engine, so they see every
-// event strictly before Now plus nothing at Now.
-type FleetSnapshot struct {
-	// Now is the tick's virtual time.
-	Now sim.Time
-	// Up/Draining/Down/Retired count nodes per lifecycle state.
-	Up, Draining, Down, Retired int
-	// InFlight is the outstanding request population across the fleet.
-	InFlight int
-	// Window holds per-class activity since the previous tick, in trace
-	// class order.
-	Window []ClassWindow
-}
-
-// Autoscaler sizes the fleet from SLO feedback. The cluster calls Decide on
-// its control engine every Interval; a positive return adds that many nodes
-// (bounded by MaxNodes), a negative return drains that many Up nodes
-// (least-loaded first), zero holds. Implementations must be deterministic
-// functions of their own state and the snapshots they see.
-type Autoscaler interface {
-	// Name labels the policy in results and tables.
-	Name() string
-	// Interval is the tick period (must be positive).
-	Interval() sim.Time
-	// Decide returns the node-count delta to apply at s.Now.
-	Decide(s *FleetSnapshot) int
-}
-
-// StepConfig parameterizes the step autoscaler (see StepAutoscaler): every
-// Interval it inspects the watched class's rolling window (completions since
-// the last tick) and the fleet backlog. The zero value of a threshold
-// disables that signal. JSON tags let a cluster topology file carry the
-// policy (gpusim -cluster).
+// StepConfig parameterizes the step autoscaler, the fleet's hysteresis
+// policy. Every Interval it inspects the watched class's rolling window
+// (completions since the last tick) and the fleet backlog: it adds Step
+// nodes when any high-water signal fires (tail latency, miss rate or
+// per-node backlog), gracefully drains Step Up nodes (least-loaded first)
+// when the fleet idles below the low-water backlog, and otherwise holds. A
+// cooldown suppresses actions too soon after the last one. The zero value of
+// a threshold disables that signal. JSON tags let a cluster topology file
+// carry the policy (gpusim -cluster).
 type StepConfig struct {
 	// Interval is the tick period. Default 250µs.
 	Interval sim.Time `json:"interval,omitempty"`
@@ -145,71 +111,39 @@ func (c StepConfig) Validate() error {
 	return nil
 }
 
-// StepAutoscaler is the built-in hysteresis policy: scale up by Step when any
-// high-water signal fires on the watched class's rolling window (tail
-// latency, miss rate, or per-node backlog), scale down by Step when the fleet
-// idles below the low-water backlog, and otherwise hold. A cooldown
-// suppresses actions too soon after the last one.
-type StepAutoscaler struct {
-	cfg   StepConfig
-	acted bool
-	last  sim.Time
+// scaler is the step autoscaler's state: its defaulted policy, the time of
+// its last action, and the watched class's fleet-wide completions, misses
+// and latency sketch as of the previous tick (the rolling window's
+// baseline).
+type scaler struct {
+	StepConfig
+	acted        bool
+	last         sim.Time
+	done, missed int
+	lat, prevLat *metrics.Sketch
 }
 
-// NewStepAutoscaler builds the step policy, applying defaults.
-func NewStepAutoscaler(cfg StepConfig) (*StepAutoscaler, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	return &StepAutoscaler{cfg: cfg.withDefaults()}, nil
-}
-
-// Name labels the policy.
-func (a *StepAutoscaler) Name() string { return "step" }
-
-// Interval is the tick period.
-func (a *StepAutoscaler) Interval() sim.Time { return a.cfg.Interval }
-
-// Decide applies the step policy to one snapshot.
-func (a *StepAutoscaler) Decide(s *FleetSnapshot) int {
-	if a.acted && s.Now-a.last < a.cfg.Cooldown {
+// decide applies the step rule at now to a fleet of up Up nodes holding
+// inflight requests, given the watched class's completions, deadline misses
+// and completion-latency p99 since the previous tick. It returns the number
+// of nodes to add (positive) or drain (negative), zero to hold.
+func (s *scaler) decide(now sim.Time, up, inflight, done, missed int, p99 sim.Time) int {
+	if s.acted && now-s.last < s.Cooldown {
 		return 0
 	}
-	up := false
-	if a.cfg.Class < len(s.Window) {
-		w := &s.Window[a.cfg.Class]
-		if a.cfg.HighP99 > 0 && w.P99 > a.cfg.HighP99 {
-			up = true
+	switch {
+	case s.HighP99 > 0 && p99 > s.HighP99,
+		s.HighMiss > 0 && done > 0 && float64(missed)/float64(done) > s.HighMiss,
+		s.HighBacklog > 0 && inflight > s.HighBacklog*up:
+		if d := min(s.Step, s.Max-up); d > 0 {
+			s.acted, s.last = true, now
+			return d
 		}
-		if a.cfg.HighMiss > 0 && w.Completed > 0 &&
-			float64(w.Missed)/float64(w.Completed) > a.cfg.HighMiss {
-			up = true
+	case s.LowBacklog > 0 && inflight < s.LowBacklog*up:
+		if d := min(s.Step, up-s.Min); d > 0 {
+			s.acted, s.last = true, now
+			return -d
 		}
-	}
-	if a.cfg.HighBacklog > 0 && s.InFlight > a.cfg.HighBacklog*s.Up {
-		up = true
-	}
-	if up {
-		d := a.cfg.Step
-		if s.Up+d > a.cfg.Max {
-			d = a.cfg.Max - s.Up
-		}
-		if d <= 0 {
-			return 0
-		}
-		a.acted, a.last = true, s.Now
-		return d
-	}
-	if a.cfg.LowBacklog > 0 && s.InFlight < a.cfg.LowBacklog*s.Up {
-		d := a.cfg.Step
-		if s.Up-d < a.cfg.Min {
-			d = s.Up - a.cfg.Min
-		}
-		if d <= 0 {
-			return 0
-		}
-		a.acted, a.last = true, s.Now
-		return -d
 	}
 	return 0
 }
@@ -225,57 +159,46 @@ func (c *Cluster) scheduleTick(at sim.Time) {
 // tickEvent is the control-engine callback of the autoscaler tick due at at.
 func tickEvent(p any, at int64) { p.(*Cluster).tick(sim.Time(at)) }
 
-// tick snapshots the fleet, applies the autoscaler's decision, and re-arms.
+// tick reads what the step rule needs from the fleet, applies its decision,
+// and re-arms. Ticks run on the control engine, so they see every event
+// strictly before at plus nothing at at. The watched class's window is the
+// difference between its fleet-wide totals now and at the previous tick,
+// computed only for the signals the policy enables.
 func (c *Cluster) tick(at sim.Time) {
-	s := c.snapshot(at)
-	if c.err != nil {
-		return
+	s := c.asc
+	up, inflight := 0, 0
+	for _, n := range c.Nodes {
+		if n.state == NodeUp {
+			up++
+		}
+		inflight += n.InFlight()
 	}
-	switch d := c.asc.Decide(s); {
+	var done, missed int
+	var p99 sim.Time
+	if cls := s.Class; cls < len(c.tr.Classes) {
+		if s.HighMiss > 0 {
+			for _, n := range c.Nodes {
+				done += n.Acct.Classes[cls].Completed
+				missed += n.Acct.Classes[cls].Missed
+			}
+			done, missed, s.done, s.missed = done-s.done, missed-s.missed, done, missed
+		}
+		if s.HighP99 > 0 {
+			*s.lat = metrics.Sketch{}
+			for _, n := range c.Nodes {
+				s.lat.Merge(&n.Acct.Classes[cls].Latency)
+			}
+			p99 = s.lat.SinceQuantile(s.prevLat, 0.99)
+			s.lat, s.prevLat = s.prevLat, s.lat
+		}
+	}
+	switch d := s.decide(at, up, inflight, done, missed, p99); {
 	case d > 0:
 		c.scaleUp(d, at)
 	case d < 0:
 		c.drainDown(-d, at)
 	}
-	c.scheduleTick(at + c.asc.Interval())
-}
-
-// snapshot rolls the per-node accounts up and diffs against the previous
-// tick's rollup to produce the per-class windows. The rollup becomes the next
-// tick's baseline.
-func (c *Cluster) snapshot(at sim.Time) *FleetSnapshot {
-	s := &FleetSnapshot{Now: at}
-	cur := metrics.NewSLOAccount(c.tr.Classes)
-	for _, n := range c.Nodes {
-		switch n.state {
-		case NodeUp:
-			s.Up++
-		case NodeDraining:
-			s.Draining++
-		case NodeDown:
-			s.Down++
-		case NodeRetired:
-			s.Retired++
-		}
-		s.InFlight += n.InFlight()
-		if err := cur.Merge(n.Acct); err != nil {
-			c.fail(err)
-			return s
-		}
-	}
-	s.Window = make([]ClassWindow, len(cur.Classes))
-	for i := range cur.Classes {
-		cc, pc := &cur.Classes[i], &c.prevWin[i]
-		s.Window[i] = ClassWindow{
-			Admitted:  cc.Admitted - pc.Admitted,
-			Completed: cc.Completed - pc.Completed,
-			Missed:    cc.Missed - pc.Missed,
-			Lost:      cc.Lost - pc.Lost,
-			P99:       cc.Latency.SinceQuantile(&pc.Latency, 0.99),
-		}
-	}
-	c.prevWin = cur.Classes
-	return s
+	c.scheduleTick(at + s.Interval)
 }
 
 // scaleUp adds k fresh nodes to the fleet at time at. New nodes use the

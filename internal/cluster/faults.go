@@ -141,30 +141,30 @@ func (c *Cluster) killNode(n *Node, at sim.Time) {
 	// The memory ledger, wait queue and in-flight swap-ins die with the
 	// machine (their engine events can no longer fire); spilled bytes whose
 	// swap-in will never happen are accounted lost. The waiters themselves
-	// are still in pending, so the loss loop below re-dispatches them.
+	// are still in live, so the loss loop below re-dispatches them.
 	n.memWipe(c)
 
+	// Sort the in-flight ids so the loss order (and with it every
+	// downstream dispatcher decision) is deterministic.
+	ids := c.lostIDs[:0]
+	for id := range n.live {
+		ids = append(ids, id)
+	}
+	sort.Ints(ids)
+	c.lostIDs = ids
 	if c.res != nil {
 		// Resilient path: ghosts die quietly, live attempts take the retry
 		// decision (backoff, budget) instead of an unconditional re-dispatch.
-		c.killAttempts(n, at)
+		c.killAttempts(n, ids, at)
 	} else {
-		// Sort the in-flight arrival indices so the re-dispatch order (and
-		// with it every downstream dispatcher decision) is deterministic.
-		idxs := c.lostIDs[:0]
-		for i := range n.pending {
-			idxs = append(idxs, i)
-		}
-		sort.Ints(idxs)
-		c.lostIDs = idxs
-		for _, i := range idxs {
+		for _, i := range ids {
 			a := &c.tr.Arrivals[i]
 			c.lose(n, a.Class)
 			c.unbook(n, a.App)
-			c.lostWork += at - n.pending[i]
+			c.lostWork += at - n.live[i]
 		}
-		clear(n.pending)
-		for _, i := range idxs {
+		clear(n.live)
+		for _, i := range ids {
 			c.place(i, at, -1)
 		}
 	}

@@ -63,11 +63,6 @@ func FuzzReadClusterConfig(f *testing.F) {
 		if _, err := NewDispatcher(c.Dispatch, c.Seed); err != nil {
 			t.Fatalf("accepted topology cannot build its dispatcher: %v\ninput: %s", err, data)
 		}
-		if c.Autoscale != nil {
-			if _, err := NewStepAutoscaler(*c.Autoscale); err != nil {
-				t.Fatalf("accepted autoscale stanza cannot build its policy: %v\ninput: %s", err, data)
-			}
-		}
 		if n := c.StartNodes(); n < 1 || n > MaxNodes {
 			t.Fatalf("accepted topology has %d starting nodes\ninput: %s", n, data)
 		}

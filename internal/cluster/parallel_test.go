@@ -60,13 +60,9 @@ func TestParallelWindowMatchesLockstep(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					asc, err := NewStepAutoscaler(StepConfig{Min: 3, Max: 5, HighBacklog: 6, LowBacklog: 1})
-					if err != nil {
-						t.Fatal(err)
-					}
 					rc := testRunConfig(3, d)
 					rc.Mechanism = mech.mk
-					rc.Autoscale = asc
+					rc.Autoscale = &StepConfig{Min: 3, Max: 5, HighBacklog: 6, LowBacklog: 1}
 					rc.Faults = faults
 					rc.Parallel = parallel
 					return rc
@@ -224,11 +220,7 @@ func TestParallelLookaheadMatchesLockstep(t *testing.T) {
 					mkRC := func(parallel int) RunConfig {
 						rc := testRunConfig(4, d.mk())
 						if scaled {
-							asc, err := NewStepAutoscaler(StepConfig{Min: 3, Max: 5, HighBacklog: 6, LowBacklog: 1})
-							if err != nil {
-								t.Fatal(err)
-							}
-							rc.Autoscale = asc
+							rc.Autoscale = &StepConfig{Min: 3, Max: 5, HighBacklog: 6, LowBacklog: 1}
 						}
 						rc.MaxSimTime = maxT
 						rc.Parallel = parallel

@@ -1,8 +1,6 @@
 package cluster
 
 import (
-	"sort"
-
 	"repro/internal/arrivals"
 	"repro/internal/metrics"
 	"repro/internal/proc"
@@ -44,8 +42,7 @@ type reqRec struct {
 // their id is the index into Cluster.atts.
 type attRec struct {
 	req        int
-	node       int // fleet node index the attempt was placed on
-	at         sim.Time
+	node       int         // fleet node index the attempt was placed on
 	started    bool        // admission event fired (context and process exist)
 	abandoned  bool        // logically dead (timed out or lost the hedge race)
 	admitID    sim.EventID // node-engine admission event, cancelable until started
@@ -174,7 +171,7 @@ func (c *Cluster) launch(i, kind int, at sim.Time) {
 	}
 
 	attID := len(c.atts)
-	c.atts = append(c.atts, attRec{req: i, node: n.Index, at: at})
+	c.atts = append(c.atts, attRec{req: i, node: n.Index})
 	att := &c.atts[attID]
 
 	c.book(n, i)
@@ -186,7 +183,7 @@ func (c *Cluster) launch(i, kind int, at sim.Time) {
 		n.Acct.Hedge(a.Class)
 		c.hedgeCount++
 	}
-	n.resLive[attID] = struct{}{}
+	n.live[attID] = at
 	if c.breakers != nil {
 		c.breakers[n.Index].Dispatched(at)
 	}
@@ -316,7 +313,7 @@ func (c *Cluster) rejectAttempt(n *Node, attID int) {
 	att := &c.atts[attID]
 	att.abandoned = true
 	a := &c.tr.Arrivals[att.req]
-	delete(n.resLive, attID)
+	delete(n.live, attID)
 	c.unbook(n, a.App)
 	n.mem.FreeOwner(attID) // no-op when the memory reservation failed
 	c.lose(n, a.Class)
@@ -337,7 +334,7 @@ func (c *Cluster) rejectAttempt(n *Node, attID int) {
 func (c *Cluster) attComplete(n *Node, attID int, rec proc.RunRecord) {
 	att := &c.atts[attID]
 	a := &c.tr.Arrivals[att.req]
-	delete(n.resLive, attID)
+	delete(n.live, attID)
 	c.unbook(n, a.App)
 	// Ghost or winner, the attempt held its working set until now.
 	n.mem.FreeOwner(attID)
@@ -425,7 +422,7 @@ func (c *Cluster) dropUnstarted(n *Node, attID, app int) {
 		n.Sys.Eng.Cancel(c.atts[attID].admitID)
 		c.refresh(n.Index)
 	}
-	delete(n.resLive, attID)
+	delete(n.live, attID)
 	c.unbook(n, app)
 	n.ghostDone++
 }
@@ -552,15 +549,9 @@ func (c *Cluster) queuedTotal() int {
 // killAttempts is the resilient half of a node kill: abandoned ghosts die
 // quietly (they were already counted), live attempts are counted lost with
 // their timeouts cancelled, and each lost request then takes the retry
-// decision. Attempt ids are sorted so the loss order — and every downstream
-// dispatcher decision — is deterministic.
-func (c *Cluster) killAttempts(n *Node, at sim.Time) {
-	ids := c.lostIDs[:0]
-	for id := range n.resLive {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	c.lostIDs = ids
+// decision. ids are the node's in-flight attempts in ascending order, so the
+// loss order — and every downstream dispatcher decision — is deterministic.
+func (c *Cluster) killAttempts(n *Node, ids []int, at sim.Time) {
 	lost := ids[:0]
 	for _, attID := range ids {
 		att := &c.atts[attID]
@@ -571,11 +562,11 @@ func (c *Cluster) killAttempts(n *Node, at sim.Time) {
 			continue
 		}
 		c.lose(n, a.Class)
-		c.lostWork += at - att.at
+		c.lostWork += at - n.live[attID]
 		c.disarmTimeout(att)
 		lost = append(lost, attID)
 	}
-	clear(n.resLive)
+	clear(n.live)
 	for _, attID := range lost {
 		c.attFailed(attID, at, 0)
 	}

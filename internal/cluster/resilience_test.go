@@ -411,12 +411,8 @@ func TestConfigResilienceStanza(t *testing.T) {
 func TestResilienceDrainRetires(t *testing.T) {
 	tr := testTrace(t, 40000, 203)
 	mkRC := func() RunConfig {
-		asc, err := NewStepAutoscaler(StepConfig{Min: 1, Max: 6, HighBacklog: 6, LowBacklog: 3})
-		if err != nil {
-			t.Fatal(err)
-		}
 		rc := testRunConfig(6, NewJSQ())
-		rc.Autoscale = asc
+		rc.Autoscale = &StepConfig{Min: 1, Max: 6, HighBacklog: 6, LowBacklog: 3}
 		rc.Resilience = resilienceSpec()
 		return rc
 	}

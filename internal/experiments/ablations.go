@@ -6,7 +6,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/gpu"
 	"repro/internal/metrics"
-	"repro/internal/pcie"
 	"repro/internal/policy"
 	"repro/internal/preempt"
 	"repro/internal/sim"
@@ -115,7 +114,7 @@ func AblationPipelineDrain(o Options, latencies []sim.Time) (*AblationResult, er
 	var points []hpPoint
 	for _, lat := range latencies {
 		points = append(points, hpPoint{param: lat.String(), job: func(spec workload.Spec) simJob {
-			rc := h.runConfig(pcie.PriorityFCFS{})
+			rc := h.runConfig(true)
 			rc.Sys.GPU.PipelineDrainLatency = lat
 			return simJob{spec: spec, rc: rc, pol: ppq, mech: contextSwitch, label: fmt.Sprintf("PPQ-CS/%v", lat)}
 		}})
@@ -182,7 +181,7 @@ func AblationActiveLimit(o Options, limits []int) (*AblationResult, error) {
 	var jobs []simJob
 	for _, lim := range limits {
 		for _, spec := range specs {
-			rc := h.runConfig(pcie.FCFS{})
+			rc := h.runConfig(false)
 			rc.Sys.ActiveLimit = lim
 			jobs = append(jobs, simJob{spec: spec, rc: rc, pol: dss, mech: contextSwitch,
 				label: fmt.Sprintf("DSS/limit=%d", lim)})
@@ -228,7 +227,7 @@ func AblationTokens(o Options) (*AblationResult, error) {
 	}
 	point := func(param string, pol func(int) core.Policy, label string) hpPoint {
 		return hpPoint{param: param, job: func(spec workload.Spec) simJob {
-			return simJob{spec: spec, rc: h.runConfig(pcie.FCFS{}), pol: pol, mech: contextSwitch, label: label}
+			return simJob{spec: spec, rc: h.runConfig(false), pol: pol, mech: contextSwitch, label: label}
 		}}
 	}
 	return h.hpSweep("DSS token weighting (equal vs 2x high-priority share)", "ANTT", anttOf, []hpPoint{
@@ -266,13 +265,13 @@ func RunSlicing(o Options, sliceSizes []int) (*AblationResult, error) {
 				}
 				spec.Apps = apps
 			}
-			return simJob{spec: spec, rc: h.runConfig(pcie.PriorityFCFS{}), pol: npq, label: label}
+			return simJob{spec: spec, rc: h.runConfig(true), pol: npq, label: label}
 		}})
 	}
 	// Hardware preemption reference.
 	const hw = "PPQ context switch (hardware)"
 	points = append(points, hpPoint{param: hw, job: func(spec workload.Spec) simJob {
-		return simJob{spec: spec, rc: h.runConfig(pcie.PriorityFCFS{}), pol: ppq, mech: contextSwitch, label: hw}
+		return simJob{spec: spec, rc: h.runConfig(true), pol: ppq, mech: contextSwitch, label: hw}
 	}})
 	return h.hpSweep("software kernel slicing vs hardware preemption (4-process workloads)", "STP", stpOf, points)
 }

@@ -68,23 +68,21 @@ var (
 	FleetAutoscaled = fmt.Sprintf("step-%d:%d", autoscaleMinNodes, autoscaleMaxNodes)
 )
 
-// autoscaleStepConfig is the swept autoscaler policy: backlog-driven with a
+// autoscaleStep is the swept autoscaler policy: backlog-driven with a
 // 50us tick and a full-range step, so a flash crowd is answered within one
 // tick rather than ramped into over several cooldowns (a 250us/step-1 policy
 // misses exactly the rt deadlines the scale-up is for). The long cooldown is
 // scale-down hysteresis: a burst's short lulls dip below the low-water
 // backlog, and draining capacity mid-burst strands the stragglers behind the
 // dispatch-path latency floor every placement now pays.
-func autoscaleStepConfig() cluster.StepConfig {
-	return cluster.StepConfig{
-		Interval:    50 * sim.Microsecond,
-		Cooldown:    500 * sim.Microsecond,
-		Min:         autoscaleMinNodes,
-		Max:         autoscaleMaxNodes,
-		Step:        autoscaleMaxNodes - autoscaleMinNodes,
-		HighBacklog: 2,
-		LowBacklog:  1,
-	}
+var autoscaleStep = cluster.StepConfig{
+	Interval:    50 * sim.Microsecond,
+	Cooldown:    500 * sim.Microsecond,
+	Min:         autoscaleMinNodes,
+	Max:         autoscaleMaxNodes,
+	Step:        autoscaleMaxNodes - autoscaleMinNodes,
+	HighBacklog: 2,
+	LowBacklog:  1,
 }
 
 // AutoscaleRow is one cell of the elastic-fleet sweep: one arrival pattern
@@ -200,11 +198,7 @@ func RunAutoscale(o Options) (*AutoscaleResult, error) {
 		}
 		rc.Nodes = j.fleet.nodes
 		if j.fleet.auto {
-			asc, err := cluster.NewStepAutoscaler(autoscaleStepConfig())
-			if err != nil {
-				return nil, err
-			}
-			rc.Autoscale = asc
+			rc.Autoscale = &autoscaleStep
 		}
 		if j.killRate > 0 {
 			rc.Faults = &cluster.FaultSpec{KillRate: j.killRate}

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/pcie"
 	"repro/internal/preempt"
 )
 
@@ -78,7 +77,7 @@ func (h *Harness) fleetConfig(kind cluster.Kind, mech func() core.Mechanism) (cl
 		return cluster.RunConfig{}, err
 	}
 	return cluster.RunConfig{
-		Sys:        h.runConfig(pcie.FCFS{}).Sys,
+		Sys:        h.runConfig(false).Sys,
 		Dispatcher: disp,
 		Policy:     ppq,
 		Mechanism:  mech,

@@ -15,7 +15,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/parboil"
-	"repro/internal/pcie"
 	"repro/internal/policy"
 	"repro/internal/preempt"
 	"repro/internal/runner"
@@ -102,22 +101,25 @@ func NewHarness(o Options) *Harness {
 			suite[i] = a.Scale(o.Scale)
 		}
 	}
-	return &Harness{Opts: o, Suite: suite, iso: workload.NewCache()}
+	h := &Harness{Opts: o, Suite: suite}
+	h.iso = workload.NewCache(h.runConfig(false))
+	return h
 }
 
-// runConfig returns a workload run configuration with the given transfer
-// engine policy.
-func (h *Harness) runConfig(dma pcie.QueuePolicy) workload.RunConfig {
+// runConfig returns a workload run configuration whose transfer engine
+// serves its queue in priority order when priorityDMA is set, in arrival
+// order otherwise.
+func (h *Harness) runConfig(priorityDMA bool) workload.RunConfig {
 	sys := system.DefaultConfig()
 	sys.Jitter = h.Opts.Jitter
 	sys.Seed = h.Opts.Seed
-	sys.DMAPolicy = dma
+	sys.PCIe.Priority = priorityDMA
 	return workload.RunConfig{Sys: sys, MinRuns: h.Opts.MinRuns}
 }
 
 // Isolated returns the application's isolated baseline turnaround.
 func (h *Harness) Isolated(app *trace.App) (sim.Time, error) {
-	return h.iso.Isolated(app, h.runConfig(pcie.FCFS{}))
+	return h.iso.Isolated(app)
 }
 
 // simJob is one independent simulation cell of an experiment grid: a
@@ -168,7 +170,7 @@ func (h *Harness) confJobs(confs []gridConf) func(workload.Spec) []simJob {
 	return func(spec workload.Spec) []simJob {
 		jobs := make([]simJob, len(confs))
 		for i, c := range confs {
-			rc := h.runConfig(pcie.FCFS{})
+			rc := h.runConfig(false)
 			rc.MPS = c.mps
 			jobs[i] = simJob{spec: spec, rc: rc, pol: c.pol, mech: c.mk, label: c.label}
 		}
@@ -181,7 +183,7 @@ func (h *Harness) confJobs(confs []gridConf) func(workload.Spec) []simJob {
 // execution"), the reference every high-priority NTT improvement divides by.
 func (h *Harness) baselineJob(spec workload.Spec) simJob {
 	spec.HighPriority = -1
-	return simJob{spec: spec, rc: h.runConfig(pcie.FCFS{}), pol: fcfs, label: "FCFS"}
+	return simJob{spec: spec, rc: h.runConfig(false), pol: fcfs, label: "FCFS"}
 }
 
 // runAll submits the grid to the shared concurrent runner and returns one

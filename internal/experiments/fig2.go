@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/pcie"
 	"repro/internal/policy"
 	"repro/internal/preempt"
 	"repro/internal/sim"
@@ -113,6 +112,6 @@ func systemConfigForFig2(seed uint64) system.Config {
 	cfg := system.DefaultConfig()
 	cfg.Seed = seed
 	cfg.Jitter = 0 // deterministic timeline for the illustration
-	cfg.DMAPolicy = pcie.PriorityFCFS{}
+	cfg.PCIe.Priority = true
 	return cfg
 }

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/arrivals"
 	"repro/internal/metrics"
-	"repro/internal/pcie"
 	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -198,7 +197,7 @@ func RunLoad(o Options, rates []float64) (*LoadResult, error) {
 	results, err := mapCells(o, len(jobs), func(i int) (*arrivals.Result, error) {
 		j := jobs[i]
 		res, err := arrivals.Run(j.tr, arrivals.RunConfig{
-			Sys:       h.runConfig(pcie.FCFS{}).Sys,
+			Sys:       h.runConfig(false).Sys,
 			Policy:    ppq,
 			Mechanism: j.mech.mk,
 		})

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/pcie"
 	"repro/internal/preempt"
 	"repro/internal/rng"
 	"repro/internal/sim"
@@ -151,7 +150,7 @@ func RunMechanisms(o Options) (*MechanismsResult, error) {
 		}
 		jobs = append(jobs, h.baselineJob(spec))
 		for _, c := range confs(pi) {
-			jobs = append(jobs, simJob{spec: spec, rc: h.runConfig(pcie.PriorityFCFS{}),
+			jobs = append(jobs, simJob{spec: spec, rc: h.runConfig(true),
 				pol: ppq, mech: c.mk, label: c.label})
 		}
 	}

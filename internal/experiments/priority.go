@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/pcie"
 	"repro/internal/policy"
 	"repro/internal/workload"
 )
@@ -130,7 +129,7 @@ func RunPriority(o Options) (*Fig5Result, *Fig6Result, error) {
 	grid, err := h.runGrid(o.Sizes, true, func(spec workload.Spec) []simJob {
 		jobs := []simJob{h.baselineJob(spec)}
 		for _, s := range schedulers {
-			jobs = append(jobs, simJob{spec: spec, rc: h.runConfig(pcie.PriorityFCFS{}),
+			jobs = append(jobs, simJob{spec: spec, rc: h.runConfig(true),
 				pol: s.pol, mech: s.mk, label: s.label})
 		}
 		return jobs

@@ -3,9 +3,8 @@
 // bursts; the engine executes one transfer command at a time (a running
 // command has exclusive access to the engine and runs to completion, like
 // the baseline architecture), and picks the next command from its DMA queue
-// according to a pluggable queueing policy — FCFS for the DSS experiments,
-// priority order (NPQ) for the preemption-mechanism experiments, matching
-// §4.2/§4.4 of the paper.
+// in arrival order (FCFS) for the DSS experiments or in priority order (NPQ)
+// for the preemption-mechanism experiments, matching §4.2/§4.4 of the paper.
 package pcie
 
 import (
@@ -41,6 +40,10 @@ type Config struct {
 	BurstOverhead sim.Time
 	// IssueLatency is the fixed cost of starting a transfer command.
 	IssueLatency sim.Time
+	// Priority makes the engine run the highest-priority queued transfer
+	// next, ties in arrival order (the non-preemptive priority-queue transfer
+	// scheduling of §4.2/§4.3); false runs transfers in arrival order.
+	Priority bool
 }
 
 // DefaultConfig returns the bus parameters used in the evaluation.
@@ -103,41 +106,6 @@ type Command struct {
 	OnDone func(at sim.Time)
 }
 
-// QueuePolicy selects the index of the next command to execute from a
-// non-empty queue.
-type QueuePolicy interface {
-	Name() string
-	Next(queue []*Command) int
-}
-
-// FCFS executes transfers in arrival order.
-type FCFS struct{}
-
-// Name implements QueuePolicy.
-func (FCFS) Name() string { return "FCFS" }
-
-// Next implements QueuePolicy.
-func (FCFS) Next(queue []*Command) int { return 0 }
-
-// PriorityFCFS executes the highest-priority transfer first, breaking ties
-// by arrival order (the non-preemptive priority-queue transfer scheduling
-// used in §4.2/§4.3).
-type PriorityFCFS struct{}
-
-// Name implements QueuePolicy.
-func (PriorityFCFS) Name() string { return "NPQ" }
-
-// Next implements QueuePolicy.
-func (PriorityFCFS) Next(queue []*Command) int {
-	best := 0
-	for i, c := range queue[1:] {
-		if c.Priority > queue[best].Priority {
-			best = i + 1
-		}
-	}
-	return best
-}
-
 // Stats aggregates transfer-engine activity.
 type Stats struct {
 	Transfers  int
@@ -147,38 +115,26 @@ type Stats struct {
 	WaitedTime sim.Time // total queueing delay across commands
 }
 
-// Engine is the data-transfer engine.
+// Engine is the data-transfer engine. The zero value is unusable until
+// Reset configures it.
 type Engine struct {
 	eng     *sim.Engine
 	cfg     Config
-	policy  QueuePolicy
 	queue   []*Command
 	busy    bool
 	running *Command // the in-flight transfer (engine runs one at a time)
 	stats   Stats
 }
 
-// NewEngine returns a transfer engine using the given queueing policy.
-func NewEngine(eng *sim.Engine, cfg Config, policy QueuePolicy) (*Engine, error) {
-	e := &Engine{}
-	if err := e.Reset(eng, cfg, policy); err != nil {
-		return nil, err
-	}
-	return e, nil
-}
-
-// Reset returns the transfer engine to the state NewEngine(eng, cfg,
-// policy) produces — empty queue, nothing in flight, zero statistics —
-// keeping the queue's capacity. Queued and in-flight commands are dropped
-// without completing. An invalid cfg leaves the engine untouched.
-func (e *Engine) Reset(eng *sim.Engine, cfg Config, policy QueuePolicy) error {
+// Reset configures the transfer engine on eng and returns it to its initial
+// state — empty queue, nothing in flight, zero statistics — keeping the
+// queue's capacity. Queued and in-flight commands are dropped without
+// completing. An invalid cfg leaves the engine untouched.
+func (e *Engine) Reset(eng *sim.Engine, cfg Config) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
-	if policy == nil {
-		policy = FCFS{}
-	}
-	e.eng, e.cfg, e.policy = eng, cfg, policy
+	e.eng, e.cfg = eng, cfg
 	clear(e.queue)
 	e.queue = e.queue[:0]
 	e.busy, e.running = false, nil
@@ -211,9 +167,13 @@ func (e *Engine) dispatch() {
 	if e.busy || len(e.queue) == 0 {
 		return
 	}
-	idx := e.policy.Next(e.queue)
-	if idx < 0 || idx >= len(e.queue) {
-		panic(fmt.Sprintf("pcie: policy %s returned index %d for queue of %d", e.policy.Name(), idx, len(e.queue)))
+	idx := 0
+	if e.cfg.Priority {
+		for i, c := range e.queue {
+			if c.Priority > e.queue[idx].Priority {
+				idx = i
+			}
+		}
 	}
 	cmd := e.queue[idx]
 	copy(e.queue[idx:], e.queue[idx+1:])

@@ -1,16 +1,21 @@
 package pcie
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/sim"
 )
 
-func engine(t *testing.T, pol QueuePolicy) (*sim.Engine, *Engine) {
+// engine returns a transfer engine with the default bus, serving its queue
+// in priority order when priority is set.
+func engine(t *testing.T, priority bool) (*sim.Engine, *Engine) {
 	t.Helper()
 	eng := sim.NewEngine()
-	e, err := NewEngine(eng, DefaultConfig(), pol)
-	if err != nil {
+	cfg := DefaultConfig()
+	cfg.Priority = priority
+	e := &Engine{}
+	if err := e.Reset(eng, cfg); err != nil {
 		t.Fatal(err)
 	}
 	return eng, e
@@ -52,7 +57,7 @@ func TestConfigValidate(t *testing.T) {
 }
 
 func TestEngineSerializesTransfers(t *testing.T) {
-	eng, e := engine(t, FCFS{})
+	eng, e := engine(t, false)
 	var done []string
 	submit := func(name string, bytes int64) {
 		err := e.Submit(&Command{Name: name, Bytes: bytes, OnDone: func(at sim.Time) {
@@ -81,7 +86,7 @@ func TestEngineSerializesTransfers(t *testing.T) {
 }
 
 func TestPriorityPolicyOrdersQueue(t *testing.T) {
-	eng, e := engine(t, PriorityFCFS{})
+	eng, e := engine(t, true)
 	var done []string
 	submit := func(name string, prio int) {
 		e.Submit(&Command{Name: name, Bytes: 1 << 20, Priority: prio, OnDone: func(at sim.Time) {
@@ -104,7 +109,7 @@ func TestPriorityPolicyOrdersQueue(t *testing.T) {
 }
 
 func TestSubmitRejectsInvalid(t *testing.T) {
-	_, e := engine(t, FCFS{})
+	_, e := engine(t, false)
 	if err := e.Submit(nil); err == nil {
 		t.Fatal("nil command accepted")
 	}
@@ -114,7 +119,7 @@ func TestSubmitRejectsInvalid(t *testing.T) {
 }
 
 func TestEngineTimingMatchesConfig(t *testing.T) {
-	eng, e := engine(t, FCFS{})
+	eng, e := engine(t, false)
 	var finished sim.Time
 	e.Submit(&Command{Bytes: 4096, OnDone: func(at sim.Time) { finished = at }})
 	eng.Run()
@@ -125,7 +130,7 @@ func TestEngineTimingMatchesConfig(t *testing.T) {
 }
 
 func TestWaitedTimeAccounting(t *testing.T) {
-	eng, e := engine(t, FCFS{})
+	eng, e := engine(t, false)
 	e.Submit(&Command{Bytes: 1 << 20})
 	e.Submit(&Command{Bytes: 1 << 20})
 	eng.Run()
@@ -142,14 +147,19 @@ func TestWaitedTimeAccounting(t *testing.T) {
 	}
 }
 
+// TestDefaultPolicyIsFCFS requires the default bus to ignore priorities and
+// serve its queue in arrival order.
 func TestDefaultPolicyIsFCFS(t *testing.T) {
-	eng := sim.NewEngine()
-	e, err := NewEngine(eng, DefaultConfig(), nil)
-	if err != nil {
-		t.Fatal(err)
+	eng, e := engine(t, DefaultConfig().Priority)
+	var done []string
+	for i, name := range []string{"first", "low", "high"} {
+		e.Submit(&Command{Name: name, Bytes: 1 << 20, Priority: i, OnDone: func(sim.Time) {
+			done = append(done, name)
+		}})
 	}
-	if e == nil {
-		t.Fatal("nil engine")
+	eng.Run()
+	if want := []string{"first", "low", "high"}; !slices.Equal(done, want) {
+		t.Fatalf("order %v, want %v", done, want)
 	}
 }
 

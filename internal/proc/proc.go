@@ -56,10 +56,8 @@ type Process struct {
 	ctx *gpu.Context
 	app *trace.App
 
-	// Loop restarts the app when a run completes.
+	// Loop restarts the app as soon as a run completes.
 	Loop bool
-	// RestartGap is CPU time between the end of a run and the next run.
-	RestartGap sim.Time
 	// OnRunComplete, when set, is invoked after each completed run.
 	OnRunComplete func(p *Process, rec RunRecord)
 
@@ -158,8 +156,8 @@ func NewWithContext(sys *system.System, ctx *gpu.Context, app *trace.App) (*Proc
 
 // Reuse readies a finished process for one more run of app inside ctx, as if
 // it were fresh from NewWithContext: the run records and the started flag
-// reset, and the streams, queues and continuations are kept. Loop,
-// RestartGap and OnRunComplete are the caller's and stay as set. Only a
+// reset, and the streams, queues and continuations are kept. Loop and
+// OnRunComplete are the caller's and stay as set. Only a
 // process with nothing in flight can be reused: one that never started, or
 // whose run completed without looping. Unlike New and NewWithContext, Reuse
 // does not validate app: the caller must pass an already validated trace (the
@@ -315,7 +313,7 @@ func (p *Process) finishRun() {
 		return
 	}
 	p.opIdx = 0
-	p.sys.Eng.AfterFunc(p.RestartGap, beginRun, p, 0)
+	p.sys.Eng.AfterFunc(0, beginRun, p, 0)
 }
 
 // enqueue places a command in its stream; if the stream has no outstanding

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/cpu"
 	"repro/internal/parboil"
-	"repro/internal/pcie"
 	"repro/internal/policy"
 	"repro/internal/preempt"
 	"repro/internal/sim"
@@ -78,7 +77,6 @@ func TestProcessLoopReplaysAndRecordsEachRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.Loop = true
-	p.RestartGap = sim.Microseconds(5)
 	runs := 0
 	p.OnRunComplete = func(p *Process, rec RunRecord) {
 		runs++
@@ -93,10 +91,6 @@ func TestProcessLoopReplaysAndRecordsEachRun(t *testing.T) {
 	}
 	recs := p.Runs()
 	for i := 1; i < len(recs); i++ {
-		if recs[i].Start < recs[i-1].End+sim.Microseconds(5) {
-			t.Errorf("run %d started at %v, before restart gap after %v",
-				i, recs[i].Start, recs[i-1].End)
-		}
 		if recs[i].Run != i {
 			t.Errorf("run index %d, want %d", recs[i].Run, i)
 		}
@@ -206,7 +200,7 @@ func TestSameStreamCommandsSerialize(t *testing.T) {
 func TestTransferPriorityComesFromContext(t *testing.T) {
 	cfg := system.DefaultConfig()
 	cfg.Jitter = 0
-	cfg.DMAPolicy = pcie.PriorityFCFS{}
+	cfg.PCIe.Priority = true
 	sys, err := system.New(cfg, policy.NewNPQ(), preempt.Drain{})
 	if err != nil {
 		t.Fatal(err)

@@ -20,8 +20,6 @@ type Config struct {
 	GPU  gpu.Config
 	PCIe pcie.Config
 	CPU  cpu.Config
-	// DMAPolicy orders the data-transfer engine's queue. Defaults to FCFS.
-	DMAPolicy pcie.QueuePolicy
 	// Options are the execution engine's jitter, seed, active-queue capacity
 	// and time scale; the cluster's fault injector sets TimeScale > 1 on
 	// straggler nodes.
@@ -93,7 +91,7 @@ func (s *System) Reset(cfg Config, pol core.Policy, mech core.Mechanism) error {
 	if err := s.Exec.Reset(s.Eng, cfg.GPU, pol, mech, cfg.Options, s.Mem, tl); err != nil {
 		return fmt.Errorf("system: building execution engine: %w", err)
 	}
-	if err := s.DMA.Reset(s.Eng, cfg.PCIe, cfg.DMAPolicy); err != nil {
+	if err := s.DMA.Reset(s.Eng, cfg.PCIe); err != nil {
 		return fmt.Errorf("system: building transfer engine: %w", err)
 	}
 	if err := s.CPU.Reset(s.Eng, cfg.CPU); err != nil {

@@ -80,7 +80,7 @@ func Random(suite []*trace.App, size, count int, seed uint64, withHighPriority b
 
 // RunConfig parameterizes a workload simulation.
 type RunConfig struct {
-	// Sys is the machine configuration (seed and DMA policy are taken from
+	// Sys is the machine configuration (seed and DMA order are taken from
 	// here; the workload's Seed overrides Sys.Seed when non-zero).
 	Sys system.Config
 	// Policy builds the scheduling policy for a workload of n processes.
@@ -90,11 +90,6 @@ type RunConfig struct {
 	// MinRuns is the number of completed runs every application needs
 	// before the simulation stops (3 in the paper).
 	MinRuns int
-	// HighPriorityValue is the priority given to the designated
-	// high-priority process (others get 0).
-	HighPriorityValue int
-	// RestartGap is CPU time between consecutive runs of an application.
-	RestartGap sim.Time
 	// MaxSimTime aborts the simulation at this virtual time (guard against
 	// starvation; 0 = 120 simulated seconds).
 	MaxSimTime sim.Time
@@ -112,9 +107,6 @@ type RunConfig struct {
 func (rc *RunConfig) defaults() {
 	if rc.MinRuns <= 0 {
 		rc.MinRuns = 3
-	}
-	if rc.HighPriorityValue == 0 {
-		rc.HighPriorityValue = 1
 	}
 	if rc.MaxSimTime <= 0 {
 		rc.MaxSimTime = 120 * sim.Second
@@ -195,9 +187,9 @@ func Run(spec Spec, rc RunConfig) (*Result, error) {
 		}
 	}
 	for i, app := range spec.Apps {
-		prio := 0
+		prio := 0 // the designated high-priority process gets 1
 		if i == spec.HighPriority {
-			prio = rc.HighPriorityValue
+			prio = 1
 		}
 		var p *proc.Process
 		if rc.MPS {
@@ -209,7 +201,6 @@ func Run(spec Spec, rc RunConfig) (*Result, error) {
 			return nil, err
 		}
 		p.Loop = true
-		p.RestartGap = rc.RestartGap
 		p.OnRunComplete = func(p *proc.Process, rec proc.RunRecord) {
 			if done() {
 				sys.Eng.Stop()
@@ -282,26 +273,17 @@ func Isolated(app *trace.App, rc RunConfig) (sim.Time, error) {
 	return res.Apps[0].MeanTurnaround, nil
 }
 
-// Cache memoizes isolated baselines per (app, machine-relevant key). It is
-// safe for concurrent use: experiment workers may look up baselines while
-// other simulations are in flight.
+// Cache memoizes the isolated baselines of one run configuration, per
+// application by identity (distinct apps that share a name stay distinct).
+// It is safe for concurrent use: experiment workers may look up baselines
+// while other simulations are in flight.
 type Cache struct {
+	rc      RunConfig
 	mu      sync.Mutex
-	entries map[cacheKey]*cacheEntry
+	entries map[*trace.App]*cacheEntry
 }
 
-// cacheKey identifies one baseline: the application by identity (distinct
-// apps that share a name stay distinct) plus the machine fields a baseline
-// depends on, compared exactly.
-type cacheKey struct {
-	app     *trace.App
-	numSMs  int
-	minRuns int
-	jitter  float64
-	seed    uint64
-}
-
-// cacheEntry computes one baseline exactly once; distinct keys compute
+// cacheEntry computes one baseline exactly once; distinct apps compute
 // concurrently without holding the cache lock.
 type cacheEntry struct {
 	once sync.Once
@@ -309,21 +291,22 @@ type cacheEntry struct {
 	err  error
 }
 
-// NewCache returns an empty baseline cache.
-func NewCache() *Cache { return &Cache{entries: make(map[cacheKey]*cacheEntry)} }
+// NewCache returns an empty cache of the isolated baselines under rc.
+func NewCache(rc RunConfig) *Cache {
+	return &Cache{rc: rc, entries: make(map[*trace.App]*cacheEntry)}
+}
 
-// Isolated returns the cached isolated turnaround, computing it on demand.
-// Concurrent callers with the same key share one simulation; callers with
-// different keys do not block each other.
-func (c *Cache) Isolated(app *trace.App, rc RunConfig) (sim.Time, error) {
-	key := cacheKey{app, rc.Sys.GPU.NumSMs, rc.MinRuns, rc.Sys.Jitter, rc.Sys.Seed}
+// Isolated returns app's cached isolated turnaround, computing it on demand.
+// Concurrent callers for the same app share one simulation; callers for
+// different apps do not block each other.
+func (c *Cache) Isolated(app *trace.App) (sim.Time, error) {
 	c.mu.Lock()
-	e, ok := c.entries[key]
+	e, ok := c.entries[app]
 	if !ok {
 		e = &cacheEntry{}
-		c.entries[key] = e
+		c.entries[app] = e
 	}
 	c.mu.Unlock()
-	e.once.Do(func() { e.t, e.err = Isolated(app, rc) })
+	e.once.Do(func() { e.t, e.err = Isolated(app, c.rc) })
 	return e.t, e.err
 }

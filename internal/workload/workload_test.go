@@ -73,13 +73,13 @@ func TestCacheKeysByAppIdentity(t *testing.T) {
 		t.Fatalf("apps %s and %s have equal baselines %v; the test cannot tell them apart",
 			suite[0].Name, suite[1].Name, wantA)
 	}
-	c := NewCache()
+	c := NewCache(rc)
 	for pass := 0; pass < 2; pass++ {
 		for _, tc := range []struct {
 			app  *trace.App
 			want sim.Time
 		}{{a, wantA}, {&alias, wantAlias}} {
-			got, err := c.Isolated(tc.app, rc)
+			got, err := c.Isolated(tc.app)
 			if err != nil {
 				t.Fatal(err)
 			}

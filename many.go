@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/rng"
 	"repro/internal/runner"
-	"repro/internal/workload"
 )
 
 // RunMany simulates a batch of independent workloads concurrently on
@@ -29,7 +28,10 @@ func RunMany(ctx context.Context, ws []Workload, o Options) ([]*Result, error) {
 	// (e.g. replicas of one workload) share one baseline simulation. The
 	// cache keys by trace identity: distinct traces with equal names stay
 	// distinct.
-	iso := workload.NewCache()
+	iso, err := o.isolatedCache()
+	if err != nil {
+		return nil, err
+	}
 	return runner.Map(ctx, len(ws), runner.Options{Workers: o.Parallel, OnProgress: o.OnProgress},
 		func(ctx context.Context, i int) (*Result, error) {
 			w := ws[i]

@@ -30,7 +30,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/parboil"
-	"repro/internal/pcie"
 	"repro/internal/policy"
 	"repro/internal/preempt"
 	"repro/internal/sim"
@@ -309,9 +308,7 @@ func (o Options) runConfig() (workload.RunConfig, error) {
 	sys.Seed = o.Seed
 	sys.Jitter = o.Jitter
 	sys.RecordTimeline = o.RecordTimeline
-	if o.PriorityDMA {
-		sys.DMAPolicy = pcie.PriorityFCFS{}
-	}
+	sys.PCIe.Priority = o.PriorityDMA
 	pol, err := o.policyFactory()
 	if err != nil {
 		return workload.RunConfig{}, err
@@ -336,14 +333,29 @@ func (o Options) isolatedConfig() (workload.RunConfig, error) {
 	return Options{Policy: PolicyFCFS, MinRuns: o.MinRuns, Seed: o.Seed, Jitter: o.Jitter}.fill().runConfig()
 }
 
+// isolatedCache returns an empty cache of the isolated baselines under o.
+// o must already be filled.
+func (o Options) isolatedCache() (*workload.Cache, error) {
+	rc, err := o.isolatedConfig()
+	if err != nil {
+		return nil, err
+	}
+	return workload.NewCache(rc), nil
+}
+
 // Run simulates a multiprogrammed workload and reports the paper's metrics.
 func Run(w Workload, o Options) (*Result, error) {
-	return run(w, o.fill(), workload.NewCache())
+	o = o.fill()
+	iso, err := o.isolatedCache()
+	if err != nil {
+		return nil, err
+	}
+	return run(w, o, iso)
 }
 
 // run is the shared implementation behind Run and RunMany. iso memoizes the
-// isolated baseline turnarounds (RunMany shares one across the batch so
-// replicas of the same applications share baselines). o must already be
+// isolated baseline turnarounds under o (RunMany shares one across the batch
+// so replicas of the same applications share baselines). o must already be
 // filled.
 func run(w Workload, o Options, iso *workload.Cache) (*Result, error) {
 	if len(w.Apps) == 0 {
@@ -363,11 +375,6 @@ func run(w Workload, o Options, iso *workload.Cache) (*Result, error) {
 		return nil, err
 	}
 
-	// Isolated baselines for the metrics.
-	isoRC, err := o.isolatedConfig()
-	if err != nil {
-		return nil, err
-	}
 	out := &Result{
 		EndTime:           time.Duration(res.EndTime),
 		Completed:         res.Completed,
@@ -378,7 +385,7 @@ func run(w Workload, o Options, iso *workload.Cache) (*Result, error) {
 	}
 	perfs := make([]metrics.AppPerf, len(res.Apps))
 	for i, ar := range res.Apps {
-		isoT, err := iso.Isolated(w.Apps[i], isoRC)
+		isoT, err := iso.Isolated(w.Apps[i])
 		if err != nil {
 			return nil, err
 		}
