@@ -313,6 +313,13 @@ func benchWorkload(b *testing.B, pol func(n int) core.Policy, mech func() core.M
 	cfg.Seed = 1
 	rc := workload.RunConfig{Sys: cfg, Policy: pol, Mechanism: mech, MinRuns: 2}
 	spec := workload.Spec{Name: "bench", Apps: apps, HighPriority: -1, Seed: 1}
+	// One untimed run leaves a recycled machine on this goroutine's P, so
+	// the timed loop measures a grid's steady state. Without it, whether
+	// the loop starts on that machine or builds one depends on which P the
+	// benchmark goroutine lands on.
+	if _, err := workload.Run(spec, rc); err != nil {
+		b.Fatal(err)
+	}
 	totalTBs := 0
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -364,6 +371,10 @@ func BenchmarkIsolatedBaselines(b *testing.B) {
 	cfg := system.DefaultConfig()
 	cfg.Seed = 1
 	rc := workload.RunConfig{Sys: cfg, MinRuns: 3}
+	// As in benchWorkload: measure a warm recycled machine.
+	if _, err := workload.Isolated(app, rc); err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := workload.Isolated(app, rc); err != nil {

@@ -22,6 +22,7 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/cluster"
 	"repro/internal/experiments"
 	"repro/internal/parboil"
 	"repro/internal/profiling"
@@ -59,11 +60,20 @@ func main() {
 		fatal(fmt.Errorf("-par-window must be non-negative, got %d", *parWin))
 	}
 	// A workload draws distinct applications from the suite, so none can be
-	// larger than it. -gpus shares parseSizes and has no such bound.
+	// larger than it, and a fleet has at most cluster.MaxNodes GPUs.
 	sizeList, suite := parseSizes(*sizes), len(parboil.Names())
 	for _, v := range sizeList {
 		if v > suite {
 			fatal(fmt.Errorf("-sizes %d exceeds the suite's %d applications", v, suite))
+		}
+	}
+	var gpus []int
+	if *gpusFlag != "" {
+		gpus = parseSizes(*gpusFlag)
+	}
+	for _, v := range gpus {
+		if v > cluster.MaxNodes {
+			fatal(fmt.Errorf("-gpus %d out of range [1, %d]", v, cluster.MaxNodes))
 		}
 	}
 
@@ -183,10 +193,6 @@ func main() {
 		emit("load", r.Table())
 	}
 	if want("cluster") {
-		var gpus []int
-		if *gpusFlag != "" {
-			gpus = parseSizes(*gpusFlag)
-		}
 		r, err := experiments.RunCluster(opts, gpus)
 		if err != nil {
 			fatal(err)
@@ -294,6 +300,16 @@ var stopProf = func() error { return nil }
 
 func fatal(err error) {
 	stopProf() //nolint:errcheck // exiting on the original error
-	fmt.Fprintln(os.Stderr, "experiments:", err)
+	fmt.Fprintln(os.Stderr, errorLine(err))
 	os.Exit(1)
+}
+
+// errorLine prefixes err with the command's name, unless the experiments
+// package's own "experiments: " prefix already names it.
+func errorLine(err error) string {
+	msg := err.Error()
+	if strings.HasPrefix(msg, "experiments: ") {
+		return msg
+	}
+	return "experiments: " + msg
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"errors"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -34,6 +35,9 @@ func TestRejectsBadFlags(t *testing.T) {
 		{"-par-window -1", "-par-window must be non-negative, got -1"},
 		{"-sizes 11", "-sizes 11 exceeds the suite's 10 applications"},
 		{"-sizes 2,11", "-sizes 11 exceeds the suite's 10 applications"},
+		{"-gpus 2000", "-gpus 2000 out of range [1, 1024]"},
+		{"-gpus 1,1025", "-gpus 1025 out of range [1, 1024]"},
+		{"-gpus 0", `bad size "0"`},
 	} {
 		t.Run(tc.args, func(t *testing.T) {
 			// table2 needs no simulation, so a flag that slipped through
@@ -56,6 +60,24 @@ func TestRejectsBadFlags(t *testing.T) {
 			if !strings.Contains(stderr.String(), tc.stderr) {
 				t.Errorf("experiments %s: stderr %q lacks %q", strings.Join(args, " "), stderr.String(), tc.stderr)
 			}
+			if strings.Count(stderr.String(), "experiments: ") != 1 {
+				t.Errorf("experiments %s: stderr %q does not name the command exactly once", strings.Join(args, " "), stderr.String())
+			}
 		})
+	}
+}
+
+// TestErrorLineNamesCommandOnce pins the exit message's prefix: the
+// command names itself once, also for a grid error the experiments package
+// has already prefixed.
+func TestErrorLineNamesCommandOnce(t *testing.T) {
+	for _, tc := range []struct{ err, want string }{
+		{"-n must be at least 1, got 0", "experiments: -n must be at least 1, got 0"},
+		{"experiments: cluster 2 GPUs jsq Draining: boom", "experiments: cluster 2 GPUs jsq Draining: boom"},
+		{"open out/x.csv: permission denied", "experiments: open out/x.csv: permission denied"},
+	} {
+		if got := errorLine(errors.New(tc.err)); got != tc.want {
+			t.Errorf("errorLine(%q) = %q, want %q", tc.err, got, tc.want)
+		}
 	}
 }

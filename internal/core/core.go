@@ -124,9 +124,12 @@ type KSR struct {
 	// thread block's jitter mixes in its index (Framework.jitterFactor).
 	jitterState uint64
 
-	ptbq   []PreemptedTB
-	saveVA mmu.VAddr
-	savePA gmem.PAddr
+	// ptbq[ptbqHead:] is the PTBQ, oldest first. Pops advance the head and
+	// the next push shifts the queue down, so the slice keeps its capacity.
+	ptbq     []PreemptedTB
+	ptbqHead int
+	saveVA   mmu.VAddr
+	savePA   gmem.PAddr
 }
 
 // ID returns the kernel's handle.
@@ -146,7 +149,10 @@ func (k *KSR) Total() int { return k.Cmd.Spec.NumTBs }
 
 // IssueableTBs returns the number of thread blocks available for issue:
 // preempted thread blocks waiting in the PTBQ plus fresh ones.
-func (k *KSR) IssueableTBs() int { return (k.Total() - k.NextTB) + len(k.ptbq) }
+func (k *KSR) IssueableTBs() int { return (k.Total() - k.NextTB) + len(k.queued()) }
+
+// queued returns the PTBQ's entries, oldest first.
+func (k *KSR) queued() []PreemptedTB { return k.ptbq[k.ptbqHead:] }
 
 // HasWork reports whether the kernel has thread blocks to issue.
 func (k *KSR) HasWork() bool { return k.IssueableTBs() > 0 }

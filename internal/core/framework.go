@@ -173,7 +173,7 @@ func (fw *Framework) Reset(eng *sim.Engine, cfg gpu.Config, policy Policy, mech 
 	}
 	for i := range fw.slots {
 		if k := fw.slots[i].k; k != nil {
-			k.Cmd, k.ptbq = nil, k.ptbq[:0]
+			k.Cmd, k.ptbq, k.ptbqHead = nil, k.ptbq[:0], 0
 			fw.ksrFree = append(fw.ksrFree, k)
 		}
 	}
@@ -661,9 +661,12 @@ func (fw *Framework) issueTB(s *sm, k *KSR) {
 		}
 	}
 	var tb residentTB
-	if len(k.ptbq) > 0 {
-		h := k.ptbq[0]
-		k.ptbq = k.ptbq[1:]
+	if k.ptbqHead < len(k.ptbq) {
+		h := k.ptbq[k.ptbqHead]
+		k.ptbqHead++
+		if k.ptbqHead == len(k.ptbq) {
+			k.ptbq, k.ptbqHead = k.ptbq[:0], 0
+		}
 		if h.Restart {
 			// Flushed thread block: no context to restore, it simply runs
 			// again from scratch for its full (deterministically jittered)
@@ -814,7 +817,7 @@ func (fw *Framework) finishKernel(k *KSR) {
 	if !k.Finished() {
 		panic("core: finishing unfinished kernel")
 	}
-	if len(k.ptbq) != 0 {
+	if len(k.queued()) != 0 {
 		panic("core: finishing kernel with preempted thread blocks")
 	}
 	for i, id := range fw.active {
@@ -1013,6 +1016,9 @@ func (fw *Framework) PushPreempted(kid KernelID, tbs []PreemptedTB) {
 	k := fw.Kernel(kid)
 	if k == nil {
 		panic(fmt.Sprintf("core: pushing preempted thread blocks of stale kernel %v", kid))
+	}
+	if k.ptbqHead > 0 {
+		k.ptbq, k.ptbqHead = k.ptbq[:copy(k.ptbq, k.queued())], 0
 	}
 	k.ptbq = append(k.ptbq, tbs...)
 	limit := fw.cfg.NumSMs * k.TBsPerSM

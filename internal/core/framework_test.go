@@ -551,8 +551,8 @@ func TestPTBQIssuesPreemptedFirst(t *testing.T) {
 	if kA == nil {
 		t.Fatal("A finished too early")
 	}
-	if len(kA.ptbq) != 2 {
-		t.Fatalf("PTBQ holds %d TBs, want 2 (SM 0's residents)", len(kA.ptbq))
+	if n := len(kA.queued()); n != 2 {
+		t.Fatalf("PTBQ holds %d TBs, want 2 (SM 0's residents)", n)
 	}
 	pol.onActivated = nil
 	runAndValidate(t, eng, fw)

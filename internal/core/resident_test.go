@@ -128,7 +128,7 @@ func TestPreemptionKeepsIssueOrder(t *testing.T) {
 				t.Fatalf("preempted in order %v, issue order %v", got, want)
 			}
 			got = got[:0]
-			for _, tb := range fw.Kernel(ka).ptbq {
+			for _, tb := range fw.Kernel(ka).queued() {
 				got = append(got, tb.Index)
 			}
 			if !slices.Equal(got, want) {
@@ -144,6 +144,11 @@ func TestPreemptionKeepsIssueOrder(t *testing.T) {
 			}
 			if reissued := bySeq(s); !slices.Equal(reissued[:len(want)], want) {
 				t.Fatalf("re-issued in order %v, PTBQ order %v", reissued, want)
+			}
+			// The drained PTBQ keeps its capacity for the next preemption.
+			if k := fw.Kernel(ka); len(k.queued()) != 0 || cap(k.ptbq) < len(want) {
+				t.Fatalf("drained PTBQ holds %d entries with capacity %d, want 0 and >= %d",
+					len(k.queued()), cap(k.ptbq), len(want))
 			}
 
 			stepUntilShuffled(t, eng, s)

@@ -109,13 +109,13 @@ func (fw *Framework) Validate() error {
 			return fmt.Errorf("core: kernel %s Incoming=%d but %d SMs incoming",
 				k.Spec().Name, k.Incoming, incoming[id])
 		}
-		if k.Done+k.Running+len(k.ptbq) > k.Total() {
+		if k.Done+k.Running+len(k.queued()) > k.Total() {
 			return fmt.Errorf("core: kernel %s accounts for more thread blocks than launched", k.Spec().Name)
 		}
 		if k.NextTB > k.Total() {
 			return fmt.Errorf("core: kernel %s NextTB=%d beyond total %d", k.Spec().Name, k.NextTB, k.Total())
 		}
-		if len(k.ptbq) > fw.cfg.NumSMs*k.TBsPerSM {
+		if len(k.queued()) > fw.cfg.NumSMs*k.TBsPerSM {
 			return fmt.Errorf("core: kernel %s PTBQ over capacity", k.Spec().Name)
 		}
 	}

@@ -98,19 +98,6 @@ type queuedCmd struct {
 	op trace.Op
 }
 
-// New creates a process for the given app, backed by a fresh GPU context
-// with the given scheduling priority.
-func New(sys *system.System, app *trace.App, priority int) (*Process, error) {
-	if err := app.Validate(); err != nil {
-		return nil, err
-	}
-	ctx, err := sys.NewContext(app.Name, priority)
-	if err != nil {
-		return nil, err
-	}
-	return newProcess(sys, ctx, app), nil
-}
-
 // newProcess wires up a process and its reusable continuations.
 func newProcess(sys *system.System, ctx *gpu.Context, app *trace.App) *Process {
 	p := &Process{
@@ -159,7 +146,7 @@ func NewWithContext(sys *system.System, ctx *gpu.Context, app *trace.App) (*Proc
 // reset, and the streams, queues and continuations are kept. Loop and
 // OnRunComplete are the caller's and stay as set. Only a
 // process with nothing in flight can be reused: one that never started, or
-// whose run completed without looping. Unlike New and NewWithContext, Reuse
+// whose run completed without looping. Unlike NewWithContext, Reuse
 // does not validate app: the caller must pass an already validated trace (the
 // open-system admission path replays apps of an ArrivalTrace, whose Validate
 // checked every app once when the run was set up).

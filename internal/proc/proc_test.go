@@ -24,6 +24,16 @@ func testSystem(t *testing.T) *system.System {
 	return sys
 }
 
+// newProc creates a process for app in a new context of the given
+// priority.
+func newProc(sys *system.System, app *trace.App, priority int) (*Process, error) {
+	ctx, err := sys.NewContext(app.Name, priority)
+	if err != nil {
+		return nil, err
+	}
+	return NewWithContext(sys, ctx, app)
+}
+
 func simpleApp(name string) *trace.App {
 	return &trace.App{
 		Name: name,
@@ -45,7 +55,7 @@ func simpleApp(name string) *trace.App {
 
 func TestProcessRunsTraceToCompletion(t *testing.T) {
 	sys := testSystem(t)
-	p, err := New(sys, simpleApp("app"), 0)
+	p, err := newProc(sys, simpleApp("app"), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +82,7 @@ func TestProcessRunsTraceToCompletion(t *testing.T) {
 
 func TestProcessLoopReplaysAndRecordsEachRun(t *testing.T) {
 	sys := testSystem(t)
-	p, err := New(sys, simpleApp("app"), 0)
+	p, err := newProc(sys, simpleApp("app"), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +120,7 @@ func TestSyncBlocksUntilCommandsComplete(t *testing.T) {
 		{Kind: trace.OpSync},
 		{Kind: trace.OpCPU, Dur: sim.Microseconds(1)},
 	}
-	p, err := New(sys, app, 0)
+	p, err := newProc(sys, app, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +143,7 @@ func TestAsyncEnqueueDoesNotBlockCPU(t *testing.T) {
 		{Kind: trace.OpLaunch, Kernel: 0},
 		{Kind: trace.OpLaunch, Kernel: 0},
 	}
-	p, err := New(sys, app, 0)
+	p, err := newProc(sys, app, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +168,7 @@ func TestStreamsOverlapTransfersAndKernels(t *testing.T) {
 		{Kind: trace.OpLaunch, Kernel: 0, Stream: 0},
 		{Kind: trace.OpH2D, Bytes: 8 << 20, Stream: 1}, // ~1ms at 8 GB/s
 	}
-	p, err := New(sys, app, 0)
+	p, err := newProc(sys, app, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +192,7 @@ func TestSameStreamCommandsSerialize(t *testing.T) {
 		{Kind: trace.OpH2D, Bytes: 4 << 20, Stream: 0},
 		{Kind: trace.OpLaunch, Kernel: 0, Stream: 0},
 	}
-	p, err := New(sys, app, 0)
+	p, err := newProc(sys, app, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,15 +221,15 @@ func TestTransferPriorityComesFromContext(t *testing.T) {
 			{Kind: trace.OpLaunch, Kernel: 0}}
 		return a
 	}
-	lo, err := New(sys, mkApp("lo"), 0)
+	lo, err := newProc(sys, mkApp("lo"), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lo2, err := New(sys, mkApp("lo2"), 0)
+	lo2, err := newProc(sys, mkApp("lo2"), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hi, err := New(sys, mkApp("hi"), 3)
+	hi, err := newProc(sys, mkApp("hi"), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +246,7 @@ func TestTransferPriorityComesFromContext(t *testing.T) {
 
 func TestProcessDoubleStartFails(t *testing.T) {
 	sys := testSystem(t)
-	p, err := New(sys, simpleApp("app"), 0)
+	p, err := newProc(sys, simpleApp("app"), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,18 +262,18 @@ func TestProcessRejectsInvalidApp(t *testing.T) {
 	sys := testSystem(t)
 	bad := simpleApp("bad")
 	bad.Ops = nil
-	if _, err := New(sys, bad, 0); err == nil {
+	if _, err := newProc(sys, bad, 0); err == nil {
 		t.Fatal("invalid app accepted")
 	}
 }
 
 func TestEachProcessGetsOwnContext(t *testing.T) {
 	sys := testSystem(t)
-	p1, err := New(sys, simpleApp("a"), 0)
+	p1, err := newProc(sys, simpleApp("a"), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := New(sys, simpleApp("b"), 1)
+	p2, err := newProc(sys, simpleApp("b"), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +296,7 @@ func TestIssueOverheadAccumulates(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		app.Ops = append(app.Ops, trace.Op{Kind: trace.OpLaunch, Kernel: 0})
 	}
-	p, err := New(sys, app, 0)
+	p, err := newProc(sys, app, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +317,7 @@ func runApps(t *testing.T, sys *system.System, starts []sim.Time, apps ...*trace
 	t.Helper()
 	procs := make([]*Process, len(apps))
 	for i, app := range apps {
-		p, err := New(sys, app, 0)
+		p, err := newProc(sys, app, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -440,7 +450,7 @@ func TestCPURunFoldOneSMTDecisionPerRun(t *testing.T) {
 func TestReuseReplaysLikeAFreshProcess(t *testing.T) {
 	sys := testSystem(t)
 	app := simpleApp("app")
-	p, err := New(sys, app, 0)
+	p, err := newProc(sys, app, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -470,7 +480,7 @@ func TestReuseReplaysLikeAFreshProcess(t *testing.T) {
 	// The twin: a fresh machine idles until the same start, then runs a
 	// fresh process with the same priority.
 	twin := testSystem(t)
-	q, err := New(twin, app, 1)
+	q, err := newProc(twin, app, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -151,8 +151,38 @@ type Result struct {
 	Timeline *core.Timeline
 }
 
-// Run simulates one workload.
+// machine is a simulated machine and the processes of the last workload
+// run on it, recycled across Run calls through machines.
+type machine struct {
+	sys *system.System
+	// procs holds every process ever built on sys; the current workload's
+	// are live, a prefix of it.
+	procs   []*proc.Process
+	live    []*proc.Process
+	minRuns int
+}
+
+// machines recycles machines across Run calls. A machine goes back only
+// after a successful run; the pool drops what it holds at garbage
+// collection, and a fresh machine runs the same reset path.
+var machines = sync.Pool{New: func() any { return new(machine) }}
+
+// Run simulates one workload. It runs on a recycled machine: system.Reset
+// rebuilds it for this workload's configuration, policy and mechanism, and
+// each recycled process is aborted and then reused (proc.Process.Abort,
+// Reuse), so the result equals a run on a fresh machine. The Result shares
+// no memory with the machine.
 func Run(spec Spec, rc RunConfig) (*Result, error) {
+	m := machines.Get().(*machine)
+	res, err := m.run(spec, rc)
+	if err == nil {
+		machines.Put(m)
+	}
+	return res, err
+}
+
+// run simulates one workload on m. On error m is unusable.
+func (m *machine) run(spec Spec, rc RunConfig) (*Result, error) {
 	rc.defaults()
 	if len(spec.Apps) == 0 {
 		return nil, fmt.Errorf("workload: empty workload")
@@ -160,25 +190,28 @@ func Run(spec Spec, rc RunConfig) (*Result, error) {
 	if rc.Policy == nil {
 		return nil, fmt.Errorf("workload: no policy factory")
 	}
+	for _, app := range spec.Apps {
+		if err := app.Validate(); err != nil {
+			return nil, err
+		}
+	}
 	sysCfg := rc.Sys
 	if spec.Seed != 0 {
 		sysCfg.Seed = spec.Seed
 	}
-	sys, err := system.New(sysCfg, rc.Policy(len(spec.Apps)), rc.Mechanism())
+	var err error
+	if m.sys == nil {
+		m.sys, err = system.New(sysCfg, rc.Policy(len(spec.Apps)), rc.Mechanism())
+	} else {
+		err = m.sys.Reset(sysCfg, rc.Policy(len(spec.Apps)), rc.Mechanism())
+	}
 	if err != nil {
 		return nil, err
 	}
+	sys := m.sys
 	sys.Eng.SetMaxEvents(rc.MaxEvents)
+	m.minRuns = rc.MinRuns
 
-	procs := make([]*proc.Process, len(spec.Apps))
-	done := func() bool {
-		for _, p := range procs {
-			if p.CompletedRuns() < rc.MinRuns {
-				return false
-			}
-		}
-		return true
-	}
 	var mpsCtx *gpu.Context
 	if rc.MPS {
 		mpsCtx, err = sys.NewContext("mps-proxy", 0)
@@ -187,28 +220,35 @@ func Run(spec Spec, rc RunConfig) (*Result, error) {
 		}
 	}
 	for i, app := range spec.Apps {
-		prio := 0 // the designated high-priority process gets 1
-		if i == spec.HighPriority {
-			prio = 1
-		}
-		var p *proc.Process
-		if rc.MPS {
-			p, err = proc.NewWithContext(sys, mpsCtx, app)
-		} else {
-			p, err = proc.New(sys, app, prio)
-		}
-		if err != nil {
-			return nil, err
-		}
-		p.Loop = true
-		p.OnRunComplete = func(p *proc.Process, rec proc.RunRecord) {
-			if done() {
-				sys.Eng.Stop()
+		ctx := mpsCtx
+		if !rc.MPS {
+			prio := 0 // the designated high-priority process gets 1
+			if i == spec.HighPriority {
+				prio = 1
+			}
+			if ctx, err = sys.NewContext(app.Name, prio); err != nil {
+				return nil, err
 			}
 		}
-		procs[i] = p
+		if i == len(m.procs) {
+			p, err := proc.NewWithContext(sys, ctx, app)
+			if err != nil {
+				return nil, err
+			}
+			p.OnRunComplete = m.runComplete
+			m.procs = append(m.procs, p)
+		} else {
+			p := m.procs[i]
+			p.Abort()
+			p.Loop = false
+			if err := p.Reuse(ctx, app); err != nil {
+				return nil, err
+			}
+		}
+		m.procs[i].Loop = true
 	}
-	for _, p := range procs {
+	m.live = m.procs[:len(spec.Apps)]
+	for _, p := range m.live {
 		if err := p.Start(0); err != nil {
 			return nil, err
 		}
@@ -228,27 +268,50 @@ func Run(spec Spec, rc RunConfig) (*Result, error) {
 
 	res := &Result{
 		Spec:        spec,
+		Apps:        make([]AppResult, len(m.live)),
 		EndTime:     sys.Eng.Now(),
-		Completed:   done(),
+		Completed:   m.done(),
 		Stats:       sys.Exec.Stats(),
 		Utilization: sys.Exec.Utilization(sys.Eng.Now()),
 		Timeline:    sys.Exec.Timeline(),
 	}
 	res.Timeline.Finish(sys.Eng.Now())
-	for i, p := range procs {
-		ar := AppResult{
-			Name:         p.App().Name,
-			Runs:         p.CompletedRuns(),
-			HighPriority: i == spec.HighPriority,
+	for i, p := range m.live {
+		ar := &res.Apps[i]
+		*ar = AppResult{
+			Name:           p.App().Name,
+			Runs:           p.CompletedRuns(),
+			MeanTurnaround: p.MeanTurnaround(),
+			Starved:        p.CompletedRuns() == 0,
+			HighPriority:   i == spec.HighPriority,
 		}
-		for _, r := range p.Runs() {
-			ar.Turnarounds = append(ar.Turnarounds, r.Turnaround())
+		// Copied out: the run records stay with the recycled process.
+		if runs := p.Runs(); len(runs) > 0 {
+			ar.Turnarounds = make([]sim.Time, len(runs))
+			for j, r := range runs {
+				ar.Turnarounds[j] = r.Turnaround()
+			}
 		}
-		ar.MeanTurnaround = p.MeanTurnaround()
-		ar.Starved = ar.Runs == 0
-		res.Apps = append(res.Apps, ar)
 	}
 	return res, nil
+}
+
+// runComplete is every process's OnRunComplete: it stops the machine once
+// the workload is done.
+func (m *machine) runComplete(*proc.Process, proc.RunRecord) {
+	if m.done() {
+		m.sys.Eng.Stop()
+	}
+}
+
+// done reports whether every live process has completed MinRuns runs.
+func (m *machine) done() bool {
+	for _, p := range m.live {
+		if p.CompletedRuns() < m.minRuns {
+			return false
+		}
+	}
+	return true
 }
 
 // stopEvent is the MaxSimTime watchdog: it stops engine p.
