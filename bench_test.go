@@ -8,6 +8,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -279,6 +280,27 @@ func BenchmarkIssueCompleteTB(b *testing.B) {
 		b.Fatalf("completed %d TBs, want %d", fw.Stats().TBsCompleted, tbs)
 	}
 	b.ReportMetric(float64(tbs)/b.Elapsed().Seconds(), "TBs/s")
+}
+
+// BenchmarkHostCalibration does fixed work that runs no repro code: each op
+// refills a 64Ki-element slice with the same xorshift sequence and sorts it
+// with the standard library. Its ns/op therefore measures the host, not the
+// simulator; cmd/benchcheck scales every baselined ns/op entry by its
+// measured/recorded ratio (the baseline's "reference") before gating.
+func BenchmarkHostCalibration(b *testing.B) {
+	buf := make([]uint64, 1<<16)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		x := uint64(88172645463325252)
+		for j := range buf {
+			x ^= x << 13
+			x ^= x >> 7
+			x ^= x << 17
+			buf[j] = x
+		}
+		slices.Sort(buf)
+	}
 }
 
 // BenchmarkOccupancy measures the occupancy calculator over Table 1.

@@ -6,15 +6,22 @@
 // the -bench pattern. Run with -update to (re)write the baseline from the
 // measured numbers instead.
 //
+// ns/op depends on the host, so the baseline names a reference benchmark
+// that runs no simulator code (BenchmarkHostCalibration). Every ns/op entry
+// is first scaled by the reference's measured/recorded ratio, so a uniformly
+// slower or faster host neither fails nor loosens the gate; a run without
+// the reference fails.
+//
 // Typical CI usage:
 //
 //	go test -run '^$' -bench 'IssueCompleteTB|PreemptLatency' -benchmem ./... \
 //	    | go run ./cmd/benchcheck -baseline bench_baseline.json
 //
-// Baselines are machine-dependent: ns/op compares meaningfully only against
-// a baseline recorded on comparable hardware, which is why the threshold is
-// generous (25%) and allocs/op — which is hardware-independent — is held to
-// the same relative bound with only half-an-allocation of absolute slack.
+// The host scaling cannot cancel every hardware difference (cache sizes and
+// memory latency weigh differently on each benchmark), which is why the
+// threshold is generous (25%); allocs/op — which is hardware-independent —
+// is held to the same relative bound with only half-an-allocation of
+// absolute slack and no scaling.
 package main
 
 import (
@@ -40,6 +47,9 @@ type Measurement struct {
 type Baseline struct {
 	// Note documents how the numbers were recorded.
 	Note string `json:"note,omitempty"`
+	// Reference names the benchmark whose measured/recorded ns/op ratio
+	// scales every ns/op entry before gating ("" = no scaling).
+	Reference string `json:"reference,omitempty"`
 	// Benchmarks maps the benchmark name (GOMAXPROCS suffix stripped) to
 	// its reference measurement.
 	Benchmarks map[string]Measurement `json:"benchmarks"`
@@ -103,11 +113,34 @@ func parseBench(r io.Reader) (map[string]Measurement, error) {
 	return out, nil
 }
 
+// hostScale returns the measured/recorded ns/op ratio of the baseline's
+// reference benchmark (1 without one), or a problem when the reference was
+// not recorded or not measured.
+func hostScale(base *Baseline, got map[string]Measurement) (float64, string) {
+	if base.Reference == "" {
+		return 1, ""
+	}
+	want, ok := base.Benchmarks[base.Reference]
+	if !ok || want.NsPerOp <= 0 {
+		return 0, fmt.Sprintf("%s: reference has no recorded ns/op in the baseline", base.Reference)
+	}
+	have, ok := got[base.Reference]
+	if !ok || have.NsPerOp <= 0 {
+		return 0, fmt.Sprintf("%s: reference not measured, so ns/op cannot be gated", base.Reference)
+	}
+	return have.NsPerOp / want.NsPerOp, ""
+}
+
 // check compares measured results against the baseline and returns one
 // human-readable problem per violated bound. Every baselined benchmark must
-// be present in the measurement.
+// be present in the measurement, the reference included; ns/op entries are
+// scaled by hostScale first.
 func check(base *Baseline, got map[string]Measurement, maxRegress float64) []string {
 	var problems []string
+	scale, problem := hostScale(base, got)
+	if problem != "" {
+		problems = append(problems, problem)
+	}
 	names := make([]string, 0, len(base.Benchmarks))
 	for name := range base.Benchmarks {
 		names = append(names, name)
@@ -120,9 +153,9 @@ func check(base *Baseline, got map[string]Measurement, maxRegress float64) []str
 			problems = append(problems, fmt.Sprintf("%s: baselined but not measured (did the -bench pattern change?)", name))
 			continue
 		}
-		if want.NsPerOp > 0 && have.NsPerOp > want.NsPerOp*(1+maxRegress) {
-			problems = append(problems, fmt.Sprintf("%s: %.1f ns/op regressed more than %.0f%% over baseline %.1f",
-				name, have.NsPerOp, maxRegress*100, want.NsPerOp))
+		if scale > 0 && want.NsPerOp > 0 && have.NsPerOp > want.NsPerOp*scale*(1+maxRegress) {
+			problems = append(problems, fmt.Sprintf("%s: %.1f ns/op regressed more than %.0f%% over baseline %.1f (host-scaled by %.3f)",
+				name, have.NsPerOp, maxRegress*100, want.NsPerOp*scale, scale))
 		}
 		// A zero-alloc baseline is a hard gate, not a percentage: any
 		// fraction of a baseline of zero is still zero, so a relative bound
@@ -170,8 +203,19 @@ func main() {
 	}
 
 	if *update {
-		base := &Baseline{Note: *note, Benchmarks: got}
-		data, err := json.MarshalIndent(base, "", "  ")
+		// Keep the existing file's reference, and its note unless -note
+		// replaces it.
+		var base Baseline
+		if data, err := os.ReadFile(*baselinePath); err == nil {
+			if err := json.Unmarshal(data, &base); err != nil {
+				fatal(fmt.Errorf("parsing %s: %w", *baselinePath, err))
+			}
+		}
+		if *note != "" {
+			base.Note = *note
+		}
+		base.Benchmarks = got
+		data, err := json.MarshalIndent(&base, "", "  ")
 		if err != nil {
 			fatal(err)
 		}
@@ -195,6 +239,9 @@ func main() {
 	}
 
 	problems := check(&base, got, *maxRegress)
+	if scale, _ := hostScale(&base, got); base.Reference != "" && scale > 0 {
+		fmt.Printf("benchcheck: host scale %.3f (%s measured/recorded)\n", scale, base.Reference)
+	}
 	for name, have := range got {
 		if want, ok := base.Benchmarks[name]; ok {
 			fmt.Printf("benchcheck: %-50s %10.1f ns/op (baseline %10.1f)  %6.1f allocs/op (baseline %6.1f)\n",
@@ -207,7 +254,7 @@ func main() {
 		}
 		os.Exit(1)
 	}
-	fmt.Printf("benchcheck: %d baselined benchmarks within %.0f%% of reference\n",
+	fmt.Printf("benchcheck: %d baselined benchmarks within %.0f%% of the baseline\n",
 		len(base.Benchmarks), *maxRegress*100)
 }
 

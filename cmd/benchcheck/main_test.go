@@ -131,6 +131,51 @@ func TestCheckZeroBaselineHardFailure(t *testing.T) {
 	}
 }
 
+// TestCheckHostScaling pins the reference scaling: ns/op entries are gated
+// relative to the reference benchmark's measured/recorded ratio, so a
+// uniformly slower host passes, one benchmark slowing down on the same host
+// fails, and a run without the reference fails.
+func TestCheckHostScaling(t *testing.T) {
+	base := &Baseline{Reference: "BenchmarkHostCalibration", Benchmarks: map[string]Measurement{
+		"BenchmarkHostCalibration": {NsPerOp: 4000000, AllocsPerOp: 0},
+		"BenchmarkIssueCompleteTB": {NsPerOp: 100000, AllocsPerOp: 1},
+		"BenchmarkRunOpen":         {NsPerOp: 6000000, AllocsPerOp: 800},
+	}}
+	run := func(hostFactor, tbFactor float64) map[string]Measurement {
+		return map[string]Measurement{
+			"BenchmarkHostCalibration": {NsPerOp: 4000000 * hostFactor, AllocsPerOp: 0},
+			"BenchmarkIssueCompleteTB": {NsPerOp: 100000 * hostFactor * tbFactor, AllocsPerOp: 1},
+			"BenchmarkRunOpen":         {NsPerOp: 6000000 * hostFactor, AllocsPerOp: 800},
+		}
+	}
+
+	// A host twice as slow on everything passes.
+	if problems := check(base, run(2, 1), 0.25); len(problems) != 0 {
+		t.Errorf("uniformly 2x slower host flagged: %v", problems)
+	}
+	// Without the scaling the same run fails every non-reference entry.
+	unscaled := *base
+	unscaled.Reference = ""
+	if problems := check(&unscaled, run(2, 1), 0.25); len(problems) != 3 {
+		t.Errorf("unscaled gate on a 2x slower host: %d problems, want 3: %v", len(problems), problems)
+	}
+	// One benchmark 1.3x slower on the same host fails, on a faster host
+	// too.
+	for _, host := range []float64{1, 0.5} {
+		problems := check(base, run(host, 1.3), 0.25)
+		if len(problems) != 1 || !strings.Contains(problems[0], "BenchmarkIssueCompleteTB") {
+			t.Errorf("host %gx: 1.3x IssueCompleteTB slowdown not flagged alone: %v", host, problems)
+		}
+	}
+	// A run that lacks the reference fails.
+	got := run(1, 1)
+	delete(got, "BenchmarkHostCalibration")
+	problems := check(base, got, 0.25)
+	if len(problems) == 0 || !strings.Contains(problems[0], "reference not measured") {
+		t.Errorf("missing reference not flagged: %v", problems)
+	}
+}
+
 func TestStripProcs(t *testing.T) {
 	for in, want := range map[string]string{
 		"BenchmarkFoo-8":          "BenchmarkFoo",

@@ -46,8 +46,12 @@ func main() {
 	)
 	flag.Parse()
 	// Out-of-range values would otherwise be replaced silently: fewer than
-	// one workload, run or worker by the defaults (10, 3, NumCPU), a scale
-	// below 1 by the paper-faithful apps, and a negative window by lockstep.
+	// one workload, run or worker by the defaults (10, 3, NumCPU), a zero
+	// seed by the default 2014, a scale below 1 by the paper-faithful apps,
+	// and a negative window by lockstep.
+	if *seed == 0 {
+		fatal(fmt.Errorf("-seed must be at least 1, got 0"))
+	}
 	for _, f := range []struct {
 		name string
 		v    int

@@ -33,6 +33,7 @@ func TestRejectsBadFlags(t *testing.T) {
 		{"-parallel 0", "-parallel must be at least 1, got 0"},
 		{"-parallel -4", "-parallel must be at least 1, got -4"},
 		{"-par-window -1", "-par-window must be non-negative, got -1"},
+		{"-seed 0", "-seed must be at least 1, got 0"},
 		{"-sizes 11", "-sizes 11 exceeds the suite's 10 applications"},
 		{"-sizes 2,11", "-sizes 11 exceeds the suite's 10 applications"},
 		{"-gpus 2000", "-gpus 2000 out of range [1, 1024]"},

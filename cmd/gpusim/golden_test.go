@@ -89,6 +89,7 @@ func TestRejectsBadFlags(t *testing.T) {
 	bin := buildGpusim(t)
 	type badRun struct{ args, stderr string }
 	cases := []badRun{
+		{"-seed 0", "-seed must be at least 1, got 0"},
 		{"-scale 0", "-scale must be at least 1"},
 		{"-scale -3", "-scale must be at least 1"},
 		{"-jitter 5", "jitter fraction 5 outside [0, 1]"},

@@ -98,8 +98,11 @@ func main() {
 	// machine to simulate, a scale below 1 would silently run the
 	// paper-faithful apps, fewer than one run would silently run the
 	// default three, fewer than one replica or worker would silently run
-	// one replica or NumCPU workers, and a negative worker count or jitter
-	// has no meaning.
+	// one replica or NumCPU workers, a zero seed would silently run seed 1,
+	// and a negative worker count or jitter has no meaning.
+	if *seed == 0 {
+		fatal(fmt.Errorf("-seed must be at least 1, got 0"))
+	}
 	if *gpus < 1 {
 		fatal(fmt.Errorf("-gpus must be at least 1, got %d", *gpus))
 	}

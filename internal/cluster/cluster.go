@@ -96,11 +96,11 @@ type RunConfig struct {
 	// Parallel selects the parallel-window executor on this many workers
 	// (see Result.Executor); 0 keeps the lockstep reference. Windows need
 	// the latency-floor lookahead, so three kinds of run stay lockstep
-	// whatever the value: a dispatcher that is neither LoadOblivious (an
-	// empty read set) nor a Lookahead with a known read set, a fleet whose
-	// dispatch floor is zero, and a run with the resilience layer armed,
-	// whose cross-node completion coupling (hedge cancellation, breaker
-	// feedback) shrinks the safe lookahead to zero (see DESIGN.md).
+	// whatever the value: a dispatcher that is neither LoadOblivious nor
+	// Lookahead, a fleet whose dispatch floor is zero, and a run with the
+	// resilience layer armed, whose cross-node completion coupling (hedge
+	// cancellation, breaker feedback) shrinks the safe lookahead to zero
+	// (see DESIGN.md).
 	// Cluster.Executor reports which loop runs.
 	Parallel int
 	// Warmth, when non-nil, warm-starts the dispatcher from a snapshot of a
@@ -613,9 +613,8 @@ func New(tr *trace.ArrivalTrace, rc RunConfig) (*Cluster, error) {
 	// shrinks the safe lookahead to zero — it always runs on the lockstep
 	// reference.
 	_, oblivious := c.disp.(LoadOblivious)
-	la, aware := c.disp.(Lookahead)
-	c.parOn = rc.Parallel >= 1 && c.res == nil && c.floorMin > 0 &&
-		(oblivious || aware && lookaheadReadsSafe(la.LookaheadReads()))
+	_, aware := c.disp.(Lookahead)
+	c.parOn = rc.Parallel >= 1 && c.res == nil && c.floorMin > 0 && (oblivious || aware)
 	c.parWorkers = rc.Parallel
 	return c, nil
 }

@@ -82,62 +82,22 @@ type WorkingSetAware interface {
 	SetWorkingSets(ws []int64)
 }
 
-// StateRead names one category of node state a load-aware dispatcher's Pick
-// consumes. Every category below is reconstructed exactly by the parallel
-// executor's window merge, which is what makes latency-floor lookahead
-// windows safe for dispatchers that read nothing else (see Lookahead and
-// parallel.go).
-type StateRead int
-
-// The merge-reproducible node-state categories.
-const (
-	// ReadInFlight is Node.InFlight — the outstanding-attempt count jsq,
-	// class-affinity and p2c minimize.
-	ReadInFlight StateRead = iota
-	// ReadInFlightByApp is the node's per-application in-flight counts —
-	// what predictive backlog weighting multiplies.
-	ReadInFlightByApp
-	// ReadMemory is Node.FreeHBM / the memory-demand counters a
-	// memory-aware Pick screens against.
-	ReadMemory
-	// ReadCompletions is the Completed feedback stream — per-app service
-	// time estimators and any other learned state fed by completions.
-	ReadCompletions
-
-	numStateReads // count sentinel, keep last
-)
-
 // Lookahead is the opt-in latency-floor contract for load-aware dispatchers:
-// an implementation declares, via LookaheadReads, every node-state category
-// its Pick (and hooks) consume beyond the dispatcher's own internal state.
-// If all declared reads are merge-reproducible — today every StateRead is —
-// and the fleet's dispatch floor is positive, the parallel executor may run
-// node engines past an arrival up to that floor and replay the declared
-// inputs in lockstep order before running Pick (see parallel.go). A
-// LoadOblivious dispatcher takes the same windows with an empty read set. A
-// dispatcher that is neither Lookahead nor LoadOblivious, or declares an
-// unknown read, runs lockstep whatever RunConfig.Parallel asks.
-// Declaring reads the Pick does not make is harmless; making reads it does
-// not declare (wall-clock node internals, engine peeks) breaks byte-identity
-// with lockstep.
+// an implementation promises that its Pick (and hooks) read, beyond the
+// dispatcher's own internal state, only node state the parallel executor's
+// window merge reconstructs exactly — Node.InFlight, the per-application
+// in-flight counts, Node.FreeHBM and the memory-demand counters, and the
+// Completed feedback stream. Each implementation lists its reads in its doc
+// comment. With a positive dispatch floor, the parallel executor may then run
+// node engines past an arrival up to that floor and replay those inputs in
+// lockstep order before running Pick (see parallel.go). A LoadOblivious
+// dispatcher takes the same windows. A dispatcher that is neither runs
+// lockstep whatever RunConfig.Parallel asks. Reading anything else
+// (wall-clock node internals, engine peeks) breaks byte-identity with
+// lockstep.
 type Lookahead interface {
-	LookaheadReads() []StateRead
-}
-
-// lookaheadReadsSafe reports whether a declared read set opts a dispatcher
-// into lookahead windows: non-empty and entirely within the known
-// merge-reproducible categories (an unknown value from a third-party
-// dispatcher falls back to lockstep).
-func lookaheadReadsSafe(reads []StateRead) bool {
-	if len(reads) == 0 {
-		return false
-	}
-	for _, r := range reads {
-		if r < 0 || r >= numStateReads {
-			return false
-		}
-	}
-	return true
+	// LookaheadDispatch is a marker; implementations do nothing.
+	LookaheadDispatch()
 }
 
 // NewDispatcher builds a built-in dispatch policy. The seed drives any
@@ -218,10 +178,10 @@ func (d *roundRobin) Pick(at sim.Time, class, app int, nodes []*Node) int {
 	return pick
 }
 
-// LoadObliviousDispatch marks round-robin's lookahead read set empty: Pick
-// reads only the cursor and the eligible-set length, never node load or
-// completion feedback, so the micro-merge has no node state to rebuild
-// before replaying it.
+// LoadObliviousDispatch marks round-robin load-oblivious: Pick reads only
+// the cursor and the eligible-set length, never node load or completion
+// feedback, so the micro-merge has no node state to rebuild before
+// replaying it.
 func (d *roundRobin) LoadObliviousDispatch() {}
 
 // WarmState and WarmStart carry round-robin's only state, the cursor, across
@@ -248,8 +208,9 @@ func (jsq) Pick(at sim.Time, class, app int, nodes []*Node) int {
 	return shortestQueue(nodes)
 }
 
-// LookaheadReads declares jsq's only input: the in-flight counts.
-func (jsq) LookaheadReads() []StateRead { return []StateRead{ReadInFlight} }
+// LookaheadDispatch opts jsq into lookahead windows: its only input is
+// Node.InFlight.
+func (jsq) LookaheadDispatch() {}
 
 // --- least-loaded (predicted backlog) --------------------------------------
 
@@ -313,11 +274,10 @@ func (d *leastLoaded) WarmStart(state any) {
 	}
 }
 
-// LookaheadReads declares the predicted-backlog inputs: per-app in-flight
-// counts weighted by estimates learned from completion feedback.
-func (d *leastLoaded) LookaheadReads() []StateRead {
-	return []StateRead{ReadInFlightByApp, ReadCompletions}
-}
+// LookaheadDispatch opts least-loaded into lookahead windows: it reads the
+// per-app in-flight counts, weighted by estimates learned from the Completed
+// feedback stream.
+func (d *leastLoaded) LookaheadDispatch() {}
 
 // prepWeights refreshes the per-app scratch weights for one Pick.
 func (d *leastLoaded) prepWeights() {
@@ -364,10 +324,9 @@ func (d *leastLoadedFits) Name() string { return string(KindLeastLoadedFits) }
 
 func (d *leastLoadedFits) SetWorkingSets(ws []int64) { d.ws = ws }
 
-// LookaheadReads adds the memory screen to least-loaded's declared inputs.
-func (d *leastLoadedFits) LookaheadReads() []StateRead {
-	return []StateRead{ReadInFlightByApp, ReadCompletions, ReadMemory}
-}
+// LookaheadDispatch opts least-loaded-fits into lookahead windows: it reads
+// least-loaded's inputs plus Node.FreeHBM and the memory-demand counters.
+func (d *leastLoadedFits) LookaheadDispatch() {}
 
 // Pick places the request on the least-predicted-backlog node among those
 // with enough free HBM for its working set. When no node fits — the fleet is
@@ -419,10 +378,11 @@ func (d *classAffinity) Name() string { return string(KindClassAffinity) }
 
 func (d *classAffinity) Reset(nodes, classes, apps int) { d.classes = classes }
 
-// LookaheadReads declares the subset shortest-queue input (the congruence
-// subset itself derives from Node.Index and the eligible-set shape, both
-// fixed between control events).
-func (d *classAffinity) LookaheadReads() []StateRead { return []StateRead{ReadInFlight} }
+// LookaheadDispatch opts class-affinity into lookahead windows: it reads
+// Node.InFlight within the class's subset (the congruence subset itself
+// derives from Node.Index and the eligible-set shape, both fixed between
+// control events).
+func (d *classAffinity) LookaheadDispatch() {}
 
 // Pick recomputes the class's subset from the live eligible set on every
 // call: eligible nodes whose fleet INDEX is congruent to the class modulo
@@ -484,10 +444,10 @@ func (d *powerOfTwo) Name() string { return string(KindPowerOfTwo) }
 
 func (d *powerOfTwo) Reset(nodes, classes, apps int) { d.r = rng.New(d.seed) }
 
-// LookaheadReads declares the two sampled queue probes; the sample stream
-// itself is the dispatcher's own seeded state, consumed in arrival order —
-// which the micro-merge preserves.
-func (d *powerOfTwo) LookaheadReads() []StateRead { return []StateRead{ReadInFlight} }
+// LookaheadDispatch opts p2c into lookahead windows: it reads Node.InFlight
+// of the two sampled nodes; the sample stream itself is the dispatcher's own
+// seeded state, consumed in arrival order — which the micro-merge preserves.
+func (d *powerOfTwo) LookaheadDispatch() {}
 
 func (d *powerOfTwo) Pick(at sim.Time, class, app int, nodes []*Node) int {
 	if len(nodes) == 0 {

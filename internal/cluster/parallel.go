@@ -38,9 +38,9 @@
 // dispatch command must cross the node's PCIe link; see
 // pcie.Config.DispatchFloor and Cluster.place), so no decision made in
 // [tA, tA+floorMin) can perturb any node engine before tA+floorMin. A
-// Lookahead dispatcher declares that its Pick reads only state the boundary
+// Lookahead dispatcher promises that its Pick reads only state the boundary
 // merge reconstructs (in-flight counts, memory demand, completion feedback);
-// a LoadOblivious one (round-robin) reads none, an empty read set. Either
+// a LoadOblivious one (round-robin) reads no node state at all. Either
 // makes this two-level soft-sync protocol safe: (1) run every node in
 // parallel to B = min(nextControl, tA+floorMin); (2) without tearing down the
 // worker pool, replay the window serially as an "arrival micro-merge":
@@ -67,8 +67,8 @@
 // stays put. If some node was still busy at the bound, no global finish
 // happened in the window and everyone simply tops up to the bound.
 //
-// Everything else runs lockstep: a dispatcher with neither contract (or a
-// Lookahead read set naming an unknown StateRead) would have to hard-sync at
+// Everything else runs lockstep: a dispatcher with neither contract would
+// have to hard-sync at
 // every arrival, a fleet whose dispatch floor is zero has no lookahead to
 // spend, and the resilience layer couples nodes at event granularity — a
 // completion there resolves hedges on other nodes, feeds breakers and
@@ -100,7 +100,7 @@ type batchEnt struct {
 // LoadOblivious marks a Dispatcher whose Pick and hooks depend only on the
 // dispatcher's own internal state and the eligible-set size — never on node
 // load or completion feedback. The windowed executor treats it as a
-// Lookahead with an empty read set: the micro-merge has nothing to rebuild
+// Lookahead that reads no node state: the micro-merge has nothing to rebuild
 // for its Pick. Round-robin qualifies; any policy reading Node.InFlight or
 // observing Completed does not.
 type LoadOblivious interface {

@@ -89,9 +89,9 @@ func TestParallelWindowMatchesLockstep(t *testing.T) {
 }
 
 // TestLookaheadEngages pins the latency-floor wiring: every built-in
-// dispatcher runs the parallel-window executor — each load-aware one by
-// declaring merge-reconstructible window reads, load-oblivious round-robin
-// as the empty read set. The safe lookahead must equal the PCIe dispatch
+// dispatcher runs the parallel-window executor — each load-aware one
+// through the Lookahead marker, load-oblivious round-robin through
+// LoadOblivious. The safe lookahead must equal the PCIe dispatch
 // floor minimized across the fleet, including the autoscaler's add-node
 // config.
 func TestLookaheadEngages(t *testing.T) {
@@ -118,12 +118,9 @@ func TestLookaheadEngages(t *testing.T) {
 			t.Errorf("%s: fleet floor %v, want the PCIe dispatch floor %v", kind, c.floorMin, want)
 		}
 		_, oblivious := any(d).(LoadOblivious)
-		la, aware := any(d).(Lookahead)
+		_, aware := any(d).(Lookahead)
 		if !oblivious && !aware {
-			t.Errorf("%s: load-aware dispatcher declares no lookahead reads; it windows at every arrival", kind)
-		}
-		if aware && !lookaheadReadsSafe(la.LookaheadReads()) {
-			t.Errorf("%s: LookaheadReads %v not within the merge-reconstructible set", kind, la.LookaheadReads())
+			t.Errorf("%s: load-aware dispatcher does not opt into lookahead; it windows at every arrival", kind)
 		}
 	}
 
@@ -185,8 +182,8 @@ func TestLookaheadMemoryPressureMatchesLockstep(t *testing.T) {
 }
 
 // TestParallelLookaheadMatchesLockstep pins the latency-floor lookahead for
-// both kinds of dispatcher it serves: load-oblivious round-robin (an empty
-// read set) and load-aware jsq — including the final window, where the
+// both kinds of dispatcher it serves: load-oblivious round-robin (no node
+// reads) and load-aware jsq — including the final window, where the
 // exact-stop logic must reproduce lockstep's done()-before-every-event
 // termination. A MaxSimTime axis cuts
 // the run early in the stream, mid-stream, just before, at and just after
@@ -197,7 +194,7 @@ func TestLookaheadMemoryPressureMatchesLockstep(t *testing.T) {
 // a saturated arrival rate.
 func TestParallelLookaheadMatchesLockstep(t *testing.T) {
 	if _, ok := any(NewRoundRobin()).(LoadOblivious); !ok {
-		t.Fatal("round-robin lost its LoadOblivious marker; the empty read set is untested")
+		t.Fatal("round-robin lost its LoadOblivious marker; the load-oblivious lookahead is untested")
 	}
 	dispatchers := []struct {
 		name string

@@ -6,7 +6,6 @@ import (
 	"repro/internal/arrivals"
 	"repro/internal/cluster"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // autoscaleSeedTag namespaces the elastic-fleet sweep's arrival streams:
@@ -85,64 +84,40 @@ var autoscaleStep = cluster.StepConfig{
 	LowBacklog:  1,
 }
 
-// AutoscaleRow is one cell of the elastic-fleet sweep: one arrival pattern
-// served by one fleet configuration under one fault-injection rate.
-type AutoscaleRow struct {
-	// Pattern is the load shape label; Fleet the fleet configuration;
-	// KillRate the injected node kills per simulated second.
-	Pattern  string
-	Fleet    string
-	KillRate float64
-	// Admitted/Completed/Lost are fleet-wide dispatch-attempt counts
-	// (Admitted = Completed + Lost + in-flight).
-	Admitted, Completed, Lost int
-	// RTLatP99Us is the rt class's p99 completion latency in microseconds.
-	RTLatP99Us float64
-	// RTMissRate is the rt class's fleet-wide deadline-miss rate.
-	RTMissRate float64
-	// Goodput is fleet-wide SLO-compliant completions per simulated second.
-	Goodput float64
-	// NodeSeconds is the capacity the run consumed: total node uptime, the
-	// cost side of the elasticity trade.
-	NodeSeconds float64
-	// ScaleUps/Drains/Kills count control-plane events.
-	ScaleUps, Drains, Kills int
-}
-
-// AutoscaleResult is the data behind the elastic-fleet sweep.
+// AutoscaleResult is the data behind the elastic-fleet sweep. A row's labels
+// are the arrival pattern, the fleet configuration and the injected node
+// kills per simulated second.
 type AutoscaleResult struct {
 	// RatePerSec is the base offered load the phase factors multiply.
 	RatePerSec float64
-	Rows       []AutoscaleRow
+	Rows       []FleetRow
 }
 
 // Table renders the sweep: per load shape, what the rt class's SLO costs in
 // node-seconds on a fixed small fleet, a fixed peak-provisioned fleet and an
-// autoscaled fleet — with and without node kills.
+// autoscaled fleet — with and without node kills. Admitted, done and lost
+// count dispatch attempts (admitted = done + lost + in-flight); node-ms is
+// the capacity the run consumed, the cost side of the elasticity trade.
 func (r *AutoscaleResult) Table() *Table {
-	t := &Table{
-		Title: fmt.Sprintf("Elastic fleet sweep: %.0f req/s base (Poisson x phases, rt/batch classes) under PPQ+adaptive, jsq dispatch, pattern x fleet x kill rate", r.RatePerSec),
-		Header: []string{"pattern", "fleet", "kills/s", "admitted", "done", "lost",
+	return fleetTable(
+		fmt.Sprintf("Elastic fleet sweep: %.0f req/s base (Poisson x phases, rt/batch classes) under PPQ+adaptive, jsq dispatch, pattern x fleet x kill rate", r.RatePerSec),
+		[]string{"pattern", "fleet", "kills/s", "admitted", "done", "lost",
 			"rt-p99(us)", "rt-miss", "goodput(req/s)", "node-ms", "ups", "drains", "kills"},
-	}
-	for _, row := range r.Rows {
-		t.Rows = append(t.Rows, []string{
-			row.Pattern,
-			row.Fleet,
-			fmt.Sprintf("%.0f", row.KillRate),
-			fmt.Sprintf("%d", row.Admitted),
-			fmt.Sprintf("%d", row.Completed),
-			fmt.Sprintf("%d", row.Lost),
-			fmt.Sprintf("%.1f", row.RTLatP99Us),
-			fmt.Sprintf("%.3f", row.RTMissRate),
-			fmt.Sprintf("%.0f", row.Goodput),
-			fmt.Sprintf("%.3f", row.NodeSeconds*1e3),
-			fmt.Sprintf("%d", row.ScaleUps),
-			fmt.Sprintf("%d", row.Drains),
-			fmt.Sprintf("%d", row.Kills),
+		r.Rows, func(res *cluster.Result) []string {
+			rt := &res.Classes[0]
+			return []string{
+				fmt.Sprintf("%d", res.Admitted),
+				fmt.Sprintf("%d", res.Completed),
+				fmt.Sprintf("%d", res.Lost),
+				fmt.Sprintf("%.1f", rt.Latency.Quantile(0.99).Microseconds()),
+				fmt.Sprintf("%.3f", rt.MissRate()),
+				fmt.Sprintf("%.0f", res.Goodput),
+				fmt.Sprintf("%.3f", res.NodeSeconds*1e3),
+				fmt.Sprintf("%d", res.ScaleUps),
+				fmt.Sprintf("%d", res.Drains),
+				fmt.Sprintf("%d", res.Kills),
+			}
 		})
-	}
-	return t
 }
 
 // RunAutoscale sweeps arrival pattern x fleet configuration x fault rate on
@@ -154,30 +129,21 @@ func (r *AutoscaleResult) Table() *Table {
 // submission order: the table is byte-identical at any worker count.
 func RunAutoscale(o Options) (*AutoscaleResult, error) {
 	h := NewHarness(o)
-	o = h.Opts
 	// The peak load-sweep rate: the quiet phases fit on the minimum fleet,
 	// and the flash peak (2.2x) overloads even the maximum for its duration
 	// — the regime where elasticity has a decision to make.
-	rate := peakLoadRate(o.Scale)
+	rate := peakLoadRate(h.Opts.Scale)
 
-	type fleetConf struct {
+	fleets := []struct {
 		label string
 		nodes int
 		auto  bool
-	}
-	fleets := []fleetConf{
+	}{
 		{FleetStaticMin, autoscaleMinNodes, false},
 		{FleetStaticMax, autoscaleMaxNodes, false},
 		{FleetAutoscaled, autoscaleMinNodes, true},
 	}
-
-	type autoscaleJob struct {
-		pattern  string
-		tr       *trace.ArrivalTrace
-		fleet    fleetConf
-		killRate float64
-	}
-	var jobs []autoscaleJob
+	var cells []fleetCell
 	for pi, p := range autoscalePatterns() {
 		tr, err := h.poissonStream(rate, loadClasses(h.Suite), p.phases, autoscaleSeedTag, uint64(pi))
 		if err != nil {
@@ -185,57 +151,24 @@ func RunAutoscale(o Options) (*AutoscaleResult, error) {
 		}
 		for _, f := range fleets {
 			for _, kr := range autoscaleKillRates {
-				jobs = append(jobs, autoscaleJob{pattern: p.label, tr: tr, fleet: f, killRate: kr})
+				rc, err := h.fleetConfig(cluster.KindJSQ, adaptive)
+				if err != nil {
+					return nil, err
+				}
+				rc.Nodes = f.nodes
+				if f.auto {
+					rc.Autoscale = &autoscaleStep
+				}
+				if kr > 0 {
+					rc.Faults = &cluster.FaultSpec{KillRate: kr}
+				}
+				cells = append(cells, fleetCell{[]string{p.label, f.label, fmt.Sprintf("%.0f", kr)}, tr, rc})
 			}
 		}
 	}
-
-	results, err := mapCells(o, len(jobs), func(i int) (*cluster.Result, error) {
-		j := jobs[i]
-		rc, err := h.fleetConfig(cluster.KindJSQ, adaptive)
-		if err != nil {
-			return nil, err
-		}
-		rc.Nodes = j.fleet.nodes
-		if j.fleet.auto {
-			rc.Autoscale = &autoscaleStep
-		}
-		if j.killRate > 0 {
-			rc.Faults = &cluster.FaultSpec{KillRate: j.killRate}
-		}
-		res, err := cluster.Run(j.tr, rc)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: autoscale %s %s kill=%g: %w", j.pattern, j.fleet.label, j.killRate, err)
-		}
-		return res, nil
-	}, func(i int, res *cluster.Result) string {
-		j := jobs[i]
-		return fmt.Sprintf("%-8s %-10s kill=%-5.0f done=%-5d lost=%-3d node-ms=%.3f",
-			j.pattern, j.fleet.label, j.killRate, res.Completed, res.Lost, res.NodeSeconds*1e3)
-	})
+	rows, err := h.runFleet("autoscale", cells)
 	if err != nil {
 		return nil, err
 	}
-
-	out := &AutoscaleResult{RatePerSec: rate}
-	for i, res := range results {
-		j := jobs[i]
-		rt := &res.Classes[0]
-		out.Rows = append(out.Rows, AutoscaleRow{
-			Pattern:     j.pattern,
-			Fleet:       j.fleet.label,
-			KillRate:    j.killRate,
-			Admitted:    res.Admitted,
-			Completed:   res.Completed,
-			Lost:        res.Lost,
-			RTLatP99Us:  rt.Latency.Quantile(0.99).Microseconds(),
-			RTMissRate:  rt.MissRate(),
-			Goodput:     res.Goodput,
-			NodeSeconds: res.NodeSeconds,
-			ScaleUps:    res.ScaleUps,
-			Drains:      res.Drains,
-			Kills:       res.Kills,
-		})
-	}
-	return out, nil
+	return &AutoscaleResult{RatePerSec: rate, Rows: rows}, nil
 }

@@ -40,31 +40,25 @@ func TestAutoscaleFlashCrowdPin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	min, ok := find(r.Rows, func(x AutoscaleRow) bool {
-		return x.Pattern == "flash" && x.Fleet == FleetStaticMin && x.KillRate == 0
-	})
+	min, ok := findRow(r.Rows, "flash", FleetStaticMin, "0")
 	if !ok {
 		t.Fatalf("missing flash %s row", FleetStaticMin)
 	}
-	max, ok := find(r.Rows, func(x AutoscaleRow) bool {
-		return x.Pattern == "flash" && x.Fleet == FleetStaticMax && x.KillRate == 0
-	})
+	max, ok := findRow(r.Rows, "flash", FleetStaticMax, "0")
 	if !ok {
 		t.Fatalf("missing flash %s row", FleetStaticMax)
 	}
-	auto, ok := find(r.Rows, func(x AutoscaleRow) bool {
-		return x.Pattern == "flash" && x.Fleet == FleetAutoscaled && x.KillRate == 0
-	})
+	auto, ok := findRow(r.Rows, "flash", FleetAutoscaled, "0")
 	if !ok {
 		t.Fatalf("missing flash %s row", FleetAutoscaled)
 	}
-	if min.RTMissRate == 0 {
+	if rtMiss(min.Classes) == 0 {
 		t.Fatalf("flash crowd does not stress the %s fleet (zero rt misses): the sweep is miscalibrated",
 			FleetStaticMin)
 	}
-	if auto.RTMissRate > max.RTMissRate {
+	if rtMiss(auto.Classes) > rtMiss(max.Classes) {
 		t.Errorf("autoscaled rt miss rate %.3f exceeds the peak-provisioned fleet's %.3f under the flash crowd",
-			auto.RTMissRate, max.RTMissRate)
+			rtMiss(auto.Classes), rtMiss(max.Classes))
 	}
 	if auto.NodeSeconds >= max.NodeSeconds {
 		t.Errorf("autoscaled fleet consumed %.6f node-seconds, not below the peak-provisioned fleet's %.6f",

@@ -2,10 +2,13 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/preempt"
+	"repro/internal/trace"
 )
 
 // clusterSeedTag namespaces the cluster sweep's arrival-stream seed.
@@ -29,42 +32,79 @@ var clusterDispatchers = []cluster.Kind{
 // placement has no choice to make.
 const SingleGPUDispatch = "-"
 
-// ClusterRow is one cell of the cluster sweep: one fleet size, dispatch
-// policy and preemption mechanism at the fixed offered load.
-type ClusterRow struct {
-	// GPUs is the fleet size; Dispatch is the placement policy
-	// (SingleGPUDispatch for one GPU, where it is irrelevant).
-	GPUs     int
-	Dispatch string
-	// Mechanism is the per-GPU preemption mechanism label.
-	Mechanism string
-	// rtStats are fleet-wide: request counts and rt outcomes summed across
-	// nodes, utilization the mean across them.
-	rtStats
+// FleetRow is one cell of a fleet grid: its coordinates on the grid's axes,
+// rendered in the table's leading columns, and the fleet result it measured.
+type FleetRow struct {
+	Labels []string
+	*cluster.Result
 }
 
-// ClusterResult is the data behind the cluster sweep.
+// ClusterResult is the data behind the cluster sweep. A row's labels are the
+// fleet size, the dispatch policy (SingleGPUDispatch for one GPU, where it is
+// irrelevant) and the preemption mechanism.
 type ClusterResult struct {
 	// GPUs are the swept fleet sizes, ascending.
 	GPUs []int
 	// RatePerSec is the fixed offered load every cell serves.
 	RatePerSec float64
-	Rows       []ClusterRow
+	Rows       []FleetRow
 }
 
 // Table renders the sweep: per fleet size, how each dispatch policy and
 // preemption mechanism trade the rt class's tail latency and deadline misses
 // against goodput at the same offered load — does adding a GPU beat
-// upgrading the mechanism?
+// upgrading the mechanism? Request counts and rt outcomes are fleet-wide,
+// utilization the mean across nodes.
 func (r *ClusterResult) Table() *Table {
-	t := &Table{
-		Title:  fmt.Sprintf("Cluster sweep: %0.f req/s (Poisson, rt/batch classes over the Parboil kernel mix) under PPQ, GPU count x dispatch x mechanism", r.RatePerSec),
-		Header: append([]string{"gpus", "dispatch", "mechanism"}, rtStatsHeader...),
-	}
-	for _, row := range r.Rows {
-		t.Rows = append(t.Rows, append([]string{fmt.Sprintf("%d", row.GPUs), row.Dispatch, row.Mechanism}, row.cells()...))
+	return fleetTable(
+		fmt.Sprintf("Cluster sweep: %0.f req/s (Poisson, rt/batch classes over the Parboil kernel mix) under PPQ, GPU count x dispatch x mechanism", r.RatePerSec),
+		append([]string{"gpus", "dispatch", "mechanism"}, rtHeader...), r.Rows,
+		func(res *cluster.Result) []string {
+			return rtCells(&res.Classes[0], res.Admitted, res.Completed, res.InFlight, res.Goodput, res.Utilization)
+		})
+}
+
+// fleetTable renders a fleet grid: each row's labels followed by the cells
+// its result renders to. The labels are clipped so the append copies them
+// instead of writing into the row.
+func fleetTable(title string, header []string, rows []FleetRow, cells func(*cluster.Result) []string) *Table {
+	t := &Table{Title: title, Header: header}
+	for _, row := range rows {
+		t.Rows = append(t.Rows, append(slices.Clip(row.Labels), cells(row.Result)...))
 	}
 	return t
+}
+
+// fleetCell is one simulation of a fleet grid: its labels, the arrival
+// stream it replays and the fleet it runs on.
+type fleetCell struct {
+	labels []string
+	tr     *trace.ArrivalTrace
+	rc     cluster.RunConfig
+}
+
+// runFleet runs the cells of the named fleet grid on the shared concurrent
+// runner and returns one row per cell, in cell order.
+func (h *Harness) runFleet(grid string, cells []fleetCell) ([]FleetRow, error) {
+	results, err := mapCells(h.Opts, len(cells), func(i int) (*cluster.Result, error) {
+		c := cells[i]
+		res, err := cluster.Run(c.tr, c.rc)
+		if err != nil {
+			return nil, fmt.Errorf("experiments: %s %s: %w", grid, strings.Join(c.labels, " "), err)
+		}
+		return res, nil
+	}, func(i int, res *cluster.Result) string {
+		return fmt.Sprintf("%s %-36s done=%-5d end=%-12v util=%.2f",
+			grid, strings.Join(cells[i].labels, " "), res.Completed, res.EndTime, res.Utilization)
+	})
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]FleetRow, len(cells))
+	for i, res := range results {
+		rows[i] = FleetRow{Labels: cells[i].labels, Result: res}
+	}
+	return rows, nil
 }
 
 // fleetConfig returns the base cluster configuration the fleet grids share:
@@ -98,25 +138,16 @@ func adaptive() core.Mechanism { return preempt.NewAdaptive() }
 // byte-identical at any worker count. gpus == nil sweeps DefaultClusterGPUs.
 func RunCluster(o Options, gpus []int) (*ClusterResult, error) {
 	h := NewHarness(o)
-	o = h.Opts
 	if gpus == nil {
 		gpus = DefaultClusterGPUs()
 	}
-	rate := peakLoadRate(o.Scale)
+	rate := peakLoadRate(h.Opts.Scale)
 	tr, err := h.poissonStream(rate, loadClasses(h.Suite), nil, clusterSeedTag)
 	if err != nil {
 		return nil, err
 	}
 
-	confs := mechConfs()
-
-	type clusterJob struct {
-		gpus     int
-		dispatch cluster.Kind
-		label    string
-		mech     mechConf
-	}
-	var jobs []clusterJob
+	var cells []fleetCell
 	for _, g := range gpus {
 		disps := clusterDispatchers
 		if g == 1 {
@@ -127,38 +158,19 @@ func RunCluster(o Options, gpus []int) (*ClusterResult, error) {
 			if g == 1 {
 				label = SingleGPUDispatch
 			}
-			for _, mc := range confs {
-				jobs = append(jobs, clusterJob{gpus: g, dispatch: d, label: label, mech: mc})
+			for _, mc := range mechConfs() {
+				rc, err := h.fleetConfig(d, mc.mk)
+				if err != nil {
+					return nil, err
+				}
+				rc.Nodes = g
+				cells = append(cells, fleetCell{[]string{fmt.Sprintf("%d", g), label, mc.label}, tr, rc})
 			}
 		}
 	}
-
-	results, err := mapCells(o, len(jobs), func(i int) (*cluster.Result, error) {
-		j := jobs[i]
-		rc, err := h.fleetConfig(j.dispatch, j.mech.mk)
-		if err != nil {
-			return nil, err
-		}
-		rc.Nodes = j.gpus
-		res, err := cluster.Run(tr, rc)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: cluster %d GPUs %s %s: %w", j.gpus, j.label, j.mech.label, err)
-		}
-		return res, nil
-	}, func(i int, res *cluster.Result) string {
-		j := jobs[i]
-		return fmt.Sprintf("gpus=%d %-14s %-14s done=%-5d end=%-12v util=%.2f",
-			j.gpus, j.label, j.mech.label, res.Completed, res.EndTime, res.Utilization)
-	})
+	rows, err := h.runFleet("cluster", cells)
 	if err != nil {
 		return nil, err
 	}
-
-	out := &ClusterResult{GPUs: gpus, RatePerSec: rate}
-	for i, res := range results {
-		j := jobs[i]
-		out.Rows = append(out.Rows, ClusterRow{GPUs: j.gpus, Dispatch: j.label, Mechanism: j.mech.label,
-			rtStats: newRTStats(&res.Classes[0], res.Admitted, res.Completed, res.InFlight, res.Goodput, res.Utilization)})
-	}
-	return out, nil
+	return &ClusterResult{GPUs: gpus, RatePerSec: rate, Rows: rows}, nil
 }

@@ -55,8 +55,6 @@ type Options struct {
 	// is byte-identical either way; it parallelizes inside one cell, where
 	// Workers parallelizes across cells.
 	ParWindow int
-	// Context, when non-nil, cancels an in-flight experiment grid.
-	Context context.Context
 }
 
 func (o Options) withDefaults() Options {
@@ -200,18 +198,14 @@ func (h *Harness) runAll(jobs []simJob) ([]*workload.Result, error) {
 }
 
 // mapCells runs run(i) for every cell i in [0, n) of an experiment grid on
-// the shared concurrent runner (o.Workers, o.Context) and returns the
-// results in submission order. With o.Progress set and a non-nil progress,
+// the shared concurrent runner (o.Workers) and returns the results in
+// submission order. With o.Progress set and a non-nil progress,
 // every completed cell prints one line: a [completed/total] counter followed
 // by progress(i, result).
 func mapCells[T any](o Options, n int, run func(i int) (T, error), progress func(i int, res T) string) ([]T, error) {
-	ctx := o.Context
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	var mu sync.Mutex
 	done := 0
-	return runner.Map(ctx, n, runner.Options{Workers: o.Workers},
+	return runner.Map(context.Background(), n, runner.Options{Workers: o.Workers},
 		func(ctx context.Context, i int) (T, error) {
 			res, err := run(i)
 			if err == nil && o.Progress != nil && progress != nil {

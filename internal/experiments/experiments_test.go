@@ -6,6 +6,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/metrics"
 )
 
 // find returns the first row match accepts and whether there is one.
@@ -15,6 +17,21 @@ func find[R any](rows []R, match func(R) bool) (R, bool) {
 	}
 	var zero R
 	return zero, false
+}
+
+// findRow returns the fleet-grid row with exactly these labels and whether
+// there is one.
+func findRow(rows []FleetRow, labels ...string) (FleetRow, bool) {
+	return find(rows, func(x FleetRow) bool { return slices.Equal(x.Labels, labels) })
+}
+
+// rtMiss is the rt class's deadline-miss rate; classes is a result's
+// per-class SLO accounts, the rt class first.
+func rtMiss(classes []metrics.ClassSLO) float64 { return classes[0].MissRate() }
+
+// rtP99 is the rt class's p99 completion latency in microseconds.
+func rtP99(classes []metrics.ClassSLO) float64 {
+	return classes[0].Latency.Quantile(0.99).Microseconds()
 }
 
 // quickOpts keeps experiment tests fast: scaled-down apps, one small size.

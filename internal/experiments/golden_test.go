@@ -237,12 +237,12 @@ func TestLoadAdaptiveBeatsDrainingAtPeak(t *testing.T) {
 	if !ok {
 		t.Fatal("missing adaptive row at peak load")
 	}
-	if drain.RTMissRate == 0 {
+	if rtMiss(drain.Classes) == 0 {
 		t.Fatalf("peak load %v/s does not stress draining (zero misses): the sweep is miscalibrated", peak)
 	}
-	if adaptive.RTMissRate >= drain.RTMissRate {
+	if rtMiss(adaptive.Classes) >= rtMiss(drain.Classes) {
 		t.Errorf("adaptive rt miss rate %.3f not strictly below draining %.3f at peak load %v/s",
-			adaptive.RTMissRate, drain.RTMissRate, peak)
+			rtMiss(adaptive.Classes), rtMiss(drain.Classes), peak)
 	}
 }
 
@@ -267,30 +267,26 @@ func TestClusterFourJSQBeatsSingleGPU(t *testing.T) {
 	}
 	bestSingle := 1.0
 	for _, mech := range MechLabels {
-		row, ok := find(clu.Rows, func(x ClusterRow) bool {
-			return x.GPUs == 1 && x.Dispatch == SingleGPUDispatch && x.Mechanism == mech
-		})
+		row, ok := findRow(clu.Rows, "1", SingleGPUDispatch, mech)
 		if !ok {
 			t.Fatalf("missing 1-GPU row for %s", mech)
 		}
-		if row.RTMissRate == 0 {
+		if rtMiss(row.Classes) == 0 {
 			t.Fatalf("offered load %v/s does not stress one GPU under %s (zero misses): the sweep is miscalibrated",
 				clu.RatePerSec, mech)
 		}
-		if row.RTMissRate < bestSingle {
-			bestSingle = row.RTMissRate
+		if rtMiss(row.Classes) < bestSingle {
+			bestSingle = rtMiss(row.Classes)
 		}
 	}
 	for _, mech := range MechLabels {
-		row, ok := find(clu.Rows, func(x ClusterRow) bool {
-			return x.GPUs == 4 && x.Dispatch == string(cluster.KindJSQ) && x.Mechanism == mech
-		})
+		row, ok := findRow(clu.Rows, "4", string(cluster.KindJSQ), mech)
 		if !ok {
 			t.Fatalf("missing 4-GPU jsq row for %s", mech)
 		}
-		if row.RTMissRate >= bestSingle {
+		if rtMiss(row.Classes) >= bestSingle {
 			t.Errorf("4 GPUs + jsq + %s rt miss rate %.3f not strictly below the best single-GPU rate %.3f",
-				mech, row.RTMissRate, bestSingle)
+				mech, rtMiss(row.Classes), bestSingle)
 		}
 	}
 }

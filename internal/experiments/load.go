@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/arrivals"
+	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/rng"
 	"repro/internal/sim"
@@ -33,65 +34,38 @@ func DefaultLoadRates(scale int) []float64 {
 	return []float64{100 * s, 400 * s, 1600 * s}
 }
 
-// rtStats are the per-cell statistics the load and cluster sweeps share.
-type rtStats struct {
-	// Admitted/Completed/InFlight are request counts; InFlight is the
-	// backlog still in the machine at the end of the simulation.
-	Admitted, Completed, InFlight int
-	// RTWaitP95Us is the rt class's p95 queueing latency in microseconds.
-	RTWaitP95Us float64
-	// RTLatP50Us/P95/P99 are the rt class's completion-latency percentiles.
-	RTLatP50Us, RTLatP95Us, RTLatP99Us float64
-	// RTMissRate is the rt class's deadline-miss rate.
-	RTMissRate float64
-	// Goodput is SLO-compliant completions per simulated second.
-	Goodput float64
-	// Utilization is the SM busy fraction (the fleet mean on a cluster).
-	Utilization float64
-}
-
-// rtStatsHeader heads the columns rtStats.cells renders.
-var rtStatsHeader = []string{"admitted", "done", "inflight",
+// rtHeader heads the columns rtCells renders.
+var rtHeader = []string{"admitted", "done", "inflight",
 	"rt-wait-p95(us)", "rt-p50(us)", "rt-p95(us)", "rt-p99(us)", "rt-miss", "goodput(req/s)", "util"}
 
-// newRTStats collects a cell's statistics; rt is the rt class's account.
-func newRTStats(rt *metrics.ClassSLO, admitted, completed, inFlight int, goodput, util float64) rtStats {
-	return rtStats{
-		Admitted:    admitted,
-		Completed:   completed,
-		InFlight:    inFlight,
-		RTWaitP95Us: rt.Wait.Quantile(0.95).Microseconds(),
-		RTLatP50Us:  rt.Latency.Quantile(0.50).Microseconds(),
-		RTLatP95Us:  rt.Latency.Quantile(0.95).Microseconds(),
-		RTLatP99Us:  rt.Latency.Quantile(0.99).Microseconds(),
-		RTMissRate:  rt.MissRate(),
-		Goodput:     goodput,
-		Utilization: util,
-	}
-}
-
-// cells renders the statistics under rtStatsHeader.
-func (s rtStats) cells() []string {
+// rtCells renders the per-cell statistics the load and cluster sweeps share:
+// request counts (inflight is the backlog still in the machine at the end of
+// the simulation), the rt class's p95 queueing latency and completion-latency
+// percentiles in microseconds and its deadline-miss rate, SLO-compliant
+// completions per simulated second and the SM busy fraction. rt is the rt
+// class's account.
+func rtCells(rt *metrics.ClassSLO, admitted, completed, inFlight int, goodput, util float64) []string {
 	return []string{
-		fmt.Sprintf("%d", s.Admitted),
-		fmt.Sprintf("%d", s.Completed),
-		fmt.Sprintf("%d", s.InFlight),
-		fmt.Sprintf("%.1f", s.RTWaitP95Us),
-		fmt.Sprintf("%.1f", s.RTLatP50Us),
-		fmt.Sprintf("%.1f", s.RTLatP95Us),
-		fmt.Sprintf("%.1f", s.RTLatP99Us),
-		fmt.Sprintf("%.3f", s.RTMissRate),
-		fmt.Sprintf("%.0f", s.Goodput),
-		fmt.Sprintf("%.2f", s.Utilization),
+		fmt.Sprintf("%d", admitted),
+		fmt.Sprintf("%d", completed),
+		fmt.Sprintf("%d", inFlight),
+		fmt.Sprintf("%.1f", rt.Wait.Quantile(0.95).Microseconds()),
+		fmt.Sprintf("%.1f", rt.Latency.Quantile(0.50).Microseconds()),
+		fmt.Sprintf("%.1f", rt.Latency.Quantile(0.95).Microseconds()),
+		fmt.Sprintf("%.1f", rt.Latency.Quantile(0.99).Microseconds()),
+		fmt.Sprintf("%.3f", rt.MissRate()),
+		fmt.Sprintf("%.0f", goodput),
+		fmt.Sprintf("%.2f", util),
 	}
 }
 
-// LoadRow is one cell of the load sweep: one mechanism at one offered load.
+// LoadRow is one cell of the load sweep: one mechanism at one offered load,
+// and the open-system result it measured.
 type LoadRow struct {
 	// RatePerSec is the offered load (requests per second).
 	RatePerSec float64
 	Mechanism  string
-	rtStats
+	*arrivals.Result
 }
 
 // LoadResult is the data behind the load sweep.
@@ -106,10 +80,11 @@ type LoadResult struct {
 func (r *LoadResult) Table() *Table {
 	t := &Table{
 		Title:  "Load sweep: open-system arrivals (Poisson, rt/batch classes over the Parboil kernel mix) under PPQ",
-		Header: append([]string{"rate(req/s)", "mechanism"}, rtStatsHeader...),
+		Header: append([]string{"rate(req/s)", "mechanism"}, rtHeader...),
 	}
 	for _, row := range r.Rows {
-		t.Rows = append(t.Rows, append([]string{fmt.Sprintf("%.0f", row.RatePerSec), row.Mechanism}, row.cells()...))
+		t.Rows = append(t.Rows, append([]string{fmt.Sprintf("%.0f", row.RatePerSec), row.Mechanism},
+			rtCells(&row.Classes[0], row.Admitted, row.Completed, row.InFlight, row.Goodput, row.Utilization)...))
 	}
 	return t
 }
@@ -170,55 +145,44 @@ func (h *Harness) poissonStream(rate float64, classes []arrivals.ClassSpec, phas
 // DefaultLoadRates for the configured scale.
 func RunLoad(o Options, rates []float64) (*LoadResult, error) {
 	h := NewHarness(o)
-	o = h.Opts
 	if rates == nil {
-		rates = DefaultLoadRates(o.Scale)
+		rates = DefaultLoadRates(h.Opts.Scale)
 	}
 	classes := loadClasses(h.Suite)
 
-	confs := mechConfs()
-
-	type loadJob struct {
-		rate float64
-		mech mechConf
-		tr   *trace.ArrivalTrace
-	}
-	var jobs []loadJob
+	var rows []LoadRow
+	var trs []*trace.ArrivalTrace
+	var mechs []func() core.Mechanism
 	for ri, rate := range rates {
 		tr, err := h.poissonStream(rate, classes, nil, 0x10AD, uint64(ri))
 		if err != nil {
 			return nil, err
 		}
-		for _, c := range confs {
-			jobs = append(jobs, loadJob{rate: rate, mech: c, tr: tr})
+		for _, c := range mechConfs() {
+			rows = append(rows, LoadRow{RatePerSec: rate, Mechanism: c.label})
+			trs, mechs = append(trs, tr), append(mechs, c.mk)
 		}
 	}
 
-	results, err := mapCells(o, len(jobs), func(i int) (*arrivals.Result, error) {
-		j := jobs[i]
-		res, err := arrivals.Run(j.tr, arrivals.RunConfig{
+	results, err := mapCells(h.Opts, len(rows), func(i int) (*arrivals.Result, error) {
+		res, err := arrivals.Run(trs[i], arrivals.RunConfig{
 			Sys:       h.runConfig(false).Sys,
 			Policy:    ppq,
-			Mechanism: j.mech.mk,
+			Mechanism: mechs[i],
 		})
 		if err != nil {
-			return nil, fmt.Errorf("experiments: load %g/s %s: %w", j.rate, j.mech.label, err)
+			return nil, fmt.Errorf("experiments: load %g/s %s: %w", rows[i].RatePerSec, rows[i].Mechanism, err)
 		}
 		return res, nil
 	}, func(i int, res *arrivals.Result) string {
-		j := jobs[i]
 		return fmt.Sprintf("load=%-8.0f %-14s done=%-5d end=%-12v util=%.2f",
-			j.rate, j.mech.label, res.Completed, res.EndTime, res.Utilization)
+			rows[i].RatePerSec, rows[i].Mechanism, res.Completed, res.EndTime, res.Utilization)
 	})
 	if err != nil {
 		return nil, err
 	}
-
-	out := &LoadResult{Rates: rates}
 	for i, res := range results {
-		j := jobs[i]
-		out.Rows = append(out.Rows, LoadRow{RatePerSec: j.rate, Mechanism: j.mech.label,
-			rtStats: newRTStats(&res.Classes[0], res.Admitted, res.Completed, res.InFlight, res.Goodput, res.Utilization)})
+		rows[i].Result = res
 	}
-	return out, nil
+	return &LoadResult{Rates: rates, Rows: rows}, nil
 }

@@ -34,61 +34,39 @@ const (
 	memoryFleetSize = 4
 )
 
-// MemoryRow is one cell of the memory grid: one HBM regime served through
-// one dispatch policy under one oversubscription discipline.
-type MemoryRow struct {
-	// Regime is the HBM-capacity label; Dispatch the placement policy; Mem
-	// the oversubscription discipline ("block" or "swap").
-	Regime   string
-	Dispatch string
-	Mem      string
-	// Admitted/Completed are fleet-wide dispatch-attempt counts.
-	Admitted, Completed int
-	// Spills counts working sets that did not fit at admission and swapped
-	// out; SwapIns the completed swap-back-ins; SwapOutMiB the spilled
-	// traffic (all zero in block mode, where oversubscribed requests wait).
-	Spills, SwapIns int
-	SwapOutMiB      float64
-	// RTLatP99Us is the rt class's p99 completion latency in microseconds.
-	RTLatP99Us float64
-	// RTMissRate is the rt class's fleet-wide deadline-miss rate.
-	RTMissRate float64
-	// Goodput is fleet-wide SLO-compliant completions per simulated second.
-	Goodput float64
-}
-
-// MemoryResult is the data behind the memory grid.
+// MemoryResult is the data behind the memory grid. A row's labels are the
+// HBM regime, the dispatch policy and the oversubscription discipline
+// ("block" or "swap").
 type MemoryResult struct {
 	// RatePerSec is the offered load every cell serves.
 	RatePerSec float64
-	Rows       []MemoryRow
+	Rows       []FleetRow
 }
 
 // Table renders the grid: per HBM regime, what memory-blind vs memory-aware
 // placement costs the rt class under admission blocking and under swap.
+// Spills count working sets that did not fit at admission and swapped out,
+// swap-ins the completed swap-back-ins (both zero in block mode, where
+// oversubscribed requests wait).
 func (r *MemoryResult) Table() *Table {
-	t := &Table{
-		Title: fmt.Sprintf("Memory grid: %.0f req/s (Poisson, rt/batch classes, %d/%d MiB working sets) under PPQ+adaptive, 4 nodes, regime x dispatch x mem mode",
+	return fleetTable(
+		fmt.Sprintf("Memory grid: %.0f req/s (Poisson, rt/batch classes, %d/%d MiB working sets) under PPQ+adaptive, 4 nodes, regime x dispatch x mem mode",
 			r.RatePerSec, memoryRTWS>>20, memoryBatchWS>>20),
-		Header: []string{"regime", "dispatch", "mem", "admitted", "done",
+		[]string{"regime", "dispatch", "mem", "admitted", "done",
 			"spills", "swap-ins", "swap-out(MiB)", "rt-p99(us)", "rt-miss", "goodput(req/s)"},
-	}
-	for _, row := range r.Rows {
-		t.Rows = append(t.Rows, []string{
-			row.Regime,
-			row.Dispatch,
-			row.Mem,
-			fmt.Sprintf("%d", row.Admitted),
-			fmt.Sprintf("%d", row.Completed),
-			fmt.Sprintf("%d", row.Spills),
-			fmt.Sprintf("%d", row.SwapIns),
-			fmt.Sprintf("%.1f", row.SwapOutMiB),
-			fmt.Sprintf("%.1f", row.RTLatP99Us),
-			fmt.Sprintf("%.3f", row.RTMissRate),
-			fmt.Sprintf("%.0f", row.Goodput),
+		r.Rows, func(res *cluster.Result) []string {
+			rt := &res.Classes[0]
+			return []string{
+				fmt.Sprintf("%d", res.Admitted),
+				fmt.Sprintf("%d", res.Completed),
+				fmt.Sprintf("%d", res.Spills),
+				fmt.Sprintf("%d", res.SwapIns),
+				fmt.Sprintf("%.1f", float64(res.SwapOutBytes)/(1<<20)),
+				fmt.Sprintf("%.1f", rt.Latency.Quantile(0.99).Microseconds()),
+				fmt.Sprintf("%.3f", rt.MissRate()),
+				fmt.Sprintf("%.0f", res.Goodput),
+			}
 		})
-	}
-	return t
 }
 
 // memoryClasses builds the rt/batch class split with explicit working-set
@@ -126,90 +104,45 @@ func memoryClasses(suite []*trace.App) []arrivals.ClassSpec {
 // byte-identical at any worker count.
 func RunMemory(o Options) (*MemoryResult, error) {
 	h := NewHarness(o)
-	o = h.Opts
 	// The peak load-sweep rate: backlogs build on every node, so the sum of
 	// placed working sets far exceeds the tight nodes' HBM and the memory
 	// discipline — not compute — decides the rt tail in the scarce regime.
-	rate := peakLoadRate(o.Scale)
+	rate := peakLoadRate(h.Opts.Scale)
 	tr, err := h.poissonStream(rate, memoryClasses(h.Suite), nil, memorySeedTag)
 	if err != nil {
 		return nil, err
 	}
 
-	type regimeConf struct {
+	regimes := []struct {
 		label string
 		hbm   int64              // homogeneous capacity (0 = use types)
 		types []cluster.NodeType // heterogeneous capacities
-	}
-	regimes := []regimeConf{
+	}{
 		{label: "ample", hbm: memoryAmpleHBM},
 		{label: "scarce", types: []cluster.NodeType{
 			{Count: memoryFleetSize / 2, HBMBytes: memoryRoomyHBM},
 			{Count: memoryFleetSize / 2, HBMBytes: memoryTightHBM},
 		}},
 	}
-	dispatches := []cluster.Kind{cluster.KindLeastLoaded, cluster.KindLeastLoadedFits}
-	memModes := []bool{false, true} // block, swap
-
-	type memoryJob struct {
-		regime regimeConf
-		disp   cluster.Kind
-		swap   bool
-	}
-	var jobs []memoryJob
+	var cells []fleetCell
 	for _, rg := range regimes {
-		for _, d := range dispatches {
-			for _, swap := range memModes {
-				jobs = append(jobs, memoryJob{regime: rg, disp: d, swap: swap})
+		for _, d := range []cluster.Kind{cluster.KindLeastLoaded, cluster.KindLeastLoadedFits} {
+			for _, mem := range []string{"block", "swap"} {
+				rc, err := h.fleetConfig(d, adaptive)
+				if err != nil {
+					return nil, err
+				}
+				rc.NodeTypes, rc.Swap = rg.types, mem == "swap"
+				if len(rc.NodeTypes) == 0 {
+					rc.Nodes, rc.Sys.GPU.MemSize = memoryFleetSize, rg.hbm
+				}
+				cells = append(cells, fleetCell{[]string{rg.label, string(d), mem}, tr, rc})
 			}
 		}
 	}
-
-	results, err := mapCells(o, len(jobs), func(i int) (*cluster.Result, error) {
-		j := jobs[i]
-		rc, err := h.fleetConfig(j.disp, adaptive)
-		if err != nil {
-			return nil, err
-		}
-		rc.NodeTypes, rc.Swap = j.regime.types, j.swap
-		if len(rc.NodeTypes) == 0 {
-			rc.Nodes, rc.Sys.GPU.MemSize = memoryFleetSize, j.regime.hbm
-		}
-		res, err := cluster.Run(tr, rc)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: memory %s %s swap=%v: %w", j.regime.label, j.disp, j.swap, err)
-		}
-		return res, nil
-	}, func(i int, res *cluster.Result) string {
-		j := jobs[i]
-		return fmt.Sprintf("%-7s %-18s swap=%-5v done=%-5d spills=%-4d",
-			j.regime.label, j.disp, j.swap, res.Completed, res.Spills)
-	})
+	rows, err := h.runFleet("memory", cells)
 	if err != nil {
 		return nil, err
 	}
-
-	out := &MemoryResult{RatePerSec: rate}
-	for i, res := range results {
-		j := jobs[i]
-		mem := "block"
-		if j.swap {
-			mem = "swap"
-		}
-		rt := &res.Classes[0]
-		out.Rows = append(out.Rows, MemoryRow{
-			Regime:     j.regime.label,
-			Dispatch:   string(j.disp),
-			Mem:        mem,
-			Admitted:   res.Admitted,
-			Completed:  res.Completed,
-			Spills:     res.Spills,
-			SwapIns:    res.SwapIns,
-			SwapOutMiB: float64(res.SwapOutBytes) / (1 << 20),
-			RTLatP99Us: rt.Latency.Quantile(0.99).Microseconds(),
-			RTMissRate: rt.MissRate(),
-			Goodput:    res.Goodput,
-		})
-	}
-	return out, nil
+	return &MemoryResult{RatePerSec: rate, Rows: rows}, nil
 }

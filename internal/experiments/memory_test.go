@@ -42,29 +42,38 @@ func TestMemoryFitsBeatsPlainPin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, ok := find(r.Rows, func(x MemoryRow) bool {
-		return x.Regime == "scarce" && x.Dispatch == string(cluster.KindLeastLoaded) && x.Mem == "block"
-	})
+	plain, ok := findRow(r.Rows, "scarce", string(cluster.KindLeastLoaded), "block")
 	if !ok {
 		t.Fatal("missing scarce least-loaded block row")
 	}
-	fits, ok := find(r.Rows, func(x MemoryRow) bool {
-		return x.Regime == "scarce" && x.Dispatch == string(cluster.KindLeastLoadedFits) && x.Mem == "block"
-	})
+	fits, ok := findRow(r.Rows, "scarce", string(cluster.KindLeastLoadedFits), "block")
 	if !ok {
 		t.Fatal("missing scarce least-loaded-fits block row")
 	}
-	if plain.RTMissRate == 0 {
+	if rtMiss(plain.Classes) == 0 {
 		t.Fatal("scarce regime does not stress memory-blind dispatch (zero rt misses): the grid is miscalibrated")
 	}
-	if fits.RTLatP99Us >= plain.RTLatP99Us {
+	if rtP99(fits.Classes) >= rtP99(plain.Classes) {
 		t.Errorf("least-loaded-fits rt p99 %.1fus not strictly below least-loaded's %.1fus under HBM oversubscription",
-			fits.RTLatP99Us, plain.RTLatP99Us)
+			rtP99(fits.Classes), rtP99(plain.Classes))
 	}
 	if fits.Goodput <= plain.Goodput {
 		t.Errorf("least-loaded-fits goodput %.0f/s not strictly above least-loaded's %.0f/s under HBM oversubscription",
 			fits.Goodput, plain.Goodput)
 	}
+}
+
+// memoryMetric holds the eight quantities a memory-grid row reports.
+type memoryMetric struct {
+	Admitted, Completed, Spills, SwapIns int
+	SwapOutBytes                         int64
+	RTLatP99Us, RTMissRate, Goodput      float64
+}
+
+// memoryMetrics reads a memory-grid row's eight reported quantities.
+func memoryMetrics(row FleetRow) memoryMetric {
+	return memoryMetric{row.Admitted, row.Completed, row.Spills, row.SwapIns, row.SwapOutBytes,
+		rtP99(row.Classes), rtMiss(row.Classes), row.Goodput}
 }
 
 // TestMemoryAmpleRegimeInert pins that plentiful HBM makes the memory
@@ -80,28 +89,23 @@ func TestMemoryAmpleRegimeInert(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, ok := find(r.Rows, func(x MemoryRow) bool {
-		return x.Regime == "ample" && x.Dispatch == string(cluster.KindLeastLoaded) && x.Mem == "block"
-	})
+	base, ok := findRow(r.Rows, "ample", string(cluster.KindLeastLoaded), "block")
 	if !ok {
 		t.Fatal("missing ample least-loaded block row")
 	}
 	for _, d := range []cluster.Kind{cluster.KindLeastLoaded, cluster.KindLeastLoadedFits} {
 		for _, mem := range []string{"block", "swap"} {
-			row, ok := find(r.Rows, func(x MemoryRow) bool {
-				return x.Regime == "ample" && x.Dispatch == string(d) && x.Mem == mem
-			})
+			row, ok := findRow(r.Rows, "ample", string(d), mem)
 			if !ok {
 				t.Fatalf("missing ample %s %s row", d, mem)
 			}
-			if row.Spills != 0 || row.SwapIns != 0 || row.SwapOutMiB != 0 {
-				t.Errorf("ample %s %s row shows memory pressure (spills=%d swap-ins=%d out=%.1fMiB)",
-					d, mem, row.Spills, row.SwapIns, row.SwapOutMiB)
+			if row.Spills != 0 || row.SwapIns != 0 || row.SwapOutBytes != 0 {
+				t.Errorf("ample %s %s row shows memory pressure (spills=%d swap-ins=%d out=%dB)",
+					d, mem, row.Spills, row.SwapIns, row.SwapOutBytes)
 			}
-			row.Dispatch, row.Mem = base.Dispatch, base.Mem
-			if row != base {
+			if got, want := memoryMetrics(row), memoryMetrics(base); got != want {
 				t.Errorf("ample %s %s row %+v differs from the baseline %+v: the ledger bound despite ample HBM",
-					d, mem, row, base)
+					d, mem, got, want)
 			}
 		}
 	}
@@ -120,24 +124,20 @@ func TestMemoryBlockVsSwapTradeOff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	block, ok := find(r.Rows, func(x MemoryRow) bool {
-		return x.Regime == "scarce" && x.Dispatch == string(cluster.KindLeastLoaded) && x.Mem == "block"
-	})
+	block, ok := findRow(r.Rows, "scarce", string(cluster.KindLeastLoaded), "block")
 	if !ok {
 		t.Fatal("missing scarce least-loaded block row")
 	}
-	swap, ok := find(r.Rows, func(x MemoryRow) bool {
-		return x.Regime == "scarce" && x.Dispatch == string(cluster.KindLeastLoaded) && x.Mem == "swap"
-	})
+	swap, ok := findRow(r.Rows, "scarce", string(cluster.KindLeastLoaded), "swap")
 	if !ok {
 		t.Fatal("missing scarce least-loaded swap row")
 	}
 	if swap.Spills == 0 || swap.SwapIns != swap.Spills {
 		t.Fatalf("scarce swap row did not exercise swapping (spills=%d swap-ins=%d)", swap.Spills, swap.SwapIns)
 	}
-	if swap.RTLatP99Us >= block.RTLatP99Us {
+	if rtP99(swap.Classes) >= rtP99(block.Classes) {
 		t.Errorf("swapping rt p99 %.1fus not strictly below blocking's %.1fus: swap did not rescue the tail",
-			swap.RTLatP99Us, block.RTLatP99Us)
+			rtP99(swap.Classes), rtP99(block.Classes))
 	}
 	if swap.Goodput >= block.Goodput {
 		t.Errorf("swapping goodput %.0f/s not strictly below blocking's %.0f/s: the swap-traffic cost vanished",

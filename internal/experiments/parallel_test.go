@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"bytes"
-	"context"
-	"errors"
 	"strings"
 	"testing"
 )
@@ -118,34 +116,6 @@ func TestFig2DeterministicAcrossRuns(t *testing.T) {
 	}
 	if *a != *b {
 		t.Errorf("fig2 not deterministic: %+v vs %+v", a, b)
-	}
-}
-
-// TestGridCancellation cancels an in-flight grid via Options.Context and
-// expects the context error back instead of results.
-func TestGridCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	o := quickOpts(2)
-	o.PerSize = 2
-	o.Context = ctx
-	if _, _, err := RunDSS(o); !errors.Is(err, context.Canceled) {
-		t.Errorf("RunDSS err = %v, want context.Canceled", err)
-	}
-	if _, _, err := RunPriority(o); !errors.Is(err, context.Canceled) {
-		t.Errorf("RunPriority err = %v, want context.Canceled", err)
-	}
-	if _, err := RunMPS(o); !errors.Is(err, context.Canceled) {
-		t.Errorf("RunMPS err = %v, want context.Canceled", err)
-	}
-	if _, err := AblationActiveLimit(o, []int{4}); !errors.Is(err, context.Canceled) {
-		t.Errorf("AblationActiveLimit err = %v, want context.Canceled", err)
-	}
-	if _, err := RunLoad(o, nil); !errors.Is(err, context.Canceled) {
-		t.Errorf("RunLoad err = %v, want context.Canceled", err)
-	}
-	if _, err := RunCluster(o, nil); !errors.Is(err, context.Canceled) {
-		t.Errorf("RunCluster err = %v, want context.Canceled", err)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/resilience"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // resilienceSweepSeedTag namespaces the resilience sweep's arrival streams:
@@ -94,65 +93,51 @@ func resiliencePatterns() []arrivalPattern {
 	}
 }
 
-// ResilienceRow is one cell of the resilience sweep: one load shape under
-// one fault-injection rate with one request-lifecycle policy.
-type ResilienceRow struct {
-	// Pattern is the load shape label; KillRate the injected node kills per
-	// simulated second; Config the lifecycle policy label.
-	Pattern  string
-	KillRate float64
-	Config   string
-	// Requests counts offered arrivals; Done of them completed, Dropped were
-	// abandoned (timeout or kill with no retry left), Shed were refused by
-	// admission control.
-	Requests, Done, Dropped, Shed int
-	// Timeouts/Retries/Hedges/Trips count attempt-level lifecycle events.
-	Timeouts, Retries, Hedges, Trips int
-	// RTMissRate is the rt class's fleet-wide deadline-miss rate.
-	RTMissRate float64
-	// RTGoodput is the rt class's SLO-compliant completions per simulated
-	// second — the sweep's headline metric.
-	RTGoodput float64
-	// Goodput is fleet-wide SLO-compliant completions per simulated second.
-	Goodput float64
-}
-
-// ResilienceResult is the data behind the resilience sweep.
+// ResilienceResult is the data behind the resilience sweep. A row's labels
+// are the load shape, the injected node kills per simulated second and the
+// lifecycle policy.
 type ResilienceResult struct {
 	// RatePerSec is the base offered load the phase factors multiply.
 	RatePerSec float64
-	Rows       []ResilienceRow
+	Rows       []FleetRow
 }
 
 // Table renders the sweep: per load shape and kill rate, what each lifecycle
 // policy does to the rt class's goodput — does retrying recover kill losses,
-// and does unbounded retrying melt down under overload?
+// and does unbounded retrying melt down under overload? Requests counts
+// offered arrivals; done of them completed, dropped were abandoned (timeout
+// or kill with no retry left), shed were refused by admission control.
 func (r *ResilienceResult) Table() *Table {
-	t := &Table{
-		Title: fmt.Sprintf("Resilience sweep: %.0f req/s base (Poisson x phases, rt/batch classes) under PPQ+adaptive, %d GPUs jsq, pattern x kill rate x lifecycle policy",
+	return fleetTable(
+		fmt.Sprintf("Resilience sweep: %.0f req/s base (Poisson x phases, rt/batch classes) under PPQ+adaptive, %d GPUs jsq, pattern x kill rate x lifecycle policy",
 			r.RatePerSec, resilienceNodes),
-		Header: []string{"pattern", "kills/s", "lifecycle", "requests", "done", "dropped", "shed",
+		[]string{"pattern", "kills/s", "lifecycle", "requests", "done", "dropped", "shed",
 			"timeouts", "retries", "hedges", "trips", "rt-miss", "rt-goodput", "goodput"},
-	}
-	for _, row := range r.Rows {
-		t.Rows = append(t.Rows, []string{
-			row.Pattern,
-			fmt.Sprintf("%.0f", row.KillRate),
-			row.Config,
-			fmt.Sprintf("%d", row.Requests),
-			fmt.Sprintf("%d", row.Done),
-			fmt.Sprintf("%d", row.Dropped),
-			fmt.Sprintf("%d", row.Shed),
-			fmt.Sprintf("%d", row.Timeouts),
-			fmt.Sprintf("%d", row.Retries),
-			fmt.Sprintf("%d", row.Hedges),
-			fmt.Sprintf("%d", row.Trips),
-			fmt.Sprintf("%.3f", row.RTMissRate),
-			fmt.Sprintf("%.0f", row.RTGoodput),
-			fmt.Sprintf("%.0f", row.Goodput),
+		r.Rows, func(res *cluster.Result) []string {
+			return []string{
+				fmt.Sprintf("%d", res.Requests),
+				fmt.Sprintf("%d", res.ReqCompleted),
+				fmt.Sprintf("%d", res.Dropped),
+				fmt.Sprintf("%d", res.Shed),
+				fmt.Sprintf("%d", res.TimedOut),
+				fmt.Sprintf("%d", res.Retries),
+				fmt.Sprintf("%d", res.Hedges),
+				fmt.Sprintf("%d", res.BreakerTrips),
+				fmt.Sprintf("%.3f", res.Classes[0].MissRate()),
+				fmt.Sprintf("%.0f", rtGoodput(res)),
+				fmt.Sprintf("%.0f", res.Goodput),
+			}
 		})
+}
+
+// rtGoodput is the rt class's SLO-compliant completions per simulated
+// second — the resilience sweep's headline metric.
+func rtGoodput(res *cluster.Result) float64 {
+	if res.EndTime <= 0 {
+		return 0
 	}
-	return t
+	rt := &res.Classes[0]
+	return float64(rt.Completed-rt.Missed) / res.EndTime.Seconds()
 }
 
 // RunResilience sweeps load shape x kill rate x request-lifecycle policy on
@@ -163,84 +148,35 @@ func (r *ResilienceResult) Table() *Table {
 // count.
 func RunResilience(o Options) (*ResilienceResult, error) {
 	h := NewHarness(o)
-	o = h.Opts
-	rate := peakLoadRate(o.Scale)
+	rate := peakLoadRate(h.Opts.Scale)
 
-	confs := resilienceConfigs()
-
-	type resilienceJob struct {
-		pattern  string
-		tr       *trace.ArrivalTrace
-		killRate float64
-		label    string
-		spec     *resilience.Spec
-	}
-	var jobs []resilienceJob
+	var cells []fleetCell
 	for pi, p := range resiliencePatterns() {
 		tr, err := h.poissonStream(rate, loadClasses(h.Suite), p.phases, resilienceSweepSeedTag, uint64(pi))
 		if err != nil {
 			return nil, err
 		}
 		for _, kr := range resilienceKillRates {
-			for _, cf := range confs {
-				jobs = append(jobs, resilienceJob{
-					pattern: p.label, tr: tr, killRate: kr, label: cf.label, spec: cf.spec,
-				})
+			for _, cf := range resilienceConfigs() {
+				// fleetConfig passes ParWindow through although the
+				// resilience layer forces the lockstep reference: it keeps
+				// the grids uniform (and pins that the fallback is
+				// byte-identical in the golden tests).
+				rc, err := h.fleetConfig(cluster.KindJSQ, adaptive)
+				if err != nil {
+					return nil, err
+				}
+				rc.Nodes, rc.Resilience, rc.MaxSimTime = resilienceNodes, cf.spec, resilienceMaxSimTime
+				if kr > 0 {
+					rc.Faults = &cluster.FaultSpec{KillRate: kr}
+				}
+				cells = append(cells, fleetCell{[]string{p.label, fmt.Sprintf("%.0f", kr), cf.label}, tr, rc})
 			}
 		}
 	}
-
-	results, err := mapCells(o, len(jobs), func(i int) (*cluster.Result, error) {
-		j := jobs[i]
-		// fleetConfig passes ParWindow through although the resilience layer
-		// forces the lockstep reference: it keeps the grids uniform (and pins
-		// that the fallback is byte-identical in the golden tests).
-		rc, err := h.fleetConfig(cluster.KindJSQ, adaptive)
-		if err != nil {
-			return nil, err
-		}
-		rc.Nodes, rc.Resilience, rc.MaxSimTime = resilienceNodes, j.spec, resilienceMaxSimTime
-		if j.killRate > 0 {
-			rc.Faults = &cluster.FaultSpec{KillRate: j.killRate}
-		}
-		res, err := cluster.Run(j.tr, rc)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: resilience %s kill=%g %s: %w", j.pattern, j.killRate, j.label, err)
-		}
-		return res, nil
-	}, func(i int, res *cluster.Result) string {
-		j := jobs[i]
-		return fmt.Sprintf("%-7s kill=%-5.0f %-12s done=%-5d dropped=%-4d retries=%-4d trips=%d",
-			j.pattern, j.killRate, j.label, res.ReqCompleted, res.Dropped, res.Retries, res.BreakerTrips)
-	})
+	rows, err := h.runFleet("resilience", cells)
 	if err != nil {
 		return nil, err
 	}
-
-	out := &ResilienceResult{RatePerSec: rate}
-	for i, res := range results {
-		j := jobs[i]
-		rt := &res.Classes[0]
-		rtGoodput := 0.0
-		if res.EndTime > 0 {
-			rtGoodput = float64(rt.Completed-rt.Missed) / res.EndTime.Seconds()
-		}
-		out.Rows = append(out.Rows, ResilienceRow{
-			Pattern:    j.pattern,
-			KillRate:   j.killRate,
-			Config:     j.label,
-			Requests:   res.Requests,
-			Done:       res.ReqCompleted,
-			Dropped:    res.Dropped,
-			Shed:       res.Shed,
-			Timeouts:   res.TimedOut,
-			Retries:    res.Retries,
-			Hedges:     res.Hedges,
-			Trips:      res.BreakerTrips,
-			RTMissRate: rt.MissRate(),
-			RTGoodput:  rtGoodput,
-			Goodput:    res.Goodput,
-		})
-	}
-	return out, nil
+	return &ResilienceResult{RatePerSec: rate, Rows: rows}, nil
 }

@@ -1,9 +1,14 @@
 package experiments
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 )
+
+// killLabel renders a kill rate as the resilience and autoscale grids label
+// it.
+func killLabel(rate float64) string { return fmt.Sprintf("%.0f", rate) }
 
 // goldenResilience memoizes the resilience sweep at the golden options,
 // shared by the golden comparison, the retry-storm pin and the worker-count
@@ -49,26 +54,22 @@ func TestResilienceGuardedBeatsNaiveAtPeakKills(t *testing.T) {
 		t.Fatal("sweep has no fault-injecting cells")
 	}
 	for _, pattern := range []string{"steady", "flash"} {
-		naive, ok := find(r.Rows, func(x ResilienceRow) bool {
-			return x.Pattern == pattern && x.KillRate == peak && x.Config == LifecycleNaive
-		})
+		naive, ok := findRow(r.Rows, pattern, killLabel(peak), LifecycleNaive)
 		if !ok {
 			t.Fatalf("missing %s naive row at kill rate %g", pattern, peak)
 		}
-		guarded, ok := find(r.Rows, func(x ResilienceRow) bool {
-			return x.Pattern == pattern && x.KillRate == peak && x.Config == LifecycleGuarded
-		})
+		guarded, ok := findRow(r.Rows, pattern, killLabel(peak), LifecycleGuarded)
 		if !ok {
 			t.Fatalf("missing %s guarded row at kill rate %g", pattern, peak)
 		}
 		if naive.Retries == 0 {
 			t.Fatalf("%s: peak kill rate %g provokes no naive retries: the sweep is miscalibrated", pattern, peak)
 		}
-		if guarded.RTGoodput <= naive.RTGoodput {
+		if rtGoodput(guarded.Result) <= rtGoodput(naive.Result) {
 			t.Errorf("%s: guarded rt goodput %.0f req/s not strictly above naive unbounded retry's %.0f at kill rate %g",
-				pattern, guarded.RTGoodput, naive.RTGoodput, peak)
+				pattern, rtGoodput(guarded.Result), rtGoodput(naive.Result), peak)
 		}
-		if guarded.Trips == 0 {
+		if guarded.BreakerTrips == 0 {
 			t.Errorf("%s: guarded row tripped no breakers at kill rate %g", pattern, peak)
 		}
 		if guarded.Retries >= naive.Retries {
@@ -93,9 +94,7 @@ func TestResilienceNaiveRetryAmplifiesTimeouts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, ok := find(r.Rows, func(x ResilienceRow) bool {
-		return x.Pattern == "steady" && x.KillRate == 0 && x.Config == LifecycleNoRetry
-	})
+	base, ok := findRow(r.Rows, "steady", "0", LifecycleNoRetry)
 	if !ok {
 		t.Fatal("missing steady fault-free no-retry row")
 	}
@@ -104,34 +103,28 @@ func TestResilienceNaiveRetryAmplifiesTimeouts(t *testing.T) {
 	}
 	peak := resilienceKillRates[len(resilienceKillRates)-1]
 	for _, pattern := range []string{"steady", "flash"} {
-		none, ok := find(r.Rows, func(x ResilienceRow) bool {
-			return x.Pattern == pattern && x.KillRate == peak && x.Config == LifecycleNoRetry
-		})
+		none, ok := findRow(r.Rows, pattern, killLabel(peak), LifecycleNoRetry)
 		if !ok {
 			t.Fatalf("missing %s no-retry row at kill rate %g", pattern, peak)
 		}
-		naive, ok := find(r.Rows, func(x ResilienceRow) bool {
-			return x.Pattern == pattern && x.KillRate == peak && x.Config == LifecycleNaive
-		})
+		naive, ok := findRow(r.Rows, pattern, killLabel(peak), LifecycleNaive)
 		if !ok {
 			t.Fatalf("missing %s naive row at kill rate %g", pattern, peak)
 		}
-		guarded, ok := find(r.Rows, func(x ResilienceRow) bool {
-			return x.Pattern == pattern && x.KillRate == peak && x.Config == LifecycleGuarded
-		})
+		guarded, ok := findRow(r.Rows, pattern, killLabel(peak), LifecycleGuarded)
 		if !ok {
 			t.Fatalf("missing %s guarded row at kill rate %g", pattern, peak)
 		}
 		if none.Dropped == 0 {
 			t.Fatalf("%s kill rate %g drops nothing without retries: the sweep is miscalibrated", pattern, peak)
 		}
-		if naive.Timeouts <= none.Timeouts {
+		if naive.TimedOut <= none.TimedOut {
 			t.Errorf("%s: naive retrying hit %d timeouts, not above no-retry's %d — no amplification to guard against",
-				pattern, naive.Timeouts, none.Timeouts)
+				pattern, naive.TimedOut, none.TimedOut)
 		}
-		if guarded.Timeouts >= naive.Timeouts {
+		if guarded.TimedOut >= naive.TimedOut {
 			t.Errorf("%s: guarded policy hit %d timeouts, not below naive's %d",
-				pattern, guarded.Timeouts, naive.Timeouts)
+				pattern, guarded.TimedOut, naive.TimedOut)
 		}
 	}
 }
