@@ -10,7 +10,8 @@
 // that runs no simulator code (BenchmarkHostCalibration). Every ns/op entry
 // is first scaled by the reference's measured/recorded ratio, so a uniformly
 // slower or faster host neither fails nor loosens the gate; a run without
-// the reference fails.
+// the reference fails. CI runs the short benchmarks with -count 5, and a
+// repeated benchmark is gated on the median of its runs.
 //
 // Typical CI usage:
 //
@@ -71,10 +72,11 @@ func stripProcs(name string) string {
 }
 
 // parseBench extracts measurements from `go test -bench -benchmem` output.
-// Later duplicate lines (e.g. the same benchmark from repeated -count runs)
-// overwrite earlier ones.
+// A benchmark repeated with -count reports the median of its runs, ns/op and
+// allocs/op each taken separately, so one outlier run neither fails nor
+// carries the gate.
 func parseBench(r io.Reader) (map[string]Measurement, error) {
-	out := make(map[string]Measurement)
+	runs := make(map[string][]Measurement)
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	for sc.Scan() {
@@ -101,16 +103,38 @@ func parseBench(r io.Reader) (map[string]Measurement, error) {
 			}
 		}
 		if seen {
-			out[name] = meas
+			runs[name] = append(runs[name], meas)
 		}
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	if len(out) == 0 {
+	if len(runs) == 0 {
 		return nil, fmt.Errorf("benchcheck: no benchmark results in input")
 	}
+	out := make(map[string]Measurement, len(runs))
+	for name, ms := range runs {
+		out[name] = Measurement{
+			NsPerOp:     median(ms, func(m Measurement) float64 { return m.NsPerOp }),
+			AllocsPerOp: median(ms, func(m Measurement) float64 { return m.AllocsPerOp }),
+		}
+	}
 	return out, nil
+}
+
+// median returns the median of metric over ms (the mean of the middle two
+// for an even count).
+func median(ms []Measurement, metric func(Measurement) float64) float64 {
+	v := make([]float64, len(ms))
+	for i, m := range ms {
+		v[i] = metric(m)
+	}
+	sort.Float64s(v)
+	h := len(v) / 2
+	if len(v)%2 == 1 {
+		return v[h]
+	}
+	return (v[h-1] + v[h]) / 2
 }
 
 // hostScale returns the measured/recorded ns/op ratio of the baseline's

@@ -176,6 +176,63 @@ func TestCheckHostScaling(t *testing.T) {
 	}
 }
 
+// TestCheckRepeatedRunsMedian pins the -count gate: a benchmark repeated
+// five times is judged on the median of its runs, ns/op and allocs/op each
+// on its own, so one 2x outlier run passes (even as the last line) while a
+// uniform 1.3x slowdown fails.
+func TestCheckRepeatedRunsMedian(t *testing.T) {
+	base := &Baseline{Reference: "BenchmarkHostCalibration", Benchmarks: map[string]Measurement{
+		"BenchmarkHostCalibration": {NsPerOp: 4000000, AllocsPerOp: 0},
+		"BenchmarkAutoscaleStep":   {NsPerOp: 3, AllocsPerOp: 10},
+	}}
+	output := func(step ...string) string {
+		var b strings.Builder
+		for _, ns := range []string{"4000000", "4100000", "3900000", "4000000", "4050000"} {
+			b.WriteString("BenchmarkHostCalibration-2 \t 100 \t " + ns + " ns/op \t 0 B/op \t 0 allocs/op\n")
+		}
+		for _, line := range step {
+			b.WriteString("BenchmarkAutoscaleStep-2 \t 2000000 \t " + line + "\n")
+		}
+		return b.String()
+	}
+	gate := func(out string) []string {
+		got, err := parseBench(strings.NewReader(out))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return check(base, got, 0.25)
+	}
+
+	outlier := output("3.0 ns/op 10 allocs/op", "2.9 ns/op 10 allocs/op", "3.1 ns/op 20 allocs/op",
+		"3.0 ns/op 10 allocs/op", "6.0 ns/op 10 allocs/op")
+	got, err := parseBench(strings.NewReader(outlier))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := got["BenchmarkAutoscaleStep"]; m.NsPerOp != 3.0 || m.AllocsPerOp != 10 {
+		t.Errorf("median of five runs = %+v, want 3 ns/op and 10 allocs/op", m)
+	}
+	if m := got["BenchmarkHostCalibration"]; m.NsPerOp != 4000000 {
+		t.Errorf("reference median = %v ns/op, want 4000000", m.NsPerOp)
+	}
+	if problems := gate(outlier); len(problems) != 0 {
+		t.Errorf("one 2x outlier in five runs flagged: %v", problems)
+	}
+
+	slow := output("3.9 ns/op 10 allocs/op", "3.9 ns/op 10 allocs/op", "3.9 ns/op 10 allocs/op",
+		"3.9 ns/op 10 allocs/op", "3.9 ns/op 10 allocs/op")
+	problems := gate(slow)
+	if len(problems) != 1 || !strings.Contains(problems[0], "BenchmarkAutoscaleStep") {
+		t.Errorf("uniform 1.3x slowdown over five runs not flagged: %v", problems)
+	}
+
+	// An even count takes the mean of the middle two.
+	if got := median([]Measurement{{NsPerOp: 4}, {NsPerOp: 1}, {NsPerOp: 2}, {NsPerOp: 3}},
+		func(m Measurement) float64 { return m.NsPerOp }); got != 2.5 {
+		t.Errorf("median of 1..4 = %v, want 2.5", got)
+	}
+}
+
 func TestStripProcs(t *testing.T) {
 	for in, want := range map[string]string{
 		"BenchmarkFoo-8":          "BenchmarkFoo",

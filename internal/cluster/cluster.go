@@ -162,7 +162,7 @@ type Node struct {
 	admitted, finished, lost int
 	inflightByApp            []int
 	// live maps every request physically occupying the node to its dispatch
-	// time: arrival indices on the plain path, attempt ids with the
+	// time: arrival indices on the plain path, attempt slots with the
 	// resilience layer armed (abandoned ghosts included). A kill loses
 	// exactly these.
 	live map[int]sim.Time
@@ -356,8 +356,9 @@ type Cluster struct {
 	// Request-lifecycle manager state (nil res = plain elastic fleet).
 	res         *resilience.Spec
 	resSeed     uint64
-	reqs        []reqRec                 // per-arrival request ledger
-	atts        []attRec                 // append-only attempt ledger
+	reqs        ledger[reqRec]           // in-flight request slots
+	atts        ledger[attRec]           // in-flight attempt slots
+	attSeq      int                      // attempts launched (the next attRec.seq)
 	budgets     []resilience.TokenBucket // per-class retry budgets
 	breakers    []resilience.Breaker     // per node slot
 	hedgeLat    []metrics.Sketch         // per-class winning completion latency
@@ -372,7 +373,7 @@ type Cluster struct {
 
 	eligible []*Node // dispatch scratch: current Up nodes
 	ups      []*Node // kill scratch: the Up nodes a kill picks from
-	lostIDs  []int   // kill scratch: the dead node's sorted in-flight ids
+	lostIDs  []int   // kill scratch: the dead node's ordered in-flight ids
 
 	// Parallel-window execution state (zero when the lockstep reference
 	// runs; see parallel.go).
@@ -383,7 +384,8 @@ type Cluster struct {
 	winActive  []*Node    // per-window scratch: nodes with work in the window
 	batch      []batchEnt // lookahead scratch: the arrivals inside the window
 	winCounts  []uint64   // per-window scratch: per-active-node step counts
-	finTimes   []sim.Time // final-window scratch: per-active-node drain times
+	finTimes   []sim.Time // final-window scratch: per-active-node drain times, then bounds
+	winBound   sim.Time   // the current window's bound
 
 	// nextAt/hasNext cache each node engine's next event timestamp. Node
 	// engines are isolated — an event on node i can only schedule on node i,

@@ -19,6 +19,12 @@ import (
 // Parboil micro-requests.
 func testTrace(t testing.TB, rate float64, seed uint64) *trace.ArrivalTrace {
 	t.Helper()
+	return testTraceFor(t, rate, seed, 3*sim.Millisecond)
+}
+
+// testTraceFor is testTrace over a chosen horizon.
+func testTraceFor(t testing.TB, rate float64, seed uint64, horizon sim.Time) *trace.ArrivalTrace {
+	t.Helper()
 	suite := parboil.Suite()
 	for i, a := range suite {
 		suite[i] = a.Scale(96)
@@ -35,7 +41,7 @@ func testTrace(t testing.TB, rate float64, seed uint64) *trace.ArrivalTrace {
 	tr, err := arrivals.Generate(arrivals.GenSpec{
 		Process: arrivals.ProcPoisson,
 		Rate:    rate,
-		Horizon: 3 * sim.Millisecond,
+		Horizon: horizon,
 		Seed:    seed,
 		Classes: []arrivals.ClassSpec{
 			{Name: "rt", Priority: 1, Weight: 1, Deadline: 300 * sim.Microsecond, Apps: short},

@@ -1,9 +1,10 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/rng"
 	"repro/internal/sim"
@@ -144,13 +145,18 @@ func (c *Cluster) killNode(n *Node, at sim.Time) {
 	// are still in live, so the loss loop below re-dispatches them.
 	n.memWipe(c)
 
-	// Sort the in-flight ids so the loss order (and with it every
-	// downstream dispatcher decision) is deterministic.
+	// Order the in-flight ids so the loss order (and with it every
+	// downstream dispatcher decision) is deterministic: arrival order on the
+	// plain path, launch order for attempts, whose slots are reused.
 	ids := c.lostIDs[:0]
 	for id := range n.live {
 		ids = append(ids, id)
 	}
-	sort.Ints(ids)
+	if c.res != nil {
+		slices.SortFunc(ids, func(x, y int) int { return cmp.Compare(c.atts.at(x).seq, c.atts.at(y).seq) })
+	} else {
+		slices.Sort(ids)
+	}
 	c.lostIDs = ids
 	if c.res != nil {
 		// Resilient path: ghosts die quietly, live attempts take the retry

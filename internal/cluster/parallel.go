@@ -143,12 +143,32 @@ func (c *Cluster) runLookahead(bound sim.Time) uint64 {
 		c.batch = append(c.batch, batchEnt{i: c.next, at: at})
 		c.next++
 	}
+	c.winBound = bound
 	active := c.collectActive(bound)
 	counts := c.stepCounts(len(active))
-	c.fanOut(len(active), func(i int) {
-		counts[i] = c.runNodeLook(active[i], bound)
-	})
+	c.fanOut(len(active), lookBody)
 	return c.finishWindow(counts)
+}
+
+// The window bodies fanOut runs for active node i: plain functions reading
+// the window's inputs off the cluster (c.winBound, and c.finTimes for the
+// per-node drain times or bounds), so an inline window allocates nothing.
+func lookBody(c *Cluster, i int) {
+	c.winCounts[i] = c.runNodeLook(c.winActive[i], c.winBound)
+}
+
+// drainBody is a final window's pass one: a node with live work drains or
+// runs to the bound, recording its drain time (-1 = none) in c.finTimes.
+func drainBody(c *Cluster, i int) {
+	c.finTimes[i] = -1
+	if n := c.winActive[i]; n.liveLocal() > 0 {
+		c.winCounts[i] = c.runNodeTo(n, c.winBound, &c.finTimes[i])
+	}
+}
+
+// topUpBody runs a node to the per-node bound left in c.finTimes.
+func topUpBody(c *Cluster, i int) {
+	c.winCounts[i] += c.runNodeTo(c.winActive[i], c.finTimes[i], nil)
 }
 
 // runNodeLook fires node n's events strictly before bound, reserving one of
@@ -223,16 +243,17 @@ func (c *Cluster) stepCounts(n int) []uint64 {
 	return c.winCounts
 }
 
-// fanOut runs fn(0..n-1) on the window pool, or inline when the pool is
-// absent (Parallel <= 1) or the window touches a single node.
-func (c *Cluster) fanOut(n int, fn func(int)) {
+// fanOut runs fn(c, 0..n-1) on the window pool, or inline when the pool is
+// absent (Parallel <= 1) or the window touches a single node. Only the pool
+// branch makes a closure.
+func (c *Cluster) fanOut(n int, fn func(*Cluster, int)) {
 	if c.pool == nil || n < 2 {
 		for i := 0; i < n; i++ {
-			fn(i)
+			fn(c, i)
 		}
 		return
 	}
-	c.pool.Run(n, fn)
+	c.pool.Run(n, func(i int) { fn(c, i) })
 }
 
 // runNodeTo fires node n's events strictly before bound. With fin non-nil
@@ -265,23 +286,18 @@ func (c *Cluster) runNodeTo(n *Node, bound sim.Time, fin *sim.Time) uint64 {
 // exists) and merges the buffered completions. Returns the node events
 // fired.
 func (c *Cluster) runFinal(bound sim.Time) uint64 {
+	c.winBound = bound
 	active := c.collectActive(bound)
 	counts := c.stepCounts(len(active))
 	if cap(c.finTimes) < len(active) {
 		c.finTimes = make([]sim.Time, len(active))
 	}
 	fins := c.finTimes[:len(active)]
+	c.finTimes = fins
 	// Pass one: nodes with live work drain or hit the bound. Nodes holding
 	// only residual events wait — how far they may run depends on where the
 	// global finish lands.
-	c.fanOut(len(active), func(i int) {
-		fins[i] = -1
-		n := active[i]
-		if n.liveLocal() == 0 {
-			return
-		}
-		counts[i] = c.runNodeTo(n, bound, &fins[i])
-	})
+	c.fanOut(len(active), drainBody)
 	totalIn := 0
 	for _, n := range c.Nodes {
 		totalIn += n.liveLocal()
@@ -290,9 +306,10 @@ func (c *Cluster) runFinal(bound sim.Time) uint64 {
 		// Some node is still busy at the bound (or holds work with no event
 		// before it), so the run does not end in this window and every event
 		// before the bound fires, exactly as lockstep with done() false.
-		c.fanOut(len(active), func(i int) {
-			counts[i] += c.runNodeTo(active[i], bound, nil)
-		})
+		for i := range fins {
+			fins[i] = bound
+		}
+		c.fanOut(len(active), topUpBody)
 		return c.finishWindow(counts)
 	}
 	// The fleet drained: the run ends at T*, the latest per-node drain time,
@@ -306,15 +323,15 @@ func (c *Cluster) runFinal(bound sim.Time) uint64 {
 			tstar, k = fins[i], n.Index
 		}
 	}
-	c.fanOut(len(active), func(i int) {
-		n := active[i]
-		switch {
-		case n.Index < k:
-			counts[i] += c.runNodeTo(n, tstar+1, nil)
-		case n.Index > k:
-			counts[i] += c.runNodeTo(n, tstar, nil)
+	// Node k itself has nothing left before T*, so bounding it there keeps
+	// it put.
+	for i, n := range active {
+		fins[i] = tstar
+		if n.Index < k {
+			fins[i] = tstar + 1
 		}
-	})
+	}
+	c.fanOut(len(active), topUpBody)
 	return c.finishWindow(counts)
 }
 

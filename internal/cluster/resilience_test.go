@@ -442,3 +442,83 @@ func TestResilienceDrainRetires(t *testing.T) {
 		t.Error("re-run diverged")
 	}
 }
+
+// TestResilientLedgersTrackInFlight pins that the request and attempt
+// ledgers are sized by in-flight work, not by the stream: the same fully
+// armed fleet (kills, timeouts, retries, hedges, breakers, shedding) at the
+// same rate over a four times longer stream may at most double the
+// high-water length of either slot table.
+func TestResilientLedgersTrackInFlight(t *testing.T) {
+	highWater := func(horizon sim.Time) (reqs, atts int) {
+		tr := testTraceFor(t, 90000, 307, horizon)
+		rc := testRunConfig(3, NewJSQ())
+		rc.Faults = &FaultSpec{KillRate: 4000, Downtime: 300 * sim.Microsecond}
+		rc.Resilience = resilienceSpec()
+		rc.Resilience.Shed = &resilience.ShedPolicy{PerNode: 8, Queue: 16}
+		c, err := New(tr, rc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := c.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkResilienceConservation(t, "ledgers", res)
+		if res.Kills == 0 || res.TimedOut == 0 || res.Retries == 0 || res.Hedges == 0 ||
+			res.BreakerTrips == 0 || res.Shed == 0 {
+			t.Fatalf("horizon %v: kills %d, timeouts %d, retries %d, hedges %d, trips %d, shed %d: a lifecycle path never ran",
+				horizon, res.Kills, res.TimedOut, res.Retries, res.Hedges, res.BreakerTrips, res.Shed)
+		}
+		t.Logf("horizon %v: %d requests, high water %d request and %d attempt slots",
+			horizon, res.Requests, len(c.reqs.slots), len(c.atts.slots))
+		return len(c.reqs.slots), len(c.atts.slots)
+	}
+	reqs, atts := highWater(5 * sim.Millisecond)
+	reqs4, atts4 := highWater(20 * sim.Millisecond)
+	if reqs4 > 2*reqs {
+		t.Errorf("request ledger grew with the stream: %d slots at 4x the arrivals, %d at 1x", reqs4, reqs)
+	}
+	if atts4 > 2*atts {
+		t.Errorf("attempt ledger grew with the stream: %d slots at 4x the arrivals, %d at 1x", atts4, atts)
+	}
+}
+
+// TestStaleLedgerHandles pins the slot tables' generation check: a hedge or
+// retry timer whose request resolved (its slot since reused) is ignored,
+// the current handle still fires, and an admission or timeout event for a
+// released attempt panics.
+func TestStaleLedgerHandles(t *testing.T) {
+	rc := testRunConfig(2, NewJSQ())
+	rc.Resilience = resilienceSpec()
+	c, err := New(testTrace(t, 40000, 308), rc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := c.reqs.take()
+	stale := c.reqs.handle(r)
+	c.reqs.release(r)
+	if again := c.reqs.take(); again != r {
+		t.Fatalf("released slot %d not reused (got %d)", r, again)
+	}
+	*c.reqs.at(r) = reqRec{arr: 1, primary: -1, hedge: -1, hedgeArmed: true}
+	fireHedgeEvent(c, stale)
+	fireRetryEvent(c, stale)
+	if req := c.reqs.at(r); !req.hedgeArmed || req.tries != 0 || len(c.atts.slots) != 0 {
+		t.Fatalf("stale handle acted: hedge armed %v, %d tries, %d attempt slots",
+			req.hedgeArmed, req.tries, len(c.atts.slots))
+	}
+	fireRetryEvent(c, c.reqs.handle(r))
+	if req := c.reqs.at(r); req.tries != 1 || req.primary < 0 {
+		t.Fatalf("current retry handle did not launch: %d tries, primary %d", req.tries, req.primary)
+	}
+
+	a := c.atts.take()
+	h := c.atts.handle(a)
+	c.atts.release(a)
+	defer func() {
+		if recover() == nil {
+			t.Error("timeout event for a released attempt did not panic")
+		}
+	}()
+	attTimeoutEvent(c, h)
+}
