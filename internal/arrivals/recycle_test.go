@@ -61,7 +61,7 @@ func TestAdmitterSteadyStateAllocs(t *testing.T) {
 	tr := recycleTrace(1)
 	sys := recycleSystem(t)
 	done := 0
-	ad := NewAdmitter(sys, tr, func(int, proc.RunRecord) { done++ })
+	ad := NewAdmitter(sys, tr, new(proc.PhaseTables).Build(tr.Apps), func(int, proc.RunRecord) { done++ })
 	serve := func() {
 		if err := ad.Admit(0, 0); err != nil {
 			t.Fatal(err)
@@ -100,7 +100,7 @@ func TestAdmitterRecyclesOnlyAfterCallback(t *testing.T) {
 		ctxs = append(ctxs, c)
 		ids, asids = append(ids, c.ID), append(asids, c.PageTable.ASID)
 	}
-	adm = NewAdmitter(sys, tr, func(id int, _ proc.RunRecord) {
+	adm = NewAdmitter(sys, tr, new(proc.PhaseTables).Build(tr.Apps), func(id int, _ proc.RunRecord) {
 		if id == 0 {
 			admit(1)
 		}

@@ -10,6 +10,7 @@ import (
 	"repro/internal/pcie"
 	"repro/internal/policy"
 	"repro/internal/preempt"
+	"repro/internal/proc"
 	"repro/internal/sim"
 	"repro/internal/system"
 	"repro/internal/trace"
@@ -50,7 +51,7 @@ func viewOf(sys *system.System, res *Result) machineView {
 func streamOn(sys *system.System, adm *Admitter, tr *trace.ArrivalTrace) *engine {
 	e := &engine{sys: sys, tr: tr, acct: metrics.NewSLOAccount(tr.Classes)}
 	if adm == nil {
-		adm = NewAdmitter(sys, tr, e.requestDone)
+		adm = NewAdmitter(sys, tr, new(proc.PhaseTables).Build(tr.Apps), e.requestDone)
 	}
 	adm.tr, adm.onRun = tr, e.requestDone
 	e.adm = adm

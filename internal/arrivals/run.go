@@ -117,7 +117,7 @@ func Run(tr *trace.ArrivalTrace, rc RunConfig) (*Result, error) {
 		return nil, err
 	}
 	e := &engine{sys: sys, tr: tr, acct: metrics.NewSLOAccount(tr.Classes), delay: rc.AdmitDelay}
-	e.adm = NewAdmitter(sys, tr, e.requestDone)
+	e.adm = NewAdmitter(sys, tr, new(proc.PhaseTables).Build(tr.Apps), e.requestDone)
 	return e.run(rc)
 }
 
@@ -173,9 +173,14 @@ func (e *engine) run(rc RunConfig) (*Result, error) {
 // desk (Reset), so the next incarnation starts with every record the last
 // one grew. The caller accounts the admission itself (acct.Admit plus its
 // own counters).
+//
+// A request replays its app with the app's phase table (proc.PhaseTable),
+// which the desk receives with the stream: tables are built once per trace
+// app, and every desk of one stream may share them.
 type Admitter struct {
 	sys   *system.System
 	tr    *trace.ArrivalTrace
+	tabs  []proc.PhaseTable // by trace app index
 	onRun func(id int, rec proc.RunRecord)
 	free  []*admission
 	last  *admission // the newest record the desk created; see admission.prev
@@ -191,9 +196,14 @@ type admission struct {
 }
 
 // NewAdmitter returns the admission desk of machine sys for the requests of
-// tr; onRun is called with each completed request's id and run record.
-func NewAdmitter(sys *system.System, tr *trace.ArrivalTrace, onRun func(id int, rec proc.RunRecord)) *Admitter {
-	ad := &Admitter{sys: sys, tr: tr, onRun: onRun}
+// tr, replaying each app with its table in tabs, which holds tr.Apps'
+// tables in order (proc.PhaseTables.Build); onRun is called with each
+// completed request's id and run record.
+func NewAdmitter(sys *system.System, tr *trace.ArrivalTrace, tabs []proc.PhaseTable, onRun func(id int, rec proc.RunRecord)) *Admitter {
+	if len(tabs) != len(tr.Apps) {
+		panic(fmt.Sprintf("arrivals: %d phase tables for %d apps", len(tabs), len(tr.Apps)))
+	}
+	ad := &Admitter{sys: sys, tr: tr, tabs: tabs, onRun: onRun}
 	ad.Reset()
 	return ad
 }
@@ -232,16 +242,16 @@ func (ad *Admitter) Admit(i, id int) error {
 		rq = &admission{ad: ad, prev: ad.last}
 		ad.last = rq
 	}
-	app := ad.tr.Apps[a.App]
+	tab := &ad.tabs[a.App]
 	if rq.p == nil {
-		if rq.p, err = proc.NewWithContext(ad.sys, ctx, app); err == nil {
+		if rq.p, err = proc.NewWithTable(ad.sys, ctx, tab); err == nil {
 			rq.p.OnRunComplete = rq.runComplete
 		}
 	} else {
-		err = rq.p.Reuse(ctx, app)
+		err = rq.p.Reuse(ctx, tab)
 	}
 	if err != nil {
-		_ = ad.sys.RetireContext(ctx.ID)
+		_ = ad.sys.Retire(ctx)
 		ad.sys.Contexts.Recycle(ctx)
 		ad.free = append(ad.free, rq)
 		return err
@@ -255,7 +265,7 @@ func (ad *Admitter) Admit(i, id int) error {
 func (rq *admission) runComplete(p *proc.Process, rec proc.RunRecord) {
 	ad := rq.ad
 	ctx := p.Ctx()
-	if err := ad.sys.RetireContext(ctx.ID); err != nil {
+	if err := ad.sys.Retire(ctx); err != nil {
 		panic(fmt.Sprintf("arrivals: retiring request %d: %v", rq.i, err))
 	}
 	ad.onRun(rq.id, rec)

@@ -161,11 +161,13 @@ type Node struct {
 
 	admitted, finished, lost int
 	inflightByApp            []int
-	// live maps every request physically occupying the node to its dispatch
-	// time: arrival indices on the plain path, attempt slots with the
-	// resilience layer armed (abandoned ghosts included). A kill loses
-	// exactly these.
-	live map[int]sim.Time
+	// live holds every request physically occupying the node: arrival
+	// indices on the plain path, attempt slots with the resilience layer
+	// armed (abandoned ghosts included). A kill loses exactly these. A
+	// request holds its slot from dispatch to completion, and the slot is
+	// the request's handle on the node: its admission event and its desk id
+	// on the plain path, attRec.live on the resilient one.
+	live ledger[liveRec]
 
 	// Device-memory state (see memory.go). The ledger and queues belong to
 	// the incarnation and die with a kill; hbm, memDemand and the swap
@@ -173,7 +175,7 @@ type Node struct {
 	hbm       int64         // device-memory capacity (bytes)
 	memDemand int64         // Σ working sets of placed-but-unresolved requests
 	mem       *gmem.Manager // resident working-set ledger (nil while down)
-	memQ      []int         // arrival indices waiting for residency, in order
+	memQ      []int         // live slots of the requests waiting for residency, in order
 	stagedB   int64         // Σ working sets of in-flight swap-ins
 
 	spills, swapIns              int   // swap-outs / completed swap-ins
@@ -212,6 +214,32 @@ type Node struct {
 // counters stay zero and this is the classic admitted − finished − lost.
 func (n *Node) InFlight() int {
 	return n.admitted - n.finished - n.lost - n.ghostDone - n.ghostLost
+}
+
+// liveRec is one live slot of a node: the request occupying it (an arrival
+// index, or an attempt slot with the resilience layer armed) and its
+// dispatch time. on tells taken slots from free ones for the kill loop.
+type liveRec struct {
+	id int
+	at sim.Time
+	on bool
+}
+
+// enter gives request id, dispatched at at, a live slot on the node.
+func (n *Node) enter(id int, at sim.Time) int {
+	s := n.live.take()
+	*n.live.at(s) = liveRec{id: id, at: at, on: true}
+	return s
+}
+
+// leave frees live slot s.
+func (n *Node) leave(s int) {
+	rec := n.live.at(s)
+	if !rec.on {
+		panic(fmt.Sprintf("cluster: node %d frees free live slot %d", n.Index, s))
+	}
+	rec.on = false
+	n.live.release(s)
 }
 
 // liveLocal is the node's in-flight population as seen from inside a
@@ -327,7 +355,8 @@ type Cluster struct {
 
 	tr                       *trace.ArrivalTrace
 	rc                       RunConfig
-	ws                       []int64 // per-app working set (trace.App.WorkingSetBytes)
+	ws                       []int64           // per-app working set (trace.App.WorkingSetBytes)
+	tabs                     []proc.PhaseTable // per-app phase tables every node's desk shares
 	swapOn                   bool
 	disp                     Dispatcher
 	next                     int // next undispatched arrival
@@ -373,7 +402,7 @@ type Cluster struct {
 
 	eligible []*Node // dispatch scratch: current Up nodes
 	ups      []*Node // kill scratch: the Up nodes a kill picks from
-	lostIDs  []int   // kill scratch: the dead node's ordered in-flight ids
+	lostIDs  []int   // kill scratch: the dead node's live slots in loss order, then (plain path) their arrivals
 
 	// Parallel-window execution state (zero when the lockstep reference
 	// runs; see parallel.go).
@@ -449,7 +478,7 @@ func (c *Cluster) newSystem(n *Node) error {
 	if c.res != nil {
 		onRun = n.attDone
 	}
-	n.adm = arrivals.NewAdmitter(sys, c.tr, onRun)
+	n.adm = arrivals.NewAdmitter(sys, c.tr, c.tabs, onRun)
 	return nil
 }
 
@@ -461,7 +490,6 @@ func (c *Cluster) addNode(cfg system.Config, scale float64, upSince sim.Time) er
 		Index:         len(c.Nodes),
 		Acct:          metrics.NewSLOAccount(c.tr.Classes),
 		inflightByApp: make([]int, len(c.tr.Apps)),
-		live:          make(map[int]sim.Time),
 		baseCfg:       cfg,
 		baseScale:     scale,
 		state:         NodeUp,
@@ -541,6 +569,7 @@ func New(tr *trace.ArrivalTrace, rc RunConfig) (*Cluster, error) {
 	// than a node's whole HBM could never be admitted there — with strict
 	// FIFO blocking that wedges the queue forever, so reject it up front.
 	c.ws = make([]int64, len(tr.Apps))
+	c.tabs = new(proc.PhaseTables).Build(tr.Apps)
 	var maxWS int64
 	for ai := range tr.Apps {
 		c.ws[ai] = tr.Apps[ai].WorkingSetBytes()
@@ -784,16 +813,17 @@ func (c *Cluster) place(i int, at sim.Time, bp int) {
 		return
 	}
 	c.book(n, i)
-	n.live[i] = at
+	s := n.enter(i, at)
 	if n.lookRes {
-		n.Sys.Eng.AtSeqFunc(at+n.floor, n.resSeq[bp], admitEvent, n, int64(i))
+		n.Sys.Eng.AtSeqFunc(at+n.floor, n.resSeq[bp], admitEvent, n, int64(s))
 	} else {
-		n.Sys.Eng.AtFunc(at+n.floor, admitEvent, n, int64(i))
+		n.Sys.Eng.AtFunc(at+n.floor, admitEvent, n, int64(s))
 	}
 	c.refresh(n.Index)
 }
 
-// admitEvent is the closure-free engine callback of a scheduled admission.
+// admitEvent is the closure-free engine callback of a scheduled admission;
+// x is the request's live slot.
 func admitEvent(p any, x int64) {
 	n := p.(*Node)
 	n.clu.admit(n, int(x))
@@ -845,33 +875,38 @@ func (c *Cluster) lose(n *Node, class int) {
 	n.Acct.Lose(class)
 }
 
-// admit runs on the owning node's engine at the dispatch time. The request
-// first charges its working set against the node's memory ledger; if it does
-// not fit it waits (or swaps) and startRun fires later, when residency frees.
-func (c *Cluster) admit(n *Node, i int) {
-	if !c.memAdmit(n, i) {
+// admit runs on the owning node's engine at the dispatch time for the
+// request in live slot s. The request first charges its working set against
+// the node's memory ledger; if it does not fit it waits (or swaps) and
+// startRun fires later, when residency frees.
+func (c *Cluster) admit(n *Node, s int) {
+	if !c.memAdmit(n, s) {
 		return
 	}
-	c.startRun(n, i)
+	c.startRun(n, s)
 }
 
-// startRun starts arrival i's run on node n, memory already reserved: the
-// node's admission desk places a fresh context and process, and completion
-// (runDone) retires them on the owning node before the cluster and
-// dispatcher bookkeeping updates. A draining node that empties retires.
-func (c *Cluster) startRun(n *Node, i int) {
-	if err := n.adm.Admit(i, i); err != nil {
+// startRun starts the run of the request in live slot s on node n, memory
+// already reserved: the node's admission desk places a fresh context and
+// process under the slot as its id, and completion (runDone) retires them
+// on the owning node before the cluster and dispatcher bookkeeping updates.
+// A draining node that empties retires.
+func (c *Cluster) startRun(n *Node, s int) {
+	i := n.live.at(s).id
+	if err := n.adm.Admit(i, s); err != nil {
 		c.nodeFail(n, fmt.Errorf("cluster: admitting request %d on node %d: %w", i, n.Index, err))
 	}
 }
 
-// runDone is the node's plain-path completion callback for arrival i, run
-// on the node's engine after the request's context has retired.
-func (n *Node) runDone(i int, rec proc.RunRecord) {
+// runDone is the node's plain-path completion callback for the request in
+// live slot s, run on the node's engine after the request's context has
+// retired.
+func (n *Node) runDone(s int, rec proc.RunRecord) {
 	c := n.clu
+	i := n.live.at(s).id
 	a := &c.tr.Arrivals[i]
 	exec := arrivals.Account(n.Acct, a, rec)
-	delete(n.live, i)
+	n.leave(s)
 	c.memRelease(n, i)
 	if c.parOn {
 		// Inside a window only engine-local state may move; every

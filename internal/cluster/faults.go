@@ -145,32 +145,37 @@ func (c *Cluster) killNode(n *Node, at sim.Time) {
 	// are still in live, so the loss loop below re-dispatches them.
 	n.memWipe(c)
 
-	// Order the in-flight ids so the loss order (and with it every
-	// downstream dispatcher decision) is deterministic: arrival order on the
-	// plain path, launch order for attempts, whose slots are reused.
-	ids := c.lostIDs[:0]
-	for id := range n.live {
-		ids = append(ids, id)
+	// Order the live slots so the loss order (and with it every downstream
+	// dispatcher decision) is deterministic: arrival order on the plain
+	// path, launch order for attempts, whose slots are reused.
+	slots := c.lostIDs[:0]
+	for s := range n.live.slots {
+		if n.live.at(s).on {
+			slots = append(slots, s)
+		}
 	}
+	id := func(s int) int { return n.live.at(s).id }
 	if c.res != nil {
-		slices.SortFunc(ids, func(x, y int) int { return cmp.Compare(c.atts.at(x).seq, c.atts.at(y).seq) })
+		slices.SortFunc(slots, func(x, y int) int { return cmp.Compare(c.atts.at(id(x)).seq, c.atts.at(id(y)).seq) })
 	} else {
-		slices.Sort(ids)
+		slices.SortFunc(slots, func(x, y int) int { return cmp.Compare(id(x), id(y)) })
 	}
-	c.lostIDs = ids
+	c.lostIDs = slots
 	if c.res != nil {
 		// Resilient path: ghosts die quietly, live attempts take the retry
 		// decision (backoff, budget) instead of an unconditional re-dispatch.
-		c.killAttempts(n, ids, at)
+		c.killAttempts(n, slots, at)
 	} else {
-		for _, i := range ids {
-			a := &c.tr.Arrivals[i]
+		for k, s := range slots {
+			rec := *n.live.at(s)
+			n.leave(s)
+			a := &c.tr.Arrivals[rec.id]
 			c.lose(n, a.Class)
 			c.unbook(n, a.App)
-			c.lostWork += at - n.live[i]
+			c.lostWork += at - rec.at
+			slots[k] = rec.id
 		}
-		clear(n.live)
-		for _, i := range ids {
+		for _, i := range slots {
 			c.place(i, at, -1)
 		}
 	}

@@ -52,11 +52,12 @@ func (n *Node) FreeHBM() int64 { return n.hbm - n.memDemand }
 // wsOf returns arrival i's working set in bytes.
 func (c *Cluster) wsOf(i int) int64 { return c.ws[c.tr.Arrivals[i].App] }
 
-// memAdmit charges arrival i's working set against node n's ledger at the
-// request's engine-side admission. It returns true when the run may start
-// now; false parks the request in the node's memory queue (spilling it to the
-// host first on the swap path).
-func (c *Cluster) memAdmit(n *Node, i int) bool {
+// memAdmit charges the working set of the request in live slot s against
+// node n's ledger at the request's engine-side admission. It returns true
+// when the run may start now; false parks the request in the node's memory
+// queue (spilling it to the host first on the swap path).
+func (c *Cluster) memAdmit(n *Node, s int) bool {
+	i := n.live.at(s).id
 	ws := c.wsOf(i)
 	if ws == 0 {
 		return true
@@ -72,7 +73,7 @@ func (c *Cluster) memAdmit(n *Node, i int) bool {
 		_ = n.Sys.DMA.Submit(&pcie.Command{
 			CtxID: -1, Name: "swap-out", Dir: pcie.DeviceToHost, Bytes: ws,
 		})
-		n.memQ = append(n.memQ, i)
+		n.memQ = append(n.memQ, s)
 		return false
 	}
 	// Blocking mode is strict FIFO: nobody overtakes the queue, even into a
@@ -80,7 +81,7 @@ func (c *Cluster) memAdmit(n *Node, i int) bool {
 	if len(n.memQ) == 0 && c.memReserve(n, i, ws) {
 		return true
 	}
-	n.memQ = append(n.memQ, i)
+	n.memQ = append(n.memQ, s)
 	return false
 }
 
@@ -113,12 +114,13 @@ func (c *Cluster) memRelease(n *Node, i int) {
 func (c *Cluster) memDrain(n *Node) {
 	if !c.swapOn {
 		for len(n.memQ) > 0 {
-			i := n.memQ[0]
+			s := n.memQ[0]
+			i := n.live.at(s).id
 			if !c.memReserve(n, i, c.wsOf(i)) {
 				return
 			}
 			n.memQ = n.memQ[1:]
-			c.startRun(n, i)
+			c.startRun(n, s)
 		}
 		if len(n.memQ) == 0 {
 			n.memQ = nil
@@ -126,10 +128,11 @@ func (c *Cluster) memDrain(n *Node) {
 		return
 	}
 	kept := n.memQ[:0]
-	for _, i := range n.memQ {
+	for _, s := range n.memQ {
+		i := n.live.at(s).id
 		ws := c.wsOf(i)
 		if !c.memReserve(n, i, ws) {
-			kept = append(kept, i)
+			kept = append(kept, s)
 			continue
 		}
 		// Reserved: proactively swap the waiter back in ahead of its turn.
@@ -137,7 +140,7 @@ func (c *Cluster) memDrain(n *Node) {
 		n.stagedB += ws
 		_ = n.Sys.DMA.Submit(&pcie.Command{
 			CtxID: -1, Name: "swap-in", Dir: pcie.HostToDevice, Bytes: ws,
-			OnDone: func(sim.Time) { c.swapInDone(n, i, ws) },
+			OnDone: func(sim.Time) { c.swapInDone(n, s, ws) },
 		})
 	}
 	n.memQ = kept
@@ -145,11 +148,11 @@ func (c *Cluster) memDrain(n *Node) {
 
 // swapInDone fires on the node's engine when a waiter's working set finishes
 // staging back into HBM: the swap-in is accounted and the run starts.
-func (c *Cluster) swapInDone(n *Node, i int, ws int64) {
+func (c *Cluster) swapInDone(n *Node, s int, ws int64) {
 	n.stagedB -= ws
 	n.swapIns++
 	n.swapInB += ws
-	c.startRun(n, i)
+	c.startRun(n, s)
 }
 
 // memWipe destroys a node's memory state with its machine: spilled bytes
@@ -178,8 +181,8 @@ func (c *Cluster) memSpilledNow(n *Node) int64 {
 		return 0
 	}
 	b := n.stagedB
-	for _, i := range n.memQ {
-		b += c.wsOf(i)
+	for _, s := range n.memQ {
+		b += c.wsOf(n.live.at(s).id)
 	}
 	return b
 }

@@ -39,6 +39,7 @@ type attRec struct {
 	req        int         // request slot (stale once the request resolved)
 	arr        int         // arrival index
 	node       int         // fleet node index the attempt was placed on
+	live       int         // the attempt's live slot on that node
 	started    bool        // admission event fired (context and process exist)
 	abandoned  bool        // logically dead (timed out or lost the hedge race)
 	admitID    sim.EventID // node-engine admission event, cancelable until started
@@ -230,7 +231,7 @@ func (c *Cluster) launch(r, kind int, at sim.Time) {
 		n.Acct.Hedge(a.Class)
 		c.hedgeCount++
 	}
-	n.live[attID] = at
+	att.live = n.enter(attID, at)
 	if c.breakers != nil {
 		c.breakers[n.Index].Dispatched(at)
 	}
@@ -373,7 +374,7 @@ func (c *Cluster) rejectAttempt(n *Node, attID int) {
 	att := c.atts.at(attID)
 	att.abandoned = true
 	a := &c.tr.Arrivals[att.arr]
-	delete(n.live, attID)
+	n.leave(att.live)
 	c.unbook(n, a.App)
 	n.mem.FreeOwner(attID) // no-op when the memory reservation failed
 	c.lose(n, a.Class)
@@ -395,7 +396,7 @@ func (c *Cluster) rejectAttempt(n *Node, attID int) {
 func (c *Cluster) attComplete(n *Node, attID int, rec proc.RunRecord) {
 	att := c.atts.at(attID)
 	a := &c.tr.Arrivals[att.arr]
-	delete(n.live, attID)
+	n.leave(att.live)
 	c.unbook(n, a.App)
 	// Ghost or winner, the attempt held its working set until now.
 	n.mem.FreeOwner(attID)
@@ -485,7 +486,7 @@ func (c *Cluster) dropUnstarted(n *Node, attID, app int) {
 		n.Sys.Eng.Cancel(c.atts.at(attID).admitID)
 		c.refresh(n.Index)
 	}
-	delete(n.live, attID)
+	n.leave(c.atts.at(attID).live)
 	c.unbook(n, app)
 	n.ghostDone++
 }
@@ -610,11 +611,15 @@ func (c *Cluster) queuedTotal() int {
 // killAttempts is the resilient half of a node kill: abandoned ghosts die
 // quietly (they were already counted), live attempts are counted lost with
 // their timeouts cancelled, and each lost request then takes the retry
-// decision. ids are the node's in-flight attempts in launch order, so the
-// loss order — and every downstream dispatcher decision — is deterministic.
-func (c *Cluster) killAttempts(n *Node, ids []int, at sim.Time) {
-	lost := ids[:0]
-	for _, attID := range ids {
+// decision. slots are the node's live slots in launch order of their
+// attempts, so the loss order — and every downstream dispatcher decision —
+// is deterministic.
+func (c *Cluster) killAttempts(n *Node, slots []int, at sim.Time) {
+	lost := slots[:0]
+	for _, s := range slots {
+		rec := *n.live.at(s)
+		n.leave(s)
+		attID := rec.id
 		att := c.atts.at(attID)
 		a := &c.tr.Arrivals[att.arr]
 		c.unbook(n, a.App)
@@ -624,11 +629,10 @@ func (c *Cluster) killAttempts(n *Node, ids []int, at sim.Time) {
 			continue
 		}
 		c.lose(n, a.Class)
-		c.lostWork += at - n.live[attID]
+		c.lostWork += at - rec.at
 		c.disarmTimeout(att)
 		lost = append(lost, attID)
 	}
-	clear(n.live)
 	for _, attID := range lost {
 		c.attFailed(attID, at, 0)
 		c.atts.release(attID)

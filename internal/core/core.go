@@ -63,6 +63,9 @@ type LaunchCmd struct {
 	OnStart func(at sim.Time)
 	// OnDone is invoked when the kernel's last thread block completes.
 	OnDone func(at sim.Time)
+
+	// occ is the spec's occupancy on this machine, looked up at Submit.
+	occ occInfo
 }
 
 // PreemptedTB is one entry of a Preempted Thread Block Queue: the handle of

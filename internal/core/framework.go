@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -34,14 +33,13 @@ type Framework struct {
 	// order.
 	active []KernelID
 
-	// pendq holds, per context id, the FIFO of launch commands whose head
-	// occupies that context's command buffer. An entry lives from the
-	// context's first submission until ReleaseContext, which moves it to
-	// cpFree; a later context's first submission takes it from there, so
-	// queue backing arrays are reused across the processes of an open
+	// pendq holds, per context-table slot (gpu.Context.Slot), the FIFO of
+	// launch commands whose head occupies the command buffer of the context
+	// in that slot. A slot's queue is made at the first submission from it
+	// and kept: ReleaseContext leaves it empty for the slot's next context,
+	// so queue backing arrays are reused across the processes of an open
 	// system.
-	pendq  map[int]*ctxPending
-	cpFree []*ctxPending
+	pendq []*ctxPending
 	// ksrFree holds the KSRs of finished kernels for reuse by allocKSR. A
 	// KSR goes back only after its kernel's OnDone callback has returned.
 	ksrFree []*KSR
@@ -50,14 +48,12 @@ type Framework struct {
 	// ties), so insertion is a binary search and removal is O(1) lookup via
 	// each entry's pos index.
 	pendingCtxs []*ctxPending
-	// ctxScratch is the reusable buffer PendingContexts copies ids into.
-	ctxScratch []int
 	// tbScratch is the reusable buffer ResidentTBs copies snapshots into.
 	tbScratch []ResidentTBInfo
 
 	// occ memoizes the occupancy calculation per kernel spec: Occupancy
-	// re-derives register/shared-memory/thread limits on every call, and the
-	// submit path used to pay it twice per launch.
+	// re-derives register/shared-memory/thread limits on every call. Submit
+	// looks it up once per launch and leaves the result on the command.
 	occ map[*trace.KernelSpec]occInfo
 
 	opts      Options // ActiveLimit and TimeScale filled in
@@ -78,7 +74,7 @@ type ksrSlot struct {
 // arrival-order list. head indexes the current buffer occupant; consumed
 // entries are trimmed lazily so the slice capacity is reused.
 type ctxPending struct {
-	id   int
+	id   int // the context of the queued commands
 	cmds []*LaunchCmd
 	head int
 	pos  int // index in fw.pendingCtxs, -1 when not listed
@@ -180,25 +176,20 @@ func (fw *Framework) Reset(eng *sim.Engine, cfg gpu.Config, policy Policy, mech 
 	fw.slots = slices.Grow(fw.slots[:0], opts.ActiveLimit)[:opts.ActiveLimit]
 	clear(fw.slots)
 	fw.active = fw.active[:0]
-	// pendq's map order is random; free the queues in context-id order so
-	// that reuse is deterministic.
-	start := len(fw.cpFree)
 	for _, cp := range fw.pendq {
-		fw.cpFree = append(fw.cpFree, cp)
+		if cp != nil {
+			clear(cp.cmds)
+			cp.cmds, cp.head, cp.pos = cp.cmds[:0], 0, -1
+		}
 	}
-	slices.SortFunc(fw.cpFree[start:], func(a, b *ctxPending) int { return cmp.Compare(a.id, b.id) })
-	for _, cp := range fw.cpFree[start:] {
-		clear(cp.cmds)
-		cp.cmds, cp.head, cp.pos = cp.cmds[:0], 0, -1
-	}
-	if fw.pendq == nil {
-		fw.pendq = make(map[int]*ctxPending)
+	if fw.occ == nil {
 		fw.occ = make(map[*trace.KernelSpec]occInfo)
+		// Room for the first context slots, so a small machine's queues
+		// never regrow.
+		fw.pendq = make([]*ctxPending, 0, 8)
 	}
-	clear(fw.pendq)
 	clear(fw.pendingCtxs)
 	fw.pendingCtxs = fw.pendingCtxs[:0]
-	fw.ctxScratch = fw.ctxScratch[:0]
 	fw.tbScratch = fw.tbScratch[:0]
 	clear(fw.occ)
 	fw.launchSeq = 0
@@ -237,27 +228,33 @@ func (fw *Framework) Submit(cmd *LaunchCmd) error {
 	if cmd == nil || cmd.Ctx == nil || cmd.Spec == nil {
 		return fmt.Errorf("core: invalid launch command")
 	}
-	if _, err := fw.occupancy(cmd.Spec); err != nil {
+	info, err := fw.occupancy(cmd.Spec)
+	if err != nil {
 		return err
 	}
+	if cmd.Ctx.Slot < 0 {
+		return fmt.Errorf("core: launch from destroyed context %d", cmd.Ctx.ID)
+	}
+	cmd.occ = info
 	cmd.Launch = fw.nextLaunch()
 	cmd.Enqueued = fw.eng.Now()
 	cmd.Priority = cmd.Ctx.Priority
-	ctxID := cmd.Ctx.ID
-	cp := fw.pendq[ctxID]
+	slot := cmd.Ctx.Slot
+	for len(fw.pendq) <= slot {
+		fw.pendq = append(fw.pendq, nil)
+	}
+	cp := fw.pendq[slot]
 	if cp == nil {
-		if n := len(fw.cpFree); n > 0 {
-			cp, fw.cpFree = fw.cpFree[n-1], fw.cpFree[:n-1]
-			cp.id = ctxID
-		} else {
-			cp = &ctxPending{id: ctxID, pos: -1}
-		}
-		fw.pendq[ctxID] = cp
+		cp = &ctxPending{pos: -1}
+		fw.pendq[slot] = cp
 	}
 	wasEmpty := cp.empty()
-	if wasEmpty && cp.head > 0 {
-		cp.cmds = cp.cmds[:0]
-		cp.head = 0
+	if wasEmpty {
+		cp.id = cmd.Ctx.ID
+		if cp.head > 0 {
+			cp.cmds = cp.cmds[:0]
+			cp.head = 0
+		}
 	}
 	cp.cmds = append(cp.cmds, cmd)
 	if wasEmpty {
@@ -293,54 +290,45 @@ func (fw *Framework) occupancy(spec *trace.KernelSpec) (occInfo, error) {
 	return info, nil
 }
 
-// ReleaseContext retires a GPU context from the framework: its (empty)
-// command-buffer queue leaves pendq for the free list, so the per-context
-// bookkeeping does not grow with the lifetime total of an open system's
-// admitted processes and the next context reuses the queue. It is
-// an error to release a context that still has pending commands or active
-// kernels; context ids are never reused before a Reset, so per-SM
-// installed-context state needs no scrubbing.
-func (fw *Framework) ReleaseContext(ctxID int) error {
-	if cp := fw.pendq[ctxID]; cp != nil && !cp.empty() {
-		return fmt.Errorf("core: releasing context %d with %d pending commands", ctxID, len(cp.cmds)-cp.head)
+// ReleaseContext retires a GPU context from the framework. Its slot's
+// command-buffer queue, which must be empty, stays for the slot's next
+// context, so the per-context bookkeeping does not grow with the lifetime
+// total of an open system's admitted processes. It is an error to release a
+// context that still has pending commands or active kernels; context ids
+// are never reused before a Reset, so per-SM installed-context state needs
+// no scrubbing.
+func (fw *Framework) ReleaseContext(ctx *gpu.Context) error {
+	if s := ctx.Slot; s >= 0 && s < len(fw.pendq) && fw.pendq[s] != nil && !fw.pendq[s].empty() {
+		cp := fw.pendq[s]
+		return fmt.Errorf("core: releasing context %d with %d pending commands", ctx.ID, len(cp.cmds)-cp.head)
 	}
 	for _, id := range fw.active {
-		if k := fw.Kernel(id); k != nil && k.Ctx().ID == ctxID {
-			return fmt.Errorf("core: releasing context %d with active kernel %s", ctxID, k.Spec().Name)
+		if k := fw.Kernel(id); k != nil && k.Ctx() == ctx {
+			return fmt.Errorf("core: releasing context %d with active kernel %s", ctx.ID, k.Spec().Name)
 		}
-	}
-	if cp := fw.pendq[ctxID]; cp != nil {
-		delete(fw.pendq, ctxID)
-		cp.cmds, cp.head = cp.cmds[:0], 0
-		fw.cpFree = append(fw.cpFree, cp)
 	}
 	return nil
 }
 
-// PendingContexts returns the ids of contexts whose command buffer holds a
-// command, in arrival order of the buffered command. The returned slice is
-// a copy (reused across calls): mutating it cannot corrupt the framework's
-// arrival order, and it is only valid until the next call.
-func (fw *Framework) PendingContexts() []int {
-	fw.ctxScratch = fw.ctxScratch[:0]
-	for _, cp := range fw.pendingCtxs {
-		fw.ctxScratch = append(fw.ctxScratch, cp.id)
-	}
-	return fw.ctxScratch
-}
+// NumPending returns the number of contexts whose command buffer holds a
+// command.
+func (fw *Framework) NumPending() int { return len(fw.pendingCtxs) }
 
-// PendingHead returns the command buffered for the given context, or nil.
-func (fw *Framework) PendingHead(ctxID int) *LaunchCmd {
-	cp := fw.pendq[ctxID]
-	if cp == nil || cp.empty() {
-		return nil
-	}
-	return cp.headCmd()
-}
+// PendingAt returns the command buffered by the i-th pending context in
+// arrival order of the buffered commands, 0 <= i < NumPending. Policies
+// read the buffer heads through it in place, with no per-context lookup.
+func (fw *Framework) PendingAt(i int) *LaunchCmd { return fw.pendingCtxs[i].headCmd() }
 
+// popPending takes the buffered command of context ctxID, or returns nil.
 func (fw *Framework) popPending(ctxID int) *LaunchCmd {
-	cp := fw.pendq[ctxID]
-	if cp == nil || cp.empty() {
+	var cp *ctxPending
+	for _, c := range fw.pendingCtxs {
+		if c.id == ctxID {
+			cp = c
+			break
+		}
+	}
+	if cp == nil {
 		return nil
 	}
 	cmd := cp.headCmd()
@@ -432,10 +420,7 @@ func (fw *Framework) allocKSR(cmd *LaunchCmd) *KSR {
 	if slot < 0 {
 		panic("core: active queue has space but KSRT is full")
 	}
-	info, err := fw.occupancy(cmd.Spec)
-	if err != nil {
-		panic(fmt.Sprintf("core: occupancy validated at submit but failed at activation: %v", err))
-	}
+	info := cmd.occ
 	fw.slots[slot].gen++
 	var k *KSR
 	if n := len(fw.ksrFree); n > 0 {

@@ -28,11 +28,10 @@ func (p *scriptPolicy) PickPending(fw *Framework) int {
 	if p.pickPending != nil {
 		return p.pickPending(fw)
 	}
-	ctxs := fw.PendingContexts()
-	if len(ctxs) == 0 {
+	if fw.NumPending() == 0 {
 		return -1
 	}
-	return ctxs[0]
+	return fw.PendingAt(0).Ctx.ID
 }
 
 func (p *scriptPolicy) greedyAssign(fw *Framework) {
@@ -176,6 +175,15 @@ type launchProbe struct {
 	at   sim.Time
 }
 
+// pendingIDs returns the pending contexts' ids in arrival order.
+func pendingIDs(fw *Framework) []int {
+	ids := make([]int, fw.NumPending())
+	for i := range ids {
+		ids[i] = fw.PendingAt(i).Ctx.ID
+	}
+	return ids
+}
+
 // runAndValidate drives the engine to completion, validating invariants
 // after every event.
 func runAndValidate(t *testing.T, eng *sim.Engine, fw *Framework) {
@@ -283,7 +291,7 @@ func TestActiveLimitBlocksAdmission(t *testing.T) {
 	if got := len(fw.Active()); got != 1 {
 		t.Fatalf("active = %d with limit 1", got)
 	}
-	if fw.PendingHead(ctxB.ID) == nil {
+	if fw.NumPending() != 1 || fw.PendingAt(0).Ctx != ctxB {
 		t.Fatal("kernel B should wait in its command buffer")
 	}
 	runAndValidate(t, eng, fw)
@@ -302,15 +310,14 @@ func TestPendingOrderFollowsHeadArrival(t *testing.T) {
 	submit(t, fw, ctxA, kernelOcc("a1", 1, 1, 1))
 	submit(t, fw, ctxB, kernelOcc("b1", 1, 1, 1))
 	submit(t, fw, ctxA, kernelOcc("a2", 1, 1, 1))
-	order := fw.PendingContexts()
-	if len(order) != 2 || order[0] != ctxA.ID || order[1] != ctxB.ID {
-		t.Fatalf("pending order = %v, want [A B]", order)
+	if fw.NumPending() != 2 || fw.PendingAt(0).Ctx != ctxA || fw.PendingAt(1).Ctx != ctxB {
+		t.Fatalf("pending order = %v, want [A B]", pendingIDs(fw))
 	}
-	if cp := fw.pendq[ctxA.ID]; len(cp.cmds)-cp.head != 2 {
+	if cp := fw.pendq[ctxA.Slot]; len(cp.cmds)-cp.head != 2 {
 		t.Errorf("pending depth of A = %d, want 2", len(cp.cmds)-cp.head)
 	}
-	if fw.PendingHead(ctxA.ID).Spec.Name != "a1" {
-		t.Errorf("head of A = %s, want a1", fw.PendingHead(ctxA.ID).Spec.Name)
+	if fw.PendingAt(0).Spec.Name != "a1" {
+		t.Errorf("head of A = %s, want a1", fw.PendingAt(0).Spec.Name)
 	}
 }
 
@@ -889,11 +896,10 @@ func TestPendingRequeueAfterActivation(t *testing.T) {
 		if !admit {
 			return -1
 		}
-		ctxs := fw.PendingContexts()
-		if len(ctxs) == 0 {
+		if fw.NumPending() == 0 {
 			return -1
 		}
-		return ctxs[0]
+		return fw.PendingAt(0).Ctx.ID
 	}
 	eng, fw, tbl := testFW(t, pol, drainMech{})
 	ctxA := mustCtx(t, tbl, "a", 0)
@@ -905,7 +911,7 @@ func TestPendingRequeueAfterActivation(t *testing.T) {
 	submit(t, fw, ctxA, kernelOcc("a2", 1, 5, 1))
 	// Admit exactly one: A's head (earliest arrival).
 	admit = true
-	fwPendingBefore := append([]int(nil), fw.PendingContexts()...)
+	fwPendingBefore := pendingIDs(fw)
 	if len(fwPendingBefore) != 2 || fwPendingBefore[0] != ctxA.ID {
 		t.Fatalf("pending before = %v", fwPendingBefore)
 	}
@@ -1007,13 +1013,16 @@ func TestRecyclingKSRsAndCommandBuffers(t *testing.T) {
 		t.Error("third launch did not reuse a finished KSR")
 	}
 
-	cp := fw.pendq[a.ID]
-	if err := fw.ReleaseContext(a.ID); err != nil {
+	cp := fw.pendq[a.Slot]
+	if err := fw.ReleaseContext(a); err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.Destroy(a); err != nil {
 		t.Fatal(err)
 	}
 	b := mustCtx(t, tbl, "b", 0)
 	submit(t, fw, b, spec)
-	if fw.pendq[b.ID] != cp || fw.pendq[a.ID] != nil || cp.id != b.ID {
+	if fw.pendq[b.Slot] != cp || cp.id != b.ID {
 		t.Error("released context's command buffer was not reused by the next context")
 	}
 	runAndValidate(t, eng, fw)

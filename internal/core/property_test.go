@@ -22,11 +22,10 @@ type chaosPolicy struct {
 func (p *chaosPolicy) Name() string { return "chaos" }
 
 func (p *chaosPolicy) PickPending(fw *Framework) int {
-	ctxs := fw.PendingContexts()
-	if len(ctxs) == 0 {
+	if fw.NumPending() == 0 {
 		return -1
 	}
-	return ctxs[0]
+	return fw.PendingAt(0).Ctx.ID
 }
 
 func (p *chaosPolicy) act(fw *Framework) {

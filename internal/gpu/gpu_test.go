@@ -192,13 +192,13 @@ func TestContextTable(t *testing.T) {
 	if tbl.Lookup(a.ID) != a {
 		t.Fatal("Lookup failed")
 	}
-	if err := tbl.Destroy(a.ID); err != nil {
+	if err := tbl.Destroy(a); err != nil {
 		t.Fatal(err)
 	}
 	if tbl.Lookup(a.ID) != nil {
 		t.Fatal("destroyed context still present")
 	}
-	if err := tbl.Destroy(a.ID); err == nil {
+	if err := tbl.Destroy(a); err == nil {
 		t.Fatal("double destroy succeeded")
 	}
 	if tbl.Len() != 1 || tbl.capacity != 2 {
@@ -228,7 +228,7 @@ func TestContextRecycling(t *testing.T) {
 	if err := old.PageTable.Unmap(va, 3); err != nil {
 		t.Fatal(err)
 	}
-	if err := tbl.Destroy(oldID); err != nil {
+	if err := tbl.Destroy(old); err != nil {
 		t.Fatal(err)
 	}
 	tbl.Recycle(old)
@@ -277,7 +277,7 @@ func TestContextRecycleRejectsMisuse(t *testing.T) {
 	if _, err := live.PageTable.AllocRegion(0, mmu.PageSize); err != nil {
 		t.Fatal(err)
 	}
-	tbl.Destroy(live.ID) //nolint:errcheck // live
+	tbl.Destroy(live) //nolint:errcheck // live
 	mustPanic(t, "recycling a context with mapped pages", func() { tbl.Recycle(live) })
 }
 

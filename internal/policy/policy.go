@@ -37,29 +37,26 @@ func assignLoop(fw *core.Framework, pick pickFn) {
 // earliestPending returns the pending context whose buffered command arrived
 // first, or -1.
 func earliestPending(fw *core.Framework) int {
-	ctxs := fw.PendingContexts()
-	if len(ctxs) == 0 {
+	if fw.NumPending() == 0 {
 		return -1
 	}
-	return ctxs[0]
+	return fw.PendingAt(0).Ctx.ID
 }
 
 // highestPriorityPending returns the pending context with the
 // highest-priority buffered command, ties broken by arrival, or -1.
 func highestPriorityPending(fw *core.Framework) int {
-	best := -1
-	bestPrio := 0
-	for _, ctxID := range fw.PendingContexts() { // already in arrival order
-		cmd := fw.PendingHead(ctxID)
-		if cmd == nil {
-			continue
-		}
-		if best < 0 || cmd.Priority > bestPrio {
-			best = ctxID
-			bestPrio = cmd.Priority
+	n := fw.NumPending()
+	if n == 0 {
+		return -1
+	}
+	best := fw.PendingAt(0) // the heads are in arrival order
+	for i := 1; i < n; i++ {
+		if cmd := fw.PendingAt(i); cmd.Priority > best.Priority {
+			best = cmd
 		}
 	}
-	return best
+	return best.Ctx.ID
 }
 
 // FCFS models the scheduling of current GPUs (§2.3): kernels are serviced

@@ -19,11 +19,10 @@ type reserveOnSecond struct {
 func (p *reserveOnSecond) Name() string { return "reserve-on-second" }
 
 func (p *reserveOnSecond) PickPending(fw *core.Framework) int {
-	ctxs := fw.PendingContexts()
-	if len(ctxs) == 0 {
+	if fw.NumPending() == 0 {
 		return -1
 	}
-	return ctxs[0]
+	return fw.PendingAt(0).Ctx.ID
 }
 
 func (p *reserveOnSecond) greedy(fw *core.Framework) {

@@ -455,7 +455,8 @@ func TestReuseReplaysLikeAFreshProcess(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.Start(0)
-	if err := p.Reuse(sys.Contexts.Lookup(p.Ctx().ID), app); err == nil {
+	tab := &new(PhaseTables).Build([]*trace.App{app})[0]
+	if err := p.Reuse(sys.Contexts.Lookup(p.Ctx().ID), tab); err == nil {
 		t.Fatal("Reuse of a process with a run in flight succeeded")
 	}
 	if err := sys.Eng.Run(); err != nil {
@@ -466,7 +467,7 @@ func TestReuseReplaysLikeAFreshProcess(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := sys.Eng.Now()
-	if err := p.Reuse(ctx, app); err != nil {
+	if err := p.Reuse(ctx, tab); err != nil {
 		t.Fatal(err)
 	}
 	if p.Ctx() != ctx || p.CompletedRuns() != 0 {
@@ -494,7 +495,165 @@ func TestReuseReplaysLikeAFreshProcess(t *testing.T) {
 	}
 
 	p.Loop = true
-	if err := p.Reuse(ctx, app); err == nil {
+	if err := p.Reuse(ctx, tab); err == nil {
 		t.Error("Reuse of a looping process succeeded")
 	}
+}
+
+// foldApp is a trace whose CPU runs sit at every place a run can: at the
+// start, between two commands, just before a sync, as a one-op run, and at
+// the end. Every CPU duration is an odd, distinct nanosecond count, so a
+// run that loses or gains an op changes the sum.
+func foldApp(name string) (app *trace.App, runs [][2]int, durs []sim.Time) {
+	us := func(n int) sim.Time { return sim.Microseconds(float64(n)) + sim.Time(2*n+1) }
+	h2d := trace.Op{Kind: trace.OpH2D, Bytes: 4096}
+	d2h := trace.Op{Kind: trace.OpD2H, Bytes: 4096}
+	app = withOps(name,
+		cpuOp(us(101)), cpuOp(us(103)), // 0-1: at the start
+		h2d,                                            // 2
+		cpuOp(us(107)), cpuOp(us(109)), cpuOp(us(113)), // 3-5: between two commands
+		d2h,                            // 6
+		cpuOp(us(127)), cpuOp(us(131)), // 7-8: just before a sync
+		syncOp,                         // 9
+		cpuOp(us(137)),                 // 10: a one-op run
+		launchOp,                       // 11
+		cpuOp(us(139)), cpuOp(us(149)), // 12-13: at the end
+	)
+	runs = [][2]int{{0, 2}, {3, 6}, {7, 9}, {10, 11}, {12, 14}}
+	for _, r := range runs {
+		var d sim.Time
+		for _, op := range app.Ops[r[0]:r[1]] {
+			d += op.Dur
+		}
+		durs = append(durs, d)
+	}
+	return app, runs, durs
+}
+
+// twoRunApp has a different run layout from foldApp at every index.
+func twoRunApp() *trace.App {
+	return withOps("two", syncOp, cpuOp(sim.Microseconds(211)), launchOp,
+		cpuOp(sim.Microseconds(223)), cpuOp(sim.Microseconds(227)), syncOp)
+}
+
+// checkTable requires t's CPU phases to be the runs, in order: each starts
+// at its run's first op, its next phase at the run's end, and it carries
+// the run's summed duration.
+func checkTable(t *testing.T, tab *PhaseTable, runs [][2]int, durs []sim.Time) {
+	t.Helper()
+	k := 0
+	for j, ph := range tab.phases {
+		if trace.OpKind(ph.kind) != trace.OpCPU {
+			continue
+		}
+		end := len(tab.app.Ops)
+		if j+1 < len(tab.phases) {
+			end = int(tab.phases[j+1].op)
+		}
+		if k >= len(runs) {
+			t.Errorf("extra CPU phase over ops [%d, %d)", ph.op, end)
+		} else if int(ph.op) != runs[k][0] || end != runs[k][1] || ph.dur != durs[k] {
+			t.Errorf("run %d: CPU phase over ops [%d, %d) of %v, want [%d, %d) of %v",
+				k, ph.op, end, ph.dur, runs[k][0], runs[k][1], durs[k])
+		}
+		k++
+	}
+	if k != len(runs) {
+		t.Errorf("%d CPU phases, want %d", k, len(runs))
+	}
+}
+
+// runOnce replays p once from the machine's current time and returns the
+// run record and the CPU phases the replay dispatched.
+func runOnce(t *testing.T, sys *system.System, p *Process) (RunRecord, uint64) {
+	t.Helper()
+	before := sys.CPU.Dispatched
+	if err := p.Start(sys.Eng.Now()); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if p.CompletedRuns() != 1 {
+		t.Fatalf("%d runs completed, want 1", p.CompletedRuns())
+	}
+	return p.Runs()[0], sys.CPU.Dispatched - before
+}
+
+// TestPhaseTableFoldsEachRunOnce pins the replay's phase table: each maximal
+// CPU run is one cpu.Model phase of the run's summed duration, the replay
+// resumes exactly past the run, and the run's end is the hand-computed sum
+// of the CPU phases and the three commands' issue micro-phases (each 4 KiB
+// transfer finishes inside the CPU phase that follows it, so the sync and
+// the final implicit sync never wait; nor does the kernel outlast the
+// 288 us run after its launch). Tables built together share one array, and
+// a rebuild for another set of apps reuses it: Reuse with a different app,
+// before or after the rebuild, never replays stale run boundaries.
+func TestPhaseTableFoldsEachRunOnce(t *testing.T) {
+	app, runs, durs := foldApp("fold")
+	var total sim.Time
+	for _, d := range durs {
+		total += d
+	}
+	const cmds = 3
+	sys := testSystem(t)
+	if tt := sys.Cfg.PCIe.TransferTime(4096); tt >= durs[1] {
+		t.Fatalf("transfer time %v does not fit in a CPU run; the hand-computed end below assumes it does", tt)
+	}
+	wantEnd := total + cmds*IssueOverhead
+	wantPhases := uint64(len(runs) + cmds)
+	check := func(what string, p *Process) {
+		t.Helper()
+		if p.App() != app {
+			t.Fatalf("%s: process replays %s, want %s", what, p.App().Name, app.Name)
+		}
+		checkTable(t, &PhaseTable{app: app, phases: p.plan}, runs, durs)
+		if rec, phases := runOnce(t, sys, p); rec.End-rec.Start != wantEnd || phases != wantPhases {
+			t.Errorf("%s: run took %v in %d CPU phases, want %v in %d", what, rec.End-rec.Start, phases, wantEnd, wantPhases)
+		}
+	}
+	// other: sync, 211us, launch, 223+227us, sync.
+	other := twoRunApp()
+	otherRuns, otherDurs := [][2]int{{1, 2}, {3, 5}}, []sim.Time{sim.Microseconds(211), sim.Microseconds(450)}
+	checkOther := func(what string, p *Process) {
+		t.Helper()
+		checkTable(t, &PhaseTable{app: other, phases: p.plan}, otherRuns, otherDurs)
+		if rec, phases := runOnce(t, sys, p); phases != 3 || rec.End-rec.Start < sim.Microseconds(211+450)+IssueOverhead {
+			t.Errorf("%s: %d CPU phases, run %v; want 3 phases and at least %v",
+				what, phases, rec.End-rec.Start, sim.Microseconds(211+450)+IssueOverhead)
+		}
+	}
+	reuse := func(p *Process, tab *PhaseTable) {
+		t.Helper()
+		ctx, err := sys.NewContext("again", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Reuse(ctx, tab); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	p, err := newProc(sys, app, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("fresh process", p)
+	if busy := sys.CPU.BusyTime; busy != wantEnd {
+		t.Errorf("CPU busy %v, want the runs' and issues' sum %v", busy, wantEnd)
+	}
+
+	var ts PhaseTables
+	tabs := ts.Build([]*trace.App{other, app})
+	reuse(p, &tabs[0])
+	checkOther("reused with another app", p)
+	reuse(p, &tabs[1])
+	check("reused back", p)
+
+	// The rebuild overwrites the arrays the tables above used.
+	tabs = ts.Build([]*trace.App{app, other})
+	reuse(p, &tabs[1])
+	checkOther("rebuilt, reused with another app", p)
+	reuse(p, &tabs[0])
+	check("rebuilt, reused back", p)
 }

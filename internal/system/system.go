@@ -110,13 +110,23 @@ func (s *System) NewContext(name string, priority int) (*gpu.Context, error) {
 	return s.Contexts.Create(name, priority)
 }
 
-// RetireContext removes a finished process's GPU context from the machine:
-// the execution engine drops its command-buffer bookkeeping and the context
+// Retire removes a finished process's GPU context from the machine: the
+// execution engine drops its command-buffer bookkeeping and the context
 // table frees the slot. The context must be quiescent (no pending commands,
 // no active kernels) — retiring mid-flight is a caller bug.
-func (s *System) RetireContext(id int) error {
-	if err := s.Exec.ReleaseContext(id); err != nil {
+func (s *System) Retire(ctx *gpu.Context) error {
+	if err := s.Exec.ReleaseContext(ctx); err != nil {
 		return err
 	}
-	return s.Contexts.Destroy(id)
+	return s.Contexts.Destroy(ctx)
+}
+
+// RetireContext is Retire for the live context with the given id, found by
+// a scan of the context table.
+func (s *System) RetireContext(id int) error {
+	ctx := s.Contexts.Lookup(id)
+	if ctx == nil {
+		return fmt.Errorf("gpu: destroying unknown context %d", id)
+	}
+	return s.Retire(ctx)
 }

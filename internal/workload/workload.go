@@ -160,6 +160,9 @@ type machine struct {
 	procs   []*proc.Process
 	live    []*proc.Process
 	minRuns int
+	// tables rebuilds the phase tables of each workload's apps into arrays
+	// the machine keeps.
+	tables proc.PhaseTables
 }
 
 // machines recycles machines across Run calls. A machine goes back only
@@ -170,7 +173,8 @@ var machines = sync.Pool{New: func() any { return new(machine) }}
 // Run simulates one workload. It runs on a recycled machine: system.Reset
 // rebuilds it for this workload's configuration, policy and mechanism, and
 // each recycled process is aborted and then reused (proc.Process.Abort,
-// Reuse), so the result equals a run on a fresh machine. The Result shares
+// Reuse) with its app's phase table, rebuilt in the machine's arrays, so
+// the result equals a run on a fresh machine. The Result shares
 // no memory with the machine.
 func Run(spec Spec, rc RunConfig) (*Result, error) {
 	m := machines.Get().(*machine)
@@ -212,6 +216,7 @@ func (m *machine) run(spec Spec, rc RunConfig) (*Result, error) {
 	sys.Eng.SetMaxEvents(rc.MaxEvents)
 	m.minRuns = rc.MinRuns
 
+	tabs := m.tables.Build(spec.Apps)
 	var mpsCtx *gpu.Context
 	if rc.MPS {
 		mpsCtx, err = sys.NewContext("mps-proxy", 0)
@@ -231,7 +236,7 @@ func (m *machine) run(spec Spec, rc RunConfig) (*Result, error) {
 			}
 		}
 		if i == len(m.procs) {
-			p, err := proc.NewWithContext(sys, ctx, app)
+			p, err := proc.NewWithTable(sys, ctx, &tabs[i])
 			if err != nil {
 				return nil, err
 			}
@@ -241,7 +246,7 @@ func (m *machine) run(spec Spec, rc RunConfig) (*Result, error) {
 			p := m.procs[i]
 			p.Abort()
 			p.Loop = false
-			if err := p.Reuse(ctx, app); err != nil {
+			if err := p.Reuse(ctx, &tabs[i]); err != nil {
 				return nil, err
 			}
 		}
