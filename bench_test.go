@@ -247,7 +247,7 @@ func BenchmarkEventEngine(b *testing.B) {
 func BenchmarkIssueCompleteTB(b *testing.B) {
 	eng := sim.NewEngine()
 	fw, err := core.New(eng, gpu.DefaultConfig(), policy.NewFCFS(), preempt.Drain{},
-		core.Options{Jitter: 0.3, Seed: 1}, nil, nil)
+		core.Options{Jitter: 0.3, Seed: 1}, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -113,6 +113,9 @@ func TestRejectsBadFlags(t *testing.T) {
 		{"-hbm NaN", "-hbm must be a positive size"},
 		{"-hbm Inf", "-hbm must be a positive size"},
 		{"-hbm 1e19", "-hbm must be a positive size"},
+		// Fleet-only flags on a run that is not a fleet would be ignored.
+		{"-arrivals poisson -apps spmv,lbm -scale 48 -rate 20000 -horizon 1ms -warm-start 1ms", "-warm-start needs a fleet"},
+		{"-apps spmv,lbm -scale 48 -par-window 8", "-par-window needs a fleet"},
 	}
 	for _, f := range []string{"autoscale 2:4", "as-high 4", "as-low 1", "as-interval 250us",
 		"kill-rate 1500", "downtime 500us", "straggler 0.2", "slow-factor 2", "timeout 300us",

@@ -233,6 +233,12 @@ func main() {
 	if fleet && *arrFlag == "" {
 		fatal(fmt.Errorf("a fleet (-gpus/-hbm/-swap or a -cluster file) needs -arrivals: the cluster layer serves open request streams"))
 	}
+	if !fleet && *warmup > 0 {
+		fatal(fmt.Errorf("-warm-start needs a fleet (-gpus/-hbm/-swap or a -cluster file): it warms the cluster dispatcher"))
+	}
+	if !fleet && *parWin > 0 {
+		fatal(fmt.Errorf("-par-window needs a fleet (-gpus/-hbm/-swap or a -cluster file): it runs the cluster's GPU engines in parallel"))
+	}
 	if *arrFlag != "" {
 		if *timeline || *reps > 1 {
 			fatal(fmt.Errorf("-arrivals is not compatible with -timeline or -reps"))

@@ -55,8 +55,8 @@ func recycleSystem(t *testing.T) *system.System {
 
 // TestAdmitterSteadyStateAllocs pins the recycling: once a machine has
 // served a request, admitting and completing the next one reuses its
-// context, page table, process, streams, command records, command-buffer
-// queue and KSRs instead of allocating new ones.
+// context, process, streams, command records, command-buffer queue and
+// KSRs instead of allocating new ones.
 func TestAdmitterSteadyStateAllocs(t *testing.T) {
 	tr := recycleTrace(1)
 	sys := recycleSystem(t)
@@ -91,14 +91,14 @@ func TestAdmitterRecyclesOnlyAfterCallback(t *testing.T) {
 	sys := recycleSystem(t)
 	var adm *Admitter
 	var ctxs []*gpu.Context
-	var ids, asids []int
+	var ids []int
 	admit := func(i int) {
 		if err := adm.Admit(i, i); err != nil {
 			t.Fatal(err)
 		}
 		c := sys.Contexts.Lookup(i)
 		ctxs = append(ctxs, c)
-		ids, asids = append(ids, c.ID), append(asids, c.PageTable.ASID)
+		ids = append(ids, c.ID)
 	}
 	adm = NewAdmitter(sys, tr, new(proc.PhaseTables).Build(tr.Apps), func(id int, _ proc.RunRecord) {
 		if id == 0 {
@@ -120,8 +120,8 @@ func TestAdmitterRecyclesOnlyAfterCallback(t *testing.T) {
 		t.Error("third request did not reuse a retired context")
 	}
 	for i := range ctxs {
-		if ids[i] != i || asids[i] != i {
-			t.Errorf("request %d: context id %d, asid %d; want fresh id %d", i, ids[i], asids[i], i)
+		if ids[i] != i {
+			t.Errorf("request %d: context id %d; want fresh id %d", i, ids[i], i)
 		}
 	}
 }

@@ -161,11 +161,11 @@ func (e *engine) run(rc RunConfig) (*Result, error) {
 // pending commands or active kernels, so a retire failure is an engine
 // invariant violation and panics) and onRun receives the request's id and
 // raw completion record. Only after onRun has returned do the request's
-// context struct (with its page table), process and admission record go back
-// to free lists on the desk for later admissions. The lists start empty and
-// grow to the machine's peak concurrency. A completion may synchronously
-// admit another request (an HBM-queued one, say): that admission never
-// receives an object of the request still completing.
+// context struct, process and admission record go back to free lists on the
+// desk for later admissions. The lists start empty and grow to the
+// machine's peak concurrency. A completion may synchronously admit another
+// request (an HBM-queued one, say): that admission never receives an object
+// of the request still completing.
 //
 // The single-node engine admits at injection time; internal/cluster keeps
 // one desk per node and admits wherever the dispatcher placed the request.

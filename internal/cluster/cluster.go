@@ -522,6 +522,13 @@ func New(tr *trace.ArrivalTrace, rc RunConfig) (*Cluster, error) {
 	if rc.Policy == nil {
 		return nil, fmt.Errorf("cluster: no policy factory")
 	}
+	// The fleet's shape (node types and count, autoscale, faults,
+	// resilience) passes the same check as a topology file.
+	shape := Config{Nodes: rc.Nodes, NodeTypes: rc.NodeTypes,
+		Autoscale: rc.Autoscale, Faults: rc.Faults, Resilience: rc.Resilience}
+	if err := shape.Validate(); err != nil {
+		return nil, err
+	}
 	// The per-node machine configs: NodeTypes expand in order, or Nodes
 	// homogeneous replicas of Sys.
 	type nodeCfg struct {
@@ -541,27 +548,15 @@ func New(tr *trace.ArrivalTrace, rc RunConfig) (*Cluster, error) {
 	baseScale := cmp.Or(base.TimeScale, 1)
 	base.TimeScale = 0
 	var cfgs []nodeCfg
-	if len(rc.NodeTypes) > 0 {
-		total := 0
-		for ti, t := range rc.NodeTypes {
-			if err := t.Validate(); err != nil {
-				return nil, fmt.Errorf("cluster: node type %d: %w", ti, err)
-			}
-			total += t.Count
-			for j := 0; j < t.Count; j++ {
-				cfgs = append(cfgs, nodeCfg{t.apply(base), baseScale * t.scale()})
-			}
+	for _, t := range rc.NodeTypes {
+		for j := 0; j < t.Count; j++ {
+			cfgs = append(cfgs, nodeCfg{t.apply(base), baseScale * t.scale()})
 		}
-		if rc.Nodes != 0 && rc.Nodes != total {
-			return nil, fmt.Errorf("cluster: node count %d does not match node types' total %d", rc.Nodes, total)
-		}
-	} else {
+	}
+	if len(rc.NodeTypes) == 0 {
 		for i := 0; i < rc.Nodes; i++ {
 			cfgs = append(cfgs, nodeCfg{base, baseScale})
 		}
-	}
-	if len(cfgs) < 1 || len(cfgs) > MaxNodes {
-		return nil, fmt.Errorf("cluster: node count %d out of range [1, %d]", len(cfgs), MaxNodes)
 	}
 
 	c := &Cluster{tr: tr, rc: rc, disp: rc.Dispatcher, ctl: sim.NewEngine(), swapOn: rc.Swap}
@@ -584,9 +579,6 @@ func New(tr *trace.ArrivalTrace, rc RunConfig) (*Cluster, error) {
 		}
 	}
 	if rc.Faults != nil {
-		if err := rc.Faults.Validate(); err != nil {
-			return nil, err
-		}
 		fs := rc.Faults.withDefaults()
 		if fs.Seed == 0 {
 			fs.Seed = rng.SeedFrom(rc.Sys.Seed, faultSeedTag)
@@ -594,16 +586,10 @@ func New(tr *trace.ArrivalTrace, rc RunConfig) (*Cluster, error) {
 		c.faults = &fs
 	}
 	if rc.Autoscale != nil {
-		if err := rc.Autoscale.Validate(); err != nil {
-			return nil, err
-		}
 		c.asc = &scaler{StepConfig: rc.Autoscale.withDefaults(),
 			lat: new(metrics.Sketch), prevLat: new(metrics.Sketch)}
 	}
 	if rc.Resilience.Enabled() {
-		if err := rc.Resilience.Validate(); err != nil {
-			return nil, err
-		}
 		c.initResilience()
 	}
 	for i, nc := range cfgs {

@@ -16,9 +16,7 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/gmem"
 	"repro/internal/gpu"
-	"repro/internal/mmu"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -121,7 +119,7 @@ type KSR struct {
 	started bool
 
 	// ctxBytes caches Config.TBContextBytes(Spec()) — hit once per restored
-	// thread block and per save-area touch.
+	// thread block and per context save.
 	ctxBytes int64
 	// jitterState is the rng.Hash64 state after mixing (seed, launch); each
 	// thread block's jitter mixes in its index (Framework.jitterFactor).
@@ -131,8 +129,6 @@ type KSR struct {
 	// the next push shifts the queue down, so the slice keeps its capacity.
 	ptbq     []PreemptedTB
 	ptbqHead int
-	saveVA   mmu.VAddr
-	savePA   gmem.PAddr
 }
 
 // ID returns the kernel's handle.
@@ -207,8 +203,6 @@ type sm struct {
 	resident  []residentTB
 	issued    uint64 // thread blocks issued so far; the next residentTB.seq
 	settingUp bool
-	ctxOnSM   int // installed context id; -1 = none
-	tlb       *mmu.TLB
 	busyFrom  sim.Time
 	// reservedAt is when the SM entered the Reserved state (preemption
 	// start); -1 outside a preemption. PreemptionDone accumulates the
@@ -220,19 +214,13 @@ type sm struct {
 }
 
 // reset returns the SM to its power-on state: idle, no kernel, nothing
-// resident or installed, an empty TLB of the given capacity.
-func (s *sm) reset(tlbEntries int) {
+// resident.
+func (s *sm) reset() {
 	s.state = SMIdle
 	s.ksr, s.next = NoKernel, NoKernel
 	s.resident = s.resident[:0]
 	s.issued = 0
 	s.settingUp = false
-	s.ctxOnSM = -1
-	if s.tlb == nil {
-		s.tlb = mmu.NewTLB(tlbEntries)
-	} else {
-		s.tlb.Reset(tlbEntries)
-	}
 	s.busyFrom = -1
 	s.reservedAt = -1
 	s.saveBuf = s.saveBuf[:0]

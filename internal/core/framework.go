@@ -5,9 +5,7 @@ import (
 	"math"
 	"slices"
 
-	"repro/internal/gmem"
 	"repro/internal/gpu"
-	"repro/internal/mmu"
 	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -25,7 +23,6 @@ type Framework struct {
 	// mechObs is mech's optional TBObserver side, memoized at construction
 	// so the per-completion notification costs no type assertion.
 	mechObs TBObserver
-	mem     *gmem.Manager // optional: backs preallocated context-save areas
 
 	sms   []*sm
 	slots []ksrSlot
@@ -111,28 +108,25 @@ type Options struct {
 	TimeScale float64
 }
 
-// New builds a framework for the given machine, policy and mechanism. mem,
-// when non-nil, is the physical memory the framework preallocates
-// per-kernel context-save areas from (§3.2); timeline, when non-nil,
-// records SM occupancy.
-func New(eng *sim.Engine, cfg gpu.Config, policy Policy, mech Mechanism, opts Options, mem *gmem.Manager, timeline *Timeline) (*Framework, error) {
+// New builds a framework for the given machine, policy and mechanism.
+// timeline, when non-nil, records SM occupancy.
+func New(eng *sim.Engine, cfg gpu.Config, policy Policy, mech Mechanism, opts Options, timeline *Timeline) (*Framework, error) {
 	fw := &Framework{}
-	if err := fw.Reset(eng, cfg, policy, mech, opts, mem, timeline); err != nil {
+	if err := fw.Reset(eng, cfg, policy, mech, opts, timeline); err != nil {
 		return nil, err
 	}
 	return fw, nil
 }
 
 // Reset returns the framework to the state New(eng, cfg, policy, mech, opts,
-// mem, timeline) produces, keeping every slice's and map's capacity: the
-// SMs (their resident sets, TLBs and context registers), the KSRT and its
-// KSRs, the command-buffer queues and the memoized occupancies. Kernels and
-// commands in flight are dropped without completing; their KSRs and queues
-// go back to the free lists. Launch ids and KSR generations start over, as
+// timeline) produces, keeping every slice's and map's capacity: the SMs
+// (their resident sets), the KSRT and its KSRs, the command-buffer queues
+// and the memoized occupancies. Kernels and commands in flight are dropped
+// without completing; their KSRs and queues go back to the free lists. Launch ids and KSR generations start over, as
 // do the statistics. The engine must have been reset first (or be fresh):
 // events the old kernels scheduled would otherwise fire into the new state.
 // On error the framework is unusable until a successful Reset.
-func (fw *Framework) Reset(eng *sim.Engine, cfg gpu.Config, policy Policy, mech Mechanism, opts Options, mem *gmem.Manager, timeline *Timeline) error {
+func (fw *Framework) Reset(eng *sim.Engine, cfg gpu.Config, policy Policy, mech Mechanism, opts Options, timeline *Timeline) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
@@ -156,7 +150,7 @@ func (fw *Framework) Reset(eng *sim.Engine, cfg gpu.Config, policy Policy, mech 
 		opts.TimeScale = 1
 	}
 	fw.eng, fw.cfg, fw.policy, fw.mech = eng, cfg, policy, mech
-	fw.opts, fw.mem, fw.timeline = opts, mem, timeline
+	fw.opts, fw.timeline = opts, timeline
 	fw.mechObs, _ = mech.(TBObserver)
 	keep := min(len(fw.sms), cfg.NumSMs)
 	clear(fw.sms[keep:])
@@ -165,7 +159,7 @@ func (fw *Framework) Reset(eng *sim.Engine, cfg gpu.Config, policy Policy, mech 
 		fw.sms = append(fw.sms, &sm{fw: fw, id: len(fw.sms)})
 	}
 	for _, s := range fw.sms {
-		s.reset(cfg.TLBEntriesPerSM)
+		s.reset()
 	}
 	for i := range fw.slots {
 		if k := fw.slots[i].k; k != nil {
@@ -439,47 +433,7 @@ func (fw *Framework) allocKSR(cmd *LaunchCmd) *KSR {
 		ptbq:        k.ptbq[:0],
 	}
 	fw.slots[slot].k = k
-	fw.allocSaveArea(k)
 	return k
-}
-
-// allocSaveArea preallocates the kernel's context-save area: space for the
-// contexts of every thread block that could be preempted at once (§3.3: all
-// active thread blocks of a kernel may be preempted).
-func (fw *Framework) allocSaveArea(k *KSR) {
-	if fw.mem == nil {
-		return
-	}
-	maxPreempted := int64(fw.cfg.NumSMs) * int64(k.TBsPerSM)
-	size := maxPreempted * k.ctxBytes
-	if size <= 0 {
-		return
-	}
-	pa, err := fw.mem.Alloc(k.Ctx().ID, size)
-	if err != nil {
-		fw.stats.SaveAreaFailures++
-		return
-	}
-	va, err := k.Ctx().PageTable.AllocRegion(pa, size)
-	if err != nil {
-		fw.stats.SaveAreaFailures++
-		fw.mem.Free(pa) //nolint:errcheck // just allocated
-		return
-	}
-	k.savePA = pa
-	k.saveVA = va
-}
-
-func (fw *Framework) freeSaveArea(k *KSR) {
-	if fw.mem == nil || k.saveVA == 0 {
-		return
-	}
-	maxPreempted := int64(fw.cfg.NumSMs) * int64(k.TBsPerSM)
-	size := maxPreempted * k.ctxBytes
-	npages := int((size + mmu.PageSize - 1) / mmu.PageSize)
-	k.Ctx().PageTable.Unmap(k.saveVA, npages) //nolint:errcheck // mapped at alloc
-	fw.mem.Free(k.savePA)                     //nolint:errcheck // allocated at alloc
-	k.saveVA, k.savePA = 0, 0
 }
 
 // --- Accessors for policies and mechanisms ------------------------------
@@ -605,14 +559,7 @@ func (fw *Framework) setupDone(s *sm, kid KernelID) {
 		return
 	}
 	k.Incoming--
-	ctx := k.Ctx()
-	if s.ctxOnSM != ctx.ID {
-		// Installing a different GPU context: load the context-id and base
-		// page-table registers and flush the SM's TLB (§3.1).
-		s.tlb.Flush()
-		s.ctxOnSM = ctx.ID
-	}
-	fw.timeline.transition(s.id, fw.eng.Now(), IntervalRun, k.Spec().Name, k.Cmd.Launch, ctx.ID)
+	fw.timeline.transition(s.id, fw.eng.Now(), IntervalRun, k.Spec().Name, k.Cmd.Launch, k.Ctx().ID)
 	fw.fillSM(s)
 	if len(s.resident) == 0 {
 		fw.smBecameIdle(s)
@@ -660,7 +607,6 @@ func (fw *Framework) issueTB(s *sm, k *KSR) {
 			fw.stats.TBsRestarted++
 		} else {
 			restore := fw.cfg.ContextMoveTime(k.ctxBytes)
-			fw.touchSaveArea(s, k, h.Index)
 			tb = residentTB{index: int32(h.Index), restored: true, start: now, end: now + restore + h.Remaining}
 			fw.stats.TBsRestored++
 			fw.stats.ContextRestored += k.ctxBytes
@@ -702,22 +648,6 @@ func (fw *Framework) tbDuration(k *KSR, idx int) sim.Time {
 // plus the finalizer.
 func (fw *Framework) jitterFactor(k *KSR, idx int) float64 {
 	return rng.Jitter(fw.opts.Jitter, rng.Finish(rng.Mix(k.jitterState, uint64(idx))))
-}
-
-// touchSaveArea exercises the SM's TLB and the process page table for the
-// context save/restore traffic of one thread block (§3.1/§3.2: the trap
-// routine reads and writes the preallocated save area through the process's
-// address space).
-func (fw *Framework) touchSaveArea(s *sm, k *KSR, tbIndex int) {
-	if k.saveVA == 0 {
-		return
-	}
-	bytes := k.ctxBytes
-	slotBase := k.saveVA + mmu.VAddr(int64(tbIndex%(fw.cfg.NumSMs*k.TBsPerSM))*bytes)
-	// Touch the first byte of each page of the thread block's slot.
-	for off := int64(0); off < bytes; off += mmu.PageSize {
-		s.tlb.Lookup(k.Ctx().PageTable, slotBase+mmu.VAddr(off)) //nolint:errcheck // mapped at activation
-	}
 }
 
 // completeTB handles a thread-block completion on SM s.
@@ -811,7 +741,6 @@ func (fw *Framework) finishKernel(k *KSR) {
 			break
 		}
 	}
-	fw.freeSaveArea(k)
 	fw.slots[k.id.slot].k = nil
 	fw.stats.KernelsFinished++
 	fw.policy.OnKernelFinished(fw, k.id)
@@ -1018,16 +947,12 @@ func (fw *Framework) PushPreempted(kid KernelID, tbs []PreemptedTB) {
 // SaveContext accounts for the context of the given thread blocks being
 // written to the kernel's save area and returns the time the store traffic
 // occupies the SM (at its share of memory bandwidth).
-func (fw *Framework) SaveContext(smID int, kid KernelID, tbs []PreemptedTB) sim.Time {
+func (fw *Framework) SaveContext(kid KernelID, tbs []PreemptedTB) sim.Time {
 	k := fw.Kernel(kid)
 	if k == nil || len(tbs) == 0 {
 		return 0
 	}
-	s := fw.sms[smID]
 	bytes := k.ctxBytes * int64(len(tbs))
-	for _, tb := range tbs {
-		fw.touchSaveArea(s, k, tb.Index)
-	}
 	fw.stats.ContextSavedBytes += bytes
 	return fw.cfg.ContextMoveTime(bytes)
 }
@@ -1117,14 +1042,4 @@ func (fw *Framework) Utilization(now sim.Time) float64 {
 		}
 	}
 	return float64(busy) / (float64(now) * float64(len(fw.sms)))
-}
-
-// TLBStats sums TLB statistics across SMs.
-func (fw *Framework) TLBStats() (hits, misses, faults uint64) {
-	for _, s := range fw.sms {
-		hits += s.tlb.Hits
-		misses += s.tlb.Misses
-		faults += s.tlb.Faults
-	}
-	return
 }

@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/gmem"
 	"repro/internal/gpu"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -105,7 +104,7 @@ func (csMech) Preempt(fw *Framework, smID int) {
 			fw.PreemptionDone(smID)
 			return
 		}
-		dur := fw.SaveContext(smID, kid, tbs)
+		dur := fw.SaveContext(kid, tbs)
 		fw.MarkSaving(smID, dur)
 		fw.Engine().AfterFunc(dur, func(any, int64) {
 			fw.PushPreempted(kid, tbs)
@@ -127,7 +126,7 @@ func testConfig() gpu.Config {
 func testFW(t *testing.T, pol Policy, mech Mechanism) (*sim.Engine, *Framework, *gpu.ContextTable) {
 	t.Helper()
 	eng := sim.NewEngine()
-	fw, err := New(eng, testConfig(), pol, mech, Options{}, nil, NewTimeline())
+	fw, err := New(eng, testConfig(), pol, mech, Options{}, NewTimeline())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +278,7 @@ func TestTwoKernelsShareSMsThroughActiveQueue(t *testing.T) {
 
 func TestActiveLimitBlocksAdmission(t *testing.T) {
 	eng := sim.NewEngine()
-	fw, err := New(eng, testConfig(), &scriptPolicy{}, drainMech{}, Options{ActiveLimit: 1}, nil, NewTimeline())
+	fw, err := New(eng, testConfig(), &scriptPolicy{}, drainMech{}, Options{ActiveLimit: 1}, NewTimeline())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -651,26 +650,6 @@ func TestKernelHandleGoesStale(t *testing.T) {
 	runAndValidate(t, eng, fw)
 }
 
-func TestSaveAreaAllocatedAndFreed(t *testing.T) {
-	mem := gmem.NewManager(1 << 30)
-	pol := &scriptPolicy{}
-	eng := sim.NewEngine()
-	fw, err := New(eng, testConfig(), pol, csMech{}, Options{}, mem, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tbl := gpu.NewContextTable(8)
-	ctx := mustCtx(t, tbl, "a", 0)
-	submit(t, fw, ctx, kernelOcc("k", 4, 5, 1))
-	if mem.Used() == 0 {
-		t.Fatal("no save area allocated for the active kernel")
-	}
-	runAndValidate(t, eng, fw)
-	if mem.Used() != 0 {
-		t.Fatalf("save area leaked: %d bytes still allocated", mem.Used())
-	}
-}
-
 func TestUtilizationBounded(t *testing.T) {
 	pol := &scriptPolicy{}
 	eng, fw, tbl := testFW(t, pol, drainMech{})
@@ -687,7 +666,7 @@ func TestJitterChangesWithSeed(t *testing.T) {
 	run := func(seed uint64) sim.Time {
 		eng := sim.NewEngine()
 		fw, err := New(eng, testConfig(), &scriptPolicy{}, drainMech{},
-			Options{Jitter: 0.3, Seed: seed}, nil, nil)
+			Options{Jitter: 0.3, Seed: seed}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -758,54 +737,21 @@ func TestNilTimelineIsSafe(t *testing.T) {
 	tl.Finish(0)
 }
 
-func TestTLBStatsExposed(t *testing.T) {
-	mem := gmem.NewManager(1 << 30)
-	pol := &scriptPolicy{}
-	eng := sim.NewEngine()
-	fw, err := New(eng, testConfig(), pol, csMech{}, Options{}, mem, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tbl := gpu.NewContextTable(8)
-	ctxA := mustCtx(t, tbl, "a", 0)
-	ctxB := mustCtx(t, tbl, "b", 0)
-	pol.onActivated = func(fw *Framework, k KernelID) {
-		if fw.Kernel(k).Spec().Name == "kb" {
-			fw.ReserveSM(0, k)
-			return
-		}
-		pol.greedyAssign(fw)
-	}
-	submit(t, fw, ctxA, kernelOcc("ka", 4, 50, 1))
-	eng.RunUntil(sim.Microseconds(5))
-	submit(t, fw, ctxB, kernelOcc("kb", 1, 5, 1))
-	pol.onActivated = nil
-	runAndValidate(t, eng, fw)
-	hits, misses, faults := fw.TLBStats()
-	// The context save/restore path walked the save area through the TLB.
-	if hits+misses == 0 {
-		t.Error("no TLB activity despite context switching")
-	}
-	if faults != 0 {
-		t.Errorf("%d page faults on mapped save areas", faults)
-	}
-}
-
 func TestFrameworkConstructionErrors(t *testing.T) {
 	eng := sim.NewEngine()
 	cfg := testConfig()
-	if _, err := New(nil, cfg, &scriptPolicy{}, drainMech{}, Options{}, nil, nil); err == nil {
+	if _, err := New(nil, cfg, &scriptPolicy{}, drainMech{}, Options{}, nil); err == nil {
 		t.Error("nil engine accepted")
 	}
-	if _, err := New(eng, cfg, nil, drainMech{}, Options{}, nil, nil); err == nil {
+	if _, err := New(eng, cfg, nil, drainMech{}, Options{}, nil); err == nil {
 		t.Error("nil policy accepted")
 	}
-	if _, err := New(eng, cfg, &scriptPolicy{}, nil, Options{}, nil, nil); err == nil {
+	if _, err := New(eng, cfg, &scriptPolicy{}, nil, Options{}, nil); err == nil {
 		t.Error("nil mechanism accepted")
 	}
 	bad := cfg
 	bad.NumSMs = 0
-	if _, err := New(eng, bad, &scriptPolicy{}, drainMech{}, Options{}, nil, nil); err == nil {
+	if _, err := New(eng, bad, &scriptPolicy{}, drainMech{}, Options{}, nil); err == nil {
 		t.Error("invalid config accepted")
 	}
 	for _, o := range []Options{
@@ -815,7 +761,7 @@ func TestFrameworkConstructionErrors(t *testing.T) {
 		{TimeScale: -1},
 		{TimeScale: math.NaN()},
 	} {
-		if _, err := New(eng, cfg, &scriptPolicy{}, drainMech{}, o, nil, nil); err == nil {
+		if _, err := New(eng, cfg, &scriptPolicy{}, drainMech{}, o, nil); err == nil {
 			t.Errorf("options %+v accepted", o)
 		}
 	}

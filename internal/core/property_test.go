@@ -90,7 +90,7 @@ func TestChaosConservation(t *testing.T) {
 				}
 				eng := sim.NewEngine()
 				pol := &chaosPolicy{r: rng.New(seed)}
-				fw, err := New(eng, testConfig(), pol, mech, Options{Jitter: 0.3, Seed: seed}, nil, nil)
+				fw, err := New(eng, testConfig(), pol, mech, Options{Jitter: 0.3, Seed: seed}, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -154,7 +154,7 @@ func TestChaosDeterminism(t *testing.T) {
 	run := func(seed uint64) (sim.Time, Stats) {
 		eng := sim.NewEngine()
 		pol := &chaosPolicy{r: rng.New(seed)}
-		fw, err := New(eng, testConfig(), pol, csMech{}, Options{Jitter: 0.3, Seed: seed}, nil, nil)
+		fw, err := New(eng, testConfig(), pol, csMech{}, Options{Jitter: 0.3, Seed: seed}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

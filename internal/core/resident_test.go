@@ -24,7 +24,7 @@ func TestJitterFactorMatchesHash64(t *testing.T) {
 			seed = 0
 		}
 		fw, err := New(sim.NewEngine(), testConfig(), &scriptPolicy{onActivated: func(*Framework, KernelID) {}},
-			drainMech{}, Options{Jitter: frac, Seed: seed}, nil, nil)
+			drainMech{}, Options{Jitter: frac, Seed: seed}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,7 +105,7 @@ func TestPreemptionKeepsIssueOrder(t *testing.T) {
 			cfg.NumSMs = 1
 			eng := sim.NewEngine()
 			fw, err := New(eng, cfg, &scriptPolicy{}, orderMech{flush: flush},
-				Options{Jitter: 0.3, Seed: 5, ActiveLimit: 2}, nil, nil)
+				Options{Jitter: 0.3, Seed: 5, ActiveLimit: 2}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

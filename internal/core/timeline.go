@@ -127,13 +127,13 @@ type Stats struct {
 	SMBusyTime        sim.Time // integral of busy SMs over time
 	MaxPTBQ           int
 	MaxActive         int
-	SaveAreaFailures  int
 }
 
 // Accumulate folds another engine's counters into s — the cluster layer
 // rolls per-node stats up into a fleet total with it. Counters and times
 // add; MaxPTBQ and MaxActive are high-water marks, so they take the max.
-// Keep this in sync when adding a field to Stats.
+// TestStatsAccumulateFoldsEveryField fails on a Stats field added without
+// its fold here.
 func (s *Stats) Accumulate(o Stats) {
 	s.KernelsSubmitted += o.KernelsSubmitted
 	s.KernelsActivated += o.KernelsActivated
@@ -160,5 +160,4 @@ func (s *Stats) Accumulate(o Stats) {
 	if o.MaxActive > s.MaxActive {
 		s.MaxActive = o.MaxActive
 	}
-	s.SaveAreaFailures += o.SaveAreaFailures
 }

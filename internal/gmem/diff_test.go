@@ -44,16 +44,6 @@ func (r *refManager) alloc(owner int, size int64) (PAddr, bool) {
 	return 0, false
 }
 
-func (r *refManager) free(base PAddr) bool {
-	for i, a := range r.live {
-		if a.base == base {
-			r.live = append(r.live[:i], r.live[i+1:]...)
-			return true
-		}
-	}
-	return false
-}
-
 func (r *refManager) freeOwner(owner int) int64 {
 	var freed int64
 	for i := 0; i < len(r.live); {
@@ -87,7 +77,7 @@ func (r *refManager) owned(owner int) int64 {
 
 // check compares every observable and internal quantity of m against the
 // reference: used bytes, each owner's bytes, the free list, and the live
-// slice's order.
+// allocations (which must not overlap).
 func (r *refManager) check(m *Manager, owners int) error {
 	if m.Used() != r.used() {
 		return fmt.Errorf("Used %d, reference %d", m.Used(), r.used())
@@ -103,16 +93,18 @@ func (r *refManager) check(m *Manager, owners int) error {
 	if len(m.live) != len(r.live) {
 		return fmt.Errorf("%d live allocations, reference %d", len(m.live), len(r.live))
 	}
-	for i := 1; i < len(m.live); i++ {
-		if m.live[i-1].base+PAddr(m.live[i-1].size) > m.live[i].base {
-			return fmt.Errorf("live allocations %v and %v out of order or overlapping", m.live[i-1], m.live[i])
+	live := slices.Clone(m.live)
+	slices.SortFunc(live, func(a, b alloc) int { return cmp.Compare(a.base, b.base) })
+	for i := 1; i < len(live); i++ {
+		if live[i-1].base+PAddr(live[i-1].size) > live[i].base {
+			return fmt.Errorf("live allocations %v and %v overlap", live[i-1], live[i])
 		}
 	}
 	return nil
 }
 
 // TestManagerMatchesReference drives the manager and the naive reference
-// with the same seeded random Alloc, Free, FreeOwner and Reset calls and
+// with the same seeded random Alloc, FreeOwner and Reset calls and
 // compares them after every call.
 func TestManagerMatchesReference(t *testing.T) {
 	const owners = 6
@@ -132,17 +124,6 @@ func TestManagerMatchesReference(t *testing.T) {
 				want, ok := ref.alloc(owner, n)
 				if (err == nil) != ok || (ok && got != want) {
 					t.Fatalf("seed %d step %d: %s = %#x, %v; reference %#x, %v", seed, step, what, got, err, want, ok)
-				}
-			case op < 15:
-				// Mostly a live base, sometimes an address that is not one.
-				base := PAddr(rnd.Int64N(size))
-				if len(ref.live) > 0 && rnd.IntN(4) != 0 {
-					base = ref.live[rnd.IntN(len(ref.live))].base
-				}
-				what = fmt.Sprintf("Free(%#x)", base)
-				err := m.Free(base)
-				if ok := ref.free(base); (err == nil) != ok {
-					t.Fatalf("seed %d step %d: %s = %v, reference ok=%v", seed, step, what, err, ok)
 				}
 			case op < 19:
 				owner := rnd.IntN(owners+1) - 1

@@ -1,7 +1,9 @@
-// Package gmem models the GPU's physical memory. Like the baseline GK110 in
-// the paper, the GPU has no demand paging: allocations from all contexts are
-// resident in physical memory for their whole lifetime, and allocation fails
-// when physical memory is exhausted.
+// Package gmem is the fleet's HBM working-set ledger (internal/cluster,
+// memory.go): each cluster node charges an admitted request's working set
+// against a Manager sized to the node's HBM and releases it when the request
+// ends. Like the baseline GK110 in the paper, the GPU has no demand paging:
+// a reservation stays resident for its owner's whole lifetime, and a
+// reservation that does not fit fails.
 package gmem
 
 import (
@@ -15,19 +17,18 @@ import (
 type PAddr uint64
 
 // Manager is a first-fit physical memory allocator with per-owner
-// accounting. Owners are context ids; owner -1 is the system (for example,
-// the preallocated context-save areas of §3.2 belong to the kernel's
-// context, while framework structures belong to the system).
+// accounting. Owners are the caller's ids: the cluster's arrival indexes,
+// or its attempt ids on the resilient path.
 //
-// Both the free spans and the live allocations are slices sorted by base
-// address, so the manager holds no map: Free binary-searches the live
-// slice, and FreeOwner releases an owner's allocations in one pass in base
-// order.
+// The free spans are a slice sorted by base address and the live
+// allocations a slice in allocation order, so the manager holds no map:
+// FreeOwner releases an owner's allocations in one pass over the live
+// slice.
 type Manager struct {
 	size int64
 	used int64   // running sum of live allocation sizes
 	free []span  // sorted by base, coalesced
-	live []alloc // sorted by base
+	live []alloc // in allocation order
 	oom  oomError
 }
 
@@ -108,10 +109,7 @@ func (m *Manager) Alloc(owner int, size int64) (PAddr, error) {
 		} else {
 			m.free[i] = span{base: s.base + PAddr(size), size: s.size - size}
 		}
-		j, _ := slices.BinarySearchFunc(m.live, base, allocCmp)
-		m.live = append(m.live, alloc{})
-		copy(m.live[j+1:], m.live[j:])
-		m.live[j] = alloc{base: base, size: size, owner: owner}
+		m.live = append(m.live, alloc{base: base, size: size, owner: owner})
 		m.used += size
 		return base, nil
 	}
@@ -119,24 +117,11 @@ func (m *Manager) Alloc(owner int, size int64) (PAddr, error) {
 	return 0, &m.oom
 }
 
-// Free releases the allocation at base.
-func (m *Manager) Free(base PAddr) error {
-	i, ok := slices.BinarySearchFunc(m.live, base, allocCmp)
-	if !ok {
-		return fmt.Errorf("gmem: freeing unallocated address %#x", uint64(base))
-	}
-	size := m.live[i].size
-	m.live = append(m.live[:i], m.live[i+1:]...)
-	m.used -= size
-	m.insertFree(span{base: base, size: size})
-	return nil
-}
-
 // FreeOwner releases every allocation belonging to owner and returns the
-// number of bytes freed. Used when a GPU context is destroyed. It frees in
-// base order while compacting the survivors in place; since a sorted,
-// coalesced free list depends only on which bytes are free, the order of
-// the frees does not change the resulting state.
+// number of bytes freed. It frees in allocation order while compacting the
+// survivors in place; since a sorted, coalesced free list depends only on
+// which bytes are free, the order of the frees does not change the
+// resulting state.
 func (m *Manager) FreeOwner(owner int) int64 {
 	var freed int64
 	kept := 0
@@ -154,8 +139,6 @@ func (m *Manager) FreeOwner(owner int) int64 {
 	m.used -= freed
 	return freed
 }
-
-func allocCmp(a alloc, base PAddr) int { return cmp.Compare(a.base, base) }
 
 func spanCmp(s span, base PAddr) int { return cmp.Compare(s.base, base) }
 

@@ -38,8 +38,8 @@ func TestAllocFreeBasic(t *testing.T) {
 	if ownedBy(m, 1) != 1024 || ownedBy(m, 2) != 2048 {
 		t.Errorf("ownership accounting wrong: %d/%d", ownedBy(m, 1), ownedBy(m, 2))
 	}
-	if err := m.Free(a); err != nil {
-		t.Fatal(err)
+	if n := m.FreeOwner(1); n != 1024 {
+		t.Errorf("FreeOwner(1) freed %d, want 1024", n)
 	}
 	if m.Used() != 2048 {
 		t.Errorf("Used after free = %d", m.Used())
@@ -66,24 +66,19 @@ func TestAllocRejectsNonPositive(t *testing.T) {
 	}
 }
 
-func TestFreeUnknownAddress(t *testing.T) {
-	m := NewManager(4096)
-	if err := m.Free(123); err == nil {
-		t.Fatal("freeing unallocated address succeeded")
-	}
-}
-
 func TestFreeCoalesces(t *testing.T) {
 	m := NewManager(4096)
-	a, _ := m.Alloc(0, 1024)
-	b, _ := m.Alloc(0, 1024)
-	c, _ := m.Alloc(0, 1024)
-	m.Free(a)
-	m.Free(c)
-	if len(m.free) != 2 { // [a] and [c..end]: c merged with the free tail
+	for owner := 1; owner <= 3; owner++ {
+		if _, err := m.Alloc(owner, 1024); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m.FreeOwner(1)
+	m.FreeOwner(3)
+	if len(m.free) != 2 { // [1] and [3..end]: 3 merged with the free tail
 		t.Fatalf("free spans = %d, want 2", len(m.free))
 	}
-	m.Free(b)
+	m.FreeOwner(2)
 	if len(m.free) != 1 {
 		t.Fatalf("free list not coalesced: %d spans", len(m.free))
 	}
@@ -118,7 +113,7 @@ func TestFreeOwner(t *testing.T) {
 func TestReuseAfterFree(t *testing.T) {
 	m := NewManager(4096)
 	a, _ := m.Alloc(0, 4096)
-	m.Free(a)
+	m.FreeOwner(0)
 	b, err := m.Alloc(0, 4096)
 	if err != nil {
 		t.Fatal(err)
@@ -193,13 +188,13 @@ func TestChurnCoalescesToOneSpan(t *testing.T) {
 // running counter would misreport exactly when it matters.
 func TestAllocFailureReportsAccurateUsage(t *testing.T) {
 	m := NewManager(10240)
-	a, _ := m.Alloc(1, 4096)
+	if _, err := m.Alloc(1, 4096); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := m.Alloc(2, 4096); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Free(a); err != nil {
-		t.Fatal(err)
-	}
+	m.FreeOwner(1)
 	// 4096 bytes live, 6144 free but split 4096 + 2048: a 5000-byte request
 	// fails on fragmentation, not capacity.
 	_, err := m.Alloc(3, 5000)
@@ -217,7 +212,8 @@ func TestAllocFailureReportsAccurateUsage(t *testing.T) {
 
 // Property: any sequence of alloc/free keeps accounting consistent:
 // Used() equals the sum of live allocation sizes, and allocations never
-// overlap.
+// overlap. Each allocation has an owner of its own, so FreeOwner frees it
+// alone.
 func TestAllocatorConsistencyProperty(t *testing.T) {
 	type op struct {
 		Alloc bool
@@ -226,15 +222,16 @@ func TestAllocatorConsistencyProperty(t *testing.T) {
 	f := func(ops []op) bool {
 		m := NewManager(1 << 18)
 		type live struct {
-			base PAddr
-			size int64
+			base  PAddr
+			size  int64
+			owner int
 		}
 		var lives []live
 		var total int64
-		for _, o := range ops {
+		for i, o := range ops {
 			if o.Alloc || len(lives) == 0 {
 				size := int64(o.Size%4096) + 1
-				base, err := m.Alloc(0, size)
+				base, err := m.Alloc(i, size)
 				if err != nil {
 					continue // exhausted is fine
 				}
@@ -244,11 +241,11 @@ func TestAllocatorConsistencyProperty(t *testing.T) {
 						return false
 					}
 				}
-				lives = append(lives, live{base, size})
+				lives = append(lives, live{base, size, i})
 				total += size
 			} else {
 				idx := int(o.Size) % len(lives)
-				if err := m.Free(lives[idx].base); err != nil {
+				if m.FreeOwner(lives[idx].owner) != lives[idx].size {
 					return false
 				}
 				total -= lives[idx].size

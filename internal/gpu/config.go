@@ -31,7 +31,8 @@ type Config struct {
 	MaxThreadsPerSM int
 	// MemBandwidth is the global-memory bandwidth in bytes per second.
 	MemBandwidth int64
-	// MemSize is the physical GPU memory size in bytes.
+	// MemSize is the physical GPU memory size in bytes: the HBM capacity a
+	// cluster node's working-set ledger enforces at admission.
 	MemSize int64
 	// ClockHz is the SM clock (informational).
 	ClockHz int64
@@ -39,11 +40,8 @@ type Config struct {
 	// before the context-save trap can run (precise exceptions, §3.2).
 	PipelineDrainLatency sim.Time
 	// SMSetupLatency is the time for the SM driver to set up an SM for a
-	// kernel (installing KSR-derived state; §2.3). Installing a different
-	// GPU context additionally flushes the SM's TLB.
+	// kernel (installing KSR-derived state; §2.3).
 	SMSetupLatency sim.Time
-	// TLBEntriesPerSM sizes each SM's TLB.
-	TLBEntriesPerSM int
 }
 
 // DefaultConfig returns the GK110 configuration of Table 2.
@@ -60,7 +58,6 @@ func DefaultConfig() Config {
 		ClockHz:              706e6,
 		PipelineDrainLatency: sim.Microseconds(0.5),
 		SMSetupLatency:       sim.Microseconds(1.0),
-		TLBEntriesPerSM:      64,
 	}
 }
 
@@ -87,8 +84,6 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("gpu: negative PipelineDrainLatency")
 	case c.SMSetupLatency < 0:
 		return fmt.Errorf("gpu: negative SMSetupLatency")
-	case c.TLBEntriesPerSM <= 0:
-		return fmt.Errorf("gpu: TLBEntriesPerSM must be positive, got %d", c.TLBEntriesPerSM)
 	}
 	for i, s := range c.SharedMemConfigs {
 		if s <= 0 {

@@ -4,18 +4,16 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-
-	"repro/internal/mmu"
 )
 
 // Context is a GPU context: the per-process state the GPU holds (§2.1).
-// Each process that uses the GPU gets its own context, containing the page
-// table of its GPU address space and scheduling attributes consulted by the
-// policies (priority for the priority-queue schedulers, token budget for
-// DSS).
+// Each process that uses the GPU gets its own context, carrying the
+// scheduling attributes consulted by the policies (priority for the
+// priority-queue schedulers, token budget for DSS). Address translation is
+// not modeled: installing a context on an SM costs SMSetupLatency, and
+// moving thread-block context costs bytes over memory bandwidth.
 type Context struct {
-	// ID is the GPU context id; it doubles as the address-space identifier
-	// programmed into the SM's context-id register (§3.1).
+	// ID is the GPU context id (§3.1).
 	ID int
 	// Slot is the context's position in its table while it is live: slots
 	// are dense, start at 0 and go to the next Create once the context is
@@ -28,9 +26,6 @@ type Context struct {
 	// Priority orders contexts for the priority-queue schedulers; larger is
 	// more important.
 	Priority int
-	// PageTable is the per-process GPU page table, walked from the base
-	// page-table register of SMs running this context's kernels.
-	PageTable *mmu.PageTable
 }
 
 // DefaultContextCapacity is the context-table capacity of an assembled
@@ -41,19 +36,18 @@ type Context struct {
 const DefaultContextCapacity = 64
 
 // ContextTable is the execution engine's table of active contexts (§3.1).
-// The SM driver reads it during SM setup to install per-context state (the
-// context id and base page-table registers) into the SM.
 //
 // Live contexts sit in a slot table: Create takes the most recently freed
 // slot (or a new one) and Destroy frees it, so the table grows to the most
 // contexts live at once. The table also keeps a free list of retired
 // Context structs. An open system admits one short-lived process per
-// request, so Create reuses a recycled struct, and its page table's level-2
-// tables, when one is available. Slots and structs are reused, ids are not:
-// every created context gets a fresh id from a counter that never goes
-// back, because TLB entries, the SMs' installed-context registers and
-// memory owners are keyed by that id. Only Reset, which empties the whole
-// machine, restarts the counter.
+// request, so Create reuses a recycled struct when one is available. Slots
+// and structs are reused, ids are not: every created context gets a fresh
+// id from a counter that never goes back, because the execution engine's
+// command buffers and the policies tell processes apart by that id, and
+// timelines and PCIe transfers label a process's work with it: a reused id
+// would merge a retired process with its successor. Only Reset, which
+// empties the whole machine, restarts the counter.
 type ContextTable struct {
 	capacity  int
 	slots     []*Context // live contexts by Slot; nil for a free slot
@@ -72,11 +66,11 @@ func NewContextTable(capacity int) *ContextTable {
 
 // Reset returns the table to the state NewContextTable(capacity) produces,
 // except that every context struct — live or already recycled — stays on
-// the free list for later Creates. Live contexts are recycled with their
-// page tables cleared, in id order: a machine reset abandons their
-// processes mid-flight. The id counter starts over, so the caller must
-// also empty every structure keyed by context id (TLBs, SM context
-// registers, command buffers, memory owners); system.System.Reset does.
+// the free list for later Creates. Live contexts are recycled in id order:
+// a machine reset abandons their processes mid-flight. The id counter
+// starts over, so the caller must also empty every structure that holds a
+// context (the execution engine's command buffers); system.System.Reset
+// does.
 func (t *ContextTable) Reset(capacity int) {
 	if capacity <= 0 {
 		panic("gpu: non-positive context table capacity")
@@ -85,7 +79,6 @@ func (t *ContextTable) Reset(capacity int) {
 	start := len(t.free)
 	for _, ctx := range t.slots {
 		if ctx != nil {
-			ctx.PageTable.Clear()
 			ctx.Slot = -1
 			t.free = append(t.free, ctx)
 		}
@@ -114,15 +107,9 @@ func (t *ContextTable) Create(name string, priority int) (*Context, error) {
 	var ctx *Context
 	if n := len(t.free); n > 0 {
 		ctx, t.free = t.free[n-1], t.free[:n-1]
-		ctx.PageTable.Reset(id)
 		ctx.ID, ctx.Name, ctx.Priority = id, name, priority
 	} else {
-		ctx = &Context{
-			ID:        id,
-			Name:      name,
-			Priority:  priority,
-			PageTable: mmu.NewPageTable(id),
-		}
+		ctx = &Context{ID: id, Name: name, Priority: priority}
 	}
 	if n := len(t.freeSlots); n > 0 {
 		ctx.Slot, t.freeSlots = t.freeSlots[n-1], t.freeSlots[:n-1]
@@ -166,14 +153,10 @@ func (t *ContextTable) holds(ctx *Context) bool {
 // Recycle hands a destroyed context's struct back for reuse by a later
 // Create. The caller must hold no other reference to it: in particular, it
 // recycles only after the owning process's completion callback has
-// returned. Recycling a live context, or one whose page table still maps
-// pages, is a caller bug and panics.
+// returned. Recycling a live context is a caller bug and panics.
 func (t *ContextTable) Recycle(ctx *Context) {
 	if t.holds(ctx) {
 		panic(fmt.Sprintf("gpu: recycling live context %d", ctx.ID))
-	}
-	if n := ctx.PageTable.Mapped(); n != 0 {
-		panic(fmt.Sprintf("gpu: recycling context %d with %d mapped pages", ctx.ID, n))
 	}
 	t.free = append(t.free, ctx)
 }

@@ -68,7 +68,7 @@ func TestContextTableMatchesMapModel(t *testing.T) {
 						}
 						ref.free = ref.free[:n-1]
 					}
-					if ctx.ID != ref.nextID || ctx.Name != name || ctx.Priority != prio || ctx.PageTable.ASID != ctx.ID {
+					if ctx.ID != ref.nextID || ctx.Name != name || ctx.Priority != prio {
 						t.Fatalf("step %d: created context %+v, want id %d", step, ctx, ref.nextID)
 					}
 					ref.live[ctx.ID] = ctx

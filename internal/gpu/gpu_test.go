@@ -3,7 +3,6 @@ package gpu
 import (
 	"testing"
 
-	"repro/internal/mmu"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -44,7 +43,6 @@ func TestConfigValidateRejects(t *testing.T) {
 		{"zero memory", func(c *Config) { c.MemSize = 0 }},
 		{"negative drain", func(c *Config) { c.PipelineDrainLatency = -1 }},
 		{"negative setup", func(c *Config) { c.SMSetupLatency = -1 }},
-		{"zero TLB", func(c *Config) { c.TLBEntriesPerSM = 0 }},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -183,9 +181,6 @@ func TestContextTable(t *testing.T) {
 	if a.ID == b.ID {
 		t.Fatal("duplicate context ids")
 	}
-	if a.PageTable == nil || a.PageTable.ASID != a.ID {
-		t.Fatal("context page table not wired to ASID")
-	}
 	if _, err := tbl.Create("procC", 0); err == nil {
 		t.Fatal("context table over capacity")
 	}
@@ -207,9 +202,8 @@ func TestContextTable(t *testing.T) {
 }
 
 // TestContextRecycling pins what a recycled context may and may not carry
-// over from its previous owner: the struct and its page table's level-2
-// tables are reused, but the id is fresh, no translation survives, and a TLB
-// entry filled under the old id never hits for the new one.
+// over from its previous owner: the struct is reused, but the id is fresh
+// and the name and priority are the new owner's.
 func TestContextRecycling(t *testing.T) {
 	tbl := NewContextTable(4)
 	old, err := tbl.Create("old", 0)
@@ -217,17 +211,6 @@ func TestContextRecycling(t *testing.T) {
 		t.Fatal(err)
 	}
 	oldID := old.ID
-	va, err := old.PageTable.AllocRegion(0x400000, 3*mmu.PageSize)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tlb := mmu.NewTLB(8)
-	if _, err := tlb.Lookup(old.PageTable, va); err != nil {
-		t.Fatal(err)
-	}
-	if err := old.PageTable.Unmap(va, 3); err != nil {
-		t.Fatal(err)
-	}
 	if err := tbl.Destroy(old); err != nil {
 		t.Fatal(err)
 	}
@@ -240,33 +223,9 @@ func TestContextRecycling(t *testing.T) {
 	if ctx != old {
 		t.Fatal("Create did not reuse the recycled context")
 	}
-	if ctx.ID <= oldID || ctx.PageTable.ASID != ctx.ID || ctx.Name != "new" || ctx.Priority != 1 {
-		t.Fatalf("recycled context: id %d (old %d), asid %d, name %q, priority %d",
-			ctx.ID, oldID, ctx.PageTable.ASID, ctx.Name, ctx.Priority)
-	}
-	if n := ctx.PageTable.Mapped(); n != 0 {
-		t.Fatalf("recycled page table maps %d pages", n)
-	}
-	if _, err := ctx.PageTable.Translate(va); err == nil {
-		t.Fatal("recycled page table translates the previous owner's save area")
-	}
-	hits, faults := tlb.Hits, tlb.Faults
-	if _, err := tlb.Lookup(ctx.PageTable, va); err == nil || tlb.Hits != hits || tlb.Faults != faults+1 {
-		t.Fatalf("TLB lookup of the previous owner's VA: err %v, hits %d->%d, faults %d->%d",
-			err, hits, tlb.Hits, faults, tlb.Faults)
-	}
-	// The new owner's first region lands at the same VA; the TLB must walk
-	// the new mapping rather than return the retired ASID's entry.
-	va2, err := ctx.PageTable.AllocRegion(0x900000, mmu.PageSize)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if va2 != va {
-		t.Fatalf("recycled address space starts at %#x, want %#x", uint64(va2), uint64(va))
-	}
-	pa, err := tlb.Lookup(ctx.PageTable, va)
-	if err != nil || pa != 0x900000 || tlb.Hits != hits {
-		t.Fatalf("TLB lookup after remap: pa %#x, err %v, hits %d->%d", uint64(pa), err, hits, tlb.Hits)
+	if ctx.ID <= oldID || ctx.Name != "new" || ctx.Priority != 1 {
+		t.Fatalf("recycled context: id %d (old %d), name %q, priority %d",
+			ctx.ID, oldID, ctx.Name, ctx.Priority)
 	}
 }
 
@@ -274,11 +233,6 @@ func TestContextRecycleRejectsMisuse(t *testing.T) {
 	tbl := NewContextTable(2)
 	live, _ := tbl.Create("live", 0)
 	mustPanic(t, "recycling a live context", func() { tbl.Recycle(live) })
-	if _, err := live.PageTable.AllocRegion(0, mmu.PageSize); err != nil {
-		t.Fatal(err)
-	}
-	tbl.Destroy(live) //nolint:errcheck // live
-	mustPanic(t, "recycling a context with mapped pages", func() { tbl.Recycle(live) })
 }
 
 func mustPanic(t *testing.T, what string, fn func()) {
@@ -291,17 +245,14 @@ func mustPanic(t *testing.T, what string, fn func()) {
 	fn()
 }
 
-// TestContextTableResetRestartsIDs: Reset recycles every live context, its
-// page table cleared, and restarts the id counter as on a fresh table.
+// TestContextTableResetRestartsIDs: Reset recycles every live context and
+// restarts the id counter as on a fresh table.
 func TestContextTableResetRestartsIDs(t *testing.T) {
 	tab := NewContextTable(4)
 	var live []*Context
 	for i := 0; i < 3; i++ {
 		c, err := tab.Create("p", i)
 		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := c.PageTable.AllocRegion(0, 3*mmu.PageSize); err != nil {
 			t.Fatal(err)
 		}
 		live = append(live, c)
@@ -317,9 +268,6 @@ func TestContextTableResetRestartsIDs(t *testing.T) {
 		}
 		if c.ID != i {
 			t.Errorf("context %d after reset got id %d", i, c.ID)
-		}
-		if c.PageTable.Mapped() != 0 || c.PageTable.ASID != i {
-			t.Errorf("context %d: recycled page table maps %d pages, asid %d", i, c.PageTable.Mapped(), c.PageTable.ASID)
 		}
 		// The free list is a stack of the structs in id order.
 		if c != live[len(live)-1-i] {

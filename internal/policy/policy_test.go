@@ -23,7 +23,7 @@ func newFW(t *testing.T, numSMs int, pol core.Policy, mech core.Mechanism) (*sim
 	eng := sim.NewEngine()
 	cfg := testConfig()
 	cfg.NumSMs = numSMs
-	fw, err := core.New(eng, cfg, pol, mech, core.Options{}, nil, nil)
+	fw, err := core.New(eng, cfg, pol, mech, core.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,7 +34,7 @@ func BenchmarkPreemptLatency(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				eng := sim.NewEngine()
 				pol := &chaosPolicy{r: rng.New(7)}
-				fw, err := core.New(eng, cfg, pol, mk(), core.Options{Jitter: 0.3, Seed: 7}, nil, nil)
+				fw, err := core.New(eng, cfg, pol, mk(), core.Options{Jitter: 0.3, Seed: 7}, nil)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -91,7 +91,7 @@ func csFreeze(p any, x int64) {
 		fw.PreemptionDone(smID)
 		return
 	}
-	dur := fw.SaveContext(smID, kid, tbs)
+	dur := fw.SaveContext(kid, tbs)
 	fw.MarkSaving(smID, dur)
 	fw.Engine().AfterFunc(dur, csSaveDone, fw, int64(smID))
 }

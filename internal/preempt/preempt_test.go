@@ -63,7 +63,7 @@ func setup(t *testing.T, mech core.Mechanism) (*sim.Engine, *core.Framework, *gp
 	cfg.NumSMs = 4
 	cfg.SMSetupLatency = sim.Microseconds(1)
 	cfg.PipelineDrainLatency = sim.Microseconds(0.5)
-	fw, err := core.New(eng, cfg, &reserveOnSecond{}, mech, core.Options{}, nil, nil)
+	fw, err := core.New(eng, cfg, &reserveOnSecond{}, mech, core.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -101,7 +101,7 @@ func TestMechanismChaosConservation(t *testing.T) {
 				}
 				eng := sim.NewEngine()
 				pol := &chaosPolicy{r: rng.New(seed)}
-				fw, err := core.New(eng, cfg, pol, mk(), core.Options{Jitter: 0.3, Seed: seed}, nil, nil)
+				fw, err := core.New(eng, cfg, pol, mk(), core.Options{Jitter: 0.3, Seed: seed}, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -190,7 +190,7 @@ func TestMechanismChaosDeterminism(t *testing.T) {
 			run := func(seed uint64) (sim.Time, core.Stats) {
 				eng := sim.NewEngine()
 				pol := &chaosPolicy{r: rng.New(seed)}
-				fw, err := core.New(eng, cfg, pol, mk(), core.Options{Jitter: 0.3, Seed: seed}, nil, nil)
+				fw, err := core.New(eng, cfg, pol, mk(), core.Options{Jitter: 0.3, Seed: seed}, nil)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -1,6 +1,6 @@
 // Package system assembles a complete simulated machine: the discrete-event
-// engine, the GPU (execution engine with the scheduling framework, physical
-// memory, context table) and the PCIe data-transfer engine — the components
+// engine, the GPU (execution engine with the scheduling framework, context
+// table) and the PCIe data-transfer engine — the components
 // of Figure 1 of the paper.
 package system
 
@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/cpu"
-	"repro/internal/gmem"
 	"repro/internal/gpu"
 	"repro/internal/pcie"
 	"repro/internal/sim"
@@ -51,7 +50,6 @@ type System struct {
 	DMA      *pcie.Engine
 	CPU      *cpu.Model
 	Contexts *gpu.ContextTable
-	Mem      *gmem.Manager
 }
 
 // New assembles a machine running the given policy and mechanism.
@@ -62,7 +60,6 @@ func New(cfg Config, pol core.Policy, mech core.Mechanism) (*System, error) {
 		DMA:      &pcie.Engine{},
 		CPU:      &cpu.Model{},
 		Contexts: &gpu.ContextTable{},
-		Mem:      &gmem.Manager{},
 	}
 	if err := s.Reset(cfg, pol, mech); err != nil {
 		return nil, err
@@ -75,20 +72,18 @@ func New(cfg Config, pol core.Policy, mech core.Mechanism) (*System, error) {
 // it is identical to one on a fresh machine. Every component is reset, not
 // rebuilt, so their slices, maps and free lists keep their capacity.
 // Whatever was in flight — events, kernels, transfers, CPU phases, live
-// contexts and their mappings — is dropped. Context ids start over; every
-// structure keyed by them (TLBs, SM context registers, command buffers,
-// memory owners) is emptied with them. New is allocation plus this reset,
+// contexts — is dropped. Context ids start over; the command buffers that
+// hold contexts are emptied with them. New is allocation plus this reset,
 // so fresh and recycled machines run one code path. On error the machine
 // is unusable until a successful Reset.
 func (s *System) Reset(cfg Config, pol core.Policy, mech core.Mechanism) error {
 	s.Cfg = cfg
 	s.Eng.Reset()
-	s.Mem.Reset(cfg.GPU.MemSize)
 	var tl *core.Timeline
 	if cfg.RecordTimeline {
 		tl = core.NewTimeline()
 	}
-	if err := s.Exec.Reset(s.Eng, cfg.GPU, pol, mech, cfg.Options, s.Mem, tl); err != nil {
+	if err := s.Exec.Reset(s.Eng, cfg.GPU, pol, mech, cfg.Options, tl); err != nil {
 		return fmt.Errorf("system: building execution engine: %w", err)
 	}
 	if err := s.DMA.Reset(s.Eng, cfg.PCIe); err != nil {

@@ -15,7 +15,7 @@ func TestNewAssemblesMachine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sys.Eng == nil || sys.Exec == nil || sys.DMA == nil || sys.Contexts == nil || sys.Mem == nil {
+	if sys.Eng == nil || sys.Exec == nil || sys.DMA == nil || sys.Contexts == nil {
 		t.Fatal("incomplete machine")
 	}
 	if sys.Exec.NumSMs() != 13 {
