@@ -62,7 +62,7 @@ func dispatchNames() string {
 func main() {
 	var (
 		appsFlag = flag.String("apps", "spmv,sgemm", "comma-separated benchmark names (see -list)")
-		policy   = flag.String("policy", "fcfs", "scheduling policy: fcfs|npq|ppq|ppq-shared|dss|timeslice")
+		policy   = flag.String("policy", "fcfs", "scheduling policy: fcfs|npq|ppq|ppq-shared|dss|timeslice|static")
 		mech     = flag.String("mech", "", "preemption mechanism: context-switch|drain|flush|adaptive|none (default per policy)")
 		hp       = flag.Int("hp", -1, "index of the high-priority application (-1 = none)")
 		runs     = flag.Int("runs", 3, "completed runs required per application")

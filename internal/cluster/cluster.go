@@ -32,7 +32,6 @@ import (
 
 	"repro/internal/arrivals"
 	"repro/internal/core"
-	"repro/internal/gmem"
 	"repro/internal/metrics"
 	"repro/internal/preempt"
 	"repro/internal/proc"
@@ -169,14 +168,14 @@ type Node struct {
 	// on the plain path, attRec.live on the resilient one.
 	live ledger[liveRec]
 
-	// Device-memory state (see memory.go). The ledger and queues belong to
+	// Device-memory state (see memory.go). The budget and queues belong to
 	// the incarnation and die with a kill; hbm, memDemand and the swap
 	// counters belong to the slot and persist.
-	hbm       int64         // device-memory capacity (bytes)
-	memDemand int64         // Σ working sets of placed-but-unresolved requests
-	mem       *gmem.Manager // resident working-set ledger (nil while down)
-	memQ      []int         // live slots of the requests waiting for residency, in order
-	stagedB   int64         // Σ working sets of in-flight swap-ins
+	hbm       int64 // device-memory capacity (bytes)
+	memDemand int64 // Σ working sets of placed-but-unresolved requests
+	resident  int64 // Σ working sets holding a reservation (≤ hbm)
+	memQ      []int // live slots of the requests waiting for residency, in order
+	stagedB   int64 // Σ working sets of in-flight swap-ins
 
 	spills, swapIns              int   // swap-outs / completed swap-ins
 	swapOutB, swapInB, swapLostB int64 // spilled / restored / kill-destroyed bytes
@@ -498,7 +497,6 @@ func (c *Cluster) addNode(cfg system.Config, scale float64, upSince sim.Time) er
 		clu:           c,
 		floor:         cfg.PCIe.DispatchFloor(),
 	}
-	n.memInit()
 	if err := c.newSystem(n); err != nil {
 		return err
 	}

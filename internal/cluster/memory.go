@@ -1,12 +1,18 @@
 // Device-memory-aware admission.
 //
-// Every node owns a working-set ledger: a gmem.Manager sized to the node's
-// HBM capacity (NodeType.HBMBytes, or else the base machine's
+// Every node owns a working-set ledger: a byte budget (Node.resident) capped
+// at the node's HBM capacity (NodeType.HBMBytes, or else the base machine's
 // Sys.GPU.MemSize). Each admitted request charges its application's working
 // set (trace.App.WorkingSetBytes — the explicit override or the trace's
-// total transfer bytes) against the ledger for the lifetime of its run; a
+// total transfer bytes) against the budget for the lifetime of its run; a
 // request whose working set does not fit waits instead of starting, which
 // turns the fleet model from slot-limited into memory-limited.
+//
+// The ledger counts bytes, not addresses: the GPU translates every context
+// through its own page table, so a working set never needs contiguous
+// physical memory, and the memory-aware dispatcher already reasons in bytes
+// (FreeHBM). A request fits exactly when resident + ws <= hbm, however the
+// earlier releases were ordered.
 //
 // Two oversubscription disciplines:
 //
@@ -37,7 +43,6 @@ package cluster
 import (
 	"fmt"
 
-	"repro/internal/gmem"
 	"repro/internal/pcie"
 	"repro/internal/sim"
 )
@@ -63,7 +68,7 @@ func (c *Cluster) memAdmit(n *Node, s int) bool {
 		return true
 	}
 	if c.swapOn {
-		if c.memReserve(n, i, ws) {
+		if n.memReserve(ws) {
 			return true
 		}
 		// Cold on the host: spilling the context state costs a D2H transfer
@@ -76,35 +81,42 @@ func (c *Cluster) memAdmit(n *Node, s int) bool {
 		n.memQ = append(n.memQ, s)
 		return false
 	}
-	// Blocking mode is strict FIFO: nobody overtakes the queue, even into a
-	// hole it would fit.
-	if len(n.memQ) == 0 && c.memReserve(n, i, ws) {
+	// Blocking mode is strict FIFO: nobody overtakes the queue, even when
+	// its working set would fit in the free bytes.
+	if len(n.memQ) == 0 && n.memReserve(ws) {
 		return true
 	}
 	n.memQ = append(n.memQ, s)
 	return false
 }
 
-// memReserve allocates ws bytes of node n's HBM to arrival i, pinning the
-// capacity invariant the ledger exists to enforce.
-func (c *Cluster) memReserve(n *Node, i int, ws int64) bool {
-	if _, err := n.mem.Alloc(i, ws); err != nil {
+// memReserve charges ws bytes against the node's HBM budget. It fails,
+// charging nothing, when they do not fit.
+func (n *Node) memReserve(ws int64) bool {
+	if n.resident+ws > n.hbm {
 		return false
 	}
-	if used := n.mem.Used(); used > n.hbm {
-		panic(fmt.Sprintf("cluster: node %d resident %d exceeds HBM %d", n.Index, used, n.hbm))
-	}
+	n.resident += ws
 	return true
+}
+
+// memFree returns ws reserved bytes to the node's budget. A release of more
+// than is resident is a leak in the ledger's callers, not a recoverable
+// state.
+func (n *Node) memFree(ws int64) {
+	if ws > n.resident {
+		panic(fmt.Sprintf("cluster: node %d releases %d bytes with %d resident", n.Index, ws, n.resident))
+	}
+	n.resident -= ws
 }
 
 // memRelease frees arrival i's residency when its run completes and lets the
 // memory queue claim the freed bytes. Runs on the owning node's engine.
 func (c *Cluster) memRelease(n *Node, i int) {
-	if c.wsOf(i) == 0 {
-		return
+	if ws := c.wsOf(i); ws > 0 {
+		n.memFree(ws)
+		c.memDrain(n)
 	}
-	n.mem.FreeOwner(i)
-	c.memDrain(n)
 }
 
 // memDrain admits waiting requests into freed memory. Blocking mode admits
@@ -115,23 +127,19 @@ func (c *Cluster) memDrain(n *Node) {
 	if !c.swapOn {
 		for len(n.memQ) > 0 {
 			s := n.memQ[0]
-			i := n.live.at(s).id
-			if !c.memReserve(n, i, c.wsOf(i)) {
+			if !n.memReserve(c.wsOf(n.live.at(s).id)) {
 				return
 			}
 			n.memQ = n.memQ[1:]
 			c.startRun(n, s)
 		}
-		if len(n.memQ) == 0 {
-			n.memQ = nil
-		}
+		n.memQ = nil
 		return
 	}
 	kept := n.memQ[:0]
 	for _, s := range n.memQ {
-		i := n.live.at(s).id
-		ws := c.wsOf(i)
-		if !c.memReserve(n, i, ws) {
+		ws := c.wsOf(n.live.at(s).id)
+		if !n.memReserve(ws) {
 			kept = append(kept, s)
 			continue
 		}
@@ -158,19 +166,14 @@ func (c *Cluster) swapInDone(n *Node, s int, ws int64) {
 // memWipe destroys a node's memory state with its machine: spilled bytes
 // whose swap-in will now never happen are counted lost, the queue is emptied
 // and the staged bytes zeroed (their requests are re-dispatched by the kill
-// path), and the ledger is reset empty for the next incarnation, keeping
-// their capacity. The traffic counters persist — the slot, not the
-// incarnation, is the unit of accounting.
+// path), and the budget is emptied for the next incarnation. The traffic
+// counters persist — the slot, not the incarnation, is the unit of
+// accounting.
 func (n *Node) memWipe(c *Cluster) {
 	n.swapLostB += c.memSpilledNow(n)
 	n.memQ = n.memQ[:0]
 	n.stagedB = 0
-	n.mem.Reset(n.hbm)
-}
-
-// memInit arms a new node slot's working-set ledger.
-func (n *Node) memInit() {
-	n.mem = gmem.NewManager(n.hbm)
+	n.resident = 0
 }
 
 // memSpilledNow returns the bytes currently cold on the host: queued waiters
@@ -188,12 +191,16 @@ func (c *Cluster) memSpilledNow(n *Node) int64 {
 }
 
 // memCheck cross-checks the node's memory conservation identities at the end
-// of a run: residency within capacity, the demand counter consistent with the
-// per-app in-flight population, and every swapped-out byte either swapped
-// back in, still cold on the host, or destroyed by a kill.
+// of a run: residency within capacity and zero on a node with nothing in
+// flight (every reservation was released), the demand counter consistent
+// with the per-app in-flight population, and every swapped-out byte either
+// swapped back in, still cold on the host, or destroyed by a kill.
 func (c *Cluster) memCheck(n *Node) {
-	if n.mem.Used() > n.hbm {
-		panic(fmt.Sprintf("cluster: node %d resident %d exceeds HBM %d", n.Index, n.mem.Used(), n.hbm))
+	if n.resident < 0 || n.resident > n.hbm {
+		panic(fmt.Sprintf("cluster: node %d resident %d outside HBM [0, %d]", n.Index, n.resident, n.hbm))
+	}
+	if n.InFlight() == 0 && n.resident != 0 {
+		panic(fmt.Sprintf("cluster: node %d holds %d resident bytes with nothing in flight", n.Index, n.resident))
 	}
 	var want int64
 	for a, k := range n.inflightByApp {

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -330,5 +331,73 @@ func TestMemoryReleaseAdmitsRecycledRequest(t *testing.T) {
 	}
 	if !reflect.DeepEqual(a, b) {
 		t.Error("two runs of the same tight-HBM fleet differ")
+	}
+}
+
+// TestMemBudgetIgnoresFragmentation pins the ledger as a byte budget. Four
+// 1 MiB working sets fill a 4 MiB node; releasing the first and the third
+// leaves, in address terms, two separate 1 MiB holes. A 2 MiB reservation —
+// exactly hbm − resident — must still fit, and one byte more must not. The
+// first-fit address allocator this budget replaced (gmem.Manager.Alloc)
+// refused that 2 MiB reservation: no single hole held it, although the
+// dispatcher's FreeHBM said it fit.
+func TestMemBudgetIgnoresFragmentation(t *testing.T) {
+	const mib = 1 << 20
+	n := &Node{hbm: 4 * mib}
+	for k := 0; k < 4; k++ {
+		if !n.memReserve(mib) {
+			t.Fatalf("reservation %d of 1 MiB refused with %d of %d bytes resident", k, n.resident, n.hbm)
+		}
+	}
+	n.memFree(mib) // the first working set
+	n.memFree(mib) // the third: the freed bytes sit in two holes
+	if n.memReserve(n.hbm - n.resident + 1) {
+		t.Fatalf("over-budget reservation accepted: %d of %d bytes resident", n.resident, n.hbm)
+	}
+	if !n.memReserve(n.hbm - n.resident) {
+		t.Fatalf("2 MiB reservation refused with %d of %d bytes resident", n.resident, n.hbm)
+	}
+	if n.resident != n.hbm {
+		t.Fatalf("resident %d after filling the budget, want %d", n.resident, n.hbm)
+	}
+}
+
+// TestMemFreeRejectsUnderflow pins the leak check: releasing more bytes
+// than the node holds panics instead of driving the budget negative.
+func TestMemFreeRejectsUnderflow(t *testing.T) {
+	n := &Node{hbm: 1 << 20}
+	if !n.memReserve(1 << 10) {
+		t.Fatal("1 KiB reservation refused on an empty node")
+	}
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "releases 2048 bytes with 1024 resident") {
+			t.Errorf("underflowing release: recovered %v, want a panic naming the bytes", r)
+		}
+	}()
+	n.memFree(2 << 10)
+}
+
+// TestResilienceMemoryConservation runs the resilient path on tight HBM
+// under kills: an attempt whose working set does not fit is rejected and
+// retried, and every reservation is either returned by its attempt's
+// completion (winner or ghost) or wiped with a kill. The result-time memory
+// check — no resident bytes on a node with nothing in flight — must hold,
+// and memory must actually bind.
+func TestResilienceMemoryConservation(t *testing.T) {
+	tr := memTrace(t, 40000, 205)
+	rc := testRunConfig(3, NewLeastLoadedFits())
+	rc.Sys.GPU.MemSize = memTestTight
+	rc.Faults = &FaultSpec{KillRate: 1500, Downtime: 300 * sim.Microsecond}
+	rc.Resilience = resilienceSpec()
+	res, err := Run(tr, rc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkResilienceConservation(t, "resilient/tight-hbm", res)
+	if res.Rejected == 0 {
+		t.Error("tight HBM rejected no attempt: memory never bound")
+	}
+	if res.ReqCompleted == 0 {
+		t.Error("no request completed")
 	}
 }

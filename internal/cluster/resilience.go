@@ -351,14 +351,12 @@ func (c *Cluster) resAdmit(n *Node, attID int) {
 	i := att.arr
 	// The resilient path does not queue on memory: an attempt whose working
 	// set does not fit is refused like a full context table, and the retry
-	// machinery (backoff, budget, breaker feedback) owns the wait. The
-	// ledger is keyed by attempt slot here — attempts, not arrivals, occupy
-	// memory.
-	if ws := c.wsOf(i); ws > 0 && !c.memReserve(n, attID, ws) {
+	// machinery (backoff, budget, breaker feedback) owns the wait.
+	ws := c.wsOf(i)
+	if !n.memReserve(ws) {
 		c.rejectAttempt(n, attID)
-		return
-	}
-	if err := n.adm.Admit(i, attID); err != nil {
+	} else if err := n.adm.Admit(i, attID); err != nil {
+		n.memFree(ws) // refused after the reservation held: give it back
 		c.rejectAttempt(n, attID)
 	}
 }
@@ -376,7 +374,6 @@ func (c *Cluster) rejectAttempt(n *Node, attID int) {
 	a := &c.tr.Arrivals[att.arr]
 	n.leave(att.live)
 	c.unbook(n, a.App)
-	n.mem.FreeOwner(attID) // no-op when the memory reservation failed
 	c.lose(n, a.Class)
 	c.rejected++
 	c.disarmTimeout(att)
@@ -399,7 +396,7 @@ func (c *Cluster) attComplete(n *Node, attID int, rec proc.RunRecord) {
 	n.leave(att.live)
 	c.unbook(n, a.App)
 	// Ghost or winner, the attempt held its working set until now.
-	n.mem.FreeOwner(attID)
+	n.memFree(c.wsOf(att.arr))
 	if att.abandoned {
 		n.ghostDone++
 		c.atts.release(attID)
